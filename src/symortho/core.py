@@ -31,8 +31,8 @@ from .special import binom
 
 __all__ = [
     "ClassParams", "SymmetricPoly", "explicit_coeffs", "leading_coefficient",
-    "monic_coeffs", "recurrence_c", "monic_by_recurrence", "poly_from_params",
-    "eigenvalue", "ode_residual", "ode_residual_rel",
+    "monic_coeffs", "recurrence_c", "monic_by_recurrence", "member_rows",
+    "poly_from_params", "eigenvalue", "ode_residual", "ode_residual_rel",
 ]
 
 
@@ -161,6 +161,30 @@ def monic_by_recurrence(params: ClassParams, n):
             nxt[k + 1] += c * b
         prev, cur = cur, nxt
     return cur
+
+
+def member_rows(params: ClassParams, nmax):
+    """Evaluator x -> float values of the monic members Sb_0..Sb_nmax at x.
+
+    Each call is one vectorized pass of Sb_{k+1} = x Sb_k + C_k Sb_{k-1};
+    row k of the (nmax + 1, *x.shape) result is Sb_k.  The C_k are computed
+    once, here; a pole in one raises PoleError.  Unlike Horner on the
+    monomial coefficients, the recurrence stays accurate to rounding
+    relative to max|Sb_k| at high degree.
+    """
+    nmax = _check_degree(nmax)
+    cs = [float(recurrence_c(params, k)) for k in range(1, nmax)]
+
+    def rows(x):
+        x = np.asarray(x, dtype=float)
+        out = np.empty((nmax + 1,) + x.shape)
+        out[0] = 1.0
+        if nmax:
+            out[1] = x
+        for k, c in enumerate(cs, start=1):
+            out[k + 1] = x * out[k] + c * out[k - 1]
+        return out
+    return rows
 
 
 def poly_from_params(params: ClassParams, n, monic=False) -> "SymmetricPoly":

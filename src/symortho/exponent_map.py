@@ -14,20 +14,14 @@ machinery in t-space.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
-from .core import ClassParams, poly_from_params, recurrence_c
+from .core import ClassParams, member_rows, poly_from_params, recurrence_c
 from .errors import ConstraintViolation
+from .families import _num
 from .quadrature import IntervalSpec, integrate
-from .sturm import GramEntry, GramReport, generic_weight_log, support_theta
-
-
-def _num(x):
-    if isinstance(x, Rational):
-        return Fraction(x)
-    return float(x)
+from .sturm import GramReport, _gram_report, generic_weight_log, support_theta
 
 
 def _as_fraction(lam):
@@ -160,79 +154,74 @@ def _t_interval(params, theta, n, m):
     return IntervalSpec(-math.inf, math.inf, tuple(hints))
 
 
+class _LambdaBasis:
+    """Gram adapter for the lam = 2/3 class in the substituted variable.
+
+    There are no closed-form norms: norm(n) is the recurrence product
+    (-1)^n C_1...C_n, the ratio of the n-th diagonal to the measured (0, 0)
+    entry, and the shared panel tree stops on its own running diagonal.
+    A mapped class with algebraic tails has a degree bound, as the finite
+    families do, and keeps per-entry integrals: their divergence evidence
+    is independent, where a divergent diagonal would inflate the running
+    scale of the others.
+    """
+    base = 0
+    label = "lambda23"
+    closed_norms = False
+
+    def __init__(self, spec):
+        self.params = spec.mapped_params
+        self.theta = support_theta(self.params)
+        self.shared = math.isfinite(self.theta) or self.params.p == 0
+        self._ratios = [1.0]
+
+    def norm(self, n):
+        while len(self._ratios) <= n:
+            k = len(self._ratios)
+            self._ratios.append(-self._ratios[-1] * float(recurrence_c(self.params, k)))
+        return self._ratios[n]
+
+    def weight(self, t):
+        """W1(t) = W(|t|^{1/3}) / (3 |t|^{2/3})."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.exp(generic_weight_log(self.params, np.abs(t) ** (1.0 / 3.0))
+                          - math.log(3.0) - (2.0 / 3.0) * np.log(np.abs(t)))
+
+    def phi(self, n):
+        return poly_from_params(self.params, n, monic=True)
+
+    def integrable(self, n, m):
+        return True         # no cliffs: a divergent entry is reported as such
+
+    def inner(self, phi_a, phi_b, n, m):
+        def f(t):
+            t = np.asarray(t, dtype=float)
+            u = signed_power(t, Fraction(1, 3))
+            return self.weight(t) * phi_a(u) * phi_b(u)
+        return integrate(f, _t_interval(self.params, self.theta, n, m),
+                         on_inconclusive="return")
+
+    def tree(self, nmax):
+        rows = member_rows(self.params, nmax)
+
+        def sample(t):
+            return self.weight(t), rows(signed_power(t, Fraction(1, 3)))
+        return sample, _t_interval(self.params, self.theta, 0, 0), True
+
+
 def lambda_weight_and_gram(spec: LambdaSpec, nmax: int, tol=1e-7) -> GramReport:
     """Gram matrix of the lam = 2/3 class in the substituted variable.
 
     Integrates int W1(t) S_n(cbrt t) S_m(cbrt t) dt over [-theta^3, theta^3]
     with W1(t) = W(|t|^{1/3}) / (3 |t|^{2/3}), where W is the weight of the
-    mapped polynomial class on [-theta, theta].  Diagonals are judged
-    against the recurrence product (-1)^n C_1...C_n times the measured
-    (0, 0) entry; off-diagonals against tol * sqrt(d_n d_m).  By the
-    substitution t = x^3 every entry equals the corresponding entry of the
-    mapped class's own Gram matrix, which the tests check against the
-    x-space machinery as an independent route.
+    mapped polynomial class on [-theta, theta], on one shared panel tree.
+    Diagonals are judged against the recurrence product (-1)^n C_1...C_n
+    times the measured (0, 0) entry; off-diagonals against
+    tol * sqrt(d_n d_m).  By the substitution t = x^3 every entry equals the
+    corresponding entry of the mapped class's own Gram matrix, which the
+    tests check against the x-space machinery as an independent route.
     """
     if spec.lam != Fraction(2, 3):
         raise ConstraintViolation(
             f"the substituted Gram is worked for lambda = 2/3, got {spec.lam}")
-    mp = spec.mapped_params
-    theta = support_theta(mp)
-    polys = [poly_from_params(mp, k, monic=True) for k in range(nmax + 1)]
-    third = Fraction(1, 3)
-
-    def inner(n, m):
-        pn, pm = polys[n], polys[m]
-
-        def f(t):
-            t = np.asarray(t, dtype=float)
-            xr = np.abs(t) ** (1.0 / 3.0)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                w1 = np.exp(generic_weight_log(mp, xr) - math.log(3.0)
-                            - (2.0 / 3.0) * np.log(np.abs(t)))
-            u = signed_power(t, third)
-            return w1 * pn(u) * pm(u)
-
-        return integrate(f, _t_interval(mp, theta, n, m), on_inconclusive="return")
-
-    entries = []
-    diag = {}
-    base = inner(0, 0)
-    ratio = 1.0
-    for n in range(nmax + 1):
-        if n > 0:
-            ratio *= -float(recurrence_c(mp, n))
-        r = inner(n, n) if n else base
-        expected = ratio * base.value if base.converged else None
-        if not r.converged:
-            status = "divergent" if r.diverged else "inconclusive"
-        elif expected is None:
-            status = "inconclusive"
-        elif abs(r.value - expected) <= tol * max(abs(expected), 1e-300):
-            status = "ok"
-        else:
-            status = "mismatch"
-        if r.converged:
-            diag[n] = r.value
-        entries.append(GramEntry(n, n, r, expected, status))
-
-    for n in range(nmax + 1):
-        for m in range(n):
-            r = inner(n, m)
-            dn = abs(diag.get(n, diag.get(m, 1.0)))
-            dm = abs(diag.get(m, dn))
-            scale = math.sqrt(max(dn * dm, 1e-300))
-            if r.converged:
-                status = "ok" if abs(r.value) <= tol * scale else "mismatch"
-            elif r.diverged:
-                status = "divergent"
-            else:
-                status = "inconclusive"
-            entries.append(GramEntry(n, m, r, 0.0, status))
-
-    mat = np.full((nmax + 1, nmax + 1), math.nan)
-    for e in entries:
-        v = e.quad.value if e.quad.converged else math.nan
-        mat[e.n, e.m] = v
-        mat[e.m, e.n] = v
-    passed = all(e.status == "ok" for e in entries)
-    return GramReport("lambda23", 0, nmax, tol, tuple(entries), mat, passed)
+    return _gram_report(_LambdaBasis(spec), nmax, tol)

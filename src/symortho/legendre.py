@@ -26,7 +26,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .core import ClassParams, poly_from_params
+from .core import ClassParams, member_rows, poly_from_params
 from .errors import ConstraintViolation, SingularPoint
 from .families import GUP, norm_squared
 from .quadrature import IntervalSpec
@@ -180,9 +180,9 @@ def legendre_mu_nu(kind, n):
     raise TypeError(f"not a Legendre kind: {kind!r}")
 
 
-def _gq_poly(a, b, n):
-    params = ClassParams(-1, 1, -2 * a - 2 * b - 2, 2 * a)
-    return poly_from_params(params, n, monic=True)
+def _gq_params(kind):
+    a = 1 if isinstance(kind, Q) else kind.a
+    return ClassParams(-1, 1, -2 * a - 2 * kind.b - 2, 2 * a)
 
 
 def _check_open_interval(x):
@@ -215,6 +215,58 @@ def member_fn(kind, n):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return _prefactor(kind, x) * p0(x)
     return f
+
+
+def _jacobi_rows(al, be, kmax, x):
+    """P_0..P_kmax^(al, be) at x: the three-term recurrence of jacobi_coeffs
+    run on values, one row per degree."""
+    out = np.empty((kmax + 1,) + x.shape)
+    out[0] = 1.0
+    if kmax:
+        out[1] = (al - be) / 2 + (al + be + 2) / 2 * x
+    for k in range(1, kmax):
+        t = 2 * k + al + be
+        a1 = 2 * (k + 1) * (k + al + be + 1) * t
+        a2 = (t + 1) * (al * al - be * be)
+        a3 = t * (t + 1) * (t + 2)
+        a4 = 2 * (k + al) * (k + be) * (t + 2)
+        out[k + 1] = ((a2 + a3 * x) * out[k] - a4 * out[k - 1]) / a1
+    return out
+
+
+def kind_rows(kind, nmax):
+    """Evaluator x -> members base..nmax of the kind at x, one row each,
+    by recurrence.
+
+    U and V run the Jacobi recurrence on values; Pm runs it at (m, m),
+    since d^m P_n / dx^m = (n+m)! / (2^m n!) P_{n-m}^(m,m); G and Q run the
+    monic class recurrence (core.member_rows).  Each row carries the kind's
+    prefactor.  Like member_fn, there is no domain check.
+    """
+    if isinstance(kind, (G, Q)):
+        poly_rows = member_rows(_gq_params(kind), nmax)
+    elif isinstance(kind, Pm):
+        m = kind.m
+        scale = np.array([math.factorial(n + m) / (2 ** m * math.factorial(n))
+                          for n in range(m, nmax + 1)])
+
+        def poly_rows(x):
+            rows = _jacobi_rows(m, m, nmax - m, x)
+            rows *= scale.reshape((-1,) + (1,) * x.ndim)
+            return rows
+    else:
+        al = kind.alpha
+        be = al if isinstance(kind, U) else -al
+
+        def poly_rows(x):
+            return _jacobi_rows(al, be, nmax, x)
+
+    def rows(x):
+        x = np.asarray(x, dtype=float)
+        p = poly_rows(x)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return _prefactor(kind, x) * p
+    return rows
 
 
 def _jacobi_v_coeffs(n, alpha):
@@ -304,8 +356,7 @@ def _prefactor(kind, x):
 
 def _poly_triplet(kind, n):
     if isinstance(kind, (G, Q)):
-        a = 1 if isinstance(kind, Q) else kind.a
-        p0 = _gq_poly(a, kind.b, n)
+        p0 = poly_from_params(_gq_params(kind), n, monic=True)
         p1 = p0.deriv()
         return p0, p1, p1.deriv()
     if isinstance(kind, U):

@@ -28,22 +28,25 @@ import numpy as np
 
 from .errors import MaxDepthExceeded
 
-__all__ = ["QuadResult", "IntervalSpec", "integrate"]
+__all__ = ["QuadResult", "IntervalSpec", "GramQuad", "integrate", "integrate_gram"]
 
-# 15-point Kronrod nodes and weights with the embedded 7-point Gauss rule.
+# 15-point Kronrod nodes and weights with the embedded 7-point Gauss rule,
+# the QUADPACK qk15 values to full double precision.
 _XGK = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
 ])
 _WGK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
 ])
 _WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
 ])
 
 _NODES = np.concatenate((-_XGK[:7], _XGK[::-1]))
@@ -55,6 +58,11 @@ _WGF[[5, 9]] = _WG[2]
 _WGF[7] = _WG[3]
 
 _EPS = np.finfo(float).eps
+
+# refinement policy shared by integrate and integrate_gram
+_RTOL = 1e-9
+_MAX_DEPTH = 60
+_MAX_PANELS = 4000
 
 
 @dataclass(frozen=True)
@@ -138,32 +146,20 @@ def _soften_m(sigma) -> int:
     return best
 
 
-def _soften_left(f, c, d, sigma, u_lo=0.0):
+def _soften(c, sign, sigma):
+    """Change of variable x = c + sign * t^m, which smooths |x - c|^sigma
+    at t = 0; returns the map (see _plan) and m."""
     m = _soften_m(sigma)
-    span = d - c
 
-    def g(t):
-        tm = t ** m
-        return f(c + tm) * (m * t ** (m - 1))
-
-    return g, u_lo ** (1.0 / m), span ** (1.0 / m)
-
-
-def _soften_right(f, c, d, sigma, u_lo=0.0):
-    m = _soften_m(sigma)
-    span = d - c
-
-    def g(t):
-        tm = t ** m
-        return f(d - tm) * (m * t ** (m - 1))
-
-    return g, u_lo ** (1.0 / m), span ** (1.0 / m)
+    def xmap(t):
+        return c + sign * t ** m, lambda v: v * (m * t ** (m - 1))
+    return xmap, m
 
 
 _CUT = 2.0 ** -27
 
 
-def _power_tail_mass(f, anchor, sign, sigma, span):
+def _power_tail_mass(point_fn, anchor, sign, sigma, span):
     """Analytic mass of f ~ A |x-anchor|^sigma within u0 of the anchor.
 
     For sigma in (-1, 0) the integrand carries O(eps^(sigma+1)) mass inside
@@ -171,8 +167,9 @@ def _power_tail_mass(f, anchor, sign, sigma, span):
     samples can never see; softening alone stalls there.  Sampling at
     displacements ~2^-27 |anchor| keeps the recomputed distances exact
     (the subtraction is lossless for nearby floats) so a two-term power
-    law fit recovers that mass analytically.  Returns (u0, value, err)
-    or None when the samples do not cooperate.
+    law fit recovers that mass analytically, entry-wise when point_fn
+    returns an array.  Returns (u0, value, err) or None when the samples do
+    not cooperate.
     """
     u0 = _CUT * abs(anchor)
     if not 0.0 < 2.0 * u0 < abs(span):
@@ -181,8 +178,8 @@ def _power_tail_mass(f, anchor, sign, sigma, span):
     for frac in (1.0, 0.5, 0.25):
         x = anchor + sign * u0 * frac
         u = abs(x - anchor)
-        fx = float(np.asarray(f(np.array([x])), dtype=float)[0])
-        if u <= 0.0 or not math.isfinite(fx):
+        fx = point_fn(x)
+        if u <= 0.0 or not np.all(np.isfinite(fx)):
             return None
         us.append(u)
         amps.append(fx * u ** -sigma)
@@ -191,48 +188,57 @@ def _power_tail_mass(f, anchor, sign, sigma, span):
     a0 = a2 - slope * u2
     value = (a0 * u_c ** (sigma + 1) / (sigma + 1)
              + slope * u_c ** (sigma + 2) / (sigma + 2))
-    if not math.isfinite(value):
+    if not np.all(np.isfinite(value)):
         return None
     drift = abs(a0 + slope * u_c - a_c)     # curvature of the local amplitude
     err = drift * u_c ** (sigma + 1) / abs(sigma + 1) + 4.0 * _EPS * abs(value)
     return u_c, value, err
 
 
-def _edge_task(f, a, b, side, sigma):
+def _edge_task(point_fn, a, b, side, sigma):
     """Softened task at a singular finite endpoint, plus the analytic
     correction for the sliver too close to the anchor to sample."""
     anchor = a if side == "left" else b
     sign = 1.0 if side == "left" else -1.0
     u_lo, extra_value, extra_err = 0.0, 0.0, 0.0
     if sigma is not None and sigma < 0 and anchor != 0.0:
-        corr = _power_tail_mass(f, anchor, sign, sigma, b - a)
+        corr = _power_tail_mass(point_fn, anchor, sign, sigma, b - a)
         if corr is not None:
             u_lo, extra_value, extra_err = corr
-    if side == "left":
-        task = _soften_left(f, a, b, sigma, u_lo)
-    else:
-        task = _soften_right(f, a, b, sigma, u_lo)
-    return task, extra_value, extra_err
+    xmap, m = _soften(anchor, sign, sigma)
+    return (xmap, u_lo ** (1.0 / m), (b - a) ** (1.0 / m)), extra_value, extra_err
 
 
-def _tail_task(f, T, side, tail_exp):
+def _tail_task(T, side, tail_exp):
     """Fold [T, inf) (side=+1) or (-inf, -T] (side=-1) onto (0, 1/T]."""
 
-    def g(t):
-        x = side / t
-        return f(x) / (t * t)
+    def fold(t):
+        return side / t, lambda v: v / (t * t)
 
     if tail_exp is not None:
         sigma_t = -tail_exp - 2.0
         # only soften when the folded endpoint is integrable; a non-integrable
         # endpoint is left raw so the divergence detector can see it grow
         if sigma_t > -1.0 + 1e-12 and _needs_soften(sigma_t):
-            return _soften_left(g, 0.0, 1.0 / T, sigma_t)
-    return g, 0.0, 1.0 / T
+            inner, m = _soften(0.0, 1.0, sigma_t)
+
+            def xmap(tau):
+                t, soft = inner(tau)
+                x, unfold = fold(t)
+                return x, lambda v: soft(unfold(v))
+            return xmap, 0.0, (1.0 / T) ** (1.0 / m)
+    return fold, 0.0, 1.0 / T
 
 
-def _plan(f, spec: IntervalSpec):
-    """Turn (f, interval, hints) into a list of finite smooth-ish tasks."""
+def _plan(point_fn, spec: IntervalSpec):
+    """Turn (interval, hints) into a list of finite smooth-ish tasks.
+
+    A task is (xmap, a, b): the integral over [a, b] of f(x(t)) dx/dt,
+    where xmap(t) returns x(t) and a function that multiplies values at
+    x(t) by dx/dt; xmap None means x = t.  point_fn evaluates the
+    integrand at one point, for the analytic endpoint-sliver masses, which
+    are returned summed with their error.
+    """
     finite_hints = {}
     tail_hi = tail_lo = None
     for point, exponent in spec.singularities:
@@ -264,7 +270,7 @@ def _plan(f, spec: IntervalSpec):
     tasks = []
     extra_value = extra_err = 0.0
     if lo == -math.inf:
-        tasks.append(_tail_task(f, T, -1, tail_lo))
+        tasks.append(_tail_task(T, -1, tail_lo))
     for c, d in zip(points[:-1], points[1:]):
         sc = finite_hints.get(c)
         sd = finite_hints.get(d)
@@ -274,17 +280,28 @@ def _plan(f, spec: IntervalSpec):
             pieces = [(c, mid), (mid, d)]
         for (a, b) in pieces:
             if _needs_soften(finite_hints.get(a)):
-                task, ev, ee = _edge_task(f, a, b, "left", finite_hints[a])
+                task, ev, ee = _edge_task(point_fn, a, b, "left", finite_hints[a])
             elif _needs_soften(finite_hints.get(b)):
-                task, ev, ee = _edge_task(f, a, b, "right", finite_hints[b])
+                task, ev, ee = _edge_task(point_fn, a, b, "right", finite_hints[b])
             else:
-                task, ev, ee = (f, a, b), 0.0, 0.0
+                task, ev, ee = (None, a, b), 0.0, 0.0
             tasks.append(task)
             extra_value += ev
             extra_err += ee
     if hi == math.inf:
-        tasks.append(_tail_task(f, T, +1, tail_hi))
+        tasks.append(_tail_task(T, +1, tail_hi))
     return tasks, extra_value, extra_err
+
+
+def _compose(f, xmap):
+    """The integrand of one task in its own variable."""
+    if xmap is None:
+        return f
+
+    def g(t):
+        x, jacobian = xmap(t)
+        return jacobian(f(x))
+    return g
 
 
 def _mirror_hints(sings):
@@ -296,8 +313,8 @@ def _mirror_hints(sings):
     return tuple(out.items())
 
 
-def integrate(f, interval, *, atol=1e-10, rtol=1e-9, max_depth=60,
-              max_panels=4000, parity=None, divergence_growth=2.0,
+def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, max_depth=_MAX_DEPTH,
+              max_panels=_MAX_PANELS, parity=None, divergence_growth=2.0,
               on_inconclusive="raise") -> QuadResult:
     """Integrate a vectorized callable over an interval with hints.
 
@@ -332,16 +349,20 @@ def integrate(f, interval, *, atol=1e-10, rtol=1e-9, max_depth=60,
                               res.converged, res.diverged)
         raise ValueError(f"parity must be 'odd', 'even' or None, not {parity!r}")
 
-    tasks, extra_value, extra_err = _plan(f, interval)
+    def point_fn(x):
+        return float(np.asarray(f(np.array([x])), dtype=float)[0])
+
+    tasks, extra_value, extra_err = _plan(point_fn, interval)
 
     heap = []
     seq = 0
     total = extra_value     # analytic endpoint-sliver mass from the planner
     err_fin = extra_err     # summed finite panel errors
     n_inf = 0               # panels whose rule evaluation blew up
-    for (g, a, b) in tasks:
+    for (xmap, a, b) in tasks:
         if not a < b:
             continue
+        g = _compose(f, xmap)
         val, err, ok = _gk_panel(g, a, b)
         if not ok:
             err = math.inf
@@ -444,3 +465,195 @@ def integrate(f, interval, *, atol=1e-10, rtol=1e-9, max_depth=60,
     if on_inconclusive == "return":
         return partial
     raise MaxDepthExceeded(partial)
+
+
+# per-panel block entries integrate_gram keeps live (value and error: 4 MB)
+_LIVE_ENTRIES = 2 ** 18
+
+
+@dataclass(frozen=True, eq=False)
+class GramQuad:
+    """Entry-wise outcome of integrate_gram: (K, K) value and summed error
+    matrices, the entries that met the stopping rule, and the number of GK15
+    panels evaluated."""
+
+    value: np.ndarray
+    error: np.ndarray
+    converged: np.ndarray
+    panels: int
+
+
+def _gk_blocks(wdx, P, h):
+    """Kronrod blocks and their errors on a batch of panels.
+
+    wdx (np, 15) is weight times dx/dt at the nodes, P (np, 15, K) the
+    members there and h (np,) the half-widths.  The error of each entry is
+    |Kronrod - Gauss|, floored at the rounding level of its absolute mass;
+    a panel with a non-finite sample gets value 0 and error inf.
+    """
+    finite = np.isfinite(wdx).all(axis=1) & np.isfinite(P).all(axis=(1, 2))
+    wdx = np.where(finite[:, None], wdx, 0.0) * h[:, None]
+    P = np.where(finite[:, None, None], P, 0.0)
+    Pt = P.transpose(0, 2, 1)
+    kron = (Pt * (wdx * _WK)[:, None, :]) @ P
+    delta = np.abs((Pt * (wdx * (_WK - _WGF))[:, None, :]) @ P)
+    mass = (np.abs(Pt) * np.abs(wdx * _WK)[:, None, :]) @ np.abs(P)
+    err = np.maximum(delta, 50.0 * _EPS * mass)
+    err[~finite] = math.inf
+    return kron, err, finite
+
+
+def integrate_gram(sample, interval, norms=None, *, fold=False) -> GramQuad:
+    """Every inner product int w P_n P_m dx on one adaptive GK15 panel tree.
+
+    sample(x) returns (w, P): the weight at the points x (or a scalar) and
+    the (K, len(x)) member values.  Each panel samples the weight and all
+    members once and adds the whole block (P w) P^T with the Kronrod
+    weights; the Gauss block gives each entry's error.  Cuts, softening
+    substitutions, tail folding and analytic endpoint slivers are the same
+    as integrate's.
+
+    Entry (n, m) meets the stopping rule once its summed error is at most
+    1e-9 * sqrt(d_n d_m), with d the closed-form norms or, when norms is
+    None, the tree's own running diagonal.  Each round splits every panel
+    holding more than its share (1 / leaves) of some open entry's error
+    and samples all new panels of a task in one call.  The splits are
+    bounded by integrate's panel budget; entries still open then come back
+    unconverged.  A non-finite sample in a sliver at the floating-point
+    resolution limit retires the sliver with half its parent's error.
+
+    A panel whose error stays below every share it could still be held to
+    is folded into running totals, so only splittable panels keep
+    per-panel state.  Past a memory allowance of about 4 MB of blocks, the
+    panels with the smallest share of open error are folded in too, their
+    error staying on the books.
+
+    fold=True declares the weight even and member k of parity k on a
+    symmetric interval: the tree runs on [0, hi), entries of mixed parity
+    are exactly zero and the others are doubled.
+    """
+    if fold:
+        if interval.lo != -interval.hi:
+            raise ValueError("folding needs a symmetric interval")
+        interval = IntervalSpec(0.0, interval.hi,
+                                _mirror_hints(interval.singularities))
+
+    def point_fn(x):
+        with np.errstate(all="ignore"):
+            w, P = sample(np.array([x]))
+            col = np.asarray(P, dtype=float)[:, 0]
+            return np.broadcast_to(w, (1,))[0] * np.outer(col, col)
+
+    tasks, extra_value, extra_err = _plan(point_fn, interval)
+    tasks = [t for t in tasks if t[1] < t[2]]
+
+    def folded(block):
+        """In place: entries of mixed parity are zero, the others doubled."""
+        if fold:
+            k = np.arange(block.shape[-1])
+            block *= 2.0
+            block[..., (k[:, None] - k[None, :]) % 2 == 1] = 0.0
+        return block
+
+    def evaluate(task, lo, hi):
+        """Blocks, errors and finiteness of the panels [lo, hi] of the given
+        tasks: one sample call per task."""
+        h = 0.5 * (hi - lo)
+        t = (0.5 * (lo + hi))[:, None] + h[:, None] * _NODES
+        kron = err = None
+        finite = np.empty(len(lo), dtype=bool)
+        for k, (xmap, _, _) in enumerate(tasks):
+            sel = task == k
+            if not sel.any():
+                continue
+            tk = t[sel].ravel()
+            with np.errstate(all="ignore"):
+                x, jacobian = (tk, None) if xmap is None else xmap(tk)
+                w, P = sample(x)
+                wdx = np.broadcast_to(np.asarray(w, dtype=float), tk.shape)
+                if jacobian is not None:
+                    wdx = jacobian(wdx)
+                P = np.asarray(P, dtype=float).reshape(-1, len(tk) // 15, 15)
+                blocks = _gk_blocks(wdx.reshape(-1, 15), P.transpose(1, 2, 0), h[sel])
+            if kron is None:
+                kron = np.empty((len(lo),) + blocks[0].shape[1:])
+                err = np.empty_like(kron)
+            kron[sel], err[sel], finite[sel] = blocks
+        return folded(kron), folded(err), finite
+
+    # live panels: task, lo, hi, depth, value block, error block
+    lo = np.array([t[1] for t in tasks], dtype=float)
+    hi = np.array([t[2] for t in tasks], dtype=float)
+    task = np.arange(len(tasks))
+    live = (task, lo, hi, np.zeros(len(tasks), dtype=int)) + evaluate(task, lo, hi)[:2]
+    shape = live[4].shape[1:]
+    acc_val = folded(np.broadcast_to(extra_value, shape).astype(float))
+    acc_err = folded(np.broadcast_to(extra_err, shape).astype(float))
+    retired = 0
+    splits = 0
+    max_leaves = len(tasks) + _MAX_PANELS + 1
+    max_live = max(16, _LIVE_ENTRIES // live[4][0].size)
+
+    while True:
+        task, lo, hi, depth, val, err = live
+        total = acc_val + val.sum(axis=0)
+        errs = acc_err + err.sum(axis=0)
+        d = np.abs(np.diag(total) if norms is None else np.asarray(norms, dtype=float))
+        target = _RTOL * np.sqrt(np.maximum(np.outer(d, d), 1e-300))
+        open_ = ~(errs <= target)
+        if not open_.any() or splits >= _MAX_PANELS or not len(lo):
+            break
+        score = (err / target)[:, open_].max(axis=1)
+        if score.max() <= 0.0:
+            break       # what is left open sits in retired panels
+        pick = np.flatnonzero(score > 1.0 / (len(lo) + retired))
+        if not pick.size:
+            pick = np.array([np.argmax(score)])
+        pick = pick[np.argsort(-score[pick], kind="stable")][
+            :min(_MAX_PANELS - splits, max_live // 2)]
+        gone = np.zeros(len(lo), dtype=bool)
+        gone[pick] = True
+        # panels at the depth limit keep their error on the books
+        parked = pick[depth[pick] >= _MAX_DEPTH]
+        pick = pick[depth[pick] < _MAX_DEPTH]
+        acc_val += val[parked].sum(axis=0)
+        acc_err += err[parked].sum(axis=0)
+        retired += len(parked)
+
+        mid = 0.5 * (lo[pick] + hi[pick])
+        c_task = np.repeat(task[pick], 2)
+        c_lo = np.column_stack((lo[pick], mid)).ravel()
+        c_hi = np.column_stack((mid, hi[pick])).ravel()
+        c_depth = np.repeat(depth[pick] + 1, 2)
+        if pick.size:
+            c_val, c_err, c_ok = evaluate(c_task, c_lo, c_hi)
+        else:
+            c_val, c_err, c_ok = val[:0], err[:0], np.ones(0, dtype=bool)
+        splits += len(pick)
+
+        # a non-finite sample in a sliver at the resolution limit: retire the
+        # sliver with half its parent's error, as integrate does
+        parent_err = np.repeat(err[pick], 2, axis=0)
+        sliver = ~c_ok & (c_hi - c_lo <= 64.0 * _EPS * np.maximum(
+            1.0, np.maximum(abs(c_lo), abs(c_hi))))
+        sliver &= np.isfinite(parent_err).all(axis=(1, 2))
+        acc_err += 0.5 * parent_err[sliver].sum(axis=0)
+        retired += int(sliver.sum())
+
+        children = (c_task, c_lo, c_hi, c_depth, c_val, c_err)
+        live = tuple(np.concatenate((old[~gone], new[~sliver]))
+                     for old, new in zip(live, children))
+
+        # panels no share can ever reach again leave the live set, and so do
+        # the least splittable ones beyond the memory allowance
+        ratio = live[5] / target
+        done = ratio.max(axis=(1, 2)) <= 1.0 / max_leaves
+        if len(done) - done.sum() > max_live:
+            rank = np.argsort(-ratio[:, open_].max(axis=1), kind="stable")
+            done[rank[max_live:]] = True
+        acc_val += live[4][done].sum(axis=0)
+        acc_err += live[5][done].sum(axis=0)
+        retired += int(done.sum())
+        live = tuple(a[~done] for a in live)
+
+    return GramQuad(total, errs, errs <= target, len(tasks) + 2 * splits)

@@ -17,18 +17,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ClassParams, SymmetricPoly, poly_from_params
+from .core import ClassParams, SymmetricPoly, member_rows, poly_from_params
 from .core import eigenvalue as generic_eigenvalue
 from .errors import (ConstraintViolation, DivergentMoment, NonpositiveWeight,
                      OutOfFiniteRange, PoleError, SingularCoefficient,
                      ZeroLeadingCoefficient)
-from .families import GUP, GHP, FiniteI, FiniteII, norm_squared, valid_pair
-from .legendre import (G, Pm, Q, U, V, legendre_norm, member_fn,
-                       orthogonality_interval)
-from .quadrature import IntervalSpec, QuadResult, integrate
-
-_FAMILIES = (GUP, GHP, FiniteI, FiniteII)
-_KINDS = (U, Pm, V, G, Q)
+from .families import _FAMILIES, GUP, GHP, norm_squared, valid_pair
+from .legendre import (LegendreKind, Pm, V, kind_rows, legendre_norm,
+                       member_fn, orthogonality_interval)
+from .quadrature import IntervalSpec, QuadResult, integrate, integrate_gram
 
 
 @dataclass(frozen=True)
@@ -280,7 +277,10 @@ class GramEntry:
     m: int
     quad: QuadResult
     expected: Optional[float]
-    status: str          # ok | cliff | mismatch | divergent | inconclusive
+    status: str          # ok | cliff | degenerate | mismatch | divergent | inconclusive
+
+
+_REFUSED = ("cliff", "degenerate")
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,6 +293,11 @@ class GramReport:
     matrix: np.ndarray
     passed: bool
 
+    @property
+    def verified(self) -> int:
+        """Entries checked against their expected value (status ok)."""
+        return sum(e.status == "ok" for e in self.entries)
+
     def entry(self, n, m):
         for e in self.entries:
             if (e.n, e.m) == (max(n, m), min(n, m)):
@@ -303,12 +308,14 @@ class GramReport:
         counts = {}
         for e in self.entries:
             counts[e.status] = counts.get(e.status, 0) + 1
+        refused = sum(counts.get(k, 0) for k in _REFUSED)
         head = (f"gram[{self.label}] n = {self.base}..{self.nmax}, "
-                f"tol {self.tol:g}: {'pass' if self.passed else 'FAIL'} "
+                f"tol {self.tol:g}: {'pass' if self.passed else 'FAIL'}, "
+                f"{self.verified} verified, {refused} refused "
                 f"({', '.join(f'{v} {k}' for k, v in sorted(counts.items()))})")
         lines = [head]
         for e in self.entries:
-            if e.status in ("ok", "cliff", "degenerate"):
+            if e.status in ("ok",) + _REFUSED:
                 continue
             lines.append(f"  ({e.n},{e.m}): {e.status}, value {e.quad.value:.3e}"
                          + (f", expected {e.expected:.3e}" if e.expected is not None
@@ -317,10 +324,15 @@ class GramReport:
 
 
 class _FamilyBasis:
+    closed_norms = True
+
     def __init__(self, spec):
         self.spec = spec
         self.base = 0
         self.label = spec.label
+        # the finite families keep per-entry integrals, whose divergence
+        # evidence backs every cliff
+        self.shared = isinstance(spec, (GUP, GHP))
 
     def phi(self, n):
         return poly_from_params(self.spec.params, n, monic=True)
@@ -340,8 +352,19 @@ class _FamilyBasis:
         spec = self.spec.interval(origin_power=(n % 2) + (m % 2), tail_power=n + m)
         return integrate(f, spec, on_inconclusive="return")
 
+    def tree(self, nmax):
+        wlog, rows = self.spec.weight_log, member_rows(self.spec.params, nmax)
+
+        def sample(x):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                return np.exp(wlog(x)), rows(x)
+        return sample, self.spec.interval(), True
+
 
 class _KindBasis:
+    closed_norms = True
+    shared = True
+
     def __init__(self, kind):
         self.kind = kind
         self.base = kind.m if isinstance(kind, Pm) else 0
@@ -353,30 +376,73 @@ class _KindBasis:
     def norm(self, n):
         return legendre_norm(self.kind, n)
 
-    def integrable(self, n, m):
-        return True
+    def tree(self, nmax):
+        rows = kind_rows(self.kind, nmax)
 
-    def inner(self, phi_a, phi_b, n, m):
-        del n, m
-        return integrate(lambda x: phi_a(x) * phi_b(x),
-                         orthogonality_interval(self.kind),
-                         on_inconclusive="return")
+        def sample(x):
+            return 1.0, rows(x)
+        # V's prefactor has no parity; every other kind folds onto [0, 1)
+        return sample, orthogonality_interval(self.kind), not isinstance(self.kind, V)
 
 
 def _adapt(basis):
     if isinstance(basis, _FAMILIES):
         return _FamilyBasis(basis)
-    if isinstance(basis, _KINDS):
+    if isinstance(basis, LegendreKind):
         return _KindBasis(basis)
     raise TypeError(f"cannot build a basis from {basis!r}")
+
+
+def _shared_tree(ad, idx, norms):
+    """Every entry from one panel tree; (n, m) -> QuadResult."""
+    sample, interval, fold = ad.tree(idx[-1])
+    res = integrate_gram(sample, interval, norms, fold=fold)
+
+    def quad(n, m):
+        i, j = n - ad.base, m - ad.base
+        return QuadResult(float(res.value[i, j]), float(res.error[i, j]),
+                          bool(res.converged[i, j]), False)
+    return quad
+
+
+def _entry_by_entry(ad, idx):
+    """One integrate call per entry; (n, m) -> QuadResult, or None when a
+    member does not exist."""
+    phis = {}
+    for n in idx:
+        try:
+            phis[n] = ad.phi(n)
+        except ZeroLeadingCoefficient:
+            phis[n] = None
+
+    done = {}
+
+    def quad(n, m):
+        if phis[n] is None or phis[m] is None:
+            return None
+        if (n, m) not in done:
+            done[n, m] = ad.inner(phis[n], phis[m], n, m)
+        return done[n, m]
+    return quad
+
+
+def _norm(ad, n):
+    """(norm, refused): the closed form, or the refusal of one."""
+    try:
+        return ad.norm(n), False
+    except (PoleError, OutOfFiniteRange, DivergentMoment, ZeroLeadingCoefficient):
+        return None, True
 
 
 def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
     """Inner-product matrix of the basis members up to degree nmax.
 
-    Diagonals are computed first and compared with the closed-form norms;
-    off-diagonal entries are then measured against tol * sqrt(d_n d_m).
-    Entry statuses:
+    Bases with no degree bound (GUP, GHP, the Legendre kinds) take every
+    entry from one shared panel tree (quadrature.integrate_gram) on members
+    evaluated by recurrence; the finite families integrate each entry on
+    its own, so a cliff always rests on independent divergence evidence.
+    Diagonals are compared with the closed-form norms; off-diagonal
+    entries are then measured against tol * sqrt(d_n d_m).  Entry statuses:
 
       ok            matches expectation
       cliff         quadrature diverged AND the closed form refuses the
@@ -391,39 +457,39 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
       inconclusive  the integrator gave up without a verdict
 
     The report passes iff every entry is ok, cliff or degenerate.  Entries
-    are deterministic and independent; (n, m) with n >= m are computed and
-    the matrix is mirrored.
+    (n, m) with n >= m are computed and the matrix is mirrored.
     """
-    ad = _adapt(basis)
+    return _gram_report(_adapt(basis), nmax, tol)
+
+
+def _gram_report(ad, nmax, tol) -> GramReport:
     if nmax < ad.base:
         raise ConstraintViolation(f"nmax must be at least {ad.base} for this basis")
     idx = list(range(ad.base, nmax + 1))
-    phis = {}
-    for n in idx:
-        try:
-            phis[n] = ad.phi(n)
-        except ZeroLeadingCoefficient:
-            phis[n] = None
+    norms = [_norm(ad, n) for n in idx]
+    closed = [d for d, _ in norms] if ad.closed_norms else None
+    quad = _shared_tree(ad, idx, closed) if ad.shared else _entry_by_entry(ad, idx)
     no_quad = QuadResult(math.nan, math.inf, False, False)
 
     entries = []
     diag = {}
     degenerate_ok = {}
-    for n in idx:
-        expected, refused = None, False
-        try:
-            expected = ad.norm(n)
-        except (PoleError, OutOfFiniteRange, DivergentMoment, ZeroLeadingCoefficient):
-            refused = True
-        if phis[n] is None:
+    for n, (expected, refused) in zip(idx, norms):
+        if not ad.closed_norms and expected is not None:
+            # a ratio to the (base, base) entry, which is measured
+            first = quad(ad.base, ad.base)
+            expected = expected * first.value if first.converged else None
+        r = quad(n, n)
+        if r is None:
             degenerate_ok[n] = refused
             entries.append(GramEntry(n, n, no_quad, expected,
                                      "degenerate" if refused else "mismatch"))
             continue
-        r = ad.inner(phis[n], phis[n], n, n)
         if r.converged:
             if refused:
                 status = "mismatch"
+            elif expected is None:
+                status = "inconclusive"
             else:
                 status = ("ok" if abs(r.value - expected)
                           <= tol * max(abs(expected), 1e-300) else "mismatch")
@@ -438,12 +504,12 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
 
     for n in idx:
         for m in range(ad.base, n):
-            if phis[n] is None or phis[m] is None:
+            r = quad(n, m)
+            if r is None:
                 consistent = all(degenerate_ok.get(k, True) for k in (n, m))
                 entries.append(GramEntry(n, m, no_quad, 0.0,
                                          "degenerate" if consistent else "mismatch"))
                 continue
-            r = ad.inner(phis[n], phis[m], n, m)
             dn = abs(diag.get(n, diag.get(m, 1.0)))
             dm = abs(diag.get(m, dn))
             scale = math.sqrt(max(dn * dm, 1e-300))
@@ -461,5 +527,5 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
         v = e.quad.value if e.quad.converged else math.nan
         mat[e.n - ad.base, e.m - ad.base] = v
         mat[e.m - ad.base, e.n - ad.base] = v
-    passed = all(e.status in ("ok", "cliff", "degenerate") for e in entries)
+    passed = all(e.status in ("ok",) + _REFUSED for e in entries)
     return GramReport(ad.label, ad.base, nmax, tol, tuple(entries), mat, passed)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from symortho.core import (ClassParams, SymmetricPoly, eigenvalue,
-                           explicit_coeffs, leading_coefficient,
+                           explicit_coeffs, leading_coefficient, member_rows,
                            monic_by_recurrence, monic_coeffs, ode_residual,
                            ode_residual_rel, poly_from_params, recurrence_c)
 from symortho.errors import (ConstraintViolation, DegenerateDenominator,
@@ -208,3 +208,34 @@ def test_parity_in_evaluation():
         poly = poly_from_params(params, n)
         x = np.linspace(0.1, 1.5, 7)
         assert poly(-x) == pytest.approx(poly(x))
+
+
+# ------------------------------------------------- recurrence evaluation
+
+
+@pytest.mark.parametrize("params, span", [
+    (ClassParams(-1, 1, -4, 1), 0.999),                            # GUP(1/2, 1/2)
+    (ClassParams(-1, 1, -7, 2), 0.999),                            # GUP(1, 3/2)
+    (ClassParams(0, 1, -2, 1), 7.992),                             # GHP(1/2)
+], ids=["gup-half-half", "gup-1-3/2", "ghp-half"])
+def test_member_rows_match_exact_values_to_degree_60(params, span):
+    xs = [Fraction(round(v * 1000), 1000) for v in np.linspace(-span, span, 19)]
+    got = member_rows(params, 60)(np.array([float(x) for x in xs]))
+    assert got.shape == (61, 19)
+    for n in range(61):
+        exact = [float(poly_from_params(params, n, monic=True).eval_exact(x))
+                 for x in xs]
+        scale = max(abs(v) for v in exact)
+        assert np.max(np.abs(got[n] - exact)) <= 1e-13 * scale, n
+
+
+def test_member_rows_shapes_and_low_degrees():
+    params = ClassParams(-1, 1, -4, 1)
+    assert member_rows(params, 0)([0.3, 0.4]).tolist() == [[1.0, 1.0]]
+    row = member_rows(params, 3)(0.5)
+    assert row.shape == (4,)
+    for n in range(4):
+        assert row[n] == pytest.approx(poly_from_params(params, n, monic=True)(0.5),
+                                       rel=1e-14)
+    with pytest.raises(ConstraintViolation):
+        member_rows(params, -1)

@@ -9,7 +9,7 @@ from symortho.errors import ConstraintViolation
 from symortho.exponent_map import (LambdaSpec, admissible, alpha_beta,
                                    generic_ode_residual, lambda_weight_and_gram,
                                    signed_power, transformed_eval)
-from symortho.families import GUP, moment_zero
+from symortho.families import GUP, FiniteI, moment_zero
 from symortho.sturm import gram_matrix
 
 F = Fraction
@@ -212,3 +212,17 @@ def test_lambda_gram_diagonal_ratio_is_recurrence_product():
     for n in range(1, 4):
         acc *= -float(recurrence_c(mp, n))
         assert rep.matrix[n, n] / rep.matrix[0, 0] == pytest.approx(acc, rel=1e-7)
+
+
+def test_lambda_gram_with_algebraic_tails_keeps_divergence_evidence():
+    # the mapped class is FiniteI(1/10, 5/2): entries with n + m >= 5
+    # diverge, and must be reported so rather than verified
+    fam = FiniteI(Fraction(1, 10), Fraction(5, 2))
+    a, b, r, s = fam.params
+    spec = LambdaSpec(a, b, (r + 2 * a) / 3, (s + 2 * b) / 3, Fraction(2, 3))
+    assert spec.mapped_params == fam.params
+    rep = lambda_weight_and_gram(spec, 6)
+    assert not rep.passed
+    for e in rep.entries:
+        want = "ok" if e.n + e.m <= 4 else "divergent"
+        assert e.status == want, (e.n, e.m, e.status)

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from symortho.errors import ConstraintViolation, SingularPoint
-from symortho.legendre import (G, JacobiParams, Pm, Q, U, V, eval_jacobi,
-                               eval_legendre_fn, generalized_legendre_residual,
-                               jacobi_coeffs, legendre_mu_nu, legendre_norm,
+from symortho.legendre import (G, JacobiParams, Pm, Q, U, V, _poly_deriv,
+                               eval_jacobi, eval_legendre_fn,
+                               generalized_legendre_residual, jacobi_coeffs,
+                               kind_rows, legendre_mu_nu, legendre_norm,
                                member_fn, orthogonality_interval)
 from symortho.quadrature import integrate
 
@@ -208,3 +209,36 @@ def test_residual_nu_override_and_validation():
 def test_residual_generic_g_is_off_form():
     # a = 1/2 carries an extra origin term neither E choice reproduces
     assert abs(generalized_legendre_residual(G(0.5, 1), 2, 0.5)) > 1e-3
+
+
+# ------------------------------------------------- recurrence evaluation
+
+
+@pytest.mark.parametrize("kind", [U(0.6), U(-0.5), V(0.3), V(-0.8), Pm(0), Pm(2),
+                                  Pm(3), G(0.7, 1.0), Q(1.0)], ids=repr)
+def test_kind_rows_match_member_fn(kind):
+    # member_fn evaluates monomial coefficients, which drift past 1e-12
+    # of max|member| beyond degree 9 (V(-0.8)) and reach 6e-9 at degree 24
+    x = np.linspace(-0.999, 0.999, 201)
+    base = kind.m if isinstance(kind, Pm) else 0
+    rows = kind_rows(kind, 8)(x)
+    assert rows.shape == (9 - base, 201)
+    for n in range(base, 9):
+        ref = member_fn(kind, n)(x)
+        assert np.max(np.abs(rows[n - base] - ref)) <= 1e-12 * np.max(np.abs(ref)), n
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_pm_value_recurrence_exact_to_degree_24(m):
+    # (n+m)!/(2^m n!) P_{n-m}^(m,m) against d^m P_n / dx^m in exact rationals
+    xs = [Fraction(k, 1000) for k in range(-999, 1000, 37)]
+    x = np.array([float(v) for v in xs])
+    pref = (1 - x * x) ** (m / 2)
+    rows = kind_rows(Pm(m), 24)(x)
+    for n in range(m, 25):
+        c = jacobi_coeffs(n, JacobiParams(0, 0))
+        for _ in range(m):
+            c = _poly_deriv(c)
+        exact = pref * np.array([float(sum(ck * v ** k for k, ck in enumerate(c)))
+                                 for v in xs])
+        assert np.max(np.abs(rows[n - m] - exact)) <= 1e-12 * np.max(np.abs(exact)), n

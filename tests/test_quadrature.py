@@ -1,11 +1,14 @@
 """Adaptive quadrature: exactness, hints, tails, parity, divergence."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from symortho.quadrature import integrate, IntervalSpec, _gk_panel
+from symortho import quadrature
+from symortho.quadrature import (_NODES, _WGF, _WK, IntervalSpec, _gk_panel,
+                                 integrate, integrate_gram)
 from symortho.errors import MaxDepthExceeded
 
 
@@ -155,3 +158,92 @@ def test_tolerances_respected():
                   atol=1e-13, rtol=1e-13)
     assert r.converged
     assert abs(r.value - math.sqrt(math.pi)) < 5e-13
+
+
+# ------------------------------------------------------- GK15 constants
+
+
+def test_gk15_weights_sum_to_two():
+    ulp = math.ulp(2.0)
+    assert abs(sum(Fraction(w) for w in _WK) - 2) <= 4 * ulp
+    assert abs(sum(Fraction(w) for w in _WGF) - 2) <= 4 * ulp
+    assert abs(math.fsum(_WK) - 2.0) <= 4 * ulp
+    assert abs(math.fsum(_WGF) - 2.0) <= 4 * ulp
+
+
+@pytest.mark.parametrize("weights, degree", [(_WK, 22), (_WGF, 13)],
+                         ids=["kronrod", "gauss"])
+def test_gk15_rules_exact_through_their_degree(weights, degree):
+    # exact rational sums of the stored doubles against int_{-1}^{1} x^k dx
+    nodes = [Fraction(x) for x in _NODES]
+    ws = [Fraction(w) for w in weights]
+    for k in range(degree + 1):
+        got = sum(w * x ** k for w, x in zip(ws, nodes))
+        want = Fraction(2, k + 1) if k % 2 == 0 else 0
+        assert abs(got - want) <= 8 * np.finfo(float).eps, k
+    # and the next even degree is no longer exact
+    k = degree + 1 if degree % 2 else degree + 2
+    got = sum(w * x ** k for w, x in zip(ws, nodes))
+    assert abs(got - Fraction(2, k + 1)) > 1e-9
+
+
+# ------------------------------------------------------- shared panel tree
+
+
+def _legendre_sample(nmax):
+    def sample(x):
+        return 1.0, np.array([np.polynomial.legendre.Legendre.basis(k)(x)
+                              for k in range(nmax + 1)])
+    return sample
+
+
+def test_gram_tree_legendre_identity():
+    nmax = 10
+    norms = [2.0 / (2 * k + 1) for k in range(nmax + 1)]
+    spec = IntervalSpec(-1.0, 1.0)
+    for fold in (False, True):
+        res = integrate_gram(_legendre_sample(nmax), spec, norms, fold=fold)
+        assert res.converged.all()
+        assert np.allclose(res.value, np.diag(norms), rtol=0, atol=1e-14)
+        assert res.value.shape == (nmax + 1, nmax + 1)
+    # folded: mixed-parity entries are exactly zero with zero error
+    assert res.value[3, 0] == 0.0 and res.error[3, 0] == 0.0
+
+
+def test_gram_tree_running_diagonal_and_endpoint_sliver():
+    # arcsine weight: Chebyshev polynomials, norms pi, pi/2, ...; the
+    # endpoint exponent -1/2 at a nonzero anchor takes the analytic sliver
+    nmax = 8
+
+    def sample(x):
+        with np.errstate(divide="ignore"):
+            w = (1.0 - x * x) ** -0.5
+        return w, np.array([np.cos(k * np.arccos(x)) for k in range(nmax + 1)])
+    spec = IntervalSpec(-1.0, 1.0, ((-1.0, -0.5), (1.0, -0.5)))
+    res = integrate_gram(sample, spec, None, fold=True)
+    want = np.diag([math.pi] + [math.pi / 2] * nmax)
+    assert res.converged.all()
+    assert np.allclose(res.value, want, rtol=0, atol=1e-9)
+
+
+def test_gram_tree_budget_leaves_entries_open(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 0)
+    res = integrate_gram(_legendre_sample(30), IntervalSpec(-1.0, 1.0),
+                         [2.0 / (2 * k + 1) for k in range(31)])
+    assert res.panels == 1
+    assert not res.converged.all()
+    assert res.converged[0, 0]
+
+
+def test_gram_tree_unresolvable_integrand_stays_open_and_bounded(monkeypatch):
+    # an unhinted oscillating singularity: the low entries cannot converge,
+    # and the tree stops at the split budget with its live set capped
+    def sample(x):
+        with np.errstate(divide="ignore"):
+            w = np.abs(x - 0.3) ** -0.5 + np.abs(np.sin(1.0 / (x - 0.7)))
+        return w, np.array([x ** k for k in range(25)])
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 600)
+    res = integrate_gram(sample, IntervalSpec(-1.0, 1.0), np.ones(25))
+    assert not res.converged[:4, :4].any()
+    assert res.panels == 1 + 2 * 600
+    assert np.all(np.isfinite(res.value))

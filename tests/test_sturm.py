@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,8 +7,12 @@ import pytest
 from symortho.core import ClassParams, poly_from_params
 from symortho.errors import (ConstraintViolation, NonpositiveWeight,
                              SingularCoefficient)
+from symortho.exponent_map import (LambdaSpec, _t_interval, lambda_weight_and_gram,
+                                   signed_power)
 from symortho.families import GUP, GHP, FiniteI, FiniteII, weight_at
-from symortho.legendre import Pm, Q, V, eval_jacobi, JacobiParams
+from symortho.legendre import (G, Pm, Q, U, V, eval_jacobi, JacobiParams,
+                               member_fn, orthogonality_interval)
+from symortho.quadrature import integrate
 from symortho.sturm import (GramReport, boundary_term, from_params,
                             generic_weight_log, gram_matrix, legendre_sl,
                             parity_integral, self_adjoint_factor,
@@ -239,3 +244,89 @@ def test_gram_nmax_below_base():
 def test_gram_rejects_unknown_basis():
     with pytest.raises(TypeError):
         gram_matrix("gup", 3)
+
+
+def test_gram_summary_counts_verified_apart_from_refused():
+    # FiniteI(5, 2): every entry is a consistent cliff, so the report
+    # passes without verifying anything, and says so
+    rep = gram_matrix(FiniteI(5, 2), 8)
+    assert rep.passed and rep.verified == 0
+    head = rep.summary().splitlines()[0]
+    assert "0 verified" in head and "45 refused" in head
+    rep = gram_matrix(FiniteII(4.5), 4)
+    assert rep.verified == 14
+    assert "14 verified, 1 refused" in rep.summary()
+
+
+# ------------------------------------------------------ shared panel tree
+
+
+def _lam(u, v):
+    """The lambda = 2/3 spec whose mapped class is GUP(u, v)."""
+    u, v = Fraction(u), Fraction(v)
+    return LambdaSpec(-1, 1, (-2 * u - 2 * v - 4) / 3, (2 * u + 2) / 3,
+                      Fraction(2, 3))
+
+
+def _scalar_entry(basis, n, m, atol):
+    """The same inner product as its own integrate call, per entry."""
+    if isinstance(basis, LambdaSpec):
+        mp = basis.mapped_params
+        pn, pm = (poly_from_params(mp, k, monic=True) for k in (n, m))
+
+        def f(t):
+            u = signed_power(t, Fraction(1, 3))
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                w = np.exp(generic_weight_log(mp, np.abs(u)) - math.log(3.0)
+                           - (2.0 / 3.0) * np.log(np.abs(t)))
+            return w * pn(u) * pm(u)
+        spec = _t_interval(mp, support_theta(mp), n, m)
+    elif isinstance(basis, (GUP, GHP)):
+        pn, pm = (poly_from_params(basis.params, k, monic=True) for k in (n, m))
+
+        def f(x):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.exp(basis.weight_log(x)) * pn(x) * pm(x)
+        spec = basis.interval(origin_power=n % 2 + m % 2, tail_power=n + m)
+    else:
+        fn, fm = member_fn(basis, n), member_fn(basis, m)
+
+        def f(x):
+            return fn(x) * fm(x)
+        spec = orthogonality_interval(basis)
+    return integrate(f, spec, atol=atol, on_inconclusive="return")
+
+
+@pytest.mark.parametrize("basis", [
+    GUP(0.6, 0.8), GUP(0.3, -0.4), GHP(0.4), U(0.6), Pm(1), V(0.3), V(-0.8),
+    G(0.7, 1.0), Q(1.0), _lam(1, 1)], ids=repr)
+def test_shared_tree_agrees_with_entry_by_entry_route(basis):
+    nmax, tol = 8, 1e-7
+    if isinstance(basis, LambdaSpec):
+        rep = lambda_weight_and_gram(basis, nmax, tol)
+    else:
+        rep = gram_matrix(basis, nmax, tol)
+    assert rep.passed and rep.verified == len(rep.entries)
+    diag = {e.n: e.quad.value for e in rep.entries if e.n == e.m}
+    for e in rep.entries:
+        scale = math.sqrt(diag[e.n] * diag[e.m])
+        ref = _scalar_entry(basis, e.n, e.m, atol=1e-10 * scale)
+        assert ref.converged, (e.n, e.m)
+        assert abs(e.quad.value - ref.value) <= tol * scale, (e.n, e.m)
+
+
+@pytest.mark.parametrize("basis, nmax", [
+    (GUP(0, 0), 24), (GUP(1, 1.5), 24), (GUP(0.3, -0.4), 24), (GHP(0), 12),
+    (GHP(0.5), 20), (V(0.6), 24), (Pm(3), 8),
+    # the shared-engine targets: both used to fail (the second took 83 s)
+    (GUP(1, 1.5), 40), (GHP(0.5), 30)], ids=str)
+def test_gram_passes_at_high_degree(basis, nmax):
+    rep = gram_matrix(basis, nmax)
+    assert rep.passed, rep.summary()
+    assert rep.verified == len(rep.entries)
+
+
+def test_lambda_gram_passes_at_degree_12():
+    rep = lambda_weight_and_gram(_lam(1, 1), 12)
+    assert rep.passed, rep.summary()
+    assert rep.verified == len(rep.entries) == 91
