@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import ClassParams, member_rows, poly_from_params, recurrence_c
-from .errors import ConstraintViolation
+from .errors import ConstraintViolation, PoleError
 from .families import _num
 from .quadrature import IntervalSpec, integrate
 from .sturm import GramReport, _gram_report, generic_weight_log, support_theta
@@ -157,7 +157,7 @@ def _t_interval(params, theta, n, m):
 class _LambdaBasis:
     """Gram adapter for the lam = 2/3 class in the substituted variable.
 
-    There are no closed-form norms: norm(n) is the recurrence product
+    There are no closed-form norms: norms() gives the recurrence product
     (-1)^n C_1...C_n, the ratio of the n-th diagonal to the measured (0, 0)
     entry, and the shared panel tree stops on its own running diagonal.
     A mapped class with algebraic tails has a degree bound, as the finite
@@ -168,18 +168,22 @@ class _LambdaBasis:
     base = 0
     label = "lambda23"
     closed_norms = False
+    fold = True
 
     def __init__(self, spec):
         self.params = spec.mapped_params
         self.theta = support_theta(self.params)
         self.shared = math.isfinite(self.theta) or self.params.p == 0
-        self._ratios = [1.0]
 
-    def norm(self, n):
-        while len(self._ratios) <= n:
-            k = len(self._ratios)
-            self._ratios.append(-self._ratios[-1] * float(recurrence_c(self.params, k)))
-        return self._ratios[n]
+    def norms(self, nmax):
+        """(-1)^n C_1...C_n for n = 0..nmax, None from a pole in C_n on."""
+        out = [1.0]
+        try:
+            for k in range(1, nmax + 1):
+                out.append(-out[-1] * float(recurrence_c(self.params, k)))
+        except PoleError:
+            pass
+        return out + [None] * (nmax + 1 - len(out))
 
     def weight(self, t):
         """W1(t) = W(|t|^{1/3}) / (3 |t|^{2/3})."""
@@ -201,12 +205,12 @@ class _LambdaBasis:
         return integrate(f, _t_interval(self.params, self.theta, n, m),
                          on_inconclusive="return")
 
-    def tree(self, nmax):
+    def rows(self, nmax):
         rows = member_rows(self.params, nmax)
+        return lambda t: rows(signed_power(t, Fraction(1, 3)))
 
-        def sample(t):
-            return self.weight(t), rows(signed_power(t, Fraction(1, 3)))
-        return sample, _t_interval(self.params, self.theta, 0, 0), True
+    def interval(self):
+        return _t_interval(self.params, self.theta, 0, 0)
 
 
 def lambda_weight_and_gram(spec: LambdaSpec, nmax: int, tol=1e-7) -> GramReport:

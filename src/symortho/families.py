@@ -25,13 +25,14 @@ import numpy as np
 
 from .core import ClassParams, recurrence_c
 from .errors import (ConstraintViolation, DivergentMoment, OutOfFiniteRange,
-                     SingularPoint)
+                     PoleError, SingularPoint)
 from .quadrature import IntervalSpec
 from .special import beta_fn, gamma_fn, log_gamma
 
 __all__ = [
     "GUP", "GHP", "FiniteI", "FiniteII", "NormValue", "PairValidity",
-    "make_subclass", "weight_at", "moment_zero", "norm_squared", "valid_pair",
+    "make_subclass", "weight_at", "moment_zero", "norm_squared", "norms_squared",
+    "valid_pair",
     "finite_degree_bound", "pearson_residual",
 ]
 
@@ -336,6 +337,31 @@ def norm_squared(spec, n) -> NormValue:
         prod *= recurrence_c(params, i)
     sign = -1 if n % 2 else 1
     return NormValue(n, sign * float(prod) * moment_zero(spec))
+
+
+def norms_squared(spec, nmax):
+    """norm_squared(spec, n).value for n = 0..nmax, None where it refuses.
+
+    One running product of the C_k serves every degree, where nmax + 1
+    calls of norm_squared would rebuild it each time; the values are
+    identical.  A refusal (beyond the degree bound, a pole in some C_k, a
+    divergent base moment) holds for every higher degree too.
+    """
+    out = []
+    try:
+        bound = finite_degree_bound(spec)
+        m0 = moment_zero(spec)
+        params = spec.params
+        prod = 1
+        for n in range(int(nmax) + 1):
+            if n > bound:
+                break
+            if n:
+                prod *= recurrence_c(params, n)
+            out.append((-1 if n % 2 else 1) * float(prod) * m0)
+    except (PoleError, DivergentMoment):
+        pass
+    return out + [None] * (int(nmax) + 1 - len(out))
 
 
 def valid_pair(spec, n, m) -> PairValidity:

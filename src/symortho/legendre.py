@@ -307,21 +307,31 @@ def legendre_norm(kind, n):
     raise TypeError(f"not a Legendre kind: {kind!r}")
 
 
-def orthogonality_interval(kind):
-    """Quadrature interval with endpoint hints sized for a product of two members."""
+def orthogonality_interval(kind, members=2):
+    """Quadrature interval on (-1, 1) with hints sized for a product of
+    `members` members: 2 for a Gram entry, 1 for an integrand linear in
+    one member, such as a projection coefficient f phi_n.
+
+    The hints are the exponents of one member's prefactor at 0 and +-1
+    (for U, alpha/2 at +-1; V, -+alpha/2; Pm, m/2; G and Q, a at 0 and
+    b/2 at +-1), times `members`.
+    """
     hints = []
     if isinstance(kind, U):
         if kind.alpha != 0:
-            hints = [(-1.0, kind.alpha), (1.0, kind.alpha)]
+            hints = [(-1.0, kind.alpha / 2), (1.0, kind.alpha / 2)]
+    elif isinstance(kind, Pm):
+        if kind.m % 2:
+            hints = [(-1.0, kind.m / 2), (1.0, kind.m / 2)]
     elif isinstance(kind, V):
-        hints = [(-1.0, -kind.alpha), (1.0, kind.alpha)]
-    elif isinstance(kind, (G, Q)):
+        hints = [(-1.0, -kind.alpha / 2), (1.0, kind.alpha / 2)]
+    else:
         a = 1 if isinstance(kind, Q) else kind.a
         if a:
-            hints = [(0.0, 2 * a)]
+            hints = [(0.0, a)]
         if kind.b:
-            hints += [(-1.0, kind.b), (1.0, kind.b)]
-    return IntervalSpec(-1.0, 1.0, tuple(hints))
+            hints += [(-1.0, kind.b / 2), (1.0, kind.b / 2)]
+    return IntervalSpec(-1.0, 1.0, tuple((p, members * e) for p, e in hints))
 
 
 def _log_deriv_pair(kind, x):

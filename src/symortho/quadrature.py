@@ -483,24 +483,34 @@ class GramQuad:
     panels: int
 
 
-def _gk_blocks(wdx, P, h):
+def _gk_blocks(wdx, L, R, h):
     """Kronrod blocks and their errors on a batch of panels.
 
-    wdx (np, 15) is weight times dx/dt at the nodes, P (np, 15, K) the
-    members there and h (np,) the half-widths.  The error of each entry is
-    |Kronrod - Gauss|, floored at the rounding level of its absolute mass;
-    a panel with a non-finite sample gets value 0 and error inf.
+    wdx (np, 15) is weight times dx/dt at the nodes, L (np, 15, KL) and
+    R (np, 15, KR) the two row sets there (R is L for a Gram block) and
+    h (np,) the half-widths.  The error of each entry is |Kronrod - Gauss|,
+    floored at the rounding level of its absolute mass; a panel with a
+    non-finite sample gets value 0 and error inf.
     """
-    finite = np.isfinite(wdx).all(axis=1) & np.isfinite(P).all(axis=(1, 2))
+    finite = np.isfinite(wdx).all(axis=1) & np.isfinite(L).all(axis=(1, 2))
+    if R is not L:
+        finite &= np.isfinite(R).all(axis=(1, 2))
     wdx = np.where(finite[:, None], wdx, 0.0) * h[:, None]
-    P = np.where(finite[:, None, None], P, 0.0)
-    Pt = P.transpose(0, 2, 1)
-    kron = (Pt * (wdx * _WK)[:, None, :]) @ P
-    delta = np.abs((Pt * (wdx * (_WK - _WGF))[:, None, :]) @ P)
-    mass = (np.abs(Pt) * np.abs(wdx * _WK)[:, None, :]) @ np.abs(P)
+    L = np.where(finite[:, None, None], L, 0.0)
+    R = L if R is L else np.where(finite[:, None, None], R, 0.0)
+    Lt = L.transpose(0, 2, 1)
+    kron = (Lt * (wdx * _WK)[:, None, :]) @ R
+    delta = np.abs((Lt * (wdx * (_WK - _WGF))[:, None, :]) @ R)
+    mass = (np.abs(Lt) * np.abs(wdx * _WK)[:, None, :]) @ np.abs(R)
     err = np.maximum(delta, 50.0 * _EPS * mass)
     err[~finite] = math.inf
     return kron, err, finite
+
+
+def _by_panel(rows):
+    """(K, 15 np) row values at the nodes of np panels -> (np, 15, K)."""
+    rows = np.asarray(rows, dtype=float)
+    return rows.reshape(len(rows), -1, 15).transpose(1, 2, 0)
 
 
 def integrate_gram(sample, interval, norms=None, *, fold=False) -> GramQuad:
@@ -511,16 +521,19 @@ def integrate_gram(sample, interval, norms=None, *, fold=False) -> GramQuad:
     members once and adds the whole block (P w) P^T with the Kronrod
     weights; the Gauss block gives each entry's error.  Cuts, softening
     substitutions, tail folding and analytic endpoint slivers are the same
-    as integrate's.
+    as integrate's.  sample(x) may instead return (w, L, R), two row sets
+    of KL and KR rows: the tree then integrates the (KL, KR) block
+    int w L_i R_j dx, and norms is the pair (l, r) of their scales.
 
     Entry (n, m) meets the stopping rule once its summed error is at most
     1e-9 * sqrt(d_n d_m), with d the closed-form norms or, when norms is
-    None, the tree's own running diagonal.  Each round splits every panel
-    holding more than its share (1 / leaves) of some open entry's error
-    and samples all new panels of a task in one call.  The splits are
-    bounded by integrate's panel budget; entries still open then come back
-    unconverged.  A non-finite sample in a sliver at the floating-point
-    resolution limit retires the sliver with half its parent's error.
+    None, the tree's own running diagonal (1e-9 * sqrt(l_i r_j) for two
+    row sets).  Each round splits every panel holding more than its share
+    (1 / leaves) of some open entry's error and samples all new panels of
+    a task in one call.  The splits are bounded by integrate's panel
+    budget; entries still open then come back unconverged.  A non-finite
+    sample in a sliver at the floating-point resolution limit retires the
+    sliver with half its parent's error.
 
     A panel whose error stays below every share it could still be held to
     is folded into running totals, so only splittable panels keep
@@ -528,10 +541,14 @@ def integrate_gram(sample, interval, norms=None, *, fold=False) -> GramQuad:
     panels with the smallest share of open error are folded in too, their
     error staying on the books.
 
-    fold=True declares the weight even and member k of parity k on a
+    fold=True declares the weight even and row k of parity k on a
     symmetric interval: the tree runs on [0, hi), entries of mixed parity
     are exactly zero and the others are doubled.
     """
+    def row_sets(x):
+        out = sample(x)
+        return out if len(out) == 3 else (out[0], out[1], out[1])
+
     if fold:
         if interval.lo != -interval.hi:
             raise ValueError("folding needs a symmetric interval")
@@ -540,9 +557,9 @@ def integrate_gram(sample, interval, norms=None, *, fold=False) -> GramQuad:
 
     def point_fn(x):
         with np.errstate(all="ignore"):
-            w, P = sample(np.array([x]))
-            col = np.asarray(P, dtype=float)[:, 0]
-            return np.broadcast_to(w, (1,))[0] * np.outer(col, col)
+            w, L, R = row_sets(np.array([x]))
+            return np.broadcast_to(w, (1,))[0] * np.outer(
+                np.asarray(L, dtype=float)[:, 0], np.asarray(R, dtype=float)[:, 0])
 
     tasks, extra_value, extra_err = _plan(point_fn, interval)
     tasks = [t for t in tasks if t[1] < t[2]]
@@ -550,9 +567,9 @@ def integrate_gram(sample, interval, norms=None, *, fold=False) -> GramQuad:
     def folded(block):
         """In place: entries of mixed parity are zero, the others doubled."""
         if fold:
-            k = np.arange(block.shape[-1])
+            i, j = np.ogrid[:block.shape[-2], :block.shape[-1]]
             block *= 2.0
-            block[..., (k[:, None] - k[None, :]) % 2 == 1] = 0.0
+            block[..., (i - j) % 2 == 1] = 0.0
         return block
 
     def evaluate(task, lo, hi):
@@ -569,12 +586,13 @@ def integrate_gram(sample, interval, norms=None, *, fold=False) -> GramQuad:
             tk = t[sel].ravel()
             with np.errstate(all="ignore"):
                 x, jacobian = (tk, None) if xmap is None else xmap(tk)
-                w, P = sample(x)
+                w, L, R = row_sets(x)
                 wdx = np.broadcast_to(np.asarray(w, dtype=float), tk.shape)
                 if jacobian is not None:
                     wdx = jacobian(wdx)
-                P = np.asarray(P, dtype=float).reshape(-1, len(tk) // 15, 15)
-                blocks = _gk_blocks(wdx.reshape(-1, 15), P.transpose(1, 2, 0), h[sel])
+                Lp = _by_panel(L)
+                blocks = _gk_blocks(wdx.reshape(-1, 15), Lp,
+                                    Lp if R is L else _by_panel(R), h[sel])
             if kron is None:
                 kron = np.empty((len(lo),) + blocks[0].shape[1:])
                 err = np.empty_like(kron)
@@ -598,8 +616,11 @@ def integrate_gram(sample, interval, norms=None, *, fold=False) -> GramQuad:
         task, lo, hi, depth, val, err = live
         total = acc_val + val.sum(axis=0)
         errs = acc_err + err.sum(axis=0)
-        d = np.abs(np.diag(total) if norms is None else np.asarray(norms, dtype=float))
-        target = _RTOL * np.sqrt(np.maximum(np.outer(d, d), 1e-300))
+        if norms is None:
+            left = right = np.diag(total)
+        else:
+            left, right = norms if np.ndim(norms[0]) else (norms, norms)
+        target = _RTOL * np.sqrt(np.maximum(np.outer(np.abs(left), np.abs(right)), 1e-300))
         open_ = ~(errs <= target)
         if not open_.any() or splits >= _MAX_PANELS or not len(lo):
             break

@@ -19,12 +19,11 @@ import numpy as np
 
 from .core import ClassParams, SymmetricPoly, member_rows, poly_from_params
 from .core import eigenvalue as generic_eigenvalue
-from .errors import (ConstraintViolation, DivergentMoment, NonpositiveWeight,
-                     OutOfFiniteRange, PoleError, SingularCoefficient,
+from .errors import (ConstraintViolation, NonpositiveWeight, SingularCoefficient,
                      ZeroLeadingCoefficient)
-from .families import _FAMILIES, GUP, GHP, norm_squared, valid_pair
-from .legendre import (LegendreKind, Pm, V, kind_rows, legendre_norm,
-                       member_fn, orthogonality_interval)
+from .families import _FAMILIES, GUP, GHP, norms_squared, valid_pair
+from .legendre import (G, LegendreKind, Pm, V, kind_rows, legendre_norm,
+                       orthogonality_interval)
 from .quadrature import IntervalSpec, QuadResult, integrate, integrate_gram
 
 
@@ -324,7 +323,12 @@ class GramReport:
 
 
 class _FamilyBasis:
+    """Basis adapter for a family spec.  Adapters give the weight, the
+    rows evaluator of members base..nmax (by recurrence), the quadrature
+    interval, the closed-form norms (None where refused) and whether the
+    Gram tree may fold by parity."""
     closed_norms = True
+    fold = True
 
     def __init__(self, spec):
         self.spec = spec
@@ -337,8 +341,19 @@ class _FamilyBasis:
     def phi(self, n):
         return poly_from_params(self.spec.params, n, monic=True)
 
-    def norm(self, n):
-        return norm_squared(self.spec, n).value
+    def norms(self, nmax):
+        return norms_squared(self.spec, nmax)
+
+    def weight(self, x):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.exp(self.spec.weight_log(x))
+
+    def rows(self, nmax):
+        return member_rows(self.spec.params, nmax)
+
+    def interval(self, members=2):
+        # the weight's own hints: polynomial members add integer exponents
+        return self.spec.interval()
 
     def integrable(self, n, m):
         return valid_pair(self.spec, n, m).integrable
@@ -352,14 +367,6 @@ class _FamilyBasis:
         spec = self.spec.interval(origin_power=(n % 2) + (m % 2), tail_power=n + m)
         return integrate(f, spec, on_inconclusive="return")
 
-    def tree(self, nmax):
-        wlog, rows = self.spec.weight_log, member_rows(self.spec.params, nmax)
-
-        def sample(x):
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                return np.exp(wlog(x)), rows(x)
-        return sample, self.spec.interval(), True
-
 
 class _KindBasis:
     closed_norms = True
@@ -369,20 +376,22 @@ class _KindBasis:
         self.kind = kind
         self.base = kind.m if isinstance(kind, Pm) else 0
         self.label = type(kind).__name__.lower()
-
-    def phi(self, n):
-        return member_fn(self.kind, n)
-
-    def norm(self, n):
-        return legendre_norm(self.kind, n)
-
-    def tree(self, nmax):
-        rows = kind_rows(self.kind, nmax)
-
-        def sample(x):
-            return 1.0, rows(x)
         # V's prefactor has no parity; every other kind folds onto [0, 1)
-        return sample, orthogonality_interval(self.kind), not isinstance(self.kind, V)
+        self.fold = not isinstance(kind, V)
+
+    def norms(self, nmax):
+        if isinstance(self.kind, G):
+            return norms_squared(GUP(self.kind.a, self.kind.b), nmax)
+        return [legendre_norm(self.kind, n) for n in range(self.base, nmax + 1)]
+
+    def weight(self, x):
+        return 1.0
+
+    def rows(self, nmax):
+        return kind_rows(self.kind, nmax)
+
+    def interval(self, members=2):
+        return orthogonality_interval(self.kind, members)
 
 
 def _adapt(basis):
@@ -395,8 +404,11 @@ def _adapt(basis):
 
 def _shared_tree(ad, idx, norms):
     """Every entry from one panel tree; (n, m) -> QuadResult."""
-    sample, interval, fold = ad.tree(idx[-1])
-    res = integrate_gram(sample, interval, norms, fold=fold)
+    rows = ad.rows(idx[-1])
+
+    def sample(x):
+        return ad.weight(x), rows(x)
+    res = integrate_gram(sample, ad.interval(), norms, fold=ad.fold)
 
     def quad(n, m):
         i, j = n - ad.base, m - ad.base
@@ -424,14 +436,6 @@ def _entry_by_entry(ad, idx):
             done[n, m] = ad.inner(phis[n], phis[m], n, m)
         return done[n, m]
     return quad
-
-
-def _norm(ad, n):
-    """(norm, refused): the closed form, or the refusal of one."""
-    try:
-        return ad.norm(n), False
-    except (PoleError, OutOfFiniteRange, DivergentMoment, ZeroLeadingCoefficient):
-        return None, True
 
 
 def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
@@ -466,15 +470,16 @@ def _gram_report(ad, nmax, tol) -> GramReport:
     if nmax < ad.base:
         raise ConstraintViolation(f"nmax must be at least {ad.base} for this basis")
     idx = list(range(ad.base, nmax + 1))
-    norms = [_norm(ad, n) for n in idx]
-    closed = [d for d, _ in norms] if ad.closed_norms else None
+    norms = ad.norms(nmax)
+    closed = norms if ad.closed_norms else None
     quad = _shared_tree(ad, idx, closed) if ad.shared else _entry_by_entry(ad, idx)
     no_quad = QuadResult(math.nan, math.inf, False, False)
 
     entries = []
     diag = {}
     degenerate_ok = {}
-    for n, (expected, refused) in zip(idx, norms):
+    for n, expected in zip(idx, norms):
+        refused = expected is None
         if not ad.closed_norms and expected is not None:
             # a ratio to the (base, base) entry, which is measured
             first = quad(ad.base, ad.base)

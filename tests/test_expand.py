@@ -1,16 +1,19 @@
+import importlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from symortho.core import poly_from_params
-from symortho.errors import (BasisInvalid, ConstraintViolation,
+from symortho.errors import (BasisInvalid, ConstraintViolation, MaxDepthExceeded,
                              NonSquareIntegrable)
 from symortho.expand import (ExpansionSeries, barycentric_interpolant, expand,
                              reconstruct)
 from symortho.families import GUP, GHP, FiniteII, norm_squared
-from symortho.legendre import Pm, Q
+from symortho.legendre import G, Pm, Q, U, V, member_fn
 from symortho.quadrature import integrate
+from symortho.sturm import gram_matrix
 
 
 # -------------------------------------------------------- interpolation
@@ -137,3 +140,185 @@ def test_non_square_integrable_target():
 def test_bad_target_payload():
     with pytest.raises(ConstraintViolation):
         expand(np.ones((3, 4)), GUP(1, 1), 2)
+
+
+# ------------------------------------------- interpolant outside the hull
+
+
+def _bump_samples():
+    # the benchmark's sampled target: 25 Chebyshev points on [-3, 3]
+    k = 25
+    xs = 3.0 * np.cos(np.pi * (np.arange(k) + 0.5) / k)
+    return xs, np.sin(1.5 * xs) / (1.0 + xs * xs)
+
+
+def _lagrange_exact(xs, ys, t):
+    nodes = [Fraction(v) for v in xs]
+    t = Fraction(t)
+    total = Fraction(0)
+    for j, (xj, yj) in enumerate(zip(nodes, ys)):
+        term = Fraction(yj)
+        for m, xm in enumerate(nodes):
+            if m != j:
+                term *= (t - xm) / (xj - xm)
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("t", [0.1, -2.99, 2.9, 3.5, 4.0, -5.0, 8.0, -16.0])
+def test_barycentric_matches_exact_lagrange_inside_and_outside_hull(t):
+    xs, ys = _bump_samples()
+    exact = _lagrange_exact(xs, ys, t)
+    got = barycentric_interpolant(xs, ys)(t)
+    assert abs(Fraction(got) - exact) <= 1e-12 * abs(exact)
+
+
+def test_barycentric_outside_hull_vectorized_matches_scalar():
+    xs, ys = _bump_samples()
+    interp = barycentric_interpolant(xs, ys)
+    ts = np.array([-8.0, -3.5, 0.0, xs[3], 2.0, 4.0, 30.0])
+    assert np.allclose(interp(ts), [interp(t) for t in ts], rtol=1e-12, atol=1e-15)
+
+
+def test_sampled_target_on_hermite_basis():
+    # the interpolant is evaluated far outside its nodes in the tails
+    xs, ys = _bump_samples()
+    for nmax in (10, 12):
+        ser = expand((xs, ys), GHP(0), nmax)
+        assert 0.0 <= ser.residual_rel < 1.0
+
+
+# ------------------------------------------------------ weight underflow
+
+
+def test_exp_target_where_the_weight_underflows():
+    ser = expand(np.exp, GHP(0.5), 10)
+    assert ser.residual_rel < 1e-4
+    xs = np.linspace(-1.0, 1.0, 9)
+    assert np.max(np.abs(reconstruct(ser, xs) - np.exp(xs))) < 1e-3
+    assert expand(np.exp, GHP(0), 8).residual_rel < 1e-3
+
+
+@pytest.mark.parametrize("f, basis", [
+    (lambda x: np.exp(x * x), GHP(0)),
+    (lambda x: np.exp(0.6 * x * x), GHP(0)),
+    (lambda x: np.abs(x) ** -0.6, GUP(0, 0)),
+    (lambda x: (1 - x * x) ** -0.6, U(0.5)),
+])
+def test_divergent_targets_still_refused(f, basis):
+    with pytest.raises(NonSquareIntegrable):
+        expand(f, basis, 8)
+
+
+# ------------------------------------------- coefficients on one panel tree
+
+
+_BASES = [GUP(1, 1), GUP(Fraction(1, 2), Fraction(1, 2)), GUP(0.3, -0.4), GHP(0),
+          GHP(0.5), U(0.5), U(-0.5), Pm(1), Pm(2), V(0.3), V(-0.3), G(0.5, 1),
+          G(1.5, -0.5), Q(0.5)]
+
+
+def _member(basis, n):
+    if isinstance(basis, (GUP, GHP)):
+        return poly_from_params(basis.params, n, monic=True)
+    return member_fn(basis, n)
+
+
+def _norms(basis, nmax):
+    return [e.expected for e in gram_matrix(basis, nmax).entries if e.n == e.m]
+
+
+@pytest.mark.parametrize("basis", _BASES, ids=repr)
+def test_member_round_trip_every_basis(basis):
+    ser = expand(_member(basis, 3), basis, 8)
+    base = basis.m if isinstance(basis, Pm) else 0
+    assert ser.coefficients[3] == pytest.approx(1.0, abs=1e-9)
+    for n, d in enumerate(_norms(basis, 8), start=base):
+        if n != 3:
+            assert abs(ser.coefficients[n]) * math.sqrt(d) <= 1e-7, n
+    assert all(q == 0.0 for q in ser.coefficients[:base])
+
+
+@pytest.mark.parametrize("alpha", [0.3, -0.3])
+def test_v_kind_expands(alpha):
+    ser = expand(np.sin, V(alpha), 8)
+    xs = np.linspace(-0.9, 0.9, 7)
+    assert np.max(np.abs(reconstruct(ser, xs) - np.sin(xs))) < 0.1
+    assert ser.residual_rel < 0.05
+
+
+@pytest.mark.parametrize("basis", [GUP(1, 1), GHP(0.5), U(0.5), Pm(1), V(0.3),
+                                   G(0.5, 1), Q(0.5)], ids=repr)
+def test_tree_coefficients_match_scalar_integrals(basis):
+    # the scalar route: one integrate call per coefficient, on the same
+    # single-member hints the tree uses
+    from symortho.sturm import _adapt
+    nmax = 6
+    ad = _adapt(basis)
+    target = lambda x: np.sin(1.5 * x) + np.abs(x)   # noqa: E731
+    ser = expand(target, basis, nmax)
+    f2 = integrate(lambda x: ad.weight(x) * target(x) ** 2, ad.interval(0)).value
+    for n, d in enumerate(_norms(basis, nmax), start=ad.base):
+        phi = _member(basis, n)
+        num = integrate(lambda x: ad.weight(x) * target(x) * phi(x), ad.interval(1),
+                        rtol=1e-12, atol=1e-14).value
+        assert abs(ser.coefficients[n] * d - num) <= 1e-8 * math.sqrt(f2 * d), n
+
+
+def test_open_coefficient_raises(monkeypatch):
+    from symortho import quadrature
+    expand_mod = importlib.import_module("symortho.expand")
+    real = expand_mod.integrate_gram
+
+    def starved(*args, **kwargs):
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 0)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(expand_mod, "integrate_gram", starved)
+    with pytest.raises(MaxDepthExceeded):
+        expand(lambda x: np.abs(x - 0.3), GUP(0, 0), 8)
+
+
+def test_norms_come_from_the_gram_report(monkeypatch):
+    # one running product of C_1..C_8 serves the Gram check and expand
+    from symortho import families
+    calls = []
+    real = families.recurrence_c
+
+    def counted(params, n):
+        calls.append(n)
+        return real(params, n)
+    monkeypatch.setattr(families, "recurrence_c", counted)
+    expand(np.sin, GUP(1, 1), 8)
+    assert calls == list(range(1, 9))
+
+
+# ------------------------------------------------ reconstruct by recurrence
+
+
+def test_reconstruct_exact_at_high_degree():
+    spec = GUP(Fraction(1, 2), Fraction(1, 2))
+    nmax = 40
+    rng = np.random.default_rng(3)
+    q = [float(r) / math.sqrt(norm_squared(spec, n).value)
+         for n, r in enumerate(rng.uniform(-1.0, 1.0, nmax + 1))]
+    ser = ExpansionSeries(spec, tuple(q), nmax, 0.0, 0.0)
+    xs = np.linspace(-0.99, 0.99, 23)
+    polys = [poly_from_params(spec.params, n, monic=True) for n in range(nmax + 1)]
+    exact = [sum(Fraction(c) * p.eval_exact(Fraction(x)) for c, p in zip(q, polys))
+             for x in xs]
+    scale = max(abs(v) for v in exact)
+    got = reconstruct(ser, xs)
+    assert max(abs(Fraction(g) - e) for g, e in zip(got, exact)) <= 1e-12 * scale
+    assert reconstruct(ser, xs[4]) == pytest.approx(got[4], rel=1e-14)
+
+
+@pytest.mark.parametrize("basis", [U(0.5), Pm(2), V(-0.3), G(0.5, 1), Q(0.5)], ids=repr)
+def test_reconstruct_kinds_matches_members(basis):
+    base = basis.m if isinstance(basis, Pm) else 0
+    q = (0.0,) * base + tuple(0.5 ** k for k in range(7 - base))
+    ser = ExpansionSeries(basis, q, 6, 0.0, 0.0)
+    xs = np.linspace(-0.95, 0.95, 2 * 11).reshape(2, 11)
+    want = sum(c * member_fn(basis, n)(xs) for n, c in enumerate(q) if n >= base)
+    got = reconstruct(ser, xs)
+    assert got.shape == xs.shape
+    assert np.allclose(got, want, rtol=0, atol=1e-13)

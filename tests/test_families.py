@@ -11,7 +11,8 @@ from symortho.errors import (ConstraintViolation, DivergentMoment,
                              OutOfFiniteRange, PoleError, SingularPoint)
 from symortho.families import (GUP, GHP, FiniteI, FiniteII, finite_degree_bound,
                                make_subclass, moment_zero, norm_squared,
-                               pearson_residual, valid_pair, weight_at)
+                               norms_squared, pearson_residual, valid_pair,
+                               weight_at)
 from symortho.quadrature import integrate
 
 
@@ -198,3 +199,44 @@ def test_pearson_residual_rounding_level(spec):
 def test_pearson_rejects_origin():
     with pytest.raises(SingularPoint):
         pearson_residual(GHP(1), np.array([0.0, 0.5]))
+
+
+@pytest.mark.parametrize("spec", [
+    GUP(Fraction(1, 2), Fraction(1, 2)), GHP(Fraction(1, 2)), GUP(0.5, 1.0),
+    GHP(0.3), FiniteII(8.5), FiniteII(Fraction(17, 2)), FiniteI(0.3, 2),
+    FiniteI(5, 2)])
+def test_norms_squared_is_norm_squared_degree_by_degree(spec):
+    # GUP(0.5, 1.0) is the family behind the G(1/2, 1) kind's norms
+    batch = norms_squared(spec, 14)
+    assert len(batch) == 15
+    for n, got in enumerate(batch):
+        try:
+            want = norm_squared(spec, n).value
+        except (OutOfFiniteRange, PoleError, DivergentMoment):
+            want = None
+        assert got == want, n
+
+
+def test_norms_squared_refuses_where_norm_squared_does():
+    # FiniteII(8.5): a pole in C_8 at the boundary degree, then the bound
+    batch = norms_squared(FiniteII(8.5), 12)
+    assert batch[:8] == [norm_squared(FiniteII(8.5), n).value for n in range(8)]
+    assert batch[8:] == [None] * 5
+    with pytest.raises(PoleError):
+        norm_squared(FiniteII(8.5), 8)
+    with pytest.raises(OutOfFiniteRange):
+        norm_squared(FiniteII(8.5), 9)
+    assert norms_squared(FiniteI(5, 2), 3) == [None] * 4
+
+
+def test_norms_squared_takes_one_running_product(monkeypatch):
+    from symortho import families
+    calls = []
+    real = families.recurrence_c
+
+    def counted(params, n):
+        calls.append(n)
+        return real(params, n)
+    monkeypatch.setattr(families, "recurrence_c", counted)
+    norms_squared(GUP(Fraction(1, 2), Fraction(1, 2)), 20)
+    assert calls == list(range(1, 21))

@@ -247,3 +247,30 @@ def test_gram_tree_unresolvable_integrand_stays_open_and_bounded(monkeypatch):
     assert not res.converged[:4, :4].any()
     assert res.panels == 1 + 2 * 600
     assert np.all(np.isfinite(res.value))
+
+
+def test_gram_tree_two_row_sets():
+    # int x^3 P_n over (-1, 1): 2/5 at n = 1, 4/35 at n = 3, else 0
+    nmax = 6
+    members = _legendre_sample(nmax)
+
+    def sample(x):
+        return 1.0, np.array([x ** 3]), members(x)[1]
+    norms = [2.0 / (2 * k + 1) for k in range(nmax + 1)]
+    want = np.zeros((1, nmax + 1))
+    want[0, 1], want[0, 3] = 2 / 5, 4 / 35
+    res = integrate_gram(sample, IntervalSpec(-1.0, 1.0), ([2 / 7], norms))
+    assert res.value.shape == res.converged.shape == (1, nmax + 1)
+    assert res.converged.all()
+    assert np.allclose(res.value, want, rtol=0, atol=1e-15)
+
+
+def test_gram_tree_two_row_sets_stop_on_their_own_scales(monkeypatch):
+    # the scale of the left set enters each entry's stopping rule: a huge
+    # left norm accepts at once what a tiny one leaves open at the budget
+    def sample(x):
+        return 1.0, np.array([np.abs(x - 0.3) ** 0.5]), np.array([np.ones_like(x)])
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
+    spec = IntervalSpec(-1.0, 1.0)
+    assert integrate_gram(sample, spec, ([1e16], [2.0])).converged.all()
+    assert not integrate_gram(sample, spec, ([1e-12], [2.0])).converged.any()

@@ -9,9 +9,9 @@ from symortho.errors import (ConstraintViolation, NonpositiveWeight,
                              SingularCoefficient)
 from symortho.exponent_map import (LambdaSpec, _t_interval, lambda_weight_and_gram,
                                    signed_power)
-from symortho.families import GUP, GHP, FiniteI, FiniteII, weight_at
+from symortho.families import GUP, GHP, FiniteI, FiniteII, norm_squared, weight_at
 from symortho.legendre import (G, Pm, Q, U, V, eval_jacobi, JacobiParams,
-                               member_fn, orthogonality_interval)
+                               legendre_norm, member_fn, orthogonality_interval)
 from symortho.quadrature import integrate
 from symortho.sturm import (GramReport, boundary_term, from_params,
                             generic_weight_log, gram_matrix, legendre_sl,
@@ -330,3 +330,24 @@ def test_lambda_gram_passes_at_degree_12():
     rep = lambda_weight_and_gram(_lam(1, 1), 12)
     assert rep.passed, rep.summary()
     assert rep.verified == len(rep.entries) == 91
+
+
+@pytest.mark.parametrize("basis, norm", [
+    (GUP(Fraction(1, 2), Fraction(1, 2)),
+     lambda n: norm_squared(GUP(Fraction(1, 2), Fraction(1, 2)), n).value),
+    (GHP(0.5), lambda n: norm_squared(GHP(0.5), n).value),
+    (G(0.5, 1), lambda n: legendre_norm(G(0.5, 1), n)),
+    (Q(0.5), lambda n: legendre_norm(Q(0.5), n)),
+], ids=repr)
+def test_gram_expected_diagonal_is_the_closed_form_norm(basis, norm):
+    rep = gram_matrix(basis, 16)
+    for n in range(17):
+        assert rep.entry(n, n).expected == norm(n)
+
+
+def test_gram_refusals_unchanged_by_the_running_norm_product():
+    # FiniteII(8.5): C_8 has a pole and degrees past 8 exceed the bound
+    rep = gram_matrix(FiniteII(8.5), 10)
+    assert [rep.entry(n, n).expected is None for n in range(11)] == [False] * 8 + [True] * 3
+    assert [rep.entry(n, n).status for n in range(8, 11)] == [
+        "cliff", "degenerate", "degenerate"]
