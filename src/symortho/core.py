@@ -163,6 +163,11 @@ def monic_by_recurrence(params: ClassParams, n):
     return cur
 
 
+# points per block in passes over member values (expand.reconstruct,
+# legendre.member_fn): a few rows of a block stay in cache
+_CHUNK = 8192
+
+
 def member_rows(params: ClassParams, nmax):
     """Evaluator x -> float values of the monic members Sb_0..Sb_nmax at x.
 

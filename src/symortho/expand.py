@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _CHUNK
 from .errors import (BasisInvalid, ConstraintViolation, MaxDepthExceeded,
                      NonSquareIntegrable)
 from .quadrature import QuadResult, integrate, integrate_gram
@@ -174,10 +175,6 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
     residual = math.sqrt(max(res.value, 0.0))
     rel = residual / math.sqrt(f_norm2) if f_norm2 > 0 else 0.0
     return ExpansionSeries(basis, coeffs, nmax, residual, rel)
-
-
-# points per block of member rows in reconstruct (17 rows: about 1 MB)
-_CHUNK = 8192
 
 
 def reconstruct(series: ExpansionSeries, x):

@@ -26,7 +26,10 @@ from numbers import Rational
 
 import numpy as np
 
-from .core import ClassParams, member_rows, poly_from_params
+# poly_from_params is not used here, but bench/test_bench.py lists
+# legendre among the modules that bind it
+from .core import (_CHUNK, ClassParams, member_rows,  # noqa: F401
+                   poly_from_params, recurrence_c)
 from .errors import ConstraintViolation, SingularPoint
 from .families import GUP, norm_squared
 from .quadrature import IntervalSpec
@@ -123,15 +126,18 @@ def jacobi_coeffs(n, jp):
         return seq[j] if 0 <= j < len(seq) else zero
 
     for k in range(1, n):
-        t = 2 * k + al + be
-        a1 = 2 * (k + 1) * (k + al + be + 1) * t
-        a2 = (t + 1) * (al * al - be * be)
-        a3 = t * (t + 1) * (t + 2)
-        a4 = 2 * (k + al) * (k + be) * (t + 2)
+        a1, a2, a3, a4 = _jacobi_step(al, be, k)
         nxt = [(a2 * at(cur, j) + a3 * at(cur, j - 1) - a4 * at(prev, j)) / a1
                for j in range(k + 2)]
         prev, cur = cur, nxt
     return cur
+
+
+def _jacobi_step(al, be, k):
+    """(a1, a2, a3, a4) of a1 P_{k+1} = (a2 + a3 x) P_k - a4 P_{k-1}, k >= 1."""
+    t = 2 * k + al + be
+    return (2 * (k + 1) * (k + al + be + 1) * t, (t + 1) * (al * al - be * be),
+            t * (t + 1) * (t + 2), 2 * (k + al) * (k + be) * (t + 2))
 
 
 def eval_jacobi(n, jp, x):
@@ -142,17 +148,6 @@ def eval_jacobi(n, jp, x):
     acc = terms[-1]
     for t in terms[-2::-1]:
         acc = acc * u + t
-    return acc
-
-
-def _poly_deriv(coeffs):
-    return [j * c for j, c in enumerate(coeffs)][1:] or [0 * coeffs[0]]
-
-
-def _poly_eval(coeffs, x):
-    acc = coeffs[-1] + 0.0 * x
-    for c in coeffs[-2::-1]:
-        acc = acc * x + c
     return acc
 
 
@@ -186,7 +181,7 @@ def _gq_params(kind):
 
 
 def _check_open_interval(x):
-    if np.any(np.abs(x) >= 1):
+    if not np.all(np.abs(x) < 1):
         raise ConstraintViolation("evaluation needs |x| < 1")
 
 
@@ -204,17 +199,116 @@ def eval_legendre_fn(kind, n, x):
 def member_fn(kind, n):
     """Unguarded vectorized evaluator, meant for quadrature integrands.
 
+    The polynomial factor comes from the kind's three-term recurrence on
+    values (_member_recurrence), run over blocks of _CHUNK points with two
+    rows per block, so memory stays O(len x) at any degree.
+
     No domain check: exactly at |x| = 1 the prefactor follows IEEE semantics
     (0, inf, or nan depending on the exponent), which the adaptive integrator
     treats as a resolution-limit sample rather than an error.
     """
-    p0 = _poly_triplet(kind, n)[0]
+    values = _recurrence_values(*_member_recurrence(kind, n))
 
     def f(x):
         x = np.asarray(x, dtype=float)
+        flat = x.ravel()
+        out = np.empty_like(flat)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return _prefactor(kind, x) * p0(x)
+            for i in range(0, flat.size, _CHUNK):
+                xb = flat[i:i + _CHUNK]
+                np.multiply(values(xb), _prefactor(kind, xb), out=out[i:i + _CHUNK])
+        return out.reshape(x.shape)
     return f
+
+
+def _jacobi_monic(al, be, d):
+    """(lead, b, c) with P_d^(al, be) = lead * p_d, where the monic p_k
+    satisfy p_{k+1} = (x - b_k) p_k + c_k p_{k-1}, p_0 = 1, c_0 = 0.
+
+    Rescales the recurrence of _jacobi_step: with A_k the ratio of leading
+    coefficients, b_k = -a2/a3 and c_k = -a4/(a3 A_{k-1}).
+    """
+    if d == 0:
+        return 1.0, [], []
+    ratio = (al + be + 2) / 2
+    lead, b, c = ratio, [(be - al) / 2 / ratio], [0.0]
+    for k in range(1, d):
+        a1, a2, a3, a4 = _jacobi_step(al, be, k)
+        b.append(-a2 / a3)
+        c.append(-a4 / (a3 * ratio))
+        ratio = a3 / a1
+        lead *= ratio
+    return lead, b, c
+
+
+def _member_recurrence(kind, n):
+    """The polynomial factor of the kind's degree-n member as scale * p_d,
+    returned in floats as (scale, b, c) in the form of _jacobi_monic,
+    d = len(b).
+
+    U and V: P_n^(u, +-u).  Pm: d^m P_n / dx^m = (n+m)! / (2^m n!)
+    P_{n-m}^(m,m), identically zero for n < m.  G and Q: the monic class
+    member, c_k = C_k of core.recurrence_c.
+    """
+    if isinstance(kind, (G, Q)):
+        params = _gq_params(kind)
+        scale, b, c = 1, [0] * n, [0] + [recurrence_c(params, k) for k in range(1, n)]
+    elif isinstance(kind, Pm):
+        m = kind.m
+        if n < m:
+            return 0.0, [], []
+        scale, b, c = _jacobi_monic(m, m, n - m)
+        scale *= math.factorial(n + m) / (2 ** m * math.factorial(n))
+    else:
+        al = kind.alpha
+        scale, b, c = _jacobi_monic(al, al if isinstance(kind, U) else -al, n)
+    return float(scale), [float(v) for v in b], [float(v) for v in c]
+
+
+def _recurrence_values(scale, b, c):
+    """Evaluator xb -> scale * p_d(xb) on one block of points.
+
+    Needs b_k = 0 for k >= 1, as every kind has (V alone has b_0 != 0).
+    Then two steps at a time stay within one parity class of degrees and
+    run in y = x^2, in place on two rows, two ufunc calls per degree:
+    p_{k+2} = (y + c_{k+1} + c_k) p_k - c_k c_{k-1} p_{k-2}.  That holds
+    from k = d % 2 (with p_{-1} = 0) when b_0 = 0, and from k = d % 2 + 2
+    otherwise; the degrees before it take the plain recurrence.
+    """
+    d = len(b)
+    head = min(d, d % 2 + (2 if d and b[0] else 0))
+    steps = [(c[k + 1] + c[k], c[k] * c[k - 1] if k else 0.0)
+             for k in range(head, d - 1, 2)]
+
+    def values(xb):
+        p = [np.full_like(xb, scale)]
+        for k in range(head):
+            p.append((xb - b[k]) * p[k] + (c[k] * p[k - 1] if k else 0))
+        cur = p[-1]
+        prev = p[-3] if head >= 2 else np.zeros_like(xb)
+        y, tmp = xb * xb, np.empty_like(xb)
+        for s, t in steps:
+            np.add(y, s, out=tmp)
+            tmp *= cur
+            prev *= t
+            np.subtract(tmp, prev, out=prev)
+            cur, prev = prev, cur
+        return cur
+    return values
+
+
+def _recurrence_triple(scale, b, c, x):
+    """scale * (p_d, p_d', p_d'') at x by the differentiated recurrence:
+    p'_{k+1} = p_k + (x - b_k) p'_k + c_k p'_{k-1} and
+    p''_{k+1} = 2 p'_k + (x - b_k) p''_k + c_k p''_{k-1}."""
+    zero = np.zeros_like(x)
+    cur, prev = (zero + 1, zero, zero), (zero, zero, zero)
+    for bk, ck in zip(b, c):
+        u = x - bk
+        prev, cur = cur, (u * cur[0] + ck * prev[0],
+                          cur[0] + u * cur[1] + ck * prev[1],
+                          2 * cur[1] + u * cur[2] + ck * prev[2])
+    return tuple(scale * v for v in cur)
 
 
 def _jacobi_rows(al, be, kmax, x):
@@ -225,11 +319,7 @@ def _jacobi_rows(al, be, kmax, x):
     if kmax:
         out[1] = (al - be) / 2 + (al + be + 2) / 2 * x
     for k in range(1, kmax):
-        t = 2 * k + al + be
-        a1 = 2 * (k + 1) * (k + al + be + 1) * t
-        a2 = (t + 1) * (al * al - be * be)
-        a3 = t * (t + 1) * (t + 2)
-        a4 = 2 * (k + al) * (k + be) * (t + 2)
+        a1, a2, a3, a4 = _jacobi_step(al, be, k)
         out[k + 1] = ((a2 + a3 * x) * out[k] - a4 * out[k - 1]) / a1
     return out
 
@@ -241,8 +331,12 @@ def kind_rows(kind, nmax):
     U and V run the Jacobi recurrence on values; Pm runs it at (m, m),
     since d^m P_n / dx^m = (n+m)! / (2^m n!) P_{n-m}^(m,m); G and Q run the
     monic class recurrence (core.member_rows).  Each row carries the kind's
-    prefactor.  Like member_fn, there is no domain check.
+    prefactor.  Like member_fn, there is no domain check; nmax below the
+    kind's base degree (m for Pm, else 0) raises ConstraintViolation.
     """
+    base = kind.m if isinstance(kind, Pm) else 0
+    if nmax < base:
+        raise ConstraintViolation(f"nmax must be at least {base} for this kind")
     if isinstance(kind, (G, Q)):
         poly_rows = member_rows(_gq_params(kind), nmax)
     elif isinstance(kind, Pm):
@@ -267,10 +361,6 @@ def kind_rows(kind, nmax):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return _prefactor(kind, x) * p
     return rows
-
-
-def _jacobi_v_coeffs(n, alpha):
-    return jacobi_coeffs(n, JacobiParams(alpha, -alpha))
 
 
 def legendre_norm(kind, n):
@@ -364,27 +454,6 @@ def _prefactor(kind, x):
     return _real_power(x, a) * one_m ** (kind.b / 2)
 
 
-def _poly_triplet(kind, n):
-    if isinstance(kind, (G, Q)):
-        p0 = poly_from_params(_gq_params(kind), n, monic=True)
-        p1 = p0.deriv()
-        return p0, p1, p1.deriv()
-    if isinstance(kind, U):
-        c = jacobi_coeffs(n, JacobiParams(kind.alpha, kind.alpha))
-    elif isinstance(kind, V):
-        c = _jacobi_v_coeffs(n, kind.alpha)
-    else:
-        c = jacobi_coeffs(n, JacobiParams(0, 0))
-        for _ in range(kind.m):
-            c = _poly_deriv(c)
-    d = _poly_deriv(c)
-
-    def mk(coeffs):
-        cf = [float(v) for v in coeffs]
-        return lambda t: _poly_eval(cf, t)
-    return mk(c), mk(d), mk(_poly_deriv(d))
-
-
 def generalized_legendre_residual(kind, n, x, e_choice="zero", nu=None):
     """Residual of the shared second-order equation at the (kind, n) member.
 
@@ -410,8 +479,7 @@ def generalized_legendre_residual(kind, n, x, e_choice="zero", nu=None):
         nu = nu_kind
     pref = _prefactor(kind, x_arr)
     ld, ldp = _log_deriv_pair(kind, x_arr)
-    p0, p1, p2 = _poly_triplet(kind, n)
-    v0, v1, v2 = p0(x_arr), p1(x_arr), p2(x_arr)
+    v0, v1, v2 = _recurrence_triple(*_member_recurrence(kind, n), x_arr)
 
     psi = pref * v0
     dpsi = pref * (ld * v0 + v1)

@@ -1,19 +1,26 @@
 """Jacobi evaluation routes, Legendre-type kinds, norms, shared-equation residuals."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+from symortho import core, legendre
+from symortho.core import _CHUNK, ClassParams, recurrence_c
 from symortho.errors import ConstraintViolation, SingularPoint
-from symortho.legendre import (G, JacobiParams, Pm, Q, U, V, _poly_deriv,
-                               eval_jacobi, eval_legendre_fn,
+from symortho.legendre import (G, JacobiParams, Pm, Q, U, V, eval_jacobi,
+                               eval_legendre_fn,
                                generalized_legendre_residual, jacobi_coeffs,
                                kind_rows, legendre_mu_nu, legendre_norm,
                                member_fn, orthogonality_interval)
 from symortho.quadrature import integrate
+
+
+def _poly_deriv(coeffs):
+    return [j * c for j, c in enumerate(coeffs)][1:] or [0 * coeffs[0]]
 
 
 def _poly_val(coeffs, x):
@@ -217,8 +224,6 @@ def test_residual_generic_g_is_off_form():
 @pytest.mark.parametrize("kind", [U(0.6), U(-0.5), V(0.3), V(-0.8), Pm(0), Pm(2),
                                   Pm(3), G(0.7, 1.0), Q(1.0)], ids=repr)
 def test_kind_rows_match_member_fn(kind):
-    # member_fn evaluates monomial coefficients, which drift past 1e-12
-    # of max|member| beyond degree 9 (V(-0.8)) and reach 6e-9 at degree 24
     x = np.linspace(-0.999, 0.999, 201)
     base = kind.m if isinstance(kind, Pm) else 0
     rows = kind_rows(kind, 8)(x)
@@ -242,3 +247,166 @@ def test_pm_value_recurrence_exact_to_degree_24(m):
         exact = pref * np.array([float(sum(ck * v ** k for k, ck in enumerate(c)))
                                  for v in xs])
         assert np.max(np.abs(rows[n - m] - exact)) <= 1e-12 * np.max(np.abs(exact)), n
+
+
+# ------------------------------------------- member_fn by recurrence
+
+
+def _exact_jacobi(n, al, be, x):
+    # P_0..P_n^(al, be) at a Fraction x by Szego's eq. 4.5.1, exactly
+    out = [Fraction(1), (al - be) / 2 + (al + be + 2) * x / 2]
+    for k in range(1, n):
+        t = 2 * k + al + be
+        out.append(((t + 1) * (t * (t + 2) * x + al * al - be * be) * out[k]
+                    - 2 * (k + al) * (k + be) * (t + 2) * out[k - 1])
+                   / (2 * (k + 1) * (k + al + be + 1) * t))
+    return out[:n + 1]
+
+
+def _exact_monic(n, params, x):
+    # Sb_0..Sb_n of the monic class at a Fraction x, exact C_k
+    out = [Fraction(1), x]
+    for k in range(1, n):
+        out.append(x * out[k] + recurrence_c(params, k) * out[k - 1])
+    return out[:n + 1]
+
+
+def _exact_members(kind, nmax, xs):
+    """(nmax + 1, len(xs)): an exact rational polynomial factor, rounded
+    once, times the prefactor in floats."""
+    rows = []
+    for xf in xs:
+        x = Fraction(xf)
+        one_m = 1 - xf * xf
+        if isinstance(kind, (U, V)):
+            al = Fraction(kind.alpha)
+            be = al if isinstance(kind, U) else -al
+            pref = (one_m ** (kind.alpha / 2) if isinstance(kind, U)
+                    else ((1 - xf) / (1 + xf)) ** (kind.alpha / 2))
+            poly = _exact_jacobi(nmax, al, be, x)
+        elif isinstance(kind, Pm):
+            m = kind.m
+            pref = one_m ** (m / 2)
+            jac = _exact_jacobi(nmax - m, Fraction(m), Fraction(m), x)
+            poly = [0] * m + [Fraction(math.factorial(n + m), 2 ** m * math.factorial(n))
+                              * jac[n - m] for n in range(m, nmax + 1)]
+        else:
+            a = Fraction(1 if isinstance(kind, Q) else kind.a)
+            b = Fraction(kind.b)
+            pref = math.copysign(abs(xf) ** float(a), xf) * one_m ** (float(b) / 2)
+            poly = _exact_monic(nmax, ClassParams(-1, 1, -2 * a - 2 * b - 2, 2 * a), x)
+        rows.append([pref * float(p) for p in poly])
+    return np.array(rows).T
+
+
+@pytest.mark.parametrize("kind", [U(0.5), U(-0.5), Pm(1), Pm(3), V(0.3), V(-0.8),
+                                  G(0.5, 1), Q(0.5)], ids=repr)
+def test_member_fn_exact_to_degree_64(kind):
+    # Horner on monomial coefficients was off by up to 1e+6 of max|member|
+    # here; the recurrence stays at rounding
+    xs = np.array([-0.999, -0.97, -0.8, -0.55, -0.3, -0.05, 0.0, 0.2, 0.45, 0.7,
+                   0.9, 0.99, 0.999])
+    exact = _exact_members(kind, 64, xs)
+    for n in range(65):
+        got = eval_legendre_fn(kind, n, xs)
+        scale = np.max(np.abs(exact[n]))
+        assert np.max(np.abs(got - exact[n])) <= 1e-12 * scale, n
+
+
+@pytest.mark.parametrize("kind", [U(0.5), V(-0.8), Pm(2), Q(0.5)], ids=repr)
+def test_member_fn_keeps_shape_across_blocks(kind):
+    # more points than one block, in two dimensions, and a scalar
+    x = np.linspace(-0.99, 0.99, 2 * _CHUNK + 7).reshape(-1, 1)
+    got = member_fn(kind, 12)(x)
+    assert got.shape == x.shape
+    base = kind.m if isinstance(kind, Pm) else 0
+    row = kind_rows(kind, 12)(x.ravel())[12 - base]
+    assert np.max(np.abs(got.ravel() - row)) <= 1e-13 * np.max(np.abs(row))
+    assert eval_legendre_fn(kind, 12, 0.3) == pytest.approx(
+        float(member_fn(kind, 12)(np.array([0.3]))[0]), rel=1e-15)
+
+
+def test_member_fn_builds_no_coefficients(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("monomial coefficients built")
+    monkeypatch.setattr(legendre, "jacobi_coeffs", refuse)
+    monkeypatch.setattr(core, "explicit_coeffs", refuse)
+    x = np.linspace(-0.9, 0.9, 7)
+    for kind in (U(0.5), Pm(2), V(0.3), G(0.5, 1), Q(0.5)):
+        assert np.all(np.isfinite(eval_legendre_fn(kind, 20, x)))
+        assert np.all(np.isfinite(generalized_legendre_residual(kind, 20, x)))
+
+
+def test_member_fn_memory_is_a_few_rows():
+    # two rows per block: the peak is the output plus one block's rows at
+    # any degree, where a table of members 0..64 would be 65 arrays
+    x = np.linspace(-0.99, 0.99, 100_000)
+    for kind in (U(0.5), V(0.3), Pm(1), Q(0.5)):
+        tracemalloc.start()
+        try:
+            member_fn(kind, 64)(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * x.nbytes, (kind, peak)
+
+
+def _mp_member(kind, n):
+    """The degree-n member as an mpmath function: mpmath's hypergeometric
+    Jacobi (Pm by d^m P_n / dx^m = (n+m)! / (2^m n!) P_{n-m}^(m,m)), or the
+    exact monic recurrence in mpf for Q."""
+    if isinstance(kind, Q):
+        params = ClassParams(-1, 1, -2 * Fraction(kind.b) - 4, 2)
+        cs = [mpmath.mpf(recurrence_c(params, k).numerator)
+              / recurrence_c(params, k).denominator for k in range(1, n)]
+
+        def f(x):
+            prev, cur = mpmath.mpf(1), x
+            for c in cs:
+                prev, cur = cur, x * cur + c * prev
+            return x * (1 - x * x) ** (mpmath.mpf(kind.b) / 2) * (cur if n else 1)
+        return f
+    if isinstance(kind, Pm):
+        m = kind.m
+        scale = mpmath.factorial(n + m) / (2 ** m * mpmath.factorial(n))
+        return lambda x: (1 - x * x) ** (mpmath.mpf(m) / 2) * scale * mpmath.jacobi(n - m, m, m, x)
+    al = mpmath.mpf(kind.alpha)
+    if isinstance(kind, U):
+        return lambda x: (1 - x * x) ** (al / 2) * mpmath.jacobi(n, al, al, x)
+    return lambda x: ((1 - x) / (1 + x)) ** (al / 2) * mpmath.jacobi(n, al, -al, x)
+
+
+@pytest.mark.parametrize("kind,e_choice", [(U(0.5), "zero"), (Pm(1), "zero"),
+                                           (V(0.3), "zero"), (Q(0.5), "-2/x^2")],
+                         ids=repr)
+def test_residual_at_degree_40_within_rounding(kind, e_choice):
+    # relative to the largest term of the equation, from mpmath at 40 digits
+    n = 40
+    mu, nu = legendre_mu_nu(kind, n)
+    f = _mp_member(kind, n)
+    with mpmath.workdps(40):
+        for x in (-0.7, 0.3, 0.61, 0.95):
+            xm = mpmath.mpf(x)
+            psi, d1, d2 = (mpmath.diff(f, xm, k) for k in range(3))
+            e = -2 / xm ** 2 if e_choice != "zero" else 0
+            terms = ((1 - xm * xm) * d2, 2 * xm * d1,
+                     (mu - nu / (1 - xm * xm) + e) * psi)
+            scale = float(max(abs(t) for t in terms))
+            res = generalized_legendre_residual(kind, n, x, e_choice=e_choice)
+            assert abs(res) <= 1e-10 * scale, (x, res / scale)
+
+
+def test_nan_is_outside_the_domain():
+    for x in (math.nan, np.array([0.2, math.nan])):
+        with pytest.raises(ConstraintViolation):
+            eval_legendre_fn(U(0.5), 3, x)
+        with pytest.raises(ConstraintViolation):
+            generalized_legendre_residual(U(0.5), 3, x)
+
+
+def test_kind_rows_below_base_degree_refused():
+    with pytest.raises(ConstraintViolation):
+        kind_rows(Pm(3), 1)
+    with pytest.raises(ConstraintViolation):
+        kind_rows(U(0.5), -1)
+    assert kind_rows(Pm(3), 3)(np.array([0.5])).shape == (1, 1)
