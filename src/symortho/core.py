@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational
 
 import numpy as np
@@ -53,6 +54,11 @@ class ClassParams:
 
     def promoted(self):
         """Exact parameters as Fractions, inexact ones as floats."""
+        return self._promoted
+
+    @cached_property
+    def _promoted(self):
+        # computed once per instance: recurrence_c calls promoted() per C_n
         if self.exact():
             return tuple(Fraction(v) for v in self)
         return tuple(float(v) for v in self)

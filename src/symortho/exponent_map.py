@@ -173,7 +173,7 @@ class _LambdaBasis:
     def __init__(self, spec):
         self.params = spec.mapped_params
         self.theta = support_theta(self.params)
-        self.shared = math.isfinite(self.theta) or self.params.p == 0
+        self.tails = not (math.isfinite(self.theta) or self.params.p == 0)
 
     def norms(self, nmax):
         """(-1)^n C_1...C_n for n = 0..nmax, None from a pole in C_n on."""
@@ -211,6 +211,10 @@ class _LambdaBasis:
 
     def interval(self):
         return _t_interval(self.params, self.theta, 0, 0)
+
+    def tree_block(self, norms):
+        end = self.base - 1 if self.tails else self.base + len(norms) - 1
+        return end, self.interval()
 
 
 def lambda_weight_and_gram(spec: LambdaSpec, nmax: int, tol=1e-7) -> GramReport:

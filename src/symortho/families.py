@@ -32,7 +32,7 @@ from .special import beta_fn, gamma_fn, log_gamma
 __all__ = [
     "GUP", "GHP", "FiniteI", "FiniteII", "NormValue", "PairValidity",
     "make_subclass", "weight_at", "moment_zero", "norm_squared", "norms_squared",
-    "valid_pair",
+    "valid_pair", "pair_integrable",
     "finite_degree_bound", "pearson_residual",
 ]
 
@@ -379,7 +379,7 @@ def valid_pair(spec, n, m) -> PairValidity:
         u = _as_float(spec.u)
         certified = big <= u - 0.5
         reason = (f"max(n,m) = {big} {'<=' if certified else '>'} u - 1/2 = {u - 0.5}")
-        integrable = (-2 * u + 2 + n + m - 1) <= 0
+        integrable = _tail_margin(spec, n, m) <= 0
         return PairValidity(certified, reason, integrable)
 
     u, v = _as_float(spec.u), _as_float(spec.v)
@@ -391,8 +391,30 @@ def valid_pair(spec, n, m) -> PairValidity:
     certified = bool(opts)
     reason = opts[0] if opts else "neither certifying condition holds"
     origin_ok = -2 * u + parity_low > -1
-    tail_ok = (-2 * u - 2 * v + 2 + n + m - 1) <= 0
+    tail_ok = _tail_margin(spec, n, m) <= 0
     return PairValidity(certified, reason, origin_ok and tail_ok)
+
+
+def _tail_margin(spec, n, m):
+    """n + m + 1 plus the weight's exponent at infinity: the product of the
+    weight and the degree-(n, m) pair decays like |x|^(margin - 1), so its
+    tails converge exactly when the margin is negative.  -inf for GUP and
+    GHP, which have no algebraic tail."""
+    if isinstance(spec, FiniteII):
+        return -2 * _as_float(spec.u) + 2 + n + m - 1
+    if isinstance(spec, FiniteI):
+        return -2 * _as_float(spec.u) - 2 * _as_float(spec.v) + 2 + n + m - 1
+    return -math.inf
+
+
+def pair_integrable(spec, n, m) -> bool:
+    """Whether the weight times members n and m is absolutely integrable.
+
+    valid_pair's integrable field counts a tail that decays like |x|^-1 (a
+    zero tail margin) as integrable; that tail diverges logarithmically,
+    and here it counts as divergent.
+    """
+    return valid_pair(spec, n, m).integrable and _tail_margin(spec, n, m) < 0
 
 
 def pearson_residual(spec, x):

@@ -428,16 +428,16 @@ def _log_deriv_pair(kind, x):
     """(P'/P, (P'/P)') of the kind's prefactor, both vectorized."""
     one_m = 1 - x * x
     if isinstance(kind, U):
-        al = kind.alpha
+        al = float(kind.alpha)
         return -al * x / one_m, -al * (1 + x * x) / one_m ** 2
     if isinstance(kind, Pm):
         m = kind.m
         return -m * x / one_m, -m * (1 + x * x) / one_m ** 2
     if isinstance(kind, V):
-        al = kind.alpha
+        al = float(kind.alpha)
         return -al / one_m, -2 * al * x / one_m ** 2
-    a = 1 if isinstance(kind, Q) else kind.a
-    b = kind.b
+    a = 1 if isinstance(kind, Q) else float(kind.a)
+    b = float(kind.b)
     return (a / x - b * x / one_m,
             -a / x ** 2 - b * (1 + x * x) / one_m ** 2)
 
@@ -445,13 +445,13 @@ def _log_deriv_pair(kind, x):
 def _prefactor(kind, x):
     one_m = 1 - x * x
     if isinstance(kind, U):
-        return one_m ** (kind.alpha / 2)
+        return one_m ** (float(kind.alpha) / 2)
     if isinstance(kind, Pm):
         return one_m ** (kind.m / 2)
     if isinstance(kind, V):
-        return ((1 - x) / (1 + x)) ** (kind.alpha / 2)
+        return ((1 - x) / (1 + x)) ** (float(kind.alpha) / 2)
     a = 1 if isinstance(kind, Q) else kind.a
-    return _real_power(x, a) * one_m ** (kind.b / 2)
+    return _real_power(x, a) * one_m ** (float(kind.b) / 2)
 
 
 def generalized_legendre_residual(kind, n, x, e_choice="zero", nu=None):
@@ -475,8 +475,7 @@ def generalized_legendre_residual(kind, n, x, e_choice="zero", nu=None):
         x_arr = x_arr[None]
 
     mu, nu_kind = legendre_mu_nu(kind, n)
-    if nu is None:
-        nu = nu_kind
+    mu, nu = float(mu), float(nu_kind if nu is None else nu)
     pref = _prefactor(kind, x_arr)
     ld, ldp = _log_deriv_pair(kind, x_arr)
     v0, v1, v2 = _recurrence_triple(*_member_recurrence(kind, n), x_arr)

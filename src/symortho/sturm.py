@@ -21,7 +21,7 @@ from .core import ClassParams, SymmetricPoly, member_rows, poly_from_params
 from .core import eigenvalue as generic_eigenvalue
 from .errors import (ConstraintViolation, NonpositiveWeight, SingularCoefficient,
                      ZeroLeadingCoefficient)
-from .families import _FAMILIES, GUP, GHP, norms_squared, valid_pair
+from .families import _FAMILIES, GUP, norms_squared, pair_integrable
 from .legendre import (G, LegendreKind, Pm, V, kind_rows, legendre_norm,
                        orthogonality_interval)
 from .quadrature import IntervalSpec, QuadResult, integrate, integrate_gram
@@ -325,8 +325,8 @@ class GramReport:
 class _FamilyBasis:
     """Basis adapter for a family spec.  Adapters give the weight, the
     rows evaluator of members base..nmax (by recurrence), the quadrature
-    interval, the closed-form norms (None where refused) and whether the
-    Gram tree may fold by parity."""
+    interval, the closed-form norms (None where refused), whether the
+    Gram tree may fold by parity, and where the tree block ends."""
     closed_norms = True
     fold = True
 
@@ -334,9 +334,6 @@ class _FamilyBasis:
         self.spec = spec
         self.base = 0
         self.label = spec.label
-        # the finite families keep per-entry integrals, whose divergence
-        # evidence backs every cliff
-        self.shared = isinstance(spec, (GUP, GHP))
 
     def phi(self, n):
         return poly_from_params(self.spec.params, n, monic=True)
@@ -355,22 +352,45 @@ class _FamilyBasis:
         # the weight's own hints: polynomial members add integer exponents
         return self.spec.interval()
 
+    def tree_block(self, norms):
+        """(K, interval) of the Gram tree block base..K: K is the largest
+        degree such that every degree base..K has a closed-form norm and
+        (K, K) is integrable, and so then is every pair below it; base - 1
+        when there is none.  No degree bound gives K = nmax."""
+        end = self.base - 1
+        for n, d in enumerate(norms, start=self.base):
+            if d is None or not self.integrable(n, n):
+                break
+            end = n
+        # the widest product in the block has degree 2K
+        return end, self.spec.interval(tail_power=2 * end)
+
     def integrable(self, n, m):
-        return valid_pair(self.spec, n, m).integrable
+        return pair_integrable(self.spec, n, m)
 
     def inner(self, phi_a, phi_b, n, m):
+        """One integrate call for the entry (n, m).  An absolutely integrable
+        product folds by parity: an odd one is exactly 0 and an even one is
+        integrated on the right half-line.  Any other product is integrated
+        whole, so that its divergence shows (a fold hides that of an odd
+        product, and the half-line growth of an even one can stay below the
+        divergence test)."""
+        parity = None
+        if self.integrable(n, m):
+            if (n + m) % 2:
+                return QuadResult(0.0, 0.0, True, False)
+            parity = "even"
         wlog = self.spec.weight_log
 
         def f(x):
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 return np.exp(wlog(x)) * phi_a(x) * phi_b(x)
         spec = self.spec.interval(origin_power=(n % 2) + (m % 2), tail_power=n + m)
-        return integrate(f, spec, on_inconclusive="return")
+        return integrate(f, spec, parity=parity, on_inconclusive="return")
 
 
 class _KindBasis:
     closed_norms = True
-    shared = True
 
     def __init__(self, kind):
         self.kind = kind
@@ -393,6 +413,9 @@ class _KindBasis:
     def interval(self, members=2):
         return orthogonality_interval(self.kind, members)
 
+    def tree_block(self, norms):
+        return self.base + len(norms) - 1, self.interval()
+
 
 def _adapt(basis):
     if isinstance(basis, _FAMILIES):
@@ -402,13 +425,20 @@ def _adapt(basis):
     raise TypeError(f"cannot build a basis from {basis!r}")
 
 
-def _shared_tree(ad, idx, norms):
-    """Every entry from one panel tree; (n, m) -> QuadResult."""
-    rows = ad.rows(idx[-1])
+def _shared_tree(ad, end, interval, norms):
+    """Every entry of the block base..end from one panel tree;
+    (n, m) -> QuadResult."""
+    rows = ad.rows(end)
 
     def sample(x):
-        return ad.weight(x), rows(x)
-    res = integrate_gram(sample, ad.interval(), norms, fold=ad.fold)
+        # a weight that underflows to 0 gives 0 even beside members that
+        # overflow (far out in a folded infinite tail)
+        w, P = ad.weight(x), rows(x)
+        zero = np.asarray(w) == 0.0
+        if zero.any():
+            P[:, zero] = 0.0
+        return w, P
+    res = integrate_gram(sample, interval, norms, fold=ad.fold)
 
     def quad(n, m):
         i, j = n - ad.base, m - ad.base
@@ -417,20 +447,22 @@ def _shared_tree(ad, idx, norms):
     return quad
 
 
-def _entry_by_entry(ad, idx):
+def _entry_by_entry(ad):
     """One integrate call per entry; (n, m) -> QuadResult, or None when a
     member does not exist."""
     phis = {}
-    for n in idx:
-        try:
-            phis[n] = ad.phi(n)
-        except ZeroLeadingCoefficient:
-            phis[n] = None
-
     done = {}
 
+    def phi(n):
+        if n not in phis:
+            try:
+                phis[n] = ad.phi(n)
+            except ZeroLeadingCoefficient:
+                phis[n] = None
+        return phis[n]
+
     def quad(n, m):
-        if phis[n] is None or phis[m] is None:
+        if phi(n) is None or phi(m) is None:
             return None
         if (n, m) not in done:
             done[n, m] = ad.inner(phis[n], phis[m], n, m)
@@ -441,10 +473,12 @@ def _entry_by_entry(ad, idx):
 def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
     """Inner-product matrix of the basis members up to degree nmax.
 
-    Bases with no degree bound (GUP, GHP, the Legendre kinds) take every
-    entry from one shared panel tree (quadrature.integrate_gram) on members
-    evaluated by recurrence; the finite families integrate each entry on
-    its own, so a cliff always rests on independent divergence evidence.
+    The block of degrees base..K whose norms all have closed forms and
+    whose every pair is integrable takes its entries from one shared panel
+    tree (quadrature.integrate_gram) on members evaluated by recurrence.
+    Bases with no degree bound (GUP, GHP, the Legendre kinds) have K =
+    nmax.  Every entry outside the block is integrated on its own, so a
+    cliff always rests on independent divergence evidence.
     Diagonals are compared with the closed-form norms; off-diagonal
     entries are then measured against tol * sqrt(d_n d_m).  Entry statuses:
 
@@ -471,8 +505,16 @@ def _gram_report(ad, nmax, tol) -> GramReport:
         raise ConstraintViolation(f"nmax must be at least {ad.base} for this basis")
     idx = list(range(ad.base, nmax + 1))
     norms = ad.norms(nmax)
-    closed = norms if ad.closed_norms else None
-    quad = _shared_tree(ad, idx, closed) if ad.shared else _entry_by_entry(ad, idx)
+    end, interval = ad.tree_block(norms)
+    tree = None
+    if end >= ad.base:
+        tree = _shared_tree(ad, end, interval, norms[:end - ad.base + 1]
+                            if ad.closed_norms else None)
+    single = _entry_by_entry(ad)
+
+    def quad(n, m):
+        # called with n >= m: (n, m) is in the block when n is
+        return tree(n, m) if n <= end else single(n, m)
     no_quad = QuadResult(math.nan, math.inf, False, False)
 
     entries = []

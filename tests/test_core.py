@@ -239,3 +239,20 @@ def test_member_rows_shapes_and_low_degrees():
                                        rel=1e-14)
     with pytest.raises(ConstraintViolation):
         member_rows(params, -1)
+
+
+@pytest.mark.parametrize("params, kind", [
+    (ClassParams(-1, 1, Fraction(-7, 2), Fraction(1, 2)), Fraction),
+    (ClassParams(-1, 1, -5.0, 1.0), float),
+    (ClassParams(1, 0, -10.06, 2), float)], ids=repr)
+def test_promoted_is_computed_once_with_the_same_values(params, kind):
+    first = params.promoted()
+    assert params.promoted() is first
+    assert all(type(v) is kind for v in first)
+    assert first == tuple(kind(v) for v in params)
+    # the cache is not a field: equality, hashing and repr are unchanged
+    fresh = ClassParams(*params)
+    assert fresh == params and hash(fresh) == hash(params)
+    assert repr(fresh) == repr(params)
+    assert [recurrence_c(params, n) for n in range(1, 6)] == [
+        recurrence_c(fresh, n) for n in range(1, 6)]

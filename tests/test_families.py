@@ -11,8 +11,8 @@ from symortho.errors import (ConstraintViolation, DivergentMoment,
                              OutOfFiniteRange, PoleError, SingularPoint)
 from symortho.families import (GUP, GHP, FiniteI, FiniteII, finite_degree_bound,
                                make_subclass, moment_zero, norm_squared,
-                               norms_squared, pearson_residual, valid_pair,
-                               weight_at)
+                               norms_squared, pair_integrable, pearson_residual,
+                               valid_pair, weight_at)
 from symortho.quadrature import integrate
 
 
@@ -240,3 +240,21 @@ def test_norms_squared_takes_one_running_product(monkeypatch):
     monkeypatch.setattr(families, "recurrence_c", counted)
     norms_squared(GUP(Fraction(1, 2), Fraction(1, 2)), 20)
     assert calls == list(range(1, 21))
+
+
+@pytest.mark.parametrize("spec, n, m", [
+    (FiniteII(5.5), 6, 4), (FiniteII(4.5), 4, 4), (FiniteII(6), 7, 4),
+    (FiniteI(0.25, 2.25), 3, 1)], ids=str)
+def test_pair_integrable_counts_the_inverse_tail_as_divergent(spec, n, m):
+    # the product decays exactly like |x|^-1: log-divergent
+    assert not pair_integrable(spec, n, m)
+    # one degree less in the product and it converges
+    assert pair_integrable(spec, n, m - 1)
+
+
+def test_pair_integrable_agrees_with_valid_pair_off_the_boundary():
+    for spec in (GUP(1, 1.5), GHP(-0.2), FiniteII(6.03), FiniteI(0.3, 2),
+                 FiniteI(0.7, 3)):
+        for n in range(10):
+            for m in range(n + 1):
+                assert pair_integrable(spec, n, m) == valid_pair(spec, n, m).integrable

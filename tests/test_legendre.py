@@ -410,3 +410,21 @@ def test_kind_rows_below_base_degree_refused():
     with pytest.raises(ConstraintViolation):
         kind_rows(U(0.5), -1)
     assert kind_rows(Pm(3), 3)(np.array([0.5])).shape == (1, 1)
+
+
+@pytest.mark.parametrize("exact, approx", [
+    (U(Fraction(1, 2)), U(0.5)), (V(Fraction(1, 3)), V(1 / 3)),
+    (G(Fraction(1, 2), Fraction(1, 4)), G(0.5, 0.25)), (Q(Fraction(1, 2)), Q(0.5))],
+    ids=repr)
+def test_rational_kind_parameters_give_float_results(exact, approx):
+    x = np.linspace(-0.9, 0.95, 7)
+    e_choice = "-2/x^2" if isinstance(exact, Q) else "zero"
+    # exact parameters reach the recurrence coefficients as exact
+    # rationals, so the two sides agree to rounding, not bit for bit
+    res = generalized_legendre_residual(exact, 7, x, e_choice)
+    assert res.dtype == np.float64
+    ref = generalized_legendre_residual(approx, 7, x, e_choice)
+    assert np.allclose(res, ref, rtol=1e-10, atol=1e-12)
+    val, ref = eval_legendre_fn(exact, 7, x), eval_legendre_fn(approx, 7, x)
+    assert val.dtype == np.float64
+    assert np.max(np.abs(val - ref)) <= 1e-14 * np.max(np.abs(ref))

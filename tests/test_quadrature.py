@@ -274,3 +274,21 @@ def test_gram_tree_two_row_sets_stop_on_their_own_scales(monkeypatch):
     spec = IntervalSpec(-1.0, 1.0)
     assert integrate_gram(sample, spec, ([1e16], [2.0])).converged.all()
     assert not integrate_gram(sample, spec, ([1e-12], [2.0])).converged.any()
+
+
+def test_softened_tail_reaching_infinity_raises_no_warning():
+    # FiniteII(6.009), members 6 and 5: the tail decays like x^-1.018, so
+    # its fold is softened with a high power t = tau^m that underflows to
+    # 0 in the deepest panels; x = 1/t is then inf.  Pytest turns
+    # RuntimeWarning into an error, so this used to raise.
+    from symortho.core import poly_from_params
+    from symortho.families import FiniteII
+    spec = FiniteII(6.009)
+    p6, p5 = (poly_from_params(spec.params, k, monic=True) for k in (6, 5))
+
+    def f(x):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.exp(spec.weight_log(x)) * p6(x) * p5(x)
+    res = integrate(f, spec.interval(origin_power=1, tail_power=11),
+                    on_inconclusive="return")
+    assert isinstance(res, quadrature.QuadResult)

@@ -7,13 +7,13 @@ import pytest
 from symortho.core import ClassParams, poly_from_params
 from symortho.errors import (ConstraintViolation, NonpositiveWeight,
                              SingularCoefficient)
-from symortho.exponent_map import (LambdaSpec, _t_interval, lambda_weight_and_gram,
-                                   signed_power)
+from symortho.exponent_map import (LambdaSpec, _LambdaBasis, _t_interval,
+                                   lambda_weight_and_gram, signed_power)
 from symortho.families import GUP, GHP, FiniteI, FiniteII, norm_squared, weight_at
 from symortho.legendre import (G, Pm, Q, U, V, eval_jacobi, JacobiParams,
                                legendre_norm, member_fn, orthogonality_interval)
 from symortho.quadrature import integrate
-from symortho.sturm import (GramReport, boundary_term, from_params,
+from symortho.sturm import (GramReport, _adapt, boundary_term, from_params,
                             generic_weight_log, gram_matrix, legendre_sl,
                             parity_integral, self_adjoint_factor,
                             support_theta, weight_star)
@@ -351,3 +351,89 @@ def test_gram_refusals_unchanged_by_the_running_norm_product():
     assert [rep.entry(n, n).expected is None for n in range(11)] == [False] * 8 + [True] * 3
     assert [rep.entry(n, n).status for n in range(8, 11)] == [
         "cliff", "degenerate", "degenerate"]
+
+
+# ------------------------------------------- finite families' tree block
+
+
+def _tree_end(basis, nmax):
+    ad = _adapt(basis)
+    return ad.tree_block(ad.norms(nmax))[0]
+
+
+@pytest.mark.parametrize("basis, nmax, end", [
+    (FiniteII(6.03), 8, 5), (FiniteII(9.02), 8, 8), (FiniteII(8.5), 10, 7),
+    (FiniteII(4.5), 8, 3), (FiniteI(0.1, 2.5), 8, 0), (FiniteI(5, 2), 8, -1),
+    (GUP(1, 1.5), 12, 12), (GHP(0.5), 10, 10), (Pm(2), 9, 9), (V(0.3), 6, 6)],
+    ids=str)
+def test_tree_block_ends_where_a_norm_or_the_last_diagonal_fails(basis, nmax, end):
+    # every degree of the block has a closed-form norm and (end, end) is
+    # integrable; bases with no degree bound run to nmax
+    assert _tree_end(basis, nmax) == end
+
+
+def test_lambda_tree_block_is_empty_with_algebraic_tails():
+    fam = FiniteI(Fraction(1, 10), Fraction(5, 2))
+    a, b, r, s = fam.params
+    tails = LambdaSpec(a, b, (r + 2 * a) / 3, (s + 2 * b) / 3, Fraction(2, 3))
+    assert _LambdaBasis(tails).tree_block([1.0] * 7)[0] == -1
+    assert _LambdaBasis(_lam(1, 1)).tree_block([1.0] * 7)[0] == 6
+
+
+@pytest.mark.parametrize("basis", [FiniteII(6.03), FiniteII(9.02)], ids=repr)
+def test_finite_tree_block_agrees_with_entry_by_entry_route(basis):
+    nmax, tol = 8, 1e-7
+    end = _tree_end(basis, nmax)
+    rep = gram_matrix(basis, nmax, tol)
+    assert rep.passed, rep.summary()
+    diag = {e.n: e.quad.value for e in rep.entries if e.n == e.m}
+    block = [e for e in rep.entries if e.n <= end]
+    assert len(block) == (end + 1) * (end + 2) // 2
+    for e in block:
+        pn, pm = (poly_from_params(basis.params, k, monic=True) for k in (e.n, e.m))
+
+        def f(x):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                return np.exp(basis.weight_log(x)) * pn(x) * pm(x)
+        scale = math.sqrt(diag[e.n] * diag[e.m])
+        spec = basis.interval(origin_power=e.n % 2 + e.m % 2, tail_power=e.n + e.m)
+        ref = integrate(f, spec, atol=1e-10 * scale, on_inconclusive="return")
+        assert e.status == "ok" and ref.converged, (e.n, e.m)
+        assert abs(e.quad.value - ref.value) <= tol * scale, (e.n, e.m)
+
+
+def test_finite2_8_5_passes_with_only_its_boundary_cliff():
+    # (1, 0) used to be a false "divergent"
+    rep = gram_matrix(FiniteII(8.5), 8)
+    assert rep.passed, rep.summary()
+    assert [(e.n, e.m) for e in rep.entries if e.status != "ok"] == [(8, 8)]
+    assert rep.entry(8, 8).status == "cliff"
+    assert rep.verified == 44
+
+
+def test_boundary_tail_pair_is_a_cliff():
+    # FiniteII(6): (7, 4) decays like x^-1, which diverges logarithmically;
+    # it used to be reported "divergent" as if it were integrable
+    rep = gram_matrix(FiniteII(6), 7)
+    e = rep.entry(7, 4)
+    assert e.quad.diverged and e.status == "cliff"
+
+
+def test_odd_pairs_outside_the_block_are_exactly_zero_when_integrable():
+    ad = _adapt(FiniteII(6.009))
+    res = ad.inner(ad.phi(6), ad.phi(5), 6, 5)
+    assert (res.value, res.abs_error_estimate, res.converged) == (0.0, 0.0, True)
+    rep = gram_matrix(FiniteII(6.03), 16)
+    assert rep.passed, rep.summary()
+    for n, m in [(6, 5), (7, 4), (11, 0)]:
+        assert rep.entry(n, m).quad.value == 0.0
+
+
+def test_non_integrable_pairs_keep_their_divergence_evidence():
+    # the unfolded integral of a non-integrable even pair diverges where
+    # its half-line fold does not show it
+    rep = gram_matrix(FiniteII(12.25), 12)
+    assert rep.passed, rep.summary()
+    e = rep.entry(12, 12)
+    assert e.quad.diverged and e.status == "cliff"
+    assert not _adapt(FiniteII(12.25)).integrable(12, 12)
