@@ -9,9 +9,11 @@ report passes.
 """
 
 import argparse
+import ast
 import csv
 import json
 import math
+import operator
 import re
 import sys
 
@@ -34,11 +36,15 @@ _FAMILY_FLAGS = {
 }
 _FAMILY_CTOR = {"gup": GUP, "ghp": GHP, "finite1": FiniteI, "finite2": FiniteII}
 
+# the grammar of --expr: numbers, x, these constants and functions, and
+# unary and binary arithmetic
 _EXPR_NAMES = {name: getattr(np, name) for name in
                ("sin", "cos", "tan", "exp", "log", "sqrt", "abs",
                 "sinh", "cosh", "tanh", "arctan", "sign")}
-_EXPR_NAMES["pi"] = math.pi
-_EXPR_NAMES["e"] = math.e
+_EXPR_CONSTANTS = {"pi": math.pi, "e": math.e}
+_EXPR_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_EXPR_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+                ast.Div: operator.truediv, ast.Pow: operator.pow}
 
 
 def _error_code(exc):
@@ -204,16 +210,39 @@ def _cmd_table(args):
 
 
 def _expression_fn(text):
-    def fn(x):
-        ns = dict(_EXPR_NAMES)
-        ns["x"] = x
-        return eval(text, {"__builtins__": {}}, ns)  # noqa: S307 - sandboxed names
+    """The function of x that --expr denotes.  The expression is parsed,
+    never run: anything outside the grammar of _EXPR_* is refused."""
     try:
-        probe = fn(np.array([0.1, 0.2]))
-        np.asarray(probe, dtype=float)
+        fn = _expr_node(ast.parse(text, mode="eval").body)
+        np.asarray(fn(np.array([0.1, 0.2])), dtype=float)
     except Exception as exc:
         raise ConstraintViolation(f"cannot evaluate expression {text!r}: {exc}")
     return fn
+
+
+def _expr_node(node):
+    # numbers are floats, so no constant power can grow without bound
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        value = float(node.value)
+        return lambda x: value
+    if isinstance(node, ast.Name) and node.id == "x":
+        return lambda x: x
+    if isinstance(node, ast.Name) and node.id in _EXPR_CONSTANTS:
+        value = _EXPR_CONSTANTS[node.id]
+        return lambda x: value
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_UNARY:
+        op, arg = _EXPR_UNARY[type(node.op)], _expr_node(node.operand)
+        return lambda x: op(arg(x))
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_BINARY:
+        op = _EXPR_BINARY[type(node.op)]
+        left, right = _expr_node(node.left), _expr_node(node.right)
+        return lambda x: op(left(x), right(x))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _EXPR_NAMES and len(node.args) == 1
+            and not node.keywords):
+        fn, arg = _EXPR_NAMES[node.func.id], _expr_node(node.args[0])
+        return lambda x: fn(arg(x))
+    raise ConstraintViolation(f"{type(node).__name__} is not allowed in an expression")
 
 
 def _read_pairs(path):

@@ -63,6 +63,18 @@ class ClassParams:
             return tuple(Fraction(v) for v in self)
         return tuple(float(v) for v in self)
 
+    def float_c(self, count):
+        """[C_1, ..., C_count] in floats, each recurrence_c rounded once and
+        computed once per instance.  A pole among them raises PoleError."""
+        cs = self._float_c
+        while len(cs) < count:
+            cs.append(float(recurrence_c(self, len(cs) + 1)))
+        return cs[:count]
+
+    @cached_property
+    def _float_c(self):
+        return []
+
 
 def _check_degree(n):
     if not isinstance(n, (int, np.integer)) or n < 0:
@@ -169,49 +181,128 @@ def monic_by_recurrence(params: ClassParams, n):
     return cur
 
 
-# points per block in passes over member values (expand.reconstruct,
-# legendre.member_fn): a few rows of a block stay in cache
+# points per block in passes over member values: a few rows stay in cache
 _CHUNK = 8192
 
 
-def member_rows(params: ClassParams, nmax):
-    """Evaluator x -> float values of the monic members Sb_0..Sb_nmax at x.
+def blockwise(fn, x):
+    """fn(x) for a pointwise fn of flat arrays, taken a block of _CHUNK
+    points at a time, so that fn's temporaries take O(_CHUNK) memory."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    if flat.size <= _CHUNK:
+        return fn(flat).reshape(x.shape)
+    out = np.empty_like(flat)
+    for i in range(0, flat.size, _CHUNK):
+        out[i:i + _CHUNK] = fn(flat[i:i + _CHUNK])
+    return out.reshape(x.shape)
 
-    Each call is one vectorized pass of Sb_{k+1} = x Sb_k + C_k Sb_{k-1};
-    row k of the (nmax + 1, *x.shape) result is Sb_k.  The C_k are computed
-    once, here; a pole in one raises PoleError.  Unlike Horner on the
-    monomial coefficients, the recurrence stays accurate to rounding
-    relative to max|Sb_k| at high degree.
+
+class Recurrence:
+    """Float members p_0..p_d of the three-term recurrence
+
+        p_{k+1} = (x - b_k) p_k + c_k p_{k-1},   p_0 = 1,  c_0 = 0,
+
+    member k scaled by scale[k], in three modes: rows (all members), a call
+    (member d) and triple (member d and two derivatives).  Unlike Horner on
+    monomial coefficients it stays accurate to rounding relative to
+    max|p_k| at high degree.  Every recurrence here has b_k = 0 for k >= 1
+    (V alone has b_0 != 0).
     """
-    nmax = _check_degree(nmax)
-    cs = [float(recurrence_c(params, k)) for k in range(1, nmax)]
 
-    def rows(x):
+    def __init__(self, scale, b, c):
+        self.scale = np.array([float(v) for v in scale])
+        self.b, self.c = [float(v) for v in b], [float(v) for v in c]
+        d = len(b)
+        # a call runs the recurrence to degree head, then two degrees per
+        # step in y = x^2: p_{k+2} = (y + c_{k+1} + c_k) p_k - c_k c_{k-1}
+        # p_{k-2}, from k = d % 2 if b_0 = 0 and k = d % 2 + 2 otherwise
+        self._head = min(d, d % 2 + (2 if d and self.b[0] else 0))
+        self._steps = [(self.c[k + 1] + self.c[k], self.c[k] * self.c[k - 1] if k else 0.0)
+                       for k in range(self._head, d - 1, 2)]
+
+    def rows(self, x):
+        """(d + 1, *x.shape) array, row k being member k at x."""
         x = np.asarray(x, dtype=float)
-        out = np.empty((nmax + 1,) + x.shape)
+        out = np.empty((len(self.b) + 1,) + x.shape)
         out[0] = 1.0
-        if nmax:
-            out[1] = x
-        for k, c in enumerate(cs, start=1):
-            out[k + 1] = x * out[k] + c * out[k - 1]
+        for k, (bk, ck) in enumerate(zip(self.b, self.c)):
+            xk = x - bk if bk else x
+            out[k + 1] = xk * out[k] + ck * out[k - 1] if k else xk * out[k]
+        if np.any(self.scale != 1.0):
+            out *= self.scale.reshape((-1,) + (1,) * x.ndim)
         return out
-    return rows
+
+    def __call__(self, x):
+        """Member d at x, blockwise."""
+        return blockwise(self._block, x)
+
+    def _block(self, x):
+        b, c, scale = self.b, self.c, self.scale[-1]
+        if not b:
+            return np.full_like(x, scale)
+        p = [scale]         # p_0 a scalar, then arrays
+        for k in range(self._head):
+            p.append((x - b[k]) * p[k] + c[k] * p[k - 1])
+        cur, prev, y = p[-1], (p[-3] if self._head >= 2 else 0.0), x * x
+        for s, t in self._steps:
+            nxt = y + s
+            nxt *= cur
+            if t:
+                nxt -= t * prev
+            cur, prev = nxt, cur
+        return cur
+
+    def triple(self, x):
+        """Member d and its first two derivatives at x, by the recurrence
+        differentiated once and twice."""
+        x = np.asarray(x, dtype=float)
+        zero = np.zeros_like(x)
+        cur, prev = (zero + 1, zero, zero), (zero, zero, zero)
+        for bk, ck in zip(self.b, self.c):
+            u = x - bk
+            prev, cur = cur, (u * cur[0] + ck * prev[0],
+                              cur[0] + u * cur[1] + ck * prev[1],
+                              2 * cur[1] + u * cur[2] + ck * prev[2])
+        return tuple(self.scale[-1] * v for v in cur)
+
+
+def class_recurrence(params: ClassParams, d, scale=1.0) -> Recurrence:
+    """The monic members Sb_0..Sb_d as a Recurrence (b = 0, c_k = C_k), the
+    last one scaled by `scale`.  A pole in some C_k, k < d, raises
+    PoleError."""
+    return Recurrence([1.0] * d + [scale], [0.0] * d, [0.0] + params.float_c(max(d - 1, 0)))
+
+
+def member_rows(params: ClassParams, nmax):
+    """Evaluator x -> (nmax + 1, *x.shape) float values of the monic members
+    Sb_0..Sb_nmax at x.  A pole in some C_k raises PoleError."""
+    return class_recurrence(params, _check_degree(nmax)).rows
 
 
 def poly_from_params(params: ClassParams, n, monic=False) -> "SymmetricPoly":
     coeffs = monic_coeffs(params, n) if monic else explicit_coeffs(params, n)
-    return SymmetricPoly(n, tuple(coeffs))
+    poly = SymmetricPoly(n, tuple(coeffs))
+    if coeffs[0] != 0:
+        try:
+            poly._rec = class_recurrence(params, n, 1.0 if monic else coeffs[0])
+        except PoleError:
+            pass
+    return poly
 
 
 class SymmetricPoly:
     """A fixed-parity polynomial in compressed coefficient form.
 
-    coeffs[k] multiplies x^(n-2k).  Calling evaluates in floats via Horner
-    on x^2 (cheap and stable for these polynomials); eval_exact keeps the
-    coefficient arithmetic, for rational spot checks.
+    coeffs[k] multiplies x^(n-2k); eval_exact and deriv keep the coefficient
+    arithmetic.  A call evaluates in floats, and value_derivs adds two
+    derivatives: by the class recurrence for a member from poly_from_params,
+    else by Horner on x^2, whose error grows fast with the degree (a
+    hand-built polynomial, a non-monic member with leading coefficient 0, a
+    member above a pole in some C_k).
     """
 
-    __slots__ = ("n", "coeffs", "_fc")
+    __slots__ = ("n", "coeffs", "_rec")
 
     def __init__(self, n, coeffs):
         self.n = int(n)
@@ -220,17 +311,26 @@ class SymmetricPoly:
             raise ConstraintViolation(
                 f"degree {n} needs {n // 2 + 1} compressed coefficients, "
                 f"got {len(self.coeffs)}")
-        self._fc = np.array([float(c) for c in self.coeffs])
+        self._rec = None
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x2 = x * x
-        acc = np.full_like(x2, self._fc[0])
-        for c in self._fc[1:]:
-            acc = acc * x2 + c
-        out = acc * x if self.n % 2 else acc
-        return float(out) if scalar else out
+        if self._rec is not None:
+            out = self._rec(x)
+        else:
+            x2 = x * x
+            acc = np.full_like(x2, float(self.coeffs[0]))
+            for c in self.coeffs[1:]:
+                acc = acc * x2 + float(c)
+            out = acc * x if self.n % 2 else acc
+        return float(out) if x.ndim == 0 else out
+
+    def value_derivs(self, x):
+        """(S, S', S'') in floats at x."""
+        if self._rec is not None:
+            return self._rec.triple(x)
+        d1 = self.deriv()
+        return self(x), d1(x), d1.deriv()(x)
 
     def eval_exact(self, x):
         acc = self.coeffs[0]
@@ -268,14 +368,13 @@ def eigenvalue(params: ClassParams, n):
 def _ode_pieces(params: ClassParams, n, poly, x):
     p, q, r, s = (float(v) for v in params)
     x = np.asarray(x, dtype=float)
-    d1 = poly.deriv()
-    d2 = d1.deriv()
+    v0, v1, v2 = poly.value_derivs(x)
     x2 = x * x
-    t_second = x2 * (p * x2 + q) * d2(x)
-    t_first = x * (r * x2 + s) * d1(x)
+    t_second = x2 * (p * x2 + q) * v2
+    t_first = x * (r * x2 + s) * v1
     lam = float(eigenvalue(params, n))
     odd_s = s if n % 2 else 0.0
-    t_zero = (-lam * x2 + odd_s) * poly(x)
+    t_zero = (-lam * x2 + odd_s) * v0
     return t_second, t_first, t_zero
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _CHUNK
+from .core import blockwise
 from .errors import (BasisInvalid, ConstraintViolation, MaxDepthExceeded,
                      NonSquareIntegrable)
 from .quadrature import QuadResult, integrate, integrate_gram
@@ -181,10 +181,7 @@ def reconstruct(series: ExpansionSeries, x):
     """Partial sum of the expansion at x: the coefficients times the
     basis's member rows (by recurrence), a block of points at a time."""
     ad = _adapt(series.basis)
-    x_arr = np.asarray(x, dtype=float)
-    flat = x_arr.ravel()
     q = np.asarray(series.coefficients[ad.base:series.nmax + 1], dtype=float)
     rows = ad.rows(series.nmax)
-    total = np.concatenate([q @ rows(flat[i:i + _CHUNK])
-                            for i in range(0, max(flat.size, 1), _CHUNK)])
-    return float(total[0]) if x_arr.ndim == 0 else total.reshape(x_arr.shape)
+    total = blockwise(lambda xb: q @ rows(xb), x)
+    return float(total) if total.ndim == 0 else total

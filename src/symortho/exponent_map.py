@@ -14,6 +14,7 @@ machinery in t-space.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -85,8 +86,9 @@ class LambdaSpec:
                 f"lambda = {lam} is not admissible (needs 2*odd/odd)")
         object.__setattr__(self, "lam", lam)
 
-    @property
+    @cached_property
     def mapped_params(self) -> ClassParams:
+        """One instance per spec, so its float C_k are computed once."""
         two_over = 2 / self.lam
         r = two_over * self.c + (1 - two_over) * self.a
         s = two_over * self.d + (1 - two_over) * self.b
@@ -118,14 +120,12 @@ def generic_ode_residual(spec: LambdaSpec, n: int, x):
         raise ConstraintViolation("the transformed residual is defined for x > 0")
     half = float(spec.lam) / 2
     poly = poly_from_params(spec.mapped_params, n, monic=False)
-    dp = poly.deriv()
-    ddp = dp.deriv()
     w = xs ** half
     wp = half * xs ** (half - 1)
     wpp = half * (half - 1) * xs ** (half - 2)
-    y = poly(w)
-    yp = dp(w) * wp
-    ypp = ddp(w) * wp * wp + dp(w) * wpp
+    y, dy, ddy = poly.value_derivs(w)
+    yp = dy * wp
+    ypp = ddy * wp * wp + dy * wpp
     xl = w * w
     a, b, c, d = (float(v) for v in (spec.a, spec.b, spec.c, spec.d))
     al, be = (float(v) for v in alpha_beta(spec, n))

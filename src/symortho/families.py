@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational
 from typing import NamedTuple
 
@@ -58,10 +59,6 @@ def _num(x):
     return float(x)
 
 
-def _as_float(x):
-    return float(x)
-
-
 @dataclass(frozen=True)
 class _Family:
     label = "generic"
@@ -99,7 +96,7 @@ class GUP(_Family):
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
-    @property
+    @cached_property
     def params(self) -> ClassParams:
         u, v = self.u, self.v
         return ClassParams(-1, 1, -2 * u - 2 * v - 2, 2 * u)
@@ -109,19 +106,19 @@ class GUP(_Family):
         return (-1.0, 1.0)
 
     def hints(self, origin_power=0, tail_power=0):
-        u, v = _as_float(self.u), _as_float(self.v)
+        u, v = float(self.u), float(self.v)
         return ((0.0, 2 * u + origin_power), (-1.0, v), (1.0, v))
 
     def weight_log(self, x):
-        u, v = _as_float(self.u), _as_float(self.v)
+        u, v = float(self.u), float(self.v)
         return 2 * u * np.log(np.abs(x)) + v * np.log1p(-x * x)
 
     def log_deriv(self, x):
-        u, v = _as_float(self.u), _as_float(self.v)
+        u, v = float(self.u), float(self.v)
         return 2 * u / x - 2 * v * x / (1 - x * x)
 
     def origin_exponent(self):
-        return 2 * _as_float(self.u)
+        return 2 * float(self.u)
 
 
 @dataclass(frozen=True)
@@ -137,23 +134,23 @@ class GHP(_Family):
             raise ConstraintViolation(f"ghp needs u + 1/2 > 0, got u = {u}")
         object.__setattr__(self, "u", u)
 
-    @property
+    @cached_property
     def params(self) -> ClassParams:
         return ClassParams(0, 1, -2, 2 * self.u)
 
     def hints(self, origin_power=0, tail_power=0):
         # tails decay like a Gaussian; only the origin needs care
-        return ((0.0, 2 * _as_float(self.u) + origin_power),)
+        return ((0.0, 2 * float(self.u) + origin_power),)
 
     def weight_log(self, x):
-        u = _as_float(self.u)
+        u = float(self.u)
         return 2 * u * np.log(np.abs(x)) - x * x
 
     def log_deriv(self, x):
-        return 2 * _as_float(self.u) / x - 2 * x
+        return 2 * float(self.u) / x - 2 * x
 
     def origin_exponent(self):
-        return 2 * _as_float(self.u)
+        return 2 * float(self.u)
 
 
 @dataclass(frozen=True)
@@ -172,27 +169,27 @@ class FiniteI(_Family):
         object.__setattr__(self, "u", _num(self.u))
         object.__setattr__(self, "v", _num(self.v))
 
-    @property
+    @cached_property
     def params(self) -> ClassParams:
         u, v = self.u, self.v
         return ClassParams(1, 1, -2 * u - 2 * v + 2, -2 * u)
 
     def hints(self, origin_power=0, tail_power=0):
-        u, v = _as_float(self.u), _as_float(self.v)
+        u, v = float(self.u), float(self.v)
         tail = tail_power - 2 * u - 2 * v
         return ((0.0, -2 * u + origin_power),
                 (math.inf, tail), (-math.inf, tail))
 
     def weight_log(self, x):
-        u, v = _as_float(self.u), _as_float(self.v)
+        u, v = float(self.u), float(self.v)
         return -2 * u * np.log(np.abs(x)) - v * np.log1p(x * x)
 
     def log_deriv(self, x):
-        u, v = _as_float(self.u), _as_float(self.v)
+        u, v = float(self.u), float(self.v)
         return -2 * u / x - 2 * v * x / (1 + x * x)
 
     def origin_exponent(self):
-        return -2 * _as_float(self.u)
+        return -2 * float(self.u)
 
 
 @dataclass(frozen=True)
@@ -209,22 +206,22 @@ class FiniteII(_Family):
                 f"finite2 needs u - 1/2 > 0 for a finite base moment, got u = {u}")
         object.__setattr__(self, "u", u)
 
-    @property
+    @cached_property
     def params(self) -> ClassParams:
         return ClassParams(1, 0, -2 * self.u + 2, 2)
 
     def hints(self, origin_power=0, tail_power=0):
-        u = _as_float(self.u)
+        u = float(self.u)
         tail = tail_power - 2 * u
         # origin is C-infinity flat: split there, no exponent to soften
         return ((0.0, None), (math.inf, tail), (-math.inf, tail))
 
     def weight_log(self, x):
-        u = _as_float(self.u)
+        u = float(self.u)
         return -2 * u * np.log(np.abs(x)) - 1.0 / (x * x)
 
     def log_deriv(self, x):
-        return -2 * _as_float(self.u) / x + 2.0 / (x * x * x)
+        return -2 * float(self.u) / x + 2.0 / (x * x * x)
 
     def origin_exponent(self):
         # effectively +inf decay; exposed as None-like flatness marker
@@ -257,7 +254,7 @@ def weight_at(spec, x):
         edge = np.abs(arr) == 1.0
         inner = inner & ~edge
         if np.any(edge):
-            v = _as_float(spec.v)
+            v = float(spec.v)
             if v < 0:
                 raise SingularPoint(f"weight is +inf at x = +-1 (v = {v} < 0)")
             out[edge] = 0.0 if v > 0 else 1.0
@@ -282,12 +279,12 @@ def weight_at(spec, x):
 def moment_zero(spec):
     """Closed-form integral of the bare weight over the support."""
     if isinstance(spec, GUP):
-        u, v = _as_float(spec.u), _as_float(spec.v)
+        u, v = float(spec.u), float(spec.v)
         return beta_fn(u + 0.5, v + 1.0)
     if isinstance(spec, GHP):
-        return gamma_fn(_as_float(spec.u) + 0.5)
+        return gamma_fn(float(spec.u) + 0.5)
     if isinstance(spec, FiniteI):
-        u, v = _as_float(spec.u), _as_float(spec.v)
+        u, v = float(spec.u), float(spec.v)
         if u >= 0.5:
             raise DivergentMoment(
                 f"origin: needs u < 1/2 for |x|^(-2u) integrability, got u = {u}")
@@ -297,7 +294,7 @@ def moment_zero(spec):
         return math.exp(log_gamma(0.5 - u) + log_gamma(u + v - 0.5)
                         - log_gamma(v))
     if isinstance(spec, FiniteII):
-        return gamma_fn(_as_float(spec.u) - 0.5)
+        return gamma_fn(float(spec.u) - 0.5)
     raise ConstraintViolation(f"not a family spec: {spec!r}")
 
 
@@ -310,8 +307,8 @@ def finite_degree_bound(spec):
     if isinstance(spec, (GUP, GHP)):
         return math.inf
     if isinstance(spec, FiniteII):
-        return _as_float(spec.u) - 0.5
-    u, v = _as_float(spec.u), _as_float(spec.v)
+        return float(spec.u) - 0.5
+    u, v = float(spec.u), float(spec.v)
     bound = -math.inf
     if v >= 1:
         bound = max(bound, u + 0.5)
@@ -371,18 +368,18 @@ def valid_pair(spec, n, m) -> PairValidity:
     parity_low = (n % 2) + (m % 2)      # lowest power of the product at 0
 
     if isinstance(spec, (GUP, GHP)):
-        u = _as_float(spec.u)
+        u = float(spec.u)
         ok = 2 * u + parity_low > -1
         return PairValidity(True, "infinite family", ok)
 
     if isinstance(spec, FiniteII):
-        u = _as_float(spec.u)
+        u = float(spec.u)
         certified = big <= u - 0.5
         reason = (f"max(n,m) = {big} {'<=' if certified else '>'} u - 1/2 = {u - 0.5}")
         integrable = _tail_margin(spec, n, m) <= 0
         return PairValidity(certified, reason, integrable)
 
-    u, v = _as_float(spec.u), _as_float(spec.v)
+    u, v = float(spec.u), float(spec.v)
     opts = []
     if v >= 1 and big <= u + 0.5:
         opts.append("v >= 1 and max(n,m) <= u + 1/2")
@@ -401,9 +398,9 @@ def _tail_margin(spec, n, m):
     tails converge exactly when the margin is negative.  -inf for GUP and
     GHP, which have no algebraic tail."""
     if isinstance(spec, FiniteII):
-        return -2 * _as_float(spec.u) + 2 + n + m - 1
+        return -2 * float(spec.u) + 2 + n + m - 1
     if isinstance(spec, FiniteI):
-        return -2 * _as_float(spec.u) - 2 * _as_float(spec.v) + 2 + n + m - 1
+        return -2 * float(spec.u) - 2 * float(spec.v) + 2 + n + m - 1
     return -math.inf
 
 

@@ -22,14 +22,15 @@ with kind-specific (mu, nu) and E either 0 or -2/x^2; see
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational
 
 import numpy as np
 
 # poly_from_params is not used here, but bench/test_bench.py lists
 # legendre among the modules that bind it
-from .core import (_CHUNK, ClassParams, member_rows,  # noqa: F401
-                   poly_from_params, recurrence_c)
+from .core import (ClassParams, Recurrence, blockwise,  # noqa: F401
+                   class_recurrence, poly_from_params)
 from .errors import ConstraintViolation, SingularPoint
 from .families import GUP, norm_squared
 from .quadrature import IntervalSpec
@@ -90,6 +91,11 @@ class G:
         if not self.b + 1 > 0:
             raise ConstraintViolation("G kind needs b + 1 > 0")
 
+    @cached_property
+    def params(self) -> ClassParams:
+        """The monic class of this shape, one instance per kind."""
+        return ClassParams(-1, 1, -2 * self.a - 2 * self.b - 2, 2 * self.a)
+
 
 @dataclass(frozen=True)
 class Q:
@@ -102,6 +108,11 @@ class Q:
 
     def as_g(self) -> G:
         return G(1, self.b)
+
+    @cached_property
+    def params(self) -> ClassParams:
+        """The class of G(1, b), one instance per kind."""
+        return self.as_g().params
 
 
 LegendreKind = (U, Pm, V, G, Q)
@@ -151,14 +162,6 @@ def eval_jacobi(n, jp, x):
     return acc
 
 
-def _real_power(x, e):
-    # x^e as an odd map for non-integer e; exact integer powers otherwise
-    ef = float(e)
-    if ef.is_integer():
-        return x ** int(ef)
-    return np.sign(x) * np.abs(x) ** ef
-
-
 def legendre_mu_nu(kind, n):
     """The (mu, nu) pair that places (kind, n) in the shared equation."""
     if isinstance(kind, U):
@@ -173,11 +176,6 @@ def legendre_mu_nu(kind, n):
     if isinstance(kind, Q):
         return (n + kind.b + 1) * (n + kind.b + 2), kind.b ** 2
     raise TypeError(f"not a Legendre kind: {kind!r}")
-
-
-def _gq_params(kind):
-    a = 1 if isinstance(kind, Q) else kind.a
-    return ClassParams(-1, 1, -2 * a - 2 * kind.b - 2, 2 * a)
 
 
 def _check_open_interval(x):
@@ -197,169 +195,72 @@ def eval_legendre_fn(kind, n, x):
 
 
 def member_fn(kind, n):
-    """Unguarded vectorized evaluator, meant for quadrature integrands.
-
-    The polynomial factor comes from the kind's three-term recurrence on
-    values (_member_recurrence), run over blocks of _CHUNK points with two
-    rows per block, so memory stays O(len x) at any degree.
+    """Unguarded vectorized evaluator, meant for quadrature integrands: the
+    kind's recurrence (_kind_recurrence) times its prefactor, blockwise.
 
     No domain check: exactly at |x| = 1 the prefactor follows IEEE semantics
     (0, inf, or nan depending on the exponent), which the adaptive integrator
     treats as a resolution-limit sample rather than an error.
     """
-    values = _recurrence_values(*_member_recurrence(kind, n))
+    rec = _kind_recurrence(kind, n)
 
     def f(x):
-        x = np.asarray(x, dtype=float)
-        flat = x.ravel()
-        out = np.empty_like(flat)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for i in range(0, flat.size, _CHUNK):
-                xb = flat[i:i + _CHUNK]
-                np.multiply(values(xb), _prefactor(kind, xb), out=out[i:i + _CHUNK])
-        return out.reshape(x.shape)
+            return blockwise(lambda xb: rec(xb) * _prefactor(kind, xb), x)
     return f
 
 
 def _jacobi_monic(al, be, d):
-    """(lead, b, c) with P_d^(al, be) = lead * p_d, where the monic p_k
-    satisfy p_{k+1} = (x - b_k) p_k + c_k p_{k-1}, p_0 = 1, c_0 = 0.
-
-    Rescales the recurrence of _jacobi_step: with A_k the ratio of leading
-    coefficients, b_k = -a2/a3 and c_k = -a4/(a3 A_{k-1}).
-    """
-    if d == 0:
-        return 1.0, [], []
+    """(leads, b, c) of P_k^(al, be) = leads[k] p_k, k = 0..d, with monic p_k
+    in the form of core.Recurrence.  Rescales _jacobi_step: with A_k the
+    ratio of leading coefficients, b_k = -a2/a3 and c_k = -a4/(a3 A_{k-1})."""
     ratio = (al + be + 2) / 2
-    lead, b, c = ratio, [(be - al) / 2 / ratio], [0.0]
+    leads, b, c = [1, ratio], [(be - al) / 2 / ratio], [0]
     for k in range(1, d):
         a1, a2, a3, a4 = _jacobi_step(al, be, k)
         b.append(-a2 / a3)
         c.append(-a4 / (a3 * ratio))
         ratio = a3 / a1
-        lead *= ratio
-    return lead, b, c
+        leads.append(leads[-1] * ratio)
+    return leads[:d + 1], b[:d], c[:d]
 
 
-def _member_recurrence(kind, n):
-    """The polynomial factor of the kind's degree-n member as scale * p_d,
-    returned in floats as (scale, b, c) in the form of _jacobi_monic,
-    d = len(b).
+def _kind_recurrence(kind, nmax):
+    """Recurrence whose members are the polynomial factors of the kind's
+    members base..nmax.
 
     U and V: P_n^(u, +-u).  Pm: d^m P_n / dx^m = (n+m)! / (2^m n!)
     P_{n-m}^(m,m), identically zero for n < m.  G and Q: the monic class
-    member, c_k = C_k of core.recurrence_c.
+    members, c_k = C_k of core.recurrence_c.
     """
     if isinstance(kind, (G, Q)):
-        params = _gq_params(kind)
-        scale, b, c = 1, [0] * n, [0] + [recurrence_c(params, k) for k in range(1, n)]
-    elif isinstance(kind, Pm):
+        return class_recurrence(kind.params, nmax)
+    if isinstance(kind, Pm):
         m = kind.m
-        if n < m:
-            return 0.0, [], []
-        scale, b, c = _jacobi_monic(m, m, n - m)
-        scale *= math.factorial(n + m) / (2 ** m * math.factorial(n))
-    else:
-        al = kind.alpha
-        scale, b, c = _jacobi_monic(al, al if isinstance(kind, U) else -al, n)
-    return float(scale), [float(v) for v in b], [float(v) for v in c]
-
-
-def _recurrence_values(scale, b, c):
-    """Evaluator xb -> scale * p_d(xb) on one block of points.
-
-    Needs b_k = 0 for k >= 1, as every kind has (V alone has b_0 != 0).
-    Then two steps at a time stay within one parity class of degrees and
-    run in y = x^2, in place on two rows, two ufunc calls per degree:
-    p_{k+2} = (y + c_{k+1} + c_k) p_k - c_k c_{k-1} p_{k-2}.  That holds
-    from k = d % 2 (with p_{-1} = 0) when b_0 = 0, and from k = d % 2 + 2
-    otherwise; the degrees before it take the plain recurrence.
-    """
-    d = len(b)
-    head = min(d, d % 2 + (2 if d and b[0] else 0))
-    steps = [(c[k + 1] + c[k], c[k] * c[k - 1] if k else 0.0)
-             for k in range(head, d - 1, 2)]
-
-    def values(xb):
-        p = [np.full_like(xb, scale)]
-        for k in range(head):
-            p.append((xb - b[k]) * p[k] + (c[k] * p[k - 1] if k else 0))
-        cur = p[-1]
-        prev = p[-3] if head >= 2 else np.zeros_like(xb)
-        y, tmp = xb * xb, np.empty_like(xb)
-        for s, t in steps:
-            np.add(y, s, out=tmp)
-            tmp *= cur
-            prev *= t
-            np.subtract(tmp, prev, out=prev)
-            cur, prev = prev, cur
-        return cur
-    return values
-
-
-def _recurrence_triple(scale, b, c, x):
-    """scale * (p_d, p_d', p_d'') at x by the differentiated recurrence:
-    p'_{k+1} = p_k + (x - b_k) p'_k + c_k p'_{k-1} and
-    p''_{k+1} = 2 p'_k + (x - b_k) p''_k + c_k p''_{k-1}."""
-    zero = np.zeros_like(x)
-    cur, prev = (zero + 1, zero, zero), (zero, zero, zero)
-    for bk, ck in zip(b, c):
-        u = x - bk
-        prev, cur = cur, (u * cur[0] + ck * prev[0],
-                          cur[0] + u * cur[1] + ck * prev[1],
-                          2 * cur[1] + u * cur[2] + ck * prev[2])
-    return tuple(scale * v for v in cur)
-
-
-def _jacobi_rows(al, be, kmax, x):
-    """P_0..P_kmax^(al, be) at x: the three-term recurrence of jacobi_coeffs
-    run on values, one row per degree."""
-    out = np.empty((kmax + 1,) + x.shape)
-    out[0] = 1.0
-    if kmax:
-        out[1] = (al - be) / 2 + (al + be + 2) / 2 * x
-    for k in range(1, kmax):
-        a1, a2, a3, a4 = _jacobi_step(al, be, k)
-        out[k + 1] = ((a2 + a3 * x) * out[k] - a4 * out[k - 1]) / a1
-    return out
+        if nmax < m:
+            return Recurrence([0.0], [], [])
+        leads, b, c = _jacobi_monic(m, m, nmax - m)
+        return Recurrence([lead * (math.factorial(n + m) / (2 ** m * math.factorial(n)))
+                           for n, lead in enumerate(leads, start=m)], b, c)
+    al = kind.alpha
+    return Recurrence(*_jacobi_monic(al, al if isinstance(kind, U) else -al, nmax))
 
 
 def kind_rows(kind, nmax):
-    """Evaluator x -> members base..nmax of the kind at x, one row each,
-    by recurrence.
-
-    U and V run the Jacobi recurrence on values; Pm runs it at (m, m),
-    since d^m P_n / dx^m = (n+m)! / (2^m n!) P_{n-m}^(m,m); G and Q run the
-    monic class recurrence (core.member_rows).  Each row carries the kind's
+    """Evaluator x -> members base..nmax of the kind at x, one row each:
+    the rows of the kind's recurrence (_kind_recurrence) times the kind's
     prefactor.  Like member_fn, there is no domain check; nmax below the
     kind's base degree (m for Pm, else 0) raises ConstraintViolation.
     """
     base = kind.m if isinstance(kind, Pm) else 0
     if nmax < base:
         raise ConstraintViolation(f"nmax must be at least {base} for this kind")
-    if isinstance(kind, (G, Q)):
-        poly_rows = member_rows(_gq_params(kind), nmax)
-    elif isinstance(kind, Pm):
-        m = kind.m
-        scale = np.array([math.factorial(n + m) / (2 ** m * math.factorial(n))
-                          for n in range(m, nmax + 1)])
-
-        def poly_rows(x):
-            rows = _jacobi_rows(m, m, nmax - m, x)
-            rows *= scale.reshape((-1,) + (1,) * x.ndim)
-            return rows
-    else:
-        al = kind.alpha
-        be = al if isinstance(kind, U) else -al
-
-        def poly_rows(x):
-            return _jacobi_rows(al, be, nmax, x)
+    rec = _kind_recurrence(kind, nmax)
 
     def rows(x):
         x = np.asarray(x, dtype=float)
-        p = poly_rows(x)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return _prefactor(kind, x) * p
+            return _prefactor(kind, x) * rec.rows(x)
     return rows
 
 
@@ -450,8 +351,10 @@ def _prefactor(kind, x):
         return one_m ** (kind.m / 2)
     if isinstance(kind, V):
         return ((1 - x) / (1 + x)) ** (float(kind.alpha) / 2)
-    a = 1 if isinstance(kind, Q) else kind.a
-    return _real_power(x, a) * one_m ** (float(kind.b) / 2)
+    # x^a as an odd map for non-integer a; exact integer powers otherwise
+    a = float(1 if isinstance(kind, Q) else kind.a)
+    xa = x ** int(a) if a.is_integer() else np.sign(x) * np.abs(x) ** a
+    return xa * one_m ** (float(kind.b) / 2)
 
 
 def generalized_legendre_residual(kind, n, x, e_choice="zero", nu=None):
@@ -478,7 +381,7 @@ def generalized_legendre_residual(kind, n, x, e_choice="zero", nu=None):
     mu, nu = float(mu), float(nu_kind if nu is None else nu)
     pref = _prefactor(kind, x_arr)
     ld, ldp = _log_deriv_pair(kind, x_arr)
-    v0, v1, v2 = _recurrence_triple(*_member_recurrence(kind, n), x_arr)
+    v0, v1, v2 = _kind_recurrence(kind, n).triple(x_arr)
 
     psi = pref * v0
     dpsi = pref * (ld * v0 + v1)

@@ -188,19 +188,12 @@ def weight_star(sl, x):
     return float(w) if scalar else w
 
 
-def _fn_df(phi):
-    if hasattr(phi, "deriv"):
-        return phi, phi.deriv()
+def _value_slope(phi, x):
+    """(phi, phi') at x: a SymmetricPoly's own, or an (f, df) pair's."""
+    if hasattr(phi, "value_derivs"):
+        return phi.value_derivs(x)[:2]
     f, df = phi
-    return f, df
-
-
-def _same_member(phi_n, phi_m):
-    if phi_n is phi_m:
-        return True
-    if isinstance(phi_n, SymmetricPoly) and isinstance(phi_m, SymmetricPoly):
-        return phi_n.n == phi_m.n and tuple(phi_n.coeffs) == tuple(phi_m.coeffs)
-    return False
+    return f(x), df(x)
 
 
 def boundary_term(sl, phi_n, phi_m, *, scale=1.0):
@@ -215,14 +208,16 @@ def boundary_term(sl, phi_n, phi_m, *, scale=1.0):
     zero, anything else is returned as the x = 10^3 value.  A nonzero
     return is a result (the finite-family failure signature), not an error.
     """
-    fn, dfn = _fn_df(phi_n)
-    fm, dfm = _fn_df(phi_m)
-    if _same_member(phi_n, phi_m):
-        def wron(x):
-            return dfn(x) * fm(x)
-    else:
-        def wron(x):
-            return dfn(x) * fm(x) - dfm(x) * fn(x)
+    same = phi_n is phi_m or (
+        isinstance(phi_n, SymmetricPoly) and isinstance(phi_m, SymmetricPoly)
+        and (phi_n.n, phi_n.coeffs) == (phi_m.n, phi_m.coeffs))
+
+    def wron(x):
+        fn, dfn = _value_slope(phi_n, x)
+        if same:
+            return dfn * fn
+        fm, dfm = _value_slope(phi_m, x)
+        return dfn * fm - dfm * fn
 
     def bracket(x):
         with np.errstate(over="ignore", invalid="ignore"):

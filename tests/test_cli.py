@@ -224,3 +224,44 @@ def test_byte_identical_reruns(capsys):
     _, first, _ = invoke(capsys, *argv)
     _, second, _ = invoke(capsys, *argv)
     assert first == second
+
+
+@pytest.mark.parametrize("expr", [
+    "x + 0*[c for c in ().__class__.__base__.__subclasses__()].__len__()",
+    "x.__class__",                          # attribute access
+    "(lambda y: y)(x)",                     # lambda
+    "[x for x in (1, 2)]",                  # comprehension
+    "open('/dev/null')",                    # a name not on the list
+    "__import__('os')",
+    "np.sin(x)",
+    "sin(x=x)",                             # keyword argument
+    "sin(*[x])",
+    "x if x else 1",
+    "x < 1",
+    "'x'",
+    "1j * x",
+    "True + x",
+    "9**9**9**9",                           # float overflow, not a huge integer
+    "y",
+    "x +",
+], ids=repr)
+def test_expand_expression_outside_the_grammar_exits_two(capsys, tmp_path, expr):
+    status, out, err = invoke(capsys, "expand", "--basis", "gup", "--u", "1",
+                              "--v", "1", "--nmax", "4", "--expr", expr,
+                              "--output", str(tmp_path / "recon.csv"))
+    assert status == 2 and out == ""
+    assert json.loads(err)["error"] == "constraint-violation"
+    assert not (tmp_path / "recon.csv").exists()
+
+
+def test_expand_expression_grammar_covers_arithmetic_and_names(capsys, tmp_path):
+    expr = "-x**2/2 + +3*sin(pi*x) - exp(x)*e + abs(x)**0.5 - 2.5e-1"
+    status, out, _ = invoke(capsys, "expand", "--basis", "gup", "--u", "1",
+                            "--v", "1", "--nmax", "4", "--expr", expr,
+                            "--output", str(tmp_path / "recon.csv"))
+    assert status == 0
+    rows = (tmp_path / "recon.csv").read_text().split("\n")[1:-1]
+    x, f = np.array([[float(v) for v in r.split(",")[:2]] for r in rows]).T
+    want = (-x ** 2 / 2 + 3 * np.sin(np.pi * x) - np.exp(x) * math.e
+            + np.abs(x) ** 0.5 - 0.25)
+    assert np.array_equal(f, want)

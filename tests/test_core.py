@@ -11,12 +11,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from symortho.cli import _grid
 from symortho.core import (ClassParams, SymmetricPoly, eigenvalue,
                            explicit_coeffs, leading_coefficient, member_rows,
                            monic_by_recurrence, monic_coeffs, ode_residual,
                            ode_residual_rel, poly_from_params, recurrence_c)
 from symortho.errors import (ConstraintViolation, DegenerateDenominator,
                              PoleError, ZeroLeadingCoefficient)
+from symortho.sturm import support_theta
 
 
 def oracle_coeffs(p, q, r, s, n):
@@ -220,13 +222,17 @@ def test_parity_in_evaluation():
 ], ids=["gup-half-half", "gup-1-3/2", "ghp-half"])
 def test_member_rows_match_exact_values_to_degree_60(params, span):
     xs = [Fraction(round(v * 1000), 1000) for v in np.linspace(-span, span, 19)]
-    got = member_rows(params, 60)(np.array([float(x) for x in xs]))
+    xf = np.array([float(x) for x in xs])
+    got = member_rows(params, 60)(xf)
     assert got.shape == (61, 19)
-    for n in range(61):
-        exact = [float(poly_from_params(params, n, monic=True).eval_exact(x))
-                 for x in xs]
+    for n in range(65):
+        poly = poly_from_params(params, n, monic=True)
+        exact = [float(poly.eval_exact(x)) for x in xs]
         scale = max(abs(v) for v in exact)
-        assert np.max(np.abs(got[n] - exact)) <= 1e-13 * scale, n
+        # the member itself, by its recurrence two degrees at a time
+        assert np.max(np.abs(poly(xf) - exact)) <= 1e-13 * scale, n
+        if n <= 60:
+            assert np.max(np.abs(got[n] - exact)) <= 1e-13 * scale, n
 
 
 def test_member_rows_shapes_and_low_degrees():
@@ -256,3 +262,55 @@ def test_promoted_is_computed_once_with_the_same_values(params, kind):
     assert repr(fresh) == repr(params)
     assert [recurrence_c(params, n) for n in range(1, 6)] == [
         recurrence_c(fresh, n) for n in range(1, 6)]
+
+
+@pytest.mark.parametrize("params", [
+    ClassParams(-1, 1, -4, 1),              # GUP(1/2, 1/2)
+    ClassParams(-1, 1, -7, 2),              # GUP(1, 3/2)
+    ClassParams(0, 1, -2, 1),               # GHP(1/2)
+], ids=["gup-half-half", "gup-1-3/2", "ghp-half"])
+def test_ode_residual_at_degree_64_is_at_rounding(params):
+    x = _grid(support_theta(params), 50)
+    poly = poly_from_params(params, 64, monic=True)
+    assert np.max(ode_residual_rel(params, 64, poly, x)) <= 1e-12
+
+
+def test_member_calls_and_derivatives_match_exact_arithmetic():
+    # a non-monic member scales the monic recurrence by its leading
+    # coefficient; the derivatives come from the differentiated recurrence
+    params = ClassParams(-1, 1, Fraction(-7, 2), Fraction(1, 2))
+    xs = [Fraction(-9, 10), Fraction(1, 7), Fraction(3, 4)]
+    xf = np.array([float(x) for x in xs])
+    for n in (0, 1, 2, 7, 20):
+        for monic in (True, False):
+            poly = poly_from_params(params, n, monic=monic)
+            chain = [poly, poly.deriv(), poly.deriv().deriv()]
+            for got, exact in zip(poly.value_derivs(xf), chain):
+                want = [float(exact.eval_exact(x)) for x in xs]
+                scale = max(max(abs(v) for v in want), 1.0)
+                assert np.max(np.abs(got - want)) <= 1e-13 * scale, (n, monic)
+            assert poly(0.25) == pytest.approx(float(poly.eval_exact(Fraction(1, 4))),
+                                               rel=1e-14, abs=1e-300)
+
+
+def test_member_below_a_pole_in_c_falls_back_to_its_coefficients():
+    # C_1 = (q+s)/(p+r) has a pole at p + r = 0, but the members exist
+    params = ClassParams(1, 1, -1, 1)
+    with pytest.raises(PoleError):
+        recurrence_c(params, 1)
+    with pytest.raises(PoleError):
+        member_rows(params, 3)
+    poly = poly_from_params(params, 4, monic=True)
+    x = np.array([-0.7, 0.2, 1.3])
+    want = [float(poly.eval_exact(Fraction(v))) for v in x]
+    assert poly(x) == pytest.approx(want, rel=1e-14)
+    assert ode_residual_rel(params, 4, poly, x) == pytest.approx(0.0, abs=1e-13)
+
+
+def test_float_c_is_computed_once_per_class():
+    params = ClassParams(-1, 1, Fraction(-7, 2), Fraction(1, 2))
+    cs = params.float_c(6)
+    assert cs == [float(recurrence_c(params, k)) for k in range(1, 7)]
+    assert params.float_c(3) == cs[:3]
+    assert params._float_c[:6] == cs
+    assert ClassParams(*params) == params     # the cache is not a field

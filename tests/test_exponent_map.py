@@ -133,6 +133,19 @@ def test_transformed_eval_cube_root_value():
     assert transformed_eval(CUBE, 2, 0.125) == pytest.approx(float(want), rel=1e-15)
 
 
+def test_transformed_eval_cube_root_class_at_degree_64():
+    # the non-monic mapped member at high degree, against exact rationals
+    xs = np.linspace(-0.999, 0.999, 19)
+    got = transformed_eval(CUBE, 64, xs)
+    poly = poly_from_params(CUBE.mapped_params, 64, monic=False)
+    want = [float(poly.eval_exact(F(float(u)))) for u in signed_power(xs, F(1, 3))]
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(abs(v) for v in want)
+
+
+def test_mapped_params_is_one_instance():
+    assert CUBE.mapped_params is CUBE.mapped_params
+
+
 def test_transformed_eval_symmetry():
     for n in range(6):
         for x in (0.08, 0.4, 0.93):

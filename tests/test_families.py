@@ -258,3 +258,10 @@ def test_pair_integrable_agrees_with_valid_pair_off_the_boundary():
         for n in range(10):
             for m in range(n + 1):
                 assert pair_integrable(spec, n, m) == valid_pair(spec, n, m).integrable
+
+
+@pytest.mark.parametrize("spec", [GUP(Fraction(1, 2), 1), GHP(0.5), FiniteI(0.1, 2.5),
+                                  FiniteII(6)], ids=repr)
+def test_params_is_one_instance_per_spec(spec):
+    # one ClassParams per spec, so its float C_k are computed once
+    assert spec.params is spec.params

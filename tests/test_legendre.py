@@ -428,3 +428,9 @@ def test_rational_kind_parameters_give_float_results(exact, approx):
     val, ref = eval_legendre_fn(exact, 7, x), eval_legendre_fn(approx, 7, x)
     assert val.dtype == np.float64
     assert np.max(np.abs(val - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_g_and_q_class_params_are_one_instance_per_kind():
+    for kind in (G(0.5, 1.0), Q(0.5)):
+        assert kind.params is kind.params
+    assert Q(0.5).params == G(1, 0.5).params
