@@ -211,7 +211,7 @@ class Recurrence:
     """
 
     def __init__(self, scale, b, c):
-        self.scale = np.array([float(v) for v in scale])
+        self.scale = np.array(scale, dtype=float)
         self.b, self.c = [float(v) for v in b], [float(v) for v in c]
         d = len(b)
         # a call runs the recurrence to degree head, then two degrees per
@@ -220,6 +220,13 @@ class Recurrence:
         self._head = min(d, d % 2 + (2 if d and self.b[0] else 0))
         self._steps = [(self.c[k + 1] + self.c[k], self.c[k] * self.c[k - 1] if k else 0.0)
                        for k in range(self._head, d - 1, 2)]
+        # a call's values, intermediate ones included, are at most |scale_d|
+        # A^d with A = 2 max(|x| + max|b|, sqrt(max|c|), 1); none overflows
+        # while that is at most 1e300, which holds for x^2 <= _reach2
+        top = (1e300 / max(1.0, abs(float(self.scale[-1])))) ** (1.0 / max(d, 1)) / 2
+        bmax, cmax = (max(max(v), -min(v)) if v else 0.0 for v in (self.b, self.c))
+        self._reach2 = (min(max(top - bmax, 0.0), 1e150) ** 2
+                        if top >= max(1.0, cmax ** 0.5) else 0.0)
 
     def rows(self, x):
         """(d + 1, *x.shape) array, row k being member k at x."""
@@ -234,23 +241,41 @@ class Recurrence:
         return out
 
     def __call__(self, x):
-        """Member d at x, blockwise."""
+        """Member d at x, blockwise; +-inf where it overflows."""
         return blockwise(self._block, x)
 
     def _block(self, x):
+        y = x * x
+        if not y.size or y.max() <= self._reach2:
+            return self._member(x, y, False)
+        # the member may overflow: where it comes out nan (inf - inf in a
+        # step), take it again with the guard, which drops a step's lower
+        # term where the upper member is already +-inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._member(x, y, False)
+            bad = np.isnan(out) & ~np.isnan(x)
+            if bad.any():
+                out[bad] = self._member(x[bad], y[bad], True)
+        return out
+
+    def _member(self, x, y, guard):
         b, c, scale = self.b, self.c, self.scale[-1]
         if not b:
             return np.full_like(x, scale)
         p = [scale]         # p_0 a scalar, then arrays
         for k in range(self._head):
             p.append((x - b[k]) * p[k] + c[k] * p[k - 1])
-        cur, prev, y = p[-1], (p[-3] if self._head >= 2 else 0.0), x * x
+        cur, prev = p[-1], (p[-3] if self._head >= 2 else 0.0)
+        nxt = np.empty_like(x)
         for s, t in self._steps:
-            nxt = y + s
+            # in place: nxt = (y + s) cur - t prev, then the buffers rotate
+            np.add(y, s, nxt)
             nxt *= cur
             if t:
-                nxt -= t * prev
-            cur, prev = nxt, cur
+                prev *= t
+                nxt -= np.where(np.isinf(cur), 0.0, prev) if guard else prev
+            cur, prev, nxt = nxt, cur, (prev if isinstance(prev, np.ndarray)
+                                        else np.empty_like(x))
         return cur
 
     def triple(self, x):

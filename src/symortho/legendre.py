@@ -49,8 +49,40 @@ class JacobiParams:
             raise ConstraintViolation("Jacobi parameters need alpha > -1 and beta > -1")
 
 
+class _JacobiKind:
+    """A kind whose polynomial factor is a Jacobi polynomial P^(al, be).
+
+    Its monic recurrence coefficients (jacobi_monic) are built once per
+    instance, one step per degree as higher degrees are asked for, and
+    every degree is served as a prefix of them.
+    """
+
+    @cached_property
+    def _jacobi(self):
+        # leads, b, c, and the ratio of the last two leading coefficients
+        al, be = self.jacobi_params
+        ratio = (al + be + 2) / 2
+        return [[1, ratio], [(be - al) / 2 / ratio], [0], ratio]
+
+    def jacobi_monic(self, d):
+        """(leads, b, c) of P_k^(al, be) = leads[k] p_k, k = 0..d, with monic
+        p_k in the form of core.Recurrence: b_k = -a2/a3 and c_k = -a4/(a3
+        A_{k-1}), rescaling _jacobi_step by the ratio A_k of leading
+        coefficients."""
+        al, be = self.jacobi_params
+        state = self._jacobi
+        leads, b, c, _ = state
+        for k in range(len(b), d):
+            a1, a2, a3, a4 = _jacobi_step(al, be, k)
+            b.append(-a2 / a3)
+            c.append(-a4 / (a3 * state[3]))
+            state[3] = a3 / a1
+            leads.append(leads[-1] * state[3])
+        return leads[:d + 1], b[:d], c[:d]
+
+
 @dataclass(frozen=True)
-class U:
+class U(_JacobiKind):
     """(1-x^2)^(alpha/2) times an ultraspherical Jacobi polynomial."""
     alpha: float
 
@@ -58,9 +90,13 @@ class U:
         if not self.alpha > -1:
             raise ConstraintViolation("U kind needs alpha + 1 > 0")
 
+    @property
+    def jacobi_params(self):
+        return self.alpha, self.alpha
+
 
 @dataclass(frozen=True)
-class Pm:
+class Pm(_JacobiKind):
     """Associated Legendre branch: (1-x^2)^(m/2) d^m P_n / dx^m."""
     m: int
 
@@ -68,15 +104,23 @@ class Pm:
         if not (isinstance(self.m, int) and self.m >= 0):
             raise ConstraintViolation("Pm kind needs a nonnegative integer order m")
 
+    @property
+    def jacobi_params(self):
+        return self.m, self.m
+
 
 @dataclass(frozen=True)
-class V:
+class V(_JacobiKind):
     """Asymmetric-prefactor solution ((1-x)/(1+x))^(alpha/2) P_n^(alpha,-alpha)."""
     alpha: float
 
     def __post_init__(self):
         if not -1 < self.alpha < 1:
             raise ConstraintViolation("V kind needs -1 < alpha < 1")
+
+    @property
+    def jacobi_params(self):
+        return self.alpha, -self.alpha
 
 
 @dataclass(frozen=True)
@@ -210,28 +254,14 @@ def member_fn(kind, n):
     return f
 
 
-def _jacobi_monic(al, be, d):
-    """(leads, b, c) of P_k^(al, be) = leads[k] p_k, k = 0..d, with monic p_k
-    in the form of core.Recurrence.  Rescales _jacobi_step: with A_k the
-    ratio of leading coefficients, b_k = -a2/a3 and c_k = -a4/(a3 A_{k-1})."""
-    ratio = (al + be + 2) / 2
-    leads, b, c = [1, ratio], [(be - al) / 2 / ratio], [0]
-    for k in range(1, d):
-        a1, a2, a3, a4 = _jacobi_step(al, be, k)
-        b.append(-a2 / a3)
-        c.append(-a4 / (a3 * ratio))
-        ratio = a3 / a1
-        leads.append(leads[-1] * ratio)
-    return leads[:d + 1], b[:d], c[:d]
-
-
 def _kind_recurrence(kind, nmax):
     """Recurrence whose members are the polynomial factors of the kind's
     members base..nmax.
 
     U and V: P_n^(u, +-u).  Pm: d^m P_n / dx^m = (n+m)! / (2^m n!)
     P_{n-m}^(m,m), identically zero for n < m.  G and Q: the monic class
-    members, c_k = C_k of core.recurrence_c.
+    members, c_k = C_k of core.recurrence_c.  Both kinds of coefficients
+    are built once per kind instance.
     """
     if isinstance(kind, (G, Q)):
         return class_recurrence(kind.params, nmax)
@@ -239,11 +269,10 @@ def _kind_recurrence(kind, nmax):
         m = kind.m
         if nmax < m:
             return Recurrence([0.0], [], [])
-        leads, b, c = _jacobi_monic(m, m, nmax - m)
+        leads, b, c = kind.jacobi_monic(nmax - m)
         return Recurrence([lead * (math.factorial(n + m) / (2 ** m * math.factorial(n)))
                            for n, lead in enumerate(leads, start=m)], b, c)
-    al = kind.alpha
-    return Recurrence(*_jacobi_monic(al, al if isinstance(kind, U) else -al, nmax))
+    return Recurrence(*kind.jacobi_monic(nmax))
 
 
 def kind_rows(kind, nmax):

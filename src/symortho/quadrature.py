@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import MaxDepthExceeded
 
-__all__ = ["QuadResult", "IntervalSpec", "GramQuad", "integrate", "integrate_gram"]
+__all__ = ["QuadResult", "IntervalSpec", "GramQuad", "integrate", "integrate_gram",
+           "exponent_scan", "certifies_divergence"]
 
 # 15-point Kronrod nodes and weights with the embedded 7-point Gauss rule,
 # the QUADPACK qk15 values to full double precision.
@@ -123,7 +124,10 @@ def _gk_panel(g, a, b):
 
 
 def _needs_soften(sigma) -> bool:
-    if sigma is None:
+    # a point with sigma <= -1 is not integrable: it is left raw, so the
+    # divergence detector can see the integral grow (and the softening and
+    # sliver formulas never divide by sigma + 1 = 0)
+    if sigma is None or sigma <= -1.0 + 1e-12:
         return False
     if sigma < 0:
         return True
@@ -217,9 +221,7 @@ def _tail_task(T, side, tail_exp):
 
     if tail_exp is not None:
         sigma_t = -tail_exp - 2.0
-        # only soften when the folded endpoint is integrable; a non-integrable
-        # endpoint is left raw so the divergence detector can see it grow
-        if sigma_t > -1.0 + 1e-12 and _needs_soften(sigma_t):
+        if _needs_soften(sigma_t):
             inner, m = _soften(0.0, 1.0, sigma_t)
 
             def xmap(tau):
@@ -469,6 +471,75 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, max_depth=_MAX_DEPTH,
     if on_inconclusive == "return":
         return partial
     raise MaxDepthExceeded(partial)
+
+
+# the exponent scan's grid: x = c +- 2^-k at a finite point and x = +-2^k in
+# a tail, k = _SCAN_LO.._SCAN_HI (a tail's top bounded by the degree)
+_SCAN_LO, _SCAN_HI = 8, 19
+# the widest spread between the last two slopes that still tells a hinted
+# exponent from -1: hints differ from -1 by 0 or by at least 0.002 when the
+# shape parameters have three decimals
+_SCAN_SPREAD = 1e-3
+_SCAN_FLOOR = 1e-9      # rounding of the logs, in units of the exponent
+
+
+def exponent_scan(log_sample, interval, degree):
+    """Measured local exponents of every product w P_i P_j at the hinted
+    points of an interval, from one sample of the rows per side.
+
+    Each point with an exponent hint is approached along a geometric grid:
+    x = c +- 2^-k (each side of c inside the interval) or x = +-2^k in a
+    tail, k = 8..19.  In a tail the grid's top is lowered to 1000 // degree
+    (and the grid shifted down with it), so that members of degree up to
+    `degree` stay finite there.  log_sample(x) returns (log w, log|P|):
+    the weight's log at the points and the (K, len(x)) logs of the members.
+    The slope of log|w P_i P_j| = log w + log|P_i| + log|P_j| against
+    log|x - c| (log|x| in a tail) between successive grid points estimates
+    the exponent sigma of |w P_i P_j| ~ |x - c|^sigma.  Returns one
+    (point, sigma, spread) per side, where sigma (K, K) is the last slope
+    and spread (K, K) its distance from the slope before; both are nan for
+    a pair with a sample that is not finite.
+    """
+    ks = np.arange(_SCAN_LO, _SCAN_HI + 1, dtype=float)
+    top = min(_SCAN_HI, 1000 // max(int(degree), 1))
+    tail_ks = ks - (_SCAN_HI - top)
+    sides = []
+    for point, exponent in interval.singularities:
+        if exponent is None:
+            continue
+        if math.isinf(point):
+            sides.append((point, math.copysign(1.0, point) * 2.0 ** tail_ks, math.log(2.0)))
+            continue
+        for sign in (1.0, -1.0):
+            x = point + sign * 2.0 ** -ks
+            if interval.lo < x.min() and x.max() < interval.hi:
+                sides.append((point, x, -math.log(2.0)))
+    out = []
+    for point, x, step in sides:
+        with np.errstate(all="ignore"):
+            lw, lp = log_sample(x)
+            lw = np.broadcast_to(np.asarray(lw, dtype=float), x.shape)
+            lp = np.asarray(lp, dtype=float)
+            sw = np.diff(lw) / step                 # (J - 1,) weight slopes
+            sp = np.diff(lp, axis=1) / step         # (K, J - 1) member slopes
+            sigma = sw[-1] + sp[:, -1, None] + sp[None, :, -1]
+            spread = np.abs(sigma - (sw[-2] + sp[:, -2, None] + sp[None, :, -2]))
+        finite = np.isfinite(lp).all(axis=1) & np.isfinite(lw).all()
+        bad = ~(finite[:, None] & finite[None, :])
+        sigma[bad] = spread[bad] = math.nan
+        out.append((point, sigma, spread))
+    return out
+
+
+def certifies_divergence(point, sigma, spread, hint):
+    """Whether a measured exponent confirms that |f| ~ |x - point|^hint
+    is not integrable at the point: hint is on the divergent side of -1
+    (>= -1 in a tail, <= -1 at a finite point), the spread is narrow enough
+    to tell hint from -1, and sigma agrees with hint within the spread.
+    A nan sigma or spread never certifies."""
+    if hint is None or (hint < -1.0 if math.isinf(point) else hint > -1.0):
+        return False
+    return bool(spread <= _SCAN_SPREAD and abs(sigma - hint) <= spread + _SCAN_FLOOR)
 
 
 # per-panel block entries integrate_gram keeps live (value and error: 4 MB)

@@ -11,6 +11,7 @@ D, E are supplied as functions of t = x^2 and B as x times a function of
 x^2, so A, C, D, E are automatically even and B odd.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -19,12 +20,13 @@ import numpy as np
 
 from .core import ClassParams, SymmetricPoly, member_rows, poly_from_params
 from .core import eigenvalue as generic_eigenvalue
-from .errors import (ConstraintViolation, NonpositiveWeight, SingularCoefficient,
-                     ZeroLeadingCoefficient)
+from .errors import (ConstraintViolation, DegenerateDenominator, NonpositiveWeight,
+                     PoleError, SingularCoefficient, ZeroLeadingCoefficient)
 from .families import _FAMILIES, GUP, norms_squared, pair_integrable
 from .legendre import (G, LegendreKind, Pm, V, kind_rows, legendre_norm,
                        orthogonality_interval)
-from .quadrature import IntervalSpec, QuadResult, integrate, integrate_gram
+from .quadrature import (IntervalSpec, QuadResult, certifies_divergence, exponent_scan,
+                         integrate, integrate_gram)
 
 
 @dataclass(frozen=True)
@@ -363,6 +365,35 @@ class _FamilyBasis:
     def integrable(self, n, m):
         return pair_integrable(self.spec, n, m)
 
+    def cliffs(self, nmax):
+        """(n, m) -> whether the product of members n and m is certified
+        divergent: the exact count (pair_integrable) says it is not
+        integrable, and at some hinted point of the weight, on one side,
+        the measured exponent of one quadrature.exponent_scan of members
+        0..nmax agrees with the pair's divergent hint.  Each side is judged
+        on its own, so cancelling divergent tails still show.  The scan
+        stops below a pole in the recurrence: members from the pole on are
+        left to their integrals."""
+        for top in range(nmax, -1, -1):
+            try:
+                rows = member_rows(self.spec.params, top)
+                break
+            except PoleError:
+                pass
+        wlog = self.spec.weight_log
+        scan = exponent_scan(lambda x: (wlog(x), np.log(np.abs(rows(x)))),
+                             self.spec.interval(), top)
+        hints = functools.lru_cache(maxsize=None)(
+            lambda parity, degree: dict(self.spec.hints(parity, degree)))
+
+        def certified(n, m):
+            if max(n, m) > top or self.integrable(n, m):
+                return False
+            hint = hints((n % 2) + (m % 2), n + m)
+            return any(certifies_divergence(point, sigma[n, m], spread[n, m], hint[point])
+                       for point, sigma, spread in scan)
+        return certified
+
     def inner(self, phi_a, phi_b, n, m):
         """One integrate call for the entry (n, m).  An absolutely integrable
         product folds by parity: an odd one is exactly 0 and an even one is
@@ -442,17 +473,24 @@ def _shared_tree(ad, end, interval, norms):
     return quad
 
 
-def _entry_by_entry(ad):
-    """One integrate call per entry; (n, m) -> QuadResult, or None when a
+# a divergent entry proven by its measured exponent: no integral was taken
+_CERTIFIED_CLIFF = QuadResult(math.nan, math.inf, False, True)
+
+
+def _entry_by_entry(ad, nmax):
+    """One integrate call per entry, except where the adapter certifies a
+    cliff from measured exponents (_FamilyBasis.cliffs, built at the first
+    pair that is not integrable); (n, m) -> QuadResult, or None when a
     member does not exist."""
     phis = {}
     done = {}
+    cliffs = []
 
     def phi(n):
         if n not in phis:
             try:
                 phis[n] = ad.phi(n)
-            except ZeroLeadingCoefficient:
+            except (DegenerateDenominator, ZeroLeadingCoefficient):
                 phis[n] = None
         return phis[n]
 
@@ -460,7 +498,12 @@ def _entry_by_entry(ad):
         if phi(n) is None or phi(m) is None:
             return None
         if (n, m) not in done:
-            done[n, m] = ad.inner(phis[n], phis[m], n, m)
+            if not cliffs and not ad.integrable(n, m):
+                cliffs.append(ad.cliffs(nmax))
+            if cliffs and cliffs[0](n, m):
+                done[n, m] = _CERTIFIED_CLIFF
+            else:
+                done[n, m] = ad.inner(phis[n], phis[m], n, m)
         return done[n, m]
     return quad
 
@@ -505,7 +548,7 @@ def _gram_report(ad, nmax, tol) -> GramReport:
     if end >= ad.base:
         tree = _shared_tree(ad, end, interval, norms[:end - ad.base + 1]
                             if ad.closed_norms else None)
-    single = _entry_by_entry(ad)
+    single = _entry_by_entry(ad, nmax)
 
     def quad(n, m):
         # called with n >= m: (n, m) is in the block when n is

@@ -47,6 +47,31 @@ def test_gram_example_passes(capsys):
     assert all(not d for k, d in div.items() if k != (4, 4))
 
 
+def test_gram_certified_cliff_prints_null_value_and_error(capsys):
+    # (4, 4) is certified divergent from its measured tail exponent: no
+    # integral is taken, so there is no value or error to print
+    status, out, _ = invoke(capsys, "gram", "--class", "finite2", "--u", "4.5",
+                            "--nmax", "4")
+    assert status == 0
+    cliff = [e for e in json.loads(out)["entries"] if (e["n"], e["m"]) == (4, 4)]
+    assert cliff == [{"n": 4, "m": 4, "value": None, "err": None, "diverged": True}]
+
+
+def test_gram_finite1_with_a_log_divergent_origin_reports(capsys):
+    # the origin exponent of odd-even products is exactly -1 for u = 1
+    status, out, err = invoke(capsys, "gram", "--class", "finite1", "--u", "1",
+                              "--v", "2", "--nmax", "4")
+    assert status in (0, 1)
+    assert len(json.loads(out)["entries"]) == 15
+    assert "Traceback" not in err
+
+
+def test_eval_overflow_prints_inf(capsys):
+    status, out, err = invoke(capsys, "eval", "--class", "gup", "--u", "0.5",
+                              "--v", "0.5", "--n", "64", "--x", "1e10")
+    assert (status, out, err) == (0, "inf\n", "")
+
+
 def test_gram_exit_one_when_failing(capsys):
     status, out, _ = invoke(capsys, "gram", "--class", "ghp", "--u", "0",
                             "--nmax", "2", "--tol", "1e-16")

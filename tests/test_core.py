@@ -314,3 +314,15 @@ def test_float_c_is_computed_once_per_class():
     assert params.float_c(3) == cs[:3]
     assert params._float_c[:6] == cs
     assert ClassParams(*params) == params     # the cache is not a field
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_overflowing_member_is_signed_inf(n):
+    # far outside the support the two-degree step used to take inf - inf
+    params = ClassParams(-1, 1, -3, 1)      # GUP(1/2, 1/2)
+    x = np.array([-1e10, -1e5, 1e5, 1e10, 0.5])
+    poly = poly_from_params(params, n, monic=True)
+    got = poly(x)
+    assert np.all(np.isinf(got[:4])) and np.all(np.sign(got[:4]) == np.sign(x[:4]) ** n)
+    assert got[4] == poly(x[4:])[0]
+    assert np.isnan(poly(np.array([np.nan, 1e10])))[0]

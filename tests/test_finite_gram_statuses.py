@@ -1,0 +1,117 @@
+"""Every entry status of the finite families' Gram reports, against a check set.
+
+tests/data/finite_gram_statuses.json holds the statuses of the reports
+below as they were before divergence was certified from measured local
+exponents.  Since then a status may change only from `inconclusive` or
+`mismatch` to `cliff`, and only on a pair whose product is not absolutely
+integrable (families.pair_integrable); every such change is listed in
+CHANGED.  The file was written at the commit before that change by
+
+    PYTHONPATH=src python tests/test_finite_gram_statuses.py --write
+
+(run there with this file copied in); writing it at a later commit resets
+the baseline, and CHANGED with it.
+"""
+
+import json
+import os
+import sys
+
+import pytest
+
+from symortho.families import FiniteI, FiniteII, pair_integrable
+from symortho.sturm import gram_matrix
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                    "finite_gram_statuses.json")
+
+FINITE2_AT_10 = (0.8, 1.5, 2.25, 3.0, 3.5, 4.5, 5.0, 5.5, 5.55, 6.0, 6.009,
+                 6.03, 6.5, 7.0, 7.52, 8.0, 8.5, 9.0, 9.02, 10.5, 11.0, 12.25)
+
+CASES = ([(FiniteII, (u,), 10) for u in FINITE2_AT_10]
+         + [(FiniteII, (8.5,), 8), (FiniteII, (4.5,), 4), (FiniteII, (12.25,), 12)]
+         + [(FiniteI, (0.1, 2.5), 24), (FiniteI, (0.05, 2.5), 10),
+            (FiniteI, (0.3, 4.0), 10), (FiniteI, (0.25, 2.25), 10),
+            (FiniteI, (5.0, 2.0), 8)]
+         # the benchmark's gram slot centres
+         + [(FiniteI, (0.1, 2.5), n) for n in (8, 16)]
+         + [(FiniteII, (u,), n) for u in (6.0, 9.0) for n in (8, 16, 24)])
+
+# (case, entry) -> (status in the check set, status now).  Each pair decays
+# exactly like |x|^-1 (n + m = 2u - 1): log-divergent, with tails that
+# cancel in a whole-line integral, which then ran out of budget.
+CHANGED = {
+    ("FiniteII(3.0)@10", "3,2"): ("inconclusive", "cliff"),
+    ("FiniteII(5.0)@10", "5,4"): ("inconclusive", "cliff"),
+    ("FiniteII(6.0)@10", "6,5"): ("inconclusive", "cliff"),
+    ("FiniteII(7.0)@10", "7,6"): ("inconclusive", "cliff"),
+    ("FiniteII(8.0)@10", "8,7"): ("inconclusive", "cliff"),
+    ("FiniteII(8.0)@10", "9,6"): ("inconclusive", "cliff"),
+    ("FiniteII(8.0)@10", "10,5"): ("inconclusive", "cliff"),
+    ("FiniteII(9.0)@10", "9,8"): ("inconclusive", "cliff"),
+    ("FiniteII(9.0)@10", "10,7"): ("inconclusive", "cliff"),
+    ("FiniteII(10.5)@10", "10,10"): ("inconclusive", "cliff"),
+    ("FiniteII(6.0)@8", "6,5"): ("inconclusive", "cliff"),
+    ("FiniteII(6.0)@16", "6,5"): ("inconclusive", "cliff"),
+    ("FiniteII(6.0)@24", "6,5"): ("inconclusive", "cliff"),
+    ("FiniteII(9.0)@16", "9,8"): ("inconclusive", "cliff"),
+    ("FiniteII(9.0)@16", "10,7"): ("inconclusive", "cliff"),
+    ("FiniteII(9.0)@16", "11,6"): ("inconclusive", "cliff"),
+    ("FiniteII(9.0)@16", "12,5"): ("inconclusive", "cliff"),
+    ("FiniteII(9.0)@16", "13,4"): ("inconclusive", "cliff"),
+    ("FiniteII(9.0)@16", "14,3"): ("inconclusive", "cliff"),
+    ("FiniteII(9.0)@16", "15,2"): ("inconclusive", "cliff"),
+    ("FiniteII(9.0)@16", "16,1"): ("inconclusive", "cliff"),
+    ("FiniteII(9.0)@24", "9,8"): ("inconclusive", "cliff"),
+    ("FiniteII(9.0)@24", "10,7"): ("inconclusive", "cliff"),
+    ("FiniteII(9.0)@24", "11,6"): ("inconclusive", "cliff"),
+    ("FiniteII(9.0)@24", "12,5"): ("inconclusive", "cliff"),
+    ("FiniteII(9.0)@24", "13,4"): ("inconclusive", "cliff"),
+    ("FiniteII(9.0)@24", "14,3"): ("inconclusive", "cliff"),
+    ("FiniteII(9.0)@24", "15,2"): ("inconclusive", "cliff"),
+    ("FiniteII(9.0)@24", "16,1"): ("inconclusive", "cliff"),
+    ("FiniteII(9.0)@24", "17,0"): ("inconclusive", "cliff"),
+}
+
+
+def _key(cls, args, nmax):
+    return f"{cls.__name__}({', '.join(map(repr, args))})@{nmax}"
+
+
+def statuses(cls, args, nmax):
+    rep = gram_matrix(cls(*args), nmax)
+    return {f"{e.n},{e.m}": e.status for e in rep.entries}
+
+
+@pytest.fixture(scope="module")
+def check_set():
+    with open(DATA) as fh:
+        return json.load(fh)
+
+
+def test_check_set_covers_every_case(check_set):
+    assert sorted(check_set) == sorted(_key(*case) for case in CASES)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: _key(*c))
+def test_statuses_match_the_check_set_but_for_listed_cliffs(case, check_set):
+    key = _key(*case)
+    before, now = check_set[key], statuses(*case)
+    assert sorted(now) == sorted(before)
+    changed = {entry: (before[entry], now[entry])
+               for entry in now if now[entry] != before[entry]}
+    listed = {entry: change for (k, entry), change in CHANGED.items() if k == key}
+    assert changed == listed
+    spec = case[0](*case[1])
+    for entry, (old, new) in changed.items():
+        n, m = map(int, entry.split(","))
+        assert old in ("inconclusive", "mismatch") and new == "cliff"
+        assert not pair_integrable(spec, n, m)
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    os.makedirs(os.path.dirname(DATA), exist_ok=True)
+    with open(DATA, "w") as fh:
+        json.dump({_key(*case): statuses(*case) for case in CASES}, fh, indent=0,
+                  sort_keys=True)
+        fh.write("\n")

@@ -434,3 +434,23 @@ def test_g_and_q_class_params_are_one_instance_per_kind():
     for kind in (G(0.5, 1.0), Q(0.5)):
         assert kind.params is kind.params
     assert Q(0.5).params == G(1, 0.5).params
+
+
+@pytest.mark.parametrize("make", [lambda: U(0.5), lambda: V(0.3), lambda: Pm(2)],
+                         ids=["U", "V", "Pm"])
+def test_jacobi_kind_coefficients_are_built_once_per_kind(monkeypatch, make):
+    steps = []
+    real = legendre._jacobi_step
+
+    def counting(al, be, k):
+        steps.append(k)
+        return real(al, be, k)
+    x = np.linspace(-0.99, 0.99, 9)
+    fresh = {n: member_fn(make(), n)(x) for n in range(65)}
+    monkeypatch.setattr(legendre, "_jacobi_step", counting)
+    kind = make()
+    for n in range(65):
+        # every degree is a prefix of the coefficients already built
+        assert np.array_equal(member_fn(kind, n)(x), fresh[n])
+    kind_rows(kind, 64)(x)
+    assert sorted(steps) == list(range(1, 64 - getattr(kind, "m", 0)))

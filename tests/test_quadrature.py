@@ -8,7 +8,8 @@ import pytest
 
 from symortho import quadrature
 from symortho.quadrature import (_NODES, _WGF, _WK, IntervalSpec, _gk_panel,
-                                 integrate, integrate_gram)
+                                 certifies_divergence, exponent_scan, integrate,
+                                 integrate_gram)
 from symortho.errors import MaxDepthExceeded
 
 
@@ -292,3 +293,96 @@ def test_softened_tail_reaching_infinity_raises_no_warning():
     res = integrate(f, spec.interval(origin_power=1, tail_power=11),
                     on_inconclusive="return")
     assert isinstance(res, quadrature.QuadResult)
+
+
+# ------------------------------------------------- non-integrable hints
+
+
+@pytest.mark.parametrize("sigma", [-1.0, -1.5, -3.0])
+def test_non_integrable_endpoint_hint_is_left_raw_and_diverges(sigma):
+    # sigma = -1 used to divide by sigma + 1 while choosing the softening
+    res = integrate(lambda x: x ** sigma, IntervalSpec(0.0, 1.0, ((0.0, sigma),)),
+                    on_inconclusive="return")
+    assert res.diverged and not res.converged
+
+
+def test_non_integrable_interior_hint_never_converges():
+    def f(x):
+        # panels at the resolution limit sample the singular point itself
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.abs(x - 0.5)
+    res = integrate(f, IntervalSpec(0.0, 1.0, ((0.5, -1.0),)), on_inconclusive="return")
+    assert not res.converged
+
+
+# ------------------------------------------------------ exponent scan
+
+
+def _power_rows(x, weight_exp, origin_exps):
+    """log w = weight_exp log|x|, rows |x|^e (1 + x^2) for each e."""
+    lx = np.log(np.abs(x))
+    rows = [e * lx + np.log1p(x * x) for e in origin_exps]
+    return weight_exp * lx, np.array(rows)
+
+
+def test_exponent_scan_measures_every_pair_at_each_side():
+    spec = IntervalSpec(-math.inf, math.inf,
+                        ((0.0, -0.5), (math.inf, 0.0), (-math.inf, 0.0)))
+    exps = (0.0, 1.0, 3.0)
+    scan = exponent_scan(lambda x: _power_rows(x, -4.5, exps), spec, degree=5)
+    points = [p for p, _, _ in scan]
+    assert sorted(points) == [-math.inf, 0.0, 0.0, math.inf]
+    for point, sigma, spread in scan:
+        # near 0 the rows go like |x|^e, in a tail like |x|^(e + 2)
+        shift = 0.0 if point == 0.0 else 2.0
+        want = -4.5 + np.add.outer(exps, exps) + (2 * shift)
+        assert sigma == pytest.approx(want, abs=1e-6)
+        assert np.all(spread < 1e-5)
+        assert np.all(np.abs(sigma - want) <= spread + 1e-9)
+
+
+def test_exponent_scan_only_samples_inside_the_interval():
+    spec = IntervalSpec(0.0, 1.0, ((0.0, -0.5), (1.0, None)))
+    scan = exponent_scan(lambda x: (np.zeros_like(x), np.zeros((1,) + x.shape)),
+                         spec, degree=0)
+    assert [p for p, _, _ in scan] == [0.0]
+
+
+def test_exponent_scan_tail_grid_keeps_degree_64_rows_finite():
+    seen = []
+
+    def log_sample(x):
+        seen.append(x)
+        with np.errstate(over="ignore"):
+            return np.zeros_like(x), np.log(np.abs(np.array([x ** 64])))
+    spec = IntervalSpec(-math.inf, math.inf, ((math.inf, 0.0),))
+    (_, sigma, spread), = exponent_scan(log_sample, spec, degree=64)
+    assert np.all(np.isfinite(seen[0] ** 64))
+    assert sigma[0, 0] == pytest.approx(128.0) and spread[0, 0] < 1e-9
+
+
+def test_exponent_scan_marks_non_finite_samples():
+    def log_sample(x):
+        rows = np.array([np.zeros_like(x), np.where(x > 2.0 ** 18, np.inf, 0.0)])
+        return np.zeros_like(x), rows
+    spec = IntervalSpec(0.0, math.inf, ((math.inf, 0.0),))
+    (_, sigma, spread), = exponent_scan(log_sample, spec, degree=1)
+    assert sigma[0, 0] == 0.0
+    assert np.isnan(sigma[1]).all() and np.isnan(sigma[:, 1]).all()
+    assert np.isnan(spread[1]).all()
+
+
+@pytest.mark.parametrize("point, sigma, spread, hint, want", [
+    (math.inf, -1.0, 1e-8, -1.0, True),         # |x|^-1 tail: log-divergent
+    (math.inf, 0.5, 1e-8, 0.5, True),
+    (-math.inf, 0.5, 1e-8, 0.5, True),
+    (math.inf, -1.5, 1e-8, -1.5, False),        # integrable tail
+    (0.0, -1.0, 1e-8, -1.0, True),              # 1/|x| at a finite point
+    (0.0, -0.5, 1e-8, -0.5, False),
+    (math.inf, 0.5 + 1e-6, 1e-8, 0.5, False),   # disagrees with its hint
+    (math.inf, 0.5, 2e-3, 0.5, False),          # spread too wide
+    (math.inf, math.nan, math.nan, 0.5, False),
+    (math.inf, 0.5, 1e-8, None, False),         # no hint, no certificate
+])
+def test_certifies_divergence(point, sigma, spread, hint, want):
+    assert certifies_divergence(point, sigma, spread, hint) is want

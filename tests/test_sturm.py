@@ -9,7 +9,9 @@ from symortho.errors import (ConstraintViolation, NonpositiveWeight,
                              SingularCoefficient)
 from symortho.exponent_map import (LambdaSpec, _LambdaBasis, _t_interval,
                                    lambda_weight_and_gram, signed_power)
-from symortho.families import GUP, GHP, FiniteI, FiniteII, norm_squared, weight_at
+from symortho import sturm
+from symortho.families import (GUP, GHP, FiniteI, FiniteII, norm_squared, pair_integrable,
+                               weight_at)
 from symortho.legendre import (G, Pm, Q, U, V, eval_jacobi, JacobiParams,
                                legendre_norm, member_fn, orthogonality_interval)
 from symortho.quadrature import integrate
@@ -437,3 +439,90 @@ def test_non_integrable_pairs_keep_their_divergence_evidence():
     e = rep.entry(12, 12)
     assert e.quad.diverged and e.status == "cliff"
     assert not _adapt(FiniteII(12.25)).integrable(12, 12)
+
+
+# ------------------------------------------ cliffs from measured exponents
+
+
+def _count_integrals(monkeypatch):
+    """Count the integrate calls of the per-entry route."""
+    calls = []
+    real = sturm.integrate
+
+    def counting(f, interval, **kw):
+        calls.append(interval)
+        return real(f, interval, **kw)
+    monkeypatch.setattr(sturm, "integrate", counting)
+    return calls
+
+
+def test_finite2_6_passes_with_its_log_divergent_pair_a_cliff(monkeypatch):
+    # (6, 5) decays exactly like |x|^-1 in both tails, which cancel in a
+    # whole-line integral; each tail's measured exponent shows it
+    calls = _count_integrals(monkeypatch)
+    rep = gram_matrix(FiniteII(6), 8)
+    assert rep.passed, rep.summary()
+    e = rep.entry(6, 5)
+    assert e.status == "cliff" and e.quad.diverged
+    assert math.isnan(e.quad.value) and e.quad.abs_error_estimate == math.inf
+    # integrals are left only for the integrable pairs outside the block
+    ad = _adapt(FiniteII(6))
+    assert len(calls) == sum(ad.integrable(n, m) and (n + m) % 2 == 0
+                             for n in range(6, 9) for m in range(n + 1))
+
+
+@pytest.mark.parametrize("nmax", [24, 64])
+def test_cliffs_are_certified_without_integrals_to_degree_64(monkeypatch, nmax):
+    calls = _count_integrals(monkeypatch)
+    rep = gram_matrix(FiniteII(6.02), nmax)
+    assert rep.passed, rep.summary().splitlines()[0]
+    ad = _adapt(FiniteII(6.02))
+    assert len(calls) == sum(ad.integrable(n, m) and (n + m) % 2 == 0
+                             for n in range(6, nmax + 1) for m in range(n + 1))
+
+
+@pytest.mark.parametrize("shift", [0.5, math.nan], ids=["disagrees", "not-finite"])
+def test_scan_that_does_not_confirm_its_hint_falls_back_to_integrate(monkeypatch, shift):
+    real_scan = sturm.exponent_scan
+
+    def off(*args, **kw):
+        return [(point, sigma + shift, spread) for point, sigma, spread in real_scan(*args, **kw)]
+    want = gram_matrix(FiniteII(6.02), 10)
+    calls = _count_integrals(monkeypatch)
+    monkeypatch.setattr(sturm, "exponent_scan", off)
+    rep = gram_matrix(FiniteII(6.02), 10)
+    ad = _adapt(FiniteII(6.02))
+    refused = [(e.n, e.m) for e in rep.entries if not ad.integrable(e.n, e.m)]
+    assert len(calls) == len(refused) + sum(
+        ad.integrable(n, m) and (n + m) % 2 == 0 for n in range(6, 11) for m in range(n + 1))
+    assert [e.status for e in rep.entries] == [e.status for e in want.entries]
+    assert all(rep.entry(n, m).quad.diverged and math.isfinite(rep.entry(n, m).quad.value)
+               for n, m in refused)
+
+
+def test_scan_stops_below_a_pole_in_the_recurrence(monkeypatch):
+    # FiniteII(4.5) has poles in C_4 and C_5: members 0..4 are scanned,
+    # members from 5 on keep their integrals
+    calls = _count_integrals(monkeypatch)
+    rep = gram_matrix(FiniteII(4.5), 10)
+    ad = _adapt(FiniteII(4.5))
+    certified = [(e.n, e.m) for e in rep.entries
+                 if e.status == "cliff" and math.isnan(e.quad.value)]
+    assert certified and all(n <= 4 for n, _ in certified)
+    assert any(e.status == "cliff" and e.n > 4 and math.isfinite(e.quad.value)
+               for e in rep.entries)
+    assert not any(ad.integrable(n, m) for n, m in certified)
+    assert calls
+
+
+@pytest.mark.parametrize("u", [0.5, 1, 1.5])
+@pytest.mark.parametrize("v", [2, 2.5, 3])
+def test_finite1_with_an_origin_exponent_of_minus_one_reports(u, v):
+    # products whose origin exponent is exactly -1 used to raise
+    # ZeroDivisionError while their softening was chosen
+    rep = gram_matrix(FiniteI(u, v), 4)
+    assert len(rep.entries) == 15
+    spec = FiniteI(u, v)
+    for e in rep.entries:
+        if e.status == "cliff":
+            assert not pair_integrable(spec, e.n, e.m)
