@@ -220,22 +220,49 @@ class Recurrence:
         self._head = min(d, d % 2 + (2 if d and self.b[0] else 0))
         self._steps = [(self.c[k + 1] + self.c[k], self.c[k] * self.c[k - 1] if k else 0.0)
                        for k in range(self._head, d - 1, 2)]
-        # a call's values, intermediate ones included, are at most |scale_d|
-        # A^d with A = 2 max(|x| + max|b|, sqrt(max|c|), 1); none overflows
-        # while that is at most 1e300, which holds for x^2 <= _reach2
-        top = (1e300 / max(1.0, abs(float(self.scale[-1])))) ** (1.0 / max(d, 1)) / 2
+        self._reach2 = self._reach(abs(float(self.scale[-1]))) ** 2
+
+    def _reach(self, scale):
+        """The |x| up to which no value of a member scaled by at most scale
+        overflows: member k's values, intermediate ones included, are at
+        most scale A^k with A = 2 max(|x| + max|b|, sqrt(max|c|), 1), and
+        that stays below 1e300 there."""
+        d = len(self.b)
+        top = (1e300 / max(1.0, scale)) ** (1.0 / max(d, 1)) / 2
         bmax, cmax = (max(max(v), -min(v)) if v else 0.0 for v in (self.b, self.c))
-        self._reach2 = (min(max(top - bmax, 0.0), 1e150) ** 2
-                        if top >= max(1.0, cmax ** 0.5) else 0.0)
+        return min(max(top - bmax, 0.0), 1e150) if top >= max(1.0, cmax ** 0.5) else 0.0
+
+    @cached_property
+    def _rows_reach(self):
+        # built on the first rows call: a call-mode recurrence never needs it
+        return self._reach(float(np.abs(self.scale).max()))
 
     def rows(self, x):
-        """(d + 1, *x.shape) array, row k being member k at x."""
+        """(d + 1, *x.shape) array, row k being member k at x; +-inf where
+        a member overflows."""
         x = np.asarray(x, dtype=float)
+        if not x.size or np.abs(x).max() <= self._rows_reach:
+            return self._rows(x, False)
+        # as in _block: the columns that come out nan are taken again with
+        # the guard
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._rows(x, False)
+            bad = np.isnan(out).any(axis=0) & ~np.isnan(x)
+            if bad.any():
+                out[:, bad] = self._rows(x[bad], True)
+        return out
+
+    def _rows(self, x, guard):
         out = np.empty((len(self.b) + 1,) + x.shape)
         out[0] = 1.0
         for k, (bk, ck) in enumerate(zip(self.b, self.c)):
             xk = x - bk if bk else x
-            out[k + 1] = xk * out[k] + ck * out[k - 1] if k else xk * out[k]
+            if not k:
+                out[1] = xk * out[0]
+            elif guard:
+                out[k + 1] = xk * out[k] + np.where(np.isinf(out[k]), 0.0, ck * out[k - 1])
+            else:
+                out[k + 1] = xk * out[k] + ck * out[k - 1]
         if np.any(self.scale != 1.0):
             out *= self.scale.reshape((-1,) + (1,) * x.ndim)
         return out

@@ -10,8 +10,9 @@ coefficient is computed; a basis that fails, or whose members are not all
 genuinely square-integrable up to the requested order, is refused.
 """
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -103,6 +104,37 @@ def _intervals(ad, members):
     return out
 
 
+def _checked_norms(basis, nmax, tol):
+    """The closed-form norms of members base..nmax, once the basis's Gram
+    report passes with every entry ok; BasisInvalid otherwise."""
+    report = gram_matrix(basis, nmax, tol)
+    if not report.passed or any(e.status != "ok" for e in report.entries):
+        raise BasisInvalid(report)
+    return tuple(e.expected for e in report.entries if e.n == e.m)
+
+
+# a few hundred bases: under 1 MB of norms at nmax 64
+@functools.lru_cache(maxsize=256)
+def _verified_norms(kind, values, nmax, tol):
+    """_checked_norms of the basis kind(field=value, ...), memoized per
+    process; a basis that fails raises again, with a fresh report, on every
+    call."""
+    return _checked_norms(kind(**{name: v for name, _, v in values}), nmax, tol)
+
+
+def _memo_key(basis):
+    """The basis as (type, ((field, type, value), ...)), or None when a
+    field value is unhashable.  The types keep equal values of different
+    types (Fraction(1, 2) and 0.5) apart."""
+    named = [(f.name, getattr(basis, f.name)) for f in fields(basis)]
+    key = (type(basis), tuple((name, type(v), v) for name, v in named))
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
+
+
 def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
     """Project f onto the basis members up to order nmax.
 
@@ -110,6 +142,8 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
     (see barycentric_interpolant; the interpolation error is the caller's).
     The basis Gram matrix must pass with every entry status "ok"; finite
     families truncated by a cliff inside the requested range are refused.
+    A basis that passed is not checked again for the same nmax and tol
+    (_verified_norms keeps its norms); one that failed is, every time.
 
     int W* f^2 is an adaptive integration with divergence detection.
     Every numerator int W* f phi_n then comes from one shared panel tree
@@ -120,11 +154,10 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
     hints of both integrals.
     """
     fn = _as_callable(f)
-    report = gram_matrix(basis, nmax, tol)
-    if not report.passed or any(e.status != "ok" for e in report.entries):
-        raise BasisInvalid(report)
     ad = _adapt(basis)
-    norms = [e.expected for e in report.entries if e.n == e.m]
+    key = _memo_key(basis)
+    norms = (_checked_norms(basis, nmax, tol) if key is None
+             else _verified_norms(*key, nmax, tol))
     rows = ad.rows(nmax)
 
     def weighted(g):

@@ -13,6 +13,11 @@ before any panel is evaluated:
   decay at infinity into an algebraic endpoint that the same softening
   machinery handles.
 
+A split panel's two halves are sampled together: one call of the
+integrand on the 30 nodes of both children, then the 15-point rule on each
+half, so the panels, their order and every value and error are those of
+one call per child, at half the per-call cost.
+
 Divergence is declared when refinement fails to bring the error estimate
 down while the running total keeps growing with non-decaying increments.
 Everything is deterministic: no randomness, no thread-order dependence.
@@ -78,6 +83,8 @@ class QuadResult:
     abs_error_estimate: float
     converged: bool
     diverged: bool
+    panels: int = 0     # GK15 panels evaluated
+    evals: int = 0      # integrand points sampled, endpoint-sliver probes included
 
 
 @dataclass(frozen=True)
@@ -100,15 +107,20 @@ class IntervalSpec:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
 
-def _gk_panel(g, a, b):
-    """Apply the 15-point rule on [a, b]; returns (value, error, finite)."""
-    h = 0.5 * (b - a)
-    c = 0.5 * (a + b)
-    fx = np.asarray(g(c + h * _NODES), dtype=float)
-    if fx.shape != (15,):
-        fx = np.broadcast_to(fx, (15,)).astype(float)
+def _samples(g, x):
+    """g at the points x as a float array of x's shape (a scalar broadcasts)."""
+    fx = np.asarray(g(x), dtype=float)
+    if fx.shape != x.shape:
+        fx = np.broadcast_to(fx, x.shape).astype(float)
+    return fx
+
+
+def _gk_rule(fx, a, b):
+    """The 15-point rule on [a, b] from the samples fx at its nodes;
+    returns (value, error, finite)."""
     if not np.all(np.isfinite(fx)):
         return 0.0, math.inf, False
+    h = 0.5 * (b - a)
     resk = h * float(_WK @ fx)
     resg = h * float(_WGF @ fx)
     resabs = abs(h) * float(_WK @ np.abs(fx))
@@ -121,6 +133,22 @@ def _gk_panel(g, a, b):
         err = delta
     err = max(err, 50.0 * _EPS * resabs)
     return resk, err, True
+
+
+def _nodes(a, b):
+    return 0.5 * (a + b) + 0.5 * (b - a) * _NODES
+
+
+def _gk_panel(g, a, b):
+    """Apply the 15-point rule on [a, b]; returns (value, error, finite)."""
+    return _gk_rule(_samples(g, _nodes(a, b)), a, b)
+
+
+def _gk_pair(g, a, mid, b):
+    """_gk_panel on [a, mid] and on [mid, b] from one call of g on the 30
+    nodes of both halves."""
+    fx = _samples(g, np.concatenate((_nodes(a, mid), _nodes(mid, b))))
+    return _gk_rule(fx[:15], a, mid), _gk_rule(fx[15:], mid, b)
 
 
 def _needs_soften(sigma) -> bool:
@@ -333,7 +361,10 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, max_depth=_MAX_DEPTH,
     Divergence is reported through the diverged flag.  If the budget runs
     out with no determination either way, MaxDepthExceeded is raised (or,
     with on_inconclusive="return", a QuadResult with both flags False is
-    returned).
+    returned).  The result counts the GK15 panels evaluated and the
+    integrand points sampled (15 per panel plus one per endpoint-sliver
+    probe); the odd shortcut samples none, and an even fold reports its
+    half-line's counts.
     """
     if not isinstance(interval, IntervalSpec):
         interval = IntervalSpec(*interval)
@@ -352,13 +383,17 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, max_depth=_MAX_DEPTH,
                             divergence_growth=divergence_growth,
                             on_inconclusive=on_inconclusive)
             return QuadResult(2.0 * res.value, 2.0 * res.abs_error_estimate,
-                              res.converged, res.diverged)
+                              res.converged, res.diverged, res.panels, res.evals)
         raise ValueError(f"parity must be 'odd', 'even' or None, not {parity!r}")
 
+    probes = []
+
     def point_fn(x):
+        probes.append(x)
         return float(np.asarray(f(np.array([x])), dtype=float)[0])
 
     tasks, extra_value, extra_err = _plan(point_fn, interval)
+    tasks = [t for t in tasks if t[1] < t[2]]
 
     heap = []
     seq = 0
@@ -366,8 +401,6 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, max_depth=_MAX_DEPTH,
     err_fin = extra_err     # summed finite panel errors
     n_inf = 0               # panels whose rule evaluation blew up
     for (xmap, a, b) in tasks:
-        if not a < b:
-            continue
         g = _compose(f, xmap)
         val, err, ok = _gk_panel(g, a, b)
         if not ok:
@@ -386,7 +419,9 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, max_depth=_MAX_DEPTH,
         return math.inf if n_inf else err_fin
 
     def result(converged, diverged):
-        return QuadResult(total, errtot(), converged, diverged)
+        panels = len(tasks) + 2 * splits
+        return QuadResult(total, errtot(), converged, diverged,
+                          panels, 15 * panels + len(probes))
 
     def diverging(min_k=64):
         k = len(history)
@@ -432,8 +467,7 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, max_depth=_MAX_DEPTH,
                 break
             continue
         mid = 0.5 * (a + b)
-        v1, e1, ok1 = _gk_panel(g, a, mid)
-        v2, e2, ok2 = _gk_panel(g, mid, b)
+        (v1, e1, ok1), (v2, e2, ok2) = _gk_pair(g, a, mid, b)
         if math.isfinite(err):
             err_fin -= err
         else:

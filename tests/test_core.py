@@ -326,3 +326,17 @@ def test_overflowing_member_is_signed_inf(n):
     assert np.all(np.isinf(got[:4])) and np.all(np.sign(got[:4]) == np.sign(x[:4]) ** n)
     assert got[4] == poly(x[4:])[0]
     assert np.isnan(poly(np.array([np.nan, 1e10])))[0]
+
+
+def test_overflowing_rows_are_signed_inf():
+    # a rows step took x p_k + c_k p_{k-1} = inf - inf once both overflowed
+    params = ClassParams(-1, 1, -3, 1)      # GUP(1/2, 1/2)
+    x = np.array([-1e10, -1e5, 1e5, 1e10, 0.5, -0.3])
+    rows = member_rows(params, 64)(x)       # RuntimeWarning is an error here
+    assert not np.isnan(rows).any()
+    calls = np.array([poly_from_params(params, n, monic=True)(x) for n in range(65)])
+    assert np.all(np.sign(rows) == np.sign(calls))
+    assert np.array_equal(np.isinf(rows), np.isinf(calls)) and np.isinf(rows[64, :4]).all()
+    # points that cannot overflow keep the unguarded values
+    assert np.array_equal(rows[:, 4:], member_rows(params, 64)(x[4:]))
+    assert np.isnan(member_rows(params, 8)(np.array([np.nan, 1e200]))[1:, 0]).all()

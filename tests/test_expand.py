@@ -292,6 +292,87 @@ def test_norms_come_from_the_gram_report(monkeypatch):
     assert calls == list(range(1, 9))
 
 
+# ------------------------------------------------ memo of verified bases
+
+
+@pytest.fixture
+def gram_checks(monkeypatch):
+    """The (basis, nmax, tol) of every Gram check expand makes."""
+    expand_mod = importlib.import_module("symortho.expand")
+    real = expand_mod.gram_matrix
+    calls = []
+
+    def counted(basis, nmax, tol=1e-7):
+        calls.append((basis, nmax, tol))
+        return real(basis, nmax, tol)
+    monkeypatch.setattr(expand_mod, "gram_matrix", counted)
+    return calls
+
+
+def test_verified_basis_is_checked_once(gram_checks):
+    for _ in range(3):
+        expand(np.sin, GUP(1, 1), 8)
+    expand(np.sin, GUP(1, 1), 6)
+    assert [nmax for _, nmax, _ in gram_checks] == [8, 6]
+
+
+def test_fraction_and_float_parameters_verify_separately(gram_checks):
+    exact, inexact = GUP(Fraction(1, 2), Fraction(1, 2)), GUP(0.5, 0.5)
+    assert exact == inexact     # equal values, different types
+    for basis in (exact, inexact, exact, inexact):
+        expand(np.sin, basis, 6)
+    assert [type(b.u) for b, _, _ in gram_checks] == [Fraction, float]
+
+
+def test_kind_with_evaluated_members_is_a_key(gram_checks):
+    from symortho.legendre import kind_rows
+    kind = U(0.5)
+    kind_rows(kind, 8)(np.array([0.3]))     # caches coefficient lists on the kind
+    assert any(isinstance(v, list) for v in vars(kind).values())
+    first = expand(np.sin, kind, 8)
+    again = expand(np.sin, U(0.5), 8)
+    assert len(gram_checks) == 1 and again.coefficients == first.coefficients
+
+
+def test_new_tol_verifies_again(gram_checks):
+    for tol in (1e-7, 1e-8, 1e-7):
+        expand(np.sin, GHP(0.5), 6, tol=tol)
+    assert [tol for _, _, tol in gram_checks] == [1e-7, 1e-8]
+
+
+def test_failing_basis_raises_with_a_fresh_report_every_call(gram_checks):
+    reports = []
+    for _ in range(2):
+        with pytest.raises(BasisInvalid) as exc:
+            expand(lambda x: x, FiniteII(4.5), 4)
+        reports.append(exc.value.report)
+    assert len(gram_checks) == 2 and reports[0] is not reports[1]
+    assert reports[1].entry(4, 4).status == "cliff"
+
+
+def test_unhashable_field_skips_the_memo(gram_checks):
+    for _ in range(2):
+        ser = expand(np.sin, U(np.array(0.5)), 6)
+    assert len(gram_checks) == 2
+    assert ser.coefficients == expand(np.sin, U(0.5), 6).coefficients
+
+
+def test_unsupported_basis_still_raises_type_error():
+    with pytest.raises(TypeError):
+        expand(np.sin, (0.5, 0.5), 6)
+
+
+@pytest.mark.parametrize("basis", [GUP(1, 1.5), GHP(0), Pm(1), V(0.3)])
+def test_warm_memo_series_equals_cold(basis):
+    from symortho.expand import _verified_norms
+    target = lambda x: np.exp(x) * np.cos(2 * x)    # noqa: E731
+    cold = expand(target, basis, 8)
+    warm = expand(target, basis, 8)
+    assert _verified_norms.cache_info().hits == 1
+    assert (warm.coefficients, warm.residual, warm.residual_rel) == (
+        cold.coefficients, cold.residual, cold.residual_rel)
+
+
 # ------------------------------------------------ reconstruct by recurrence
 
 

@@ -386,3 +386,78 @@ def test_exponent_scan_marks_non_finite_samples():
 ])
 def test_certifies_divergence(point, sigma, spread, hint, want):
     assert certifies_divergence(point, sigma, spread, hint) is want
+
+
+# ------------------------------------------- paired children and counts
+
+
+def _one_child_per_call(g, a, mid, b):
+    return _gk_panel(g, a, mid), _gk_panel(g, mid, b)
+
+
+def _gauss_x4(x):
+    return np.exp(-x * x) * x ** 4
+
+
+PAIRED_CASES = {
+    "smooth": (lambda x: np.cos(7 * x) * np.exp(-x * x),
+               IntervalSpec(-math.inf, math.inf), {}),
+    "softened endpoint": (lambda x: np.cos(x) / np.sqrt(1.0 - x),
+                          IntervalSpec(0.0, 1.0, ((1.0, -0.5),)), {}),
+    "even fold": (_gauss_x4, IntervalSpec(-math.inf, math.inf), {"parity": "even"}),
+    "divergent": (lambda x: 1.0 / x, IntervalSpec(0.0, 1.0), {}),
+    "starved": (lambda x: np.cos(200 * x), IntervalSpec(0.0, 10.0), {"max_panels": 20}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIRED_CASES))
+def test_paired_children_match_one_call_per_child(case, monkeypatch):
+    f, spec, kw = PAIRED_CASES[case]
+    sizes = []
+
+    def counted(x):
+        sizes.append(len(x))
+        return f(x)
+    paired = integrate(counted, spec, on_inconclusive="return", **kw)
+    assert 30 in sizes
+    monkeypatch.setattr(quadrature, "_gk_pair", _one_child_per_call)
+    reference = integrate(f, spec, on_inconclusive="return", **kw)
+    assert paired == reference      # value, error, flags, panels and evals
+
+
+def test_paired_cases_reach_their_outcomes():
+    outcomes = {case: integrate(f, spec, on_inconclusive="return", **kw)
+                for case, (f, spec, kw) in PAIRED_CASES.items()}
+    assert outcomes["smooth"].converged and outcomes["softened endpoint"].converged
+    assert outcomes["even fold"].converged and outcomes["divergent"].diverged
+    starved = outcomes["starved"]
+    assert not starved.converged and not starved.diverged
+
+
+@pytest.mark.parametrize("case", sorted(PAIRED_CASES))
+def test_result_counts_panels_and_evals(case):
+    f, spec, kw = PAIRED_CASES[case]
+    sizes = []
+
+    def counted(x):
+        sizes.append(len(x))
+        return f(x)
+    r = integrate(counted, spec, on_inconclusive="return", **kw)
+    tasks, splits, probes = sizes.count(15), sizes.count(30), sizes.count(1)
+    assert len(sizes) == tasks + splits + probes
+    assert r.panels == tasks + 2 * splits
+    assert r.evals == 15 * r.panels + probes == sum(sizes)
+    # only a softened endpoint away from 0 probes its sliver, at 3 points
+    assert probes == (3 if case == "softened endpoint" else 0)
+    if case == "starved":
+        assert splits == kw["max_panels"]
+
+
+def test_parity_shortcuts_report_what_they_sampled():
+    spec = IntervalSpec(-math.inf, math.inf)
+    odd = integrate(lambda x: x * np.exp(-x * x), spec, parity="odd")
+    assert (odd.panels, odd.evals) == (0, 0)
+    even = integrate(_gauss_x4, spec, parity="even")
+    half = integrate(_gauss_x4, IntervalSpec(0.0, math.inf), atol=0.5e-10)
+    assert even.panels == half.panels > 0 and even.evals == half.evals
+    assert even.value == 2.0 * half.value
