@@ -16,25 +16,22 @@ import math
 import operator
 import re
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .core import (ClassParams, eigenvalue, ode_residual, poly_from_params,
                    recurrence_c)
 from .errors import ConstraintViolation, SymOrthoError
+from .expand import barycentric_interpolant, reconstruct
 from .expand import expand as expand_fn
-from .expand import reconstruct
-from .families import GUP, GHP, FiniteI, FiniteII, norm_squared, weight_at
+from .families import _FAMILIES, norm_squared, weight_at
 from .sturm import gram_matrix, support_theta, generic_weight_log
 
-_FAMILY_FLAGS = {
-    "gup": ("u", "v"),
-    "ghp": ("u",),
-    "finite1": ("u", "v"),
-    "finite2": ("u",),
-    "custom": ("p", "q", "r", "s"),
-}
-_FAMILY_CTOR = {"gup": GUP, "ghp": GHP, "finite1": FiniteI, "finite2": FiniteII}
+_FAMILY_CTOR = {fam.label: fam for fam in _FAMILIES}
+_FAMILY_FLAGS = {**{label: tuple(f.name for f in fields(fam))
+                    for label, fam in _FAMILY_CTOR.items()},
+                 "custom": ("p", "q", "r", "s")}
 
 # the grammar of --expr: numbers, x, these constants and functions, and
 # unary and binary arithmetic
@@ -62,20 +59,30 @@ def _jsonable(x):
 
 
 def _add_class_flags(sub, flag="--class"):
-    sub.add_argument(flag, dest="cls", required=True,
-                     choices=["gup", "ghp", "finite1", "finite2", "custom"])
-    for name in ("u", "v", "p", "q", "r", "s"):
+    sub.add_argument(flag, dest="cls", required=True, choices=list(_FAMILY_FLAGS))
+    for name in dict.fromkeys(name for flags in _FAMILY_FLAGS.values() for name in flags):
         sub.add_argument(f"--{name}", type=float)
+
+
+def _check_args(args):
+    """Refuse a count below 1 and a tolerance that is not finite and positive."""
+    for name in ("points", "steps"):
+        count = getattr(args, name, 1)
+        if count < 1:
+            raise ConstraintViolation(f"--{name} must be at least 1, got {count}")
+    if not 0 < getattr(args, "tol", 1) < math.inf:
+        raise ConstraintViolation(f"--tol must be finite and positive, got {args.tol}")
 
 
 def _class_of(args, *, need_weight=False):
     """(family-or-None, ClassParams) from parsed flags."""
     wanted = _FAMILY_FLAGS[args.cls]
     got = {name: getattr(args, name) for name in wanted}
-    missing = [k for k, v in got.items() if v is None]
-    if missing:
-        raise ConstraintViolation(
-            f"class {args.cls} needs --" + " --".join(wanted))
+    if None in got.values():
+        raise ConstraintViolation(f"class {args.cls} needs --" + " --".join(wanted))
+    for name, value in got.items():
+        if not math.isfinite(value):
+            raise ConstraintViolation(f"--{name} must be finite, got {value}")
     if args.cls == "custom":
         if need_weight:
             raise ConstraintViolation(
@@ -173,7 +180,7 @@ def _cmd_expand(args):
            "residual": _jsonable(ser.residual),
            "residual_rel": _jsonable(ser.residual_rel)}
     sys.stdout.write(json.dumps(doc) + "\n")
-    target = fn if callable(fn) else _interp_of(pairs)
+    target = fn if callable(fn) else barycentric_interpolant(*pairs)
     recon = reconstruct(ser, grid)
     with open(args.output, "w", newline="") as fh:
         w = _writer(fh)
@@ -262,11 +269,6 @@ def _read_pairs(path):
     return np.array(xs), np.array(ys)
 
 
-def _interp_of(pairs):
-    from .expand import barycentric_interpolant
-    return barycentric_interpolant(pairs[0], pairs[1])
-
-
 # ------------------------------------------------------------ dispatch
 
 
@@ -332,6 +334,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        _check_args(args)
         return args.handler(args)
     except ConstraintViolation as exc:
         _fail(exc)

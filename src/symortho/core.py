@@ -269,7 +269,9 @@ class Recurrence:
 
     def __call__(self, x):
         """Member d at x, blockwise; +-inf where it overflows."""
-        return blockwise(self._block, x)
+        # x^2 itself overflows past |x| ~ 1.3e154 (below _reach2 nothing does)
+        with np.errstate(over="ignore"):
+            return blockwise(self._block, x)
 
     def _block(self, x):
         y = x * x
@@ -278,7 +280,7 @@ class Recurrence:
         # the member may overflow: where it comes out nan (inf - inf in a
         # step), take it again with the guard, which drops a step's lower
         # term where the upper member is already +-inf
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(invalid="ignore"):
             out = self._member(x, y, False)
             bad = np.isnan(out) & ~np.isnan(x)
             if bad.any():

@@ -61,7 +61,10 @@ def _num(x):
 
 @dataclass(frozen=True)
 class _Family:
-    label = "generic"
+    """A weight family defines label, params, weight_log, log_deriv and
+    moment_zero.  origin_exponent, tail_exponent, finite_degree_bound and
+    _certificate default to those of GUP and GHP; hints, valid_pair and
+    the tail margin follow from them."""
 
     def __iter__(self):
         raise TypeError("family specs are not iterable; use .params")
@@ -77,6 +80,50 @@ class _Family:
     def interval(self, origin_power=0, tail_power=0) -> IntervalSpec:
         lo, hi = self.support
         return IntervalSpec(lo, hi, self.hints(origin_power, tail_power))
+
+    def hints(self, origin_power=0, tail_power=0):
+        """(point, exponent) of the weight times |x|^origin_power near 0 and
+        |x|^tail_power at infinity; None marks a flat origin."""
+        origin = self.origin_exponent()
+        out = ((0.0, origin + origin_power if origin < math.inf else None),)
+        tail = self.tail_exponent(tail_power)
+        if tail > -math.inf:
+            out += ((math.inf, tail), (-math.inf, tail))
+        return out
+
+    def origin_exponent(self):
+        """Exponent of the weight at 0."""
+        return 2 * float(self.u)
+
+    def tail_exponent(self, power=0):
+        """Exponent at infinity of |x|^power times the weight; -inf when the
+        weight has no algebraic tail."""
+        return -math.inf
+
+    def finite_degree_bound(self):
+        """Largest certified degree; inf for the infinite families."""
+        return math.inf
+
+    def _certificate(self, big):
+        """(whether the published condition certifies degrees up to big, why)."""
+        return True, "infinite family"
+
+    def valid_pair(self, n, m) -> PairValidity:
+        """Published validity condition plus independent exponent counting:
+        the product of members n and m is integrable at the origin and in
+        the tails."""
+        n, m = int(n), int(m)
+        parity_low = (n % 2) + (m % 2)      # lowest power of the product at 0
+        certified, reason = self._certificate(max(n, m))
+        integrable = (self.origin_exponent() + parity_low > -1
+                      and self._tail_margin(n, m) <= 0)
+        return PairValidity(certified, reason, integrable)
+
+    def _tail_margin(self, n, m):
+        """n + m + 1 plus the weight's exponent at infinity: the product of the
+        weight and the degree-(n, m) pair decays like |x|^(margin - 1), so its
+        tails converge exactly when the margin is negative."""
+        return self.tail_exponent() + 2 + n + m - 1
 
 
 @dataclass(frozen=True)
@@ -106,8 +153,8 @@ class GUP(_Family):
         return (-1.0, 1.0)
 
     def hints(self, origin_power=0, tail_power=0):
-        u, v = float(self.u), float(self.v)
-        return ((0.0, 2 * u + origin_power), (-1.0, v), (1.0, v))
+        v = float(self.v)
+        return super().hints(origin_power) + ((-1.0, v), (1.0, v))
 
     def weight_log(self, x):
         u, v = float(self.u), float(self.v)
@@ -117,8 +164,9 @@ class GUP(_Family):
         u, v = float(self.u), float(self.v)
         return 2 * u / x - 2 * v * x / (1 - x * x)
 
-    def origin_exponent(self):
-        return 2 * float(self.u)
+    def moment_zero(self):
+        u, v = float(self.u), float(self.v)
+        return beta_fn(u + 0.5, v + 1.0)
 
 
 @dataclass(frozen=True)
@@ -138,10 +186,6 @@ class GHP(_Family):
     def params(self) -> ClassParams:
         return ClassParams(0, 1, -2, 2 * self.u)
 
-    def hints(self, origin_power=0, tail_power=0):
-        # tails decay like a Gaussian; only the origin needs care
-        return ((0.0, 2 * float(self.u) + origin_power),)
-
     def weight_log(self, x):
         u = float(self.u)
         return 2 * u * np.log(np.abs(x)) - x * x
@@ -149,8 +193,8 @@ class GHP(_Family):
     def log_deriv(self, x):
         return 2 * float(self.u) / x - 2 * x
 
-    def origin_exponent(self):
-        return 2 * float(self.u)
+    def moment_zero(self):
+        return gamma_fn(float(self.u) + 0.5)
 
 
 @dataclass(frozen=True)
@@ -174,11 +218,9 @@ class FiniteI(_Family):
         u, v = self.u, self.v
         return ClassParams(1, 1, -2 * u - 2 * v + 2, -2 * u)
 
-    def hints(self, origin_power=0, tail_power=0):
+    def tail_exponent(self, power=0):
         u, v = float(self.u), float(self.v)
-        tail = tail_power - 2 * u - 2 * v
-        return ((0.0, -2 * u + origin_power),
-                (math.inf, tail), (-math.inf, tail))
+        return power - 2 * u - 2 * v
 
     def weight_log(self, x):
         u, v = float(self.u), float(self.v)
@@ -190,6 +232,30 @@ class FiniteI(_Family):
 
     def origin_exponent(self):
         return -2 * float(self.u)
+
+    def moment_zero(self):
+        u, v = float(self.u), float(self.v)
+        if u >= 0.5:
+            raise DivergentMoment(
+                f"origin: needs u < 1/2 for |x|^(-2u) integrability, got u = {u}")
+        if u + v <= 0.5:
+            raise DivergentMoment(
+                f"tail: needs u + v > 1/2 for decay, got u + v = {u + v}")
+        return math.exp(log_gamma(0.5 - u) + log_gamma(u + v - 0.5)
+                        - log_gamma(v))
+
+    def _branches(self):
+        """The two certifying conditions: (holds, degree bound, statement)."""
+        u, v = float(self.u), float(self.v)
+        return ((v >= 1, u + 0.5, "v >= 1 and max(n,m) <= u + 1/2"),
+                (u >= 1, v + 0.5, "u >= 1 and max(n,m) <= v + 1/2"))
+
+    def finite_degree_bound(self):
+        return max((bound for ok, bound, _ in self._branches() if ok), default=-math.inf)
+
+    def _certificate(self, big):
+        why = [text for ok, bound, text in self._branches() if ok and big <= bound]
+        return bool(why), why[0] if why else "neither certifying condition holds"
 
 
 @dataclass(frozen=True)
@@ -210,11 +276,8 @@ class FiniteII(_Family):
     def params(self) -> ClassParams:
         return ClassParams(1, 0, -2 * self.u + 2, 2)
 
-    def hints(self, origin_power=0, tail_power=0):
-        u = float(self.u)
-        tail = tail_power - 2 * u
-        # origin is C-infinity flat: split there, no exponent to soften
-        return ((0.0, None), (math.inf, tail), (-math.inf, tail))
+    def tail_exponent(self, power=0):
+        return power - 2 * float(self.u)
 
     def weight_log(self, x):
         u = float(self.u)
@@ -224,22 +287,39 @@ class FiniteII(_Family):
         return -2 * float(self.u) / x + 2.0 / (x * x * x)
 
     def origin_exponent(self):
-        # effectively +inf decay; exposed as None-like flatness marker
+        # the origin is C-infinity flat: it decays faster than any power
         return math.inf
+
+    def moment_zero(self):
+        return gamma_fn(float(self.u) - 0.5)
+
+    def finite_degree_bound(self):
+        return float(self.u) - 0.5
+
+    def _certificate(self, big):
+        bound = self.finite_degree_bound()
+        ok = big <= bound
+        return ok, f"max(n,m) = {big} {'<=' if ok else '>'} u - 1/2 = {bound}"
 
 
 _FAMILIES = (GUP, GHP, FiniteI, FiniteII)
 
 
-def make_subclass(spec):
-    """Parameter vector and support interval for a family spec."""
+def _family(spec):
     if not isinstance(spec, _FAMILIES):
         raise ConstraintViolation(f"not a family spec: {spec!r}")
-    return spec.params, spec.support
+    return spec
+
+
+def make_subclass(spec):
+    """Parameter vector and support interval for a family spec."""
+    return _family(spec).params, spec.support
 
 
 def weight_at(spec, x):
-    """Weight function value(s); raises SingularPoint where it is +inf."""
+    """Weight function value(s); raises SingularPoint where it is +inf.
+    At a finite hinted point (the origin, GUP's +-1) it is the limit of
+    |x - point|^exponent: 1 for exponent 0, else 0 (a flat point too)."""
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -247,29 +327,15 @@ def weight_at(spec, x):
     if np.any(arr < lo) or np.any(arr > hi):
         raise ConstraintViolation(f"{spec.label} weight evaluated outside support")
     out = np.empty(arr.shape)
-
-    at0 = arr == 0.0
-    inner = ~at0
-    if isinstance(spec, GUP):
-        edge = np.abs(arr) == 1.0
-        inner = inner & ~edge
-        if np.any(edge):
-            v = float(spec.v)
-            if v < 0:
-                raise SingularPoint(f"weight is +inf at x = +-1 (v = {v} < 0)")
-            out[edge] = 0.0 if v > 0 else 1.0
-    if np.any(at0):
-        if isinstance(spec, FiniteII):
-            out[at0] = 0.0      # continuous extension of the flat origin
-        else:
-            g = spec.origin_exponent()
-            if g > 0:
-                out[at0] = 0.0
-            elif g == 0:
-                out[at0] = 1.0
-            else:
-                raise SingularPoint(
-                    f"weight is +inf at x = 0 (origin exponent {g} < 0)")
+    inner = np.ones(arr.shape, dtype=bool)
+    for point, g in spec.hints():
+        at = arr == point
+        if math.isinf(point) or not at.any():
+            continue
+        if g is not None and g < 0:
+            raise SingularPoint(f"weight is +inf at x = {point:g} (exponent {g} < 0)")
+        out[at] = 1.0 if g == 0 else 0.0
+        inner &= ~at
     if np.any(inner):
         with np.errstate(divide="ignore"):
             out[inner] = np.exp(spec.weight_log(arr[inner]))
@@ -278,43 +344,12 @@ def weight_at(spec, x):
 
 def moment_zero(spec):
     """Closed-form integral of the bare weight over the support."""
-    if isinstance(spec, GUP):
-        u, v = float(spec.u), float(spec.v)
-        return beta_fn(u + 0.5, v + 1.0)
-    if isinstance(spec, GHP):
-        return gamma_fn(float(spec.u) + 0.5)
-    if isinstance(spec, FiniteI):
-        u, v = float(spec.u), float(spec.v)
-        if u >= 0.5:
-            raise DivergentMoment(
-                f"origin: needs u < 1/2 for |x|^(-2u) integrability, got u = {u}")
-        if u + v <= 0.5:
-            raise DivergentMoment(
-                f"tail: needs u + v > 1/2 for decay, got u + v = {u + v}")
-        return math.exp(log_gamma(0.5 - u) + log_gamma(u + v - 0.5)
-                        - log_gamma(v))
-    if isinstance(spec, FiniteII):
-        return gamma_fn(float(spec.u) - 0.5)
-    raise ConstraintViolation(f"not a family spec: {spec!r}")
+    return _family(spec).moment_zero()
 
 
 def finite_degree_bound(spec):
-    """Largest certified degree; inf for the infinite families.
-
-    FiniteI uses the two-branch certification condition; -inf means neither
-    branch applies and no degree is certified.
-    """
-    if isinstance(spec, (GUP, GHP)):
-        return math.inf
-    if isinstance(spec, FiniteII):
-        return float(spec.u) - 0.5
-    u, v = float(spec.u), float(spec.v)
-    bound = -math.inf
-    if v >= 1:
-        bound = max(bound, u + 0.5)
-    if u >= 1:
-        bound = max(bound, v + 0.5)
-    return bound
+    """Largest certified degree: inf with no bound, -inf when none is."""
+    return spec.finite_degree_bound()
 
 
 def norm_squared(spec, n) -> NormValue:
@@ -325,15 +360,11 @@ def norm_squared(spec, n) -> NormValue:
     boundary-degree signature for FiniteII.
     """
     n = int(n)
-    bound = finite_degree_bound(spec)
+    bound = spec.finite_degree_bound()
     if n > bound:
         raise OutOfFiniteRange(n, bound)
-    params = spec.params
-    prod = 1
-    for i in range(1, n + 1):
-        prod *= recurrence_c(params, i)
-    sign = -1 if n % 2 else 1
-    return NormValue(n, sign * float(prod) * moment_zero(spec))
+    prod = math.prod(recurrence_c(spec.params, i) for i in range(1, n + 1))
+    return NormValue(n, (-1 if n % 2 else 1) * float(prod) * spec.moment_zero())
 
 
 def norms_squared(spec, nmax):
@@ -346,15 +377,14 @@ def norms_squared(spec, nmax):
     """
     out = []
     try:
-        bound = finite_degree_bound(spec)
-        m0 = moment_zero(spec)
-        params = spec.params
+        bound = spec.finite_degree_bound()
+        m0 = spec.moment_zero()
         prod = 1
         for n in range(int(nmax) + 1):
             if n > bound:
                 break
             if n:
-                prod *= recurrence_c(params, n)
+                prod *= recurrence_c(spec.params, n)
             out.append((-1 if n % 2 else 1) * float(prod) * m0)
     except (PoleError, DivergentMoment):
         pass
@@ -363,45 +393,7 @@ def norms_squared(spec, nmax):
 
 def valid_pair(spec, n, m) -> PairValidity:
     """Published validity condition plus independent exponent counting."""
-    n, m = int(n), int(m)
-    big = max(n, m)
-    parity_low = (n % 2) + (m % 2)      # lowest power of the product at 0
-
-    if isinstance(spec, (GUP, GHP)):
-        u = float(spec.u)
-        ok = 2 * u + parity_low > -1
-        return PairValidity(True, "infinite family", ok)
-
-    if isinstance(spec, FiniteII):
-        u = float(spec.u)
-        certified = big <= u - 0.5
-        reason = (f"max(n,m) = {big} {'<=' if certified else '>'} u - 1/2 = {u - 0.5}")
-        integrable = _tail_margin(spec, n, m) <= 0
-        return PairValidity(certified, reason, integrable)
-
-    u, v = float(spec.u), float(spec.v)
-    opts = []
-    if v >= 1 and big <= u + 0.5:
-        opts.append("v >= 1 and max(n,m) <= u + 1/2")
-    if u >= 1 and big <= v + 0.5:
-        opts.append("u >= 1 and max(n,m) <= v + 1/2")
-    certified = bool(opts)
-    reason = opts[0] if opts else "neither certifying condition holds"
-    origin_ok = -2 * u + parity_low > -1
-    tail_ok = _tail_margin(spec, n, m) <= 0
-    return PairValidity(certified, reason, origin_ok and tail_ok)
-
-
-def _tail_margin(spec, n, m):
-    """n + m + 1 plus the weight's exponent at infinity: the product of the
-    weight and the degree-(n, m) pair decays like |x|^(margin - 1), so its
-    tails converge exactly when the margin is negative.  -inf for GUP and
-    GHP, which have no algebraic tail."""
-    if isinstance(spec, FiniteII):
-        return -2 * float(spec.u) + 2 + n + m - 1
-    if isinstance(spec, FiniteI):
-        return -2 * float(spec.u) - 2 * float(spec.v) + 2 + n + m - 1
-    return -math.inf
+    return spec.valid_pair(n, m)
 
 
 def pair_integrable(spec, n, m) -> bool:
@@ -411,7 +403,7 @@ def pair_integrable(spec, n, m) -> bool:
     zero tail margin) as integrable; that tail diverges logarithmically,
     and here it counts as divergent.
     """
-    return valid_pair(spec, n, m).integrable and _tail_margin(spec, n, m) < 0
+    return spec.valid_pair(n, m).integrable and spec._tail_margin(n, m) < 0
 
 
 def pearson_residual(spec, x):

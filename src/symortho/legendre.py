@@ -16,7 +16,7 @@ Every kind solves an equation of the shared form
     (1-x^2) y'' - 2x y' + (mu - nu/(1-x^2) + [n odd]*E(x)) y = 0
 
 with kind-specific (mu, nu) and E either 0 or -2/x^2; see
-``generalized_legendre_residual``.
+``generalized_legendre_residual``.  Each kind's formulas are its methods.
 """
 
 import math
@@ -32,7 +32,7 @@ import numpy as np
 from .core import (ClassParams, Recurrence, blockwise,  # noqa: F401
                    class_recurrence, poly_from_params)
 from .errors import ConstraintViolation, SingularPoint
-from .families import GUP, norm_squared
+from .families import GUP, norm_squared, norms_squared
 from .quadrature import IntervalSpec
 from .special import binom, gamma_fn
 
@@ -49,13 +49,60 @@ class JacobiParams:
             raise ConstraintViolation("Jacobi parameters need alpha > -1 and beta > -1")
 
 
-class _JacobiKind:
-    """A kind whose polynomial factor is a Jacobi polynomial P^(al, be).
+def kind_rows(kind, nmax):
+    """Evaluator x -> members base..nmax of the kind at x, one row each, with
+    no domain check (as member_fn); nmax below the kind's base degree (m for
+    Pm, else 0) raises ConstraintViolation."""
+    if nmax < kind.base:
+        raise ConstraintViolation(f"nmax must be at least {kind.base} for this kind")
+    rec = kind.recurrence(nmax)
 
-    Its monic recurrence coefficients (jacobi_monic) are built once per
-    instance, one step per degree as higher degrees are asked for, and
-    every degree is served as a prefix of them.
-    """
+    def rows(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return kind.prefactor(x) * rec.rows(x)
+    return rows
+
+
+def orthogonality_interval(kind, members=2):
+    """Quadrature interval on (-1, 1) with the kind's hints (one member's
+    prefactor exponents) sized for a product of `members` members: 2 for a
+    Gram entry, 1 for an integrand linear in one member, such as f phi_n."""
+    return IntervalSpec(-1.0, 1.0, tuple((p, members * e) for p, e in kind.hints()))
+
+
+class _Kind:
+    """A Legendre kind defines mu_nu, norm, recurrence (of its members'
+    polynomial factors), prefactor, log_derivs and hints.  It is its own
+    Gram adapter (sturm.gram_matrix): unit weight, closed-form norms, one
+    tree block, folded onto [0, 1) when its members have a parity."""
+    base = 0
+    fold = True
+    closed_norms = True
+    rows = kind_rows
+    interval = orthogonality_interval
+    # whether log_derivs has an a/x term, undefined at x = 0
+    origin_singular = False
+
+    @property
+    def label(self):
+        return type(self).__name__.lower()
+
+    def norms(self, nmax):
+        return [legendre_norm(self, n) for n in range(self.base, nmax + 1)]
+
+    def weight(self, x):
+        return 1.0
+
+    def tree_block(self, norms):
+        return self.base + len(norms) - 1, self.interval()
+
+
+class _JacobiKind(_Kind):
+    """A kind whose polynomial factor is a Jacobi polynomial P^(al, be) and
+    whose prefactor is (1-x^2)^(al/2) unless it says otherwise.  Its monic
+    recurrence coefficients are built once per instance, one step per degree
+    as higher degrees are asked for (jacobi_monic)."""
 
     @cached_property
     def _jacobi(self):
@@ -80,6 +127,21 @@ class _JacobiKind:
             leads.append(leads[-1] * state[3])
         return leads[:d + 1], b[:d], c[:d]
 
+    def recurrence(self, nmax):
+        """P_n^(al, be), n = 0..nmax."""
+        return Recurrence(*self.jacobi_monic(nmax))
+
+    def mu_nu(self, n):
+        return n * (n + 1), self.jacobi_params[0] ** 2
+
+    def prefactor(self, x):
+        return (1 - x * x) ** (float(self.jacobi_params[0]) / 2)
+
+    def log_derivs(self, x):
+        one_m = 1 - x * x
+        al = float(self.jacobi_params[0])
+        return -al * x / one_m, -al * (1 + x * x) / one_m ** 2
+
 
 @dataclass(frozen=True)
 class U(_JacobiKind):
@@ -93,6 +155,22 @@ class U(_JacobiKind):
     @property
     def jacobi_params(self):
         return self.alpha, self.alpha
+
+    def mu_nu(self, n):
+        return (n + self.alpha) * (n + self.alpha + 1), self.alpha ** 2
+
+    def norm(self, n):
+        al = self.alpha
+        z = n + 2 * al + 1
+        if z == 0:
+            # alpha = -1/2, n = 0: (2n+2al+1)*gamma(z) -> gamma(z+1) = 1
+            denom = math.factorial(n)
+        else:
+            denom = math.factorial(n) * (2 * n + 2 * al + 1) * gamma_fn(z)
+        return 2 ** (2 * al + 1) * gamma_fn(n + al + 1) ** 2 / denom
+
+    def hints(self):
+        return [(-1.0, self.alpha / 2), (1.0, self.alpha / 2)] if self.alpha != 0 else []
 
 
 @dataclass(frozen=True)
@@ -108,11 +186,36 @@ class Pm(_JacobiKind):
     def jacobi_params(self):
         return self.m, self.m
 
+    @property
+    def base(self):
+        return self.m
+
+    def recurrence(self, nmax):
+        """d^m P_n / dx^m = (n+m)! / (2^m n!) P_{n-m}^(m,m), identically zero
+        for n < m."""
+        m = self.m
+        if nmax < m:
+            return Recurrence([0.0], [], [])
+        leads, b, c = self.jacobi_monic(nmax - m)
+        return Recurrence([lead * (math.factorial(n + m) / (2 ** m * math.factorial(n)))
+                           for n, lead in enumerate(leads, start=m)], b, c)
+
+    def norm(self, n):
+        if n < self.m:
+            raise ConstraintViolation("Pm norm needs n >= m")
+        return (2 * math.factorial(n + self.m)
+                / ((2 * n + 1) * math.factorial(n - self.m)))
+
+    def hints(self):
+        # an even m gives a polynomial prefactor
+        return [(-1.0, self.m / 2), (1.0, self.m / 2)] if self.m % 2 else []
+
 
 @dataclass(frozen=True)
 class V(_JacobiKind):
     """Asymmetric-prefactor solution ((1-x)/(1+x))^(alpha/2) P_n^(alpha,-alpha)."""
     alpha: float
+    fold = False        # the prefactor has no parity
 
     def __post_init__(self):
         if not -1 < self.alpha < 1:
@@ -122,9 +225,60 @@ class V(_JacobiKind):
     def jacobi_params(self):
         return self.alpha, -self.alpha
 
+    def norm(self, n):
+        al = self.alpha
+        return (2 * gamma_fn(n + 1 + al) * gamma_fn(n + 1 - al)
+                / (math.factorial(n) ** 2 * (2 * n + 1)))
+
+    def hints(self):
+        return [(-1.0, -self.alpha / 2), (1.0, self.alpha / 2)]
+
+    def prefactor(self, x):
+        return ((1 - x) / (1 + x)) ** (float(self.alpha) / 2)
+
+    def log_derivs(self, x):
+        one_m = 1 - x * x
+        al = float(self.alpha)
+        return -al / one_m, -2 * al * x / one_m ** 2
+
+
+class _ClassKind(_Kind):
+    """x^a (1-x^2)^(b/2) times the members of the monic symmetric class of
+    that shape: the code G and Q share."""
+    origin_singular = True
+
+    @cached_property
+    def params(self) -> ClassParams:
+        """The monic class of this shape, one instance per kind."""
+        return ClassParams(-1, 1, -2 * self.a - 2 * self.b - 2, 2 * self.a)
+
+    def recurrence(self, nmax):
+        """The monic class members, c_k = C_k of core.recurrence_c."""
+        return class_recurrence(self.params, nmax)
+
+    def mu_nu(self, n):
+        nab = n + self.a + self.b
+        return nab * (nab + 1), self.b ** 2
+
+    def hints(self):
+        edges = [(-1.0, self.b / 2), (1.0, self.b / 2)] if self.b else []
+        return ([(0.0, self.a)] if self.a else []) + edges
+
+    def prefactor(self, x):
+        # x^a as an odd map for non-integer a; exact integer powers otherwise
+        a = float(self.a)
+        xa = x ** int(a) if a.is_integer() else np.sign(x) * np.abs(x) ** a
+        return xa * (1 - x * x) ** (float(self.b) / 2)
+
+    def log_derivs(self, x):
+        one_m = 1 - x * x
+        a, b = float(self.a), float(self.b)
+        return (a / x - b * x / one_m,
+                -a / x ** 2 - b * (1 + x * x) / one_m ** 2)
+
 
 @dataclass(frozen=True)
-class G:
+class G(_ClassKind):
     """x^a (1-x^2)^(b/2) against the monic symmetric class with that shape."""
     a: float
     b: float
@@ -135,31 +289,48 @@ class G:
         if not self.b + 1 > 0:
             raise ConstraintViolation("G kind needs b + 1 > 0")
 
-    @cached_property
-    def params(self) -> ClassParams:
-        """The monic class of this shape, one instance per kind."""
-        return ClassParams(-1, 1, -2 * self.a - 2 * self.b - 2, 2 * self.a)
+    def norm(self, n):
+        return norm_squared(GUP(self.a, self.b), n).value
+
+    def norms(self, nmax):
+        return norms_squared(GUP(self.a, self.b), nmax)
 
 
 @dataclass(frozen=True)
-class Q:
+class Q(_ClassKind):
     """G at a = 1; picks up the extra -2/x^2 term for odd degrees."""
     b: float
+    a = 1
 
     def __post_init__(self):
         if not self.b + 1 > 0:
             raise ConstraintViolation("Q kind needs b + 1 > 0")
 
     def as_g(self) -> G:
-        return G(1, self.b)
+        return G(self.a, self.b)
 
-    @cached_property
-    def params(self) -> ClassParams:
-        """The class of G(1, b), one instance per kind."""
-        return self.as_g().params
+    def mu_nu(self, n):
+        # G's n + a + b at a = 1 rounds differently from n + b + 1
+        return (n + self.b + 1) * (n + self.b + 2), self.b ** 2
+
+    def norm(self, n):
+        # running product times the n = 0 value; independent of the
+        # recurrence-product route through the weighted family norms
+        b = self.b
+        acc = math.sqrt(math.pi) * gamma_fn(b + 1) / (2 * gamma_fn(b + 2.5))
+        for i in range(1, n + 1):
+            g = i + 1 - (-1) ** i
+            acc *= g * (g + 2 * b) / ((2 * i + 2 * b + 1) * (2 * i + 2 * b + 3))
+        return acc
 
 
 LegendreKind = (U, Pm, V, G, Q)
+
+
+def _kind(kind):
+    if not isinstance(kind, LegendreKind):
+        raise TypeError(f"not a Legendre kind: {kind!r}")
+    return kind
 
 
 def jacobi_coeffs(n, jp):
@@ -208,18 +379,7 @@ def eval_jacobi(n, jp, x):
 
 def legendre_mu_nu(kind, n):
     """The (mu, nu) pair that places (kind, n) in the shared equation."""
-    if isinstance(kind, U):
-        return (n + kind.alpha) * (n + kind.alpha + 1), kind.alpha ** 2
-    if isinstance(kind, Pm):
-        return n * (n + 1), kind.m ** 2
-    if isinstance(kind, V):
-        return n * (n + 1), kind.alpha ** 2
-    if isinstance(kind, G):
-        nab = n + kind.a + kind.b
-        return nab * (nab + 1), kind.b ** 2
-    if isinstance(kind, Q):
-        return (n + kind.b + 1) * (n + kind.b + 2), kind.b ** 2
-    raise TypeError(f"not a Legendre kind: {kind!r}")
+    return _kind(kind).mu_nu(n)
 
 
 def _check_open_interval(x):
@@ -240,150 +400,23 @@ def eval_legendre_fn(kind, n, x):
 
 def member_fn(kind, n):
     """Unguarded vectorized evaluator, meant for quadrature integrands: the
-    kind's recurrence (_kind_recurrence) times its prefactor, blockwise.
+    kind's recurrence times its prefactor, blockwise.
 
     No domain check: exactly at |x| = 1 the prefactor follows IEEE semantics
     (0, inf, or nan depending on the exponent), which the adaptive integrator
     treats as a resolution-limit sample rather than an error.
     """
-    rec = _kind_recurrence(kind, n)
+    rec = kind.recurrence(n)
 
     def f(x):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return blockwise(lambda xb: rec(xb) * _prefactor(kind, xb), x)
+            return blockwise(lambda xb: rec(xb) * kind.prefactor(xb), x)
     return f
-
-
-def _kind_recurrence(kind, nmax):
-    """Recurrence whose members are the polynomial factors of the kind's
-    members base..nmax.
-
-    U and V: P_n^(u, +-u).  Pm: d^m P_n / dx^m = (n+m)! / (2^m n!)
-    P_{n-m}^(m,m), identically zero for n < m.  G and Q: the monic class
-    members, c_k = C_k of core.recurrence_c.  Both kinds of coefficients
-    are built once per kind instance.
-    """
-    if isinstance(kind, (G, Q)):
-        return class_recurrence(kind.params, nmax)
-    if isinstance(kind, Pm):
-        m = kind.m
-        if nmax < m:
-            return Recurrence([0.0], [], [])
-        leads, b, c = kind.jacobi_monic(nmax - m)
-        return Recurrence([lead * (math.factorial(n + m) / (2 ** m * math.factorial(n)))
-                           for n, lead in enumerate(leads, start=m)], b, c)
-    return Recurrence(*kind.jacobi_monic(nmax))
-
-
-def kind_rows(kind, nmax):
-    """Evaluator x -> members base..nmax of the kind at x, one row each:
-    the rows of the kind's recurrence (_kind_recurrence) times the kind's
-    prefactor.  Like member_fn, there is no domain check; nmax below the
-    kind's base degree (m for Pm, else 0) raises ConstraintViolation.
-    """
-    base = kind.m if isinstance(kind, Pm) else 0
-    if nmax < base:
-        raise ConstraintViolation(f"nmax must be at least {base} for this kind")
-    rec = _kind_recurrence(kind, nmax)
-
-    def rows(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return _prefactor(kind, x) * rec.rows(x)
-    return rows
 
 
 def legendre_norm(kind, n):
     """Closed-form squared norm of the degree-n member under unit weight."""
-    if isinstance(kind, U):
-        al = kind.alpha
-        z = n + 2 * al + 1
-        if z == 0:
-            # alpha = -1/2, n = 0: (2n+2al+1)*gamma(z) -> gamma(z+1) = 1
-            denom = math.factorial(n)
-        else:
-            denom = math.factorial(n) * (2 * n + 2 * al + 1) * gamma_fn(z)
-        return 2 ** (2 * al + 1) * gamma_fn(n + al + 1) ** 2 / denom
-    if isinstance(kind, Pm):
-        if n < kind.m:
-            raise ConstraintViolation("Pm norm needs n >= m")
-        return (2 * math.factorial(n + kind.m)
-                / ((2 * n + 1) * math.factorial(n - kind.m)))
-    if isinstance(kind, V):
-        al = kind.alpha
-        return (2 * gamma_fn(n + 1 + al) * gamma_fn(n + 1 - al)
-                / (math.factorial(n) ** 2 * (2 * n + 1)))
-    if isinstance(kind, Q):
-        # running product times the n = 0 value; independent of the
-        # recurrence-product route through the weighted family norms
-        b = kind.b
-        acc = math.sqrt(math.pi) * gamma_fn(b + 1) / (2 * gamma_fn(b + 2.5))
-        for i in range(1, n + 1):
-            g = i + 1 - (-1) ** i
-            acc *= g * (g + 2 * b) / ((2 * i + 2 * b + 1) * (2 * i + 2 * b + 3))
-        return acc
-    if isinstance(kind, G):
-        return norm_squared(GUP(kind.a, kind.b), n).value
-    raise TypeError(f"not a Legendre kind: {kind!r}")
-
-
-def orthogonality_interval(kind, members=2):
-    """Quadrature interval on (-1, 1) with hints sized for a product of
-    `members` members: 2 for a Gram entry, 1 for an integrand linear in
-    one member, such as a projection coefficient f phi_n.
-
-    The hints are the exponents of one member's prefactor at 0 and +-1
-    (for U, alpha/2 at +-1; V, -+alpha/2; Pm, m/2; G and Q, a at 0 and
-    b/2 at +-1), times `members`.
-    """
-    hints = []
-    if isinstance(kind, U):
-        if kind.alpha != 0:
-            hints = [(-1.0, kind.alpha / 2), (1.0, kind.alpha / 2)]
-    elif isinstance(kind, Pm):
-        if kind.m % 2:
-            hints = [(-1.0, kind.m / 2), (1.0, kind.m / 2)]
-    elif isinstance(kind, V):
-        hints = [(-1.0, -kind.alpha / 2), (1.0, kind.alpha / 2)]
-    else:
-        a = 1 if isinstance(kind, Q) else kind.a
-        if a:
-            hints = [(0.0, a)]
-        if kind.b:
-            hints += [(-1.0, kind.b / 2), (1.0, kind.b / 2)]
-    return IntervalSpec(-1.0, 1.0, tuple((p, members * e) for p, e in hints))
-
-
-def _log_deriv_pair(kind, x):
-    """(P'/P, (P'/P)') of the kind's prefactor, both vectorized."""
-    one_m = 1 - x * x
-    if isinstance(kind, U):
-        al = float(kind.alpha)
-        return -al * x / one_m, -al * (1 + x * x) / one_m ** 2
-    if isinstance(kind, Pm):
-        m = kind.m
-        return -m * x / one_m, -m * (1 + x * x) / one_m ** 2
-    if isinstance(kind, V):
-        al = float(kind.alpha)
-        return -al / one_m, -2 * al * x / one_m ** 2
-    a = 1 if isinstance(kind, Q) else float(kind.a)
-    b = float(kind.b)
-    return (a / x - b * x / one_m,
-            -a / x ** 2 - b * (1 + x * x) / one_m ** 2)
-
-
-def _prefactor(kind, x):
-    one_m = 1 - x * x
-    if isinstance(kind, U):
-        return one_m ** (float(kind.alpha) / 2)
-    if isinstance(kind, Pm):
-        return one_m ** (kind.m / 2)
-    if isinstance(kind, V):
-        return ((1 - x) / (1 + x)) ** (float(kind.alpha) / 2)
-    # x^a as an odd map for non-integer a; exact integer powers otherwise
-    a = float(1 if isinstance(kind, Q) else kind.a)
-    xa = x ** int(a) if a.is_integer() else np.sign(x) * np.abs(x) ** a
-    return xa * one_m ** (float(kind.b) / 2)
+    return _kind(kind).norm(n)
 
 
 def generalized_legendre_residual(kind, n, x, e_choice="zero", nu=None):
@@ -399,7 +432,7 @@ def generalized_legendre_residual(kind, n, x, e_choice="zero", nu=None):
         raise ConstraintViolation(f"e_choice must be one of {E_CHOICES}")
     x_arr = np.asarray(x, dtype=float)
     _check_open_interval(x_arr)
-    needs_origin = isinstance(kind, (G, Q)) or e_choice == "-2/x^2"
+    needs_origin = _kind(kind).origin_singular or e_choice == "-2/x^2"
     if needs_origin and np.any(x_arr == 0):
         raise SingularPoint("residual is undefined at x = 0 for this kind/E pairing")
     scalar = x_arr.ndim == 0
@@ -408,9 +441,9 @@ def generalized_legendre_residual(kind, n, x, e_choice="zero", nu=None):
 
     mu, nu_kind = legendre_mu_nu(kind, n)
     mu, nu = float(mu), float(nu_kind if nu is None else nu)
-    pref = _prefactor(kind, x_arr)
-    ld, ldp = _log_deriv_pair(kind, x_arr)
-    v0, v1, v2 = _kind_recurrence(kind, n).triple(x_arr)
+    pref = kind.prefactor(x_arr)
+    ld, ldp = kind.log_derivs(x_arr)
+    v0, v1, v2 = kind.recurrence(n).triple(x_arr)
 
     psi = pref * v0
     dpsi = pref * (ld * v0 + v1)

@@ -347,9 +347,8 @@ def _mirror_hints(sings):
     return tuple(out.items())
 
 
-def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, max_depth=_MAX_DEPTH,
-              max_panels=_MAX_PANELS, parity=None, divergence_growth=2.0,
-              on_inconclusive="raise") -> QuadResult:
+def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, max_panels=_MAX_PANELS,
+              parity=None, on_inconclusive="raise") -> QuadResult:
     """Integrate a vectorized callable over an interval with hints.
 
     f must accept an ndarray of points and return an ndarray of values.
@@ -378,9 +377,7 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, max_depth=_MAX_DEPTH,
         if parity == "even":
             half = IntervalSpec(0.0, interval.hi,
                                 _mirror_hints(interval.singularities))
-            res = integrate(f, half, atol=atol / 2, rtol=rtol,
-                            max_depth=max_depth, max_panels=max_panels,
-                            divergence_growth=divergence_growth,
+            res = integrate(f, half, atol=atol / 2, rtol=rtol, max_panels=max_panels,
                             on_inconclusive=on_inconclusive)
             return QuadResult(2.0 * res.value, 2.0 * res.abs_error_estimate,
                               res.converged, res.diverged, res.panels, res.evals)
@@ -436,7 +433,7 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, max_depth=_MAX_DEPTH,
         i1, i2, i3 = t1 - t0, t2 - t1, t3 - t2
         if i1 <= 0 or i2 < 0.3 * i1 or i3 < 0.3 * i2:
             return False
-        return t3 >= divergence_growth * max(t0, 10.0 * atol)
+        return t3 >= 2.0 * max(t0, 10.0 * atol)
 
     parked = []
     while True:
@@ -453,7 +450,7 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, max_depth=_MAX_DEPTH,
 
         entry = heapq.heappop(heap)
         _, _, g, a, b, val, err, depth = entry
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             if not math.isfinite(err):
                 return result(False, True)
             # a chain that needed the whole depth budget is the signature of

@@ -22,9 +22,8 @@ from .core import ClassParams, SymmetricPoly, member_rows, poly_from_params
 from .core import eigenvalue as generic_eigenvalue
 from .errors import (ConstraintViolation, DegenerateDenominator, NonpositiveWeight,
                      PoleError, SingularCoefficient, ZeroLeadingCoefficient)
-from .families import _FAMILIES, GUP, norms_squared, pair_integrable
-from .legendre import (G, LegendreKind, Pm, V, kind_rows, legendre_norm,
-                       orthogonality_interval)
+from .families import _FAMILIES, norms_squared, pair_integrable
+from .legendre import LegendreKind
 from .quadrature import (IntervalSpec, QuadResult, certifies_divergence, exponent_scan,
                          integrate, integrate_gram)
 
@@ -415,39 +414,12 @@ class _FamilyBasis:
         return integrate(f, spec, parity=parity, on_inconclusive="return")
 
 
-class _KindBasis:
-    closed_norms = True
-
-    def __init__(self, kind):
-        self.kind = kind
-        self.base = kind.m if isinstance(kind, Pm) else 0
-        self.label = type(kind).__name__.lower()
-        # V's prefactor has no parity; every other kind folds onto [0, 1)
-        self.fold = not isinstance(kind, V)
-
-    def norms(self, nmax):
-        if isinstance(self.kind, G):
-            return norms_squared(GUP(self.kind.a, self.kind.b), nmax)
-        return [legendre_norm(self.kind, n) for n in range(self.base, nmax + 1)]
-
-    def weight(self, x):
-        return 1.0
-
-    def rows(self, nmax):
-        return kind_rows(self.kind, nmax)
-
-    def interval(self, members=2):
-        return orthogonality_interval(self.kind, members)
-
-    def tree_block(self, norms):
-        return self.base + len(norms) - 1, self.interval()
-
-
 def _adapt(basis):
+    """The Gram adapter of a basis; a Legendre kind serves as its own."""
     if isinstance(basis, _FAMILIES):
         return _FamilyBasis(basis)
     if isinstance(basis, LegendreKind):
-        return _KindBasis(basis)
+        return basis
     raise TypeError(f"cannot build a basis from {basis!r}")
 
 

@@ -211,6 +211,24 @@ def test_bad_parameter_value(capsys):
     assert "u + 1/2" in json.loads(err)["detail"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify-ode", "--class", "gup", "--u", "1", "--v", "1", "--n", "3", "--points", "0"),
+    ("verify-ode", "--class", "gup", "--u", "1", "--v", "1", "--n", "3", "--points", "-3"),
+    ("weights", "--class", "ghp", "--u", "1", "--from", "0", "--to", "1", "--steps", "-1"),
+    ("gram", "--class", "ghp", "--u", "1", "--nmax", "3", "--tol", "nan"),
+    ("gram", "--class", "ghp", "--u", "1", "--nmax", "3", "--tol", "-1"),
+    ("gram", "--class", "finite2", "--nmax", "3", "--u", "inf"),
+    ("eval", "--class", "custom", "--n", "2", "--x", "0.3", "--p", "0", "--q", "1",
+     "--r", "-2", "--s", "nan"),
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_bad_counts_tolerances_and_parameters_exit_two(capsys, argv):
+    # the offending flag comes last in each argv
+    status, out, err = invoke(capsys, *argv)
+    assert status == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "constraint-violation" and argv[-2] in doc["detail"]
+
+
 def test_custom_class_has_no_weight_commands(capsys):
     status, _, err = invoke(capsys, "gram", "--class", "custom", "--p", "0",
                             "--q", "1", "--r", "-2", "--s", "0", "--nmax", "3")

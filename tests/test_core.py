@@ -328,6 +328,16 @@ def test_overflowing_member_is_signed_inf(n):
     assert np.isnan(poly(np.array([np.nan, 1e10])))[0]
 
 
+@pytest.mark.parametrize("n", [63, 64])
+def test_member_beyond_the_square_range_is_signed_inf(n):
+    # x^2 itself overflows above |x| ~ 1.3e154, ahead of the overflow
+    # guard (RuntimeWarning is an error here)
+    params = ClassParams(-1, 1, -3, 1)      # GUP(1/2, 1/2)
+    x = np.array([1e200, -1e200])
+    got = poly_from_params(params, n, monic=True)(x)
+    assert np.array_equal(got, np.sign(x) ** n * np.inf)
+
+
 def test_overflowing_rows_are_signed_inf():
     # a rows step took x p_k + c_k p_{k-1} = inf - inf once both overflowed
     params = ClassParams(-1, 1, -3, 1)      # GUP(1/2, 1/2)

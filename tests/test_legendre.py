@@ -11,6 +11,7 @@ import pytest
 from symortho import core, legendre
 from symortho.core import _CHUNK, ClassParams, recurrence_c
 from symortho.errors import ConstraintViolation, SingularPoint
+from symortho.families import GUP, make_subclass, moment_zero
 from symortho.legendre import (G, JacobiParams, Pm, Q, U, V, eval_jacobi,
                                eval_legendre_fn,
                                generalized_legendre_residual, jacobi_coeffs,
@@ -410,6 +411,19 @@ def test_kind_rows_below_base_degree_refused():
     with pytest.raises(ConstraintViolation):
         kind_rows(U(0.5), -1)
     assert kind_rows(Pm(3), 3)(np.array([0.5])).shape == (1, 1)
+
+
+def test_kind_and_family_functions_refuse_other_objects():
+    for other in (GUP(1, 1), object()):
+        with pytest.raises(TypeError):
+            legendre_mu_nu(other, 2)
+        with pytest.raises(TypeError):
+            legendre_norm(other, 2)
+    for other in (U(0.5), object()):
+        with pytest.raises(ConstraintViolation):
+            moment_zero(other)
+        with pytest.raises(ConstraintViolation):
+            make_subclass(other)
 
 
 @pytest.mark.parametrize("exact, approx", [
