@@ -64,12 +64,22 @@ def _add_class_flags(sub, flag="--class"):
         sub.add_argument(f"--{name}", type=float)
 
 
+# the most grid points --points and --steps may ask for
+_MAX_COUNT = 1_000_000
+
+
 def _check_args(args):
-    """Refuse a count below 1 and a tolerance that is not finite and positive."""
+    """Refuse a count outside 1.._MAX_COUNT, a point that is not finite and a
+    tolerance that is not finite and positive."""
     for name in ("points", "steps"):
         count = getattr(args, name, 1)
-        if count < 1:
-            raise ConstraintViolation(f"--{name} must be at least 1, got {count}")
+        if not 1 <= count <= _MAX_COUNT:
+            raise ConstraintViolation(
+                f"--{name} must be between 1 and {_MAX_COUNT}, got {count}")
+    for dest, flag in (("lo", "from"), ("hi", "to"), ("x", "x")):
+        value = getattr(args, dest, 0.0)
+        if not math.isfinite(value):
+            raise ConstraintViolation(f"--{flag} must be finite, got {value}")
     if not 0 < getattr(args, "tol", 1) < math.inf:
         raise ConstraintViolation(f"--tol must be finite and positive, got {args.tol}")
 
@@ -99,7 +109,7 @@ def _writer(stream):
 def _grid(theta, count):
     span = min(theta, 3.0)
     step = 2 * span / count
-    return np.array([-span + (k + 0.5) * step for k in range(count)])
+    return -span + (np.arange(count) + 0.5) * step
 
 
 # ------------------------------------------------------------- handlers

@@ -75,6 +75,20 @@ class ClassParams:
     def _float_c(self):
         return []
 
+    def lead(self, n):
+        """(whether S_n's leading coefficient is 0, its float), computed once
+        per degree with no coefficient list.  The float equals
+        float(explicit_coeffs(self, n)[0]); a vanishing denominator raises
+        DegenerateDenominator with explicit_coeffs' index."""
+        got = self._leads.get(n)
+        if got is None:
+            got = self._leads[n] = (_exact_lead if self.exact() else _float_lead)(self, n)
+        return got
+
+    @cached_property
+    def _leads(self):
+        return {}
+
 
 def _check_degree(n):
     if not isinstance(n, (int, np.integer)) or n < 0:
@@ -96,6 +110,14 @@ def explicit_coeffs(params: ClassParams, n):
     for these parameters.
     """
     n = _check_degree(n)
+    ratio = _ratios(params, n)
+    h = n // 2
+    return [binom(h, k) * ratio[h - k] for k in range(h + 1)]
+
+
+def _ratios(params: ClassParams, n):
+    """ratio[j] = product_{i<j} [(2i+eps+2h)p + r] / [(2i+eps+2)q + s],
+    j = 0..h, the last one being S_n's leading coefficient."""
     p, q, r, s = params.promoted()
     h = n // 2
     eps = _sign_eps(n)
@@ -106,14 +128,37 @@ def explicit_coeffs(params: ClassParams, n):
             raise DegenerateDenominator(
                 f"(2i+eps+2)q+s vanishes for degree {n}", index=i)
 
-    # ratio[j] = product_{i<j} [(2i+eps+2h)p + r] / dens[i]
     ratio = [1]
     acc = 1
     for i in range(h):
         acc = acc * ((2 * i + eps + 2 * h) * p + r) / dens[i]
         ratio.append(acc)
+    return ratio
 
-    return [binom(h, k) * ratio[h - k] for k in range(h + 1)]
+
+def _float_lead(params: ClassParams, n):
+    lead = _ratios(params, n)[-1]
+    return lead == 0, float(lead)
+
+
+def _exact_lead(params: ClassParams, n):
+    """_float_lead for exact parameters, on integers with no Fraction
+    arithmetic: k a + b = (k a_num b_den + b_num a_den) / (a_den b_den)."""
+    p, q, r, s = params.promoted()
+    h = n // 2
+    eps = _sign_eps(n)
+    pr, rp, qs, sq = (a.numerator * b.denominator for a, b in ((p, r), (r, p), (q, s), (s, q)))
+    num = (q.denominator * s.denominator) ** h
+    den = (p.denominator * r.denominator) ** h
+    for i in range(h):
+        d = (2 * i + eps + 2) * qs + sq
+        if d == 0:
+            raise DegenerateDenominator(
+                f"(2i+eps+2)q+s vanishes for degree {n}", index=i)
+        num *= (2 * i + eps + 2 * h) * pr + rp
+        den *= d
+    # int / int rounds once, as float() of the Fraction does
+    return num == 0, num / den
 
 
 def leading_coefficient(params: ClassParams, n):
@@ -181,20 +226,27 @@ def monic_by_recurrence(params: ClassParams, n):
     return cur
 
 
-# points per block in passes over member values: a few rows stay in cache
-_CHUNK = 8192
+# most points per block of a member call: its four block-sized arrays stay
+# in cache, and at 1e5 points (five blocks of 20,000) take less memory than
+# the output, which four blocks of 25,000 would not
+_CHUNK = 24_999
+# points per block of a pass over all rows (expand.reconstruct)
+ROWS_CHUNK = 8192
 
 
-def blockwise(fn, x):
-    """fn(x) for a pointwise fn of flat arrays, taken a block of _CHUNK
-    points at a time, so that fn's temporaries take O(_CHUNK) memory."""
+def blockwise(fn, x, chunk=None):
+    """fn(x) for a pointwise fn of flat arrays, taken in blocks of chunk
+    points, or in ceil(N / _CHUNK) equal blocks when chunk is None, so that
+    fn's temporaries take O(block) memory."""
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
-    if flat.size <= _CHUNK:
+    if chunk is None:
+        chunk = -(-flat.size // max(-(-flat.size // _CHUNK), 1))
+    if flat.size <= chunk:
         return fn(flat).reshape(x.shape)
     out = np.empty_like(flat)
-    for i in range(0, flat.size, _CHUNK):
-        out[i:i + _CHUNK] = fn(flat[i:i + _CHUNK])
+    for i in range(0, flat.size, chunk):
+        out[i:i + chunk] = fn(flat[i:i + chunk])
     return out.reshape(x.shape)
 
 
@@ -220,9 +272,9 @@ class Recurrence:
         self._head = min(d, d % 2 + (2 if d and self.b[0] else 0))
         self._steps = [(self.c[k + 1] + self.c[k], self.c[k] * self.c[k - 1] if k else 0.0)
                        for k in range(self._head, d - 1, 2)]
-        self._reach2 = self._reach(abs(float(self.scale[-1]))) ** 2
+        self._reach = self._reach_of(abs(float(self.scale[-1])))
 
-    def _reach(self, scale):
+    def _reach_of(self, scale):
         """The |x| up to which no value of a member scaled by at most scale
         overflows: member k's values, intermediate ones included, are at
         most scale A^k with A = 2 max(|x| + max|b|, sqrt(max|c|), 1), and
@@ -235,7 +287,7 @@ class Recurrence:
     @cached_property
     def _rows_reach(self):
         # built on the first rows call: a call-mode recurrence never needs it
-        return self._reach(float(np.abs(self.scale).max()))
+        return self._reach_of(float(np.abs(self.scale).max()))
 
     def rows(self, x):
         """(d + 1, *x.shape) array, row k being member k at x; +-inf where
@@ -243,7 +295,7 @@ class Recurrence:
         x = np.asarray(x, dtype=float)
         if not x.size or np.abs(x).max() <= self._rows_reach:
             return self._rows(x, False)
-        # as in _block: the columns that come out nan are taken again with
+        # as in block: the columns that come out nan are taken again with
         # the guard
         with np.errstate(over="ignore", invalid="ignore"):
             out = self._rows(x, False)
@@ -269,32 +321,39 @@ class Recurrence:
 
     def __call__(self, x):
         """Member d at x, blockwise; +-inf where it overflows."""
-        # x^2 itself overflows past |x| ~ 1.3e154 (below _reach2 nothing does)
+        # x^2 itself overflows past |x| ~ 1.3e154 (within _reach nothing does)
         with np.errstate(over="ignore"):
-            return blockwise(self._block, x)
+            return blockwise(self.block, x)
 
-    def _block(self, x):
-        y = x * x
-        if not y.size or y.max() <= self._reach2:
-            return self._member(x, y, False)
+    def block(self, x):
+        """Member d at a flat array x, in a new array; the caller silences
+        overflow."""
+        if not x.size or max(-x.min(), x.max()) <= self._reach:
+            return self._member(x, False)
         # the member may overflow: where it comes out nan (inf - inf in a
         # step), take it again with the guard, which drops a step's lower
         # term where the upper member is already +-inf
         with np.errstate(invalid="ignore"):
-            out = self._member(x, y, False)
+            out = self._member(x, False)
             bad = np.isnan(out) & ~np.isnan(x)
             if bad.any():
-                out[bad] = self._member(x[bad], y[bad], True)
+                out[bad] = self._member(x[bad], True)
         return out
 
-    def _member(self, x, y, guard):
+    def _member(self, x, guard):
+        # at most four arrays of x's size are alive at once: y, cur, prev, nxt
         b, c, scale = self.b, self.c, self.scale[-1]
         if not b:
             return np.full_like(x, scale)
         p = [scale]         # p_0 a scalar, then arrays
         for k in range(self._head):
-            p.append((x - b[k]) * p[k] + c[k] * p[k - 1])
+            nxt = x - b[k]
+            nxt *= p[k]
+            nxt += c[k] * p[k - 1]
+            p.append(nxt)
         cur, prev = p[-1], (p[-3] if self._head >= 2 else 0.0)
+        del p
+        y = x * x
         nxt = np.empty_like(x)
         for s, t in self._steps:
             # in place: nxt = (y + s) cur - t prev, then the buffers rotate
@@ -335,11 +394,19 @@ def member_rows(params: ClassParams, nmax):
 
 
 def poly_from_params(params: ClassParams, n, monic=False) -> "SymmetricPoly":
-    coeffs = monic_coeffs(params, n) if monic else explicit_coeffs(params, n)
-    poly = SymmetricPoly(n, tuple(coeffs))
-    if coeffs[0] != 0:
+    """S_n, or its monic version, raising as explicit_coeffs (monic_coeffs)
+    would.  It evaluates by the class recurrence scaled by the leading
+    coefficient; its exact coefficients are built on the first read of
+    .coeffs."""
+    n = _check_degree(n)
+    zero, lead = params.lead(n)
+    if monic and zero:
+        raise ZeroLeadingCoefficient(
+            f"S_{n} has leading coefficient 0; no monic version exists")
+    poly = SymmetricPoly(n, lambda: (monic_coeffs if monic else explicit_coeffs)(params, n))
+    if not zero:
         try:
-            poly._rec = class_recurrence(params, n, 1.0 if monic else coeffs[0])
+            poly._rec = class_recurrence(params, n, 1.0 if monic else lead)
         except PoleError:
             pass
     return poly
@@ -348,24 +415,31 @@ def poly_from_params(params: ClassParams, n, monic=False) -> "SymmetricPoly":
 class SymmetricPoly:
     """A fixed-parity polynomial in compressed coefficient form.
 
-    coeffs[k] multiplies x^(n-2k); eval_exact and deriv keep the coefficient
-    arithmetic.  A call evaluates in floats, and value_derivs adds two
-    derivatives: by the class recurrence for a member from poly_from_params,
-    else by Horner on x^2, whose error grows fast with the degree (a
-    hand-built polynomial, a non-monic member with leading coefficient 0, a
-    member above a pole in some C_k).
+    coeffs[k] multiplies x^(n-2k); coeffs may also be a function returning
+    them, called on the first read.  eval_exact and deriv keep the
+    coefficient arithmetic.  A call evaluates in floats, and value_derivs
+    adds two derivatives: by the class recurrence for a member from
+    poly_from_params, else by Horner on x^2, whose error grows fast with the
+    degree (a hand-built polynomial, a non-monic member with leading
+    coefficient 0, a member above a pole in some C_k).
     """
 
-    __slots__ = ("n", "coeffs", "_rec")
+    __slots__ = ("n", "_coeffs", "_rec")
 
     def __init__(self, n, coeffs):
         self.n = int(n)
-        self.coeffs = tuple(coeffs)
-        if len(self.coeffs) != self.n // 2 + 1:
+        self._rec = None
+        self._coeffs = coeffs if callable(coeffs) else tuple(coeffs)
+        if not callable(coeffs) and len(self._coeffs) != self.n // 2 + 1:
             raise ConstraintViolation(
                 f"degree {n} needs {n // 2 + 1} compressed coefficients, "
-                f"got {len(self.coeffs)}")
-        self._rec = None
+                f"got {len(self._coeffs)}")
+
+    @property
+    def coeffs(self):
+        if callable(self._coeffs):
+            self._coeffs = tuple(self._coeffs())
+        return self._coeffs
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import blockwise
+from .core import ROWS_CHUNK, blockwise
 from .errors import (BasisInvalid, ConstraintViolation, MaxDepthExceeded,
                      NonSquareIntegrable)
 from .quadrature import QuadResult, integrate, integrate_gram
@@ -216,5 +216,5 @@ def reconstruct(series: ExpansionSeries, x):
     ad = _adapt(series.basis)
     q = np.asarray(series.coefficients[ad.base:series.nmax + 1], dtype=float)
     rows = ad.rows(series.nmax)
-    total = blockwise(lambda xb: q @ rows(xb), x)
+    total = blockwise(lambda xb: q @ rows(xb), x, ROWS_CHUNK)
     return float(total) if total.ndim == 0 else total

@@ -318,8 +318,9 @@ def make_subclass(spec):
 
 def weight_at(spec, x):
     """Weight function value(s); raises SingularPoint where it is +inf.
-    At a finite hinted point (the origin, GUP's +-1) it is the limit of
-    |x - point|^exponent: 1 for exponent 0, else 0 (a flat point too)."""
+    At a hinted point it is the limit of |x - point|^exponent (of
+    |x|^exponent at +-inf): 1 for exponent 0, else 0 or +inf; 0 at a flat
+    point and at +-inf when the weight has no algebraic tail."""
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -327,13 +328,14 @@ def weight_at(spec, x):
     if np.any(arr < lo) or np.any(arr > hi):
         raise ConstraintViolation(f"{spec.label} weight evaluated outside support")
     out = np.empty(arr.shape)
-    inner = np.ones(arr.shape, dtype=bool)
+    inner = ~np.isinf(arr)
+    out[~inner] = 0.0
     for point, g in spec.hints():
         at = arr == point
-        if math.isinf(point) or not at.any():
+        if not at.any():
             continue
-        if g is not None and g < 0:
-            raise SingularPoint(f"weight is +inf at x = {point:g} (exponent {g} < 0)")
+        if g is not None and (g > 0 if math.isinf(point) else g < 0):
+            raise SingularPoint(f"weight is +inf at x = {point:g} (exponent {g})")
         out[at] = 1.0 if g == 0 else 0.0
         inner &= ~at
     if np.any(inner):

@@ -383,7 +383,8 @@ def legendre_mu_nu(kind, n):
 
 
 def _check_open_interval(x):
-    if not np.all(np.abs(x) < 1):
+    # a nan fails the comparisons, as min and max propagate it
+    if x.size and not (-1 < x.min() and x.max() < 1):
         raise ConstraintViolation("evaluation needs |x| < 1")
 
 
@@ -400,7 +401,7 @@ def eval_legendre_fn(kind, n, x):
 
 def member_fn(kind, n):
     """Unguarded vectorized evaluator, meant for quadrature integrands: the
-    kind's recurrence times its prefactor, blockwise.
+    kind's recurrence times its prefactor, one pass per block.
 
     No domain check: exactly at |x| = 1 the prefactor follows IEEE semantics
     (0, inf, or nan depending on the exponent), which the adaptive integrator
@@ -408,9 +409,14 @@ def member_fn(kind, n):
     """
     rec = kind.recurrence(n)
 
+    def block(xb):
+        out = rec.block(xb)
+        out *= kind.prefactor(xb)
+        return out
+
     def f(x):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return blockwise(lambda xb: rec(xb) * kind.prefactor(xb), x)
+            return blockwise(block, x)
     return f
 
 

@@ -220,6 +220,13 @@ def test_bad_parameter_value(capsys):
     ("gram", "--class", "finite2", "--nmax", "3", "--u", "inf"),
     ("eval", "--class", "custom", "--n", "2", "--x", "0.3", "--p", "0", "--q", "1",
      "--r", "-2", "--s", "nan"),
+    ("verify-ode", "--class", "gup", "--u", "1", "--v", "1", "--n", "3",
+     "--points", "100000000000"),
+    ("weights", "--class", "ghp", "--u", "1", "--from", "0", "--to", "1",
+     "--steps", "100000000000"),
+    ("weights", "--class", "ghp", "--u", "1", "--to", "1", "--steps", "3", "--from", "nan"),
+    ("weights", "--class", "ghp", "--u", "1", "--from", "0", "--steps", "3", "--to", "inf"),
+    ("eval", "--class", "gup", "--u", "1", "--v", "1", "--n", "3", "--x", "nan"),
 ], ids=lambda argv: " ".join(argv[-2:]))
 def test_bad_counts_tolerances_and_parameters_exit_two(capsys, argv):
     # the offending flag comes last in each argv

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from symortho import core
 from symortho.cli import _grid
 from symortho.core import (ClassParams, SymmetricPoly, eigenvalue,
                            explicit_coeffs, leading_coefficient, member_rows,
@@ -350,3 +351,106 @@ def test_overflowing_rows_are_signed_inf():
     # points that cannot overflow keep the unguarded values
     assert np.array_equal(rows[:, 4:], member_rows(params, 64)(x[4:]))
     assert np.isnan(member_rows(params, 8)(np.array([np.nan, 1e200]))[1:, 0]).all()
+
+
+def _call_mode_evaluators():
+    from symortho.exponent_map import LambdaSpec, transformed_eval
+    from symortho.legendre import Pm, U, V, member_fn
+    exact = ClassParams(-1, 1, -4, 1)                       # GUP(1/2, 1/2)
+    cube = LambdaSpec(-1, 1, Fraction(-8, 3), Fraction(4, 3), Fraction(2, 3))
+    return {
+        "monic-20": poly_from_params(exact, 20, monic=True),
+        "scaled-13": poly_from_params(ClassParams(0, 1, -2, 0.5), 13),
+        "U-12": member_fn(U(0.5), 12),
+        "V-17": member_fn(V(-0.8), 17),         # V has a head step, b_0 != 0
+        "Pm-9": member_fn(Pm(2), 9),
+        "lambda-11": lambda x: transformed_eval(cube, 11, x),
+    }
+
+
+@pytest.mark.parametrize("chunk", [1, 7, core._CHUNK, 10 ** 6], ids=str)
+def test_call_mode_is_byte_identical_for_any_block(chunk, monkeypatch):
+    # how x is split into blocks changes no bit of any output: compare each
+    # evaluator against itself on one block holding all the points
+    for size in (chunk - 1, chunk, chunk + 1):
+        x = np.linspace(-0.97, 0.97, size)
+        if size > 3:
+            x[:3] = [0.0, -0.0, 0.5]
+        for name, fn in _call_mode_evaluators().items():
+            xs = np.abs(x) if name.startswith("lambda") else x
+            monkeypatch.setattr(core, "_CHUNK", chunk)
+            got, got_2d = fn(xs), fn(xs.reshape(-1, 1))
+            if size > chunk:
+                monkeypatch.setattr(core, "_CHUNK", size)
+                assert np.array_equal(got, fn(xs)), (name, size)
+            assert got_2d.shape == (size, 1) and np.array_equal(got_2d.ravel(), got)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, core._CHUNK])
+def test_overflow_guard_is_byte_identical_for_any_block(chunk, monkeypatch):
+    # points that overflow (and a nan) sit in some blocks and not in others
+    poly = poly_from_params(ClassParams(-1, 1, -3, 1), 64, monic=True)
+    x = np.linspace(-0.9, 0.9, chunk + 3)
+    x[[0, 1, -1]] = [1e10, np.nan, -1e200]
+    monkeypatch.setattr(core, "_CHUNK", x.size)
+    want = poly(x)
+    monkeypatch.setattr(core, "_CHUNK", chunk)
+    assert np.array_equal(poly(x), want, equal_nan=True)
+    assert np.isinf(want[[0, -1]]).all()
+
+
+def test_family_members_build_no_coefficients(monkeypatch):
+    from symortho.exponent_map import LambdaSpec, transformed_eval
+    cube = LambdaSpec(-1, 1, Fraction(-8, 3), Fraction(4, 3), Fraction(2, 3))
+
+    def refuse(*args):
+        raise AssertionError("coefficients built")
+    monkeypatch.setattr(core, "explicit_coeffs", refuse)
+    monkeypatch.setattr(core, "monic_coeffs", refuse)
+    x = np.linspace(-0.9, 0.9, 7)
+    polys = []
+    for params in (ClassParams(-1, 1, -4, 1), ClassParams(0, 1, -2, Fraction(1, 2)),
+                   ClassParams(-1, 1, -4.6, 0.6), cube.mapped_params):
+        for n in (0, 1, 8, 21):
+            for monic in (True, False):
+                poly = poly_from_params(params, n, monic=monic)
+                assert np.all(np.isfinite(poly(x)))
+                polys.append((params, n, monic, poly))
+    assert np.all(np.isfinite(transformed_eval(cube, 21, np.abs(x))))
+    monkeypatch.undo()
+    for params, n, monic, poly in polys:
+        want = monic_coeffs(params, n) if monic else explicit_coeffs(params, n)
+        assert poly.coeffs == tuple(want)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+    except (DegenerateDenominator, ZeroLeadingCoefficient) as exc:
+        return type(exc), getattr(exc, "index", None)
+    return None
+
+
+def test_member_existence_matches_the_coefficient_lists():
+    # zero denominators (2i+eps+2)q + s and zero leading factors
+    # (2i+eps+2h)p + r at various i, q = s = 0 and p = r = 0 among them
+    values = {"p": (0, -1, Fraction(1, 3)), "q": (0, 1, Fraction(-1, 2)),
+              "r": (0, -3, -4, Fraction(5, 3), 2), "s": (0, -3, -4, -7, Fraction(1, 2), 5)}
+    seen = set()
+    for p in values["p"]:
+        for q in values["q"]:
+            for r in values["r"]:
+                for s in values["s"]:
+                    for exact in (True, False):
+                        params = ClassParams(*((v if exact else float(v)) for v in (p, q, r, s)))
+                        for n in range(13):
+                            raw = _outcome(explicit_coeffs, params, n)
+                            monic = _outcome(monic_coeffs, params, n)
+                            assert _outcome(poly_from_params, params, n) == raw
+                            assert _outcome(poly_from_params, params, n, monic=True) == monic
+                            seen.update((raw, monic))
+                            if raw is None:
+                                lead = explicit_coeffs(params, n)[0]
+                                assert params.lead(n) == (lead == 0, float(lead))
+    assert seen >= {None, (ZeroLeadingCoefficient, None)} | {
+        (DegenerateDenominator, i) for i in range(4)}

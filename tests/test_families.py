@@ -57,6 +57,18 @@ def test_weight_values():
         weight_at(GUP(1, 1), 1.5)
 
 
+def test_weight_at_infinity_is_its_limit():
+    # GHP's log weight used to take inf - inf there (RuntimeWarning is an
+    # error here)
+    for spec in (GHP(0.5), GHP(0), FiniteI(0.1, 2.5), FiniteII(5.5)):
+        assert weight_at(spec, np.inf) == 0.0 and weight_at(spec, -np.inf) == 0.0
+        assert np.array_equal(weight_at(spec, np.array([-np.inf, np.inf])), [0.0, 0.0])
+    # FiniteI's weight tends to |x|^(-2u-2v): 1 at exponent 0, +inf above
+    assert weight_at(FiniteI(0.5, -0.5), np.inf) == 1.0
+    with pytest.raises(SingularPoint):
+        weight_at(FiniteI(0.1, -2), -np.inf)
+
+
 def test_weight_reductions_exact():
     x = np.linspace(-0.95, 0.95, 21)
     x = x[x != 0]
