@@ -76,13 +76,12 @@ class ClassParams:
         return []
 
     def lead(self, n):
-        """(whether S_n's leading coefficient is 0, its float), computed once
-        per degree with no coefficient list.  The float equals
-        float(explicit_coeffs(self, n)[0]); a vanishing denominator raises
-        DegenerateDenominator with explicit_coeffs' index."""
+        """S_n's leading coefficient, explicit_coeffs(self, n)[0], computed
+        once per degree with no coefficient list; a vanishing denominator
+        raises DegenerateDenominator with explicit_coeffs' index."""
         got = self._leads.get(n)
         if got is None:
-            got = self._leads[n] = (_exact_lead if self.exact() else _float_lead)(self, n)
+            got = self._leads[n] = _ratios(self, n)[-1]
         return got
 
     @cached_property
@@ -134,31 +133,6 @@ def _ratios(params: ClassParams, n):
         acc = acc * ((2 * i + eps + 2 * h) * p + r) / dens[i]
         ratio.append(acc)
     return ratio
-
-
-def _float_lead(params: ClassParams, n):
-    lead = _ratios(params, n)[-1]
-    return lead == 0, float(lead)
-
-
-def _exact_lead(params: ClassParams, n):
-    """_float_lead for exact parameters, on integers with no Fraction
-    arithmetic: k a + b = (k a_num b_den + b_num a_den) / (a_den b_den)."""
-    p, q, r, s = params.promoted()
-    h = n // 2
-    eps = _sign_eps(n)
-    pr, rp, qs, sq = (a.numerator * b.denominator for a, b in ((p, r), (r, p), (q, s), (s, q)))
-    num = (q.denominator * s.denominator) ** h
-    den = (p.denominator * r.denominator) ** h
-    for i in range(h):
-        d = (2 * i + eps + 2) * qs + sq
-        if d == 0:
-            raise DegenerateDenominator(
-                f"(2i+eps+2)q+s vanishes for degree {n}", index=i)
-        num *= (2 * i + eps + 2 * h) * pr + rp
-        den *= d
-    # int / int rounds once, as float() of the Fraction does
-    return num == 0, num / den
 
 
 def leading_coefficient(params: ClassParams, n):
@@ -226,22 +200,20 @@ def monic_by_recurrence(params: ClassParams, n):
     return cur
 
 
-# most points per block of a member call: its four block-sized arrays stay
-# in cache, and at 1e5 points (five blocks of 20,000) take less memory than
-# the output, which four blocks of 25,000 would not
-_CHUNK = 24_999
+# points per block of a member call: its four block-sized arrays stay in
+# cache, and at 1e5 points (five blocks) take less memory than the output
+_CHUNK = 20_000
 # points per block of a pass over all rows (expand.reconstruct)
 ROWS_CHUNK = 8192
 
 
 def blockwise(fn, x, chunk=None):
-    """fn(x) for a pointwise fn of flat arrays, taken in blocks of chunk
-    points, or in ceil(N / _CHUNK) equal blocks when chunk is None, so that
-    fn's temporaries take O(block) memory."""
+    """fn(x) for a pointwise fn of flat arrays, taken a block of chunk
+    (default _CHUNK) points at a time, so that fn's temporaries take
+    O(chunk) memory."""
+    chunk = chunk or _CHUNK
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
-    if chunk is None:
-        chunk = -(-flat.size // max(-(-flat.size // _CHUNK), 1))
     if flat.size <= chunk:
         return fn(flat).reshape(x.shape)
     out = np.empty_like(flat)
@@ -399,12 +371,12 @@ def poly_from_params(params: ClassParams, n, monic=False) -> "SymmetricPoly":
     coefficient; its exact coefficients are built on the first read of
     .coeffs."""
     n = _check_degree(n)
-    zero, lead = params.lead(n)
-    if monic and zero:
+    lead = params.lead(n)
+    if monic and lead == 0:
         raise ZeroLeadingCoefficient(
             f"S_{n} has leading coefficient 0; no monic version exists")
-    poly = SymmetricPoly(n, lambda: (monic_coeffs if monic else explicit_coeffs)(params, n))
-    if not zero:
+    poly = SymmetricPoly._lazy(n, lambda: (monic_coeffs if monic else explicit_coeffs)(params, n))
+    if lead != 0:
         try:
             poly._rec = class_recurrence(params, n, 1.0 if monic else lead)
         except PoleError:
@@ -415,25 +387,32 @@ def poly_from_params(params: ClassParams, n, monic=False) -> "SymmetricPoly":
 class SymmetricPoly:
     """A fixed-parity polynomial in compressed coefficient form.
 
-    coeffs[k] multiplies x^(n-2k); coeffs may also be a function returning
-    them, called on the first read.  eval_exact and deriv keep the
-    coefficient arithmetic.  A call evaluates in floats, and value_derivs
-    adds two derivatives: by the class recurrence for a member from
-    poly_from_params, else by Horner on x^2, whose error grows fast with the
-    degree (a hand-built polynomial, a non-monic member with leading
-    coefficient 0, a member above a pole in some C_k).
+    coeffs[k] multiplies x^(n-2k); eval_exact and deriv keep the coefficient
+    arithmetic.  A call evaluates in floats, and value_derivs adds two
+    derivatives: by the class recurrence for a member from poly_from_params,
+    else by Horner on x^2, whose error grows fast with the degree (a
+    hand-built polynomial, a non-monic member with leading coefficient 0, a
+    member above a pole in some C_k).
     """
 
     __slots__ = ("n", "_coeffs", "_rec")
 
     def __init__(self, n, coeffs):
         self.n = int(n)
-        self._rec = None
-        self._coeffs = coeffs if callable(coeffs) else tuple(coeffs)
-        if not callable(coeffs) and len(self._coeffs) != self.n // 2 + 1:
+        self._coeffs = tuple(coeffs)
+        if len(self._coeffs) != self.n // 2 + 1:
             raise ConstraintViolation(
                 f"degree {n} needs {n // 2 + 1} compressed coefficients, "
                 f"got {len(self._coeffs)}")
+        self._rec = None
+
+    @classmethod
+    def _lazy(cls, n, make_coeffs):
+        """A degree-n polynomial whose coeffs are make_coeffs(), called on
+        the first read."""
+        poly = cls.__new__(cls)
+        poly.n, poly._coeffs, poly._rec = n, make_coeffs, None
+        return poly
 
     @property
     def coeffs(self):

@@ -416,6 +416,11 @@ def test_family_members_build_no_coefficients(monkeypatch):
                 poly = poly_from_params(params, n, monic=monic)
                 assert np.all(np.isfinite(poly(x)))
                 polys.append((params, n, monic, poly))
+    # a monic member whose leading coefficient, about 1e330, has no float
+    exact = ClassParams(-1, 1, -4, 1)
+    poly = poly_from_params(exact, 1100, monic=True)
+    assert np.all(np.isfinite(poly(x)))
+    polys.append((exact, 1100, True, poly))
     assert np.all(np.isfinite(transformed_eval(cube, 21, np.abs(x))))
     monkeypatch.undo()
     for params, n, monic, poly in polys:
@@ -451,6 +456,6 @@ def test_member_existence_matches_the_coefficient_lists():
                             seen.update((raw, monic))
                             if raw is None:
                                 lead = explicit_coeffs(params, n)[0]
-                                assert params.lead(n) == (lead == 0, float(lead))
+                                assert params.lead(n) == lead
     assert seen >= {None, (ZeroLeadingCoefficient, None)} | {
         (DegenerateDenominator, i) for i in range(4)}
