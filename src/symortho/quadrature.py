@@ -580,13 +580,15 @@ _LIVE_ENTRIES = 2 ** 18
 @dataclass(frozen=True, eq=False)
 class GramQuad:
     """Entry-wise outcome of integrate_gram: (K, K) value and summed error
-    matrices, the entries that met the stopping rule, and the number of GK15
-    panels evaluated."""
+    matrices, the entries that met the stopping rule, and the GK15 panels
+    evaluated and integrand points sampled (15 per panel plus one per
+    endpoint-sliver probe), as QuadResult counts them."""
 
     value: np.ndarray
     error: np.ndarray
     converged: np.ndarray
     panels: int
+    evals: int
 
 
 def _gk_blocks(wdx, L, R, h):
@@ -619,7 +621,7 @@ def _by_panel(rows):
     return rows.reshape(len(rows), -1, 15).transpose(1, 2, 0)
 
 
-def integrate_gram(sample, interval, norms=None, *, fold=False) -> GramQuad:
+def integrate_gram(sample, interval, norms=None, *, fold=False, scale=None) -> GramQuad:
     """Every inner product int w P_n P_m dx on one adaptive GK15 panel tree.
 
     sample(x) returns (w, P): the weight at the points x (or a scalar) and
@@ -634,12 +636,15 @@ def integrate_gram(sample, interval, norms=None, *, fold=False) -> GramQuad:
     Entry (n, m) meets the stopping rule once its summed error is at most
     1e-9 * sqrt(d_n d_m), with d the closed-form norms or, when norms is
     None, the tree's own running diagonal (1e-9 * sqrt(l_i r_j) for two
-    row sets).  Each round splits every panel holding more than its share
-    (1 / leaves) of some open entry's error and samples all new panels of
-    a task in one call.  The splits are bounded by integrate's panel
-    budget; entries still open then come back unconverged.  A non-finite
-    sample in a sliver at the floating-point resolution limit retires the
-    sliver with half its parent's error.
+    row sets).  A per-entry scale (KL, KR) replaces that sqrt(d_n d_m) or
+    sqrt(l_i r_j): an entry of infinite scale is sampled with the rest but
+    never holds the tree open, and so reads converged.  Each round splits
+    every panel holding more than its share (1 / leaves) of some open
+    entry's error and samples all new panels of a task in one call.  The
+    splits are bounded by integrate's panel budget; entries still open
+    then come back unconverged.  A non-finite sample in a sliver at the
+    floating-point resolution limit retires the sliver with half its
+    parent's error.
 
     A panel whose error stays below every share it could still be held to
     is folded into running totals, so only splittable panels keep
@@ -661,7 +666,10 @@ def integrate_gram(sample, interval, norms=None, *, fold=False) -> GramQuad:
         interval = IntervalSpec(0.0, interval.hi,
                                 _mirror_hints(interval.singularities))
 
+    probes = []
+
     def point_fn(x):
+        probes.append(x)
         with np.errstate(all="ignore"):
             w, L, R = row_sets(np.array([x]))
             return np.broadcast_to(w, (1,))[0] * np.outer(
@@ -717,20 +725,24 @@ def integrate_gram(sample, interval, norms=None, *, fold=False) -> GramQuad:
     splits = 0
     max_leaves = len(tasks) + _MAX_PANELS + 1
     max_live = max(16, _LIVE_ENTRIES // live[4][0].size)
+    held = True if scale is None else np.isfinite(scale)
 
     while True:
         task, lo, hi, depth, val, err = live
         total = acc_val + val.sum(axis=0)
         errs = acc_err + err.sum(axis=0)
-        if norms is None:
-            left = right = np.diag(total)
+        if scale is not None:
+            target = _RTOL * scale
         else:
-            left, right = norms if np.ndim(norms[0]) else (norms, norms)
-        target = _RTOL * np.sqrt(np.maximum(np.outer(np.abs(left), np.abs(right)), 1e-300))
+            if norms is None:
+                left = right = np.diag(total)
+            else:
+                left, right = norms if np.ndim(norms[0]) else (norms, norms)
+            target = _RTOL * np.sqrt(np.maximum(np.outer(np.abs(left), np.abs(right)), 1e-300))
         open_ = ~(errs <= target)
         if not open_.any() or splits >= _MAX_PANELS or not len(lo):
             break
-        score = (err / target)[:, open_].max(axis=1)
+        score = (err[:, open_] / target[open_]).max(axis=1)
         if score.max() <= 0.0:
             break       # what is left open sits in retired panels
         pick = np.flatnonzero(score > 1.0 / (len(lo) + retired))
@@ -773,7 +785,8 @@ def integrate_gram(sample, interval, norms=None, *, fold=False) -> GramQuad:
 
         # panels no share can ever reach again leave the live set, and so do
         # the least splittable ones beyond the memory allowance
-        ratio = live[5] / target
+        # an entry held to nothing counts 0 (its error can be inf)
+        ratio = np.divide(live[5], target, out=np.zeros_like(live[5]), where=held)
         done = ratio.max(axis=(1, 2)) <= 1.0 / max_leaves
         if len(done) - done.sum() > max_live:
             rank = np.argsort(-ratio[:, open_].max(axis=1), kind="stable")
@@ -783,4 +796,5 @@ def integrate_gram(sample, interval, norms=None, *, fold=False) -> GramQuad:
         retired += int(done.sum())
         live = tuple(a[~done] for a in live)
 
-    return GramQuad(total, errs, errs <= target, len(tasks) + 2 * splits)
+    panels = len(tasks) + 2 * splits
+    return GramQuad(total, errs, errs <= target, panels, 15 * panels + len(probes))

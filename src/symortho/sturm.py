@@ -280,6 +280,9 @@ _REFUSED = ("cliff", "degenerate")
 
 @dataclass(frozen=True, eq=False)
 class GramReport:
+    """The entries of a Gram matrix with their statuses, the mirrored
+    matrix, the verdict, and what it cost: the GK15 panels and integrand
+    points of its panel tree and of every per-entry integral."""
     label: str
     base: int
     nmax: int
@@ -287,6 +290,8 @@ class GramReport:
     entries: tuple
     matrix: np.ndarray
     passed: bool
+    panels: int
+    evals: int
 
     @property
     def verified(self) -> int:
@@ -322,7 +327,10 @@ class _FamilyBasis:
     """Basis adapter for a family spec.  Adapters give the weight, the
     rows evaluator of members base..nmax (by recurrence), the quadrature
     interval, the closed-form norms (None where refused), whether the
-    Gram tree may fold by parity, and where the tree block ends."""
+    Gram tree may fold by parity, and where the tree block ends.  A finite
+    family's tree also carries the integrable even pairs just outside its
+    block (_shared_tree); every other entry takes inner or a certified
+    cliff."""
     closed_norms = True
     fold = True
 
@@ -330,6 +338,7 @@ class _FamilyBasis:
         self.spec = spec
         self.base = 0
         self.label = spec.label
+        self._integrable = {}
 
     def phi(self, n):
         return poly_from_params(self.spec.params, n, monic=True)
@@ -352,7 +361,9 @@ class _FamilyBasis:
         """(K, interval) of the Gram tree block base..K: K is the largest
         degree such that every degree base..K has a closed-form norm and
         (K, K) is integrable, and so then is every pair below it; base - 1
-        when there is none.  No degree bound gives K = nmax."""
+        when there is none.  No degree bound gives K = nmax.  The interval
+        is hinted for the block's widest product, of degree 2K, which also
+        bounds the off-block pairs the tree carries."""
         end = self.base - 1
         for n, d in enumerate(norms, start=self.base):
             if d is None or not self.integrable(n, n):
@@ -362,7 +373,35 @@ class _FamilyBasis:
         return end, self.spec.interval(tail_power=2 * end)
 
     def integrable(self, n, m):
-        return pair_integrable(self.spec, n, m)
+        # pair_integrable reads only the product's parity at 0 and its degree
+        key = (n % 2 + m % 2, n + m)
+        if key not in self._integrable:
+            self._integrable[key] = pair_integrable(self.spec, n, m)
+        return self._integrable[key]
+
+    def off_block(self, end, nmax, norms):
+        """The off-block pairs the tree of the block 0..end carries: the even
+        integrable (n, m), m <= end < n, no wider than (end, end) (n + m <=
+        2 end), with members below any pole of the recurrence.  Float
+        samples of w P_n P_m are 0 past x_w, where the weight's tail
+        underflows, and refining for the pairs can reach x_w.  So none is
+        carried when the widest product's mass past x_w, 2 x_w^s / -s for a
+        tail |x|^(s - 1), may exceed 1e-9 |d| for the block's smallest norm
+        d (it cost (10, 10) of FiniteII(10.7)@20 4.5e-6), or when the top
+        member overflows before x_w, where its non-finite samples would
+        hold the block open."""
+        pairs = {(n, m) for n in range(end + 1, min(2 * end, nmax) + 1)
+                 for m in range(2 * end - n + 1)
+                 if (n + m) % 2 == 0 and self.integrable(n, m)}
+        if not pairs:
+            return pairs
+        top = _rows_below_pole(self, max(n for n, _ in pairs), end)[0]
+        log_xw = _LOG_TINY / self.spec.tail_exponent()
+        s = self.spec.tail_exponent(2 * end) + 1     # below 0: (end, end) is integrable
+        if (2 * math.exp(s * log_xw) > -s * 1e-9 * min(map(abs, norms))
+                or top * log_xw >= _LOG_HUGE):
+            return set()
+        return {(n, m) for n, m in pairs if n <= top}
 
     def cliffs(self, nmax):
         """(n, m) -> whether the product of members n and m is certified
@@ -373,12 +412,7 @@ class _FamilyBasis:
         on its own, so cancelling divergent tails still show.  The scan
         stops below a pole in the recurrence: members from the pole on are
         left to their integrals."""
-        for top in range(nmax, -1, -1):
-            try:
-                rows = member_rows(self.spec.params, top)
-                break
-            except PoleError:
-                pass
+        top, rows = _rows_below_pole(self, nmax, self.base)
         wlog = self.spec.weight_log
         scan = exponent_scan(lambda x: (wlog(x), np.log(np.abs(rows(x)))),
                              self.spec.interval(), top)
@@ -394,7 +428,9 @@ class _FamilyBasis:
         return certified
 
     def inner(self, phi_a, phi_b, n, m):
-        """One integrate call for the entry (n, m).  An absolutely integrable
+        """One integrate call for the entry (n, m), for an entry that neither
+        the tree holds nor a cliff certifies, or that the tree left open
+        outside its block.  An absolutely integrable
         product folds by parity: an odd one is exactly 0 and an even one is
         integrated on the right half-line.  Any other product is integrated
         whole, so that its divergence shows (a fold hides that of an odd
@@ -414,6 +450,13 @@ class _FamilyBasis:
         return integrate(f, spec, parity=parity, on_inconclusive="return")
 
 
+# the logs of the smallest and largest positive floats: a weight
+# |x|^tail underflows to 0 past log|x| = _LOG_TINY / tail, and a monic
+# member of degree n overflows past log|x| = _LOG_HUGE / n
+_LOG_TINY = math.log(np.finfo(float).smallest_subnormal)
+_LOG_HUGE = math.log(np.finfo(float).max)
+
+
 def _adapt(basis):
     """The Gram adapter of a basis; a Legendre kind serves as its own."""
     if isinstance(basis, _FAMILIES):
@@ -423,10 +466,28 @@ def _adapt(basis):
     raise TypeError(f"cannot build a basis from {basis!r}")
 
 
-def _shared_tree(ad, end, interval, norms):
-    """Every entry of the block base..end from one panel tree;
-    (n, m) -> QuadResult."""
-    rows = ad.rows(end)
+def _rows_below_pole(ad, top, floor):
+    """(t, ad.rows(t)) for the largest t in floor..top whose members have no
+    pole in their recurrence; ad.rows(floor) raises if those have one."""
+    for t in range(top, floor, -1):
+        try:
+            return t, ad.rows(t)
+        except PoleError:
+            pass
+    return floor, ad.rows(floor)
+
+
+def _shared_tree(ad, end, interval, norms, off):
+    """One panel tree for the block base..end and the off-block pairs off
+    (m <= end < n): rows base..top, the highest n in off, against columns
+    base..end, on the block's interval.  An off-block pair is held to
+    1e-9 |d_m|, the scale _gram_report judges it by; the rest of the rows
+    hold the tree to nothing.  Returns ((n, m) -> QuadResult, or None for
+    a pair the tree does not hold or left open outside its block; the
+    GramQuad)."""
+    b = ad.base
+    top = max([n for n, _ in off], default=end)
+    rows = ad.rows(top)
 
     def sample(x):
         # a weight that underflows to 0 gives 0 even beside members that
@@ -435,14 +496,23 @@ def _shared_tree(ad, end, interval, norms):
         zero = np.asarray(w) == 0.0
         if zero.any():
             P[:, zero] = 0.0
-        return w, P
-    res = integrate_gram(sample, interval, norms, fold=ad.fold)
+        return (w, P, P[:end - b + 1]) if off else (w, P)
+    scale = None
+    if off:
+        d = np.abs(norms)
+        scale = np.full((top - b + 1, end - b + 1), math.inf)
+        scale[:end - b + 1] = np.sqrt(np.maximum(np.outer(d, d), 1e-300))
+        for n, m in off:
+            scale[n - b, m - b] = d[m - b]
+    res = integrate_gram(sample, interval, norms, fold=ad.fold, scale=scale)
 
     def quad(n, m):
-        i, j = n - ad.base, m - ad.base
+        i, j = n - b, m - b
+        if n > end and not ((n, m) in off and res.converged[i, j]):
+            return None
         return QuadResult(float(res.value[i, j]), float(res.error[i, j]),
                           bool(res.converged[i, j]), False)
-    return quad
+    return quad, res
 
 
 # a divergent entry proven by its measured exponent: no integral was taken
@@ -487,8 +557,13 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
     whose every pair is integrable takes its entries from one shared panel
     tree (quadrature.integrate_gram) on members evaluated by recurrence.
     Bases with no degree bound (GUP, GHP, the Legendre kinds) have K =
-    nmax.  Every entry outside the block is integrated on its own, so a
-    cliff always rests on independent divergence evidence.
+    nmax.  A finite family's tree also carries its integrable even pairs
+    (n, m) with m <= K < n and n + m <= 2K (FiniteII's; FiniteI has K <= 0
+    and so none), held to 1e-9 |d_m|; one such pair the tree leaves open
+    takes its own integral.  Every other entry outside the block is an odd
+    integrable pair (exactly 0), a cliff certified by the pair's measured
+    local exponent, or one integral of its own, so a cliff always rests on
+    divergence evidence independent of the tree.
     Diagonals are compared with the closed-form norms; off-diagonal
     entries are then measured against tol * sqrt(d_n d_m).  Entry statuses:
 
@@ -505,7 +580,9 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
       inconclusive  the integrator gave up without a verdict
 
     The report passes iff every entry is ok, cliff or degenerate.  Entries
-    (n, m) with n >= m are computed and the matrix is mirrored.
+    (n, m) with n >= m are computed and the matrix is mirrored.  The
+    report's panels and evals total the GK15 panels and integrand points
+    of the tree and of every per-entry integral.
     """
     return _gram_report(_adapt(basis), nmax, tol)
 
@@ -516,15 +593,19 @@ def _gram_report(ad, nmax, tol) -> GramReport:
     idx = list(range(ad.base, nmax + 1))
     norms = ad.norms(nmax)
     end, interval = ad.tree_block(norms)
-    tree = None
+    tree, res = None, None
     if end >= ad.base:
-        tree = _shared_tree(ad, end, interval, norms[:end - ad.base + 1]
-                            if ad.closed_norms else None)
+        block = norms[:end - ad.base + 1] if ad.closed_norms else None
+        # only a finite family's block ends short of nmax with room for
+        # pairs n + m <= 2 end outside it
+        off = ad.off_block(end, nmax, block) if ad.base < end < nmax else ()
+        tree, res = _shared_tree(ad, end, interval, block, off)
     single = _entry_by_entry(ad, nmax)
 
     def quad(n, m):
-        # called with n >= m: (n, m) is in the block when n is
-        return tree(n, m) if n <= end else single(n, m)
+        # called with n >= m
+        r = tree(n, m) if tree else None
+        return single(n, m) if r is None else r
     no_quad = QuadResult(math.nan, math.inf, False, False)
 
     entries = []
@@ -585,4 +666,7 @@ def _gram_report(ad, nmax, tol) -> GramReport:
         mat[e.n - ad.base, e.m - ad.base] = v
         mat[e.m - ad.base, e.n - ad.base] = v
     passed = all(e.status in ("ok",) + _REFUSED for e in entries)
-    return GramReport(ad.label, ad.base, nmax, tol, tuple(entries), mat, passed)
+    panels = sum(e.quad.panels for e in entries) + (res.panels if res else 0)
+    evals = sum(e.quad.evals for e in entries) + (res.evals if res else 0)
+    return GramReport(ad.label, ad.base, nmax, tol, tuple(entries), mat, passed,
+                      panels, evals)

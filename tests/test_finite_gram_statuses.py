@@ -20,7 +20,7 @@ import sys
 import pytest
 
 from symortho.families import FiniteI, FiniteII, pair_integrable
-from symortho.sturm import gram_matrix
+from symortho.sturm import _adapt, gram_matrix
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                     "finite_gram_statuses.json")
@@ -107,6 +107,17 @@ def test_statuses_match_the_check_set_but_for_listed_cliffs(case, check_set):
         n, m = map(int, entry.split(","))
         assert old in ("inconclusive", "mismatch") and new == "cliff"
         assert not pair_integrable(spec, n, m)
+
+
+def test_memoized_integrable_is_pair_integrable():
+    # _FamilyBasis.integrable keys its memo on the product's parity at 0
+    # and its degree
+    for cls, args, _ in CASES:
+        spec = cls(*args)
+        ad = _adapt(spec)
+        for n in range(25):
+            for m in range(25):
+                assert ad.integrable(n, m) == pair_integrable(spec, n, m), (spec, n, m)
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:

@@ -277,6 +277,44 @@ def test_gram_tree_two_row_sets_stop_on_their_own_scales(monkeypatch):
     assert not integrate_gram(sample, spec, ([1e-12], [2.0])).converged.any()
 
 
+def test_gram_tree_entries_of_infinite_scale_hold_nothing_open(monkeypatch):
+    # row 1 cannot be resolved (an unhinted oscillating singularity) and
+    # row 2 is inf past x = 0.5, so every panel there is non-finite: held
+    # to an infinite scale they neither keep the tree open nor warn
+    def sample(x):
+        with np.errstate(divide="ignore"):
+            wild = np.abs(np.sin(1.0 / (x - 0.7)))
+        return 1.0, np.array([np.ones_like(x), wild]), np.array([np.ones_like(x)])
+    spec = IntervalSpec(-1.0, 1.0)
+    free = integrate_gram(sample, spec, scale=np.array([[2.0], [math.inf]]))
+    held = integrate_gram(sample, spec, scale=np.array([[2.0], [2.0]]))
+    assert free.converged.all() and free.panels < held.panels
+    assert abs(free.value[0, 0] - 2.0) <= 2e-9 and not held.converged[1, 0]
+
+    def with_inf(x):
+        return 1.0, np.array([np.ones_like(x), np.where(x > 0.5, math.inf, x)]), \
+            np.array([np.ones_like(x)])
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 40)
+    res = integrate_gram(with_inf, spec, scale=np.array([[2.0], [math.inf]]))
+    assert res.converged[1, 0] and not res.converged[0, 0]
+    assert res.panels == 1 + 2 * 40
+
+
+def test_gram_tree_counts_its_evals():
+    # the arcsine weight's endpoint -1/2 at 1 takes a 3-point sliver probe
+    sizes = []
+
+    def sample(x):
+        sizes.append(x.size)
+        with np.errstate(divide="ignore"):
+            w = (1.0 - x * x) ** -0.5
+        return w, np.array([np.cos(k * np.arccos(x)) for k in range(5)])
+    spec = IntervalSpec(-1.0, 1.0, ((-1.0, -0.5), (1.0, -0.5)))
+    res = integrate_gram(sample, spec, None, fold=True)
+    assert sizes.count(1) == 3
+    assert res.evals == 15 * res.panels + 3 == sum(sizes)
+
+
 def test_softened_tail_reaching_infinity_raises_no_warning():
     # FiniteII(6.009), members 6 and 5: the tail decays like x^-1.018, so
     # its fold is softened with a high power t = tau^m that underflows to

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -445,13 +446,13 @@ def test_non_integrable_pairs_keep_their_divergence_evidence():
 
 
 def _count_integrals(monkeypatch):
-    """Count the integrate calls of the per-entry route."""
+    """Record the QuadResult of every integrate call of the per-entry route."""
     calls = []
     real = sturm.integrate
 
     def counting(f, interval, **kw):
-        calls.append(interval)
-        return real(f, interval, **kw)
+        calls.append(real(f, interval, **kw))
+        return calls[-1]
     monkeypatch.setattr(sturm, "integrate", counting)
     return calls
 
@@ -465,10 +466,8 @@ def test_finite2_6_passes_with_its_log_divergent_pair_a_cliff(monkeypatch):
     e = rep.entry(6, 5)
     assert e.status == "cliff" and e.quad.diverged
     assert math.isnan(e.quad.value) and e.quad.abs_error_estimate == math.inf
-    # integrals are left only for the integrable pairs outside the block
-    ad = _adapt(FiniteII(6))
-    assert len(calls) == sum(ad.integrable(n, m) and (n + m) % 2 == 0
-                             for n in range(6, 9) for m in range(n + 1))
+    # the integrable pairs outside the block come from the block's tree
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("nmax", [24, 64])
@@ -476,9 +475,7 @@ def test_cliffs_are_certified_without_integrals_to_degree_64(monkeypatch, nmax):
     calls = _count_integrals(monkeypatch)
     rep = gram_matrix(FiniteII(6.02), nmax)
     assert rep.passed, rep.summary().splitlines()[0]
-    ad = _adapt(FiniteII(6.02))
-    assert len(calls) == sum(ad.integrable(n, m) and (n + m) % 2 == 0
-                             for n in range(6, nmax + 1) for m in range(n + 1))
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("shift", [0.5, math.nan], ids=["disagrees", "not-finite"])
@@ -493,8 +490,7 @@ def test_scan_that_does_not_confirm_its_hint_falls_back_to_integrate(monkeypatch
     rep = gram_matrix(FiniteII(6.02), 10)
     ad = _adapt(FiniteII(6.02))
     refused = [(e.n, e.m) for e in rep.entries if not ad.integrable(e.n, e.m)]
-    assert len(calls) == len(refused) + sum(
-        ad.integrable(n, m) and (n + m) % 2 == 0 for n in range(6, 11) for m in range(n + 1))
+    assert len(calls) == len(refused)
     assert [e.status for e in rep.entries] == [e.status for e in want.entries]
     assert all(rep.entry(n, m).quad.diverged and math.isfinite(rep.entry(n, m).quad.value)
                for n, m in refused)
@@ -513,6 +509,120 @@ def test_scan_stops_below_a_pole_in_the_recurrence(monkeypatch):
                for e in rep.entries)
     assert not any(ad.integrable(n, m) for n, m in certified)
     assert calls
+
+
+# --------------------------------------- off-block pairs on the block tree
+
+
+def _off_block(basis, nmax):
+    """The even integrable pairs (n, m), m <= K < n, n + m <= 2K, of a
+    basis with no pole in its recurrence: those its block tree carries."""
+    ad, end = _adapt(basis), _tree_end(basis, nmax)
+    return [(n, m) for n in range(end + 1, nmax + 1) for m in range(end + 1)
+            if (n + m) % 2 == 0 and n + m <= 2 * end and ad.integrable(n, m)]
+
+
+def _count_trees(monkeypatch):
+    """Record the GramQuad of every integrate_gram call of sturm."""
+    trees = []
+    real = sturm.integrate_gram
+
+    def counting(*args, **kw):
+        trees.append(real(*args, **kw))
+        return trees[-1]
+    monkeypatch.setattr(sturm, "integrate_gram", counting)
+    return trees
+
+
+@pytest.mark.parametrize("basis, nmax, parent_panels", [
+    (FiniteII(6), 16, 216), (FiniteII(6.02), 24, 338), (FiniteII(5.97), 8, 274)], ids=str)
+def test_off_block_pairs_come_from_the_one_tree(monkeypatch, basis, nmax, parent_panels):
+    # parent_panels: the GK15 panels of the tree and the per-entry
+    # integrals when each off-block pair took an integral of its own
+    trees = _count_trees(monkeypatch)
+    calls = _count_integrals(monkeypatch)
+    rep = gram_matrix(basis, nmax)
+    assert rep.passed, rep.summary()
+    assert len(trees) == 1 and not calls
+    assert _off_block(basis, nmax)
+    assert all(rep.entry(n, m).status == "ok" for n, m in _off_block(basis, nmax))
+    assert 4 * rep.panels <= parent_panels
+
+
+def test_finite2_20_3_passes_with_its_off_block_pairs_from_the_tree(monkeypatch):
+    # (20, 0), (20, 2) and (20, 4) used to end inconclusive on their own
+    # integrals
+    calls = _count_integrals(monkeypatch)
+    rep = gram_matrix(FiniteII(20.3), 20)
+    assert rep.passed, rep.summary()
+    assert not calls
+    assert [rep.entry(20, m).status for m in (0, 2, 4)] == ["ok"] * 3
+
+
+def test_off_block_entries_agree_with_their_own_integrals():
+    basis = FiniteII(6)
+    ad = _adapt(basis)
+    rep = gram_matrix(basis, 16)
+    for n, m in _off_block(basis, 16):
+        got = rep.entry(n, m).quad
+        ref = ad.inner(ad.phi(n), ad.phi(m), n, m)
+        assert got.converged and ref.converged, (n, m)
+        assert abs(got.value - ref.value) <= got.abs_error_estimate + ref.abs_error_estimate, (n, m)
+
+
+def test_off_block_entries_the_tree_leaves_open_take_one_integral_each(monkeypatch):
+    basis, nmax = FiniteII(6.03), 16
+    want = gram_matrix(basis, nmax)
+    real = sturm.integrate_gram
+
+    def leaves_rows_open(*args, **kw):
+        res = real(*args, **kw)
+        converged = res.converged.copy()
+        converged[res.value.shape[1]:] = False
+        return dataclasses.replace(res, converged=converged)
+    monkeypatch.setattr(sturm, "integrate_gram", leaves_rows_open)
+    calls = _count_integrals(monkeypatch)
+    rep = gram_matrix(basis, nmax)
+    assert len(calls) == len(_off_block(basis, nmax)) > 0
+    assert [e.status for e in rep.entries] == [e.status for e in want.entries]
+    assert all(rep.entry(n, m).quad.panels > 0 for n, m in _off_block(basis, nmax))
+
+
+def test_off_block_pairs_stay_off_a_tree_whose_tail_underflows(monkeypatch):
+    # the widest product decays like x^-1.4, and 4.5e-6 of its mass lies
+    # past x = 1.3e15, where the weight underflows: refining for the pairs
+    # reached there and moved (10, 10) out of its tolerance
+    basis, nmax = FiniteII(10.7), 20
+    ad = _adapt(basis)
+    assert ad.off_block(10, nmax, ad.norms(10)) == set()
+    calls = _count_integrals(monkeypatch)
+    rep = gram_matrix(basis, nmax)
+    assert rep.passed, rep.summary()
+    assert rep.entry(10, 10).status == "ok"
+    assert len(calls) == len(_off_block(basis, nmax))
+
+
+@pytest.mark.parametrize("u", [4.5, 5.55, 6, 6.5, 8.5, 9.02, 12.25, 15.6, 17.4, 20.3, 20.55, 30.3])
+def test_tree_rows_are_finite_wherever_the_weight_is_not_zero(u):
+    basis, nmax = FiniteII(u), 2 * math.ceil(u)
+    ad, end = _adapt(basis), _tree_end(basis, nmax)
+    top = max([n for n, _ in ad.off_block(end, nmax, ad.norms(end))], default=end)
+    x = np.geomspace(1.0, 1e300, 4000)
+    rows, w = ad.rows(top)(x), ad.weight(x)
+    assert np.isfinite(rows[:, w > 0]).all()
+
+
+@pytest.mark.parametrize("basis, nmax", [
+    (GUP(1, 1.5), 24), (FiniteII(6), 16), (FiniteII(4.5), 10), (FiniteI(0.1, 2.5), 8),
+    (U(0.6), 8)], ids=str)
+def test_report_counts_its_tree_and_every_integral(monkeypatch, basis, nmax):
+    trees = _count_trees(monkeypatch)
+    results = _count_integrals(monkeypatch)
+    rep = gram_matrix(basis, nmax)
+    assert len(trees) == 1
+    assert rep.panels == trees[0].panels + sum(r.panels for r in results)
+    assert rep.evals == trees[0].evals + sum(r.evals for r in results)
+    assert rep.evals >= 15 * rep.panels > 0
 
 
 @pytest.mark.parametrize("u", [0.5, 1, 1.5])
