@@ -184,16 +184,11 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
     f_norm2 = max(ff.value, 0.0)
 
     def sample(x):
-        w = ad.weight(x)
-        fx, P = np.array(target(x)), rows(x)
-        zero = np.asarray(w) == 0.0
-        if zero.any():
-            fx[zero] = 0.0
-            P[:, zero] = 0.0
-        return w, fx[None, :], P
+        return ad.weight(x), target(x)[None, :], rows(x)
 
+    scale = np.sqrt(np.maximum(np.outer([f_norm2], np.abs(norms)), 1e-300))
     for interval in _intervals(ad, (1, 2)):
-        num = integrate_gram(sample, interval, ([f_norm2], norms))
+        num = integrate_gram(sample, interval, scale)
         if num.converged.all():
             break
     else:

@@ -621,30 +621,28 @@ def _by_panel(rows):
     return rows.reshape(len(rows), -1, 15).transpose(1, 2, 0)
 
 
-def integrate_gram(sample, interval, norms=None, *, fold=False, scale=None) -> GramQuad:
-    """Every inner product int w P_n P_m dx on one adaptive GK15 panel tree.
+def integrate_gram(sample, interval, scale=None, *, fold=False) -> GramQuad:
+    """Every inner product int w L_i R_j dx on one adaptive GK15 panel tree.
 
-    sample(x) returns (w, P): the weight at the points x (or a scalar) and
-    the (K, len(x)) member values.  Each panel samples the weight and all
-    members once and adds the whole block (P w) P^T with the Kronrod
-    weights; the Gauss block gives each entry's error.  Cuts, softening
-    substitutions, tail folding and analytic endpoint slivers are the same
-    as integrate's.  sample(x) may instead return (w, L, R), two row sets
-    of KL and KR rows: the tree then integrates the (KL, KR) block
-    int w L_i R_j dx, and norms is the pair (l, r) of their scales.
+    sample(x) returns (w, L, R): the weight at the points x (or a scalar)
+    and two row sets, the (KL, len(x)) and (KR, len(x)) values of their
+    functions; R is L for a Gram block.  Each panel samples them once and
+    adds the whole (KL, KR) block (L w) R^T with the Kronrod weights; the
+    Gauss block gives each entry's error.  Where w is 0 the rows count as 0,
+    so a weight that underflows in a far tail hides members that overflow
+    there.  Cuts, softening substitutions, tail folding and analytic
+    endpoint slivers are the same as integrate's.
 
-    Entry (n, m) meets the stopping rule once its summed error is at most
-    1e-9 * sqrt(d_n d_m), with d the closed-form norms or, when norms is
-    None, the tree's own running diagonal (1e-9 * sqrt(l_i r_j) for two
-    row sets).  A per-entry scale (KL, KR) replaces that sqrt(d_n d_m) or
-    sqrt(l_i r_j): an entry of infinite scale is sampled with the rest but
-    never holds the tree open, and so reads converged.  Each round splits
-    every panel holding more than its share (1 / leaves) of some open
-    entry's error and samples all new panels of a task in one call.  The
-    splits are bounded by integrate's panel budget; entries still open
-    then come back unconverged.  A non-finite sample in a sliver at the
-    floating-point resolution limit retires the sliver with half its
-    parent's error.
+    Entry (i, j) meets the stopping rule once its summed error is at most
+    1e-9 scale[i, j].  scale None takes sqrt(|d_i d_j|) from the tree's own
+    running diagonal d (a Gram block).  An entry of infinite scale is
+    sampled with the rest but never holds the tree open, and so reads
+    converged.  Each round splits every panel holding more than its share
+    (1 / leaves) of some open entry's error and samples all new panels of a
+    task in one call.  The splits are bounded by integrate's panel budget;
+    entries still open then come back unconverged.  A non-finite sample in
+    a sliver at the floating-point resolution limit retires the sliver with
+    half its parent's error.
 
     A panel whose error stays below every share it could still be held to
     is folded into running totals, so only splittable panels keep
@@ -652,13 +650,17 @@ def integrate_gram(sample, interval, norms=None, *, fold=False, scale=None) -> G
     panels with the smallest share of open error are folded in too, their
     error staying on the books.
 
-    fold=True declares the weight even and row k of parity k on a
-    symmetric interval: the tree runs on [0, hi), entries of mixed parity
-    are exactly zero and the others are doubled.
+    fold=True declares the weight even and row k of each set of parity k
+    on a symmetric interval: the tree runs on [0, hi), entries of mixed
+    parity are exactly zero and the others are doubled.
     """
     def row_sets(x):
-        out = sample(x)
-        return out if len(out) == 3 else (out[0], out[1], out[1])
+        w, L, R = sample(x)
+        zero = np.asarray(w) == 0.0
+        if zero.any():
+            L = np.where(zero, 0.0, L)
+            R = L if R is L else np.where(zero, 0.0, R)
+        return w, L, R
 
     if fold:
         if interval.lo != -interval.hi:
@@ -731,14 +733,11 @@ def integrate_gram(sample, interval, norms=None, *, fold=False, scale=None) -> G
         task, lo, hi, depth, val, err = live
         total = acc_val + val.sum(axis=0)
         errs = acc_err + err.sum(axis=0)
-        if scale is not None:
-            target = _RTOL * scale
+        if scale is None:
+            d = np.abs(np.diag(total))
+            target = _RTOL * np.sqrt(np.maximum(np.outer(d, d), 1e-300))
         else:
-            if norms is None:
-                left = right = np.diag(total)
-            else:
-                left, right = norms if np.ndim(norms[0]) else (norms, norms)
-            target = _RTOL * np.sqrt(np.maximum(np.outer(np.abs(left), np.abs(right)), 1e-300))
+            target = _RTOL * scale
         open_ = ~(errs <= target)
         if not open_.any() or splits >= _MAX_PANELS or not len(lo):
             break

@@ -329,8 +329,9 @@ class _FamilyBasis:
     interval, the closed-form norms (None where refused), whether the
     Gram tree may fold by parity, and where the tree block ends.  A finite
     family's tree also carries the integrable even pairs just outside its
-    block (_shared_tree); every other entry takes inner or a certified
-    cliff."""
+    block (_shared_tree).  Every other integrable pair takes inner; a pair
+    that is not integrable is a cliff when cliffs certifies it, and is
+    left inconclusive, with no integral, when it does not."""
     closed_norms = True
     fold = True
 
@@ -403,24 +404,30 @@ class _FamilyBasis:
             return set()
         return {(n, m) for n, m in pairs if n <= top}
 
-    def cliffs(self, nmax):
+    def cliffs(self, nmax, phi):
         """(n, m) -> whether the product of members n and m is certified
         divergent: the exact count (pair_integrable) says it is not
         integrable, and at some hinted point of the weight, on one side,
         the measured exponent of one quadrature.exponent_scan of members
         0..nmax agrees with the pair's divergent hint.  Each side is judged
-        on its own, so cancelling divergent tails still show.  The scan
-        stops below a pole in the recurrence: members from the pole on are
-        left to their integrals."""
+        on its own, so cancelling divergent tails still show.  Members
+        below a pole in the recurrence are its rows; each member from the
+        pole on is phi(n), its own SymmetricPoly (None where it does not
+        exist, whose pairs never certify)."""
         top, rows = _rows_below_pole(self, nmax, self.base)
         wlog = self.spec.weight_log
-        scan = exponent_scan(lambda x: (wlog(x), np.log(np.abs(rows(x)))),
-                             self.spec.interval(), top)
+
+        def members(x):
+            above = [phi(n)(x) if phi(n) else np.full_like(x, math.nan)
+                     for n in range(top + 1, nmax + 1)]
+            return np.vstack([rows(x)] + above) if above else rows(x)
+        scan = exponent_scan(lambda x: (wlog(x), np.log(np.abs(members(x)))),
+                             self.spec.interval(), nmax)
         hints = functools.lru_cache(maxsize=None)(
             lambda parity, degree: dict(self.spec.hints(parity, degree)))
 
         def certified(n, m):
-            if max(n, m) > top or self.integrable(n, m):
+            if self.integrable(n, m):
                 return False
             hint = hints((n % 2) + (m % 2), n + m)
             return any(certifies_divergence(point, sigma[n, m], spread[n, m], hint[point])
@@ -428,26 +435,18 @@ class _FamilyBasis:
         return certified
 
     def inner(self, phi_a, phi_b, n, m):
-        """One integrate call for the entry (n, m), for an entry that neither
-        the tree holds nor a cliff certifies, or that the tree left open
-        outside its block.  An absolutely integrable
-        product folds by parity: an odd one is exactly 0 and an even one is
-        integrated on the right half-line.  Any other product is integrated
-        whole, so that its divergence shows (a fold hides that of an odd
-        product, and the half-line growth of an even one can stay below the
-        divergence test)."""
-        parity = None
-        if self.integrable(n, m):
-            if (n + m) % 2:
-                return QuadResult(0.0, 0.0, True, False)
-            parity = "even"
+        """The entry (n, m) of an absolutely integrable pair that the tree
+        does not hold: exactly 0 for an odd product, and one integrate call
+        on the right half-line for an even one."""
+        if (n + m) % 2:
+            return QuadResult(0.0, 0.0, True, False)
         wlog = self.spec.weight_log
 
         def f(x):
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 return np.exp(wlog(x)) * phi_a(x) * phi_b(x)
         spec = self.spec.interval(origin_power=(n % 2) + (m % 2), tail_power=n + m)
-        return integrate(f, spec, parity=parity, on_inconclusive="return")
+        return integrate(f, spec, parity="even", on_inconclusive="return")
 
 
 # the logs of the smallest and largest positive floats: a weight
@@ -480,31 +479,27 @@ def _rows_below_pole(ad, top, floor):
 def _shared_tree(ad, end, interval, norms, off):
     """One panel tree for the block base..end and the off-block pairs off
     (m <= end < n): rows base..top, the highest n in off, against columns
-    base..end, on the block's interval.  An off-block pair is held to
-    1e-9 |d_m|, the scale _gram_report judges it by; the rest of the rows
-    hold the tree to nothing.  Returns ((n, m) -> QuadResult, or None for
-    a pair the tree does not hold or left open outside its block; the
-    GramQuad)."""
+    base..end, on the block's interval.  A block entry is held to 1e-9
+    sqrt(|d_n d_m|), with d the closed-form norms or, when norms is None,
+    the tree's running diagonal; an off-block pair to 1e-9 |d_m|, the scale
+    _gram_report judges it by; the rest of the rows hold the tree to
+    nothing.  Returns ((n, m) -> QuadResult, or None for a pair the tree
+    does not hold or left open outside its block; the GramQuad)."""
     b = ad.base
     top = max([n for n, _ in off], default=end)
     rows = ad.rows(top)
 
     def sample(x):
-        # a weight that underflows to 0 gives 0 even beside members that
-        # overflow (far out in a folded infinite tail)
-        w, P = ad.weight(x), rows(x)
-        zero = np.asarray(w) == 0.0
-        if zero.any():
-            P[:, zero] = 0.0
-        return (w, P, P[:end - b + 1]) if off else (w, P)
+        P = rows(x)
+        return ad.weight(x), P, P[:end - b + 1] if off else P
     scale = None
-    if off:
+    if norms is not None:
         d = np.abs(norms)
         scale = np.full((top - b + 1, end - b + 1), math.inf)
         scale[:end - b + 1] = np.sqrt(np.maximum(np.outer(d, d), 1e-300))
         for n, m in off:
             scale[n - b, m - b] = d[m - b]
-    res = integrate_gram(sample, interval, norms, fold=ad.fold, scale=scale)
+    res = integrate_gram(sample, interval, scale, fold=ad.fold)
 
     def quad(n, m):
         i, j = n - b, m - b
@@ -515,15 +510,18 @@ def _shared_tree(ad, end, interval, norms, off):
     return quad, res
 
 
-# a divergent entry proven by its measured exponent: no integral was taken
+# a divergent entry proven by its measured exponent, and a non-integrable
+# entry the scan does not certify: neither takes an integral
 _CERTIFIED_CLIFF = QuadResult(math.nan, math.inf, False, True)
+_NO_QUAD = QuadResult(math.nan, math.inf, False, False)
 
 
 def _entry_by_entry(ad, nmax):
-    """One integrate call per entry, except where the adapter certifies a
-    cliff from measured exponents (_FamilyBasis.cliffs, built at the first
-    pair that is not integrable); (n, m) -> QuadResult, or None when a
-    member does not exist."""
+    """One integrate call per integrable entry (ad.inner); a pair that is
+    not integrable is a cliff when the adapter's exponent scan certifies it
+    (_FamilyBasis.cliffs, built at the first such pair) and inconclusive
+    otherwise.  Returns (n, m) -> QuadResult, or None when a member does
+    not exist."""
     phis = {}
     done = {}
     cliffs = []
@@ -540,12 +538,12 @@ def _entry_by_entry(ad, nmax):
         if phi(n) is None or phi(m) is None:
             return None
         if (n, m) not in done:
-            if not cliffs and not ad.integrable(n, m):
-                cliffs.append(ad.cliffs(nmax))
-            if cliffs and cliffs[0](n, m):
-                done[n, m] = _CERTIFIED_CLIFF
-            else:
+            if ad.integrable(n, m):
                 done[n, m] = ad.inner(phis[n], phis[m], n, m)
+            else:
+                if not cliffs:
+                    cliffs.append(ad.cliffs(nmax, phi))
+                done[n, m] = _CERTIFIED_CLIFF if cliffs[0](n, m) else _NO_QUAD
         return done[n, m]
     return quad
 
@@ -560,15 +558,17 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
     nmax.  A finite family's tree also carries its integrable even pairs
     (n, m) with m <= K < n and n + m <= 2K (FiniteII's; FiniteI has K <= 0
     and so none), held to 1e-9 |d_m|; one such pair the tree leaves open
-    takes its own integral.  Every other entry outside the block is an odd
-    integrable pair (exactly 0), a cliff certified by the pair's measured
-    local exponent, or one integral of its own, so a cliff always rests on
-    divergence evidence independent of the tree.
+    takes its own integral.  Every other integrable entry outside the block
+    is exactly 0 (an odd pair) or one half-line integral (an even pair).
+    An entry that is not integrable takes no integral: it is a cliff when
+    the pair's local exponent, measured by one scan over members base..nmax,
+    confirms its divergent hint, and inconclusive otherwise, so a cliff
+    always rests on divergence evidence independent of the tree.
     Diagonals are compared with the closed-form norms; off-diagonal
     entries are then measured against tol * sqrt(d_n d_m).  Entry statuses:
 
       ok            matches expectation
-      cliff         quadrature diverged AND the closed form refuses the
+      cliff         divergence certified AND the closed form refuses the
                     index (the consistent finite-family signature)
       degenerate    the member itself cannot be built (vanishing leading
                     coefficient) and the closed-form norm refuses the
@@ -577,7 +577,8 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
                     closed form says divergent, or a member degenerated
                     at an index the closed forms accept
       divergent     diverged where theory says finite
-      inconclusive  the integrator gave up without a verdict
+      inconclusive  the integrator gave up without a verdict, or the scan
+                    did not certify a pair that is not integrable
 
     The report passes iff every entry is ok, cliff or degenerate.  Entries
     (n, m) with n >= m are computed and the matrix is mirrored.  The
@@ -606,7 +607,6 @@ def _gram_report(ad, nmax, tol) -> GramReport:
         # called with n >= m
         r = tree(n, m) if tree else None
         return single(n, m) if r is None else r
-    no_quad = QuadResult(math.nan, math.inf, False, False)
 
     entries = []
     diag = {}
@@ -620,7 +620,7 @@ def _gram_report(ad, nmax, tol) -> GramReport:
         r = quad(n, n)
         if r is None:
             degenerate_ok[n] = refused
-            entries.append(GramEntry(n, n, no_quad, expected,
+            entries.append(GramEntry(n, n, _NO_QUAD, expected,
                                      "degenerate" if refused else "mismatch"))
             continue
         if r.converged:
@@ -645,7 +645,7 @@ def _gram_report(ad, nmax, tol) -> GramReport:
             r = quad(n, m)
             if r is None:
                 consistent = all(degenerate_ok.get(k, True) for k in (n, m))
-                entries.append(GramEntry(n, m, no_quad, 0.0,
+                entries.append(GramEntry(n, m, _NO_QUAD, 0.0,
                                          "degenerate" if consistent else "mismatch"))
                 continue
             dn = abs(diag.get(n, diag.get(m, 1.0)))

@@ -20,6 +20,7 @@ import sys
 import pytest
 
 from symortho.families import FiniteI, FiniteII, pair_integrable
+from symortho import sturm
 from symortho.sturm import _adapt, gram_matrix
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
@@ -107,6 +108,34 @@ def test_statuses_match_the_check_set_but_for_listed_cliffs(case, check_set):
         n, m = map(int, entry.split(","))
         assert old in ("inconclusive", "mismatch") and new == "cliff"
         assert not pair_integrable(spec, n, m)
+
+
+def test_no_integral_is_taken_for_a_pair_that_is_not_integrable(monkeypatch):
+    # a non-integrable pair is a cliff certified by the exponent scan, or
+    # inconclusive; members above a pole in the recurrence are scanned too
+    pairs, calls = [], []
+    real_inner, real_integrate = sturm._FamilyBasis.inner, sturm.integrate
+
+    def inner(self, phi_a, phi_b, n, m):
+        pairs.append((self.spec, n, m))
+        try:
+            return real_inner(self, phi_a, phi_b, n, m)
+        finally:
+            pairs.pop()
+
+    def integrate(f, interval, **kw):
+        calls.append(pairs[-1] if pairs else None)
+        return real_integrate(f, interval, **kw)
+    monkeypatch.setattr(sturm._FamilyBasis, "inner", inner)
+    monkeypatch.setattr(sturm, "integrate", integrate)
+    for cls, args, nmax in CASES:
+        gram_matrix(cls(*args), nmax)
+    assert None not in calls
+    assert all(pair_integrable(*call) for call in calls)
+    assert len(calls) <= 50        # 180 when members above a pole took integrals
+    calls.clear()
+    assert gram_matrix(FiniteII(1.5), 10).panels <= 20      # 642 then
+    assert not calls
 
 
 def test_memoized_integrable_is_pair_integrable():

@@ -193,9 +193,14 @@ def test_gk15_rules_exact_through_their_degree(weights, degree):
 
 def _legendre_sample(nmax):
     def sample(x):
-        return 1.0, np.array([np.polynomial.legendre.Legendre.basis(k)(x)
-                              for k in range(nmax + 1)])
+        P = np.array([np.polynomial.legendre.Legendre.basis(k)(x) for k in range(nmax + 1)])
+        return 1.0, P, P
     return sample
+
+
+def _scale(left, right):
+    """sqrt(|l_i r_j|), the per-entry scale of two sets of norms."""
+    return np.sqrt(np.abs(np.outer(left, right)))
 
 
 def test_gram_tree_legendre_identity():
@@ -203,7 +208,7 @@ def test_gram_tree_legendre_identity():
     norms = [2.0 / (2 * k + 1) for k in range(nmax + 1)]
     spec = IntervalSpec(-1.0, 1.0)
     for fold in (False, True):
-        res = integrate_gram(_legendre_sample(nmax), spec, norms, fold=fold)
+        res = integrate_gram(_legendre_sample(nmax), spec, _scale(norms, norms), fold=fold)
         assert res.converged.all()
         assert np.allclose(res.value, np.diag(norms), rtol=0, atol=1e-14)
         assert res.value.shape == (nmax + 1, nmax + 1)
@@ -219,9 +224,10 @@ def test_gram_tree_running_diagonal_and_endpoint_sliver():
     def sample(x):
         with np.errstate(divide="ignore"):
             w = (1.0 - x * x) ** -0.5
-        return w, np.array([np.cos(k * np.arccos(x)) for k in range(nmax + 1)])
+        T = np.array([np.cos(k * np.arccos(x)) for k in range(nmax + 1)])
+        return w, T, T
     spec = IntervalSpec(-1.0, 1.0, ((-1.0, -0.5), (1.0, -0.5)))
-    res = integrate_gram(sample, spec, None, fold=True)
+    res = integrate_gram(sample, spec, fold=True)
     want = np.diag([math.pi] + [math.pi / 2] * nmax)
     assert res.converged.all()
     assert np.allclose(res.value, want, rtol=0, atol=1e-9)
@@ -229,8 +235,8 @@ def test_gram_tree_running_diagonal_and_endpoint_sliver():
 
 def test_gram_tree_budget_leaves_entries_open(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 0)
-    res = integrate_gram(_legendre_sample(30), IntervalSpec(-1.0, 1.0),
-                         [2.0 / (2 * k + 1) for k in range(31)])
+    norms = [2.0 / (2 * k + 1) for k in range(31)]
+    res = integrate_gram(_legendre_sample(30), IntervalSpec(-1.0, 1.0), _scale(norms, norms))
     assert res.panels == 1
     assert not res.converged.all()
     assert res.converged[0, 0]
@@ -242,9 +248,10 @@ def test_gram_tree_unresolvable_integrand_stays_open_and_bounded(monkeypatch):
     def sample(x):
         with np.errstate(divide="ignore"):
             w = np.abs(x - 0.3) ** -0.5 + np.abs(np.sin(1.0 / (x - 0.7)))
-        return w, np.array([x ** k for k in range(25)])
+        P = np.array([x ** k for k in range(25)])
+        return w, P, P
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 600)
-    res = integrate_gram(sample, IntervalSpec(-1.0, 1.0), np.ones(25))
+    res = integrate_gram(sample, IntervalSpec(-1.0, 1.0), np.ones((25, 25)))
     assert not res.converged[:4, :4].any()
     assert res.panels == 1 + 2 * 600
     assert np.all(np.isfinite(res.value))
@@ -256,11 +263,11 @@ def test_gram_tree_two_row_sets():
     members = _legendre_sample(nmax)
 
     def sample(x):
-        return 1.0, np.array([x ** 3]), members(x)[1]
+        return 1.0, np.array([x ** 3]), members(x)[2]
     norms = [2.0 / (2 * k + 1) for k in range(nmax + 1)]
     want = np.zeros((1, nmax + 1))
     want[0, 1], want[0, 3] = 2 / 5, 4 / 35
-    res = integrate_gram(sample, IntervalSpec(-1.0, 1.0), ([2 / 7], norms))
+    res = integrate_gram(sample, IntervalSpec(-1.0, 1.0), _scale([2 / 7], norms))
     assert res.value.shape == res.converged.shape == (1, nmax + 1)
     assert res.converged.all()
     assert np.allclose(res.value, want, rtol=0, atol=1e-15)
@@ -273,8 +280,8 @@ def test_gram_tree_two_row_sets_stop_on_their_own_scales(monkeypatch):
         return 1.0, np.array([np.abs(x - 0.3) ** 0.5]), np.array([np.ones_like(x)])
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
     spec = IntervalSpec(-1.0, 1.0)
-    assert integrate_gram(sample, spec, ([1e16], [2.0])).converged.all()
-    assert not integrate_gram(sample, spec, ([1e-12], [2.0])).converged.any()
+    assert integrate_gram(sample, spec, _scale([1e16], [2.0])).converged.all()
+    assert not integrate_gram(sample, spec, _scale([1e-12], [2.0])).converged.any()
 
 
 def test_gram_tree_entries_of_infinite_scale_hold_nothing_open(monkeypatch):
@@ -308,9 +315,10 @@ def test_gram_tree_counts_its_evals():
         sizes.append(x.size)
         with np.errstate(divide="ignore"):
             w = (1.0 - x * x) ** -0.5
-        return w, np.array([np.cos(k * np.arccos(x)) for k in range(5)])
+        T = np.array([np.cos(k * np.arccos(x)) for k in range(5)])
+        return w, T, T
     spec = IntervalSpec(-1.0, 1.0, ((-1.0, -0.5), (1.0, -0.5)))
-    res = integrate_gram(sample, spec, None, fold=True)
+    res = integrate_gram(sample, spec, fold=True)
     assert sizes.count(1) == 3
     assert res.evals == 15 * res.panels + 3 == sum(sizes)
 

@@ -479,7 +479,7 @@ def test_cliffs_are_certified_without_integrals_to_degree_64(monkeypatch, nmax):
 
 
 @pytest.mark.parametrize("shift", [0.5, math.nan], ids=["disagrees", "not-finite"])
-def test_scan_that_does_not_confirm_its_hint_falls_back_to_integrate(monkeypatch, shift):
+def test_scan_that_does_not_confirm_its_hint_leaves_the_pair_inconclusive(monkeypatch, shift):
     real_scan = sturm.exponent_scan
 
     def off(*args, **kw):
@@ -490,25 +490,28 @@ def test_scan_that_does_not_confirm_its_hint_falls_back_to_integrate(monkeypatch
     rep = gram_matrix(FiniteII(6.02), 10)
     ad = _adapt(FiniteII(6.02))
     refused = [(e.n, e.m) for e in rep.entries if not ad.integrable(e.n, e.m)]
-    assert len(calls) == len(refused)
-    assert [e.status for e in rep.entries] == [e.status for e in want.entries]
-    assert all(rep.entry(n, m).quad.diverged and math.isfinite(rep.entry(n, m).quad.value)
-               for n, m in refused)
+    assert refused and not calls
+    assert all(rep.entry(n, m).status == "inconclusive" for n, m in refused)
+    assert all(e.quad.panels == 0 and not (e.quad.converged or e.quad.diverged)
+               for e in map(lambda nm: rep.entry(*nm), refused))
+    assert [e.status for e in rep.entries if ad.integrable(e.n, e.m)] == \
+        [e.status for e in want.entries if ad.integrable(e.n, e.m)]
 
 
-def test_scan_stops_below_a_pole_in_the_recurrence(monkeypatch):
-    # FiniteII(4.5) has poles in C_4 and C_5: members 0..4 are scanned,
-    # members from 5 on keep their integrals
+def test_scan_certifies_members_above_a_pole_in_the_recurrence(monkeypatch):
+    # FiniteII(4.5) has poles in C_4 and C_5: members 0..4 are scanned from
+    # the rows, members 9 and 10 from their own polynomials (5..8 do not
+    # exist, and their pairs are degenerate)
     calls = _count_integrals(monkeypatch)
     rep = gram_matrix(FiniteII(4.5), 10)
     ad = _adapt(FiniteII(4.5))
-    certified = [(e.n, e.m) for e in rep.entries
-                 if e.status == "cliff" and math.isnan(e.quad.value)]
-    assert certified and all(n <= 4 for n, _ in certified)
-    assert any(e.status == "cliff" and e.n > 4 and math.isfinite(e.quad.value)
-               for e in rep.entries)
-    assert not any(ad.integrable(n, m) for n, m in certified)
-    assert calls
+    refused = [(e.n, e.m) for e in rep.entries
+               if not ad.integrable(e.n, e.m) and e.status != "degenerate"]
+    assert {n for n, _ in refused} >= {9, 10}
+    for n, m in refused:
+        e = rep.entry(n, m)
+        assert e.status == "cliff" and e.quad.diverged and math.isnan(e.quad.value), (n, m)
+    assert not calls
 
 
 # --------------------------------------- off-block pairs on the block tree
