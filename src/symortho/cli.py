@@ -66,16 +66,26 @@ def _add_class_flags(sub, flag="--class"):
 
 # the most grid points --points and --steps may ask for
 _MAX_COUNT = 1_000_000
+# the highest degree --n and --nmax may ask for.  gram's panel tree keeps
+# 16 or more live panels of (nmax + 1)^2 values and errors, samples up to 16
+# more per round and copies them a few times: about 250 floats per entry
+# at the peak, 120 MB at 256 (and four times that at each doubling)
+_MAX_DEGREE = 256
 
 
 def _check_args(args):
-    """Refuse a count outside 1.._MAX_COUNT, a point that is not finite and a
-    tolerance that is not finite and positive."""
+    """Refuse a count outside 1.._MAX_COUNT, a degree above _MAX_DEGREE, a
+    point that is not finite and a tolerance that is not finite and
+    positive."""
     for name in ("points", "steps"):
         count = getattr(args, name, 1)
         if not 1 <= count <= _MAX_COUNT:
             raise ConstraintViolation(
                 f"--{name} must be between 1 and {_MAX_COUNT}, got {count}")
+    for name in ("n", "nmax"):
+        degree = getattr(args, name, 0)
+        if degree > _MAX_DEGREE:
+            raise ConstraintViolation(f"--{name} must be at most {_MAX_DEGREE}, got {degree}")
     for dest, flag in (("lo", "from"), ("hi", "to"), ("x", "x")):
         value = getattr(args, dest, 0.0)
         if not math.isfinite(value):

@@ -45,8 +45,9 @@ def signed_power(x, e):
     """sign(x) |x|^e, the canonical real branch of an odd rational power.
 
     e == 1 passes the input through untouched; integer e stays exact up to
-    float rounding.  A negative argument with an even-denominator exponent
-    has no real branch and is refused.
+    float rounding, and e == 1/3 is np.cbrt, exactly odd.  A negative
+    argument with an even-denominator exponent has no real branch and is
+    refused.
     """
     e = _as_fraction(e)
     if e == 1:
@@ -55,7 +56,9 @@ def signed_power(x, e):
     if e.denominator % 2 == 0 and np.any(arr < 0):
         raise ConstraintViolation(
             f"even root (exponent {e}) of a negative argument has no real branch")
-    if e.denominator == 1:
+    if e == Fraction(1, 3):
+        out = np.cbrt(arr)
+    elif e.denominator == 1:
         out = np.sign(arr) * np.abs(arr) ** int(e)
     else:
         out = np.sign(arr) * np.abs(arr) ** float(e)
@@ -188,7 +191,7 @@ class _LambdaBasis:
     def weight(self, t):
         """W1(t) = W(|t|^{1/3}) / (3 |t|^{2/3})."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.exp(generic_weight_log(self.params, np.abs(t) ** (1.0 / 3.0))
+            return np.exp(generic_weight_log(self.params, np.cbrt(np.abs(t)))
                           - math.log(3.0) - (2.0 / 3.0) * np.log(np.abs(t)))
 
     def phi(self, n):

@@ -160,14 +160,13 @@ class U(_JacobiKind):
         return (n + self.alpha) * (n + self.alpha + 1), self.alpha ** 2
 
     def norm(self, n):
-        al = self.alpha
-        z = n + 2 * al + 1
-        if z == 0:
-            # alpha = -1/2, n = 0: (2n+2al+1)*gamma(z) -> gamma(z+1) = 1
-            denom = math.factorial(n)
-        else:
-            denom = math.factorial(n) * (2 * n + 2 * al + 1) * gamma_fn(z)
-        return 2 ** (2 * al + 1) * gamma_fn(n + al + 1) ** 2 / denom
+        # 2^(2al+1) gamma(n+al+1)^2 / (n! (2n+2al+1) gamma(n+2al+1)) in logs;
+        # at n = 0, (2al+1) gamma(2al+1) = gamma(2al+2) also for al <= -1/2
+        al = float(self.alpha)
+        log = (2 * al + 1) * math.log(2) + 2 * math.lgamma(n + al + 1) - math.lgamma(n + 1)
+        if n == 0:
+            return math.exp(log - math.lgamma(2 * al + 2))
+        return math.exp(log - math.lgamma(n + 2 * al + 1)) / (2 * n + 2 * al + 1)
 
     def hints(self):
         return [(-1.0, self.alpha / 2), (1.0, self.alpha / 2)] if self.alpha != 0 else []
@@ -226,9 +225,10 @@ class V(_JacobiKind):
         return self.alpha, -self.alpha
 
     def norm(self, n):
-        al = self.alpha
-        return (2 * gamma_fn(n + 1 + al) * gamma_fn(n + 1 - al)
-                / (math.factorial(n) ** 2 * (2 * n + 1)))
+        # 2 gamma(n+1+al) gamma(n+1-al) / (n!^2 (2n+1)) in logs
+        al = float(self.alpha)
+        return 2 * math.exp(math.lgamma(n + 1 + al) + math.lgamma(n + 1 - al)
+                            - 2 * math.lgamma(n + 1)) / (2 * n + 1)
 
     def hints(self):
         return [(-1.0, -self.alpha / 2), (1.0, self.alpha / 2)]

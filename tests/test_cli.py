@@ -227,6 +227,11 @@ def test_bad_parameter_value(capsys):
     ("weights", "--class", "ghp", "--u", "1", "--to", "1", "--steps", "3", "--from", "nan"),
     ("weights", "--class", "ghp", "--u", "1", "--from", "0", "--steps", "3", "--to", "inf"),
     ("eval", "--class", "gup", "--u", "1", "--v", "1", "--n", "3", "--x", "nan"),
+    # an OverflowError traceback from n = 2,060 on, and past 20 s
+    ("coeffs", "--class", "gup", "--u", "1", "--v", "1", "--n", "20000"),
+    ("table", "--class", "gup", "--u", "1", "--v", "1", "--nmax", "20000"),
+    ("gram", "--class", "ghp", "--u", "1", "--nmax", "257"),
+    ("verify-ode", "--class", "gup", "--u", "1", "--v", "1", "--points", "3", "--n", "257"),
 ], ids=lambda argv: " ".join(argv[-2:]))
 def test_bad_counts_tolerances_and_parameters_exit_two(capsys, argv):
     # the offending flag comes last in each argv
@@ -234,6 +239,15 @@ def test_bad_counts_tolerances_and_parameters_exit_two(capsys, argv):
     assert status == 2 and out == ""
     doc = json.loads(err)
     assert doc["error"] == "constraint-violation" and argv[-2] in doc["detail"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--class", "ghp", "--u", "0.5", "--x", "0.3", "--n", "256"),
+    ("coeffs", "--class", "gup", "--u", "1", "--v", "1", "--n", "256"),
+], ids=lambda argv: argv[0])
+def test_degrees_up_to_the_cap_are_admitted(capsys, argv):
+    status, out, err = invoke(capsys, *argv)
+    assert status == 0 and out and err == ""
 
 
 def test_custom_class_has_no_weight_commands(capsys):

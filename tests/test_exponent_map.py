@@ -55,6 +55,15 @@ def test_signed_power_odd_map():
     assert np.all(signed_power(-xs, F(1, 3)) == -signed_power(xs, F(1, 3)))
 
 
+def test_signed_power_cube_root_is_odd_and_agrees_with_the_power():
+    # np.cbrt: away from moderate |x| the power drifts, since 1/3 is rounded
+    xs = np.concatenate((np.geomspace(1e-300, 1e300, 4001), np.linspace(0.0, 10.0, 1001)))
+    assert np.array_equal(signed_power(-xs, F(1, 3)), -signed_power(xs, F(1, 3)))
+    xs = np.random.default_rng(3).uniform(-10.0, 10.0, 100_000)
+    old = np.sign(xs) * np.abs(xs) ** (1 / 3)
+    assert np.all(np.abs(signed_power(xs, F(1, 3)) - old) <= 4e-16 * np.abs(old))
+
+
 def test_signed_power_even_root_of_negative():
     with pytest.raises(ConstraintViolation):
         signed_power(-4, F(1, 2))

@@ -141,6 +141,21 @@ def test_norm_closed_forms():
         legendre_norm(Pm(2), 1)
 
 
+@pytest.mark.parametrize("kind", [U(0.5), U(-0.7), V(0.3), V(-0.6)], ids=repr)
+@pytest.mark.parametrize("n", [128, 160, 200])
+def test_u_and_v_norms_stay_finite_at_high_degree(kind, n):
+    # gamma(n + al + 1)^2 and n!^2 overflow a float from about n = 128
+    al = mpmath.mpf(kind.alpha)
+    with mpmath.workdps(40):
+        if isinstance(kind, U):
+            want = (2 ** (2 * al + 1) * mpmath.gamma(n + al + 1) ** 2
+                    / (mpmath.factorial(n) * (2 * n + 2 * al + 1) * mpmath.gamma(n + 2 * al + 1)))
+        else:
+            want = (2 * mpmath.gamma(n + 1 + al) * mpmath.gamma(n + 1 - al)
+                    / (mpmath.factorial(n) ** 2 * (2 * n + 1)))
+    assert legendre_norm(kind, n) == pytest.approx(float(want), rel=1e-12)
+
+
 def test_q_norm_display_matches_weighted_family_route():
     # running-product closed form vs the recurrence-coefficient product
     # behind the weighted family norms; independent derivations

@@ -341,6 +341,79 @@ def test_softened_tail_reaching_infinity_raises_no_warning():
     assert isinstance(res, quadrature.QuadResult)
 
 
+# ------------------------------------------------------ exits of integrate
+
+
+def _inv_abs(x):
+    with np.errstate(divide="ignore"):
+        return 1.0 / np.abs(x)
+
+
+# 1/|x| on the whole line, cut at 0: four chains of panels (two at 0, two
+# at 0 in the folded tails) with the same error per level, each adding
+# about log 2 per split, deepen in turn
+_LOG_DIVERGENT_WHOLE_LINE = IntervalSpec(-math.inf, math.inf, ((0.0, None),))
+
+
+def test_growth_check_at_a_128_split_checkpoint_declares_divergence():
+    # no chain is deeper than about 32 at split 128
+    res = integrate(_inv_abs, _LOG_DIVERGENT_WHOLE_LINE, on_inconclusive="return")
+    assert res.diverged and not res.converged
+    assert res.panels == 4 + 2 * 128
+
+
+def test_growth_check_after_the_budget_is_spent_declares_divergence():
+    # the budget ends the run before the first checkpoint
+    res = integrate(_inv_abs, _LOG_DIVERGENT_WHOLE_LINE, max_panels=100,
+                    on_inconclusive="return")
+    assert res.diverged and not res.converged
+    assert res.panels == 4 + 2 * 100
+
+
+def test_non_finite_panel_at_the_depth_limit_declares_divergence(monkeypatch):
+    # a non-finite panel is split below depth 8 and ends the run from depth
+    # 8 on, so it reaches the depth limit only when the limit is below 8:
+    # here the first panel, whose middle node samples 1/x at 0
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 0)
+    with np.errstate(divide="ignore"):
+        res = integrate(lambda x: 1.0 / x, IntervalSpec(-1.0, 1.0), on_inconclusive="return")
+    assert res.diverged and not res.converged
+    assert res.panels == 1 and res.abs_error_estimate == math.inf
+
+
+def test_panel_at_the_depth_limit_is_parked_with_its_error():
+    # |x|^-0.9 unhinted and cut at 0: the chain on each side stops at the
+    # depth-60 panel next to 0, whose error stays on the books, and the
+    # run ends at the budget with no verdict
+    sampled = []
+
+    def f(x):
+        sampled.append(np.abs(x).min())
+        return np.abs(x) ** -0.9
+    res = integrate(f, IntervalSpec(-1.0, 1.0, ((0.0, None),)), max_panels=200,
+                    on_inconclusive="return")
+    assert not res.converged and not res.diverged
+    assert res.panels == 2 + 2 * 200
+    assert min(sampled) == 0.5 * 2.0 ** -60 * (1.0 - _NODES[-1])
+
+
+def test_heap_running_empty_ends_the_run_with_no_verdict():
+    # a 64-ulp interval with an unhinted pole at the middle node of each
+    # half: both halves are non-finite slivers at the resolution limit,
+    # each retired with half the first panel's error, and nothing is left
+    a, b = 1.0, 1.0 + 2.0 ** -46
+    c1, c2 = 1.0 + 2.0 ** -48, 1.0 + 3.0 * 2.0 ** -48
+
+    def f(x):
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.abs(x - c1) + 1.0 / np.abs(x - c2)
+    first = _gk_panel(f, a, b)
+    res = integrate(f, IntervalSpec(a, b), on_inconclusive="return")
+    assert not res.converged and not res.diverged
+    assert res.panels == 3 and res.value == 0.0
+    assert res.abs_error_estimate == first[1] and first[2]
+
+
 # ------------------------------------------------- non-integrable hints
 
 
