@@ -517,8 +517,8 @@ _NO_QUAD = QuadResult(math.nan, math.inf, False, False)
 
 
 def _entry_by_entry(ad, nmax):
-    """One integrate call per integrable entry (ad.inner); a pair that is
-    not integrable is a cliff when the adapter's exponent scan certifies it
+    """ad.inner for each integrable entry; a pair that is not integrable
+    is a cliff when the adapter's exponent scan certifies it
     (_FamilyBasis.cliffs, built at the first such pair) and inconclusive
     otherwise.  Returns (n, m) -> QuadResult, or None when a member does
     not exist."""
