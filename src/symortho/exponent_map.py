@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ClassParams, member_rows, poly_from_params, recurrence_c
+from .core import ClassParams, member_rows, poly_from_params
 from .errors import ConstraintViolation, PoleError
 from .families import _num
 from .quadrature import IntervalSpec, integrate
@@ -181,11 +181,12 @@ class _LambdaBasis:
     def norms(self, nmax):
         """(-1)^n C_1...C_n for n = 0..nmax, None from a pole in C_n on."""
         out = [1.0]
-        try:
-            for k in range(1, nmax + 1):
-                out.append(-out[-1] * float(recurrence_c(self.params, k)))
-        except PoleError:
-            pass
+        for k in range(1, nmax + 1):
+            try:
+                c = self.params.float_c(k)[-1]
+            except PoleError:
+                break
+            out.append(-out[-1] * c)
         return out + [None] * (nmax + 1 - len(out))
 
     def weight(self, t):

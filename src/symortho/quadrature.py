@@ -69,6 +69,9 @@ _EPS = np.finfo(float).eps
 _RTOL = 1e-9
 _MAX_DEPTH = 60
 _MAX_PANELS = 4000
+# integrate_gram starts each finite task as this many equal panels, the ones
+# its first rounds of splits would make (a power of two)
+_START_PANELS = 8
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,18 @@ class QuadResult:
     """Outcome of one integration: value, error estimate and status flags.
 
     converged and diverged are mutually exclusive; both False means the
-    refinement budget ran out without a determination.
+    refinement budget ran out without a determination.  reason names the
+    exit integrate took (None for a result it did not make):
+
+      tol          the error rule was met
+      odd-parity   the odd-parity shortcut, with nothing sampled
+      runaway      the total grew past 1e12 times its first value
+      growth       the growth record of the total looked divergent
+      depth-chain  a panel at the depth limit was non-finite, or the growth
+                   record looked divergent when one got there
+      blowup       a non-finite child from depth 8 on
+      budget       no verdict when the splits ran out or every panel was
+                   parked at the depth limit
     """
 
     value: float
@@ -85,6 +99,7 @@ class QuadResult:
     diverged: bool
     panels: int = 0     # GK15 panels evaluated
     evals: int = 0      # integrand points sampled, endpoint-sliver probes included
+    reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -363,7 +378,7 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, max_panels=_MAX_PANELS,
     returned).  The result counts the GK15 panels evaluated and the
     integrand points sampled (15 per panel plus one per endpoint-sliver
     probe); the odd shortcut samples none, and an even fold reports its
-    half-line's counts.
+    half-line's counts and reason, the exit it took (see QuadResult).
     """
     if not isinstance(interval, IntervalSpec):
         interval = IntervalSpec(*interval)
@@ -373,14 +388,15 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, max_panels=_MAX_PANELS,
         if not symmetric:
             raise ValueError("parity shortcut needs a symmetric interval")
         if parity == "odd":
-            return QuadResult(0.0, 0.0, True, False)
+            return QuadResult(0.0, 0.0, True, False, reason="odd-parity")
         if parity == "even":
             half = IntervalSpec(0.0, interval.hi,
                                 _mirror_hints(interval.singularities))
             res = integrate(f, half, atol=atol / 2, rtol=rtol, max_panels=max_panels,
                             on_inconclusive=on_inconclusive)
             return QuadResult(2.0 * res.value, 2.0 * res.abs_error_estimate,
-                              res.converged, res.diverged, res.panels, res.evals)
+                              res.converged, res.diverged, res.panels, res.evals,
+                              res.reason)
         raise ValueError(f"parity must be 'odd', 'even' or None, not {parity!r}")
 
     probes = []
@@ -415,10 +431,10 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, max_panels=_MAX_PANELS,
     def errtot():
         return math.inf if n_inf else err_fin
 
-    def result(converged, diverged):
+    def result(converged, diverged, reason):
         panels = len(tasks) + 2 * splits
         return QuadResult(total, errtot(), converged, diverged,
-                          panels, 15 * panels + len(probes))
+                          panels, 15 * panels + len(probes), reason)
 
     def diverging(min_k=64):
         k = len(history)
@@ -438,26 +454,26 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, max_panels=_MAX_PANELS,
     parked = []
     while True:
         if n_inf == 0 and err_fin <= max(atol, rtol * abs(total)):
-            return result(True, False)
+            return result(True, False, "tol")
         if not heap:
             break
         if abs(total) > 1e12 * (abs(history[0]) + atol):
-            return result(False, True)
+            return result(False, True, "runaway")
         if splits >= max_panels:
             break
         if splits and splits % 128 == 0 and diverging():
-            return result(False, True)
+            return result(False, True, "growth")
 
         entry = heapq.heappop(heap)
         _, _, g, a, b, val, err, depth = entry
         if depth >= _MAX_DEPTH:
             if not math.isfinite(err):
-                return result(False, True)
+                return result(False, True, "depth-chain")
             # a chain that needed the whole depth budget is the signature of
             # slow (e.g. logarithmic) divergence; look at the growth record
             # now, before the remaining panels dilute it
             if diverging(min_k=48):
-                return result(False, True)
+                return result(False, True, "depth-chain")
             # unsplittable; keep its error on the books but stop refining it
             parked.append(entry)
             if not heap:
@@ -494,11 +510,11 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, max_panels=_MAX_PANELS,
         history.append(total)
         if genuine_blowup and depth >= 8:
             # a wide non-finite spike survives repeated localization
-            return result(False, True)
+            return result(False, True, "blowup")
 
     if diverging():
-        return result(False, True)
-    partial = result(False, False)
+        return result(False, True, "growth")
+    partial = result(False, False, "budget")
     if on_inconclusive == "return":
         return partial
     raise MaxDepthExceeded(partial)
@@ -633,16 +649,22 @@ def integrate_gram(sample, interval, scale=None, *, fold=False) -> GramQuad:
     there.  Cuts, softening substitutions, tail folding and analytic
     endpoint slivers are the same as integrate's.
 
+    Each finite task starts as 8 equal panels of its own variable, at depth
+    3, since the first rounds would split every panel of a smooth block
+    anyway; a folded tail starts whole, so the tree samples the far tail
+    only where its error asks for it (farther out, the weight underflows
+    while the members overflow).  Every round samples the new panels of
+    all tasks in one call.
+
     Entry (i, j) meets the stopping rule once its summed error is at most
-    1e-9 scale[i, j].  scale None takes sqrt(|d_i d_j|) from the tree's own
-    running diagonal d (a Gram block).  An entry of infinite scale is
+    1e-9 scale[i, j].  scale None takes sqrt|d_i| sqrt|d_j| from the tree's
+    own running diagonal d (a Gram block).  An entry of infinite scale is
     sampled with the rest but never holds the tree open, and so reads
     converged.  Each round splits every panel holding more than its share
-    (1 / leaves) of some open entry's error and samples all new panels of a
-    task in one call.  The splits are bounded by integrate's panel budget;
-    entries still open then come back unconverged.  A non-finite sample in
-    a sliver at the floating-point resolution limit retires the sliver with
-    half its parent's error.
+    (1 / leaves) of some open entry's error.  The splits are bounded by
+    integrate's panel budget; entries still open then come back
+    unconverged.  A non-finite sample in a sliver at the floating-point
+    resolution limit retires the sliver with half its parent's error.
 
     A panel whose error stays below every share it could still be held to
     is folded into running totals, so only splittable panels keep
@@ -678,54 +700,65 @@ def integrate_gram(sample, interval, scale=None, *, fold=False) -> GramQuad:
                 np.asarray(L, dtype=float)[:, 0], np.asarray(R, dtype=float)[:, 0])
 
     tasks, extra_value, extra_err = _plan(point_fn, interval)
-    tasks = [t for t in tasks if t[1] < t[2]]
+    mixed = []
 
     def folded(block):
         """In place: entries of mixed parity are zero, the others doubled."""
         if fold:
-            i, j = np.ogrid[:block.shape[-2], :block.shape[-1]]
+            if not mixed:
+                i, j = np.ogrid[:block.shape[-2], :block.shape[-1]]
+                mixed.append((i - j) % 2 == 1)
             block *= 2.0
-            block[..., (i - j) % 2 == 1] = 0.0
+            block[..., mixed[0]] = 0.0
         return block
 
     def evaluate(task, lo, hi):
         """Blocks, errors and finiteness of the panels [lo, hi] of the given
-        tasks: one sample call per task."""
+        tasks, from one sample call."""
         h = 0.5 * (hi - lo)
         t = (0.5 * (lo + hi))[:, None] + h[:, None] * _NODES
-        kron = err = None
-        finite = np.empty(len(lo), dtype=bool)
-        for k, (xmap, _, _) in enumerate(tasks):
-            sel = task == k
-            if not sel.any():
-                continue
-            tk = t[sel].ravel()
-            with np.errstate(all="ignore"):
-                x, jacobian = (tk, None) if xmap is None else xmap(tk)
-                w, L, R = row_sets(x)
-                wdx = np.broadcast_to(np.asarray(w, dtype=float), tk.shape)
-                if jacobian is not None:
-                    wdx = jacobian(wdx)
-                Lp = _by_panel(L)
-                blocks = _gk_blocks(wdx.reshape(-1, 15), Lp,
-                                    Lp if R is L else _by_panel(R), h[sel])
-            if kron is None:
-                kron = np.empty((len(lo),) + blocks[0].shape[1:])
-                err = np.empty_like(kron)
-            kron[sel], err[sel], finite[sel] = blocks
+        x = t.copy()
+        jacobians = []
+        with np.errstate(all="ignore"):
+            for k, (xmap, _, _) in enumerate(tasks):
+                if xmap is None:
+                    continue
+                sel = task == k
+                if sel.any():
+                    xk, jacobian = xmap(t[sel].ravel())
+                    x[sel] = xk.reshape(-1, 15)
+                    jacobians.append((sel, jacobian))
+            w, L, R = row_sets(x.ravel())
+            wdx = np.array(np.broadcast_to(w, x.size), dtype=float).reshape(-1, 15)
+            for sel, jacobian in jacobians:
+                wdx[sel] = jacobian(wdx[sel].ravel()).reshape(-1, 15)
+            Lp = _by_panel(L)
+            kron, err, finite = _gk_blocks(wdx, Lp, Lp if R is L else _by_panel(R), h)
         return folded(kron), folded(err), finite
 
-    # live panels: task, lo, hi, depth, value block, error block
-    lo = np.array([t[1] for t in tasks], dtype=float)
-    hi = np.array([t[2] for t in tasks], dtype=float)
-    task = np.arange(len(tasks))
-    live = (task, lo, hi, np.zeros(len(tasks), dtype=int)) + evaluate(task, lo, hi)[:2]
+    # live panels: task, lo, hi, depth, value block, error block.  _plan
+    # puts the lower tail first and the upper tail last: a tail starts
+    # whole, a finite task as _START_PANELS panels by repeated halving
+    tails = {k for k, end in ((0, interval.lo), (len(tasks) - 1, interval.hi))
+             if math.isinf(end)}
+    starts = []
+    for k, (_, a, b) in enumerate(tasks):
+        if not a < b:
+            continue
+        depth = 0 if k in tails else _START_PANELS.bit_length() - 1
+        edges = [float(a), float(b)]
+        for _ in range(depth):
+            edges = [y for x, z in zip(edges, edges[1:]) for y in (x, 0.5 * (x + z))] + edges[-1:]
+        starts += [(k, x, z, depth) for x, z in zip(edges, edges[1:])]
+    task, lo, hi, depth = (np.array(c) for c in zip(*starts))
+    start = len(lo)
+    live = (task, lo, hi, depth) + evaluate(task, lo, hi)[:2]
     shape = live[4].shape[1:]
     acc_val = folded(np.broadcast_to(extra_value, shape).astype(float))
     acc_err = folded(np.broadcast_to(extra_err, shape).astype(float))
     retired = 0
     splits = 0
-    max_leaves = len(tasks) + _MAX_PANELS + 1
+    max_leaves = start + _MAX_PANELS + 1
     max_live = max(16, _LIVE_ENTRIES // live[4][0].size)
     held = True if scale is None else np.isfinite(scale)
 
@@ -734,8 +767,8 @@ def integrate_gram(sample, interval, scale=None, *, fold=False) -> GramQuad:
         total = acc_val + val.sum(axis=0)
         errs = acc_err + err.sum(axis=0)
         if scale is None:
-            d = np.abs(np.diag(total))
-            target = _RTOL * np.sqrt(np.maximum(np.outer(d, d), 1e-300))
+            root = np.sqrt(np.abs(np.diag(total)))
+            target = _RTOL * np.maximum(np.outer(root, root), 1e-150)
         else:
             target = _RTOL * scale
         open_ = ~(errs <= target)
@@ -795,5 +828,5 @@ def integrate_gram(sample, interval, scale=None, *, fold=False) -> GramQuad:
         retired += int(done.sum())
         live = tuple(a[~done] for a in live)
 
-    panels = len(tasks) + 2 * splits
+    panels = start + 2 * splits
     return GramQuad(total, errs, errs <= target, panels, 15 * panels + len(probes))

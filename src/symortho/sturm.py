@@ -480,7 +480,7 @@ def _shared_tree(ad, end, interval, norms, off):
     """One panel tree for the block base..end and the off-block pairs off
     (m <= end < n): rows base..top, the highest n in off, against columns
     base..end, on the block's interval.  A block entry is held to 1e-9
-    sqrt(|d_n d_m|), with d the closed-form norms or, when norms is None,
+    sqrt|d_n| sqrt|d_m|, with d the closed-form norms or, when norms is None,
     the tree's running diagonal; an off-block pair to 1e-9 |d_m|, the scale
     _gram_report judges it by; the rest of the rows hold the tree to
     nothing.  Returns ((n, m) -> QuadResult, or None for a pair the tree
@@ -495,8 +495,10 @@ def _shared_tree(ad, end, interval, norms, off):
     scale = None
     if norms is not None:
         d = np.abs(norms)
+        root = np.sqrt(d)
         scale = np.full((top - b + 1, end - b + 1), math.inf)
-        scale[:end - b + 1] = np.sqrt(np.maximum(np.outer(d, d), 1e-300))
+        # sqrt(d_n) sqrt(d_m): the product d_n d_m can overflow a float
+        scale[:end - b + 1] = np.maximum(np.outer(root, root), 1e-150)
         for n, m in off:
             scale[n - b, m - b] = d[m - b]
     res = integrate_gram(sample, interval, scale, fold=ad.fold)
@@ -650,7 +652,7 @@ def _gram_report(ad, nmax, tol) -> GramReport:
                 continue
             dn = abs(diag.get(n, diag.get(m, 1.0)))
             dm = abs(diag.get(m, dn))
-            scale = math.sqrt(max(dn * dm, 1e-300))
+            scale = max(math.sqrt(dn) * math.sqrt(dm), 1e-150)
             if r.converged:
                 status = "ok" if abs(r.value) <= tol * scale else "mismatch"
             elif r.diverged:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from symortho.core import ClassParams, eigenvalue, ode_residual, poly_from_params, recurrence_c
-from symortho.errors import ConstraintViolation
-from symortho.exponent_map import (LambdaSpec, admissible, alpha_beta,
+from symortho.errors import ConstraintViolation, PoleError
+from symortho.exponent_map import (LambdaSpec, _LambdaBasis, admissible, alpha_beta,
                                    generic_ode_residual, lambda_weight_and_gram,
                                    signed_power, transformed_eval)
 from symortho.families import GUP, FiniteI, moment_zero
@@ -16,6 +16,27 @@ F = Fraction
 
 # the cube-root class mapped onto |x|^2 (1-x^2) orthogonality
 CUBE = LambdaSpec(-1, 1, F(-8, 3), F(4, 3), (2, 3))
+
+
+def _norms_from_exact_c(params, nmax):
+    """(-1)^n C_1...C_n from recurrence_c in Fractions, None from a pole on."""
+    out = [1.0]
+    try:
+        for k in range(1, nmax + 1):
+            out.append(-out[-1] * float(recurrence_c(params, k)))
+    except PoleError:
+        pass
+    return out + [None] * (nmax + 1 - len(out))
+
+
+@pytest.mark.parametrize("params", [
+    CUBE.mapped_params,
+    ClassParams(-1, 1, 5, 1),       # C_3 has a pole: 2 p 3 + r - p = 0
+], ids=["cube", "pole-at-3"])
+def test_lambda_norms_take_the_shared_float_c(params):
+    ad = _LambdaBasis(CUBE)
+    ad.params = params
+    assert ad.norms(10) == _norms_from_exact_c(params, 10)
 
 
 # -------------------------------------------------------------- exponents

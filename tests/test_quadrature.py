@@ -237,7 +237,7 @@ def test_gram_tree_budget_leaves_entries_open(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 0)
     norms = [2.0 / (2 * k + 1) for k in range(31)]
     res = integrate_gram(_legendre_sample(30), IntervalSpec(-1.0, 1.0), _scale(norms, norms))
-    assert res.panels == 1
+    assert res.panels == 8
     assert not res.converged.all()
     assert res.converged[0, 0]
 
@@ -253,7 +253,7 @@ def test_gram_tree_unresolvable_integrand_stays_open_and_bounded(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 600)
     res = integrate_gram(sample, IntervalSpec(-1.0, 1.0), np.ones((25, 25)))
     assert not res.converged[:4, :4].any()
-    assert res.panels == 1 + 2 * 600
+    assert res.panels == 8 + 2 * 600
     assert np.all(np.isfinite(res.value))
 
 
@@ -304,7 +304,7 @@ def test_gram_tree_entries_of_infinite_scale_hold_nothing_open(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 40)
     res = integrate_gram(with_inf, spec, scale=np.array([[2.0], [math.inf]]))
     assert res.converged[1, 0] and not res.converged[0, 0]
-    assert res.panels == 1 + 2 * 40
+    assert res.panels == 8 + 2 * 40
 
 
 def test_gram_tree_counts_its_evals():
@@ -321,6 +321,66 @@ def test_gram_tree_counts_its_evals():
     res = integrate_gram(sample, spec, fold=True)
     assert sizes.count(1) == 3
     assert res.evals == 15 * res.panels + 3 == sum(sizes)
+
+
+def _recording(sample, sizes):
+    def recorded(x):
+        sizes.append(x.size)
+        return sample(x)
+    return recorded
+
+
+def test_gram_tree_samples_once_per_round(monkeypatch):
+    # GUP(1/2, 1/2)'s tree over the whole line: a lower tail, one finite
+    # task and an upper tail share every round's one sample call, and
+    # every call feeds exactly one batch of panel rules
+    batches = []
+    real = quadrature._gk_blocks
+
+    def counting(wdx, L, R, h):
+        batches.append(len(h))
+        return real(wdx, L, R, h)
+    monkeypatch.setattr(quadrature, "_gk_blocks", counting)
+    sizes = []
+
+    def sample(x):
+        with np.errstate(over="ignore"):
+            P = np.array([np.ones_like(x), x, x * x - 0.5])
+            return np.exp(-x * x), P, P
+    res = integrate_gram(_recording(sample, sizes), IntervalSpec(-math.inf, math.inf),
+                         np.ones((3, 3)))
+    assert len(sizes) == len(batches) > 1
+    assert sizes == [15 * n for n in batches]
+    assert sizes[0] == 15 * (8 + 2)
+    assert all(n % 2 == 0 for n in batches[1:])
+    assert sum(sizes) == res.evals == 15 * res.panels
+
+
+@pytest.mark.parametrize("basis, nmax", [("GUP", 24), ("FiniteII", 10)])
+def test_gram_tree_first_round_covers_eight_panels_per_finite_task(monkeypatch, basis, nmax):
+    # finite tasks start at 8 panels, a folded tail whole; the sliver
+    # probes of the planner are single points ahead of the first round
+    from symortho import sturm
+    from symortho.families import GUP, FiniteII
+    basis = GUP(0.612, 0.791) if basis == "GUP" else FiniteII(7.52)
+    calls = []
+    real = sturm.integrate_gram
+
+    def recording(sample, interval, scale=None, *, fold=False):
+        sizes = []
+        calls.append((sizes, interval, fold, real(_recording(sample, sizes), interval,
+                                                  scale, fold=fold)))
+        return calls[-1][-1]
+    monkeypatch.setattr(sturm, "integrate_gram", recording)
+    sturm.gram_matrix(basis, nmax)
+    (sizes, interval, fold, res), = calls
+    half = IntervalSpec(0.0, interval.hi, quadrature._mirror_hints(interval.singularities))
+    tasks = quadrature._plan(lambda x: 0.0, half if fold else interval)[0]
+    tails = (interval.hi == math.inf) + (not fold and interval.lo == -math.inf)
+    probes = sizes.count(1)
+    assert sizes[:probes] == [1] * probes and 1 not in sizes[probes:]
+    assert sizes[probes] == 15 * (8 * (len(tasks) - tails) + tails)
+    assert res.evals == sum(sizes) == 15 * res.panels + probes
 
 
 def test_softened_tail_reaching_infinity_raises_no_warning():
@@ -412,6 +472,55 @@ def test_heap_running_empty_ends_the_run_with_no_verdict():
     assert not res.converged and not res.diverged
     assert res.panels == 3 and res.value == 0.0
     assert res.abs_error_estimate == first[1] and first[2]
+
+
+# ------------------------------------------------ why integrate stopped
+
+
+def _blocked(x):
+    return np.where(x > 0.5, np.inf, 1.0)
+
+
+def _power(sigma):
+    return lambda x: x ** sigma
+
+
+@pytest.mark.parametrize("f, spec, kwargs, reason", [
+    (np.cos, IntervalSpec(0.0, 1.0), {}, "tol"),
+    (_power(-3.0), IntervalSpec(0.0, 1.0, ((0.0, -3.0),)), {}, "runaway"),
+    (_inv_abs, _LOG_DIVERGENT_WHOLE_LINE, {}, "growth"),
+    (_inv_abs, _LOG_DIVERGENT_WHOLE_LINE, {"max_panels": 100}, "growth"),
+    (_power(-1.0), IntervalSpec(0.0, 1.0, ((0.0, -1.0),)), {}, "depth-chain"),
+    (_blocked, IntervalSpec(0.0, 1.0), {}, "blowup"),
+    (lambda x: np.abs(x - 0.3) ** 0.5, IntervalSpec(-1.0, 1.0), {"max_panels": 2}, "budget"),
+], ids=["tol", "runaway", "growth-checkpoint", "growth-after-budget", "depth-chain",
+        "blowup", "budget"])
+def test_integrate_names_its_exit(f, spec, kwargs, reason):
+    res = integrate(f, spec, on_inconclusive="return", **kwargs)
+    assert res.reason == reason
+    assert res.converged == (reason == "tol")
+    assert res.diverged == (reason not in ("tol", "budget"))
+
+
+def test_integrate_names_its_parity_exits():
+    odd = integrate(np.sin, IntervalSpec(-1.0, 1.0), parity="odd")
+    assert odd.reason == "odd-parity" and odd.panels == 0 and odd.evals == 0
+    even = integrate(_inv_abs, IntervalSpec(-1.0, 1.0, ((0.0, -1.0),)), parity="even",
+                     on_inconclusive="return")
+    assert even.reason == "depth-chain"
+
+
+def test_integrate_names_the_depth_limit_and_a_starved_run(monkeypatch):
+    # the two exits of the exit tests above that need a tight budget
+    res = integrate(np.sin, IntervalSpec(0.0, 1e3), max_panels=1, on_inconclusive="return")
+    assert res.reason == "budget" and not (res.converged or res.diverged)
+    with pytest.raises(MaxDepthExceeded) as info:
+        integrate(np.sin, IntervalSpec(0.0, 1e3), max_panels=1)
+    assert info.value.partial.reason == "budget"
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 0)
+    with np.errstate(divide="ignore"):
+        res = integrate(lambda x: 1.0 / x, IntervalSpec(-1.0, 1.0), on_inconclusive="return")
+    assert res.reason == "depth-chain"
 
 
 # ------------------------------------------------- non-integrable hints

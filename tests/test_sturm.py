@@ -329,6 +329,18 @@ def test_gram_passes_at_high_degree(basis, nmax):
     assert rep.verified == len(rep.entries)
 
 
+@pytest.mark.parametrize("basis", [GHP(0.5), GHP(0)], ids=repr)
+def test_gram_norm_products_do_not_overflow_at_degree_128(basis):
+    # d_128 of GHP(0.5) is 1.6e178, so d_n d_m overflowed a float and the
+    # scale of those entries was inf (RuntimeWarning is an error here)
+    rep = gram_matrix(basis, 128)
+    roots = [math.sqrt(norm_squared(basis, n).value) for n in range(129)]
+    held = [e for e in rep.entries if e.n != e.m and e.status == "ok"]
+    assert held
+    for e in held:
+        assert abs(e.quad.value) <= rep.tol * roots[e.n] * roots[e.m]
+
+
 def test_lambda_gram_passes_at_degree_12():
     rep = lambda_weight_and_gram(_lam(1, 1), 12)
     assert rep.passed, rep.summary()
