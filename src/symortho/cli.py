@@ -67,9 +67,10 @@ def _add_class_flags(sub, flag="--class"):
 # the most grid points --points and --steps may ask for
 _MAX_COUNT = 1_000_000
 # the highest degree --n and --nmax may ask for.  gram's panel tree keeps
-# 16 or more live panels of (nmax + 1)^2 values and errors, samples up to 16
-# more per round and copies them a few times: about 250 floats per entry
-# at the peak, 120 MB at 256 (and four times that at each doubling)
+# 16 or more live panels of (nmax + 1)^2 values and errors, samples 8 per
+# finite piece and one per tail in its first round and up to 16 in each
+# later one, and copies them a few times: about 250 floats per entry at the
+# peak, 158 MB for gup(1, 1) at 256 (and four times that at each doubling)
 _MAX_DEGREE = 256
 
 

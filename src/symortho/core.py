@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from numbers import Rational
 
 import numpy as np
@@ -65,8 +65,7 @@ class ClassParams:
 
     def float_c(self, count):
         """[C_1, ..., C_count] in floats, each recurrence_c rounded once and
-        computed once per parameter tuple (equal instances share them).  A
-        pole among them raises PoleError."""
+        computed once per instance.  A pole among them raises PoleError."""
         cs = self._float_c
         while len(cs) < count:
             cs.append(float(recurrence_c(self, len(cs) + 1)))
@@ -74,13 +73,7 @@ class ClassParams:
 
     @cached_property
     def _float_c(self):
-        # keyed on each field's type too, so Fraction(1, 2) and 0.5 never
-        # share rounded values; an unhashable field keeps a list of its own
-        key = tuple((type(v), v) for v in self)
-        try:
-            return _shared_float_c(key)
-        except TypeError:
-            return []
+        return []
 
     def lead(self, n):
         """S_n's leading coefficient, explicit_coeffs(self, n)[0], computed
@@ -94,12 +87,6 @@ class ClassParams:
     @cached_property
     def _leads(self):
         return {}
-
-
-@lru_cache(maxsize=256)
-def _shared_float_c(key):
-    """The one float C_k list of the parameter tuples with this key."""
-    return []
 
 
 def _check_degree(n):

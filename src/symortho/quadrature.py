@@ -700,16 +700,13 @@ def integrate_gram(sample, interval, scale=None, *, fold=False) -> GramQuad:
                 np.asarray(L, dtype=float)[:, 0], np.asarray(R, dtype=float)[:, 0])
 
     tasks, extra_value, extra_err = _plan(point_fn, interval)
-    mixed = []
 
     def folded(block):
         """In place: entries of mixed parity are zero, the others doubled."""
         if fold:
-            if not mixed:
-                i, j = np.ogrid[:block.shape[-2], :block.shape[-1]]
-                mixed.append((i - j) % 2 == 1)
+            i, j = np.ogrid[:block.shape[-2], :block.shape[-1]]
             block *= 2.0
-            block[..., mixed[0]] = 0.0
+            block[..., (i - j) % 2 == 1] = 0.0
         return block
 
     def evaluate(task, lo, hi):

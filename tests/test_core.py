@@ -317,26 +317,6 @@ def test_float_c_is_computed_once_per_class():
     assert ClassParams(*params) == params     # the cache is not a field
 
 
-def test_float_c_is_shared_by_equal_parameter_tuples(monkeypatch):
-    calls = []
-    real = core.recurrence_c
-
-    def counting(params, k):
-        calls.append(k)
-        return real(params, k)
-    monkeypatch.setattr(core, "recurrence_c", counting)
-    core._shared_float_c.cache_clear()
-    exact = ClassParams(-1, 1, Fraction(-7, 2), Fraction(1, 2))
-    first = exact.float_c(6)
-    assert ClassParams(*exact).float_c(6) == first
-    assert calls == [1, 2, 3, 4, 5, 6]
-    # equal values of another type keep rounded values of their own
-    inexact = ClassParams(-1.0, 1.0, -3.5, 0.5)
-    assert inexact == exact and inexact._float_c is not exact._float_c
-    inexact.float_c(6)
-    assert calls == [1, 2, 3, 4, 5, 6] * 2
-
-
 @pytest.mark.parametrize("n", [63, 64])
 def test_overflowing_member_is_signed_inf(n):
     # far outside the support the two-degree step used to take inf - inf

@@ -33,7 +33,7 @@ def _norms_from_exact_c(params, nmax):
     CUBE.mapped_params,
     ClassParams(-1, 1, 5, 1),       # C_3 has a pole: 2 p 3 + r - p = 0
 ], ids=["cube", "pole-at-3"])
-def test_lambda_norms_take_the_shared_float_c(params):
+def test_lambda_norms_take_float_c(params):
     ad = _LambdaBasis(CUBE)
     ad.params = params
     assert ad.norms(10) == _norms_from_exact_c(params, 10)
