@@ -19,7 +19,7 @@ import numpy as np
 from .core import ROWS_CHUNK, blockwise
 from .errors import (BasisInvalid, ConstraintViolation, MaxDepthExceeded,
                      NonSquareIntegrable)
-from .quadrature import QuadResult, integrate, integrate_gram
+from .quadrature import QuadResult, integrate_gram
 from .sturm import _adapt, gram_matrix
 
 
@@ -145,13 +145,12 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
     A basis that passed is not checked again for the same nmax and tol
     (_verified_norms keeps its norms); one that failed is, every time.
 
-    int W* f^2 is an adaptive integration with divergence detection.
-    Every numerator int W* f phi_n then comes from one shared panel tree
-    (quadrature.integrate_gram) that samples the weight, f and all members
-    once per panel.  Each entry is held to 1e-9 sqrt(||f||^2 d_n), with d_n
-    the closed-form norms of the Gram report, and MaxDepthExceeded is
-    raised if one is still open at the panel budget.  _intervals gives the
-    hints of both integrals.
+    Every integral is a quadrature.integrate_gram panel tree, each entry
+    held to 1e-9 of a scale: ||f||^2 = int W* f^2 (a 1x1 block) to its own
+    running value, else NonSquareIntegrable; the numerators int W* f phi_n,
+    sampled with the weight and f once per panel, to sqrt(||f||^2 d_n) with
+    d_n the Gram report's norms, else MaxDepthExceeded; the squared residual
+    to ||f||^2, taken as it stands if it stays open.  _intervals gives hints.
     """
     fn = _as_callable(f)
     ad = _adapt(basis)
@@ -160,56 +159,56 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
              else _verified_norms(*key, nmax, tol))
     rows = ad.rows(nmax)
 
-    def weighted(g):
-        """w * g(x), where a weight that underflows to 0 gives 0 even
-        beside an infinite g (the far tail of a folded infinite interval)."""
-        def h(x):
-            w = ad.weight(x)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                return np.where(w == 0.0, 0.0, w * g(x))
-        return h
-
     def target(x):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return np.broadcast_to(np.asarray(fn(x), dtype=float), np.shape(x))
 
-    for interval in _intervals(ad, (0, 2)):
-        ff = integrate(weighted(lambda x: target(x) ** 2), interval,
-                       on_inconclusive="return")
-        if ff.converged or ff.diverged:
-            break
-    if not ff.converged:
-        raise NonSquareIntegrable(
-            f"int W* f^2 did not converge (estimate {ff.value!r})")
-    f_norm2 = max(ff.value, 0.0)
+    def square(g):
+        """The sampler of the 1x1 block int W* g^2 (its R is its L)."""
+        return lambda x: (ad.weight(x),) + (g(x)[None, :],) * 2
 
-    def sample(x):
-        return ad.weight(x), target(x)[None, :], rows(x)
+    def first_closed(sample, members, scale=None):
+        """integrate_gram on _intervals(ad, members) in turn, until all close."""
+        for interval in _intervals(ad, members):
+            out = integrate_gram(sample, interval, scale)
+            if out.converged.all():
+                break
+        return out
+
+    ff = first_closed(square(target), (0, 2))
+    f_norm2 = max(float(ff.value[0, 0]), 0.0)
+    if not ff.converged.all():
+        raise NonSquareIntegrable(f"int W* f^2 did not converge (estimate {f_norm2!r})")
 
     scale = np.sqrt(np.maximum(np.outer([f_norm2], np.abs(norms)), 1e-300))
-    for interval in _intervals(ad, (1, 2)):
-        num = integrate_gram(sample, interval, scale)
-        if num.converged.all():
-            break
-    else:
+    num = first_closed(lambda x: (ad.weight(x), target(x)[None, :], rows(x)), (1, 2), scale)
+    if not num.converged.all():
         k = int(np.argmin(num.converged[0]))
         raise MaxDepthExceeded(QuadResult(float(num.value[0, k]),
                                           float(num.error[0, k]), False, False))
     q = num.value[0] / np.asarray(norms)
     coeffs = (0.0,) * ad.base + tuple(float(c) for c in q)
 
-    res = integrate(weighted(lambda x: (target(x) - q @ rows(x)) ** 2),
-                    ad.interval(members=0), on_inconclusive="return")
-    residual = math.sqrt(max(res.value, 0.0))
+    res = integrate_gram(square(lambda x: target(x) - q @ rows(x)),
+                         ad.interval(members=0), np.array([[max(f_norm2, 1e-300)]]))
+    residual = math.sqrt(max(float(res.value[0, 0]), 0.0))
     rel = residual / math.sqrt(f_norm2) if f_norm2 > 0 else 0.0
     return ExpansionSeries(basis, coeffs, nmax, residual, rel)
 
 
 def reconstruct(series: ExpansionSeries, x):
-    """Partial sum of the expansion at x: the coefficients times the
-    basis's member rows (by recurrence), a block of points at a time."""
+    """Partial sum of the expansion at x, a block of points at a time: the
+    member rows (by recurrence) times their coefficients, summed member by
+    member so that a point's value does not depend on the rest of x."""
     ad = _adapt(series.basis)
     q = np.asarray(series.coefficients[ad.base:series.nmax + 1], dtype=float)
     rows = ad.rows(series.nmax)
-    total = blockwise(lambda xb: q @ rows(xb), x, ROWS_CHUNK)
+
+    def partial_sum(xb):
+        r = rows(xb)
+        total = q[0] * r[0]
+        for k in range(1, len(q)):
+            total += q[k] * r[k]
+        return total
+    total = blockwise(partial_sum, x, ROWS_CHUNK)
     return float(total) if total.ndim == 0 else total

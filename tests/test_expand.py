@@ -2,6 +2,7 @@ import importlib
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -204,10 +205,67 @@ def test_exp_target_where_the_weight_underflows():
     (lambda x: np.exp(0.6 * x * x), GHP(0)),
     (lambda x: np.abs(x) ** -0.6, GUP(0, 0)),
     (lambda x: (1 - x * x) ** -0.6, U(0.5)),
+    # log-divergent ||f||^2
+    (lambda x: np.abs(x) ** -0.5, GUP(0, 0)),
+    (lambda x: (1 - x * x) ** -0.5, GUP(0, 0)),
+    (lambda x: np.abs(x - 0.3) ** -0.5, GUP(0, 0)),
 ])
 def test_divergent_targets_still_refused(f, basis):
     with pytest.raises(NonSquareIntegrable):
         expand(f, basis, 8)
+
+
+def test_quarter_power_target_expands():
+    # ||f||^2 = int (1 - x^2)^(-1/2) = pi is finite, and q_0 = B(1/2, 3/4) / 2
+    ser = expand(lambda x: (1 - x * x) ** -0.25, U(0), 6)
+    assert abs(ser.coefficients[0] - float(mpmath.beta(0.5, 0.75)) / 2) <= 1e-9
+
+
+# --------------------------------------- every integral on one panel tree
+
+
+@pytest.mark.parametrize("basis", [U(0.5), GUP(1, 1), GHP(0.5), V(0.3)], ids=repr)
+def test_scaled_target_scales_the_series_exactly(basis):
+    # every stopping rule is relative, so a power-of-two factor is exact
+    f = lambda x: np.sin(1.5 * x) + np.abs(x)     # noqa: E731
+    ser = expand(f, basis, 8)
+    big = expand(lambda x: 2.0 ** 20 * f(x), basis, 8)
+    assert big.coefficients == tuple(2.0 ** 20 * q for q in ser.coefficients)
+    assert big.residual_rel == ser.residual_rel
+
+
+@pytest.mark.parametrize("basis, prefactor", [
+    (U(-0.5), lambda x: (1 - x * x) ** mpmath.mpf(-0.25)),
+    (G(0.5, -0.5), lambda x: mpmath.sign(x) * abs(x) ** 0.5 * (1 - x * x) ** mpmath.mpf(-0.25)),
+], ids=["U(-0.5)", "G(0.5, -0.5)"])
+def test_residual_matches_mpmath(basis, prefactor):
+    # g = sin - sum q_n phi_n, with the prefactor in mpmath and its
+    # polynomial factor in floats; g^2 has (1 - x^2)^(-1/2) endpoints
+    ser = expand(np.sin, basis, 8)
+    q = np.asarray(ser.coefficients)
+    rec = basis.recurrence(8)
+
+    def g(x):
+        return mpmath.sin(x) - prefactor(x) * float(q @ rec.rows(np.array([float(x)]))[:, 0])
+    want = mpmath.quad(lambda x: g(x) ** 2, [-1, 0, 1])
+    assert abs(ser.residual ** 2 - want) <= 1e-6 * want
+
+
+@pytest.mark.parametrize("basis", [V(0.6), U(-0.5), G(0.5, -0.5), Q(-0.4)], ids=repr)
+def test_expand_panel_count(basis, monkeypatch):
+    # the residuals of these bases once ran the whole panel budget
+    expand_mod = importlib.import_module("symortho.expand")
+    panels = []
+    for name in ("integrate_gram", "integrate"):
+        real = getattr(expand_mod, name, None)
+        if real is not None:
+            def counted(*args, real=real, **kwargs):
+                out = real(*args, **kwargs)
+                panels.append(out.panels)
+                return out
+            monkeypatch.setattr(expand_mod, name, counted)
+    expand(np.sin, basis, 8)
+    assert sum(panels) <= 1000, panels
 
 
 # ------------------------------------------- coefficients on one panel tree
@@ -403,3 +461,14 @@ def test_reconstruct_kinds_matches_members(basis):
     got = reconstruct(ser, xs)
     assert got.shape == xs.shape
     assert np.allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_reconstruct_value_does_not_depend_on_the_length_of_x():
+    spec = GUP(Fraction(1, 2), Fraction(1, 2))
+    rng = np.random.default_rng(5)
+    ser = ExpansionSeries(spec, tuple(rng.uniform(-1.0, 1.0, 17)), 16, 0.0, 0.0)
+    xs = np.linspace(-0.999, 0.999, 20000)
+    full = reconstruct(ser, xs)
+    assert np.array_equal(reconstruct(ser, xs[:8195]), full[:8195])
+    for i in range(0, 20000, 1999):
+        assert reconstruct(ser, xs[i]) == full[i]
