@@ -75,9 +75,9 @@ _MAX_DEGREE = 256
 
 
 def _check_args(args):
-    """Refuse a count outside 1.._MAX_COUNT, a degree above _MAX_DEGREE, a
-    point that is not finite and a tolerance that is not finite and
-    positive."""
+    """Refuse a count outside 1.._MAX_COUNT, a degree outside
+    0.._MAX_DEGREE, a point that is not finite and a tolerance that is not
+    finite and positive."""
     for name in ("points", "steps"):
         count = getattr(args, name, 1)
         if not 1 <= count <= _MAX_COUNT:
@@ -85,8 +85,9 @@ def _check_args(args):
                 f"--{name} must be between 1 and {_MAX_COUNT}, got {count}")
     for name in ("n", "nmax"):
         degree = getattr(args, name, 0)
-        if degree > _MAX_DEGREE:
-            raise ConstraintViolation(f"--{name} must be at most {_MAX_DEGREE}, got {degree}")
+        if not 0 <= degree <= _MAX_DEGREE:
+            raise ConstraintViolation(
+                f"--{name} must be between 0 and {_MAX_DEGREE}, got {degree}")
     for dest, flag in (("lo", "from"), ("hi", "to"), ("x", "x")):
         value = getattr(args, dest, 0.0)
         if not math.isfinite(value):
@@ -171,14 +172,15 @@ def _cmd_verify_ode(args):
 def _cmd_weights(args):
     fam, params = _class_of(args)
     xs = np.linspace(args.lo, args.hi, args.steps)
+    # the whole grid first, so that a failure writes no row
+    if fam is not None:
+        ws = weight_at(fam, xs)
+    else:
+        with np.errstate(divide="ignore", over="ignore"):
+            ws = np.exp(generic_weight_log(params, xs))
     w = _writer(sys.stdout)
     w.writerow(["x", "w"])
-    for x in xs:
-        if fam is not None:
-            val = weight_at(fam, float(x))
-        else:
-            with np.errstate(divide="ignore", over="ignore"):
-                val = float(np.exp(generic_weight_log(params, float(x))))
+    for x, val in zip(xs, ws):
         w.writerow([repr(float(x)), repr(float(val))])
     return 0
 
@@ -190,9 +192,9 @@ def _cmd_expand(args):
         theta = min(fam.theta, 3.0)
         grid = np.linspace(-theta * (1 - 1e-9), theta * (1 - 1e-9), 101)
     else:
-        pairs = _read_pairs(args.input)
-        fn = tuple(pairs)
-        grid = np.linspace(pairs[0].min(), pairs[0].max(), 101)
+        xs, ys = _read_pairs(args.input)
+        fn = barycentric_interpolant(xs, ys)
+        grid = np.linspace(xs.min(), xs.max(), 101)
     ser = expand_fn(fn, fam, args.nmax, args.tol)
     doc = {"basis": {"class": args.cls,
                      **{k: getattr(args, k) for k in _FAMILY_FLAGS[args.cls]}},
@@ -201,12 +203,11 @@ def _cmd_expand(args):
            "residual": _jsonable(ser.residual),
            "residual_rel": _jsonable(ser.residual_rel)}
     sys.stdout.write(json.dumps(doc) + "\n")
-    target = fn if callable(fn) else barycentric_interpolant(*pairs)
     recon = reconstruct(ser, grid)
     with open(args.output, "w", newline="") as fh:
         w = _writer(fh)
         w.writerow(["x", "f", "fN", "abs_err"])
-        for x, fx, rx in zip(grid, np.asarray(target(grid), dtype=float), recon):
+        for x, fx, rx in zip(grid, np.asarray(fn(grid), dtype=float), recon):
             w.writerow([repr(float(x)), repr(float(fx)), repr(float(rx)),
                         repr(abs(float(fx) - float(rx)))])
     return 0

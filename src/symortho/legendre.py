@@ -306,9 +306,6 @@ class Q(_ClassKind):
         if not self.b + 1 > 0:
             raise ConstraintViolation("Q kind needs b + 1 > 0")
 
-    def as_g(self) -> G:
-        return G(self.a, self.b)
-
     def mu_nu(self, n):
         # G's n + a + b at a = 1 rounds differently from n + b + 1
         return (n + self.b + 1) * (n + self.b + 2), self.b ** 2

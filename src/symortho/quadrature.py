@@ -451,7 +451,6 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, max_panels=_MAX_PANELS,
             return False
         return t3 >= 2.0 * max(t0, 10.0 * atol)
 
-    parked = []
     while True:
         if n_inf == 0 and err_fin <= max(atol, rtol * abs(total)):
             return result(True, False, "tol")
@@ -464,8 +463,7 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, max_panels=_MAX_PANELS,
         if splits and splits % 128 == 0 and diverging():
             return result(False, True, "growth")
 
-        entry = heapq.heappop(heap)
-        _, _, g, a, b, val, err, depth = entry
+        _, _, g, a, b, val, err, depth = heapq.heappop(heap)
         if depth >= _MAX_DEPTH:
             if not math.isfinite(err):
                 return result(False, True, "depth-chain")
@@ -475,7 +473,6 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, max_panels=_MAX_PANELS,
             if diverging(min_k=48):
                 return result(False, True, "depth-chain")
             # unsplittable; keep its error on the books but stop refining it
-            parked.append(entry)
             if not heap:
                 break
             continue

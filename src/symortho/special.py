@@ -12,7 +12,7 @@ import math
 
 from .errors import PoleError
 
-__all__ = ["gamma_fn", "log_gamma", "beta_fn", "log_beta", "binom"]
+__all__ = ["gamma_fn", "log_gamma", "beta_fn", "binom"]
 
 
 def _is_nonpositive_integer(x) -> bool:
@@ -44,12 +44,6 @@ def beta_fn(a: float, b: float) -> float:
     if _is_nonpositive_integer(a + b):
         return 0.0
     return gamma_fn(a) * gamma_fn(b) / gamma_fn(a + b)
-
-
-def log_beta(a: float, b: float) -> float:
-    if not (a > 0 and b > 0):
-        raise PoleError(f"log_beta needs positive arguments, got ({a}, {b})")
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
 def binom(a, k: int):

@@ -30,7 +30,9 @@ from .quadrature import (IntervalSpec, QuadResult, certifies_divergence, exponen
 
 @dataclass(frozen=True)
 class SLCoeffs:
-    """Coefficient set for A y'' + B y' + (lam C + D + [n odd] E) y = 0."""
+    """Coefficient set for A y'' + B y' + (lam C + D + [n odd] E) y = 0,
+    with log_weight the closed form of log W* = log(C R), where R = (1/A)
+    exp(int B/A) makes the equation self-adjoint."""
     a_even: Callable
     b_odd: Callable
     c_even: Callable
@@ -38,7 +40,7 @@ class SLCoeffs:
     e_even: Callable
     eigenvalue: Callable
     theta: float
-    params: Optional[ClassParams] = None
+    log_weight: Callable
 
     def A(self, x):
         x = np.asarray(x, dtype=float)
@@ -72,7 +74,8 @@ def support_theta(params) -> float:
 
 def from_params(params: ClassParams) -> SLCoeffs:
     """Identify the generic symmetric-class equation as an SLCoeffs set:
-    A = x^2(px^2+q), B = x(rx^2+s), C = x^2, D = 0, E = -s."""
+    A = x^2(px^2+q), B = x(rx^2+s), C = x^2, D = 0, E = -s, and log W* =
+    generic_weight_log(params, x)."""
     p, q, r, s = (float(v) for v in params)
     return SLCoeffs(
         a_even=lambda t: t * (p * t + q),
@@ -82,13 +85,13 @@ def from_params(params: ClassParams) -> SLCoeffs:
         e_even=lambda t: -s + 0.0 * t,
         eigenvalue=lambda n: generic_eigenvalue(params, n),
         theta=support_theta(params),
-        params=params,
+        log_weight=functools.partial(generic_weight_log, params),
     )
 
 
 def legendre_sl(nu=0.0, e_even=None) -> SLCoeffs:
     """The classical identification on (-1, 1): A = 1-x^2, B = -2x, C = 1,
-    D = -nu/(1-x^2), lam_n = n(n+1)."""
+    D = -nu/(1-x^2), lam_n = n(n+1).  Here B = A', so R = 1 and W* = 1."""
     return SLCoeffs(
         a_even=lambda t: 1.0 - t,
         b_odd=lambda t: -2.0 + 0.0 * t,
@@ -97,6 +100,7 @@ def legendre_sl(nu=0.0, e_even=None) -> SLCoeffs:
         e_even=e_even if e_even is not None else (lambda t: 0.0 * t),
         eigenvalue=lambda n: n * (n + 1),
         theta=1.0,
+        log_weight=np.zeros_like,
     )
 
 
@@ -121,67 +125,31 @@ def generic_weight_log(params, x):
         return (s / q) * la + ((r - 2 * p) / (2 * p) - s / (2 * q)) * np.log(p * t + q)
 
 
-def _numeric_log_ar(sl, xs):
-    # antiderivative of B/A from the origin; A(0) must not vanish here.
-    # A divergent antiderivative (A -> 0 at the far end) is the log of a
-    # vanishing or exploding bracket, so it becomes -inf/+inf by sign.
-    def g(u):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return sl.B(u) / sl.A(u)
-
-    out = []
-    for x in np.atleast_1d(np.asarray(xs, dtype=float)):
-        if x == 0.0:
-            out.append(0.0)
-            continue
-        lo, hi = (0.0, float(x)) if x > 0 else (float(x), 0.0)
-        r = integrate(g, IntervalSpec(lo, hi), atol=1e-13, rtol=1e-12,
-                      on_inconclusive="return")
-        if r.converged:
-            val = r.value
-        else:
-            val = math.copysign(math.inf, r.value if r.value != 0 else 1.0)
-        out.append(val if x > 0 else -val)
-    return np.array(out).reshape(np.shape(xs))
-
-
-def _log_ar(sl, x):
-    """log(A(x) R(x)) = the antiderivative of B/A, vectorized."""
-    x = np.asarray(x, dtype=float)
-    if sl.params is not None:
-        p, q, r, s = (float(v) for v in sl.params)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return generic_weight_log(sl.params, x) + np.log(p * x * x + q)
-    return _numeric_log_ar(sl, x)
+def _log_r(sl, x):
+    """log R = log W* - log C."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return sl.log_weight(x) - np.log(sl.C(x))
 
 
 def self_adjoint_factor(sl, x):
-    """R(x) = (1/A) exp(int B/A); closed form for the generic class,
-    numeric antiderivative otherwise."""
+    """R(x) = (1/A) exp(int B/A), taken as W*/C from the closed-form
+    log_weight; SingularCoefficient where A vanishes."""
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
-    a = sl.A(x_arr)
-    if np.any(a == 0.0):
+    if np.any(sl.A(x_arr) == 0.0):
         raise SingularCoefficient("A vanishes at a requested point")
-    if sl.params is not None:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            val = np.exp(generic_weight_log(sl.params, x_arr) - np.log(x_arr * x_arr))
-    else:
-        with np.errstate(over="ignore"):
-            val = np.exp(_numeric_log_ar(sl, x_arr)) / a
+    with np.errstate(over="ignore"):
+        val = np.exp(_log_r(sl, x_arr))
     return float(val) if scalar else val
 
 
 def weight_star(sl, x):
-    """W*(x) = C(x) R(x), the orthogonality weight; positivity is checked."""
+    """W*(x) = C(x) R(x) = exp(log_weight(x)), the orthogonality weight;
+    NonpositiveWeight where it is negative or nan."""
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
-    if sl.params is not None:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            w = np.exp(generic_weight_log(sl.params, x_arr))
-    else:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            w = np.asarray(sl.C(x_arr) * np.exp(_numeric_log_ar(sl, x_arr)) / sl.A(x_arr))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = np.exp(sl.log_weight(x_arr))
     bad = ~(w >= 0.0)     # catches negatives and nan in one test
     if np.any(bad):
         where = x_arr[bad] if x_arr.ndim else x_arr
@@ -221,8 +189,8 @@ def boundary_term(sl, phi_n, phi_m, *, scale=1.0):
         return dfn * fm - dfm * fn
 
     def bracket(x):
-        with np.errstate(over="ignore", invalid="ignore"):
-            ar = np.exp(_log_ar(sl, x))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ar = np.exp(_log_r(sl, x) + np.log(sl.A(x)))
         return ar * wron(x)
 
     if math.isfinite(sl.theta):
@@ -253,8 +221,8 @@ def parity_integral(sl, phi_n, phi_m):
         return 0.0
 
     def side(x):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r = np.exp(_log_ar(sl, x) - np.log(sl.A(x)))
+        with np.errstate(over="ignore"):
+            r = np.exp(_log_r(sl, x))
         return sl.E(x) * r * phi_n(x) * phi_m(x)
 
     def folded(x):

@@ -230,6 +230,7 @@ def test_bad_parameter_value(capsys):
     # an OverflowError traceback from n = 2,060 on, and past 20 s
     ("coeffs", "--class", "gup", "--u", "1", "--v", "1", "--n", "20000"),
     ("table", "--class", "gup", "--u", "1", "--v", "1", "--nmax", "20000"),
+    ("table", "--class", "ghp", "--u", "0", "--nmax", "-1"),
     ("gram", "--class", "ghp", "--u", "1", "--nmax", "257"),
     ("verify-ode", "--class", "gup", "--u", "1", "--v", "1", "--points", "3", "--n", "257"),
 ], ids=lambda argv: " ".join(argv[-2:]))
@@ -248,6 +249,21 @@ def test_bad_counts_tolerances_and_parameters_exit_two(capsys, argv):
 def test_degrees_up_to_the_cap_are_admitted(capsys, argv):
     status, out, err = invoke(capsys, *argv)
     assert status == 0 and out and err == ""
+
+
+@pytest.mark.parametrize("argv, status, error", [
+    (("--class", "gup", "--u", "1", "--v", "1", "--from", "0.5", "--to", "1.5"),
+     2, "constraint-violation"),
+    (("--class", "finite1", "--u", "0.3", "--v", "2", "--from", "-1", "--to", "1"),
+     1, "singular-point"),
+    # singular at 0 and outside the support from 1 on: the support decides
+    (("--class", "gup", "--u", "-0.25", "--v", "1", "--from", "0", "--to", "1.5"),
+     2, "constraint-violation"),
+], ids=["outside", "singular", "both"])
+def test_weights_failure_writes_no_row(capsys, argv, status, error):
+    got, out, err = invoke(capsys, "weights", *argv, "--steps", "5")
+    assert got == status and out == ""
+    assert json.loads(err)["error"] == error
 
 
 def test_custom_class_has_no_weight_commands(capsys):

@@ -78,6 +78,28 @@ def test_numeric_antiderivative_route():
     assert sl.A(0.5) == pytest.approx(0.75)
 
 
+def test_legendre_weight_is_closed_form(monkeypatch):
+    # B = A' makes R identically one: no quadrature, and no rounding
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate called")
+    monkeypatch.setattr(sturm, "integrate", refuse)
+    sl = legendre_sl()
+    xs = np.linspace(-0.99, 0.99, 41)
+    assert np.all(self_adjoint_factor(sl, xs) == 1.0)
+    assert np.all(weight_star(sl, xs) == 1.0)
+    assert weight_star(sl, 0.37) == 1.0
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.label)
+def test_r_and_weight_star_are_the_closed_form(spec):
+    sl = from_params(spec.params)
+    hi = min(spec.theta, 4.0)
+    xs = np.linspace(-hi * 40 / 41, hi * 40 / 41, 80)
+    log_w = generic_weight_log(spec.params, xs)
+    assert np.array_equal(weight_star(sl, xs), np.exp(log_w))
+    assert np.array_equal(self_adjoint_factor(sl, xs), np.exp(log_w - np.log(xs * xs)))
+
+
 def test_support_theta():
     assert support_theta(GUP(1, 1.5).params) == 1.0
     assert support_theta(GHP(0).params) == math.inf
