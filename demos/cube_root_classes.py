@@ -6,7 +6,7 @@ Replacing x^2 by x^lambda in the coefficient pattern of the equation
 produces non-polynomial eigenfunction families.  For admissible lambda
 the whole theory maps back onto a quadratic-case family evaluated at a
 signed power of x, and the lambda = 2/3 Gram matrix must agree entry for
-entry with its quadratic twin.
+entry with its quadratic twin; so must that of any admissible lambda.
 """
 
 from fractions import Fraction
@@ -43,3 +43,8 @@ for n in range(5):
     a = rep_t.entry(n, n).quad.value
     b = rep_x.entry(n, n).quad.value
     print(f"   n={n}:  {a:.12f}   {b:.12f}   diff {abs(a - b):.1e}")
+
+# any admissible lambda has its t-space Gram: lambda = 2/5 maps onto GUP(1, 1) too
+spec5 = LambdaSpec(-1, 1, -2, Fraction(6, 5), Fraction(2, 5))
+assert spec5.mapped_params == GUP(1, 1).params
+print(lambda_weight_and_gram(spec5, nmax=4).summary())

@@ -8,7 +8,7 @@ numerical orthogonality checks, and weighted expansions.
 from .core import (ClassParams, SymmetricPoly, eigenvalue, explicit_coeffs,
                    leading_coefficient, monic_by_recurrence, monic_coeffs,
                    ode_residual, ode_residual_rel, poly_from_params,
-                   recurrence_c)
+                   recurrence_c, weight_exponents)
 from .errors import (BasisInvalid, ConstraintViolation, DegenerateDenominator,
                      DivergentMoment, MaxDepthExceeded, NonpositiveWeight,
                      NonSquareIntegrable, OutOfFiniteRange, PoleError,

@@ -19,6 +19,8 @@ evaluation, equation residuals) shares that convention.
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -31,9 +33,9 @@ from .errors import (ConstraintViolation, DegenerateDenominator, PoleError,
 from .special import binom
 
 __all__ = [
-    "ClassParams", "SymmetricPoly", "explicit_coeffs", "leading_coefficient",
-    "monic_coeffs", "recurrence_c", "monic_by_recurrence", "member_rows",
-    "poly_from_params", "eigenvalue", "ode_residual", "ode_residual_rel",
+    "ClassParams", "weight_exponents", "SymmetricPoly", "explicit_coeffs",
+    "leading_coefficient", "monic_coeffs", "recurrence_c", "monic_by_recurrence",
+    "member_rows", "poly_from_params", "eigenvalue", "ode_residual", "ode_residual_rel",
 ]
 
 
@@ -87,6 +89,23 @@ class ClassParams:
     @cached_property
     def _leads(self):
         return {}
+
+
+WeightExponents = namedtuple("WeightExponents", "theta origin edge tail")
+
+
+def weight_exponents(params: ClassParams) -> WeightExponents:
+    """(theta, origin, edge, tail) of the closed-form weight |x|^(s/q)
+    (px^2 + q)^e, e = (r-2p)/(2p) - s/(2q), rounded once from exact
+    parameters: theta is px^2 + q's positive zero (else inf); the exponents
+    are s/q at 0 (inf for q = 0: e^(-s/(2p x^2)) is flat), e at +-theta (nan
+    for pq = 0), and (r-2p)/p at infinity if theta = inf and p != 0, else -inf."""
+    p, q, r, s = params.promoted()
+    theta = math.sqrt(-q / p) if p and q and -q / p > 0 else math.inf
+    origin = s / q if q else math.inf
+    edge = (r - 2 * p) / (2 * p) - s / (2 * q) if p and q else math.nan
+    tail = (r - 2 * p) / p if p and theta == math.inf else -math.inf
+    return WeightExponents(theta, float(origin), float(edge), float(tail))
 
 
 def _check_degree(n):

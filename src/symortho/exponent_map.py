@@ -6,9 +6,9 @@ The map w = x^{lam/2} turns the generic second-order equation into
 
 whose solutions are the class polynomials composed with an odd real root.
 Only exponents lam = 2(odd)/(odd) keep the composed solutions symmetric;
-lam = 2 reproduces the polynomial case on the same code path, and
-lam = 2/3 is the cube-root worked class with its own weight and Gram
-machinery in t-space.
+lam = 2 reproduces the polynomial case on the same code path.  Any
+admissible lam has a weight and Gram machinery in t-space, read from the
+mapped class's weight exponents (lam = 2/3 is the cube-root class).
 """
 
 import math
@@ -18,11 +18,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ClassParams, member_rows, poly_from_params
+from .core import ClassParams, member_rows, poly_from_params, weight_exponents
 from .errors import ConstraintViolation, PoleError
 from .families import _num
 from .quadrature import IntervalSpec, integrate
-from .sturm import GramReport, _gram_report, generic_weight_log, support_theta
+from .sturm import GramReport, _gram_report, generic_weight_log
 
 
 def _as_fraction(lam):
@@ -138,27 +138,25 @@ def generic_ode_residual(spec: LambdaSpec, n: int, x):
     return res if np.ndim(x) else float(res)
 
 
-def _t_interval(params, theta, n, m):
-    # hints for the substituted measure W(|t|^{1/3}) / (3 |t|^{2/3})
-    p, q, r, s = (float(v) for v in params)
-    parity = (n % 2) + (m % 2)
-    if q != 0:
-        origin = (s / q - 2 + parity) / 3
-    else:
-        origin = None          # essential zero at the origin, split only
-    hints = [(0.0, origin)]
-    if math.isfinite(theta):
-        edge = (r - 2 * p) / (2 * p) - s / (2 * q)
-        hints += [(-theta ** 3, edge), (theta ** 3, edge)]
-        return IntervalSpec(-theta ** 3, theta ** 3, tuple(hints))
-    if p != 0:
-        tail = ((r - 2 * p) / p + n + m - 2) / 3
-        hints += [(-math.inf, tail), (math.inf, tail)]
+def _t_interval(exponents, h, n, m):
+    """The pair (n, m)'s interval in t, x = signed_power(t, h): +-theta^(1/h),
+    and W(|t|^h) h |t|^(h-1) S_n S_m's exponents, h (e + parity or degree)
+    + h - 1 at the origin and in the tails, and the weight's own at the ends."""
+    theta, origin, edge, tail = exponents
+    inv, shift = float(1 / h), float(1 - 1 / h)     # h (e + k) + h - 1 = (e + k + shift) / inv
+    hints = [(0.0, (origin + shift + n % 2 + m % 2) / inv if origin < math.inf else None)]
+    if theta < math.inf:
+        end = theta ** inv
+        return IntervalSpec(-end, end, tuple(hints + [(-end, edge), (end, edge)]))
+    if tail > -math.inf:
+        far = (tail + n + m + shift) / inv
+        hints += [(-math.inf, far), (math.inf, far)]
     return IntervalSpec(-math.inf, math.inf, tuple(hints))
 
 
 class _LambdaBasis:
-    """Gram adapter for the lam = 2/3 class in the substituted variable.
+    """Gram adapter for an admissible lam in the substituted variable t,
+    where x = signed_power(t, lam/2).
 
     There are no closed-form norms: norms() gives the recurrence product
     (-1)^n C_1...C_n, the ratio of the n-th diagonal to the measured (0, 0)
@@ -169,14 +167,16 @@ class _LambdaBasis:
     scale of the others.
     """
     base = 0
-    label = "lambda23"
     closed_norms = False
     fold = True
 
     def __init__(self, spec):
         self.params = spec.mapped_params
-        self.theta = support_theta(self.params)
-        self.tails = not (math.isfinite(self.theta) or self.params.p == 0)
+        self.h = spec.lam / 2
+        self.label = "lambda" + str(spec.lam).replace("/", "")
+        self.exponents = weight_exponents(self.params)
+        # rounded once from the exact h, so lam = 2/3 gives log 3 and 2/3
+        self._log_inv_h, self._jac = math.log(1 / self.h), float(self.h - 1)
 
     def norms(self, nmax):
         """(-1)^n C_1...C_n for n = 0..nmax, None from a pole in C_n on."""
@@ -190,10 +190,11 @@ class _LambdaBasis:
         return out + [None] * (nmax + 1 - len(out))
 
     def weight(self, t):
-        """W1(t) = W(|t|^{1/3}) / (3 |t|^{2/3})."""
+        """W(|t|^h) h |t|^(h-1), the measure dx in t."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.exp(generic_weight_log(self.params, np.cbrt(np.abs(t)))
-                          - math.log(3.0) - (2.0 / 3.0) * np.log(np.abs(t)))
+            a = np.abs(t)
+            return np.exp(generic_weight_log(self.params, signed_power(a, self.h))
+                          - self._log_inv_h + self._jac * np.log(a))
 
     def phi(self, n):
         return poly_from_params(self.params, n, monic=True)
@@ -204,36 +205,34 @@ class _LambdaBasis:
     def inner(self, phi_a, phi_b, n, m):
         def f(t):
             t = np.asarray(t, dtype=float)
-            u = signed_power(t, Fraction(1, 3))
+            u = signed_power(t, self.h)
             return self.weight(t) * phi_a(u) * phi_b(u)
-        return integrate(f, _t_interval(self.params, self.theta, n, m),
+        return integrate(f, _t_interval(self.exponents, self.h, n, m),
                          on_inconclusive="return")
 
     def rows(self, nmax):
         rows = member_rows(self.params, nmax)
-        return lambda t: rows(signed_power(t, Fraction(1, 3)))
+        return lambda t: rows(signed_power(t, self.h))
 
     def interval(self):
-        return _t_interval(self.params, self.theta, 0, 0)
+        return _t_interval(self.exponents, self.h, 0, 0)
 
     def tree_block(self, norms):
-        end = self.base - 1 if self.tails else self.base + len(norms) - 1
+        end = self.base - 1 if self.exponents.tail > -math.inf else self.base + len(norms) - 1
         return end, self.interval()
 
 
 def lambda_weight_and_gram(spec: LambdaSpec, nmax: int, tol=1e-7) -> GramReport:
-    """Gram matrix of the lam = 2/3 class in the substituted variable.
+    """Gram matrix of any admissible lam's class in the substituted variable.
 
-    Integrates int W1(t) S_n(cbrt t) S_m(cbrt t) dt over [-theta^3, theta^3]
-    with W1(t) = W(|t|^{1/3}) / (3 |t|^{2/3}), where W is the weight of the
-    mapped polynomial class on [-theta, theta], on one shared panel tree.
-    Diagonals are judged against the recurrence product (-1)^n C_1...C_n
-    times the measured (0, 0) entry; off-diagonals against
-    tol * sqrt(d_n d_m).  By the substitution t = x^3 every entry equals the
+    With h = lam/2 and t^h the signed power, integrates int W1(t) S_n(t^h)
+    S_m(t^h) dt over [-theta^(1/h), theta^(1/h)] with W1(t) = W(|t|^h) h
+    |t|^(h-1) (lam = 2/3: W(|t|^{1/3}) / (3 |t|^{2/3})), where W is the
+    weight of the mapped polynomial class on [-theta, theta], on one shared
+    panel tree.  Diagonals are judged against the recurrence product
+    (-1)^n C_1...C_n times the measured (0, 0) entry; off-diagonals against
+    tol * sqrt(d_n d_m).  By the substitution x = t^h every entry equals the
     corresponding entry of the mapped class's own Gram matrix, which the
     tests check against the x-space machinery as an independent route.
     """
-    if spec.lam != Fraction(2, 3):
-        raise ConstraintViolation(
-            f"the substituted Gram is worked for lambda = 2/3, got {spec.lam}")
     return _gram_report(_LambdaBasis(spec), nmax, tol)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ClassParams, recurrence_c
+from .core import ClassParams, WeightExponents, recurrence_c, weight_exponents
 from .errors import (ConstraintViolation, DivergentMoment, OutOfFiniteRange,
                      PoleError, SingularPoint)
 from .quadrature import IntervalSpec
@@ -62,43 +62,39 @@ def _num(x):
 @dataclass(frozen=True)
 class _Family:
     """A weight family defines label, params, weight_log, log_deriv and
-    moment_zero.  origin_exponent, tail_exponent, finite_degree_bound and
-    _certificate default to those of GUP and GHP; hints, valid_pair and
-    the tail margin follow from them."""
+    moment_zero.  finite_degree_bound and _certificate default to those of
+    GUP and GHP.  The support, hints, valid_pair and the tail margin follow
+    from the weight's exponents, which (p, q, r, s) fix."""
 
     def __iter__(self):
         raise TypeError("family specs are not iterable; use .params")
 
+    @cached_property
+    def exponents(self) -> WeightExponents:
+        return weight_exponents(self.params)
+
     @property
     def support(self):
-        return (-math.inf, math.inf)
+        return (-self.theta, self.theta)
 
     @property
     def theta(self):
-        return self.support[1]
+        return self.exponents.theta
 
     def interval(self, origin_power=0, tail_power=0) -> IntervalSpec:
         lo, hi = self.support
         return IntervalSpec(lo, hi, self.hints(origin_power, tail_power))
 
     def hints(self, origin_power=0, tail_power=0):
-        """(point, exponent) of the weight times |x|^origin_power near 0 and
-        |x|^tail_power at infinity; None marks a flat origin."""
-        origin = self.origin_exponent()
+        """(point, exponent) of the weight times |x|^origin_power near 0, at
+        +-theta, and times |x|^tail_power at infinity; None: a flat origin."""
+        theta, origin, edge, tail = self.exponents
         out = ((0.0, origin + origin_power if origin < math.inf else None),)
-        tail = self.tail_exponent(tail_power)
+        if theta < math.inf:
+            out += ((-theta, edge), (theta, edge))
         if tail > -math.inf:
-            out += ((math.inf, tail), (-math.inf, tail))
+            out += ((math.inf, tail + tail_power), (-math.inf, tail + tail_power))
         return out
-
-    def origin_exponent(self):
-        """Exponent of the weight at 0."""
-        return 2 * float(self.u)
-
-    def tail_exponent(self, power=0):
-        """Exponent at infinity of |x|^power times the weight; -inf when the
-        weight has no algebraic tail."""
-        return -math.inf
 
     def finite_degree_bound(self):
         """Largest certified degree; inf for the infinite families."""
@@ -115,7 +111,7 @@ class _Family:
         n, m = int(n), int(m)
         parity_low = (n % 2) + (m % 2)      # lowest power of the product at 0
         certified, reason = self._certificate(max(n, m))
-        integrable = (self.origin_exponent() + parity_low > -1
+        integrable = (self.exponents.origin + parity_low > -1
                       and self._tail_margin(n, m) <= 0)
         return PairValidity(certified, reason, integrable)
 
@@ -123,7 +119,7 @@ class _Family:
         """n + m + 1 plus the weight's exponent at infinity: the product of the
         weight and the degree-(n, m) pair decays like |x|^(margin - 1), so its
         tails converge exactly when the margin is negative."""
-        return self.tail_exponent() + 2 + n + m - 1
+        return self.exponents.tail + 2 + n + m - 1
 
 
 @dataclass(frozen=True)
@@ -147,14 +143,6 @@ class GUP(_Family):
     def params(self) -> ClassParams:
         u, v = self.u, self.v
         return ClassParams(-1, 1, -2 * u - 2 * v - 2, 2 * u)
-
-    @property
-    def support(self):
-        return (-1.0, 1.0)
-
-    def hints(self, origin_power=0, tail_power=0):
-        v = float(self.v)
-        return super().hints(origin_power) + ((-1.0, v), (1.0, v))
 
     def weight_log(self, x):
         u, v = float(self.u), float(self.v)
@@ -218,10 +206,6 @@ class FiniteI(_Family):
         u, v = self.u, self.v
         return ClassParams(1, 1, -2 * u - 2 * v + 2, -2 * u)
 
-    def tail_exponent(self, power=0):
-        u, v = float(self.u), float(self.v)
-        return power - 2 * u - 2 * v
-
     def weight_log(self, x):
         u, v = float(self.u), float(self.v)
         return -2 * u * np.log(np.abs(x)) - v * np.log1p(x * x)
@@ -229,9 +213,6 @@ class FiniteI(_Family):
     def log_deriv(self, x):
         u, v = float(self.u), float(self.v)
         return -2 * u / x - 2 * v * x / (1 + x * x)
-
-    def origin_exponent(self):
-        return -2 * float(self.u)
 
     def moment_zero(self):
         u, v = float(self.u), float(self.v)
@@ -276,19 +257,12 @@ class FiniteII(_Family):
     def params(self) -> ClassParams:
         return ClassParams(1, 0, -2 * self.u + 2, 2)
 
-    def tail_exponent(self, power=0):
-        return power - 2 * float(self.u)
-
     def weight_log(self, x):
         u = float(self.u)
         return -2 * u * np.log(np.abs(x)) - 1.0 / (x * x)
 
     def log_deriv(self, x):
         return -2 * float(self.u) / x + 2.0 / (x * x * x)
-
-    def origin_exponent(self):
-        # the origin is C-infinity flat: it decays faster than any power
-        return math.inf
 
     def moment_zero(self):
         return gamma_fn(float(self.u) - 0.5)

@@ -9,7 +9,7 @@ from symortho.errors import ConstraintViolation, PoleError
 from symortho.exponent_map import (LambdaSpec, _LambdaBasis, admissible, alpha_beta,
                                    generic_ode_residual, lambda_weight_and_gram,
                                    signed_power, transformed_eval)
-from symortho.families import GUP, FiniteI, moment_zero
+from symortho.families import GHP, GUP, FiniteI, moment_zero
 from symortho.sturm import gram_matrix
 
 F = Fraction
@@ -226,9 +226,33 @@ def test_residual_vectorized():
 # ------------------------------------------------------- substituted gram
 
 
-def test_lambda_gram_requires_cube_root():
+def _mapped_onto(fam, lam):
+    """The lambda spec whose mapped class is fam's: c = h r - (h - 1) p and
+    d = h s - (h - 1) q, with h = lam/2."""
+    p, q, r, s = fam.params
+    h = F(lam) / 2
+    spec = LambdaSpec(p, q, h * r - (h - 1) * p, h * s - (h - 1) * q, lam)
+    assert spec.mapped_params == fam.params
+    return spec
+
+
+@pytest.mark.parametrize("lam", [F(2, 5), F(6, 5), 2, 6, F(10, 3)], ids=str)
+@pytest.mark.parametrize("fam", [GUP(1, 1), GUP(F(1, 2), F(3, 2)), GUP(F(3, 10), F(-2, 5)),
+                                 GHP(F(1, 2)), GHP(0)], ids=repr)
+def test_lambda_gram_runs_for_every_admissible_lambda(fam, lam):
+    nmax, tol = 12, 1e-7
+    rep = lambda_weight_and_gram(_mapped_onto(fam, lam), nmax, tol)
+    assert rep.passed, rep.summary()
+    # x = t^(lam/2) carries each entry onto the mapped class's own
+    ref = gram_matrix(fam, nmax, tol).matrix
+    d = np.abs(np.diag(ref))
+    assert np.all(np.abs(rep.matrix - ref) <= tol * np.sqrt(np.outer(d, d)))
+
+
+@pytest.mark.parametrize("lam", [1, F(4, 3)], ids=str)
+def test_inadmissible_lambda_is_refused(lam):
     with pytest.raises(ConstraintViolation):
-        lambda_weight_and_gram(LambdaSpec(0, 1, -2, 0, 2), 3)
+        LambdaSpec(0, 1, -2, 0, lam)
 
 
 def test_lambda_gram_passes_and_matches_x_space():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symortho.core import poly_from_params
+from symortho.core import poly_from_params, weight_exponents
 from symortho.errors import (ConstraintViolation, DivergentMoment,
                              OutOfFiniteRange, PoleError, SingularPoint)
 from symortho.families import (GUP, GHP, FiniteI, FiniteII, finite_degree_bound,
@@ -277,3 +277,22 @@ def test_pair_integrable_agrees_with_valid_pair_off_the_boundary():
 def test_params_is_one_instance_per_spec(spec):
     # one ClassParams per spec, so its float C_k are computed once
     assert spec.params is spec.params
+
+
+U, V = Fraction(3, 10), Fraction(7, 4)
+
+
+@pytest.mark.parametrize("spec, theta, origin, edge, tail", [
+    (GUP(U, V), 1, 2 * U, V, -math.inf),
+    (GUP(U, Fraction(-2, 5)), 1, 2 * U, Fraction(-2, 5), -math.inf),
+    (GHP(U), math.inf, 2 * U, None, -math.inf),
+    (FiniteI(U, V), math.inf, -2 * U, None, -2 * U - 2 * V),
+    (FiniteII(V), math.inf, math.inf, None, -2 * V),
+], ids=repr)
+def test_weight_exponents_are_the_family_shape_formulas(spec, theta, origin, edge, tail):
+    # the one record from (p, q, r, s) against each family's own weight shape
+    got = weight_exponents(spec.params)
+    assert (got.theta, got.origin, got.tail) == (theta, float(origin), float(tail))
+    if edge is not None:
+        assert got.edge == float(edge)
+    assert spec.exponents == got and spec.support == (-got.theta, got.theta)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symortho.core import ClassParams, poly_from_params
+from symortho.core import ClassParams, poly_from_params, weight_exponents
 from symortho.errors import (ConstraintViolation, NonpositiveWeight,
                              SingularCoefficient)
 from symortho.exponent_map import (LambdaSpec, _LambdaBasis, _t_interval,
@@ -118,6 +118,19 @@ def test_boundary_bracket_vanishes_on_finite_interval():
     for n in range(5):
         for m in range(n + 1):
             assert boundary_term(sl, polys[n], polys[m]) == 0.0
+
+
+def test_boundary_bracket_at_a_singular_edge_is_zero():
+    # W* ~ (1 - x^2)^-0.4 is +inf at +-1 and A ~ (1 - x^2) is 0, so
+    # exp(log R + log A) there is exp(inf - inf); A R ~ (1 - x^2)^0.6 -> 0
+    gup = GUP(0.3, -0.4)
+    sl = from_params(gup.params)
+    polys = [poly_from_params(gup.params, n, monic=True) for n in range(7)]
+    assert [boundary_term(sl, a, b) for a in polys for b in polys] == [0.0] * 49
+
+
+def test_legendre_weight_exponents():
+    assert tuple(legendre_sl().exponents) == (1.0, 0.0, 0.0, -math.inf)
 
 
 def test_boundary_bracket_decays_for_infinite_support():
@@ -305,7 +318,7 @@ def _scalar_entry(basis, n, m, atol):
                 w = np.exp(generic_weight_log(mp, np.abs(u)) - math.log(3.0)
                            - (2.0 / 3.0) * np.log(np.abs(t)))
             return w * pn(u) * pm(u)
-        spec = _t_interval(mp, support_theta(mp), n, m)
+        spec = _t_interval(weight_exponents(mp), Fraction(1, 3), n, m)
     elif isinstance(basis, (GUP, GHP)):
         pn, pm = (poly_from_params(basis.params, k, monic=True) for k in (n, m))
 
