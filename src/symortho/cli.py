@@ -207,7 +207,9 @@ def _cmd_expand(args):
     with open(args.output, "w", newline="") as fh:
         w = _writer(fh)
         w.writerow(["x", "f", "fN", "abs_err"])
-        for x, fx, rx in zip(grid, np.asarray(fn(grid), dtype=float), recon):
+        # an x-free expression gives one number for the whole grid
+        target = np.broadcast_to(np.asarray(fn(grid), dtype=float), grid.shape)
+        for x, fx, rx in zip(grid, target, recon):
             w.writerow([repr(float(x)), repr(float(fx)), repr(float(rx)),
                         repr(abs(float(fx) - float(rx)))])
     return 0
@@ -284,6 +286,8 @@ def _read_pairs(path):
                 x, y = float(row[0]), float(row[1])
             except (ValueError, IndexError):
                 continue      # header or junk row
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ConstraintViolation(f"x,y row {row[0]},{row[1]} in {path} is not finite")
             xs.append(x)
             ys.append(y)
     if not xs:

@@ -199,8 +199,8 @@ class _LambdaBasis:
     def phi(self, n):
         return poly_from_params(self.params, n, monic=True)
 
-    def integrable(self, n, m):
-        return True         # no cliffs: a divergent entry is reported as such
+    def integrable_mask(self, nmax):
+        return np.ones((nmax + 1,) * 2, dtype=bool)    # no cliffs: divergence shows as such
 
     def inner(self, phi_a, phi_b, n, m):
         def f(t):

@@ -586,6 +586,13 @@ def certifies_divergence(point, sigma, spread, hint):
     return bool(spread <= _SCAN_SPREAD and abs(sigma - hint) <= spread + _SCAN_FLOOR)
 
 
+def divergence_mask(point, sigma, spread, hint):
+    """certifies_divergence at one point for every pair at once: sigma and
+    spread are a scan side's arrays, hint one exponent or an array of them."""
+    side = hint >= -1.0 if math.isinf(point) else hint <= -1.0
+    return side & (spread <= _SCAN_SPREAD) & (np.abs(sigma - hint) <= spread + _SCAN_FLOOR)
+
+
 # per-panel block entries integrate_gram keeps live (value and error: 4 MB)
 _LIVE_ENTRIES = 2 ** 18
 

@@ -13,7 +13,8 @@ x^2, so A, C, D, E are automatically even and B odd.
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,8 +26,8 @@ from .errors import (ConstraintViolation, DegenerateDenominator, NonpositiveWeig
                      PoleError, SingularCoefficient, ZeroLeadingCoefficient)
 from .families import _FAMILIES, norms_squared, pair_integrable
 from .legendre import LegendreKind
-from .quadrature import (IntervalSpec, QuadResult, certifies_divergence, exponent_scan,
-                         integrate, integrate_gram)
+from .quadrature import (IntervalSpec, QuadResult, divergence_mask, exponent_scan, integrate,
+                         integrate_gram)
 
 
 @dataclass(frozen=True)
@@ -280,10 +281,8 @@ class GramReport:
         raise KeyError((n, m))
 
     def summary(self) -> str:
-        counts = {}
-        for e in self.entries:
-            counts[e.status] = counts.get(e.status, 0) + 1
-        refused = sum(counts.get(k, 0) for k in _REFUSED)
+        counts = Counter(e.status for e in self.entries)
+        refused = sum(counts[k] for k in _REFUSED)
         head = (f"gram[{self.label}] n = {self.base}..{self.nmax}, "
                 f"tol {self.tol:g}: {'pass' if self.passed else 'FAIL'}, "
                 f"{self.verified} verified, {refused} refused "
@@ -302,11 +301,11 @@ class _FamilyBasis:
     """Basis adapter for a family spec.  Adapters give the weight, the
     rows evaluator of members base..nmax (by recurrence), the quadrature
     interval, the closed-form norms (None where refused), whether the
-    Gram tree may fold by parity, and where the tree block ends.  A finite
-    family's tree also carries the integrable even pairs just outside its
-    block (_shared_tree).  Every other integrable pair takes inner; a pair
-    that is not integrable is a cliff when cliffs certifies it, and is
-    left inconclusive, with no integral, when it does not."""
+    Gram tree may fold by parity, where the tree block ends and which
+    pairs are integrable.  A finite family's tree also carries the
+    integrable even pairs just outside its block (off_block).  Every other
+    integrable pair takes inner; a pair that is not is a cliff where cliffs
+    certifies it, and is left inconclusive, with no integral, elsewhere."""
     closed_norms = True
     fold = True
 
@@ -314,7 +313,6 @@ class _FamilyBasis:
         self.spec = spec
         self.base = 0
         self.label = spec.label
-        self._integrable = {}
 
     def phi(self, n):
         return poly_from_params(self.spec.params, n, monic=True)
@@ -340,20 +338,25 @@ class _FamilyBasis:
         when there is none.  No degree bound gives K = nmax.  The interval
         is hinted for the block's widest product, of degree 2K, which also
         bounds the off-block pairs the tree carries."""
+        integrable = self.integrable_mask(self.base + len(norms) - 1)
         end = self.base - 1
         for n, d in enumerate(norms, start=self.base):
-            if d is None or not self.integrable(n, n):
+            if d is None or not integrable[n, n]:
                 break
             end = n
         # the widest product in the block has degree 2K
         return end, self.spec.interval(tail_power=2 * end)
 
     def integrable(self, n, m):
-        # pair_integrable reads only the product's parity at 0 and its degree
-        key = (n % 2 + m % 2, n + m)
-        if key not in self._integrable:
-            self._integrable[key] = pair_integrable(self.spec, n, m)
-        return self._integrable[key]
+        return pair_integrable(self.spec, n, m)
+
+    def integrable_mask(self, nmax):
+        """integrable(n, m) at [n, m], n, m = 0..nmax: one outer sum over the
+        exponents, with pair_integrable's float operations in its order."""
+        m = np.arange(nmax + 1)
+        n, low = m[:, None], m % 2
+        return ((self.spec.exponents.origin + (low[:, None] + low) > -1)
+                & (self.spec._tail_margin(n, m) < 0))
 
     def off_block(self, end, nmax, norms):
         """The off-block pairs the tree of the block 0..end carries: the even
@@ -366,9 +369,10 @@ class _FamilyBasis:
         d (it cost (10, 10) of FiniteII(10.7)@20 4.5e-6), or when the top
         member overflows before x_w, where its non-finite samples would
         hold the block open."""
+        integrable = self.integrable_mask(nmax)
         pairs = {(n, m) for n in range(end + 1, min(2 * end, nmax) + 1)
                  for m in range(2 * end - n + 1)
-                 if (n + m) % 2 == 0 and self.integrable(n, m)}
+                 if (n + m) % 2 == 0 and integrable[n, m]}
         if not pairs:
             return pairs
         top = _rows_below_pole(self, max(n for n, _ in pairs), end)[0]
@@ -380,15 +384,14 @@ class _FamilyBasis:
         return {(n, m) for n, m in pairs if n <= top}
 
     def cliffs(self, nmax, phi):
-        """(n, m) -> whether the product of members n and m is certified
-        divergent: the exact count (pair_integrable) says it is not
-        integrable, and at some hinted point of the weight, on one side,
-        the measured exponent of one quadrature.exponent_scan of members
-        0..nmax agrees with the pair's divergent hint.  Each side is judged
-        on its own, so cancelling divergent tails still show.  Members
-        below a pole in the recurrence are its rows; each member from the
-        pole on is phi(n), its own SymmetricPoly (None where it does not
-        exist, whose pairs never certify)."""
+        """The mask, at [n, m] for n, m = 0..nmax, of the pairs (read only
+        where not integrable) whose measured exponent at some hinted point
+        of the weight, on one side, agrees with their divergent hint
+        (divergence_mask), from one quadrature.exponent_scan of members
+        0..nmax.  Each side is judged on its own, so cancelling divergent
+        tails still show.  Members below a pole in the recurrence are its
+        rows; each member from the pole on is phi(n), its own SymmetricPoly
+        (None where it does not exist, whose pairs never certify)."""
         top, rows = _rows_below_pole(self, nmax, self.base)
         wlog = self.spec.weight_log
 
@@ -398,15 +401,12 @@ class _FamilyBasis:
             return np.vstack([rows(x)] + above) if above else rows(x)
         scan = exponent_scan(lambda x: (wlog(x), np.log(np.abs(members(x)))),
                              self.spec.interval(), nmax)
-        hints = functools.lru_cache(maxsize=None)(
-            lambda parity, degree: dict(self.spec.hints(parity, degree)))
-
-        def certified(n, m):
-            if self.integrable(n, m):
-                return False
-            hint = hints((n % 2) + (m % 2), n + m)
-            return any(certifies_divergence(point, sigma[n, m], spread[n, m], hint[point])
-                       for point, sigma, spread in scan)
+        # every pair's hints: the parity and the degree of its product
+        n = np.arange(nmax + 1)[:, None]
+        hint = dict(self.spec.hints(n % 2 + n.T % 2, n + n.T))
+        certified = np.zeros((nmax + 1, nmax + 1), dtype=bool)
+        for point, sigma, spread in scan:
+            certified |= divergence_mask(point, sigma, spread, hint[point])
         return certified
 
     def inner(self, phi_a, phi_b, n, m):
@@ -458,8 +458,7 @@ def _shared_tree(ad, end, interval, norms, off):
     sqrt|d_n| sqrt|d_m|, with d the closed-form norms or, when norms is None,
     the tree's running diagonal; an off-block pair to 1e-9 |d_m|, the scale
     _gram_report judges it by; the rest of the rows hold the tree to
-    nothing.  Returns ((n, m) -> QuadResult, or None for a pair the tree
-    does not hold or left open outside its block; the GramQuad)."""
+    nothing.  Returns the tree's GramQuad."""
     b = ad.base
     top = max([n for n, _ in off], default=end)
     rows = ad.rows(top)
@@ -476,53 +475,50 @@ def _shared_tree(ad, end, interval, norms, off):
         scale[:end - b + 1] = np.maximum(np.outer(root, root), 1e-150)
         for n, m in off:
             scale[n - b, m - b] = d[m - b]
-    res = integrate_gram(sample, interval, scale, fold=ad.fold)
-
-    def quad(n, m):
-        i, j = n - b, m - b
-        if n > end and not ((n, m) in off and res.converged[i, j]):
-            return None
-        return QuadResult(float(res.value[i, j]), float(res.error[i, j]),
-                          bool(res.converged[i, j]), False)
-    return quad, res
+    return integrate_gram(sample, interval, scale, fold=ad.fold)
 
 
-# a divergent entry proven by its measured exponent, and a non-integrable
-# entry the scan does not certify: neither takes an integral
-_CERTIFIED_CLIFF = QuadResult(math.nan, math.inf, False, True)
+# an entry that takes no integral, and the QuadResult fields _gram_report
+# holds as arrays over the cells [n - base, m - base], _NO_QUAD's by default
 _NO_QUAD = QuadResult(math.nan, math.inf, False, False)
+_FIELDS = tuple(f.name for f in fields(QuadResult))
 
 
-def _entry_by_entry(ad, nmax):
-    """ad.inner for each integrable entry; a pair that is not integrable
-    is a cliff when the adapter's exponent scan certifies it
-    (_FamilyBasis.cliffs, built at the first such pair) and inconclusive
-    otherwise.  Returns (n, m) -> QuadResult, or None when a member does
-    not exist."""
-    phis = {}
-    done = {}
-    cliffs = []
+def _entry_by_entry(ad, nmax, cells, todo):
+    """Fill cells[n - base, m - base] for the pairs todo marks, which the
+    tree does not hold: ad.inner for an integrable pair, else no integral,
+    diverged where ad.cliffs (built at the first such pair) certifies the
+    divergence.  Returns the masks of the cells a missing member leaves
+    as _NO_QUAD and of the certified cliffs."""
+    missing, cliff = np.zeros_like(todo), np.zeros_like(todo)
+    if not todo.any():
+        return missing, cliff
+    b = ad.base
+    integrable = ad.integrable_mask(nmax)
+    certified = None
 
+    @functools.lru_cache(maxsize=None)
     def phi(n):
-        if n not in phis:
-            try:
-                phis[n] = ad.phi(n)
-            except (DegenerateDenominator, ZeroLeadingCoefficient):
-                phis[n] = None
-        return phis[n]
-
-    def quad(n, m):
-        if phi(n) is None or phi(m) is None:
+        try:
+            return ad.phi(n)
+        except (DegenerateDenominator, ZeroLeadingCoefficient):
             return None
-        if (n, m) not in done:
-            if ad.integrable(n, m):
-                done[n, m] = ad.inner(phis[n], phis[m], n, m)
-            else:
-                if not cliffs:
-                    cliffs.append(ad.cliffs(nmax, phi))
-                done[n, m] = _CERTIFIED_CLIFF if cliffs[0](n, m) else _NO_QUAD
-        return done[n, m]
-    return quad
+
+    for i, j in np.argwhere(todo).tolist():
+        n, m = i + b, j + b
+        if phi(n) is None or phi(m) is None:
+            missing[i, j] = True
+            continue
+        if integrable[n, m]:
+            quad = ad.inner(phi(n), phi(m), n, m)
+            for name in _FIELDS:
+                cells[name][i, j] = getattr(quad, name)
+            continue
+        if certified is None:
+            certified = ad.cliffs(nmax, phi)
+        # the cell stays _NO_QUAD, diverged where certified
+        cliff[i, j] = cells["diverged"][i, j] = certified[n, m]
+    return missing, cliff
 
 
 def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
@@ -541,8 +537,11 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
     the pair's local exponent, measured by one scan over members base..nmax,
     confirms its divergent hint, and inconclusive otherwise, so a cliff
     always rests on divergence evidence independent of the tree.
-    Diagonals are compared with the closed-form norms; off-diagonal
-    entries are then measured against tol * sqrt(d_n d_m).  Entry statuses:
+    One pass over arrays of the entries then judges them all, from the
+    mask of integrable pairs, the scan's cliff mask, the expected norms
+    and the scales: diagonals are held to tol |d_n| of the closed-form
+    norms, and off-diagonals to tol sqrt|d_n| sqrt|d_m|, with d the
+    converged diagonals (else the norms).  Entry statuses:
 
       ok            matches expectation
       cliff         divergence certified AND the closed form refuses the
@@ -568,82 +567,70 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
 def _gram_report(ad, nmax, tol) -> GramReport:
     if nmax < ad.base:
         raise ConstraintViolation(f"nmax must be at least {ad.base} for this basis")
-    idx = list(range(ad.base, nmax + 1))
+    b, size = ad.base, nmax - ad.base + 1
     norms = ad.norms(nmax)
     end, interval = ad.tree_block(norms)
-    tree, res = None, None
-    if end >= ad.base:
-        block = norms[:end - ad.base + 1] if ad.closed_norms else None
+    cells = {name: np.full((size, size), getattr(_NO_QUAD, name)) for name in _FIELDS}
+    lower = np.tri(size, dtype=bool)    # the entries (n, m), n >= m; the matrix mirrors them
+    todo = lower.copy()
+    tree_cost = 0, 0
+    if end >= b:
+        block = norms[:end - b + 1] if ad.closed_norms else None
         # only a finite family's block ends short of nmax with room for
         # pairs n + m <= 2 end outside it
-        off = ad.off_block(end, nmax, block) if ad.base < end < nmax else ()
-        tree, res = _shared_tree(ad, end, interval, block, off)
-    single = _entry_by_entry(ad, nmax)
+        off = ad.off_block(end, nmax, block) if b < end < nmax else ()
+        res = _shared_tree(ad, end, interval, block, off)
+        # the tree holds its block, and the off-block pairs it converged
+        held = lower & (np.arange(size) <= end - b)[:, None]
+        for n, m in off:
+            held[n - b, m - b] = res.converged[n - b, m - b]
+        sub = held[:res.value.shape[0], :res.value.shape[1]]
+        for name, got in zip(_FIELDS, (res.value, res.error, res.converged)):
+            cells[name][held] = got[sub]
+        todo &= ~held
+        tree_cost = res.panels, res.evals
+    missing, cliff = _entry_by_entry(ad, nmax, cells, todo)
+    value, conv = cells["value"], cells["converged"]
 
-    def quad(n, m):
-        # called with n >= m
-        r = tree(n, m) if tree else None
-        return single(n, m) if r is None else r
+    refused = np.array([d is None for d in norms])
+    expected = np.array([math.nan if d is None else d for d in norms], dtype=float)
+    known = ~refused
+    # as plain float arithmetic: an overflow is inf, and inf - inf is nan
+    with np.errstate(invalid="ignore", over="ignore"):
+        if not ad.closed_norms:
+            # ratios to the (base, base) entry, which is measured
+            known &= conv[0, 0]
+            expected = expected * value[0, 0]
+        # the running diagonal: each converged diagonal, else its expected value
+        diag_conv, diag_missing = np.diagonal(conv), np.diagonal(missing)
+        has = diag_conv | (known & ~diag_missing)
+        d = np.abs(np.where(diag_conv, np.diagonal(value), expected))
+        dn = np.where(has[:, None], d[:, None], np.where(has, d, 1.0))
+        dm = np.where(has, d, dn)
+        limit = tol * np.maximum(np.sqrt(dn) * np.sqrt(dm), 1e-150)
+        np.fill_diagonal(limit, tol * np.maximum(np.abs(expected), 1e-300))
+        close = np.abs(value - np.diag(expected)) <= limit
+    # a missing member is a consistent refusal when its norm refuses too;
+    # a diverged diagonal is a cliff when its norm refuses
+    consistent = ~diag_missing | refused
+    np.fill_diagonal(cliff, refused)
+    rules = ((missing & consistent[:, None] & consistent, "degenerate"), (missing, "mismatch"),
+             (conv & np.diag(~refused & ~known), "inconclusive"), (conv & close, "ok"),
+             (conv, "mismatch"), (cells["diverged"] & cliff, "cliff"),
+             (cells["diverged"], "divergent"))
+    status = np.full((size, size), "inconclusive", dtype=object)
+    for rule, name in reversed(rules):      # the first rule that holds wins
+        status[rule] = name
 
-    entries = []
-    diag = {}
-    degenerate_ok = {}
-    for n, expected in zip(idx, norms):
-        refused = expected is None
-        if not ad.closed_norms and expected is not None:
-            # a ratio to the (base, base) entry, which is measured
-            first = quad(ad.base, ad.base)
-            expected = expected * first.value if first.converged else None
-        r = quad(n, n)
-        if r is None:
-            degenerate_ok[n] = refused
-            entries.append(GramEntry(n, n, _NO_QUAD, expected,
-                                     "degenerate" if refused else "mismatch"))
-            continue
-        if r.converged:
-            if refused:
-                status = "mismatch"
-            elif expected is None:
-                status = "inconclusive"
-            else:
-                status = ("ok" if abs(r.value - expected)
-                          <= tol * max(abs(expected), 1e-300) else "mismatch")
-            diag[n] = r.value
-        elif r.diverged:
-            status = "cliff" if refused else "divergent"
-        else:
-            status = "inconclusive"
-        if n not in diag and expected is not None:
-            diag[n] = expected
-        entries.append(GramEntry(n, n, r, expected, status))
-
-    for n in idx:
-        for m in range(ad.base, n):
-            r = quad(n, m)
-            if r is None:
-                consistent = all(degenerate_ok.get(k, True) for k in (n, m))
-                entries.append(GramEntry(n, m, _NO_QUAD, 0.0,
-                                         "degenerate" if consistent else "mismatch"))
-                continue
-            dn = abs(diag.get(n, diag.get(m, 1.0)))
-            dm = abs(diag.get(m, dn))
-            scale = max(math.sqrt(dn) * math.sqrt(dm), 1e-150)
-            if r.converged:
-                status = "ok" if abs(r.value) <= tol * scale else "mismatch"
-            elif r.diverged:
-                status = "cliff" if not ad.integrable(n, m) else "divergent"
-            else:
-                status = "inconclusive"
-            entries.append(GramEntry(n, m, r, 0.0, status))
-
-    size = len(idx)
-    mat = np.full((size, size), math.nan)
-    for e in entries:
-        v = e.quad.value if e.quad.converged else math.nan
-        mat[e.n - ad.base, e.m - ad.base] = v
-        mat[e.m - ad.base, e.n - ad.base] = v
+    quads = list(zip(*(cells[name].ravel().tolist() for name in _FIELDS)))
+    diagonal = [float(e) if k else None for e, k in zip(expected, known)]
+    order = [(k, k) for k in range(size)] + [(n, m) for n in range(size) for m in range(n)]
+    entries = tuple(GramEntry(n + b, m + b, QuadResult(*quads[n * size + m]),
+                              diagonal[n] if n == m else 0.0, status[n, m])
+                    for n, m in order)
+    mat = np.where(conv, value, math.nan)
+    mat = np.where(lower, mat, mat.T)
     passed = all(e.status in ("ok",) + _REFUSED for e in entries)
-    panels = sum(e.quad.panels for e in entries) + (res.panels if res else 0)
-    evals = sum(e.quad.evals for e in entries) + (res.evals if res else 0)
-    return GramReport(ad.label, ad.base, nmax, tol, tuple(entries), mat, passed,
-                      panels, evals)
+    panels = int(cells["panels"][lower].sum()) + tree_cost[0]
+    evals = int(cells["evals"][lower].sum()) + tree_cost[1]
+    return GramReport(ad.label, b, nmax, tol, entries, mat, passed, panels, evals)

@@ -194,6 +194,34 @@ def test_expand_csv_input(capsys, tmp_path):
     assert doc["residual"] <= 1e-8
 
 
+@pytest.mark.parametrize("expr, want", [("1", 1.0), ("pi", math.pi), ("2*3", 6.0),
+                                        ("sin(1)", math.sin(1.0))])
+def test_expand_expression_free_of_x(capsys, tmp_path, expr, want):
+    # the f column holds the constant; it raised after the JSON was written
+    dest = tmp_path / "recon.csv"
+    status, out, _ = invoke(capsys, "expand", "--basis", "gup", "--u", "1",
+                            "--v", "1", "--nmax", "4", "--expr", expr,
+                            "--output", str(dest))
+    assert status == 0
+    assert json.loads(out)["coefficients"][0] == pytest.approx(want, rel=1e-12)
+    rows = dest.read_text().split("\n")[1:-1]
+    assert len(rows) == 101
+    assert {float(r.split(",")[1]) for r in rows} == {want}
+
+
+@pytest.mark.parametrize("row", ["0.5,nan", "inf,2.0"], ids=["nan-y", "inf-x"])
+def test_expand_input_with_a_non_finite_row_exits_two(capsys, tmp_path, row):
+    src = tmp_path / "samples.csv"
+    src.write_text(f"x,f\n-0.5,1.0\n{row}\n0.75,2.0\n")
+    dest = tmp_path / "recon.csv"
+    status, out, err = invoke(capsys, "expand", "--basis", "gup", "--u", "0.5",
+                              "--v", "0.5", "--nmax", "3",
+                              "--input", str(src), "--output", str(dest))
+    assert status == 2 and out == ""
+    assert json.loads(err)["error"] == "constraint-violation"
+    assert not dest.exists()
+
+
 # --------------------------------------------------------------- errors
 
 

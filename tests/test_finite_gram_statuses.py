@@ -19,7 +19,9 @@ import sys
 
 import pytest
 
+from symortho.errors import DegenerateDenominator, ZeroLeadingCoefficient
 from symortho.families import FiniteI, FiniteII, pair_integrable
+from symortho.quadrature import certifies_divergence
 from symortho import sturm
 from symortho.sturm import _adapt, gram_matrix
 
@@ -139,14 +141,49 @@ def test_no_integral_is_taken_for_a_pair_that_is_not_integrable(monkeypatch):
 
 
 def test_memoized_integrable_is_pair_integrable():
-    # _FamilyBasis.integrable keys its memo on the product's parity at 0
-    # and its degree
+    # _FamilyBasis.integrable and its mask, one outer sum over the weight's
+    # exponents, agree with pair_integrable
     for cls, args, _ in CASES:
         spec = cls(*args)
         ad = _adapt(spec)
+        mask = ad.integrable_mask(24)
+        assert mask.shape == (25, 25)
         for n in range(25):
             for m in range(25):
-                assert ad.integrable(n, m) == pair_integrable(spec, n, m), (spec, n, m)
+                want = pair_integrable(spec, n, m)
+                assert ad.integrable(n, m) == want and mask[n, m] == want, (spec, n, m)
+
+
+def test_cliff_mask_is_the_scalar_rule(monkeypatch):
+    # _FamilyBasis.cliffs judges every pair of one exponent scan at once;
+    # quadrature.certifies_divergence judges one pair at one point
+    scans = []
+    real_scan = sturm.exponent_scan
+
+    def recording(*args, **kw):
+        scans.append(real_scan(*args, **kw))
+        return scans[-1]
+    monkeypatch.setattr(sturm, "exponent_scan", recording)
+    certified = 0
+    for cls, args, _ in CASES:
+        spec = cls(*args)
+        ad = _adapt(spec)
+
+        def phi(n):
+            try:
+                return ad.phi(n)
+            except (DegenerateDenominator, ZeroLeadingCoefficient):
+                return None
+        mask = ad.cliffs(24, phi)
+        assert mask.shape == (25, 25)
+        for n in range(25):
+            for m in range(25):
+                hint = dict(spec.hints(n % 2 + m % 2, n + m))
+                want = any(certifies_divergence(point, sigma[n, m], spread[n, m], hint[point])
+                           for point, sigma, spread in scans[-1])
+                assert mask[n, m] == want, (spec, n, m)
+        certified += int(mask.sum())
+    assert certified
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
