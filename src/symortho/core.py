@@ -24,6 +24,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from numbers import Rational
 
 import numpy as np
@@ -114,11 +115,6 @@ def _check_degree(n):
     return int(n)
 
 
-def _sign_eps(n):
-    # (-1)^(n+1): -1 for even n, +1 for odd n
-    return 1 if n % 2 else -1
-
-
 def explicit_coeffs(params: ClassParams, n):
     """Coefficients of S_n in descending-degree compressed form.
 
@@ -133,25 +129,24 @@ def explicit_coeffs(params: ClassParams, n):
     return [binom(h, k) * ratio[h - k] for k in range(h + 1)]
 
 
-def _ratios(params: ClassParams, n):
-    """ratio[j] = product_{i<j} [(2i+eps+2h)p + r] / [(2i+eps+2)q + s],
-    j = 0..h, the last one being S_n's leading coefficient."""
+def _factors(params: ClassParams, n):
+    """The numerators (2i+eps+2h)p + r and denominators (2i+eps+2)q + s,
+    i < h = n // 2, of S_n's coefficient ratios."""
     p, q, r, s = params.promoted()
-    h = n // 2
-    eps = _sign_eps(n)
+    h, eps = n // 2, 1 if n % 2 else -1     # eps = (-1)^(n+1)
+    return ([(2 * i + eps + 2 * h) * p + r for i in range(h)],
+            [(2 * i + eps + 2) * q + s for i in range(h)])
 
-    dens = [(2 * i + eps + 2) * q + s for i in range(h)]
+
+def _ratios(params: ClassParams, n):
+    """ratio[j] = product_{i<j} num_i / den_i (_factors), j = 0..h, the
+    last one being S_n's leading coefficient."""
+    nums, dens = _factors(params, n)
     for i, d in enumerate(dens):
         if d == 0:
             raise DegenerateDenominator(
                 f"(2i+eps+2)q+s vanishes for degree {n}", index=i)
-
-    ratio = [1]
-    acc = 1
-    for i in range(h):
-        acc = acc * ((2 * i + eps + 2 * h) * p + r) / dens[i]
-        ratio.append(acc)
-    return ratio
+    return list(accumulate(zip(nums, dens), lambda acc, nd: acc * nd[0] / nd[1], initial=1))
 
 
 def leading_coefficient(params: ClassParams, n):
@@ -250,7 +245,9 @@ class Recurrence:
     (member d) and triple (member d and two derivatives).  Unlike Horner on
     monomial coefficients it stays accurate to rounding relative to
     max|p_k| at high degree.  Every recurrence here has b_k = 0 for k >= 1
-    (V alone has b_0 != 0).
+    (V alone has b_0 != 0).  Rows and a call take the points where member
+    d comes out nan at a non-nan x (inf - inf in a step, a nan carrying to
+    every later step) again by _scaled: +-inf past the float range.
     """
 
     def __init__(self, scale, b, c):
@@ -263,75 +260,43 @@ class Recurrence:
         self._head = min(d, d % 2 + (2 if d and self.b[0] else 0))
         self._steps = [(self.c[k + 1] + self.c[k], self.c[k] * self.c[k - 1] if k else 0.0)
                        for k in range(self._head, d - 1, 2)]
-        self._reach = self._reach_of(abs(float(self.scale[-1])))
-
-    def _reach_of(self, scale):
-        """The |x| up to which no value of a member scaled by at most scale
-        overflows: member k's values, intermediate ones included, are at
-        most scale A^k with A = 2 max(|x| + max|b|, sqrt(max|c|), 1), and
-        that stays below 1e300 there."""
-        d = len(self.b)
-        top = (1e300 / max(1.0, scale)) ** (1.0 / max(d, 1)) / 2
-        bmax, cmax = (max(max(v), -min(v)) if v else 0.0 for v in (self.b, self.c))
-        return min(max(top - bmax, 0.0), 1e150) if top >= max(1.0, cmax ** 0.5) else 0.0
-
-    @cached_property
-    def _rows_reach(self):
-        # built on the first rows call: a call-mode recurrence never needs it
-        return self._reach_of(float(np.abs(self.scale).max()))
 
     def rows(self, x):
         """(d + 1, *x.shape) array, row k being member k at x; +-inf where
         a member overflows."""
         x = np.asarray(x, dtype=float)
-        if not x.size or np.abs(x).max() <= self._rows_reach:
-            return self._rows(x, False)
-        # as in block: the columns that come out nan are taken again with
-        # the guard
         with np.errstate(over="ignore", invalid="ignore"):
-            out = self._rows(x, False)
-            bad = np.isnan(out).any(axis=0) & ~np.isnan(x)
+            out = self._rows(x)
+            bad = np.isnan(out[-1]) & ~np.isnan(x)
             if bad.any():
-                out[:, bad] = self._rows(x[bad], True)
+                out[:, bad] = self._scaled(x[bad], True)
         return out
 
-    def _rows(self, x, guard):
+    def _rows(self, x):
         out = np.empty((len(self.b) + 1,) + x.shape)
         out[0] = 1.0
         for k, (bk, ck) in enumerate(zip(self.b, self.c)):
             xk = x - bk if bk else x
-            if not k:
-                out[1] = xk * out[0]
-            elif guard:
-                out[k + 1] = xk * out[k] + np.where(np.isinf(out[k]), 0.0, ck * out[k - 1])
-            else:
-                out[k + 1] = xk * out[k] + ck * out[k - 1]
+            out[k + 1] = xk * out[k] + ck * out[k - 1] if k else xk * out[0]
         if np.any(self.scale != 1.0):
             out *= self.scale.reshape((-1,) + (1,) * x.ndim)
         return out
 
     def __call__(self, x):
         """Member d at x, blockwise; +-inf where it overflows."""
-        # x^2 itself overflows past |x| ~ 1.3e154 (within _reach nothing does)
-        with np.errstate(over="ignore"):
-            return blockwise(self.block, x)
+        return blockwise(self.block, x)
 
     def block(self, x):
-        """Member d at a flat array x, in a new array; the caller silences
-        overflow."""
-        if not x.size or max(-x.min(), x.max()) <= self._reach:
-            return self._member(x, False)
-        # the member may overflow: where it comes out nan (inf - inf in a
-        # step), take it again with the guard, which drops a step's lower
-        # term where the upper member is already +-inf
-        with np.errstate(invalid="ignore"):
-            out = self._member(x, False)
+        """Member d at a flat array x, in a new array."""
+        # x^2 itself overflows past |x| ~ 1.3e154
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._member(x)
             bad = np.isnan(out) & ~np.isnan(x)
             if bad.any():
-                out[bad] = self._member(x[bad], True)
+                out[bad] = self._scaled(x[bad], False)
         return out
 
-    def _member(self, x, guard):
+    def _member(self, x):
         # at most four arrays of x's size are alive at once: y, cur, prev, nxt
         b, c, scale = self.b, self.c, self.scale[-1]
         if not b:
@@ -352,10 +317,31 @@ class Recurrence:
             nxt *= cur
             if t:
                 prev *= t
-                nxt -= np.where(np.isinf(cur), 0.0, prev) if guard else prev
+                nxt -= prev
             cur, prev, nxt = nxt, cur, (prev if isinstance(prev, np.ndarray)
                                         else np.empty_like(x))
         return cur
+
+    def _scaled(self, x, rows):
+        """Members 0..d at a flat x (rows) or member d alone, with p_k and
+        p_{k-1} rescaled together at each step by the power of 2 of the
+        larger, kept per point: +-inf past the float range, never nan.  A
+        power of 2 scales exactly, so a value in range is the plain pass's."""
+        mant, power = np.frexp(self.scale)
+        out, prev, cur, e = [], np.zeros_like(x), np.ones_like(x), np.zeros(x.shape, dtype=int)
+        for k, (bk, ck) in enumerate(zip(self.b, self.c)):
+            if rows:
+                out.append(np.ldexp(cur * mant[k], e + power[k]))
+            prev, cur = cur, (x - bk) * cur + ck * prev
+            f = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))[1]
+            prev, cur, e = np.ldexp(prev, -f), np.ldexp(cur, -f), e + f
+            # |x| at or near the float max makes p_k infinite: keep its sign,
+            # with a power past 1024 + 1074, beyond any float and any scale
+            top = np.isinf(cur)
+            if top.any():
+                prev, cur, e = np.where(top, 0.0, prev), np.where(top, np.sign(cur), cur), e + 2100 * top
+        out.append(np.ldexp(cur * mant[-1], e + power[-1]))
+        return np.array(out) if rows else out[0]
 
     def triple(self, x):
         """Member d and its first two derivatives at x, by the recurrence
@@ -385,17 +371,19 @@ def member_rows(params: ClassParams, nmax):
 
 
 def poly_from_params(params: ClassParams, n, monic=False) -> "SymmetricPoly":
-    """S_n, or its monic version, raising as explicit_coeffs (monic_coeffs)
-    would.  It evaluates by the class recurrence scaled by the leading
-    coefficient; its exact coefficients are built on the first read of
-    .coeffs."""
+    """S_n, or its monic version, raising as explicit_coeffs would.  The
+    monic version exists unless a numerator factor of the leading
+    coefficient is 0 (a float lead can underflow to 0 without one; then
+    .coeffs, from monic_coeffs, raises).  It evaluates by the class
+    recurrence scaled by the leading coefficient; its exact coefficients
+    are built on the first read of .coeffs."""
     n = _check_degree(n)
     lead = params.lead(n)
-    if monic and lead == 0:
+    if monic and lead == 0 and not all(_factors(params, n)[0]):
         raise ZeroLeadingCoefficient(
             f"S_{n} has leading coefficient 0; no monic version exists")
     poly = SymmetricPoly._lazy(n, lambda: (monic_coeffs if monic else explicit_coeffs)(params, n))
-    if lead != 0:
+    if monic or lead != 0:
         try:
             poly._rec = class_recurrence(params, n, 1.0 if monic else lead)
         except PoleError:

@@ -84,6 +84,7 @@ class ExpansionSeries:
     nmax: int
     residual: float          # absolute L2(W*) error of the partial sum
     residual_rel: float      # residual / ||f||
+    residual_converged: bool = True  # False: residual is an open tree's estimate
 
 
 def _intervals(ad, members):
@@ -150,7 +151,8 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
     running value, else NonSquareIntegrable; the numerators int W* f phi_n,
     sampled with the weight and f once per panel, to sqrt(||f||^2 d_n) with
     d_n the Gram report's norms, else MaxDepthExceeded; the squared residual
-    to ||f||^2, taken as it stands if it stays open.  _intervals gives hints.
+    to ||f||^2, taken as it stands if it stays open (residual_converged
+    says which).  _intervals gives hints.
     """
     fn = _as_callable(f)
     ad = _adapt(basis)
@@ -193,7 +195,7 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
                          ad.interval(members=0), np.array([[max(f_norm2, 1e-300)]]))
     residual = math.sqrt(max(float(res.value[0, 0]), 0.0))
     rel = residual / math.sqrt(f_norm2) if f_norm2 > 0 else 0.0
-    return ExpansionSeries(basis, coeffs, nmax, residual, rel)
+    return ExpansionSeries(basis, coeffs, nmax, residual, rel, bool(res.converged.all()))
 
 
 def reconstruct(series: ExpansionSeries, x):

@@ -217,7 +217,7 @@ class _LambdaBasis:
     def interval(self):
         return _t_interval(self.exponents, self.h, 0, 0)
 
-    def tree_block(self, norms):
+    def tree_block(self, norms, integrable=None):
         end = self.base - 1 if self.exponents.tail > -math.inf else self.base + len(norms) - 1
         return end, self.interval()
 

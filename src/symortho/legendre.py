@@ -94,7 +94,10 @@ class _Kind:
     def weight(self, x):
         return 1.0
 
-    def tree_block(self, norms):
+    def integrable_mask(self, nmax):
+        return np.ones((nmax + 1,) * 2, dtype=bool)    # the tree holds every pair
+
+    def tree_block(self, norms, integrable=None):
         return self.base + len(norms) - 1, self.interval()
 
 

@@ -331,14 +331,15 @@ class _FamilyBasis:
         # the weight's own hints: polynomial members add integer exponents
         return self.spec.interval()
 
-    def tree_block(self, norms):
+    def tree_block(self, norms, integrable=None):
         """(K, interval) of the Gram tree block base..K: K is the largest
         degree such that every degree base..K has a closed-form norm and
-        (K, K) is integrable, and so then is every pair below it; base - 1
-        when there is none.  No degree bound gives K = nmax.  The interval
-        is hinted for the block's widest product, of degree 2K, which also
-        bounds the off-block pairs the tree carries."""
-        integrable = self.integrable_mask(self.base + len(norms) - 1)
+        (K, K) is integrable (integrable_mask(nmax) unless given), and so
+        then is every pair below it; base - 1 when there is none.  No degree
+        bound gives K = nmax.  The interval is hinted for the block's widest
+        product, of degree 2K, which also bounds the off-block pairs."""
+        if integrable is None:
+            integrable = self.integrable_mask(self.base + len(norms) - 1)
         end = self.base - 1
         for n, d in enumerate(norms, start=self.base):
             if d is None or not integrable[n, n]:
@@ -358,10 +359,11 @@ class _FamilyBasis:
         return ((self.spec.exponents.origin + (low[:, None] + low) > -1)
                 & (self.spec._tail_margin(n, m) < 0))
 
-    def off_block(self, end, nmax, norms):
+    def off_block(self, end, nmax, norms, integrable=None):
         """The off-block pairs the tree of the block 0..end carries: the even
-        integrable (n, m), m <= end < n, no wider than (end, end) (n + m <=
-        2 end), with members below any pole of the recurrence.  Float
+        integrable (n, m) (integrable_mask(nmax) unless given), m <= end <
+        n, no wider than (end, end) (n + m <= 2 end), with members below any
+        pole of the recurrence.  Float
         samples of w P_n P_m are 0 past x_w, where the weight's tail
         underflows, and refining for the pairs can reach x_w.  So none is
         carried when the widest product's mass past x_w, 2 x_w^s / -s for a
@@ -369,7 +371,7 @@ class _FamilyBasis:
         d (it cost (10, 10) of FiniteII(10.7)@20 4.5e-6), or when the top
         member overflows before x_w, where its non-finite samples would
         hold the block open."""
-        integrable = self.integrable_mask(nmax)
+        integrable = self.integrable_mask(nmax) if integrable is None else integrable
         pairs = {(n, m) for n in range(end + 1, min(2 * end, nmax) + 1)
                  for m in range(2 * end - n + 1)
                  if (n + m) % 2 == 0 and integrable[n, m]}
@@ -484,9 +486,9 @@ _NO_QUAD = QuadResult(math.nan, math.inf, False, False)
 _FIELDS = tuple(f.name for f in fields(QuadResult))
 
 
-def _entry_by_entry(ad, nmax, cells, todo):
+def _entry_by_entry(ad, nmax, cells, todo, integrable):
     """Fill cells[n - base, m - base] for the pairs todo marks, which the
-    tree does not hold: ad.inner for an integrable pair, else no integral,
+    tree does not hold: ad.inner for a pair integrable marks, else no integral,
     diverged where ad.cliffs (built at the first such pair) certifies the
     divergence.  Returns the masks of the cells a missing member leaves
     as _NO_QUAD and of the certified cliffs."""
@@ -494,7 +496,6 @@ def _entry_by_entry(ad, nmax, cells, todo):
     if not todo.any():
         return missing, cliff
     b = ad.base
-    integrable = ad.integrable_mask(nmax)
     certified = None
 
     @functools.lru_cache(maxsize=None)
@@ -569,7 +570,9 @@ def _gram_report(ad, nmax, tol) -> GramReport:
         raise ConstraintViolation(f"nmax must be at least {ad.base} for this basis")
     b, size = ad.base, nmax - ad.base + 1
     norms = ad.norms(nmax)
-    end, interval = ad.tree_block(norms)
+    # read by the tree block, its off-block pairs and the per-entry pass
+    integrable = ad.integrable_mask(nmax)
+    end, interval = ad.tree_block(norms, integrable)
     cells = {name: np.full((size, size), getattr(_NO_QUAD, name)) for name in _FIELDS}
     lower = np.tri(size, dtype=bool)    # the entries (n, m), n >= m; the matrix mirrors them
     todo = lower.copy()
@@ -578,7 +581,7 @@ def _gram_report(ad, nmax, tol) -> GramReport:
         block = norms[:end - b + 1] if ad.closed_norms else None
         # only a finite family's block ends short of nmax with room for
         # pairs n + m <= 2 end outside it
-        off = ad.off_block(end, nmax, block) if b < end < nmax else ()
+        off = ad.off_block(end, nmax, block, integrable) if b < end < nmax else ()
         res = _shared_tree(ad, end, interval, block, off)
         # the tree holds its block, and the off-block pairs it converged
         held = lower & (np.arange(size) <= end - b)[:, None]
@@ -589,7 +592,7 @@ def _gram_report(ad, nmax, tol) -> GramReport:
             cells[name][held] = got[sub]
         todo &= ~held
         tree_cost = res.panels, res.evals
-    missing, cliff = _entry_by_entry(ad, nmax, cells, todo)
+    missing, cliff = _entry_by_entry(ad, nmax, cells, todo, integrable)
     value, conv = cells["value"], cells["converged"]
 
     refused = np.array([d is None for d in norms])

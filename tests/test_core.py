@@ -459,3 +459,81 @@ def test_member_existence_matches_the_coefficient_lists():
                                 assert params.lead(n) == lead
     assert seen >= {None, (ZeroLeadingCoefficient, None)} | {
         (DegenerateDenominator, i) for i in range(4)}
+
+
+# ------------------------------------------- members past the float range
+
+GHP_HALF = ClassParams(0, 1, -2, 1)                 # GHP(1/2), exact
+GHP_HALF_FLOAT = ClassParams(0.0, 1.0, -2.0, 1.0)   # GHP(0.5)
+
+
+def _log10(v):
+    v = Fraction(v)
+    return math.log10(abs(v.numerator)) - math.log10(v.denominator)
+
+
+@pytest.mark.parametrize("params", [GHP_HALF, GHP_HALF_FLOAT], ids=["fraction", "float"])
+def test_member_342_past_the_float_range_is_signed_inf(params):
+    # both products of a step overflow on the way, and inf - inf is nan
+    x = np.array([0.0, 0.5, 3.0])
+    got = poly_from_params(params, 342, monic=True)(x)
+    assert np.array_equal(got, [-np.inf, -np.inf, np.inf])
+    exact = poly_from_params(GHP_HALF, 342, monic=True)
+    want = [exact.eval_exact(Fraction(v)) for v in (0, Fraction(1, 2), 3)]
+    assert [round(_log10(v), 2) for v in want] == [309.09, 308.48, 309.78]
+    assert np.array_equal(np.sign(got), np.sign([float(v > 0) - float(v < 0) for v in want]))
+
+
+@pytest.mark.parametrize("params", [GHP_HALF, GHP_HALF_FLOAT], ids=["fraction", "float"])
+def test_rows_past_the_float_range_have_no_nan(params):
+    x = np.array([0.0, 0.5, 3.0, -3.0])
+    rows = member_rows(params, 350)(x)
+    assert not np.isnan(rows).any()
+    # a call steps two degrees at a time in x^2: its finite values round
+    # differently, its infinities are the same
+    calls = np.array([poly_from_params(params, n, monic=True)(x) for n in range(351)])
+    inf = np.isinf(rows)
+    assert np.array_equal(inf, np.isinf(calls)) and np.array_equal(rows[inf], calls[inf])
+    assert np.isinf(rows[343:, 2:]).all() and np.isfinite(rows[:300]).all()
+    # odd members vanish at 0, even ones past the range are +-inf there
+    assert (rows[343::2, 0] == 0).all() and np.isinf(rows[344::2, 0]).all()
+
+
+def test_member_355_exists_though_its_float_lead_underflows():
+    # lead(354) is -3e-323 in floats and lead(355) is -0.0, but no factor
+    # (2i+eps+2h)p + r of it is 0
+    assert GHP_HALF_FLOAT.lead(355) == 0 and GHP_HALF.lead(355) != 0
+    x = np.array([0.0, 0.5, 3.0])
+    want = [0.0, -np.inf, np.inf]
+    for params in (GHP_HALF, GHP_HALF_FLOAT):
+        assert np.array_equal(poly_from_params(params, 355, monic=True)(x), want)
+    exact = poly_from_params(GHP_HALF, 355, monic=True)
+    assert [round(_log10(exact.eval_exact(v)), 1) for v in (Fraction(1, 2), 3)] == [321.3, 324.3]
+    assert exact.eval_exact(Fraction(1, 2)) < 0 < exact.eval_exact(3)
+    # a factor that is exactly 0 still refuses the member
+    with pytest.raises(ZeroLeadingCoefficient):
+        poly_from_params(ClassParams(1.0, 0.0, -7.0, 2.0), 5, monic=True)
+
+
+@pytest.mark.parametrize("x", [0.5, 3.0])
+def test_scaled_pass_agrees_with_exact_values(x):
+    # called directly where every member is finite
+    rec = core.class_recurrence(GHP_HALF, 300)
+    got = rec._scaled(np.array([x]), True)[:, 0]
+    want = np.array([float(poly_from_params(GHP_HALF, n, monic=True).eval_exact(Fraction(x)))
+                     for n in range(301)])
+    assert np.isfinite(want).all()
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert got[-1] == rec._scaled(np.array([x]), False)[0]
+
+
+def test_members_at_infinite_x_are_signed_inf():
+    # the plain pass takes inf - inf where a C_k < 0; the scaled pass keeps
+    # the leading term's sign
+    x = np.array([np.inf, -np.inf, np.nan])
+    for n in (63, 64):
+        got = poly_from_params(GHP_HALF, n, monic=True)(x)
+        assert np.array_equal(got[:2], [np.inf, (-1) ** n * np.inf]) and np.isnan(got[2])
+    rows = member_rows(GHP_HALF, 64)(x)
+    assert np.array_equal(rows[1:, 1], (-1.0) ** np.arange(1, 65) * np.inf)
+    assert (rows[1:, 0] == np.inf).all() and np.isnan(rows[1:, 2]).all()

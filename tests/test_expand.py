@@ -268,6 +268,15 @@ def test_expand_panel_count(basis, monkeypatch):
     assert sum(panels) <= 1000, panels
 
 
+@pytest.mark.parametrize("basis, closed", [(V(0.6), False), (GUP(0.6, 0.8), True)], ids=str)
+def test_series_reports_whether_its_residual_closed(basis, closed):
+    # V(0.6)'s residual tree stays open after its panel budget, which the
+    # residual itself does not show
+    ser = expand(np.sin, basis, 8)
+    assert ser.residual_converged is closed
+    assert ExpansionSeries(basis, ser.coefficients, 8, 0.0, 0.0).residual_converged
+
+
 # ------------------------------------------- coefficients on one panel tree
 
 

@@ -652,6 +652,23 @@ def test_off_block_pairs_stay_off_a_tree_whose_tail_underflows(monkeypatch):
     assert len(calls) == len(_off_block(basis, nmax))
 
 
+@pytest.mark.parametrize("basis, nmax", [
+    (FiniteII(6.03), 16), (FiniteII(4.5), 10), (FiniteI(0.1, 2.5), 8), (GUP(1, 1.5), 8)], ids=str)
+def test_one_integrable_mask_per_report(monkeypatch, basis, nmax):
+    # the tree block, its off-block pairs and the per-entry pass read one mask
+    built = []
+    real = sturm._FamilyBasis.integrable_mask
+
+    def counting(self, top):
+        built.append(top)
+        return real(self, top)
+    monkeypatch.setattr(sturm._FamilyBasis, "integrable_mask", counting)
+    want = [e.status for e in gram_matrix(basis, nmax).entries]
+    assert built == [nmax]
+    monkeypatch.undo()
+    assert [e.status for e in gram_matrix(basis, nmax).entries] == want
+
+
 @pytest.mark.parametrize("u", [4.5, 5.55, 6, 6.5, 8.5, 9.02, 12.25, 15.6, 17.4, 20.3, 20.55, 30.3])
 def test_tree_rows_are_finite_wherever_the_weight_is_not_zero(u):
     basis, nmax = FiniteII(u), 2 * math.ceil(u)
