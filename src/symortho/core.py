@@ -284,16 +284,17 @@ class Recurrence:
 
     def __call__(self, x):
         """Member d at x, blockwise; +-inf where it overflows."""
-        return blockwise(self.block, x)
-
-    def block(self, x):
-        """Member d at a flat array x, in a new array."""
         # x^2 itself overflows past |x| ~ 1.3e154
         with np.errstate(over="ignore", invalid="ignore"):
-            out = self._member(x)
+            return blockwise(self.block, x)
+
+    def block(self, x):
+        """Member d at a flat array x, in a new array; the caller silences
+        overflow and invalid."""
+        out = self._member(x)
+        if np.isnan(out.min(initial=0.0)):      # min is nan if any value is
             bad = np.isnan(out) & ~np.isnan(x)
-            if bad.any():
-                out[bad] = self._scaled(x[bad], False)
+            out[bad] = self._scaled(x[bad], False)
         return out
 
     def _member(self, x):
