@@ -294,7 +294,8 @@ class Recurrence:
         out = self._member(x)
         if np.isnan(out.min(initial=0.0)):      # min is nan if any value is
             bad = np.isnan(out) & ~np.isnan(x)
-            out[bad] = self._scaled(x[bad], False)
+            if bad.any():
+                out[bad] = self._scaled(x[bad], False)
         return out
 
     def _member(self, x):
@@ -327,7 +328,8 @@ class Recurrence:
         """Members 0..d at a flat x (rows) or member d alone, with p_k and
         p_{k-1} rescaled together at each step by the power of 2 of the
         larger, kept per point: +-inf past the float range, never nan.  A
-        power of 2 scales exactly, so a value in range is the plain pass's."""
+        power of 2 scales exactly, so where the one-step recurrence (the rows
+        mode) stays in the normal range, its values come out bit for bit."""
         mant, power = np.frexp(self.scale)
         out, prev, cur, e = [], np.zeros_like(x), np.ones_like(x), np.zeros(x.shape, dtype=int)
         for k, (bk, ck) in enumerate(zip(self.b, self.c)):
