@@ -236,6 +236,20 @@ def blockwise(fn, x, chunk=None):
     return out.reshape(x.shape)
 
 
+def _rescale(stack, e):
+    """The running arrays of a scaled pass, one row each, divided per point
+    by the power of 2 of the largest, and e plus that power.  Where a row
+    is infinite (|x| at or near the float max), the infinite rows keep
+    their sign and the rest become 0, with a power past 1024 + 1074, beyond
+    any float and any scale; inf * 0 (at x = +-inf) is read as 0."""
+    stack[np.isnan(stack)] = 0.0
+    inf = np.isinf(stack)
+    top = inf.any(axis=0)
+    stack[:, top] = np.where(inf[:, top], np.sign(stack[:, top]), 0.0)
+    f = np.frexp(np.abs(stack).max(axis=0))[1]
+    return np.ldexp(stack, -f), e + f + 2100 * top
+
+
 class Recurrence:
     """Float members p_0..p_d of the three-term recurrence
 
@@ -247,7 +261,8 @@ class Recurrence:
     max|p_k| at high degree.  Every recurrence here has b_k = 0 for k >= 1
     (V alone has b_0 != 0).  Rows and a call take the points where member
     d comes out nan at a non-nan x (inf - inf in a step, a nan carrying to
-    every later step) again by _scaled: +-inf past the float range.
+    every later step) again by _scaled, and triple its nan values by its
+    own scaled pass: +-inf past the float range.
     """
 
     def __init__(self, scale, b, c):
@@ -326,38 +341,52 @@ class Recurrence:
 
     def _scaled(self, x, rows):
         """Members 0..d at a flat x (rows) or member d alone, with p_k and
-        p_{k-1} rescaled together at each step by the power of 2 of the
-        larger, kept per point: +-inf past the float range, never nan.  A
-        power of 2 scales exactly, so where the one-step recurrence (the rows
-        mode) stays in the normal range, its values come out bit for bit."""
+        p_{k-1} rescaled together at each step by _rescale: +-inf past the
+        float range, never nan.  A power of 2 scales exactly, so where the
+        one-step recurrence (the rows mode) stays in the normal range, its
+        values come out bit for bit."""
         mant, power = np.frexp(self.scale)
-        out, prev, cur, e = [], np.zeros_like(x), np.ones_like(x), np.zeros(x.shape, dtype=int)
+        out, prev, cur, e = [], np.zeros_like(x), np.ones_like(x), 0
         for k, (bk, ck) in enumerate(zip(self.b, self.c)):
             if rows:
                 out.append(np.ldexp(cur * mant[k], e + power[k]))
-            prev, cur = cur, (x - bk) * cur + ck * prev
-            f = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))[1]
-            prev, cur, e = np.ldexp(prev, -f), np.ldexp(cur, -f), e + f
-            # |x| at or near the float max makes p_k infinite: keep its sign,
-            # with a power past 1024 + 1074, beyond any float and any scale
-            top = np.isinf(cur)
-            if top.any():
-                prev, cur, e = np.where(top, 0.0, prev), np.where(top, np.sign(cur), cur), e + 2100 * top
+            (prev, cur), e = _rescale(np.array([cur, (x - bk) * cur + ck * prev]), e)
         out.append(np.ldexp(cur * mant[-1], e + power[-1]))
         return np.array(out) if rows else out[0]
 
     def triple(self, x):
         """Member d and its first two derivatives at x, by the recurrence
-        differentiated once and twice."""
+        differentiated once and twice.  A value that comes out nan at a
+        non-nan x is taken again by the scaled pass of _triple: +-inf past
+        the float range, never nan."""
         x = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._triple(x, False)
+            bad = np.isnan(out) & ~np.isnan(x)
+            if bad.any():
+                cols = bad.any(axis=0)
+                out[:, cols] = np.where(bad[:, cols], self._triple(x[cols], True), out[:, cols])
+        return tuple(out)
+
+    def _triple(self, x, scaled):
+        """(3, *x.shape) array of member d and two derivatives.  Scaled, the
+        six running arrays are rescaled together at each step by _rescale;
+        a derivative that falls more than the float range below the largest
+        (as at x = +-inf) comes out 0."""
         zero = np.zeros_like(x)
-        cur, prev = (zero + 1, zero, zero), (zero, zero, zero)
+        cur, prev, e = (zero + 1, zero, zero), (zero, zero, zero), 0
         for bk, ck in zip(self.b, self.c):
             u = x - bk
             prev, cur = cur, (u * cur[0] + ck * prev[0],
                               cur[0] + u * cur[1] + ck * prev[1],
                               2 * cur[1] + u * cur[2] + ck * prev[2])
-        return tuple(self.scale[-1] * v for v in cur)
+            if scaled:
+                six, e = _rescale(np.array(prev + cur), e)
+                prev, cur = tuple(six[:3]), tuple(six[3:])
+        if scaled:
+            mant, power = np.frexp(self.scale[-1])
+            return np.ldexp(np.array(cur) * mant, e + power)
+        return np.array([self.scale[-1] * v for v in cur])
 
 
 def class_recurrence(params: ClassParams, d, scale=1.0) -> Recurrence:

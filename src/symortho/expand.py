@@ -94,8 +94,9 @@ def _intervals(ad, members):
     A kind's hints are its members' prefactor exponents times the count:
     0 for f^2 and 1 for f phi_n suit a regular target f, while a target
     that carries the prefactor itself (a member, a partial sum) needs the
-    product hints, 2, which are tried next.  A family's hints are its
-    weight's, the same for every count.
+    product hints, 2, which are tried next.  The residual (f - s)^2 takes
+    count 1 unless an exponent is negative (see expand).  A family's hints
+    are its weight's, the same for every count.
     """
     out = []
     for m in members:
@@ -152,7 +153,12 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
     sampled with the weight and f once per panel, to sqrt(||f||^2 d_n) with
     d_n the Gram report's norms, else MaxDepthExceeded; the squared residual
     to ||f||^2, taken as it stands if it stays open (residual_converged
-    says which).  _intervals gives hints.
+    says which).  _intervals gives hints.  The residual takes one member's
+    hints when none is negative (None, a bare split, is no hint): the
+    softening x = c +- t^m picked for an exponent e makes f^2, f s and s^2
+    (exponents 0, e, 2e) all smooth in t.  Below 0 the endpoint sliver's
+    mass is fitted with e alone, which the s^2 term breaks, so a negative
+    exponent leaves the residual unhinted.
     """
     fn = _as_callable(f)
     ad = _adapt(basis)
@@ -191,8 +197,11 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
     q = num.value[0] / np.asarray(norms)
     coeffs = (0.0,) * ad.base + tuple(float(c) for c in q)
 
+    hinted = ad.interval(members=1)
+    if any(e is not None and e < 0 for _, e in hinted.singularities):
+        hinted = ad.interval(members=0)
     res = integrate_gram(square(lambda x: target(x) - q @ rows(x)),
-                         ad.interval(members=0), np.array([[max(f_norm2, 1e-300)]]))
+                         hinted, np.array([[max(f_norm2, 1e-300)]]))
     residual = math.sqrt(max(float(res.value[0, 0]), 0.0))
     rel = residual / math.sqrt(f_norm2) if f_norm2 > 0 else 0.0
     return ExpansionSeries(basis, coeffs, nmax, residual, rel, bool(res.converged.all()))

@@ -537,3 +537,44 @@ def test_members_at_infinite_x_are_signed_inf():
     rows = member_rows(GHP_HALF, 64)(x)
     assert np.array_equal(rows[1:, 1], (-1.0) ** np.arange(1, 65) * np.inf)
     assert (rows[1:, 0] == np.inf).all() and np.isnan(rows[1:, 2]).all()
+
+
+@pytest.mark.parametrize("params", [GHP_HALF, GHP_HALF_FLOAT], ids=["fraction", "float"])
+def test_derivatives_342_past_the_float_range_are_signed_inf(params):
+    # the differentiated steps overflow as the member's own do; an even
+    # member's slope at 0 stays exactly 0
+    x = np.array([0.0, 0.5, 3.0])
+    poly = poly_from_params(params, 342, monic=True)
+    v0, v1, v2 = poly.value_derivs(x)
+    assert np.array_equal(v0, poly(x))
+    assert np.array_equal(v1, [0.0, -np.inf, np.inf])
+    assert np.array_equal(v2, [np.inf, np.inf, -np.inf])
+    d1 = poly_from_params(GHP_HALF, 342, monic=True).deriv()
+    for got, exact in ((v1, d1), (v2, d1.deriv())):
+        want = [exact.eval_exact(Fraction(v)) for v in (0, Fraction(1, 2), 3)]
+        assert np.array_equal(np.sign(got), [float(v > 0) - float(v < 0) for v in want])
+    # the equation's terms are then inf - inf: its residual stays nan
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(ode_residual_rel(params, 342, poly, x)).all()
+
+
+@pytest.mark.parametrize("n", [5, 100, 300])
+def test_scaled_triple_equals_the_plain_one_in_range(n):
+    # called directly where every value is finite: powers of 2 scale exactly
+    rec = core.class_recurrence(GHP_HALF, n)
+    x = np.array([0.0, 0.5, 3.0, -2.0])
+    plain = rec._triple(x, False)
+    assert np.isfinite(plain).all()
+    assert np.array_equal(rec._triple(x, True), plain)
+
+
+def test_derivatives_at_infinite_x_have_no_nan():
+    # the scaled pass reads a derivative there as 0: it is below the member
+    # by more than any power of 2
+    x = np.array([np.inf, -np.inf, np.nan])
+    for n in (1, 2, 63, 64):
+        poly = poly_from_params(GHP_HALF, n, monic=True)
+        v0, v1, v2 = poly.value_derivs(x)
+        assert np.array_equal(v0[:2], poly(x)[:2])
+        assert not np.isnan([v1[:2], v2[:2]]).any()
+        assert np.isnan([v0[2], v1[2], v2[2]]).all()

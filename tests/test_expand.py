@@ -251,9 +251,35 @@ def test_residual_matches_mpmath(basis, prefactor):
     assert abs(ser.residual ** 2 - want) <= 1e-6 * want
 
 
-@pytest.mark.parametrize("basis", [V(0.6), U(-0.5), G(0.5, -0.5), Q(-0.4)], ids=repr)
+# one member's hints are all >= 0: the residual tree takes them
+_HINTED_RESIDUAL = [U(0.5), Pm(1), G(0.5, 1.0), Q(0.5)]
+
+
+@pytest.mark.parametrize("basis, prefactor", [
+    (U(0.5), lambda x: (1 - x * x) ** mpmath.mpf(0.25)),
+    (Pm(1), lambda x: mpmath.sqrt(1 - x * x)),
+    (G(0.5, 1.0), lambda x: mpmath.sign(x) * mpmath.sqrt(abs(x) * (1 - x * x))),
+    (Q(0.5), lambda x: x * (1 - x * x) ** mpmath.mpf(0.25)),
+], ids=["U(0.5)", "Pm(1)", "G(0.5, 1.0)", "Q(0.5)"])
+def test_hinted_residual_matches_mpmath(basis, prefactor):
+    # as test_residual_matches_mpmath, to rounding of ||f||^2
+    ser = expand(np.sin, basis, 8)
+    q = np.asarray(ser.coefficients[basis.base:])
+    rec = basis.recurrence(8)
+
+    def g(x):
+        return mpmath.sin(x) - prefactor(x) * float(q @ rec.rows(np.array([float(x)]))[:, 0])
+    with mpmath.workdps(30):
+        want = mpmath.quad(lambda x: g(x) ** 2, [-1, 0, 1])
+    f_norm2 = 1 - math.sin(2) / 2
+    assert abs(ser.residual ** 2 - float(want)) <= 1e-12 * f_norm2
+
+
+@pytest.mark.parametrize("basis", [V(0.6), U(-0.5), G(0.5, -0.5), Q(-0.4)] + _HINTED_RESIDUAL,
+                         ids=repr)
 def test_expand_panel_count(basis, monkeypatch):
-    # the residuals of these bases once ran the whole panel budget
+    # the residuals of the first four once ran the whole panel budget; the
+    # hinted residuals once took 64-88 panels
     expand_mod = importlib.import_module("symortho.expand")
     panels = []
     for name in ("integrate_gram", "integrate"):
@@ -266,6 +292,15 @@ def test_expand_panel_count(basis, monkeypatch):
             monkeypatch.setattr(expand_mod, name, counted)
     expand(np.sin, basis, 8)
     assert sum(panels) <= 1000, panels
+    if basis in _HINTED_RESIDUAL:
+        assert panels[-1] <= 32, panels
+
+
+def test_finite_ii_residual_takes_its_unexponented_hint():
+    # FiniteII's interval marks its origin with exponent None: a split, no power
+    ser = expand(lambda x: 1 / (1 + x * x), FiniteII(6), 4)
+    assert ser.residual_converged
+    assert ser.residual == 0.05149726947643892
 
 
 @pytest.mark.parametrize("basis, closed", [(V(0.6), False), (GUP(0.6, 0.8), True)], ids=str)
