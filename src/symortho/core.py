@@ -151,7 +151,7 @@ def _ratios(params: ClassParams, n):
 
 def leading_coefficient(params: ClassParams, n):
     """The coefficient of x^n in S_n (the trailing one is fixed at 1)."""
-    return explicit_coeffs(params, n)[0]
+    return params.lead(_check_degree(n))
 
 
 def monic_coeffs(params: ClassParams, n):

@@ -19,7 +19,7 @@ import numpy as np
 from .core import ROWS_CHUNK, blockwise
 from .errors import (BasisInvalid, ConstraintViolation, MaxDepthExceeded,
                      NonSquareIntegrable)
-from .quadrature import QuadResult, integrate_gram
+from .quadrature import QuadResult, entry_scale, integrate_gram
 from .sturm import _adapt, gram_matrix
 
 
@@ -149,9 +149,10 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
 
     Every integral is a quadrature.integrate_gram panel tree, each entry
     held to 1e-9 of a scale: ||f||^2 = int W* f^2 (a 1x1 block) to its own
-    running value, else NonSquareIntegrable; the numerators int W* f phi_n,
-    sampled with the weight and f once per panel, to sqrt(||f||^2 d_n) with
-    d_n the Gram report's norms, else MaxDepthExceeded; the squared residual
+    running value, else NonSquareIntegrable (also when that value is not
+    finite); the numerators int W* f phi_n, sampled with the weight and f
+    once per panel, to entry_scale(||f||^2, d_n) with d_n the Gram report's
+    norms, else MaxDepthExceeded; the squared residual
     to ||f||^2, taken as it stands if it stays open (residual_converged
     says which).  _intervals gives hints.  The residual takes one member's
     hints when none is negative (None, a bare split, is no hint): the
@@ -188,7 +189,7 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
     if not ff.converged.all():
         raise NonSquareIntegrable(f"int W* f^2 did not converge (estimate {f_norm2!r})")
 
-    scale = np.sqrt(np.maximum(np.outer([f_norm2], np.abs(norms)), 1e-300))
+    scale = entry_scale(f_norm2, np.array([norms]))
     num = first_closed(lambda x: (ad.weight(x), target(x)[None, :], rows(x)), (1, 2), scale)
     if not num.converged.all():
         k = int(np.argmin(num.converged[0]))

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import MaxDepthExceeded
 
 __all__ = ["QuadResult", "IntervalSpec", "GramQuad", "integrate", "integrate_gram",
-           "exponent_scan", "certifies_divergence"]
+           "entry_scale", "exponent_scan", "certifies_divergence"]
 
 # 15-point Kronrod nodes and weights with the embedded 7-point Gauss rule,
 # the QUADPACK qk15 values to full double precision.
@@ -72,6 +72,13 @@ _MAX_PANELS = 4000
 # integrate_gram starts each finite task as this many equal panels, the ones
 # its first rounds of splits would make (a power of two)
 _START_PANELS = 8
+
+
+def entry_scale(a, b):
+    """The scale of an entry between diagonals a and b, broadcast:
+    sqrt|a| sqrt|b|, floored at 1e-150.  The roots are taken apart, since
+    the product a b can overflow a float."""
+    return np.maximum(np.sqrt(np.abs(a)) * np.sqrt(np.abs(b)), 1e-150)
 
 
 @dataclass(frozen=True)
@@ -661,8 +668,10 @@ def integrate_gram(sample, interval, scale=None, *, fold=False) -> GramQuad:
     all tasks in one call.
 
     Entry (i, j) meets the stopping rule once its summed error is at most
-    1e-9 scale[i, j].  scale None takes sqrt|d_i| sqrt|d_j| from the tree's
-    own running diagonal d (a Gram block).  An entry of infinite scale is
+    1e-9 scale[i, j].  scale None takes entry_scale(d_i, d_j) from the
+    tree's own running diagonal d (a Gram block); a running scale that is
+    not finite is no scale, so its entry neither closes nor drives splits,
+    and comes back unconverged.  An entry of infinite given scale is
     sampled with the rest but never holds the tree open, and so reads
     converged.  Each round splits every panel holding more than its share
     (1 / leaves) of some open entry's error.  The splits are bounded by
@@ -761,18 +770,21 @@ def integrate_gram(sample, interval, scale=None, *, fold=False) -> GramQuad:
     splits = 0
     max_leaves = start + _MAX_PANELS + 1
     max_live = max(16, _LIVE_ENTRIES // live[4][0].size)
-    held = True if scale is None else np.isfinite(scale)
 
     while True:
         task, lo, hi, depth, val, err = live
         total = acc_val + val.sum(axis=0)
         errs = acc_err + err.sum(axis=0)
         if scale is None:
-            root = np.sqrt(np.abs(np.diag(total)))
-            target = _RTOL * np.maximum(np.outer(root, root), 1e-150)
+            d = np.diag(total)
+            target = _RTOL * entry_scale(d[:, None], d)
+            # a running scale that is not finite is no scale: never met
+            held = np.isfinite(target)
+            target[~held] = math.nan
         else:
             target = _RTOL * scale
-        open_ = ~(errs <= target)
+            held = np.isfinite(scale)
+        open_ = held & ~(errs <= target)
         if not open_.any() or splits >= _MAX_PANELS or not len(lo):
             break
         score = (err[:, open_] / target[open_]).max(axis=1)

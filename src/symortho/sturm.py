@@ -26,8 +26,8 @@ from .errors import (ConstraintViolation, DegenerateDenominator, NonpositiveWeig
                      PoleError, SingularCoefficient, ZeroLeadingCoefficient)
 from .families import _FAMILIES, norms_squared, pair_integrable
 from .legendre import LegendreKind
-from .quadrature import (IntervalSpec, QuadResult, divergence_mask, exponent_scan, integrate,
-                         integrate_gram)
+from .quadrature import (_RTOL, IntervalSpec, QuadResult, divergence_mask, entry_scale,
+                         exponent_scan, integrate, integrate_gram)
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,9 @@ def parity_integral(sl, phi_n, phi_m):
     half-line, which still samples both members and the weight while
     letting the two sides cancel pointwise.  Families with a strong origin
     singularity make the unfolded two-sided integral divergent in the
-    absolute sense, so the fold is the honest reading of the lemma.
+    absolute sense, so the fold is the honest reading of the lemma.  It is
+    a 1x1 integrate_gram block held to an absolute 1e-10: its exact value
+    0 has no scale.  An open tree's value is returned as it stands.
     """
     pn, pm = phi_n.n % 2, phi_m.n % 2
     pref = ((-1) ** phi_m.n - (-1) ** phi_n.n) / 2
@@ -233,13 +235,14 @@ def parity_integral(sl, phi_n, phi_m):
             r = np.exp(_log_r(sl, x))
         return sl.E(x) * r * phi_n(x) * phi_m(x)
 
-    def folded(x):
-        return side(x) + side(-x)
+    def sample(x):
+        # the folded integrand as the weight of a 1x1 block of ones
+        one = np.ones((1, x.size))
+        return side(x) + side(-x), one, one
 
-    hi = sl.theta
-    spec = IntervalSpec(0.0, hi, ((0.0, None),))
-    res = integrate(folded, spec, on_inconclusive="return")
-    return pref * res.value
+    spec = IntervalSpec(0.0, sl.theta, ((0.0, None),))
+    res = integrate_gram(sample, spec, np.array([[1e-10 / _RTOL]]))
+    return pref * float(res.value[0, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,7 +383,7 @@ class _FamilyBasis:
         top = _rows_below_pole(self, max(n for n, _ in pairs), end)[0]
         log_xw = _LOG_TINY / self.spec.exponents.tail
         s = self.spec.exponents.tail + 2 * end + 1    # below 0: (end, end) is integrable
-        if (2 * math.exp(s * log_xw) > -s * 1e-9 * min(map(abs, norms))
+        if (2 * math.exp(s * log_xw) > -s * _RTOL * min(map(abs, norms))
                 or top * log_xw >= _LOG_HUGE):
             return set()
         return {(n, m) for n, m in pairs if n <= top}
@@ -457,10 +460,10 @@ def _shared_tree(ad, end, interval, norms, off):
     """One panel tree for the block base..end and the off-block pairs off
     (m <= end < n): rows base..top, the highest n in off, against columns
     base..end, on the block's interval.  A block entry is held to 1e-9
-    sqrt|d_n| sqrt|d_m|, with d the closed-form norms or, when norms is None,
-    the tree's running diagonal; an off-block pair to 1e-9 |d_m|, the scale
-    _gram_report judges it by; the rest of the rows hold the tree to
-    nothing.  Returns the tree's GramQuad."""
+    entry_scale(d_n, d_m), with d the closed-form norms or, when norms is
+    None, the tree's running diagonal; an off-block pair to 1e-9 |d_m|,
+    the scale _gram_report judges it by; the rest of the rows hold the tree
+    to nothing.  Returns the tree's GramQuad."""
     b = ad.base
     top = max([n for n, _ in off], default=end)
     rows = ad.rows(top)
@@ -471,10 +474,8 @@ def _shared_tree(ad, end, interval, norms, off):
     scale = None
     if norms is not None:
         d = np.abs(norms)
-        root = np.sqrt(d)
         scale = np.full((top - b + 1, end - b + 1), math.inf)
-        # sqrt(d_n) sqrt(d_m): the product d_n d_m can overflow a float
-        scale[:end - b + 1] = np.maximum(np.outer(root, root), 1e-150)
+        scale[:end - b + 1] = entry_scale(d[:, None], d)
         for n, m in off:
             scale[n - b, m - b] = d[m - b]
     return integrate_gram(sample, interval, scale, fold=ad.fold)
@@ -610,7 +611,7 @@ def _gram_report(ad, nmax, tol) -> GramReport:
         d = np.abs(np.where(diag_conv, np.diagonal(value), expected))
         dn = np.where(has[:, None], d[:, None], np.where(has, d, 1.0))
         dm = np.where(has, d, dn)
-        limit = tol * np.maximum(np.sqrt(dn) * np.sqrt(dm), 1e-150)
+        limit = tol * entry_scale(dn, dm)
         np.fill_diagonal(limit, tol * np.maximum(np.abs(expected), 1e-300))
         close = np.abs(value - np.diag(expected)) <= limit
     # a missing member is a consistent refusal when its norm refuses too;

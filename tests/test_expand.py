@@ -189,6 +189,22 @@ def test_sampled_target_on_hermite_basis():
         assert 0.0 <= ser.residual_rel < 1.0
 
 
+@pytest.fixture
+def tree_panels(monkeypatch):
+    """The panels of every integral expand takes, one per call, in order."""
+    expand_mod = importlib.import_module("symortho.expand")
+    panels = []
+    for name in ("integrate_gram", "integrate"):
+        real = getattr(expand_mod, name, None)
+        if real is not None:
+            def counted(*args, real=real, **kwargs):
+                out = real(*args, **kwargs)
+                panels.append(out.panels)
+                return out
+            monkeypatch.setattr(expand_mod, name, counted)
+    return panels
+
+
 # ------------------------------------------------------ weight underflow
 
 
@@ -209,10 +225,23 @@ def test_exp_target_where_the_weight_underflows():
     (lambda x: np.abs(x) ** -0.5, GUP(0, 0)),
     (lambda x: (1 - x * x) ** -0.5, GUP(0, 0)),
     (lambda x: np.abs(x - 0.3) ** -0.5, GUP(0, 0)),
+    # ||f||^2 overflows: a running scale that is not finite closes nothing
+    (lambda x: np.exp(x * x), FiniteII(9)),
+    (np.exp, FiniteII(9)),
+    (lambda x: np.exp(np.abs(x)), FiniteII(9)),
 ])
 def test_divergent_targets_still_refused(f, basis):
     with pytest.raises(NonSquareIntegrable):
         expand(f, basis, 8)
+
+
+@pytest.mark.parametrize("f", [lambda x: np.exp(x * x), np.exp, lambda x: np.exp(np.abs(x))],
+                         ids=["exp(x^2)", "exp", "exp|x|"])
+def test_overflowing_target_is_refused_before_the_budget(f, tree_panels):
+    # the 4000-split budget would be over 8000 panels
+    with pytest.raises(NonSquareIntegrable):
+        expand(f, FiniteII(9), 8)
+    assert sum(tree_panels) <= 200, tree_panels
 
 
 def test_quarter_power_target_expands():
@@ -224,13 +253,17 @@ def test_quarter_power_target_expands():
 # --------------------------------------- every integral on one panel tree
 
 
-@pytest.mark.parametrize("basis", [U(0.5), GUP(1, 1), GHP(0.5), V(0.3)], ids=repr)
-def test_scaled_target_scales_the_series_exactly(basis):
+@pytest.mark.parametrize("basis, nmax, factor", [
+    *(pytest.param(b, 8, 2.0 ** 20, id=repr(b)) for b in (U(0.5), GUP(1, 1), GHP(0.5), V(0.3))),
+    # ||f||^2 d_n is past the float range, its roots are not
+    pytest.param(GHP(0.5), 40, 2.0 ** 465, id="GHP(u=0.5)@40 x 2**465"),
+])
+def test_scaled_target_scales_the_series_exactly(basis, nmax, factor):
     # every stopping rule is relative, so a power-of-two factor is exact
     f = lambda x: np.sin(1.5 * x) + np.abs(x)     # noqa: E731
-    ser = expand(f, basis, 8)
-    big = expand(lambda x: 2.0 ** 20 * f(x), basis, 8)
-    assert big.coefficients == tuple(2.0 ** 20 * q for q in ser.coefficients)
+    ser = expand(f, basis, nmax)
+    big = expand(lambda x: factor * f(x), basis, nmax)
+    assert big.coefficients == tuple(factor * q for q in ser.coefficients)
     assert big.residual_rel == ser.residual_rel
 
 
@@ -277,23 +310,13 @@ def test_hinted_residual_matches_mpmath(basis, prefactor):
 
 @pytest.mark.parametrize("basis", [V(0.6), U(-0.5), G(0.5, -0.5), Q(-0.4)] + _HINTED_RESIDUAL,
                          ids=repr)
-def test_expand_panel_count(basis, monkeypatch):
+def test_expand_panel_count(basis, tree_panels):
     # the residuals of the first four once ran the whole panel budget; the
     # hinted residuals once took 64-88 panels
-    expand_mod = importlib.import_module("symortho.expand")
-    panels = []
-    for name in ("integrate_gram", "integrate"):
-        real = getattr(expand_mod, name, None)
-        if real is not None:
-            def counted(*args, real=real, **kwargs):
-                out = real(*args, **kwargs)
-                panels.append(out.panels)
-                return out
-            monkeypatch.setattr(expand_mod, name, counted)
     expand(np.sin, basis, 8)
-    assert sum(panels) <= 1000, panels
+    assert sum(tree_panels) <= 1000, tree_panels
     if basis in _HINTED_RESIDUAL:
-        assert panels[-1] <= 32, panels
+        assert tree_panels[-1] <= 32, tree_panels
 
 
 def test_finite_ii_residual_takes_its_unexponented_hint():
