@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from collections import Counter
+
 
 class SymOrthoError(Exception):
     """Base class for all library errors."""
@@ -65,11 +67,14 @@ class NonpositiveWeight(SymOrthoError):
 
 
 class BasisInvalid(SymOrthoError):
-    """An expansion basis failed its orthogonality check."""
+    """An expansion basis has Gram entries that are not verified (status ok)."""
 
     def __init__(self, report):
         self.report = report
-        super().__init__(f"basis failed orthogonality check: {report.summary()}")
+        bad = Counter(e.status for e in report.entries if e.status != "ok")
+        counts = ", ".join(f"{v} {k}" for k, v in sorted(bad.items()))
+        super().__init__(f"expand needs every Gram entry verified; not verified: {bad.total()} "
+                         f"of {len(report.entries)} ({counts}); {report.summary()}")
 
 
 class NonSquareIntegrable(SymOrthoError):

@@ -6,7 +6,8 @@ Three classical kinds, orthogonal there with unit weight:
     Pm : (1-x^2)^(m/2) (d/dx)^m P_n(x)
     V  : ((1-x)/(1+x))^(u/2) P_n^(u,-u)(x)
 
-plus two built from the monic symmetric classes:
+and two built from the monic symmetric classes, of which U and Pm are G at
+a = 0 up to a constant per degree:
 
     G  : x^a (1-x^2)^(b/2) Sbar_n(x)
     Q  : G at a = 1.
@@ -30,7 +31,7 @@ import numpy as np
 # poly_from_params is not used here, but bench/test_bench.py lists
 # legendre among the modules that bind it
 from .core import (ClassParams, Recurrence, blockwise,  # noqa: F401
-                   class_recurrence, poly_from_params)
+                   poly_from_params)
 from .errors import ConstraintViolation, SingularPoint
 from .families import GUP, norm_squared, norms_squared
 from .quadrature import IntervalSpec
@@ -101,66 +102,77 @@ class _Kind:
         return self.base + len(norms) - 1, self.interval()
 
 
-class _JacobiKind(_Kind):
-    """A kind whose polynomial factor is a Jacobi polynomial P^(al, be) and
-    whose prefactor is (1-x^2)^(al/2) unless it says otherwise.  Its monic
-    recurrence coefficients are built once per instance, one step per degree
-    as higher degrees are asked for (jacobi_monic)."""
+class _ClassKind(_Kind):
+    """x^a (1-x^2)^(b/2) times the members of the monic symmetric class of
+    that shape, from degree base on, each scaled by its lead: the code U,
+    Pm, G and Q share."""
+    origin_singular = property(lambda self: self.a != 0)
 
     @cached_property
-    def _jacobi(self):
-        # leads, b, c, and the ratio of the last two leading coefficients
-        al, be = self.jacobi_params
-        ratio = (al + be + 2) / 2
-        return [[1, ratio], [(be - al) / 2 / ratio], [0], ratio]
+    def params(self) -> ClassParams:
+        """The monic class of this shape, one instance per kind."""
+        return ClassParams(-1, 1, -2 * self.a - 2 * self.b - 2, 2 * self.a)
 
-    def jacobi_monic(self, d):
-        """(leads, b, c) of P_k^(al, be) = leads[k] p_k, k = 0..d, with monic
-        p_k in the form of core.Recurrence: b_k = -a2/a3 and c_k = -a4/(a3
-        A_{k-1}), rescaling _jacobi_step by the ratio A_k of leading
-        coefficients."""
-        al, be = self.jacobi_params
-        state = self._jacobi
-        leads, b, c, _ = state
-        for k in range(len(b), d):
-            a1, a2, a3, a4 = _jacobi_step(al, be, k)
-            b.append(-a2 / a3)
-            c.append(-a4 / (a3 * state[3]))
-            state[3] = a3 / a1
-            leads.append(leads[-1] * state[3])
-        return leads[:d + 1], b[:d], c[:d]
+    def leads(self, d):
+        """The scales of class members 0..d: 1 (monic) unless the kind says."""
+        return [1.0] * (d + 1)
 
     def recurrence(self, nmax):
-        """P_n^(al, be), n = 0..nmax."""
-        return Recurrence(*self.jacobi_monic(nmax))
+        """The class members of degree 0..nmax - base, c_k = C_k of
+        core.recurrence_c, scaled by leads; identically zero below base."""
+        d = nmax - self.base
+        if d < 0:
+            return Recurrence([0.0], [], [])
+        return Recurrence(self.leads(d), [0.0] * d, [0.0] + self.params.float_c(max(d - 1, 0)))
 
     def mu_nu(self, n):
-        return n * (n + 1), self.jacobi_params[0] ** 2
+        nab = n - self.base + self.a + self.b
+        return nab * (nab + 1), self.b ** 2
+
+    def hints(self):
+        edges = [(-1.0, self.b / 2), (1.0, self.b / 2)] if self.b else []
+        return ([(0.0, self.a)] if self.a else []) + edges
 
     def prefactor(self, x):
-        return (1 - x * x) ** (float(self.jacobi_params[0]) / 2)
+        # x^a as an odd map for non-integer a; exact integer powers otherwise
+        a = float(self.a)
+        xa = x ** int(a) if a.is_integer() else np.sign(x) * np.abs(x) ** a
+        return xa * (1 - x * x) ** (float(self.b) / 2)
 
     def log_derivs(self, x):
         one_m = 1 - x * x
-        al = float(self.jacobi_params[0])
-        return -al * x / one_m, -al * (1 + x * x) / one_m ** 2
+        a, b = float(self.a), float(self.b)
+        d1, d2 = -b * x / one_m, -b * (1 + x * x) / one_m ** 2
+        return (a / x + d1, d2 - a / x ** 2) if a else (d1, d2)
+
+
+def _ultraspherical_leads(al, d):
+    """Leading coefficients of P_k^(al, al), k = 0..d: binom(2k + 2al, k) / 2^k
+    as a running product."""
+    leads = [1.0, al + 1.0]
+    for k in range(1, d):
+        leads.append(leads[-1] * (2 * k + 2 * al + 1) * (k + al + 1) / ((k + 1) * (k + 2 * al + 1)))
+    return leads[:d + 1]
 
 
 @dataclass(frozen=True)
-class U(_JacobiKind):
-    """(1-x^2)^(alpha/2) times an ultraspherical Jacobi polynomial."""
+class U(_ClassKind):
+    """(1-x^2)^(alpha/2) times an ultraspherical Jacobi polynomial: G(0, alpha)
+    with member n scaled by P_n^(alpha,alpha)'s leading coefficient."""
     alpha: float
+    a = 0
 
     def __post_init__(self):
         if not self.alpha > -1:
             raise ConstraintViolation("U kind needs alpha + 1 > 0")
 
     @property
-    def jacobi_params(self):
-        return self.alpha, self.alpha
+    def b(self):
+        # float: an exact class takes ~10x as long to build its C_k
+        return float(self.alpha)
 
-    def mu_nu(self, n):
-        return (n + self.alpha) * (n + self.alpha + 1), self.alpha ** 2
+    def leads(self, d):
+        return _ultraspherical_leads(float(self.alpha), d)
 
     def norm(self, n):
         # 2^(2al+1) gamma(n+al+1)^2 / (n! (2n+2al+1) gamma(n+2al+1)) in logs;
@@ -171,36 +183,30 @@ class U(_JacobiKind):
             return math.exp(log - math.lgamma(2 * al + 2))
         return math.exp(log - math.lgamma(n + 2 * al + 1)) / (2 * n + 2 * al + 1)
 
-    def hints(self):
-        return [(-1.0, self.alpha / 2), (1.0, self.alpha / 2)] if self.alpha != 0 else []
-
 
 @dataclass(frozen=True)
-class Pm(_JacobiKind):
-    """Associated Legendre branch: (1-x^2)^(m/2) d^m P_n / dx^m."""
+class Pm(_ClassKind):
+    """Associated Legendre branch: (1-x^2)^(m/2) d^m P_n / dx^m, which is
+    (n+m)! / (2^m n!) (1-x^2)^(m/2) P_{n-m}^(m,m): G(0, m) from degree m."""
     m: int
+    a = 0
 
     def __post_init__(self):
         if not (isinstance(self.m, int) and self.m >= 0):
             raise ConstraintViolation("Pm kind needs a nonnegative integer order m")
 
     @property
-    def jacobi_params(self):
-        return self.m, self.m
-
-    @property
     def base(self):
         return self.m
 
-    def recurrence(self, nmax):
-        """d^m P_n / dx^m = (n+m)! / (2^m n!) P_{n-m}^(m,m), identically zero
-        for n < m."""
+    @property
+    def b(self):
+        return float(self.m)    # float, as U's b
+
+    def leads(self, d):
         m = self.m
-        if nmax < m:
-            return Recurrence([0.0], [], [])
-        leads, b, c = self.jacobi_monic(nmax - m)
-        return Recurrence([lead * (math.factorial(n + m) / (2 ** m * math.factorial(n)))
-                           for n, lead in enumerate(leads, start=m)], b, c)
+        return [lead * (math.factorial(n + m) / (2 ** m * math.factorial(n)))
+                for n, lead in enumerate(_ultraspherical_leads(m, d), start=m)]
 
     def norm(self, n):
         if n < self.m:
@@ -214,7 +220,7 @@ class Pm(_JacobiKind):
 
 
 @dataclass(frozen=True)
-class V(_JacobiKind):
+class V(_Kind):
     """Asymmetric-prefactor solution ((1-x)/(1+x))^(alpha/2) P_n^(alpha,-alpha)."""
     alpha: float
     fold = False        # the prefactor has no parity
@@ -223,9 +229,30 @@ class V(_JacobiKind):
         if not -1 < self.alpha < 1:
             raise ConstraintViolation("V kind needs -1 < alpha < 1")
 
-    @property
-    def jacobi_params(self):
-        return self.alpha, -self.alpha
+    @cached_property
+    def _jacobi(self):
+        # leads, b, c, and the ratio of the last two leading coefficients;
+        # P_1 = x + alpha
+        return [[1, 1], [-self.alpha], [0], 1]
+
+    def recurrence(self, nmax):
+        """P_n^(al, -al), n = 0..nmax: the monic recurrence of core.Recurrence,
+        b_k = -a2/a3 and c_k = -a4/(a3 A_{k-1}) from _jacobi_step with A_k
+        the ratio of leading coefficients, scaled by them.  The coefficients
+        are built once per instance, one step per degree as higher degrees
+        are asked for, and each degree takes a prefix of them."""
+        al, state = self.alpha, self._jacobi
+        leads, b, c, _ = state
+        for k in range(len(b), nmax):
+            a1, a2, a3, a4 = _jacobi_step(al, -al, k)
+            b.append(-a2 / a3)
+            c.append(-a4 / (a3 * state[3]))
+            state[3] = a3 / a1
+            leads.append(leads[-1] * state[3])
+        return Recurrence(leads[:nmax + 1], b[:nmax], c[:nmax])
+
+    def mu_nu(self, n):
+        return n * (n + 1), self.alpha ** 2
 
     def norm(self, n):
         # 2 gamma(n+1+al) gamma(n+1-al) / (n!^2 (2n+1)) in logs
@@ -243,41 +270,6 @@ class V(_JacobiKind):
         one_m = 1 - x * x
         al = float(self.alpha)
         return -al / one_m, -2 * al * x / one_m ** 2
-
-
-class _ClassKind(_Kind):
-    """x^a (1-x^2)^(b/2) times the members of the monic symmetric class of
-    that shape: the code G and Q share."""
-    origin_singular = True
-
-    @cached_property
-    def params(self) -> ClassParams:
-        """The monic class of this shape, one instance per kind."""
-        return ClassParams(-1, 1, -2 * self.a - 2 * self.b - 2, 2 * self.a)
-
-    def recurrence(self, nmax):
-        """The monic class members, c_k = C_k of core.recurrence_c."""
-        return class_recurrence(self.params, nmax)
-
-    def mu_nu(self, n):
-        nab = n + self.a + self.b
-        return nab * (nab + 1), self.b ** 2
-
-    def hints(self):
-        edges = [(-1.0, self.b / 2), (1.0, self.b / 2)] if self.b else []
-        return ([(0.0, self.a)] if self.a else []) + edges
-
-    def prefactor(self, x):
-        # x^a as an odd map for non-integer a; exact integer powers otherwise
-        a = float(self.a)
-        xa = x ** int(a) if a.is_integer() else np.sign(x) * np.abs(x) ** a
-        return xa * (1 - x * x) ** (float(self.b) / 2)
-
-    def log_derivs(self, x):
-        one_m = 1 - x * x
-        a, b = float(self.a), float(self.b)
-        return (a / x - b * x / one_m,
-                -a / x ** 2 - b * (1 + x * x) / one_m ** 2)
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,16 @@ def test_cliffy_basis_is_refused():
     assert exc.value.report.entry(4, 4).status == "cliff"
 
 
+def test_refusal_of_a_passing_report_says_what_is_not_verified():
+    # the report passes, with its cliffs refused; expand needs all 45 ok
+    with pytest.raises(BasisInvalid) as exc:
+        expand(np.exp, FiniteII(6), 8)
+    assert exc.value.report.passed
+    message = str(exc.value)
+    assert message.startswith("expand needs every Gram entry verified")
+    assert "not verified: 12 of 45 (12 cliff)" in message
+
+
 def test_non_square_integrable_target():
     with pytest.raises(NonSquareIntegrable):
         expand(lambda x: 1.0 / x, GUP(0, 1), 3)
@@ -452,8 +462,8 @@ def test_fraction_and_float_parameters_verify_separately(gram_checks):
 def test_kind_with_evaluated_members_is_a_key(gram_checks):
     from symortho.legendre import kind_rows
     kind = U(0.5)
-    kind_rows(kind, 8)(np.array([0.3]))     # caches coefficient lists on the kind
-    assert any(isinstance(v, list) for v in vars(kind).values())
+    kind_rows(kind, 8)(np.array([0.3]))     # caches the class and its C_k on the kind
+    assert "params" in vars(kind)
     first = expand(np.sin, kind, 8)
     again = expand(np.sin, U(0.5), 8)
     assert len(gram_checks) == 1 and again.coefficients == first.coefficients

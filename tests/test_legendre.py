@@ -448,8 +448,9 @@ def test_kind_and_family_functions_refuse_other_objects():
 def test_rational_kind_parameters_give_float_results(exact, approx):
     x = np.linspace(-0.9, 0.95, 7)
     e_choice = "-2/x^2" if isinstance(exact, Q) else "zero"
-    # exact parameters reach the recurrence coefficients as exact
-    # rationals, so the two sides agree to rounding, not bit for bit
+    # exact parameters reach V's, G's and Q's recurrence coefficients as
+    # exact rationals (U takes its class from float(alpha)), so the two
+    # sides agree to rounding, not bit for bit
     res = generalized_legendre_residual(exact, 7, x, e_choice)
     assert res.dtype == np.float64
     ref = generalized_legendre_residual(approx, 7, x, e_choice)
@@ -465,21 +466,55 @@ def test_g_and_q_class_params_are_one_instance_per_kind():
     assert Q(0.5).params == G(1, 0.5).params
 
 
-@pytest.mark.parametrize("make", [lambda: U(0.5), lambda: V(0.3), lambda: Pm(2)],
-                         ids=["U", "V", "Pm"])
-def test_jacobi_kind_coefficients_are_built_once_per_kind(monkeypatch, make):
-    steps = []
-    real = legendre._jacobi_step
+@pytest.mark.parametrize("make, module, name", [
+    (lambda: U(0.5), core, "recurrence_c"), (lambda: V(0.3), legendre, "_jacobi_step"),
+    (lambda: Pm(2), core, "recurrence_c")], ids=["U", "V", "Pm"])
+def test_jacobi_kind_coefficients_are_built_once_per_kind(monkeypatch, make, module, name):
+    # U and Pm take C_k from their class, V takes Jacobi steps; each
+    # coefficient is built once per instance, k = 1..63 - base at degree 64
+    built = []
+    real = getattr(module, name)
 
-    def counting(al, be, k):
-        steps.append(k)
-        return real(al, be, k)
+    def counting(*args):
+        built.append(args[-1])
+        return real(*args)
     x = np.linspace(-0.99, 0.99, 9)
     fresh = {n: member_fn(make(), n)(x) for n in range(65)}
-    monkeypatch.setattr(legendre, "_jacobi_step", counting)
+    monkeypatch.setattr(module, name, counting)
     kind = make()
     for n in range(65):
         # every degree is a prefix of the coefficients already built
         assert np.array_equal(member_fn(kind, n)(x), fresh[n])
     kind_rows(kind, 64)(x)
-    assert sorted(steps) == list(range(1, 64 - getattr(kind, "m", 0)))
+    assert sorted(built) == list(range(1, 64 - kind.base))
+
+
+@pytest.mark.parametrize("kind", [U(-0.5), U(0.5), U(1), U(2), Pm(1), Pm(2)], ids=repr)
+def test_u_and_pm_are_g_at_a_zero(kind):
+    # U(alpha) is G(0, alpha) and Pm(m) is G(0, m) shifted by m, each member
+    # up to a constant factor, here the least-squares one over the grid
+    g = G(0, kind.b)
+    assert kind.params == g.params
+    x = np.linspace(-0.95, 0.95, 41)
+    for n in range(kind.base, 13):
+        mine, theirs = member_fn(kind, n)(x), member_fn(g, n - kind.base)(x)
+        ratio = mine @ theirs / (theirs @ theirs)
+        assert np.max(np.abs(mine - ratio * theirs)) <= 1e-14 * np.max(np.abs(mine)), n
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_pm_float_class_matches_the_exact_one(m):
+    # Pm's class is built from float(m); the exact class rounds each C_k once
+    exact = ClassParams(-1, 1, -2 * m - 2, 0)
+    assert exact.exact() and not Pm(m).params.exact()
+    assert Pm(m).params.float_c(128) == exact.float_c(128)
+
+
+@pytest.mark.parametrize("b", [-0.5, 0.5, 1, 2])
+def test_g_at_a_zero_has_a_residual_at_the_origin(b):
+    for n in range(8):
+        res = generalized_legendre_residual(G(0, b), n, 0.0)
+        assert res == pytest.approx(generalized_legendre_residual(U(b), n, 0.0), abs=1e-12)
+        assert abs(res) <= 1e-12 * max(1.0, (n + b) * (n + b + 1)), (n, res)
+    with pytest.raises(SingularPoint):
+        generalized_legendre_residual(G(0.5, 1), 2, 0.0)
