@@ -18,11 +18,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ClassParams, member_rows, poly_from_params, weight_exponents
-from .errors import ConstraintViolation, PoleError
-from .families import _num
-from .quadrature import IntervalSpec, integrate
-from .sturm import GramReport, _gram_report, generic_weight_log
+from .core import ClassParams, member_rows, poly_from_params
+from .errors import ConstraintViolation
+from .families import _Family, _num
+from .quadrature import IntervalSpec
+from .sturm import _LOG_TINY, GramReport, _FamilyBasis, _gram_report, generic_weight_log
 
 
 def _as_fraction(lam):
@@ -154,72 +154,58 @@ def _t_interval(exponents, h, n, m):
     return IntervalSpec(-math.inf, math.inf, tuple(hints))
 
 
-class _LambdaBasis:
-    """Gram adapter for an admissible lam in the substituted variable t,
-    where x = signed_power(t, lam/2).
+@dataclass(frozen=True)
+class _MappedClass(_Family):
+    """The class a lambda spec maps onto, as a family of the generic weight:
+    its moment, degree bound, hints and integrable pairs are its exponents'."""
+    params: ClassParams
+    label = "mapped"
 
-    There are no closed-form norms: norms() gives the recurrence product
-    (-1)^n C_1...C_n, the ratio of the n-th diagonal to the measured (0, 0)
-    entry, and the shared panel tree stops on its own running diagonal.
-    A mapped class with algebraic tails has a degree bound, as the finite
-    families do, and keeps per-entry integrals: their divergence evidence
-    is independent, where a divergent diagonal would inflate the running
-    scale of the others.
-    """
-    base = 0
-    closed_norms = False
-    fold = True
+    def weight_log(self, x):
+        return generic_weight_log(self.params, x)
+
+
+class _LambdaBasis(_FamilyBasis):
+    """Gram adapter for an admissible lam: the mapped class's family adapter
+    with its weight, rows and intervals in t, where x = signed_power(t, lam/2)
+    carries every entry onto the mapped class's own; so the closed-form norms,
+    integrable pairs, cliffs and per-entry integrals are the family's, in x."""
 
     def __init__(self, spec):
-        self.params = spec.mapped_params
+        super().__init__(_MappedClass(spec.mapped_params))
         self.h = spec.lam / 2
         self.label = "lambda" + str(spec.lam).replace("/", "")
-        self.exponents = weight_exponents(self.params)
         # rounded once from the exact h, so lam = 2/3 gives log 3 and 2/3
         self._log_inv_h, self._jac = math.log(1 / self.h), float(self.h - 1)
-
-    def norms(self, nmax):
-        """(-1)^n C_1...C_n for n = 0..nmax, None from a pole in C_n on."""
-        out = [1.0]
-        for k in range(1, nmax + 1):
-            try:
-                c = self.params.float_c(k)[-1]
-            except PoleError:
-                break
-            out.append(-out[-1] * c)
-        return out + [None] * (nmax + 1 - len(out))
 
     def weight(self, t):
         """W(|t|^h) h |t|^(h-1), the measure dx in t."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             a = np.abs(t)
-            return np.exp(generic_weight_log(self.params, signed_power(a, self.h))
+            return np.exp(generic_weight_log(self.spec.params, signed_power(a, self.h))
                           - self._log_inv_h + self._jac * np.log(a))
 
-    def phi(self, n):
-        return poly_from_params(self.params, n, monic=True)
-
-    def integrable_mask(self, nmax):
-        return np.ones((nmax + 1,) * 2, dtype=bool)    # no cliffs: divergence shows as such
-
-    def inner(self, phi_a, phi_b, n, m):
-        def f(t):
-            t = np.asarray(t, dtype=float)
-            u = signed_power(t, self.h)
-            return self.weight(t) * phi_a(u) * phi_b(u)
-        return integrate(f, _t_interval(self.exponents, self.h, n, m),
-                         on_inconclusive="return")
-
     def rows(self, nmax):
-        rows = member_rows(self.params, nmax)
+        rows = member_rows(self.spec.params, nmax)
         return lambda t: rows(signed_power(t, self.h))
 
-    def interval(self):
-        return _t_interval(self.exponents, self.h, 0, 0)
+    def interval(self, members=2):
+        return _t_interval(self.spec.exponents, self.h, 0, 0)
+
+    @property
+    def log_xw(self):
+        # W(x) ~ x^g is ~ |t|^(h (g + 1) - 1) in t: it underflows at h times its log t
+        h = float(self.h)
+        return h * _LOG_TINY / (h * (self.spec.exponents.tail + 1) - 1)
 
     def tree_block(self, norms, integrable=None):
-        end = self.base - 1 if self.exponents.tail > -math.inf else self.base + len(norms) - 1
-        return end, self.interval()
+        """The family's block, ended further while (K, K) may lose mass past
+        x_w (_tail_lost), and hinted for the even product (0, 2K): a tail
+        decays more slowly in t than in x for h < 1."""
+        end, g = super().tree_block(norms, integrable)[0], self.spec.exponents.tail
+        while end >= 0 and g > -math.inf and self._tail_lost(g + 2 * end + 1, norms[:end + 1]):
+            end -= 1
+        return end, _t_interval(self.spec.exponents, self.h, 0, 2 * end)
 
 
 def lambda_weight_and_gram(spec: LambdaSpec, nmax: int, tol=1e-7) -> GramReport:
@@ -228,11 +214,10 @@ def lambda_weight_and_gram(spec: LambdaSpec, nmax: int, tol=1e-7) -> GramReport:
     With h = lam/2 and t^h the signed power, integrates int W1(t) S_n(t^h)
     S_m(t^h) dt over [-theta^(1/h), theta^(1/h)] with W1(t) = W(|t|^h) h
     |t|^(h-1) (lam = 2/3: W(|t|^{1/3}) / (3 |t|^{2/3})), where W is the
-    weight of the mapped polynomial class on [-theta, theta], on one shared
-    panel tree.  Diagonals are judged against the recurrence product
-    (-1)^n C_1...C_n times the measured (0, 0) entry; off-diagonals against
-    tol * sqrt(d_n d_m).  By the substitution x = t^h every entry equals the
-    corresponding entry of the mapped class's own Gram matrix, which the
-    tests check against the x-space machinery as an independent route.
+    weight of the mapped polynomial class on [-theta, theta].  x = t^h
+    carries every entry onto the mapped class's own, so this is gram_matrix
+    on that class as a family, its block's tree in t: every diagonal, (0, 0)
+    too, is judged against mu_0 (-1)^n C_1...C_n.  The tests check the
+    entries against the x-space machinery as an independent route.
     """
     return _gram_report(_LambdaBasis(spec), nmax, tol)

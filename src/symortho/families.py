@@ -61,9 +61,9 @@ def _num(x):
 
 @dataclass(frozen=True)
 class _Family:
-    """A weight family defines label, params, weight_log, log_deriv and
-    moment_zero.  finite_degree_bound and _certificate default to those of
-    GUP and GHP.  The support, hints, valid_pair and the tail margin follow
+    """A weight family defines label, params, weight_log and log_deriv.
+    _certificate defaults to that of GUP and GHP.  The support, hints,
+    valid_pair, the tail margin, moment_zero and finite_degree_bound follow
     from the weight's exponents, which (p, q, r, s) fix."""
 
     def __iter__(self):
@@ -96,9 +96,29 @@ class _Family:
             out += ((math.inf, tail + tail_power), (-math.inf, tail + tail_power))
         return out
 
+    def moment_zero(self):
+        """The bare weight's integral over the support, from its exponents
+        (theta, a, e, g).  |x|^a (px^2 + q)^e is a Beta integral, |q/p|^z
+        q^e B(z, w) with z = (a + 1)/2, on a finite theta (w = e + 1) and for
+        p, q > 0 (w = -(g + 1)/2); |x|^a e^(-c x^2) (p = 0, c = -r/(2q)) and
+        |x|^g e^(-c/x^2) (q = 0, c = s/(2p)) are Gamma integrals, c^-z
+        Gamma(z), with z = -(g + 1)/2 for q = 0."""
+        theta, origin, edge, tail = self.exponents
+        p, q, r, s = self.params.promoted()
+        c = -r / (2 * q) if p == 0 else s / (2 * p) if q == 0 else q    # > 0, or no weight
+        if origin <= -1 or tail >= -1 or theta < math.inf and edge <= -1 or not c > 0:
+            raise DivergentMoment(f"the weight of {self.params} is not integrable "
+                                  f"(exponents {tuple(self.exponents)})")
+        z = (origin + 1) / 2 if q else -(tail + 1) / 2
+        if p == 0 or q == 0:
+            return float(c) ** -z * gamma_fn(z)
+        w = edge + 1 if theta < math.inf else -(tail + 1) / 2
+        return math.exp(z * math.log(float(abs(q / p))) + edge * math.log(float(q))) * beta_fn(z, w)
+
     def finite_degree_bound(self):
-        """Largest certified degree; inf for the infinite families."""
-        return math.inf
+        """The last degree whose diagonal is integrable; inf with no tail."""
+        tail = self.exponents.tail
+        return math.inf if tail == -math.inf else math.ceil(-(tail + 1) / 2) - 1
 
     def _certificate(self, big):
         """(whether the published condition certifies degrees up to big, why)."""
@@ -181,9 +201,6 @@ class GHP(_Family):
     def log_deriv(self, x):
         return 2 * float(self.u) / x - 2 * x
 
-    def moment_zero(self):
-        return gamma_fn(float(self.u) + 0.5)
-
 
 @dataclass(frozen=True)
 class FiniteI(_Family):
@@ -263,9 +280,6 @@ class FiniteII(_Family):
 
     def log_deriv(self, x):
         return -2 * float(self.u) / x + 2.0 / (x * x * x)
-
-    def moment_zero(self):
-        return gamma_fn(float(self.u) - 0.5)
 
     def finite_degree_bound(self):
         return float(self.u) - 0.5

@@ -79,7 +79,6 @@ class _Kind:
     tree block, folded onto [0, 1) when its members have a parity."""
     base = 0
     fold = True
-    closed_norms = True
     rows = kind_rows
     interval = orthogonality_interval
     # whether log_derivs has an a/x term, undefined at x = 0

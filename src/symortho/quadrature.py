@@ -185,14 +185,16 @@ def _needs_soften(sigma) -> bool:
 
 
 def _soften_m(sigma) -> int:
-    # want m*(sigma+1) - 1 comfortably nonnegative, integer if cheap
+    # want m*(sigma+1) - 1 comfortably nonnegative, integer if cheap; m0..m0+8
+    # keeps the best m when an ulp of sigma moves m0 (-0.85 and the next
+    # float below it both take 20)
     if sigma is None or sigma >= 0:
         m0 = 2
     else:
         m0 = max(2, math.ceil(1.8 / (sigma + 1.0)))
     m0 = min(m0, 64)
     best, best_score = m0, math.inf
-    for m in range(m0, min(m0 + 8, 65)):
+    for m in range(m0, min(m0 + 9, 65)):
         t = m * (sigma + 1.0)
         score = abs(t - round(t))
         if score < best_score - 1e-15:

@@ -309,7 +309,6 @@ class _FamilyBasis:
     integrable even pairs just outside its block (off_block).  Every other
     integrable pair takes inner; a pair that is not is a cliff where cliffs
     certifies it, and is left inconclusive, with no integral, elsewhere."""
-    closed_norms = True
     fold = True
 
     def __init__(self, spec):
@@ -366,27 +365,32 @@ class _FamilyBasis:
         """The off-block pairs the tree of the block 0..end carries: the even
         integrable (n, m) (integrable_mask(nmax) unless given), m <= end <
         n, no wider than (end, end) (n + m <= 2 end), with members below any
-        pole of the recurrence.  Float
-        samples of w P_n P_m are 0 past x_w, where the weight's tail
-        underflows, and refining for the pairs can reach x_w.  So none is
-        carried when the widest product's mass past x_w, 2 x_w^s / -s for a
-        tail |x|^(s - 1), may exceed 1e-9 |d| for the block's smallest norm
-        d (it cost (10, 10) of FiniteII(10.7)@20 4.5e-6), or when the top
-        member overflows before x_w, where its non-finite samples would
-        hold the block open."""
+        pole of the recurrence.  Float samples of w P_n P_m are 0 past x_w,
+        and refining for the pairs can reach x_w.  So none is carried when
+        (end, end) may lose mass past x_w (_tail_lost: it cost (10, 10) of
+        FiniteII(10.7)@20 4.5e-6), or when the top member overflows before
+        x_w, where its non-finite samples would hold the block open."""
         integrable = self.integrable_mask(nmax) if integrable is None else integrable
         pairs = {(n, m) for n in range(end + 1, min(2 * end, nmax) + 1)
                  for m in range(2 * end - n + 1)
                  if (n + m) % 2 == 0 and integrable[n, m]}
         if not pairs:
             return pairs
-        top = _rows_below_pole(self, max(n for n, _ in pairs), end)[0]
-        log_xw = _LOG_TINY / self.spec.exponents.tail
+        top = _rows_below_pole(self.spec.params, max(n for n, _ in pairs), end)[0]
         s = self.spec.exponents.tail + 2 * end + 1    # below 0: (end, end) is integrable
-        if (2 * math.exp(s * log_xw) > -s * _RTOL * min(map(abs, norms))
-                or top * log_xw >= _LOG_HUGE):
+        if self._tail_lost(s, norms) or top * self.log_xw >= _LOG_HUGE:
             return set()
         return {(n, m) for n, m in pairs if n <= top}
+
+    @property
+    def log_xw(self):
+        """log x_w: past x_w the weight the tree samples underflows to 0."""
+        return _LOG_TINY / self.spec.exponents.tail
+
+    def _tail_lost(self, s, norms):
+        """Whether a product ~ |x|^(s - 1), s < 0, may hold more than 1e-9 |d|
+        past x_w (2 x_w^s / -s), d the smallest of norms."""
+        return 2 * math.exp(s * self.log_xw) > -s * _RTOL * min(map(abs, norms))
 
     def cliffs(self, nmax, phi):
         """The mask, at [n, m] for n, m = 0..nmax, of the pairs (read only
@@ -394,10 +398,11 @@ class _FamilyBasis:
         of the weight, on one side, agrees with their divergent hint
         (divergence_mask), from one quadrature.exponent_scan of members
         0..nmax.  Each side is judged on its own, so cancelling divergent
-        tails still show.  Members below a pole in the recurrence are its
-        rows; each member from the pole on is phi(n), its own SymmetricPoly
-        (None where it does not exist, whose pairs never certify)."""
-        top, rows = _rows_below_pole(self, nmax, self.base)
+        tails still show.  The scan is in x.  Members below a pole in the
+        recurrence are its rows; each member from the pole on is phi(n), its
+        own SymmetricPoly (None where it does not exist, whose pairs never
+        certify)."""
+        top, rows = _rows_below_pole(self.spec.params, nmax, self.base)
         wlog = self.spec.weight_log
 
         def members(x):
@@ -445,25 +450,24 @@ def _adapt(basis):
     raise TypeError(f"cannot build a basis from {basis!r}")
 
 
-def _rows_below_pole(ad, top, floor):
-    """(t, ad.rows(t)) for the largest t in floor..top whose members have no
-    pole in their recurrence; ad.rows(floor) raises if those have one."""
+def _rows_below_pole(params, top, floor):
+    """(t, member_rows(params, t)) for the largest t in floor..top with no
+    pole in the recurrence; it raises if floor's members have one."""
     for t in range(top, floor, -1):
         try:
-            return t, ad.rows(t)
+            return t, member_rows(params, t)
         except PoleError:
             pass
-    return floor, ad.rows(floor)
+    return floor, member_rows(params, floor)
 
 
 def _shared_tree(ad, end, interval, norms, off):
     """One panel tree for the block base..end and the off-block pairs off
     (m <= end < n): rows base..top, the highest n in off, against columns
     base..end, on the block's interval.  A block entry is held to 1e-9
-    entry_scale(d_n, d_m), with d the closed-form norms or, when norms is
-    None, the tree's running diagonal; an off-block pair to 1e-9 |d_m|,
-    the scale _gram_report judges it by; the rest of the rows hold the tree
-    to nothing.  Returns the tree's GramQuad."""
+    entry_scale(d_n, d_m), with d the closed-form norms; an off-block pair
+    to 1e-9 |d_m|, the scale _gram_report judges it by; the rest of the rows
+    hold the tree to nothing.  Returns the tree's GramQuad."""
     b = ad.base
     top = max([n for n, _ in off], default=end)
     rows = ad.rows(top)
@@ -471,13 +475,11 @@ def _shared_tree(ad, end, interval, norms, off):
     def sample(x):
         P = rows(x)
         return ad.weight(x), P, P[:end - b + 1] if off else P
-    scale = None
-    if norms is not None:
-        d = np.abs(norms)
-        scale = np.full((top - b + 1, end - b + 1), math.inf)
-        scale[:end - b + 1] = entry_scale(d[:, None], d)
-        for n, m in off:
-            scale[n - b, m - b] = d[m - b]
+    d = np.abs(norms)
+    scale = np.full((top - b + 1, end - b + 1), math.inf)
+    scale[:end - b + 1] = entry_scale(d[:, None], d)
+    for n, m in off:
+        scale[n - b, m - b] = d[m - b]
     return integrate_gram(sample, interval, scale, fold=ad.fold)
 
 
@@ -541,9 +543,10 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
     always rests on divergence evidence independent of the tree.
     One pass over arrays of the entries then judges them all, from the
     mask of integrable pairs, the scan's cliff mask, the expected norms
-    and the scales: diagonals are held to tol |d_n| of the closed-form
-    norms, and off-diagonals to tol sqrt|d_n| sqrt|d_m|, with d the
-    converged diagonals (else the norms).  Entry statuses:
+    and the scales: diagonals, (0, 0) too, are held to tol |d_n| of the
+    closed-form norms (a family's: mu_0 (-1)^n C_1...C_n), and off-diagonals
+    to tol sqrt|d_n| sqrt|d_m|, with d the converged diagonals (else the
+    norms).  Entry statuses:
 
       ok            matches expectation
       cliff         divergence certified AND the closed form refuses the
@@ -579,7 +582,7 @@ def _gram_report(ad, nmax, tol) -> GramReport:
     todo = lower.copy()
     tree_cost = 0, 0
     if end >= b:
-        block = norms[:end - b + 1] if ad.closed_norms else None
+        block = norms[:end - b + 1]
         # only a finite family's block ends short of nmax with room for
         # pairs n + m <= 2 end outside it
         off = ad.off_block(end, nmax, block, integrable) if b < end < nmax else ()
@@ -598,16 +601,11 @@ def _gram_report(ad, nmax, tol) -> GramReport:
 
     refused = np.array([d is None for d in norms])
     expected = np.array([math.nan if d is None else d for d in norms], dtype=float)
-    known = ~refused
     # as plain float arithmetic: an overflow is inf, and inf - inf is nan
     with np.errstate(invalid="ignore", over="ignore"):
-        if not ad.closed_norms:
-            # ratios to the (base, base) entry, which is measured
-            known &= conv[0, 0]
-            expected = expected * value[0, 0]
         # the running diagonal: each converged diagonal, else its expected value
         diag_conv, diag_missing = np.diagonal(conv), np.diagonal(missing)
-        has = diag_conv | (known & ~diag_missing)
+        has = diag_conv | (~refused & ~diag_missing)
         d = np.abs(np.where(diag_conv, np.diagonal(value), expected))
         dn = np.where(has[:, None], d[:, None], np.where(has, d, 1.0))
         dm = np.where(has, d, dn)
@@ -619,15 +617,14 @@ def _gram_report(ad, nmax, tol) -> GramReport:
     consistent = ~diag_missing | refused
     np.fill_diagonal(cliff, refused)
     rules = ((missing & consistent[:, None] & consistent, "degenerate"), (missing, "mismatch"),
-             (conv & np.diag(~refused & ~known), "inconclusive"), (conv & close, "ok"),
-             (conv, "mismatch"), (cells["diverged"] & cliff, "cliff"),
+             (conv & close, "ok"), (conv, "mismatch"), (cells["diverged"] & cliff, "cliff"),
              (cells["diverged"], "divergent"))
     status = np.full((size, size), "inconclusive", dtype=object)
     for rule, name in reversed(rules):      # the first rule that holds wins
         status[rule] = name
 
     quads = list(zip(*(cells[name].ravel().tolist() for name in _FIELDS)))
-    diagonal = [float(e) if k else None for e, k in zip(expected, known)]
+    diagonal = [None if d is None else float(d) for d in norms]
     order = [(k, k) for k in range(size)] + [(n, m) for n in range(size) for m in range(n)]
     entries = tuple(GramEntry(n + b, m + b, QuadResult(*quads[n * size + m]),
                               diagonal[n] if n == m else 0.0, status[n, m])

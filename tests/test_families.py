@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symortho.core import poly_from_params, weight_exponents
+import mpmath as mp
+
+from symortho.core import ClassParams, poly_from_params, weight_exponents
 from symortho.errors import (ConstraintViolation, DivergentMoment,
                              OutOfFiniteRange, PoleError, SingularPoint)
 from symortho.families import (GUP, GHP, FiniteI, FiniteII, finite_degree_bound,
@@ -88,6 +90,47 @@ def test_moment_closed_forms():
     assert moment_zero(GUP(1, 1)) == pytest.approx(4 / 15, rel=1e-13)
     assert moment_zero(GHP(0)) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
     assert moment_zero(FiniteII(1.5)) == pytest.approx(1.0, rel=1e-13)
+
+
+def _mapped(p, q, r, s):
+    from symortho.exponent_map import _MappedClass
+    return _MappedClass(ClassParams(p, q, r, s))
+
+
+@pytest.mark.parametrize("params, weight, support", [
+    # a finite theta = sqrt(3/2): a Beta integral
+    ((-2, 3, -6, 1.5), lambda x: abs(x) ** 0.5 * (3 - 2 * x * x) ** 0.25, mp.sqrt(1.5)),
+    # p, q > 0: a Beta integral on the whole line
+    ((2, 3, -6, -1.5), lambda x: abs(x) ** -0.5 * (2 * x * x + 3) ** -2.25, mp.inf),
+    # p = 0: a Gamma integral
+    ((0, 2, -3, 1), lambda x: abs(x) ** 0.5 * mp.exp(-0.75 * x * x), mp.inf),
+    # q = 0: a Gamma integral
+    ((3, 0, -9, 4), lambda x: abs(x) ** -5 * mp.exp(-2 / (3 * x * x)), mp.inf),
+], ids=["finite-theta", "p-q-positive", "p-zero", "q-zero"])
+def test_default_moment_zero_matches_mpmath(params, weight, support):
+    got = _mapped(*params).moment_zero()
+    with mp.workdps(30):
+        want = 2 * mp.quad(weight, [0, 1, support] if support == mp.inf else [0, support])
+    assert got == pytest.approx(float(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("params", [
+    (-1, 1, 1, -1), (1, 1, 1, 0), (-1, 1, 1, 0), (0, 1, 2, 0), (1, 0, -4, -1)],
+    ids=["origin", "tail", "edge", "growing-p-zero", "growing-q-zero"])
+def test_default_moment_zero_refuses_a_divergent_weight(params):
+    with pytest.raises(DivergentMoment):
+        _mapped(*params).moment_zero()
+
+
+def test_default_degree_bound_is_the_last_integrable_diagonal():
+    # FiniteII(6)'s tail |x|^-12 keeps (5, 5); FiniteII(11/2)'s |x|^-11 ends
+    # at 4, since (5, 5) decays like |x|^-1; no tail, no bound
+    for params, bound in [((1, 0, -10, 2), 5), ((1, 0, -9, 2), 4), ((0, 1, -2, 0), math.inf)]:
+        spec = _mapped(*params)
+        assert spec.finite_degree_bound() == bound
+        if bound < math.inf:
+            assert pair_integrable(spec, bound, bound)
+            assert not pair_integrable(spec, bound + 1, bound + 1)
 
 
 def test_moment_divergence_conditions():

@@ -534,6 +534,16 @@ def test_non_integrable_endpoint_hint_is_left_raw_and_diverges(sigma):
     assert res.diverged and not res.converged
 
 
+def test_softening_power_is_stable_under_one_ulp_of_sigma():
+    # 1.8 / (sigma + 1) straddles 12 across these two floats, so the window
+    # of candidate powers starts at 12 or 13; it once picked 13 and 20
+    sigma = -0.85
+    assert math.nextafter(sigma, -1.0) == -0.8500000000000001
+    for s in (sigma, -0.8500000000000004):
+        m = quadrature._soften_m(s)
+        assert m == 20 and m * (s + 1.0) == pytest.approx(3.0, abs=1e-12)
+
+
 def test_non_integrable_interior_hint_never_converges():
     def f(x):
         # panels at the resolution limit sample the singular point itself

@@ -426,12 +426,21 @@ def test_tree_block_ends_where_a_norm_or_the_last_diagonal_fails(basis, nmax, en
     assert _tree_end(basis, nmax) == end
 
 
-def test_lambda_tree_block_is_empty_with_algebraic_tails():
-    fam = FiniteI(Fraction(1, 10), Fraction(5, 2))
-    a, b, r, s = fam.params
-    tails = LambdaSpec(a, b, (r + 2 * a) / 3, (s + 2 * b) / 3, Fraction(2, 3))
-    assert _LambdaBasis(tails).tree_block([1.0] * 7)[0] == -1
-    assert _LambdaBasis(_lam(1, 1)).tree_block([1.0] * 7)[0] == 6
+@pytest.mark.parametrize("fam, nmax, end", [
+    # the mapped class's norms end FiniteI(1/10, 5/2)'s block at 1 (the
+    # family's printed bound, 0, ends the family's), and FiniteII(5.55)'s
+    # (5, 5), |x|^-1.1 in x and |t|^-1.033 in t, would lose more than 1e-9
+    # of the smallest norm past the float range in t
+    (FiniteI(Fraction(1, 10), Fraction(5, 2)), 6, 1), (FiniteII(5.55), 10, 4),
+    (FiniteII(6), 8, 5), (GUP(1, 1), 6, 6)], ids=str)
+def test_lambda_tree_block_ends_where_its_tail_mass_is_held(fam, nmax, end):
+    p, q, r, s = fam.params
+    ad = _LambdaBasis(LambdaSpec(p, q, (r + 2 * p) / 3, (s + 2 * q) / 3, Fraction(2, 3)))
+    got, interval = ad.tree_block(ad.norms(nmax))
+    assert got == end
+    # hinted for the even product (0, 2 end): at the origin, the weight's
+    # exponent in t alone
+    assert interval == _t_interval(weight_exponents(fam.params), Fraction(1, 3), 0, 2 * end)
 
 
 @pytest.mark.parametrize("basis", [FiniteII(6.03), FiniteII(9.02)], ids=repr)
