@@ -99,11 +99,16 @@ def weight_exponents(params: ClassParams) -> WeightExponents:
     """(theta, origin, edge, tail) of the closed-form weight |x|^(s/q)
     (px^2 + q)^e, e = (r-2p)/(2p) - s/(2q), rounded once from exact
     parameters: theta is px^2 + q's positive zero (else inf); the exponents
-    are s/q at 0 (inf for q = 0: e^(-s/(2p x^2)) is flat), e at +-theta (nan
-    for pq = 0), and (r-2p)/p at infinity if theta = inf and p != 0, else -inf."""
+    are s/q at 0 (for q = 0 the weight is |x|^((r-2p)/p) e^(-s/(2p x^2)):
+    inf, flat, for s/p > 0, -inf for s/p < 0 and (r-2p)/p for s = 0), e at
+    +-theta (nan for pq = 0), and (r-2p)/p at infinity if theta = inf and
+    p != 0, else -inf."""
     p, q, r, s = params.promoted()
     theta = math.sqrt(-q / p) if p and q and -q / p > 0 else math.inf
-    origin = s / q if q else math.inf
+    if q:
+        origin = s / q
+    else:
+        origin = -math.inf if s * p < 0 else (r - 2 * p) / p if p and not s else math.inf
     edge = (r - 2 * p) / (2 * p) - s / (2 * q) if p and q else math.nan
     tail = (r - 2 * p) / p if p and theta == math.inf else -math.inf
     return WeightExponents(theta, float(origin), float(edge), float(tail))

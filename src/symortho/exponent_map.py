@@ -219,5 +219,11 @@ def lambda_weight_and_gram(spec: LambdaSpec, nmax: int, tol=1e-7) -> GramReport:
     on that class as a family, its block's tree in t: every diagonal, (0, 0)
     too, is judged against mu_0 (-1)^n C_1...C_n.  The tests check the
     entries against the x-space machinery as an independent route.
+    A negative lam raises ConstraintViolation.
     """
+    if spec.lam < 0:
+        raise ConstraintViolation(
+            f"the t-space Gram needs lambda > 0, got {spec.lam}: for lambda < 0, "
+            "x = t^(lambda/2) swaps 0 and +-inf, and for a finite theta the support "
+            "in t is two rays, which the t-space Gram does not handle")
     return _gram_report(_LambdaBasis(spec), nmax, tol)

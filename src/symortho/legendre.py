@@ -213,10 +213,6 @@ class Pm(_ClassKind):
         return (2 * math.factorial(n + self.m)
                 / ((2 * n + 1) * math.factorial(n - self.m)))
 
-    def hints(self):
-        # an even m gives a polynomial prefactor
-        return [(-1.0, self.m / 2), (1.0, self.m / 2)] if self.m % 2 else []
-
 
 @dataclass(frozen=True)
 class V(_Kind):
@@ -228,27 +224,17 @@ class V(_Kind):
         if not -1 < self.alpha < 1:
             raise ConstraintViolation("V kind needs -1 < alpha < 1")
 
-    @cached_property
-    def _jacobi(self):
-        # leads, b, c, and the ratio of the last two leading coefficients;
-        # P_1 = x + alpha
-        return [[1, 1], [-self.alpha], [0], 1]
-
     def recurrence(self, nmax):
-        """P_n^(al, -al), n = 0..nmax: the monic recurrence of core.Recurrence,
-        b_k = -a2/a3 and c_k = -a4/(a3 A_{k-1}) from _jacobi_step with A_k
-        the ratio of leading coefficients, scaled by them.  The coefficients
-        are built once per instance, one step per degree as higher degrees
-        are asked for, and each degree takes a prefix of them."""
-        al, state = self.alpha, self._jacobi
-        leads, b, c, _ = state
-        for k in range(len(b), nmax):
-            a1, a2, a3, a4 = _jacobi_step(al, -al, k)
-            b.append(-a2 / a3)
-            c.append(-a4 / (a3 * state[3]))
-            state[3] = a3 / a1
-            leads.append(leads[-1] * state[3])
-        return Recurrence(leads[:nmax + 1], b[:nmax], c[:nmax])
+        """P_n^(al, -al), n = 0..nmax: the monic Jacobi recurrence at beta =
+        -alpha in closed form (DLMF 18.9), b_0 = -al, b_k = 0 and c_k =
+        -(k^2 - al^2)/(4k^2 - 1), member n scaled by its leading coefficient
+        binom(2n, n)/2^n."""
+        al, leads = self.alpha, [1.0]
+        for k in range(nmax):
+            leads.append(leads[-1] * (2 * k + 1) / (k + 1))
+        b = [-al] + [0.0] * nmax
+        c = [0.0] + [-(k - al) * (k + al) / (4 * k * k - 1) for k in range(1, nmax)]
+        return Recurrence(leads, b[:nmax], c[:nmax])
 
     def mu_nu(self, n):
         return n * (n + 1), self.alpha ** 2

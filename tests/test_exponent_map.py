@@ -251,6 +251,24 @@ def test_inadmissible_lambda_is_refused(lam):
         LambdaSpec(0, 1, -2, 0, lam)
 
 
+@pytest.mark.parametrize("lam", [-2, F(-2, 3)], ids=str)
+def test_negative_lambda_gram_is_refused(lam):
+    # admissible, but x = t^(lam/2) swaps 0 and +-inf: the mapped class's
+    # support [-1, 1] is |t| >= 1 in t, two rays
+    spec = LambdaSpec(-1, 1, -2, 0, lam)
+    assert admissible(lam)
+    with pytest.raises(ConstraintViolation, match="two rays"):
+        lambda_weight_and_gram(spec, 3)
+    # the transformed solution still evaluates: x = +-8 maps to w = +-8^(lam/2)
+    poly = poly_from_params(spec.mapped_params, 3, monic=False)
+    w = Fraction(1, 8) if lam == -2 else Fraction(1, 2)
+    got = transformed_eval(spec, 3, np.array([8.0, -8.0]))
+    assert got == pytest.approx([float(poly.eval_exact(w)), -float(poly.eval_exact(w))], rel=1e-14)
+    for n in range(5):
+        for x in (0.3, 1.7):
+            assert abs(generic_ode_residual(spec, n, x)) < 1e-8, (n, x)
+
+
 def test_lambda_gram_passes_and_matches_x_space():
     rep_t = lambda_weight_and_gram(CUBE, 4)
     assert rep_t.passed

@@ -339,3 +339,24 @@ def test_weight_exponents_are_the_family_shape_formulas(spec, theta, origin, edg
     if edge is not None:
         assert got.edge == float(edge)
     assert spec.exponents == got and spec.support == (-got.theta, got.theta)
+
+
+@pytest.mark.parametrize("params, origin", [
+    ((1, 0, -4, -1), -math.inf),    # e^(1/(2 x^2)) |x|^-6, unbounded at 0
+    ((1, 0, -4, 0), -6.0),          # |x|^-6
+], ids=str)
+def test_q_zero_origin_follows_the_sign_of_s_over_p(params, origin):
+    # a q = 0 weight is |x|^((r-2p)/p) e^(-s/(2p x^2)): flat at 0 only for s/p > 0
+    fam = _mapped(*params)
+    assert weight_exponents(fam.params).origin == origin == fam.exponents.origin
+    for n in range(5):
+        for m in range(5):
+            assert not pair_integrable(fam, n, m), (n, m)
+    with pytest.raises(SingularPoint):
+        weight_at(fam, 0.0)
+    # FiniteII is a q = 0 class with s/p = 2: its origin stays flat
+    fin = FiniteII(V)
+    assert fin.params.s == 2 * fin.params.p
+    ex = fin.exponents
+    assert (ex.theta, ex.origin, ex.tail) == (math.inf, math.inf, float(-2 * V))
+    assert math.isnan(ex.edge)

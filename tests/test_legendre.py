@@ -467,11 +467,11 @@ def test_g_and_q_class_params_are_one_instance_per_kind():
 
 
 @pytest.mark.parametrize("make, module, name", [
-    (lambda: U(0.5), core, "recurrence_c"), (lambda: V(0.3), legendre, "_jacobi_step"),
-    (lambda: Pm(2), core, "recurrence_c")], ids=["U", "V", "Pm"])
+    (lambda: U(0.5), core, "recurrence_c"),
+    (lambda: Pm(2), core, "recurrence_c")], ids=["U", "Pm"])
 def test_jacobi_kind_coefficients_are_built_once_per_kind(monkeypatch, make, module, name):
-    # U and Pm take C_k from their class, V takes Jacobi steps; each
-    # coefficient is built once per instance, k = 1..63 - base at degree 64
+    # U and Pm take C_k from their class; each coefficient is built once
+    # per instance, k = 1..63 - base at degree 64
     built = []
     real = getattr(module, name)
 
@@ -487,6 +487,37 @@ def test_jacobi_kind_coefficients_are_built_once_per_kind(monkeypatch, make, mod
         assert np.array_equal(member_fn(kind, n)(x), fresh[n])
     kind_rows(kind, 64)(x)
     assert sorted(built) == list(range(1, 64 - kind.base))
+
+
+@pytest.mark.parametrize("alpha", [-0.8, -0.3, 0.3, 0.9, 1 / 3], ids=repr)
+def test_v_recurrence_is_the_closed_form_jacobi_one(monkeypatch, alpha):
+    # at beta = -alpha the monic Jacobi recurrence is b_0 = -alpha, b_k = 0,
+    # c_k = -(k^2 - alpha^2)/(4k^2 - 1), lead_n = binom(2n, n)/2^n (DLMF
+    # 18.9); the general step gives the same to rounding
+    rec = V(alpha).recurrence(64)
+    # P_1 = x + alpha
+    b, c, lead, ratio = [-alpha], [0.0], [1.0, 1.0], 1.0
+    for k in range(1, 64):
+        a1, a2, a3, a4 = legendre._jacobi_step(alpha, -alpha, k)
+        b.append(-a2 / a3)
+        c.append(-a4 / (a3 * ratio))
+        ratio = a3 / a1
+        lead.append(lead[-1] * ratio)
+    assert rec.b == b == [-alpha] + [0.0] * 63
+    assert np.allclose(rec.c, c, rtol=1e-15, atol=0)
+    assert np.allclose(rec.scale, lead, rtol=1e-14, atol=0)
+
+    # no step is taken to build V's members, and a fresh instance gives the
+    # same values as a reused one, bit for bit
+    steps = []
+    real = legendre._jacobi_step
+    monkeypatch.setattr(legendre, "_jacobi_step", lambda *a: steps.append(a) or real(*a))
+    x = np.linspace(-0.99, 0.99, 9)
+    kind = V(alpha)
+    for n in range(65):
+        assert np.array_equal(member_fn(kind, n)(x), member_fn(V(alpha), n)(x)), n
+    kind_rows(kind, 64)(x)
+    assert steps == []
 
 
 @pytest.mark.parametrize("kind", [U(-0.5), U(0.5), U(1), U(2), Pm(1), Pm(2)], ids=repr)
