@@ -11,6 +11,7 @@ report passes.
 import argparse
 import ast
 import csv
+import functools
 import json
 import math
 import operator
@@ -298,7 +299,10 @@ def _read_pairs(path):
 # ------------------------------------------------------------ dispatch
 
 
+@functools.cache
 def _build_parser():
+    """The parser, built on the first run and reused by every later one: a
+    parse keeps its state in the namespace it returns."""
     ap = argparse.ArgumentParser(
         prog="symortho",
         description="Symmetric orthogonal polynomial classes: evaluate, "

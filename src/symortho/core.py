@@ -14,7 +14,9 @@ garbage.
 
 Coefficients are computed exactly when the parameters are exact (int or
 Fraction) and in floats otherwise.  Everything downstream (recurrence,
-evaluation, equation residuals) shares that convention.
+evaluation, equation residuals) shares that convention.  The recurrence
+coefficients C_n of exact parameters come from integers: the parameters
+scaled by their common denominator (see ClassParams._scaled).
 """
 
 from __future__ import annotations
@@ -61,10 +63,21 @@ class ClassParams:
 
     @cached_property
     def _promoted(self):
-        # computed once per instance: recurrence_c calls promoted() per C_n
         if self.exact():
             return tuple(Fraction(v) for v in self)
         return tuple(float(v) for v in self)
+
+    @cached_property
+    def _scaled(self):
+        """Exact parameters times the least common multiple of their
+        denominators, as ints; inexact ones promoted to floats.  C_n's
+        numerator and denominator are both of degree 2 in (p, q, r, s) (of
+        degree 1 for n = 1), so the scale cancels from their ratio."""
+        vals = self.promoted()
+        if type(vals[0]) is float:
+            return vals
+        scale = math.lcm(*(v.denominator for v in vals))
+        return tuple(v.numerator * (scale // v.denominator) for v in vals)
 
     def float_c(self, count):
         """[C_1, ..., C_count] in floats, each recurrence_c rounded once and
@@ -175,27 +188,29 @@ def recurrence_c(params: ClassParams, n):
     The monic members satisfy Sb_{n+1} = x Sb_n + C_n Sb_{n-1}; C_n also
     drives the norm products.  For n = 1 the general quotient is an exact
     0/0 whenever r = p, so the reduced form (q+s)/(p+r) is used there.
+    Exact parameters give a Fraction, built from the integer numerator and
+    denominator of params._scaled (so float() of it is rounded once), and
+    inexact ones a float.
     """
     n = _check_degree(n)
     if n < 1:
         raise ConstraintViolation("recurrence coefficients start at n = 1")
-    p, q, r, s = params.promoted()
+    p, q, r, s = params._scaled
 
     if n == 1:
-        den = p + r
+        num, den = q + s, p + r
         if den == 0:
             raise PoleError("C_1 undefined: p + r = 0")
-        return (q + s) / den
-
-    sgn = -1 if n % 2 else 1    # (-1)^n
-    half = (1 - sgn) // 2       # 0 for even n, 1 for odd
-    num = (p * q * n * n
-           + ((r - 2 * p) * q - sgn * p * s) * n
-           + (r - 2 * p) * s * half)
-    den = (2 * p * n + r - p) * (2 * p * n + r - 3 * p)
-    if den == 0:
-        raise PoleError(f"C_{n} has a vanishing denominator for these parameters")
-    return num / den
+    else:
+        sgn = -1 if n % 2 else 1    # (-1)^n
+        half = (1 - sgn) // 2       # 0 for even n, 1 for odd
+        num = (p * q * n * n
+               + ((r - 2 * p) * q - sgn * p * s) * n
+               + (r - 2 * p) * s * half)
+        den = (2 * p * n + r - p) * (2 * p * n + r - 3 * p)
+        if den == 0:
+            raise PoleError(f"C_{n} has a vanishing denominator for these parameters")
+    return Fraction(num, den) if type(den) is int else num / den
 
 
 def monic_by_recurrence(params: ClassParams, n):

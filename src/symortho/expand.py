@@ -37,7 +37,11 @@ def barycentric_interpolant(nodes, values):
     ys = np.asarray(values, dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size == 0:
         raise ConstraintViolation("need matching, nonempty node and value arrays")
-    if np.unique(xs).size != xs.size:
+    # np.unique's test, without the numpy.ma import it makes: equal
+    # neighbours once sorted (0.0 and -0.0 among them), or two nans, which
+    # sort last
+    ordered = np.sort(xs)
+    if np.any(ordered[1:] == ordered[:-1]) or xs.size > 1 and np.isnan(ordered[-2]):
         raise ConstraintViolation("interpolation nodes must be distinct")
     diff = xs[:, None] - xs[None, :]
     np.fill_diagonal(diff, 1.0)

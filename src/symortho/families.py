@@ -15,6 +15,7 @@ reports that instead of integrating nonsense.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -342,6 +343,22 @@ def finite_degree_bound(spec):
     return spec.finite_degree_bound()
 
 
+def _c_products(params):
+    """(-1)^n prod_{k<=n} C_k, n = 0, 1, ..., in floats: from exact
+    parameters each rounded once from integer running products of the
+    Fractions' numerators and denominators, from inexact ones a running
+    float product.  A pole raises PoleError when it is reached."""
+    num = den = 1
+    for n in itertools.count():
+        if n:
+            c = recurrence_c(params, n)
+            if isinstance(c, Fraction):
+                num, den = num * c.numerator, den * c.denominator
+            else:
+                num *= c
+        yield (-1 if n % 2 else 1) * (num / den)
+
+
 def norm_squared(spec, n) -> NormValue:
     """Squared norm of the monic member: (-1)^n prod C_i times moment_zero.
 
@@ -353,8 +370,8 @@ def norm_squared(spec, n) -> NormValue:
     bound = spec.finite_degree_bound()
     if n > bound:
         raise OutOfFiniteRange(n, bound)
-    prod = math.prod(recurrence_c(spec.params, i) for i in range(1, n + 1))
-    return NormValue(n, (-1 if n % 2 else 1) * float(prod) * spec.moment_zero())
+    prod = next(itertools.islice(_c_products(spec.params), n, None))
+    return NormValue(n, prod * spec.moment_zero())
 
 
 def norms_squared(spec, nmax):
@@ -369,13 +386,11 @@ def norms_squared(spec, nmax):
     try:
         bound = spec.finite_degree_bound()
         m0 = spec.moment_zero()
-        prod = 1
+        prods = _c_products(spec.params)
         for n in range(int(nmax) + 1):
             if n > bound:
                 break
-            if n:
-                prod *= recurrence_c(spec.params, n)
-            out.append((-1 if n % 2 else 1) * float(prod) * m0)
+            out.append(next(prods) * m0)
     except (PoleError, DivergentMoment):
         pass
     return out + [None] * (int(nmax) + 1 - len(out))

@@ -25,6 +25,7 @@ Everything is deterministic: no randomness, no thread-order dependence.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -644,6 +645,15 @@ def _gk_blocks(wdx, L, R, h):
     return kron, err, finite
 
 
+@functools.lru_cache(maxsize=64)
+def _mixed_parity(shape):
+    """The read-only (KL, KR) mask of the entries (i, j) with i - j odd."""
+    i, j = np.ogrid[:shape[0], :shape[1]]
+    mask = (i - j) % 2 == 1
+    mask.flags.writeable = False
+    return mask
+
+
 def _by_panel(rows):
     """(K, 15 np) row values at the nodes of np panels -> (np, 15, K)."""
     rows = np.asarray(rows, dtype=float)
@@ -719,9 +729,8 @@ def integrate_gram(sample, interval, scale=None, *, fold=False) -> GramQuad:
     def folded(block):
         """In place: entries of mixed parity are zero, the others doubled."""
         if fold:
-            i, j = np.ogrid[:block.shape[-2], :block.shape[-1]]
             block *= 2.0
-            block[..., (i - j) % 2 == 1] = 0.0
+            block[..., _mixed_parity(block.shape[-2:])] = 0.0
         return block
 
     def evaluate(task, lo, hi):

@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import symortho
 from symortho.cli import run
 from symortho.families import GHP, weight_at
 
@@ -332,6 +337,42 @@ def test_byte_identical_reruns(capsys):
     _, first, _ = invoke(capsys, *argv)
     _, second, _ = invoke(capsys, *argv)
     assert first == second
+
+
+def invoke_fresh(*argv):
+    """argv run by a new interpreter: (status, stdout, stderr)."""
+    src = str(Path(symortho.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from symortho.cli import run; sys.exit(run(sys.argv[1:]))",
+         *argv], capture_output=True, text=True, env=env, check=False)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_a_reused_parser_leaks_nothing_between_runs(capsys, tmp_path, monkeypatch):
+    # one process parses every argv with the same parser, a failed parse
+    # of two exclusive flags first; each run matches a new interpreter's
+    monkeypatch.setenv("COLUMNS", "80")     # argparse wraps usage to it
+    samples = tmp_path / "samples.csv"
+    xs = np.cos(np.pi * (np.arange(9) + 0.5) / 9)
+    samples.write_text("x,f\n" + "".join(f"{float(x)!r},{math.exp(x)!r}\n" for x in xs))
+    basis = ("--basis", "gup", "--u", "0.5", "--v", "0.5", "--nmax", "4")
+    runs = [
+        ("expand", *basis, "--expr", "x", "--input", str(samples), "--output", "{out}"),
+        ("gram", "--class", "gup", "--u", "1", "--v", "1.5", "--nmax", "3"),
+        ("expand", *basis, "--expr", "sin(x)", "--output", "{out}"),
+        ("expand", *basis, "--input", str(samples), "--output", "{out}"),
+        ("table", "--class", "finite2", "--u", "4.5", "--nmax", "6"),
+        ("verify-ode", "--class", "ghp", "--u", "0.5", "--n", "5", "--points", "7"),
+    ]
+    for i, argv in enumerate(runs):
+        here, there = tmp_path / f"here{i}.csv", tmp_path / f"there{i}.csv"
+        got = invoke(capsys, *(a.format(out=here) for a in argv))
+        assert got == invoke_fresh(*(a.format(out=there) for a in argv))
+        assert got[0] == (2 if i == 0 else 0)
+        if "{out}" in argv and got[0] == 0:
+            assert here.read_bytes() == there.read_bytes()
 
 
 @pytest.mark.parametrize("expr", [

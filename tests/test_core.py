@@ -5,7 +5,10 @@ that rebuilds every product from scratch in exact rational arithmetic, so
 the incremental path in the library is never trusted on its own word.
 """
 
+import itertools
 import math
+import operator
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +22,7 @@ from symortho.core import (ClassParams, SymmetricPoly, eigenvalue,
                            ode_residual_rel, poly_from_params, recurrence_c)
 from symortho.errors import (ConstraintViolation, DegenerateDenominator,
                              PoleError, ZeroLeadingCoefficient)
+from symortho.families import GUP, norm_squared, norms_squared
 from symortho.sturm import support_theta
 
 
@@ -578,3 +582,135 @@ def test_derivatives_at_infinite_x_have_no_nan():
         assert np.array_equal(v0[:2], poly(x)[:2])
         assert not np.isnan([v1[:2], v2[:2]]).any()
         assert np.isnan([v0[2], v1[2], v2[2]]).all()
+
+
+# ------------------------------------- exact kernels against Fractions
+
+
+def reference_c(params, n):
+    """C_n in Fraction arithmetic throughout, with recurrence_c's errors:
+    the oracle of the integer kernels."""
+    p, q, r, s = (Fraction(v) for v in params)
+    if n == 1:
+        if p + r == 0:
+            raise PoleError("C_1 undefined: p + r = 0")
+        return (q + s) / (p + r)
+    sgn = -1 if n % 2 else 1
+    half = (1 - sgn) // 2
+    num = (p * q * n * n + ((r - 2 * p) * q - sgn * p * s) * n
+           + (r - 2 * p) * s * half)
+    den = (2 * p * n + r - p) * (2 * p * n + r - 3 * p)
+    if den == 0:
+        raise PoleError(f"C_{n} has a vanishing denominator for these parameters")
+    return num / den
+
+
+def exact_grid(count=520, seed=2024):
+    """Seeded (p, q, r, s): small ints, small and huge ratios, halves; every
+    fifth tuple has p + r = 0 (C_1's pole) and two in five a pole at some
+    n <= 24, where 2pn + r - p or 2pn + r - 3p vanishes."""
+    rng = random.Random(seed)
+
+    def draw():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.randint(-9, 9)
+        if kind == 1:
+            return Fraction(rng.randint(-60, 60), rng.randint(1, 16))
+        if kind == 2:
+            return Fraction(rng.randint(-10 ** 15, 10 ** 15), rng.randint(1, 10 ** 12))
+        return Fraction(rng.randint(-30, 30), 2)
+    out = []
+    for i in range(count):
+        p, q, r, s = (draw() for _ in range(4))
+        if i % 5 == 1:
+            r = -p
+        elif i % 5 in (2, 3):
+            # 2p(n - k) = 2pn + r - p (or - 3p) at r = p(1 - 2k) (or p(3 - 2k))
+            r = p * ((1 if i % 5 == 2 else 3) - 2 * rng.randint(2, 24))
+        out.append(ClassParams(p, q, r, s))
+    return out
+
+
+def outcome(fn):
+    """fn()'s floats as hex strings (bit for bit, the sign of 0 included),
+    or the type and message of what it raised."""
+    try:
+        got = fn()
+    except (PoleError, OverflowError) as exc:
+        return type(exc), str(exc)
+    if isinstance(got, list):
+        return [None if v is None else float(v).hex() for v in got]
+    return float(got).hex()
+
+
+class BareSpec:
+    """The class of params as a spec with no degree bound and base moment
+    1, so that norm_squared is the signed product of the C_k alone."""
+
+    def __init__(self, params):
+        self.params = params
+
+    def finite_degree_bound(self):
+        return math.inf
+
+    def moment_zero(self):
+        return 1.0
+
+
+def reference_table(params):
+    """[C_1, ..., C_24] of reference_c up to its first pole, and that pole's
+    PoleError or None."""
+    cs = []
+    for n in range(1, 25):
+        try:
+            cs.append(reference_c(params, n))
+        except PoleError as exc:
+            return cs, exc
+    return cs, None
+
+
+GRID = [(cp, *reference_table(cp)) for cp in exact_grid()]
+
+
+def test_exact_grid_has_poles_and_degree_one_poles():
+    poles = [len(cs) + 1 for _, cs, pole in GRID if pole is not None]
+    assert len(GRID) >= 500
+    assert poles.count(1) >= 100
+    assert sum(n > 1 for n in poles) >= 100
+
+
+def test_exact_recurrence_c_is_the_fraction_reference():
+    for cp, cs, pole in GRID:
+        got = [recurrence_c(cp, n) for n in range(1, len(cs) + 1)]
+        assert all(type(c) is Fraction for c in got) and got == cs
+        if pole is not None:
+            with pytest.raises(PoleError) as exc:
+                recurrence_c(cp, len(cs) + 1)
+            assert str(exc.value) == str(pole)
+
+
+def test_exact_float_c_rounds_the_reference_once():
+    for cp, cs, pole in GRID:
+        want = outcome(lambda: [float(c) for c in cs])
+        assert outcome(lambda: ClassParams(*cp).float_c(len(cs))) == want
+        if pole is not None:
+            want = (PoleError, str(pole))
+        assert outcome(lambda: ClassParams(*cp).float_c(24)) == want
+
+
+def test_exact_norms_round_the_reference_product_once():
+    specs = [BareSpec(cp) for cp, _, _ in GRID]
+    specs += [GUP(Fraction(a, 7), Fraction(b, 5)) for a in range(-3, 40, 4) for b in range(-4, 30, 6)]
+    for spec in specs:
+        cs, pole = reference_table(spec.params)
+        m0 = spec.moment_zero()
+        prods = list(itertools.accumulate(cs, operator.mul, initial=Fraction(1)))
+        for n, prod in enumerate(prods):
+            want = outcome(lambda: (-1 if n % 2 else 1) * float(prod) * m0)
+            assert outcome(lambda: norm_squared(spec, n).value) == want
+        if pole is not None:
+            assert outcome(lambda: norm_squared(spec, len(cs) + 1)) == (PoleError, str(pole))
+        want = outcome(lambda: [(-1 if n % 2 else 1) * float(p) * m0 for n, p in enumerate(prods)]
+                       + [None] * (24 - len(cs)))
+        assert outcome(lambda: norms_squared(spec, 24)) == want

@@ -1,11 +1,16 @@
 import importlib
+import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+import symortho
 from symortho.core import poly_from_params
 from symortho.errors import (BasisInvalid, ConstraintViolation, MaxDepthExceeded,
                              NonSquareIntegrable)
@@ -41,6 +46,53 @@ def test_barycentric_rejects_bad_nodes():
         barycentric_interpolant([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
     with pytest.raises(ConstraintViolation):
         barycentric_interpolant([0.0, 1.0], [1.0])
+
+
+@pytest.mark.parametrize("nodes", [[1.0, 1.0], [0.0, -0.0], [np.nan, np.nan],
+                                   [2.0, np.nan, -1.0, np.nan], [np.inf, 3.0, np.inf]],
+                         ids=repr)
+def test_barycentric_refuses_repeated_nodes(nodes):
+    with pytest.raises(ConstraintViolation, match="distinct"):
+        barycentric_interpolant(nodes, np.ones(len(nodes)))
+
+
+def test_barycentric_refuses_what_unique_refuses():
+    # every node set of up to four values drawn from a pool of near misses
+    pool = [0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), -np.inf, np.inf, np.nan]
+    for size in range(1, 5):
+        for nodes in itertools.product(pool, repeat=size):
+            repeated = np.unique(nodes).size != size
+            try:
+                with np.errstate(all="ignore"):
+                    barycentric_interpolant(nodes, np.ones(size))
+                refused = False
+            except ConstraintViolation:
+                refused = True
+            assert refused == repeated, nodes
+
+
+def test_sampled_targets_leave_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on its first call, 15-38 ms; the library
+    # path of sampled data, in the API and the CLI, makes no such import
+    samples = tmp_path / "samples.csv"
+    xs = np.cos(np.pi * (np.arange(9) + 0.5) / 9)
+    samples.write_text("".join(f"{float(x)!r},{math.exp(x)!r}\n" for x in xs))
+    script = f"""
+import sys
+import numpy as np
+from symortho import GUP, cli, expand
+xs = np.linspace(-0.9, 0.9, 9)
+expand((xs, np.exp(xs)), GUP(1, 1), 4)
+status = cli.run(["expand", "--basis", "gup", "--u", "1", "--v", "1", "--nmax", "4",
+                  "--input", {str(samples)!r}, "--output", {str(tmp_path / "out.csv")!r}])
+sys.exit(status or 10 * ("numpy.ma" in sys.modules))
+"""
+    src = os.path.dirname(os.path.dirname(symortho.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=False)
+    assert done.returncode == 0, done.stderr
 
 
 # ------------------------------------------------------------ expansion
