@@ -55,7 +55,8 @@ class ClassParams:
         return iter((self.p, self.q, self.r, self.s))
 
     def exact(self) -> bool:
-        return all(isinstance(v, Rational) for v in self)
+        # the concrete types first: the Rational ABC check costs more
+        return all(type(v) in (int, Fraction) or isinstance(v, Rational) for v in self)
 
     def promoted(self):
         """Exact parameters as Fractions, inexact ones as floats."""
@@ -115,8 +116,11 @@ def weight_exponents(params: ClassParams) -> WeightExponents:
     are s/q at 0 (for q = 0 the weight is |x|^((r-2p)/p) e^(-s/(2p x^2)):
     inf, flat, for s/p > 0, -inf for s/p < 0 and (r-2p)/p for s = 0), e at
     +-theta (nan for pq = 0), and (r-2p)/p at infinity if theta = inf and
-    p != 0, else -inf."""
-    p, q, r, s = params.promoted()
+    p != 0, else -inf.  Exact parameters are read as the integers of
+    ClassParams._scaled (see _exact_exponents)."""
+    p, q, r, s = params._scaled
+    if type(p) is int:
+        return _exact_exponents(p, q, r, s)
     theta = math.sqrt(-q / p) if p and q and -q / p > 0 else math.inf
     if q:
         origin = s / q
@@ -124,7 +128,24 @@ def weight_exponents(params: ClassParams) -> WeightExponents:
         origin = -math.inf if s * p < 0 else (r - 2 * p) / p if p and not s else math.inf
     edge = (r - 2 * p) / (2 * p) - s / (2 * q) if p and q else math.nan
     tail = (r - 2 * p) / p if p and theta == math.inf else -math.inf
-    return WeightExponents(theta, float(origin), float(edge), float(tail))
+    return WeightExponents(theta, origin, edge, tail)
+
+
+def _exact_exponents(p, q, r, s):
+    """weight_exponents of exact parameters scaled to integers.  Each
+    exponent is one ratio of them, in which the scale cancels, so one int
+    division rounds it once, as float() of its Fraction does; a zero ratio
+    is +0.0, as a Fraction's is."""
+    def ratio(num, den):
+        return num / den if num else 0.0
+    theta = math.sqrt(ratio(-q, p)) if p and q and -q * p > 0 else math.inf
+    if q:
+        origin = ratio(s, q)
+    else:
+        origin = -math.inf if s * p < 0 else ratio(r - 2 * p, p) if p and not s else math.inf
+    edge = ratio((r - 2 * p) * q - s * p, 2 * p * q) if p and q else math.nan
+    tail = ratio(r - 2 * p, p) if p and theta == math.inf else -math.inf
+    return WeightExponents(theta, origin, edge, tail)
 
 
 def _check_degree(n):
@@ -302,20 +323,29 @@ class Recurrence:
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             out = self._rows(x)
-            bad = np.isnan(out[-1]) & ~np.isnan(x)
-            if bad.any():
-                out[:, bad] = self._scaled(x[bad], True)
+            if np.isnan(out[-1].min(initial=0.0)):      # min is nan if any value is
+                bad = np.isnan(out[-1]) & ~np.isnan(x)
+                if bad.any():
+                    out[:, bad] = self._scaled(x[bad], True)
         return out
 
     def _rows(self, x):
         out = np.empty((len(self.b) + 1,) + x.shape)
         out[0] = 1.0
+        term = np.empty_like(x)
         for k, (bk, ck) in enumerate(zip(self.b, self.c)):
-            xk = x - bk if bk else x
-            out[k + 1] = xk * out[k] + ck * out[k - 1] if k else xk * out[0]
-        if np.any(self.scale != 1.0):
-            out *= self.scale.reshape((-1,) + (1,) * x.ndim)
+            # in place, one temporary for every row (views stay arrays at 0-d x)
+            nxt = np.multiply(x - bk if bk else x, out[k], out=out[k + 1, ...])
+            if k:
+                nxt += np.multiply(ck, out[k - 1], out=term)
+        if self._row_scale is not None:
+            out *= self._row_scale.reshape((-1,) + (1,) * x.ndim)
         return out
+
+    @cached_property
+    def _row_scale(self):
+        """scale, or None when every member is unscaled (rows mode)."""
+        return None if (self.scale == 1.0).all() else self.scale
 
     def __call__(self, x):
         """Member d at x, blockwise; +-inf where it overflows."""

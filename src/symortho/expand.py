@@ -82,13 +82,17 @@ def _as_callable(f):
 @dataclass(frozen=True, eq=False)
 class ExpansionSeries:
     """Truncated expansion: coefficients index 0..nmax (entries below a
-    kind's base order are structurally zero)."""
+    kind's base order are structurally zero).  panels and evals are what
+    expand's own panel trees cost (||f||^2, every numerator try and the
+    residual; not the basis's Gram check), counted as GramQuad counts them."""
     basis: object
     coefficients: tuple
     nmax: int
     residual: float          # absolute L2(W*) error of the partial sum
     residual_rel: float      # residual / ||f||
     residual_converged: bool = True  # False: residual is an open tree's estimate
+    panels: int = 0          # GK15 panels of expand's trees
+    evals: int = 0           # integrand points they sampled
 
 
 def _intervals(ad, members):
@@ -174,16 +178,25 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
 
     def target(x):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.broadcast_to(np.asarray(fn(x), dtype=float), np.shape(x))
+            y = np.asarray(fn(x), dtype=float)
+        return y if y.shape == np.shape(x) else np.broadcast_to(y, np.shape(x))
 
     def square(g):
         """The sampler of the 1x1 block int W* g^2 (its R is its L)."""
         return lambda x: (ad.weight(x),) + (g(x)[None, :],) * 2
 
+    cost = [0, 0]       # the panels and evals of every tree below
+
+    def tree(sample, interval, scale=None):
+        out = integrate_gram(sample, interval, scale)
+        cost[0] += out.panels
+        cost[1] += out.evals
+        return out
+
     def first_closed(sample, members, scale=None):
-        """integrate_gram on _intervals(ad, members) in turn, until all close."""
+        """A tree on _intervals(ad, members) in turn, until all close."""
         for interval in _intervals(ad, members):
-            out = integrate_gram(sample, interval, scale)
+            out = tree(sample, interval, scale)
             if out.converged.all():
                 break
         return out
@@ -205,11 +218,12 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
     hinted = ad.interval(members=1)
     if any(e is not None and e < 0 for _, e in hinted.singularities):
         hinted = ad.interval(members=0)
-    res = integrate_gram(square(lambda x: target(x) - q @ rows(x)),
-                         hinted, np.array([[max(f_norm2, 1e-300)]]))
+    res = tree(square(lambda x: target(x) - q @ rows(x)),
+               hinted, np.array([[max(f_norm2, 1e-300)]]))
     residual = math.sqrt(max(float(res.value[0, 0]), 0.0))
     rel = residual / math.sqrt(f_norm2) if f_norm2 > 0 else 0.0
-    return ExpansionSeries(basis, coeffs, nmax, residual, rel, bool(res.converged.all()))
+    return ExpansionSeries(basis, coeffs, nmax, residual, rel, bool(res.converged.all()),
+                           *cost)
 
 
 def reconstruct(series: ExpansionSeries, x):

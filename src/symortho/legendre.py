@@ -167,7 +167,7 @@ class U(_ClassKind):
 
     @property
     def b(self):
-        # float: an exact class takes ~10x as long to build its C_k
+        # float: an exact class takes 1.3-1.9x as long to build its C_k
         return float(self.alpha)
 
     def leads(self, d):

@@ -63,6 +63,7 @@ _WGF[[1, 13]] = _WG[0]
 _WGF[[3, 11]] = _WG[1]
 _WGF[[5, 9]] = _WG[2]
 _WGF[7] = _WG[3]
+_WKG = _WK - _WGF       # the Kronrod weights less the Gauss ones
 
 _EPS = np.finfo(float).eps
 
@@ -630,18 +631,25 @@ def _gk_blocks(wdx, L, R, h):
     floored at the rounding level of its absolute mass; a panel with a
     non-finite sample gets value 0 and error inf.
     """
+    gram = R is L
     finite = np.isfinite(wdx).all(axis=1) & np.isfinite(L).all(axis=(1, 2))
-    if R is not L:
+    if not gram:
         finite &= np.isfinite(R).all(axis=(1, 2))
-    wdx = np.where(finite[:, None], wdx, 0.0) * h[:, None]
-    L = np.where(finite[:, None, None], L, 0.0)
-    R = L if R is L else np.where(finite[:, None, None], R, 0.0)
+    whole = finite.all()
+    if not whole:
+        wdx = np.where(finite[:, None], wdx, 0.0)
+        L = np.where(finite[:, None, None], L, 0.0)
+        R = L if gram else np.where(finite[:, None, None], R, 0.0)
+    wdx = wdx * h[:, None]
+    wk = wdx * _WK
     Lt = L.transpose(0, 2, 1)
-    kron = (Lt * (wdx * _WK)[:, None, :]) @ R
-    delta = np.abs((Lt * (wdx * (_WK - _WGF))[:, None, :]) @ R)
-    mass = (np.abs(Lt) * np.abs(wdx * _WK)[:, None, :]) @ np.abs(R)
+    kron = (Lt * wk[:, None, :]) @ R
+    delta = np.abs((Lt * (wdx * _WKG)[:, None, :]) @ R)
+    absL = np.abs(L)
+    mass = (absL.transpose(0, 2, 1) * np.abs(wk)[:, None, :]) @ (absL if gram else np.abs(R))
     err = np.maximum(delta, 50.0 * _EPS * mass)
-    err[~finite] = math.inf
+    if not whole:
+        err[~finite] = math.inf
     return kron, err, finite
 
 
@@ -703,8 +711,8 @@ def integrate_gram(sample, interval, scale=None, *, fold=False) -> GramQuad:
     """
     def row_sets(x):
         w, L, R = sample(x)
-        zero = np.asarray(w) == 0.0
-        if zero.any():
+        if not np.asarray(w).all():
+            zero = np.asarray(w) == 0.0
             L = np.where(zero, 0.0, L)
             R = L if R is L else np.where(zero, 0.0, R)
         return w, L, R
@@ -725,6 +733,7 @@ def integrate_gram(sample, interval, scale=None, *, fold=False) -> GramQuad:
                 np.asarray(L, dtype=float)[:, 0], np.asarray(R, dtype=float)[:, 0])
 
     tasks, extra_value, extra_err = _plan(point_fn, interval)
+    mapped = [(k, xmap) for k, (xmap, _, _) in enumerate(tasks) if xmap is not None]
 
     def folded(block):
         """In place: entries of mixed parity are zero, the others doubled."""
@@ -733,32 +742,31 @@ def integrate_gram(sample, interval, scale=None, *, fold=False) -> GramQuad:
             block[..., _mixed_parity(block.shape[-2:])] = 0.0
         return block
 
-    def evaluate(task, lo, hi):
-        """Blocks, errors and finiteness of the panels [lo, hi] of the given
-        tasks, from one sample call."""
+    def evaluate(panels):
+        """Blocks, errors and finiteness of the given panels (rows of task,
+        lo, hi, depth), from one sample call."""
+        task, lo, hi = panels[:, 0], panels[:, 1], panels[:, 2]
         h = 0.5 * (hi - lo)
         t = (0.5 * (lo + hi))[:, None] + h[:, None] * _NODES
         x = t.copy()
         jacobians = []
         with np.errstate(all="ignore"):
-            for k, (xmap, _, _) in enumerate(tasks):
-                if xmap is None:
-                    continue
+            for k, xmap in mapped:
                 sel = task == k
                 if sel.any():
                     xk, jacobian = xmap(t[sel].ravel())
                     x[sel] = xk.reshape(-1, 15)
                     jacobians.append((sel, jacobian))
             w, L, R = row_sets(x.ravel())
-            wdx = np.array(np.broadcast_to(w, x.size), dtype=float).reshape(-1, 15)
+            wdx = np.full(x.size, w, dtype=float).reshape(-1, 15)
             for sel, jacobian in jacobians:
                 wdx[sel] = jacobian(wdx[sel].ravel()).reshape(-1, 15)
             Lp = _by_panel(L)
             kron, err, finite = _gk_blocks(wdx, Lp, Lp if R is L else _by_panel(R), h)
         return folded(kron), folded(err), finite
 
-    # live panels: task, lo, hi, depth, value block, error block.  _plan
-    # puts the lower tail first and the upper tail last: a tail starts
+    # live panels: rows of (task, lo, hi, depth), value blocks, error blocks.
+    # _plan puts the lower tail first and the upper tail last: a tail starts
     # whole, a finite task as _START_PANELS panels by repeated halving
     tails = {k for k, end in ((0, interval.lo), (len(tasks) - 1, interval.hi))
              if math.isinf(end)}
@@ -771,19 +779,23 @@ def integrate_gram(sample, interval, scale=None, *, fold=False) -> GramQuad:
         for _ in range(depth):
             edges = [y for x, z in zip(edges, edges[1:]) for y in (x, 0.5 * (x + z))] + edges[-1:]
         starts += [(k, x, z, depth) for x, z in zip(edges, edges[1:])]
-    task, lo, hi, depth = (np.array(c) for c in zip(*starts))
-    start = len(lo)
-    live = (task, lo, hi, depth) + evaluate(task, lo, hi)[:2]
-    shape = live[4].shape[1:]
-    acc_val = folded(np.broadcast_to(extra_value, shape).astype(float))
-    acc_err = folded(np.broadcast_to(extra_err, shape).astype(float))
+    meta = np.array(starts, dtype=float)
+    start = len(meta)
+    val, err = evaluate(meta)[:2]
+    shape = val.shape[1:]
+    acc_val = folded(np.full(shape, extra_value, dtype=float))
+    acc_err = folded(np.full(shape, extra_err, dtype=float))
     retired = 0
     splits = 0
     max_leaves = start + _MAX_PANELS + 1
-    max_live = max(16, _LIVE_ENTRIES // live[4][0].size)
+    max_live = max(16, _LIVE_ENTRIES // val[0].size)
+    if scale is not None:
+        target = _RTOL * scale
+        held = np.isfinite(scale)
+        every = held.all()
 
+    # an empty sum is left out: the accumulators hold no -0.0, so its +0.0 changes no bit
     while True:
-        task, lo, hi, depth, val, err = live
         total = acc_val + val.sum(axis=0)
         errs = acc_err + err.sum(axis=0)
         if scale is None:
@@ -792,65 +804,71 @@ def integrate_gram(sample, interval, scale=None, *, fold=False) -> GramQuad:
             # a running scale that is not finite is no scale: never met
             held = np.isfinite(target)
             target[~held] = math.nan
-        else:
-            target = _RTOL * scale
-            held = np.isfinite(scale)
+            every = held.all()
         open_ = held & ~(errs <= target)
-        if not open_.any() or splits >= _MAX_PANELS or not len(lo):
+        if not open_.any() or splits >= _MAX_PANELS or not len(meta):
             break
         score = (err[:, open_] / target[open_]).max(axis=1)
         if score.max() <= 0.0:
             break       # what is left open sits in retired panels
-        pick = np.flatnonzero(score > 1.0 / (len(lo) + retired))
+        pick = np.flatnonzero(score > 1.0 / (len(meta) + retired))
         if not pick.size:
             pick = np.array([np.argmax(score)])
         pick = pick[np.argsort(-score[pick], kind="stable")][
             :min(_MAX_PANELS - splits, max_live // 2)]
-        gone = np.zeros(len(lo), dtype=bool)
-        gone[pick] = True
+        keep = np.ones(len(meta), dtype=bool)
+        keep[pick] = False
         # panels at the depth limit keep their error on the books
-        parked = pick[depth[pick] >= _MAX_DEPTH]
-        pick = pick[depth[pick] < _MAX_DEPTH]
-        acc_val += val[parked].sum(axis=0)
-        acc_err += err[parked].sum(axis=0)
-        retired += len(parked)
+        deep = meta[pick, 3] >= _MAX_DEPTH
+        if deep.any():
+            parked, pick = pick[deep], pick[~deep]
+            acc_val += val[parked].sum(axis=0)
+            acc_err += err[parked].sum(axis=0)
+            retired += len(parked)
 
-        mid = 0.5 * (lo[pick] + hi[pick])
-        c_task = np.repeat(task[pick], 2)
-        c_lo = np.column_stack((lo[pick], mid)).ravel()
-        c_hi = np.column_stack((mid, hi[pick])).ravel()
-        c_depth = np.repeat(depth[pick] + 1, 2)
+        # each picked panel's two halves, lower first
+        children = np.repeat(meta[pick], 2, axis=0)
+        mid = 0.5 * (children[::2, 1] + children[::2, 2])
+        children[::2, 2] = mid
+        children[1::2, 1] = mid
+        children[:, 3] += 1
         if pick.size:
-            c_val, c_err, c_ok = evaluate(c_task, c_lo, c_hi)
+            c_val, c_err, c_ok = evaluate(children)
         else:
             c_val, c_err, c_ok = val[:0], err[:0], np.ones(0, dtype=bool)
         splits += len(pick)
 
-        # a non-finite sample in a sliver at the resolution limit: retire the
-        # sliver with half its parent's error, as integrate does
-        parent_err = np.repeat(err[pick], 2, axis=0)
-        sliver = ~c_ok & (c_hi - c_lo <= 64.0 * _EPS * np.maximum(
-            1.0, np.maximum(abs(c_lo), abs(c_hi))))
-        sliver &= np.isfinite(parent_err).all(axis=(1, 2))
-        acc_err += 0.5 * parent_err[sliver].sum(axis=0)
-        retired += int(sliver.sum())
+        if not c_ok.all():
+            # a non-finite sample in a sliver at the resolution limit: retire
+            # the sliver with half its parent's error, as integrate does
+            c_lo, c_hi = children[:, 1], children[:, 2]
+            parent_err = np.repeat(err[pick], 2, axis=0)
+            sliver = ~c_ok & (c_hi - c_lo <= 64.0 * _EPS * np.maximum(
+                1.0, np.maximum(abs(c_lo), abs(c_hi))))
+            sliver &= np.isfinite(parent_err).all(axis=(1, 2))
+            if sliver.any():
+                acc_err += 0.5 * parent_err[sliver].sum(axis=0)
+                retired += int(sliver.sum())
+                children, c_val, c_err = children[~sliver], c_val[~sliver], c_err[~sliver]
 
-        children = (c_task, c_lo, c_hi, c_depth, c_val, c_err)
-        live = tuple(np.concatenate((old[~gone], new[~sliver]))
-                     for old, new in zip(live, children))
+        meta = np.concatenate((meta[keep], children))
+        val = np.concatenate((val[keep], c_val))
+        err = np.concatenate((err[keep], c_err))
 
         # panels no share can ever reach again leave the live set, and so do
         # the least splittable ones beyond the memory allowance
         # an entry held to nothing counts 0 (its error can be inf)
-        ratio = np.divide(live[5], target, out=np.zeros_like(live[5]), where=held)
+        ratio = (err / target if every else
+                 np.divide(err, target, out=np.zeros_like(err), where=held))
         done = ratio.max(axis=(1, 2)) <= 1.0 / max_leaves
-        if len(done) - done.sum() > max_live:
+        if len(done) - np.count_nonzero(done) > max_live:
             rank = np.argsort(-ratio[:, open_].max(axis=1), kind="stable")
             done[rank[max_live:]] = True
-        acc_val += live[4][done].sum(axis=0)
-        acc_err += live[5][done].sum(axis=0)
-        retired += int(done.sum())
-        live = tuple(a[~done] for a in live)
+        if done.any():
+            acc_val += val[done].sum(axis=0)
+            acc_err += err[done].sum(axis=0)
+            retired += np.count_nonzero(done)
+            meta, val, err = meta[~done], val[~done], err[~done]
 
     panels = start + 2 * splits
     return GramQuad(total, errs, errs <= target, panels, 15 * panels + len(probes))

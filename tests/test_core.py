@@ -19,7 +19,8 @@ from symortho.cli import _grid
 from symortho.core import (ClassParams, SymmetricPoly, eigenvalue,
                            explicit_coeffs, leading_coefficient, member_rows,
                            monic_by_recurrence, monic_coeffs, ode_residual,
-                           ode_residual_rel, poly_from_params, recurrence_c)
+                           ode_residual_rel, poly_from_params, recurrence_c,
+                           weight_exponents)
 from symortho.errors import (ConstraintViolation, DegenerateDenominator,
                              PoleError, ZeroLeadingCoefficient)
 from symortho.families import GUP, norm_squared, norms_squared
@@ -714,3 +715,27 @@ def test_exact_norms_round_the_reference_product_once():
         want = outcome(lambda: [(-1 if n % 2 else 1) * float(p) * m0 for n, p in enumerate(prods)]
                        + [None] * (24 - len(cs)))
         assert outcome(lambda: norms_squared(spec, 24)) == want
+
+
+def reference_exponents(p, q, r, s):
+    """weight_exponents' formulas in Fraction arithmetic, each exponent
+    rounded once: the oracle of the scaled-integer path."""
+    theta = math.sqrt(-q / p) if p and q and -q / p > 0 else math.inf
+    if q:
+        origin = s / q
+    else:
+        origin = -math.inf if s * p < 0 else (r - 2 * p) / p if p and not s else math.inf
+    edge = (r - 2 * p) / (2 * p) - s / (2 * q) if p and q else math.nan
+    tail = (r - 2 * p) / p if p and theta == math.inf else -math.inf
+    return [float(v).hex() for v in (theta, origin, edge, tail)]
+
+
+def test_exact_weight_exponents_are_the_fraction_reference():
+    # exact parameters take the exponents from ClassParams._scaled's integers:
+    # each must be its Fraction value rounded once.  Every tuple of the grid
+    # also runs with q = 0, with p = 0 and with q = s = 0
+    for cp, _, _ in GRID:
+        p, q, r, s = cp
+        for vals in ((p, q, r, s), (p, 0, r, s), (0, q, r, s), (p, 0, r, 0)):
+            got = [v.hex() for v in weight_exponents(ClassParams(*vals))]
+            assert got == reference_exponents(*(Fraction(v) for v in vals)), vals

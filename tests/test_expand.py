@@ -397,6 +397,25 @@ def test_series_reports_whether_its_residual_closed(basis, closed):
     assert ExpansionSeries(basis, ser.coefficients, 8, 0.0, 0.0).residual_converged
 
 
+@pytest.mark.parametrize("f, basis, nmax", [(np.sin, GUP(1, 1), 8), (np.abs, U(0.5), 12)],
+                         ids=["sin-GUP(1,1)@8", "abs-U(0.5)@12"])
+def test_series_reports_what_its_trees_cost(f, basis, nmax, monkeypatch):
+    # the counts total expand's own trees (||f||^2, numerator tries, residual);
+    # the Gram check runs on sturm's binding, which is not wrapped
+    expand_mod = importlib.import_module("symortho.expand")
+    real, trees = expand_mod.integrate_gram, []
+
+    def counted(*args, **kwargs):
+        trees.append(real(*args, **kwargs))
+        return trees[-1]
+    monkeypatch.setattr(expand_mod, "integrate_gram", counted)
+    ser = expand(f, basis, nmax)
+    assert len(trees) >= 3
+    assert ser.panels == sum(t.panels for t in trees) > 0
+    assert ser.evals == sum(t.evals for t in trees) >= 15 * ser.panels
+    assert ExpansionSeries(basis, ser.coefficients, nmax, 0.0, 0.0).panels == 0
+
+
 # ------------------------------------------- coefficients on one panel tree
 
 
