@@ -27,12 +27,9 @@ from .errors import ConstraintViolation, SymOrthoError
 from .expand import barycentric_interpolant, reconstruct
 from .expand import expand as expand_fn
 from .families import _FAMILIES, norm_squared, weight_at
-from .sturm import gram_matrix, support_theta, generic_weight_log
+from .sturm import gram_matrix, support_theta
 
 _FAMILY_CTOR = {fam.label: fam for fam in _FAMILIES}
-_FAMILY_FLAGS = {**{label: tuple(f.name for f in fields(fam))
-                    for label, fam in _FAMILY_CTOR.items()},
-                 "custom": ("p", "q", "r", "s")}
 
 # the grammar of --expr: numbers, x, these constants and functions, and
 # unary and binary arithmetic
@@ -60,8 +57,8 @@ def _jsonable(x):
 
 
 def _add_class_flags(sub, flag="--class"):
-    sub.add_argument(flag, dest="cls", required=True, choices=list(_FAMILY_FLAGS))
-    for name in dict.fromkeys(name for flags in _FAMILY_FLAGS.values() for name in flags):
+    sub.add_argument(flag, dest="cls", required=True, choices=list(_FAMILY_CTOR))
+    for name in dict.fromkeys(f.name for fam in _FAMILIES for f in fields(fam)):
         sub.add_argument(f"--{name}", type=float)
 
 
@@ -97,22 +94,17 @@ def _check_args(args):
         raise ConstraintViolation(f"--tol must be finite and positive, got {args.tol}")
 
 
-def _class_of(args, *, need_weight=False):
-    """(family-or-None, ClassParams) from parsed flags."""
-    wanted = _FAMILY_FLAGS[args.cls]
+def _class_of(args):
+    """(family, ClassParams) from parsed flags, a custom tuple's as given."""
+    wanted = [f.name for f in fields(_FAMILY_CTOR[args.cls])]
     got = {name: getattr(args, name) for name in wanted}
     if None in got.values():
         raise ConstraintViolation(f"class {args.cls} needs --" + " --".join(wanted))
     for name, value in got.items():
         if not math.isfinite(value):
             raise ConstraintViolation(f"--{name} must be finite, got {value}")
-    if args.cls == "custom":
-        if need_weight:
-            raise ConstraintViolation(
-                "this command needs a named family, not a custom parameter set")
-        return None, ClassParams(got["p"], got["q"], got["r"], got["s"])
     fam = _FAMILY_CTOR[args.cls](**got)
-    return fam, fam.params
+    return fam, ClassParams(**got) if args.cls == "custom" else fam.params
 
 
 def _writer(stream):
@@ -146,7 +138,7 @@ def _cmd_coeffs(args):
 
 
 def _cmd_gram(args):
-    fam, _ = _class_of(args, need_weight=True)
+    fam, _ = _class_of(args)
     rep = gram_matrix(fam, args.nmax, args.tol)
     doc = {"pass": bool(rep.passed),
            "entries": [{"n": e.n, "m": e.m, "value": _jsonable(e.quad.value),
@@ -171,14 +163,10 @@ def _cmd_verify_ode(args):
 
 
 def _cmd_weights(args):
-    fam, params = _class_of(args)
+    fam, _ = _class_of(args)
     xs = np.linspace(args.lo, args.hi, args.steps)
     # the whole grid first, so that a failure writes no row
-    if fam is not None:
-        ws = weight_at(fam, xs)
-    else:
-        with np.errstate(divide="ignore", over="ignore"):
-            ws = np.exp(generic_weight_log(params, xs))
+    ws = weight_at(fam, xs)
     w = _writer(sys.stdout)
     w.writerow(["x", "w"])
     for x, val in zip(xs, ws):
@@ -187,7 +175,7 @@ def _cmd_weights(args):
 
 
 def _cmd_expand(args):
-    fam, _ = _class_of(args, need_weight=True)
+    fam, _ = _class_of(args)
     if args.expr is not None:
         fn = _expression_fn(args.expr)
         theta = min(fam.theta, 3.0)
@@ -198,7 +186,7 @@ def _cmd_expand(args):
         grid = np.linspace(xs.min(), xs.max(), 101)
     ser = expand_fn(fn, fam, args.nmax, args.tol)
     doc = {"basis": {"class": args.cls,
-                     **{k: getattr(args, k) for k in _FAMILY_FLAGS[args.cls]}},
+                     **{f.name: getattr(args, f.name) for f in fields(fam)}},
            "nmax": ser.nmax,
            "coefficients": [_jsonable(c) for c in ser.coefficients],
            "residual": _jsonable(ser.residual),
@@ -231,12 +219,10 @@ def _cmd_table(args):
         except SymOrthoError:
             cn = ""
         lam = repr(float(eigenvalue(params, n)) + 0.0)   # drop negative zero
-        norm = ""
-        if fam is not None:
-            try:
-                norm = repr(float(norm_squared(fam, n).value))
-            except SymOrthoError:
-                norm = ""
+        try:
+            norm = repr(float(norm_squared(fam, n).value))
+        except SymOrthoError:
+            norm = ""
         w.writerow([n, coeffs, cn, lam, norm])
     return 0
 

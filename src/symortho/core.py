@@ -149,7 +149,7 @@ def _exact_exponents(p, q, r, s):
 
 
 def _check_degree(n):
-    if not isinstance(n, (int, np.integer)) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
         raise ConstraintViolation(f"degree must be a nonnegative integer, got {n!r}")
     return int(n)
 

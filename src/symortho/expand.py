@@ -124,11 +124,11 @@ def _checked_norms(basis, nmax, tol):
 
 
 # a few hundred bases: under 1 MB of norms at nmax 64
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)
 def _verified_norms(kind, values, nmax, tol):
     """_checked_norms of the basis kind(field=value, ...), memoized per
-    process; a basis that fails raises again, with a fresh report, on every
-    call."""
+    process, nmax and tol by type too (4.0 and True are not 4 and 1); a
+    basis that fails raises again, with a fresh report, on every call."""
     return _checked_norms(kind(**{name: v for name, _, v in values}), nmax, tol)
 
 

@@ -20,9 +20,9 @@ import numpy as np
 
 from .core import ClassParams, member_rows, poly_from_params
 from .errors import ConstraintViolation
-from .families import _Family, _num
+from .families import Class, _num
 from .quadrature import IntervalSpec
-from .sturm import _LOG_TINY, GramReport, _FamilyBasis, _gram_report, generic_weight_log
+from .sturm import _LOG_TINY, GramReport, _FamilyBasis, gram_matrix
 
 
 def _as_fraction(lam):
@@ -154,25 +154,19 @@ def _t_interval(exponents, h, n, m):
     return IntervalSpec(-math.inf, math.inf, tuple(hints))
 
 
-@dataclass(frozen=True)
-class _MappedClass(_Family):
-    """The class a lambda spec maps onto, as a family of the generic weight:
-    its moment, degree bound, hints and integrable pairs are its exponents'."""
-    params: ClassParams
-    label = "mapped"
-
-    def weight_log(self, x):
-        return generic_weight_log(self.params, x)
-
-
 class _LambdaBasis(_FamilyBasis):
-    """Gram adapter for an admissible lam: the mapped class's family adapter
-    with its weight, rows and intervals in t, where x = signed_power(t, lam/2)
+    """Gram adapter for an admissible lam > 0: its Class's family adapter with
+    its weight, rows and intervals in t, where x = signed_power(t, lam/2)
     carries every entry onto the mapped class's own; so the closed-form norms,
     integrable pairs, cliffs and per-entry integrals are the family's, in x."""
 
     def __init__(self, spec):
-        super().__init__(_MappedClass(spec.mapped_params))
+        if spec.lam < 0:
+            raise ConstraintViolation(
+                f"the t-space Gram needs lambda > 0, got {spec.lam}: for lambda < 0, "
+                "x = t^(lambda/2) swaps 0 and +-inf, and for a finite theta the support "
+                "in t is two rays, which the t-space Gram does not handle")
+        super().__init__(Class(*spec.mapped_params))
         self.h = spec.lam / 2
         self.label = "lambda" + str(spec.lam).replace("/", "")
         # rounded once from the exact h, so lam = 2/3 gives log 3 and 2/3
@@ -182,7 +176,7 @@ class _LambdaBasis(_FamilyBasis):
         """W(|t|^h) h |t|^(h-1), the measure dx in t."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             a = np.abs(t)
-            return np.exp(generic_weight_log(self.spec.params, signed_power(a, self.h))
+            return np.exp(self.spec.weight_log(signed_power(a, self.h))
                           - self._log_inv_h + self._jac * np.log(a))
 
     def rows(self, nmax):
@@ -215,15 +209,10 @@ def lambda_weight_and_gram(spec: LambdaSpec, nmax: int, tol=1e-7) -> GramReport:
     S_m(t^h) dt over [-theta^(1/h), theta^(1/h)] with W1(t) = W(|t|^h) h
     |t|^(h-1) (lam = 2/3: W(|t|^{1/3}) / (3 |t|^{2/3})), where W is the
     weight of the mapped polynomial class on [-theta, theta].  x = t^h
-    carries every entry onto the mapped class's own, so this is gram_matrix
-    on that class as a family, its block's tree in t: every diagonal, (0, 0)
-    too, is judged against mu_0 (-1)^n C_1...C_n.  The tests check the
-    entries against the x-space machinery as an independent route.
-    A negative lam raises ConstraintViolation.
+    carries every entry onto the mapped class's own, so this is
+    gram_matrix(spec, nmax, tol): the Gram of that Class, its block's tree
+    in t, where every diagonal, (0, 0) too, is judged against mu_0 (-1)^n
+    C_1...C_n.  The tests check the entries against the x-space machinery as
+    an independent route.  A negative lam raises ConstraintViolation.
     """
-    if spec.lam < 0:
-        raise ConstraintViolation(
-            f"the t-space Gram needs lambda > 0, got {spec.lam}: for lambda < 0, "
-            "x = t^(lambda/2) swaps 0 and +-inf, and for a finite theta the support "
-            "in t is two rays, which the t-space Gram does not handle")
-    return _gram_report(_LambdaBasis(spec), nmax, tol)
+    return gram_matrix(spec, nmax, tol)

@@ -1,6 +1,6 @@
-"""The four canonical families: factories, weights, moments, norms.
+"""Weight families: Class(p, q, r, s) and the four canonical families.
 
-Each family fixes (p, q, r, s) in terms of one or two shape parameters:
+Each named family fixes (p, q, r, s) in terms of one or two shape parameters:
 
     GUP(u, v)      |x|^{2u} (1-x^2)^v        on [-1, 1]
     GHP(u)         |x|^{2u} e^{-x^2}         on (-inf, inf)
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from numbers import Rational
@@ -27,14 +27,14 @@ import numpy as np
 
 from .core import ClassParams, WeightExponents, recurrence_c, weight_exponents
 from .errors import (ConstraintViolation, DivergentMoment, OutOfFiniteRange,
-                     PoleError, SingularPoint)
+                     PoleError, SingularCoefficient, SingularPoint)
 from .quadrature import IntervalSpec
 from .special import beta_fn, gamma_fn, log_gamma
 
 __all__ = [
-    "GUP", "GHP", "FiniteI", "FiniteII", "NormValue", "PairValidity",
+    "Class", "GUP", "GHP", "FiniteI", "FiniteII", "NormValue", "PairValidity",
     "make_subclass", "weight_at", "moment_zero", "norm_squared", "norms_squared",
-    "valid_pair", "pair_integrable",
+    "valid_pair", "pair_integrable", "generic_weight_log",
     "finite_degree_bound", "pearson_residual",
 ]
 
@@ -60,15 +60,43 @@ def _num(x):
     return float(x)
 
 
+def generic_weight_log(params, x):
+    """log of the closed-form self-adjoint weight of the generic class.
+
+    The defining integrand ((r-2p)x^2 + s)/(x(px^2+q)) splits by partial
+    fractions into three parameter cases; each is validated against the
+    per-family weight formulas in the tests.
+    """
+    p, q, r, s = (float(v) for v in params)
+    x = np.asarray(x, dtype=float)
+    t = x * x
+    if p == 0 and q == 0:
+        raise SingularCoefficient("leading coefficient vanishes identically (p = q = 0)")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        la = np.log(np.abs(x))
+        if p == 0:
+            return (s / q) * la + (r / (2 * q)) * t
+        if q == 0:
+            return ((r - 2 * p) / p) * la - s / (2 * p * t)
+        return (s / q) * la + ((r - 2 * p) / (2 * p) - s / (2 * q)) * np.log(p * t + q)
+
+
 @dataclass(frozen=True)
 class _Family:
-    """A weight family defines label, params, weight_log and log_deriv.
-    _certificate defaults to that of GUP and GHP.  The support, hints,
-    valid_pair, the tail margin, moment_zero and finite_degree_bound follow
-    from the weight's exponents, which (p, q, r, s) fix."""
+    """A weight family defines label and params; a named one also weight_log,
+    log_deriv and, where it differs from GUP's, _certificate.  The support,
+    hints, valid_pair, the tail margin, moment_zero and finite_degree_bound
+    follow from the weight's exponents, which (p, q, r, s) fix."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _num(getattr(self, f.name)))
 
     def __iter__(self):
         raise TypeError("family specs are not iterable; use .params")
+
+    def weight_log(self, x):
+        return generic_weight_log(self.params, x)
 
     @cached_property
     def exponents(self) -> WeightExponents:
@@ -106,7 +134,7 @@ class _Family:
         Gamma(z), with z = -(g + 1)/2 for q = 0."""
         theta, origin, edge, tail = self.exponents
         p, q, r, s = self.params.promoted()
-        c = -r / (2 * q) if p == 0 else s / (2 * p) if q == 0 else q    # > 0, or no weight
+        c = q if p and q else -r / (2 * q) if q else s / (2 * p) if p else 0  # > 0, or no weight
         if origin <= -1 or tail >= -1 or theta < math.inf and edge <= -1 or not c > 0:
             raise DivergentMoment(f"the weight of {self.params} is not integrable "
                                   f"(exponents {tuple(self.exponents)})")
@@ -127,12 +155,13 @@ class _Family:
 
     def valid_pair(self, n, m) -> PairValidity:
         """Published validity condition plus independent exponent counting:
-        the product of members n and m is integrable at the origin and in
-        the tails."""
+        the product of members n and m is integrable at the origin, at
+        +-theta and in the tails."""
         n, m = int(n), int(m)
         parity_low = (n % 2) + (m % 2)      # lowest power of the product at 0
         certified, reason = self._certificate(max(n, m))
-        integrable = (self.exponents.origin + parity_low > -1
+        theta, origin, edge, _ = self.exponents
+        integrable = (origin + parity_low > -1 and (theta == math.inf or edge > -1)
                       and self._tail_margin(n, m) <= 0)
         return PairValidity(certified, reason, integrable)
 
@@ -152,13 +181,11 @@ class GUP(_Family):
     label = "gup"
 
     def __post_init__(self):
-        u, v = _num(self.u), _num(self.v)
-        if not 2 * u + 1 > 0:
-            raise ConstraintViolation(f"gup needs u + 1/2 > 0, got u = {u}")
-        if not v + 1 > 0:
-            raise ConstraintViolation(f"gup needs v + 1 > 0, got v = {v}")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        super().__post_init__()
+        if not 2 * self.u + 1 > 0:
+            raise ConstraintViolation(f"gup needs u + 1/2 > 0, got u = {self.u}")
+        if not self.v + 1 > 0:
+            raise ConstraintViolation(f"gup needs v + 1 > 0, got v = {self.v}")
 
     @cached_property
     def params(self) -> ClassParams:
@@ -186,10 +213,9 @@ class GHP(_Family):
     label = "ghp"
 
     def __post_init__(self):
-        u = _num(self.u)
-        if not 2 * u + 1 > 0:
-            raise ConstraintViolation(f"ghp needs u + 1/2 > 0, got u = {u}")
-        object.__setattr__(self, "u", u)
+        super().__post_init__()
+        if not 2 * self.u + 1 > 0:
+            raise ConstraintViolation(f"ghp needs u + 1/2 > 0, got u = {self.u}")
 
     @cached_property
     def params(self) -> ClassParams:
@@ -214,10 +240,6 @@ class FiniteI(_Family):
     u: object
     v: object
     label = "finite1"
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", _num(self.u))
-        object.__setattr__(self, "v", _num(self.v))
 
     @cached_property
     def params(self) -> ClassParams:
@@ -265,11 +287,10 @@ class FiniteII(_Family):
     label = "finite2"
 
     def __post_init__(self):
-        u = _num(self.u)
-        if not 2 * u - 1 > 0:
+        super().__post_init__()
+        if not 2 * self.u - 1 > 0:
             raise ConstraintViolation(
-                f"finite2 needs u - 1/2 > 0 for a finite base moment, got u = {u}")
-        object.__setattr__(self, "u", u)
+                f"finite2 needs u - 1/2 > 0 for a finite base moment, got u = {self.u}")
 
     @cached_property
     def params(self) -> ClassParams:
@@ -291,7 +312,25 @@ class FiniteII(_Family):
         return ok, f"max(n,m) = {big} {'<=' if ok else '>'} u - 1/2 = {bound}"
 
 
-_FAMILIES = (GUP, GHP, FiniteI, FiniteII)
+@dataclass(frozen=True)
+class Class(_Family):
+    """Any tuple (p, q, r, s) as a family of its generic weight.  params takes
+    the sign that makes px^2 + q > 0 on the support; the equation is
+    homogeneous, so C_k, the exponents and the members do not change."""
+
+    p: object
+    q: object
+    r: object
+    s: object
+    label = "custom"
+
+    @cached_property
+    def params(self) -> ClassParams:
+        sign = -1 if self.q < 0 or self.q == 0 and self.p < 0 else 1
+        return ClassParams(*(sign * v for v in (self.p, self.q, self.r, self.s)))
+
+
+_FAMILIES = (GUP, GHP, FiniteI, FiniteII, Class)
 
 
 def _family(spec):

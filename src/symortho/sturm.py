@@ -19,12 +19,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (ClassParams, SymmetricPoly, WeightExponents, member_rows,
+from .core import (ClassParams, SymmetricPoly, WeightExponents, _check_degree, member_rows,
                    poly_from_params, weight_exponents)
 from .core import eigenvalue as generic_eigenvalue
 from .errors import (ConstraintViolation, DegenerateDenominator, NonpositiveWeight,
                      PoleError, SingularCoefficient, ZeroLeadingCoefficient)
-from .families import _FAMILIES, norms_squared, pair_integrable
+from .families import _FAMILIES, Class, generic_weight_log, norms_squared, pair_integrable
 from .legendre import LegendreKind
 from .quadrature import (_RTOL, IntervalSpec, QuadResult, divergence_mask, entry_scale,
                          exponent_scan, integrate, integrate_gram)
@@ -105,27 +105,6 @@ def legendre_sl(nu=0.0, e_even=None) -> SLCoeffs:
         exponents=WeightExponents(1.0, 0.0, 0.0, -math.inf),
         log_weight=np.zeros_like,
     )
-
-
-def generic_weight_log(params, x):
-    """log of the closed-form self-adjoint weight of the generic class.
-
-    The defining integrand ((r-2p)x^2 + s)/(x(px^2+q)) splits by partial
-    fractions into three parameter cases; each is validated against the
-    per-family weight formulas in the tests.
-    """
-    p, q, r, s = (float(v) for v in params)
-    x = np.asarray(x, dtype=float)
-    t = x * x
-    if p == 0 and q == 0:
-        raise SingularCoefficient("leading coefficient vanishes identically (p = q = 0)")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        la = np.log(np.abs(x))
-        if p == 0:
-            return (s / q) * la + (r / (2 * q)) * t
-        if q == 0:
-            return ((r - 2 * p) / p) * la - s / (2 * p * t)
-        return (s / q) * la + ((r - 2 * p) / (2 * p) - s / (2 * q)) * np.log(p * t + q)
 
 
 def _log_r(sl, x):
@@ -358,7 +337,8 @@ class _FamilyBasis:
         exponents, with pair_integrable's float operations in its order."""
         m = np.arange(nmax + 1)
         n, low = m[:, None], m % 2
-        return ((self.spec.exponents.origin + (low[:, None] + low) > -1)
+        theta, origin, edge, _ = self.spec.exponents
+        return ((origin + (low[:, None] + low) > -1) & (theta == math.inf or edge > -1)
                 & (self.spec._tail_margin(n, m) < 0))
 
     def off_block(self, end, nmax, norms, integrable=None):
@@ -443,10 +423,15 @@ _LOG_HUGE = math.log(np.finfo(float).max)
 
 def _adapt(basis):
     """The Gram adapter of a basis; a Legendre kind serves as its own."""
+    if isinstance(basis, ClassParams):
+        basis = Class(*basis)
     if isinstance(basis, _FAMILIES):
         return _FamilyBasis(basis)
     if isinstance(basis, LegendreKind):
         return basis
+    from .exponent_map import LambdaSpec, _LambdaBasis    # which imports this module
+    if isinstance(basis, LambdaSpec):
+        return _LambdaBasis(basis)
     raise TypeError(f"cannot build a basis from {basis!r}")
 
 
@@ -466,7 +451,7 @@ def _shared_tree(ad, end, interval, norms, off):
     (m <= end < n): rows base..top, the highest n in off, against columns
     base..end, on the block's interval.  A block entry is held to 1e-9
     entry_scale(d_n, d_m), with d the closed-form norms; an off-block pair
-    to 1e-9 |d_m|, the scale _gram_report judges it by; the rest of the rows
+    to 1e-9 |d_m|, the scale gram_matrix judges it by; the rest of the rows
     hold the tree to nothing.  Returns the tree's GramQuad."""
     b = ad.base
     top = max([n for n, _ in off], default=end)
@@ -483,7 +468,7 @@ def _shared_tree(ad, end, interval, norms, off):
     return integrate_gram(sample, interval, scale, fold=ad.fold)
 
 
-# an entry that takes no integral, and the QuadResult fields _gram_report
+# an entry that takes no integral, and the QuadResult fields gram_matrix
 # holds as arrays over the cells [n - base, m - base], _NO_QUAD's by default
 _NO_QUAD = QuadResult(math.nan, math.inf, False, False)
 _FIELDS = tuple(f.name for f in fields(QuadResult))
@@ -526,7 +511,8 @@ def _entry_by_entry(ad, nmax, cells, todo, integrable):
 
 
 def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
-    """Inner-product matrix of the basis members up to degree nmax.
+    """Inner-product matrix of the members up to degree nmax of a basis: a
+    family, a bare ClassParams (as its Class), a LambdaSpec or a Legendre kind.
 
     The block of degrees base..K whose norms all have closed forms and
     whose every pair is integrable takes its entries from one shared panel
@@ -566,12 +552,11 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
     report's panels and evals total the GK15 panels and integrand points
     of the tree and of every per-entry integral.
     """
-    return _gram_report(_adapt(basis), nmax, tol)
-
-
-def _gram_report(ad, nmax, tol) -> GramReport:
-    if nmax < ad.base:
+    ad = _adapt(basis)
+    if _check_degree(nmax) < ad.base:
         raise ConstraintViolation(f"nmax must be at least {ad.base} for this basis")
+    if not 0 < tol < math.inf:
+        raise ConstraintViolation(f"tol must be finite and positive, got {tol!r}")
     b, size = ad.base, nmax - ad.base + 1
     norms = ad.norms(nmax)
     # read by the tree block, its off-block pairs and the per-entry pass

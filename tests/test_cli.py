@@ -292,18 +292,33 @@ def test_degrees_up_to_the_cap_are_admitted(capsys, argv):
     # singular at 0 and outside the support from 1 on: the support decides
     (("--class", "gup", "--u", "-0.25", "--v", "1", "--from", "0", "--to", "1.5"),
      2, "constraint-violation"),
-], ids=["outside", "singular", "both"])
+    # support [-1, 1], singular at +-1; rows "1.0,inf" and "2.0,nan" were written
+    (("--class", "custom", "--p", "-1", "--q", "1", "--r", "-3", "--s", "2",
+      "--from", "0", "--to", "2"), 2, "constraint-violation"),
+], ids=["outside", "singular", "both", "custom-outside"])
 def test_weights_failure_writes_no_row(capsys, argv, status, error):
     got, out, err = invoke(capsys, "weights", *argv, "--steps", "5")
     assert got == status and out == ""
     assert json.loads(err)["error"] == error
 
 
-def test_custom_class_has_no_weight_commands(capsys):
-    status, _, err = invoke(capsys, "gram", "--class", "custom", "--p", "0",
-                            "--q", "1", "--r", "-2", "--s", "0", "--nmax", "3")
-    assert status == 2
-    assert json.loads(err)["error"] == "constraint-violation"
+def test_custom_class_gram_and_expand_print_the_named_family(capsys, tmp_path):
+    # (0, 1, -2, 1) is GHP(1/2)'s tuple: the same report and expansion
+    custom = ("--p", "0", "--q", "1", "--r", "-2", "--s", "1")
+    got = invoke(capsys, "gram", "--class", "custom", *custom, "--nmax", "8")
+    assert got == invoke(capsys, "gram", "--class", "ghp", "--u", "0.5", "--nmax", "8")
+    assert got[0] == 0
+    docs, recons = [], []
+    for name, flags in (("custom", custom), ("ghp", ("--u", "0.5"))):
+        dest = tmp_path / f"{name}.csv"
+        status, out, _ = invoke(capsys, "expand", "--basis", name, *flags, "--nmax", "6",
+                                "--expr", "sin(x) + x**4", "--output", str(dest))
+        assert status == 0
+        doc = json.loads(out)
+        assert doc.pop("basis")["class"] == name
+        docs.append(doc)
+        recons.append(dest.read_text())
+    assert docs[0] == docs[1] and recons[0] == recons[1]
 
 
 def test_unknown_subcommand(capsys):

@@ -16,7 +16,8 @@ from symortho.errors import (BasisInvalid, ConstraintViolation, MaxDepthExceeded
                              NonSquareIntegrable)
 from symortho.expand import (ExpansionSeries, barycentric_interpolant, expand,
                              reconstruct)
-from symortho.families import GUP, GHP, FiniteII, norm_squared
+from symortho.exponent_map import LambdaSpec, transformed_eval
+from symortho.families import GUP, GHP, Class, FiniteII, norm_squared
 from symortho.legendre import G, Pm, Q, U, V, member_fn
 from symortho.quadrature import integrate
 from symortho.sturm import gram_matrix
@@ -556,11 +557,40 @@ def test_failing_basis_raises_with_a_fresh_report_every_call(gram_checks):
     assert reports[1].entry(4, 4).status == "cliff"
 
 
+def test_a_warm_memo_still_refuses_a_bad_nmax():
+    # 4.0 and True hashed as the verified 4 and 1: a kind ran on
+    # "n = 0..True" and raised a bare TypeError at 4.0
+    basis = U(0.4321)
+    for good, bad in ((4, 4.0), (1, True)):
+        expand(np.sin, basis, good)
+        with pytest.raises(ConstraintViolation):
+            expand(np.sin, basis, bad)
+
+
 def test_unhashable_field_skips_the_memo(gram_checks):
     for _ in range(2):
         ser = expand(np.sin, U(np.array(0.5)), 6)
     assert len(gram_checks) == 2
     assert ser.coefficients == expand(np.sin, U(0.5), 6).coefficients
+
+
+@pytest.mark.parametrize("basis, member", [
+    # the cube-root class mapped onto |x|^2 (1-x^2): members S_n(t^(1/3))
+    (LambdaSpec(-1, 1, Fraction(-8, 3), Fraction(4, 3), Fraction(2, 3)),
+     lambda spec, n, t: transformed_eval(spec, n, t)),
+    # |x|^2 (1 - x^2)^(-1/2), given with the sign that makes px^2 + q < 0
+    (Class(1, -1, 3, -2), lambda spec, n, t: poly_from_params(spec.params, n)(t)),
+], ids=["lambda-2/3", "class"])
+def test_expand_and_reconstruct_any_class(basis, member):
+    # a combination of members 1 and 4 is its own expansion, point by point
+    def f(t):
+        return member(basis, 4, t) - 0.5 * member(basis, 1, t)
+    ser = expand(f, basis, 6)
+    assert ser.residual_rel <= 1e-7
+    for n in (0, 2, 3, 5, 6):
+        assert abs(ser.coefficients[n]) <= 1e-7, n
+    t = np.linspace(-0.95, 0.95, 41)
+    assert np.max(np.abs(reconstruct(ser, t) - f(t))) <= 1e-7 * np.max(np.abs(f(t)))
 
 
 def test_unsupported_basis_still_raises_type_error():

@@ -9,7 +9,8 @@ from symortho.errors import ConstraintViolation, PoleError
 from symortho.exponent_map import (LambdaSpec, _LambdaBasis, admissible, alpha_beta,
                                    generic_ode_residual, lambda_weight_and_gram,
                                    signed_power, transformed_eval)
-from symortho.families import GHP, GUP, FiniteI, FiniteII, moment_zero, pair_integrable
+from symortho.expand import expand
+from symortho.families import GHP, GUP, Class, FiniteI, FiniteII, moment_zero, pair_integrable
 from symortho.sturm import gram_matrix
 
 F = Fraction
@@ -257,8 +258,10 @@ def test_negative_lambda_gram_is_refused(lam):
     # support [-1, 1] is |t| >= 1 in t, two rays
     spec = LambdaSpec(-1, 1, -2, 0, lam)
     assert admissible(lam)
-    with pytest.raises(ConstraintViolation, match="two rays"):
-        lambda_weight_and_gram(spec, 3)
+    for refused in (lambda_weight_and_gram, gram_matrix,
+                    lambda spec, nmax: expand(np.sin, spec, nmax)):
+        with pytest.raises(ConstraintViolation, match="two rays"):
+            refused(spec, 3)
     # the transformed solution still evaluates: x = +-8 maps to w = +-8^(lam/2)
     poly = poly_from_params(spec.mapped_params, 3, monic=False)
     w = Fraction(1, 8) if lam == -2 else Fraction(1, 2)
@@ -267,6 +270,34 @@ def test_negative_lambda_gram_is_refused(lam):
     for n in range(5):
         for x in (0.3, 1.7):
             assert abs(generic_ode_residual(spec, n, x)) < 1e-8, (n, x)
+
+
+def _same_report(a, b):
+    """Equal statuses, values, panels and evals, bit for bit."""
+    def key(rep):
+        return (rep.passed, rep.panels, rep.evals,
+                [(e.n, e.m, e.status, e.quad.value, e.quad.abs_error_estimate, e.expected)
+                 for e in rep.entries])
+    return key(a) == key(b)
+
+
+@pytest.mark.parametrize("route", [Class, ClassParams, lambda *t: LambdaSpec(*t, 2)],
+                         ids=["Class", "ClassParams", "LambdaSpec-2"])
+def test_both_signs_of_a_class_give_one_report(route):
+    # the equation is homogeneous in (p, q, r, s): (1, -1, 3, -2) is
+    # (-1, 1, -3, 2), whose weight |x|^2 (1 - x^2)^(-1/2) lives where px^2 + q
+    # > 0.  At lambda 2 the flipped sign read FAIL (16 divergent, 9 cliffs)
+    # after 12,825 panels, from the log of a negative px^2 + q
+    plus = gram_matrix(route(-1, 1, -3, 2), 8)
+    minus = gram_matrix(route(1, -1, 3, -2), 8)
+    assert plus.passed and plus.verified == 45, plus.summary()
+    assert _same_report(plus, minus)
+    assert Class(1, -1, 3, -2).params == Class(-1, 1, -3, 2).params == ClassParams(-1, 1, -3, 2)
+
+
+@pytest.mark.parametrize("spec", [CUBE, LambdaSpec(1, -1, 3, -2, 2)], ids=str)
+def test_lambda_gram_is_gram_matrix_of_the_spec(spec):
+    assert _same_report(lambda_weight_and_gram(spec, 8), gram_matrix(spec, 8))
 
 
 def test_lambda_gram_passes_and_matches_x_space():

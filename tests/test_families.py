@@ -8,10 +8,10 @@ import pytest
 
 import mpmath as mp
 
-from symortho.core import ClassParams, poly_from_params, weight_exponents
+from symortho.core import poly_from_params, weight_exponents
 from symortho.errors import (ConstraintViolation, DivergentMoment,
                              OutOfFiniteRange, PoleError, SingularPoint)
-from symortho.families import (GUP, GHP, FiniteI, FiniteII, finite_degree_bound,
+from symortho.families import (GUP, GHP, Class, FiniteI, FiniteII, finite_degree_bound,
                                make_subclass, moment_zero, norm_squared,
                                norms_squared, pair_integrable, pearson_residual,
                                valid_pair, weight_at)
@@ -93,8 +93,7 @@ def test_moment_closed_forms():
 
 
 def _mapped(p, q, r, s):
-    from symortho.exponent_map import _MappedClass
-    return _MappedClass(ClassParams(p, q, r, s))
+    return Class(p, q, r, s)
 
 
 @pytest.mark.parametrize("params, weight, support", [
@@ -115,8 +114,8 @@ def test_default_moment_zero_matches_mpmath(params, weight, support):
 
 
 @pytest.mark.parametrize("params", [
-    (-1, 1, 1, -1), (1, 1, 1, 0), (-1, 1, 1, 0), (0, 1, 2, 0), (1, 0, -4, -1)],
-    ids=["origin", "tail", "edge", "growing-p-zero", "growing-q-zero"])
+    (-1, 1, 1, -1), (1, 1, 1, 0), (-1, 1, 1, 0), (0, 1, 2, 0), (1, 0, -4, -1), (0, 0, -2, 1)],
+    ids=["origin", "tail", "edge", "growing-p-zero", "growing-q-zero", "p-q-zero"])
 def test_default_moment_zero_refuses_a_divergent_weight(params):
     with pytest.raises(DivergentMoment):
         _mapped(*params).moment_zero()

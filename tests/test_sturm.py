@@ -8,11 +8,12 @@ import pytest
 from symortho.core import ClassParams, poly_from_params, weight_exponents
 from symortho.errors import (ConstraintViolation, NonpositiveWeight,
                              SingularCoefficient)
+from symortho.expand import expand
 from symortho.exponent_map import (LambdaSpec, _LambdaBasis, _t_interval,
                                    lambda_weight_and_gram, signed_power)
 from symortho import sturm
-from symortho.families import (GUP, GHP, FiniteI, FiniteII, norm_squared, pair_integrable,
-                               weight_at)
+from symortho.families import (GUP, GHP, Class, FiniteI, FiniteII, norm_squared,
+                               pair_integrable, weight_at)
 from symortho.legendre import (G, Pm, Q, U, V, eval_jacobi, JacobiParams,
                                legendre_norm, member_fn, orthogonality_interval)
 from symortho.quadrature import integrate
@@ -281,6 +282,33 @@ def test_gram_summary_pass_line():
 def test_gram_nmax_below_base():
     with pytest.raises(ConstraintViolation):
         gram_matrix(Pm(3), 2)
+
+
+@pytest.mark.parametrize("nmax, tol", [
+    (3.5, 1e-7), (-1, 1e-7), (True, 1e-7), (4, math.nan), (4, -1.0), (4, 0.0), (4, math.inf)],
+    ids=["nmax-3.5", "nmax-negative", "nmax-bool", "tol-nan", "tol-negative", "tol-zero",
+         "tol-inf"])
+def test_gram_and_expand_refuse_a_bad_nmax_or_tol(nmax, tol):
+    # a nan or negative tol read FAIL with every entry a mismatch, blaming
+    # the basis (and expand raised BasisInvalid); nmax 3.5 raised a bare
+    # TypeError and nmax True ran as "n = 0..True"
+    spec = LambdaSpec(-1, 1, Fraction(-8, 3), Fraction(4, 3), Fraction(2, 3))
+    for call in (lambda: gram_matrix(GUP(1, 1), nmax, tol),
+                 lambda: lambda_weight_and_gram(spec, nmax, tol),
+                 lambda: expand(np.sin, GUP(1, 1), nmax, tol)):
+        with pytest.raises(ConstraintViolation):
+            call()
+
+
+def test_a_weight_unbounded_at_its_edge_integrates_no_pair():
+    # (3 - 2x^2)^(-9/8) on |x| < sqrt(3/2): no pair is integrable at +-theta,
+    # where each even entry ran the integrator's whole budget (17 s at nmax 10)
+    fam = Class(-2, 3, 0.5, 0)
+    assert fam.exponents.edge == -1.125
+    assert not any(pair_integrable(fam, n, m) for n in range(6) for m in range(6))
+    assert not _adapt(fam).integrable_mask(5).any()
+    rep = gram_matrix(fam, 10)
+    assert not rep.passed and rep.panels == 0
 
 
 def test_gram_rejects_unknown_basis():
