@@ -183,9 +183,6 @@ class _LambdaBasis(_FamilyBasis):
         rows = member_rows(self.spec.params, nmax)
         return lambda t: rows(signed_power(t, self.h))
 
-    def interval(self, members=2):
-        return _t_interval(self.spec.exponents, self.h, 0, 0)
-
     @property
     def log_xw(self):
         # W(x) ~ x^g is ~ |t|^(h (g + 1) - 1) in t: it underflows at h times its log t
@@ -193,13 +190,15 @@ class _LambdaBasis(_FamilyBasis):
         return h * _LOG_TINY / (h * (self.spec.exponents.tail + 1) - 1)
 
     def tree_block(self, norms, integrable=None):
-        """The family's block, ended further while (K, K) may lose mass past
-        x_w (_tail_lost), and hinted for the even product (0, 2K): a tail
-        decays more slowly in t than in x for h < 1."""
-        end, g = super().tree_block(norms, integrable)[0], self.spec.exponents.tail
-        while end >= 0 and g > -math.inf and self._tail_lost(g + 2 * end + 1, norms[:end + 1]):
+        """The family's block, ended further while it may lose mass past x_w
+        (block_lost): a tail decays more slowly in t than in x for h < 1."""
+        end = super().tree_block(norms, integrable)[0]
+        while self.block_lost(end, norms):
             end -= 1
-        return end, _t_interval(self.spec.exponents, self.h, 0, 2 * end)
+        return end, self.pair_interval(2 * end)
+
+    def pair_interval(self, degree):
+        return _t_interval(self.spec.exponents, self.h, 0, degree)
 
 
 def lambda_weight_and_gram(spec: LambdaSpec, nmax: int, tol=1e-7) -> GramReport:

@@ -29,7 +29,7 @@ from .core import ClassParams, WeightExponents, recurrence_c, weight_exponents
 from .errors import (ConstraintViolation, DivergentMoment, OutOfFiniteRange,
                      PoleError, SingularCoefficient, SingularPoint)
 from .quadrature import IntervalSpec
-from .special import beta_fn, gamma_fn, log_gamma
+from .special import beta_fn, gamma_fn
 
 __all__ = [
     "Class", "GUP", "GHP", "FiniteI", "FiniteII", "NormValue", "PairValidity",
@@ -83,10 +83,11 @@ def generic_weight_log(params, x):
 
 @dataclass(frozen=True)
 class _Family:
-    """A weight family defines label and params; a named one also weight_log,
-    log_deriv and, where it differs from GUP's, _certificate.  The support,
-    hints, valid_pair, the tail margin, moment_zero and finite_degree_bound
-    follow from the weight's exponents, which (p, q, r, s) fix."""
+    """A weight family defines label and params; a named one also its printed
+    constraint, its closed-form weight_log and any printed degree bound (and
+    bound_text or _certificate).  The rest follows from the weight's
+    exponents, which (p, q, r, s) fix."""
+    bound_text = "the last integrable degree"
 
     def __post_init__(self):
         for f in fields(self):
@@ -131,12 +132,16 @@ class _Family:
         q^e B(z, w) with z = (a + 1)/2, on a finite theta (w = e + 1) and for
         p, q > 0 (w = -(g + 1)/2); |x|^a e^(-c x^2) (p = 0, c = -r/(2q)) and
         |x|^g e^(-c/x^2) (q = 0, c = s/(2p)) are Gamma integrals, c^-z
-        Gamma(z), with z = -(g + 1)/2 for q = 0."""
+        Gamma(z), with z = -(g + 1)/2 for q = 0.  DivergentMoment names what
+        fails: origin, edge or tail."""
         theta, origin, edge, tail = self.exponents
         p, q, r, s = self.params.promoted()
         c = q if p and q else -r / (2 * q) if q else s / (2 * p) if p else 0  # > 0, or no weight
-        if origin <= -1 or tail >= -1 or theta < math.inf and edge <= -1 or not c > 0:
-            raise DivergentMoment(f"the weight of {self.params} is not integrable "
+        bad = {"origin": origin <= -1, "edge": theta < math.inf and edge <= -1,
+               "tail": tail >= -1 or q and not c > 0}    # c <= 0: a growing tail for p = 0
+        if any(bad.values()) or not c > 0:
+            fails = " and ".join(k for k, v in bad.items() if v) or "p = q = 0"
+            raise DivergentMoment(f"{fails}: the weight of {self.params} is not integrable "
                                   f"(exponents {tuple(self.exponents)})")
         z = (origin + 1) / 2 if q else -(tail + 1) / 2
         if p == 0 or q == 0:
@@ -150,8 +155,20 @@ class _Family:
         return math.inf if tail == -math.inf else math.ceil(-(tail + 1) / 2) - 1
 
     def _certificate(self, big):
-        """(whether the published condition certifies degrees up to big, why)."""
-        return True, "infinite family"
+        """(whether the degree bound certifies degrees up to big, why)."""
+        bound = self.finite_degree_bound()
+        ok = big <= bound
+        return ok, "infinite family" if bound == math.inf else (
+            f"max(n,m) = {big} {'<=' if ok else '>'} {self.bound_text} = {bound}")
+
+    def log_deriv(self, x):
+        """(log W)' from the exponents at 0, +-theta and (q = 0) infinity, plus
+        e^(r x^2/(2q))'s for p = 0 and e^(-s/(2p x^2))'s for q = 0."""
+        _, origin, edge, tail = self.exponents
+        p, q, r, s = (float(v) for v in self.params)
+        if p and q:
+            return origin / x + edge * 2 * p * x / (p * x * x + q)
+        return origin / x + r / q * x if q else tail / x + s / (p * x * x * x)
 
     def valid_pair(self, n, m) -> PairValidity:
         """Published validity condition plus independent exponent counting:
@@ -189,20 +206,11 @@ class GUP(_Family):
 
     @cached_property
     def params(self) -> ClassParams:
-        u, v = self.u, self.v
-        return ClassParams(-1, 1, -2 * u - 2 * v - 2, 2 * u)
+        return ClassParams(-1, 1, -2 * self.u - 2 * self.v - 2, 2 * self.u)
 
     def weight_log(self, x):
         u, v = float(self.u), float(self.v)
         return 2 * u * np.log(np.abs(x)) + v * np.log1p(-x * x)
-
-    def log_deriv(self, x):
-        u, v = float(self.u), float(self.v)
-        return 2 * u / x - 2 * v * x / (1 - x * x)
-
-    def moment_zero(self):
-        u, v = float(self.u), float(self.v)
-        return beta_fn(u + 0.5, v + 1.0)
 
 
 @dataclass(frozen=True)
@@ -225,9 +233,6 @@ class GHP(_Family):
         u = float(self.u)
         return 2 * u * np.log(np.abs(x)) - x * x
 
-    def log_deriv(self, x):
-        return 2 * float(self.u) / x - 2 * x
-
 
 @dataclass(frozen=True)
 class FiniteI(_Family):
@@ -243,27 +248,11 @@ class FiniteI(_Family):
 
     @cached_property
     def params(self) -> ClassParams:
-        u, v = self.u, self.v
-        return ClassParams(1, 1, -2 * u - 2 * v + 2, -2 * u)
+        return ClassParams(1, 1, -2 * self.u - 2 * self.v + 2, -2 * self.u)
 
     def weight_log(self, x):
         u, v = float(self.u), float(self.v)
         return -2 * u * np.log(np.abs(x)) - v * np.log1p(x * x)
-
-    def log_deriv(self, x):
-        u, v = float(self.u), float(self.v)
-        return -2 * u / x - 2 * v * x / (1 + x * x)
-
-    def moment_zero(self):
-        u, v = float(self.u), float(self.v)
-        if u >= 0.5:
-            raise DivergentMoment(
-                f"origin: needs u < 1/2 for |x|^(-2u) integrability, got u = {u}")
-        if u + v <= 0.5:
-            raise DivergentMoment(
-                f"tail: needs u + v > 1/2 for decay, got u + v = {u + v}")
-        return math.exp(log_gamma(0.5 - u) + log_gamma(u + v - 0.5)
-                        - log_gamma(v))
 
     def _branches(self):
         """The two certifying conditions: (holds, degree bound, statement)."""
@@ -285,6 +274,7 @@ class FiniteII(_Family):
 
     u: object
     label = "finite2"
+    bound_text = "u - 1/2"
 
     def __post_init__(self):
         super().__post_init__()
@@ -300,16 +290,8 @@ class FiniteII(_Family):
         u = float(self.u)
         return -2 * u * np.log(np.abs(x)) - 1.0 / (x * x)
 
-    def log_deriv(self, x):
-        return -2 * float(self.u) / x + 2.0 / (x * x * x)
-
     def finite_degree_bound(self):
         return float(self.u) - 0.5
-
-    def _certificate(self, big):
-        bound = self.finite_degree_bound()
-        ok = big <= bound
-        return ok, f"max(n,m) = {big} {'<=' if ok else '>'} u - 1/2 = {bound}"
 
 
 @dataclass(frozen=True)
@@ -454,8 +436,9 @@ def pearson_residual(spec, x):
     """Relative defect of the weight in its first order equation.
 
     The weight satisfies x d/dx[(p x^2 + q) W] = (r x^2 + s) W; dividing
-    by W turns that into a statement about the log-derivative, which each
-    family knows in closed form.  Values should sit at rounding level.
+    by W turns that into a statement about the log-derivative, which every
+    family takes from its weight_exponents.  Values should sit at rounding
+    level.
     """
     p, q, r, s = (float(t) for t in spec.params)
     x = np.asarray(x, dtype=float)

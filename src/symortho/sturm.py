@@ -284,10 +284,10 @@ class _FamilyBasis:
     rows evaluator of members base..nmax (by recurrence), the quadrature
     interval, the closed-form norms (None where refused), whether the
     Gram tree may fold by parity, where the tree block ends and which
-    pairs are integrable.  A finite family's tree also carries the
-    integrable even pairs just outside its block (off_block).  Every other
-    integrable pair takes inner; a pair that is not is a cliff where cliffs
-    certifies it, and is left inconclusive, with no integral, elsewhere."""
+    pairs are integrable.  A block that ends short of nmax also carries
+    the pairs outside it that off_block admits.  Every other integrable
+    pair takes inner; a pair that is not is a cliff where cliffs certifies
+    it, and is left inconclusive, with no integral, elsewhere."""
     fold = True
 
     def __init__(self, spec):
@@ -310,15 +310,14 @@ class _FamilyBasis:
 
     def interval(self, members=2):
         # the weight's own hints: polynomial members add integer exponents
-        return self.spec.interval()
+        return self.pair_interval(0)
 
     def tree_block(self, norms, integrable=None):
         """(K, interval) of the Gram tree block base..K: K is the largest
         degree such that every degree base..K has a closed-form norm and
-        (K, K) is integrable (integrable_mask(nmax) unless given), and so
-        then is every pair below it; base - 1 when there is none.  No degree
-        bound gives K = nmax.  The interval is hinted for the block's widest
-        product, of degree 2K, which also bounds the off-block pairs."""
+        (K, K) is integrable (integrable_mask(nmax) unless given), and so then
+        is every pair below it; base - 1 if none, nmax with no degree bound.
+        The interval is hinted for the block's widest product, of degree 2K."""
         if integrable is None:
             integrable = self.integrable_mask(self.base + len(norms) - 1)
         end = self.base - 1
@@ -326,8 +325,10 @@ class _FamilyBasis:
             if d is None or not integrable[n, n]:
                 break
             end = n
-        # the widest product in the block has degree 2K
-        return end, self.spec.interval(tail_power=2 * end)
+        return end, self.pair_interval(2 * end)
+
+    def pair_interval(self, degree):
+        return self.spec.interval(tail_power=degree)
 
     def integrable(self, n, m):
         return pair_integrable(self.spec, n, m)
@@ -342,35 +343,49 @@ class _FamilyBasis:
                 & (self.spec._tail_margin(n, m) < 0))
 
     def off_block(self, end, nmax, norms, integrable=None):
-        """The off-block pairs the tree of the block 0..end carries: the even
-        integrable (n, m) (integrable_mask(nmax) unless given), m <= end <
-        n, no wider than (end, end) (n + m <= 2 end), with members below any
-        pole of the recurrence.  Float samples of w P_n P_m are 0 past x_w,
-        and refining for the pairs can reach x_w.  So none is carried when
-        (end, end) may lose mass past x_w (_tail_lost: it cost (10, 10) of
-        FiniteII(10.7)@20 4.5e-6), or when the top member overflows before
-        x_w, where its non-finite samples would hold the block open."""
+        """{(n, m): scale} of the pairs the tree of the block base..end (of the
+        given norms) carries: each even integrable (n, m), n > end, whose
+        members lie below any pole and stay finite before x_w, and whose own
+        tail past x_w holds at most 1e-9 of its scale (_tail_lost), which is
+        entry_scale(d_n, d_m) of the norms of the tuple's Class, d_n falling
+        back to d_m.  Where the block may lose mass past x_w (block_lost), it
+        is right only while the tree does not refine there, so a pair rides
+        only if the block holds a product of its degree to no larger a scale."""
         integrable = self.integrable_mask(nmax) if integrable is None else integrable
-        pairs = {(n, m) for n in range(end + 1, min(2 * end, nmax) + 1)
-                 for m in range(2 * end - n + 1)
-                 if (n + m) % 2 == 0 and integrable[n, m]}
-        if not pairs:
-            return pairs
-        top = _rows_below_pole(self.spec.params, max(n for n, _ in pairs), end)[0]
-        s = self.spec.exponents.tail + 2 * end + 1    # below 0: (end, end) is integrable
-        if self._tail_lost(s, norms) or top * self.log_xw >= _LOG_HUGE:
-            return set()
-        return {(n, m) for n, m in pairs if n <= top}
+        d = dict(enumerate(norms_squared(Class(*self.spec.params), nmax)))
+        pairs = [(n, m) for n in range(end + 1, nmax + 1) for m in range(n + 1)
+                 if (n + m) % 2 == 0 and integrable[n, m] and d[m] is not None]
+        top = _rows_below_pole(self.spec.params, max([n for n, _ in pairs], default=end), end)[0]
+        lost, g = self.block_lost(end, norms), self.spec.exponents.tail
+
+        def held(k):
+            """The smallest scale the block holds a product of degree k to."""
+            return min((float(entry_scale(d[k - j], d[j]))
+                        for j in range(max(0, k - end), k // 2 + 1)), default=math.inf)
+        out = {}
+        for n, m in pairs:
+            scale = float(entry_scale(d[m] if d[n] is None else d[n], d[m]))
+            if (n <= top and n * self.log_xw < _LOG_HUGE
+                    and not self._tail_lost(g + n + m + 1, scale)
+                    and not (lost and scale < held(n + m))):
+                out[n, m] = scale
+        return out
 
     @property
     def log_xw(self):
         """log x_w: past x_w the weight the tree samples underflows to 0."""
         return _LOG_TINY / self.spec.exponents.tail
 
-    def _tail_lost(self, s, norms):
+    def block_lost(self, end, norms):
+        """Whether (end, end) may lose 1e-9 of the block's least norm past x_w."""
+        g = self.spec.exponents.tail
+        return end >= self.base and g > -math.inf and self._tail_lost(
+            g + 2 * end + 1, min(abs(d) for d in norms[:end - self.base + 1]))
+
+    def _tail_lost(self, s, d):
         """Whether a product ~ |x|^(s - 1), s < 0, may hold more than 1e-9 |d|
-        past x_w (2 x_w^s / -s), d the smallest of norms."""
-        return 2 * math.exp(s * self.log_xw) > -s * _RTOL * min(map(abs, norms))
+        past x_w (2 x_w^s / -s)."""
+        return 2 * math.exp(s * self.log_xw) > -s * _RTOL * abs(d)
 
     def cliffs(self, nmax, phi):
         """The mask, at [n, m] for n, m = 0..nmax, of the pairs (read only
@@ -447,24 +462,26 @@ def _rows_below_pole(params, top, floor):
 
 
 def _shared_tree(ad, end, interval, norms, off):
-    """One panel tree for the block base..end and the off-block pairs off
-    (m <= end < n): rows base..top, the highest n in off, against columns
-    base..end, on the block's interval.  A block entry is held to 1e-9
-    entry_scale(d_n, d_m), with d the closed-form norms; an off-block pair
-    to 1e-9 |d_m|, the scale gram_matrix judges it by; the rest of the rows
-    hold the tree to nothing.  Returns the tree's GramQuad."""
+    """One panel tree for the block base..end and the pairs off ({(n, m):
+    scale}, n > end): rows base..top, the highest n, against columns
+    base..right, the widest m or end, hinted for the widest product.  A
+    block entry is held to 1e-9 entry_scale(d_n, d_m), d the norms, a pair
+    of off to 1e-9 its scale, and the rest to nothing.  Returns the
+    tree's GramQuad."""
     b = ad.base
-    top = max([n for n, _ in off], default=end)
+    top, right = max([n for n, _ in off] + [end]), max([m for _, m in off] + [end])
+    wide = max([n + m for n, m in off] + [2 * end])
+    interval = ad.pair_interval(wide) if wide > 2 * end else interval
     rows = ad.rows(top)
 
     def sample(x):
         P = rows(x)
-        return ad.weight(x), P, P[:end - b + 1] if off else P
+        return ad.weight(x), P, P[:right - b + 1] if right < top else P
     d = np.abs(norms)
-    scale = np.full((top - b + 1, end - b + 1), math.inf)
-    scale[:end - b + 1] = entry_scale(d[:, None], d)
-    for n, m in off:
-        scale[n - b, m - b] = d[m - b]
+    scale = np.full((top - b + 1, right - b + 1), math.inf)
+    scale[:end - b + 1, :end - b + 1] = entry_scale(d[:, None], d)
+    for (n, m), s in off.items():
+        scale[n - b, m - b] = s
     return integrate_gram(sample, interval, scale, fold=ad.fold)
 
 
@@ -518,11 +535,12 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
     whose every pair is integrable takes its entries from one shared panel
     tree (quadrature.integrate_gram) on members evaluated by recurrence.
     Bases with no degree bound (GUP, GHP, the Legendre kinds) have K =
-    nmax.  A finite family's tree also carries its integrable even pairs
-    (n, m) with m <= K < n and n + m <= 2K (FiniteII's; FiniteI has K <= 0
-    and so none), held to 1e-9 |d_m|; one such pair the tree leaves open
-    takes its own integral.  Every other integrable entry outside the block
-    is exactly 0 (an odd pair) or one half-line integral (an even pair).
+    nmax.  A block that ends below nmax also carries each even integrable
+    pair outside it that off_block admits by its per-pair rule, held to
+    1e-9 of entry_scale(d_n, d_m) of the tuple's Class's norms; one such
+    pair the tree leaves open takes its own integral.  Every other
+    integrable entry outside the block is exactly 0 (an odd pair) or one
+    half-line integral (an even pair).
     An entry that is not integrable takes no integral: it is a cliff when
     the pair's local exponent, measured by one scan over members base..nmax,
     confirms its divergent hint, and inconclusive otherwise, so a cliff
@@ -568,9 +586,8 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
     tree_cost = 0, 0
     if end >= b:
         block = norms[:end - b + 1]
-        # only a finite family's block ends short of nmax with room for
-        # pairs n + m <= 2 end outside it
-        off = ad.off_block(end, nmax, block, integrable) if b < end < nmax else ()
+        # only a basis with a degree bound or a pole ends its block short of nmax
+        off = ad.off_block(end, nmax, block, integrable) if end < nmax else {}
         res = _shared_tree(ad, end, interval, block, off)
         # the tree holds its block, and the off-block pairs it converged
         held = lower & (np.arange(size) <= end - b)[:, None]

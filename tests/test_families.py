@@ -250,6 +250,37 @@ def test_pearson_residual_rounding_level(spec):
     assert np.max(np.abs(pearson_residual(spec, -x))) < 1e-12
 
 
+def test_class_certifies_only_up_to_its_degree_bound():
+    # (1, 0, -10, 2) is FiniteII(6)'s tuple: its tail ends the integrable
+    # diagonals at 5, which the default certificate now reads
+    spec = Class(1, 0, -10, 2)
+    assert valid_pair(spec, 9, 9) == (False, "max(n,m) = 9 > the last integrable degree = 5",
+                                      False)
+    assert valid_pair(spec, 5, 3).certified and valid_pair(spec, 5, 3).integrable
+    assert valid_pair(Class(0, 1, -2, 0), 40, 40).reason == "infinite family"
+    # the named families keep their printed statements
+    assert valid_pair(FiniteII(4.5), 5, 5).reason == "max(n,m) = 5 > u - 1/2 = 4.0"
+    assert valid_pair(FiniteI(0.3, 2), 0, 0).reason == "v >= 1 and max(n,m) <= u + 1/2"
+
+
+@pytest.mark.parametrize("spec, hi", [
+    (Class(1, 0, -10, 2), 3.0), (Class(-2, 3, 0.5, 0), math.sqrt(1.5)),
+    (Class(0, 2, -3, 1), 3.0), (Class(2, 3, -6, -1.5), 3.0)], ids=str)
+def test_class_pearson_residual_rounding_level(spec, hi):
+    # every family takes log_deriv from its weight exponents
+    x = np.random.default_rng(7).uniform(0.05, 0.95 * hi, 50)
+    assert np.max(np.abs(pearson_residual(spec, x))) < 1e-12
+    assert np.max(np.abs(pearson_residual(spec, -x))) < 1e-12
+
+
+@pytest.mark.parametrize("params, name", [
+    ((-1, 1, 1, -1), "origin and edge"), ((1, 1, 1, 0), "tail"), ((-1, 1, 1, 0), "edge"),
+    ((0, 1, 2, 0), "tail"), ((1, 0, -4, -1), "origin"), ((0, 0, -2, 1), "p = q = 0")])
+def test_divergent_moment_names_what_fails(params, name):
+    with pytest.raises(DivergentMoment, match=f"^{name}: "):
+        Class(*params).moment_zero()
+
+
 def test_pearson_rejects_origin():
     with pytest.raises(SingularPoint):
         pearson_residual(GHP(1), np.array([0.0, 0.5]))

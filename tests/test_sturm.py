@@ -2,6 +2,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -13,7 +14,7 @@ from symortho.exponent_map import (LambdaSpec, _LambdaBasis, _t_interval,
                                    lambda_weight_and_gram, signed_power)
 from symortho import sturm
 from symortho.families import (GUP, GHP, Class, FiniteI, FiniteII, norm_squared,
-                               pair_integrable, weight_at)
+                               norms_squared, pair_integrable, weight_at)
 from symortho.legendre import (G, Pm, Q, U, V, eval_jacobi, JacobiParams,
                                legendre_norm, member_fn, orthogonality_interval)
 from symortho.quadrature import integrate
@@ -605,12 +606,39 @@ def test_scan_certifies_members_above_a_pole_in_the_recurrence(monkeypatch):
 # --------------------------------------- off-block pairs on the block tree
 
 
+# past log x_w = _LOG_TINY / g a weight |x|^g underflows to 0, and a monic
+# member of degree n overflows past log|x| = _LOG_HUGE / n
+_LOG_TINY = math.log(np.finfo(float).smallest_subnormal)
+_LOG_HUGE = math.log(np.finfo(float).max)
+
+
+def _outside_pairs(basis, nmax):
+    """{(n, m): scale} of the even integrable pairs (n, m), n > K, the last
+    degree of the tree block, with scale sqrt|d_n| sqrt|d_m| of the norms
+    of the tuple's Class, d_n falling back to d_m (no d_m, no pair)."""
+    d, end = norms_squared(Class(*basis.params), nmax), _tree_end(basis, nmax)
+    return {(n, m): math.sqrt(abs(d[m] if d[n] is None else d[n])) * math.sqrt(abs(d[m]))
+            for n in range(end + 1, nmax + 1) for m in range(n + 1)
+            if (n + m) % 2 == 0 and pair_integrable(basis, n, m) and d[m] is not None}
+
+
+def _tail_held(basis, n, m, scale):
+    """Whether the members n and m stay finite before x_w and the product,
+    ~ |x|^(g + n + m), holds at most 1e-9 scale past x_w: 2 x_w^s / -s
+    over both tails, s = g + n + m + 1."""
+    g = basis.exponents.tail
+    log_xw, s = _LOG_TINY / g, g + n + m + 1
+    return n * log_xw < _LOG_HUGE and 2 * math.exp(s * log_xw) / -s <= 1e-9 * scale
+
+
 def _off_block(basis, nmax):
-    """The even integrable pairs (n, m), m <= K < n, n + m <= 2K, of a
-    basis with no pole in its recurrence: those its block tree carries."""
+    """The pairs the block tree of a basis with no pole in its recurrence
+    carries, where the block's own widest product is held past x_w: the
+    even integrable pairs (n, m), n > K, whose own tails are held."""
     ad, end = _adapt(basis), _tree_end(basis, nmax)
-    return [(n, m) for n in range(end + 1, nmax + 1) for m in range(end + 1)
-            if (n + m) % 2 == 0 and n + m <= 2 * end and ad.integrable(n, m)]
+    assert not ad.block_lost(end, ad.norms(end))
+    return [pair for pair, scale in _outside_pairs(basis, nmax).items()
+            if _tail_held(basis, *pair, scale)]
 
 
 def _count_trees(monkeypatch):
@@ -680,17 +708,97 @@ def test_off_block_entries_the_tree_leaves_open_take_one_integral_each(monkeypat
 
 
 def test_off_block_pairs_stay_off_a_tree_whose_tail_underflows(monkeypatch):
-    # the widest product decays like x^-1.4, and 4.5e-6 of its mass lies
-    # past x = 1.3e15, where the weight underflows: refining for the pairs
-    # reached there and moved (10, 10) out of its tolerance
+    # the products of degree 20 decay like x^-1.4, and past x_w = 1.3e15,
+    # where the weight underflows, lies 4.5e-6 of each one's mass: more than
+    # 1e-9 of the scale of (11, 9)..(18, 2), which take an integral each.
+    # (10, 10) loses as much, and reads ok only while the tree does not
+    # refine out there, as refining for (11, 7) did: its scale, |d_7|, is
+    # below any the block holds a product of degree 18 to
     basis, nmax = FiniteII(10.7), 20
     ad = _adapt(basis)
-    assert ad.off_block(10, nmax, ad.norms(10)) == set()
+    outside = _outside_pairs(basis, nmax)
+    lost = {pair for pair, scale in outside.items() if not _tail_held(basis, *pair, scale)}
+    off = ad.off_block(10, nmax, ad.norms(10))
+    assert lost and not lost & set(off)
+    assert {n + m for n, m in lost} == {20}
+    assert set(outside) - lost - set(off) == {(11, 7)}
     calls = _count_integrals(monkeypatch)
     rep = gram_matrix(basis, nmax)
     assert rep.passed, rep.summary()
     assert rep.entry(10, 10).status == "ok"
-    assert len(calls) == len(_off_block(basis, nmax))
+    assert len(calls) == len(outside) - len(off)
+    assert all(rep.entry(n, m).quad.panels > 0 for n, m in lost)
+    assert all(rep.entry(n, m).quad.panels == 0 for n, m in off)
+
+
+def test_finite1_pairs_outside_its_block_come_from_the_one_tree(monkeypatch):
+    # the printed bound ends the block at 0; (1, 1), (2, 0), (2, 2), (3, 1)
+    # and (4, 0) took an integral each, 81 panels in all
+    basis = FiniteI(Fraction(1, 10), Fraction(5, 2))
+    trees = _count_trees(monkeypatch)
+    calls = _count_integrals(monkeypatch)
+    rep = gram_matrix(basis, 8)
+    assert len(trees) == 1 and not calls
+    assert rep.panels <= 20
+    assert sorted(_off_block(basis, 8)) == [(1, 1), (2, 0), (2, 2), (3, 1), (4, 0)]
+
+
+@pytest.mark.parametrize("basis, nmax", [
+    (FiniteI(0.1, 2.5), 24), (FiniteI(0.05, 2.5), 10), (FiniteI(0.3, 4.0), 10),
+    (FiniteI(0.25, 2.25), 10), (FiniteI(Fraction(3, 10), 12), 16), (FiniteI(0.03, 3.59), 8),
+    (FiniteI(0.09, 2.44), 21), (FiniteI(0.19, 6.72), 12)], ids=str)
+def test_no_integral_for_a_finite1_pair_the_tree_can_hold(monkeypatch, basis, nmax):
+    # every even pair that takes an integral is one off_block leaves off
+    pairs = []
+    real = sturm._FamilyBasis.inner
+
+    def inner(self, phi_a, phi_b, n, m):
+        pairs.append((n, m))
+        return real(self, phi_a, phi_b, n, m)
+    monkeypatch.setattr(sturm._FamilyBasis, "inner", inner)
+    calls = _count_integrals(monkeypatch)
+    gram_matrix(basis, nmax)
+    ad, end = _adapt(basis), _tree_end(basis, nmax)
+    even = {(n, m) for n, m in pairs if (n + m) % 2 == 0}
+    assert len(calls) == len(even)
+    assert not even & set(ad.off_block(end, nmax, ad.norms(end)))
+
+
+def _mp_entry(basis, n, m, weight):
+    """2 int_0^inf weight S_n S_m of the monic members' float coefficients
+    in mpmath: [0, 1], and the tail folded by x = 1/t, t = tau^25.  A
+    product ~ x^(s - 1) is ~ t^(-1 - s) at t = 0, which tau^25 smooths:
+    plain mp.quad, and the fold alone, miss FiniteI(0.03, 3.59)'s x^-1.24
+    tails by 5e-8."""
+    pn, pm = (poly_from_params(basis.params, k, monic=True) for k in (n, m))
+
+    def member(p, x):
+        return mp.fsum(mp.mpf(c) * x ** (p.n - 2 * k) for k, c in enumerate(p.coeffs))
+
+    def f(x):
+        return weight(x) * member(pn, x) * member(pm, x)
+    with mp.workdps(30):
+        head = mp.quad(f, [0, 1])
+        tail = mp.quad(lambda tau: f(tau ** -25) * 25 * tau ** -26, [0, 1])
+    return float(2 * (head + tail))
+
+
+@pytest.mark.parametrize("basis, nmax, pairs, weight", [
+    (FiniteI(0.03, 3.59), 8, [(5, 1), (6, 0)],
+     lambda x: x ** (-2 * mp.mpf(0.03)) * (1 + x * x) ** -mp.mpf(3.59)),
+    (FiniteII(11.81), 14, [(13, 7), (14, 6)],
+     lambda x: x ** (-2 * mp.mpf(11.81)) * mp.exp(-1 / (x * x)))],
+    ids=["FiniteI(0.03, 3.59)@8", "FiniteII(11.81)@14"])
+def test_pairs_read_divergent_on_their_own_integrals_are_ok(basis, nmax, pairs, weight):
+    # each of these read divergent when it took its own integral, which
+    # stopped at a non-finite panel (reason blowup).  d_n is past the
+    # class's degree bound, so the entry is judged against tol |d_m|
+    rep = gram_matrix(basis, nmax)
+    for n, m in pairs:
+        e = rep.entry(n, m)
+        assert e.status == "ok", (n, m)
+        scale = abs(norm_squared(Class(*basis.params), m).value)
+        assert abs(e.quad.value - _mp_entry(basis, n, m, weight)) <= rep.tol * scale, (n, m)
 
 
 @pytest.mark.parametrize("basis, nmax", [
