@@ -408,7 +408,8 @@ class Recurrence:
         """Member d and its first two derivatives at x, by the recurrence
         differentiated once and twice.  A value that comes out nan at a
         non-nan x is taken again by the scaled pass of _triple: +-inf past
-        the float range, never nan."""
+        the float range, never nan.  At x = +-inf each is its limit: +-inf
+        for a derivative of order k < d, k! times the lead for k = d, else 0."""
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             out = self._triple(x, False)
@@ -416,6 +417,12 @@ class Recurrence:
             if bad.any():
                 cols = bad.any(axis=0)
                 out[:, cols] = np.where(bad[:, cols], self._triple(x[cols], True), out[:, cols])
+            far = np.isinf(x)
+            if far.any():
+                d, lead, sign = len(self.b), self.scale[-1], np.sign(x)
+                out = np.where(far, [lead * sign ** (d - k) * math.inf if k < d else
+                                     np.full_like(x, math.factorial(k) * lead if k == d else 0.0)
+                                     for k in range(3)], out)
         return tuple(out)
 
     def _triple(self, x, scaled):

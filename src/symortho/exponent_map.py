@@ -189,14 +189,6 @@ class _LambdaBasis(_FamilyBasis):
         h = float(self.h)
         return h * _LOG_TINY / (h * (self.spec.exponents.tail + 1) - 1)
 
-    def tree_block(self, norms, integrable=None):
-        """The family's block, ended further while it may lose mass past x_w
-        (block_lost): a tail decays more slowly in t than in x for h < 1."""
-        end = super().tree_block(norms, integrable)[0]
-        while self.block_lost(end, norms):
-            end -= 1
-        return end, self.pair_interval(2 * end)
-
     def pair_interval(self, degree):
         return _t_interval(self.spec.exponents, self.h, 0, degree)
 

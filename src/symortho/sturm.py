@@ -24,7 +24,7 @@ from .core import (ClassParams, SymmetricPoly, WeightExponents, _check_degree, m
 from .core import eigenvalue as generic_eigenvalue
 from .errors import (ConstraintViolation, DegenerateDenominator, NonpositiveWeight,
                      PoleError, SingularCoefficient, ZeroLeadingCoefficient)
-from .families import _FAMILIES, Class, generic_weight_log, norms_squared, pair_integrable
+from .families import _FAMILIES, Class, generic_weight_log, norms_squared
 from .legendre import LegendreKind
 from .quadrature import (_RTOL, IntervalSpec, QuadResult, divergence_mask, entry_scale,
                          exponent_scan, integrate, integrate_gram)
@@ -230,7 +230,7 @@ class GramEntry:
     m: int
     quad: QuadResult
     expected: Optional[float]
-    status: str          # ok | cliff | degenerate | mismatch | divergent | inconclusive
+    status: str          # ok | cliff | degenerate | mismatch | inconclusive
 
 
 _REFUSED = ("cliff", "degenerate")
@@ -282,12 +282,13 @@ class GramReport:
 class _FamilyBasis:
     """Basis adapter for a family spec.  Adapters give the weight, the
     rows evaluator of members base..nmax (by recurrence), the quadrature
-    interval, the closed-form norms (None where refused), whether the
-    Gram tree may fold by parity, where the tree block ends and which
-    pairs are integrable.  A block that ends short of nmax also carries
-    the pairs outside it that off_block admits.  Every other integrable
-    pair takes inner; a pair that is not is a cliff where cliffs certifies
-    it, and is left inconclusive, with no integral, elsewhere."""
+    interval, the closed-form norms (None where refused; a family's are
+    its tuple's Class's), whether the Gram tree may fold by parity, where
+    the tree block ends and which pairs are integrable.  A block that ends
+    short of nmax also carries the pairs outside it that off_block admits.
+    Every other integrable pair takes inner; a pair that is not is a cliff
+    where cliffs certifies it, and is left inconclusive, with no integral,
+    elsewhere."""
     fold = True
 
     def __init__(self, spec):
@@ -299,7 +300,8 @@ class _FamilyBasis:
         return poly_from_params(self.spec.params, n, monic=True)
 
     def norms(self, nmax):
-        return norms_squared(self.spec, nmax)
+        """The norms of the tuple's Class, to its last integrable diagonal."""
+        return norms_squared(Class(*self.spec.params), nmax)
 
     def weight(self, x):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -313,11 +315,13 @@ class _FamilyBasis:
         return self.pair_interval(0)
 
     def tree_block(self, norms, integrable=None):
-        """(K, interval) of the Gram tree block base..K: K is the largest
-        degree such that every degree base..K has a closed-form norm and
-        (K, K) is integrable (integrable_mask(nmax) unless given), and so then
-        is every pair below it; base - 1 if none, nmax with no degree bound.
-        The interval is hinted for the block's widest product, of degree 2K."""
+        """(K, interval) of the Gram tree block base..K.  K is the degree
+        before the first that has no norm or whose diagonal is not integrable
+        (integrable_mask(nmax) unless given; then so is every pair below it),
+        lowered while (K, K) may lose mass past x_w (block_lost), in x or in
+        t: such a block is right only while the tree does not refine there.
+        base - 1 if none, nmax with no degree bound.  The interval is hinted
+        for the block's widest product, of degree 2K."""
         if integrable is None:
             integrable = self.integrable_mask(self.base + len(norms) - 1)
         end = self.base - 1
@@ -325,17 +329,16 @@ class _FamilyBasis:
             if d is None or not integrable[n, n]:
                 break
             end = n
+        while self.block_lost(end, norms):
+            end -= 1
         return end, self.pair_interval(2 * end)
 
     def pair_interval(self, degree):
         return self.spec.interval(tail_power=degree)
 
-    def integrable(self, n, m):
-        return pair_integrable(self.spec, n, m)
-
     def integrable_mask(self, nmax):
-        """integrable(n, m) at [n, m], n, m = 0..nmax: one outer sum over the
-        exponents, with pair_integrable's float operations in its order."""
+        """pair_integrable(spec, n, m) at [n, m], n, m = 0..nmax: one outer sum
+        over the exponents, with pair_integrable's float operations in its order."""
         m = np.arange(nmax + 1)
         n, low = m[:, None], m % 2
         theta, origin, edge, _ = self.spec.exponents
@@ -343,31 +346,23 @@ class _FamilyBasis:
                 & (self.spec._tail_margin(n, m) < 0))
 
     def off_block(self, end, nmax, norms, integrable=None):
-        """{(n, m): scale} of the pairs the tree of the block base..end (of the
-        given norms) carries: each even integrable (n, m), n > end, whose
-        members lie below any pole and stay finite before x_w, and whose own
-        tail past x_w holds at most 1e-9 of its scale (_tail_lost), which is
-        entry_scale(d_n, d_m) of the norms of the tuple's Class, d_n falling
-        back to d_m.  Where the block may lose mass past x_w (block_lost), it
-        is right only while the tree does not refine there, so a pair rides
-        only if the block holds a product of its degree to no larger a scale."""
+        """{(n, m): scale} of the pairs the tree of the block base..end carries:
+        each even integrable (n, m), n > end, whose members lie below any pole
+        and stay finite before x_w, and whose own tail past x_w holds at most
+        1e-9 of its scale (_tail_lost), which is entry_scale(d_n, d_m) of the
+        norms of degrees 0..nmax, gram_matrix's, d_n falling back to d_m.
+        The block holds its own tails (tree_block)."""
         integrable = self.integrable_mask(nmax) if integrable is None else integrable
-        d = dict(enumerate(norms_squared(Class(*self.spec.params), nmax)))
+        d = norms       # a family's base is 0
         pairs = [(n, m) for n in range(end + 1, nmax + 1) for m in range(n + 1)
                  if (n + m) % 2 == 0 and integrable[n, m] and d[m] is not None]
         top = _rows_below_pole(self.spec.params, max([n for n, _ in pairs], default=end), end)[0]
-        lost, g = self.block_lost(end, norms), self.spec.exponents.tail
-
-        def held(k):
-            """The smallest scale the block holds a product of degree k to."""
-            return min((float(entry_scale(d[k - j], d[j]))
-                        for j in range(max(0, k - end), k // 2 + 1)), default=math.inf)
+        g = self.spec.exponents.tail
         out = {}
         for n, m in pairs:
             scale = float(entry_scale(d[m] if d[n] is None else d[n], d[m]))
             if (n <= top and n * self.log_xw < _LOG_HUGE
-                    and not self._tail_lost(g + n + m + 1, scale)
-                    and not (lost and scale < held(n + m))):
+                    and not self._tail_lost(g + n + m + 1, scale)):
                 out[n, m] = scale
         return out
 
@@ -531,16 +526,20 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
     """Inner-product matrix of the members up to degree nmax of a basis: a
     family, a bare ClassParams (as its Class), a LambdaSpec or a Legendre kind.
 
-    The block of degrees base..K whose norms all have closed forms and
-    whose every pair is integrable takes its entries from one shared panel
-    tree (quadrature.integrate_gram) on members evaluated by recurrence.
-    Bases with no degree bound (GUP, GHP, the Legendre kinds) have K =
-    nmax.  A block that ends below nmax also carries each even integrable
-    pair outside it that off_block admits by its per-pair rule, held to
-    1e-9 of entry_scale(d_n, d_m) of the tuple's Class's norms; one such
-    pair the tree leaves open takes its own integral.  Every other
-    integrable entry outside the block is exactly 0 (an odd pair) or one
-    half-line integral (an even pair).
+    A family's norms are its tuple's Class's (norms_squared), to the last
+    integrable diagonal: one list gives the block, the scales, the expected
+    diagonals and the refusals, so a named family and its Class give one
+    report.  The block of degrees base..K whose norms all exist, whose
+    every pair is integrable and whose (K, K) holds its tail past the point
+    where the float weight underflows (tree_block) takes its entries from
+    one shared panel tree (quadrature.integrate_gram) on members evaluated
+    by recurrence.  Bases with no degree bound (GUP, GHP, the Legendre
+    kinds) have K = nmax.  A block that ends below nmax also carries each
+    even integrable pair outside it that off_block admits by its per-pair
+    rule, held to 1e-9 of entry_scale(d_n, d_m); one such pair the tree
+    leaves open takes its own integral.  Every other integrable entry
+    outside the block is exactly 0 (an odd pair) or one half-line integral
+    (an even pair).
     An entry that is not integrable takes no integral: it is a cliff when
     the pair's local exponent, measured by one scan over members base..nmax,
     confirms its divergent hint, and inconclusive otherwise, so a cliff
@@ -548,8 +547,8 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
     One pass over arrays of the entries then judges them all, from the
     mask of integrable pairs, the scan's cliff mask, the expected norms
     and the scales: diagonals, (0, 0) too, are held to tol |d_n| of the
-    closed-form norms (a family's: mu_0 (-1)^n C_1...C_n), and off-diagonals
-    to tol sqrt|d_n| sqrt|d_m|, with d the converged diagonals (else the
+    closed-form norms (mu_0 (-1)^n C_1...C_n), and off-diagonals to
+    tol sqrt|d_n| sqrt|d_m|, with d the converged diagonals (else the
     norms).  Entry statuses:
 
       ok            matches expectation
@@ -561,9 +560,10 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
       mismatch      converged to the wrong value, converged where the
                     closed form says divergent, or a member degenerated
                     at an index the closed forms accept
-      divergent     diverged where theory says finite
-      inconclusive  the integrator gave up without a verdict, or the scan
-                    did not certify a pair that is not integrable
+      inconclusive  the integrator gave up without a verdict or flagged a
+                    divergence on an integrable pair (a float artifact:
+                    its QuadResult is kept as returned), or the scan did
+                    not certify a pair that is not integrable
 
     The report passes iff every entry is ok, cliff or degenerate.  Entries
     (n, m) with n >= m are computed and the matrix is mirrored.  The
@@ -585,10 +585,9 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
     todo = lower.copy()
     tree_cost = 0, 0
     if end >= b:
-        block = norms[:end - b + 1]
         # only a basis with a degree bound or a pole ends its block short of nmax
-        off = ad.off_block(end, nmax, block, integrable) if end < nmax else {}
-        res = _shared_tree(ad, end, interval, block, off)
+        off = ad.off_block(end, nmax, norms, integrable) if end < nmax else {}
+        res = _shared_tree(ad, end, interval, norms[:end - b + 1], off)
         # the tree holds its block, and the off-block pairs it converged
         held = lower & (np.arange(size) <= end - b)[:, None]
         for n, m in off:
@@ -619,8 +618,7 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
     consistent = ~diag_missing | refused
     np.fill_diagonal(cliff, refused)
     rules = ((missing & consistent[:, None] & consistent, "degenerate"), (missing, "mismatch"),
-             (conv & close, "ok"), (conv, "mismatch"), (cells["diverged"] & cliff, "cliff"),
-             (cells["diverged"], "divergent"))
+             (conv & close, "ok"), (conv, "mismatch"), (cells["diverged"] & cliff, "cliff"))
     status = np.full((size, size), "inconclusive", dtype=object)
     for rule, name in reversed(rules):      # the first rule that holds wins
         status[rule] = name

@@ -574,8 +574,7 @@ def test_scaled_triple_equals_the_plain_one_in_range(n):
 
 
 def test_derivatives_at_infinite_x_have_no_nan():
-    # the scaled pass reads a derivative there as 0: it is below the member
-    # by more than any power of 2
+    # each is its limit there (see the next test), and a nan x stays nan
     x = np.array([np.inf, -np.inf, np.nan])
     for n in (1, 2, 63, 64):
         poly = poly_from_params(GHP_HALF, n, monic=True)
@@ -583,6 +582,22 @@ def test_derivatives_at_infinite_x_have_no_nan():
         assert np.array_equal(v0[:2], poly(x)[:2])
         assert not np.isnan([v1[:2], v2[:2]]).any()
         assert np.isnan([v0[2], v1[2], v2[2]]).all()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 63, 64])
+def test_derivatives_at_infinite_x_are_their_limits(n):
+    # the k-th derivative of a monic degree-n member is ~ n!/(n - k)! x^(n - k):
+    # a signed inf for k < n, k! for k = n and 0 for k > n; the scaled pass
+    # once read every derivative there as 0
+    x = np.array([np.inf, -np.inf])
+    got = poly_from_params(GHP_HALF, n, monic=True).value_derivs(x)
+    for k in range(3):
+        want = ([math.inf, (-1.0) ** (n - k) * math.inf] if k < n
+                else [float(math.factorial(k))] * 2 if k == n else [0.0, 0.0])
+        assert np.array_equal(got[k], want), k
+    # and at a scalar x
+    at = poly_from_params(GHP_HALF, n, monic=True).value_derivs(-math.inf)
+    assert np.array_equal(at, [v[1] for v in got])
 
 
 # ------------------------------------- exact kernels against Fractions

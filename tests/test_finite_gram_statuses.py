@@ -2,10 +2,19 @@
 
 tests/data/finite_gram_statuses.json holds the statuses of the reports
 below as they were before divergence was certified from measured local
-exponents.  Since then a status may change only from `inconclusive` or
-`mismatch` to `cliff`, and only on a pair whose product is not absolutely
-integrable (families.pair_integrable); every such change is listed in
-CHANGED.  The file was written at the commit before that change by
+exponents.  Since then a status may change only as CHANGED lists it, in
+one of three ways:
+
+  - from `inconclusive` or `mismatch` to `cliff`, on a pair whose product
+    is not absolutely integrable (families.pair_integrable);
+  - from `mismatch` to `ok`, on an integrable diagonal that an mpmath
+    reference matches within tol |d_n| (the norms of the tuple's Class,
+    past a printed degree bound too);
+  - from `divergent` to `inconclusive`, on an integrable pair: the status
+    `divergent` is gone, and an integrable pair's integral that blows up
+    leaves it open.
+
+The file was written at the commit before the first change by
 
     PYTHONPATH=src python tests/test_finite_gram_statuses.py --write
 
@@ -17,13 +26,15 @@ import json
 import os
 import sys
 
+import mpmath as mp
 import pytest
 
 from symortho.errors import DegenerateDenominator, ZeroLeadingCoefficient
-from symortho.families import FiniteI, FiniteII, pair_integrable
+from symortho.families import Class, FiniteI, FiniteII, pair_integrable
 from symortho.quadrature import certifies_divergence
 from symortho import sturm
 from symortho.sturm import _adapt, gram_matrix
+from test_sturm import _mp_entry
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                     "finite_gram_statuses.json")
@@ -74,6 +85,35 @@ CHANGED = {
     ("FiniteII(9.0)@24", "15,2"): ("inconclusive", "cliff"),
     ("FiniteII(9.0)@24", "16,1"): ("inconclusive", "cliff"),
     ("FiniteII(9.0)@24", "17,0"): ("inconclusive", "cliff"),
+    # the diagonals past FiniteI's printed bound, and within its Class's
+    ("FiniteI(0.1, 2.5)@24", "1,1"): ("mismatch", "ok"),
+    ("FiniteI(0.1, 2.5)@24", "2,2"): ("mismatch", "ok"),
+    ("FiniteI(0.05, 2.5)@10", "1,1"): ("mismatch", "ok"),
+    ("FiniteI(0.05, 2.5)@10", "2,2"): ("mismatch", "ok"),
+    ("FiniteI(0.3, 4.0)@10", "1,1"): ("mismatch", "ok"),
+    ("FiniteI(0.3, 4.0)@10", "2,2"): ("mismatch", "ok"),
+    ("FiniteI(0.3, 4.0)@10", "3,3"): ("mismatch", "ok"),
+    ("FiniteI(0.25, 2.25)@10", "1,1"): ("mismatch", "ok"),
+    ("FiniteI(0.1, 2.5)@8", "1,1"): ("mismatch", "ok"),
+    ("FiniteI(0.1, 2.5)@8", "2,2"): ("mismatch", "ok"),
+    ("FiniteI(0.1, 2.5)@16", "1,1"): ("mismatch", "ok"),
+    ("FiniteI(0.1, 2.5)@16", "2,2"): ("mismatch", "ok"),
+    # integrable pairs whose own integrals stop at a non-finite panel, where
+    # the weight underflows to 0 and the members overflow (reason blowup)
+    ("FiniteII(5.55)@10", "6,4"): ("divergent", "inconclusive"),
+    ("FiniteII(5.55)@10", "7,3"): ("divergent", "inconclusive"),
+    ("FiniteII(5.55)@10", "8,2"): ("divergent", "inconclusive"),
+    ("FiniteII(5.55)@10", "9,1"): ("divergent", "inconclusive"),
+    ("FiniteII(5.55)@10", "10,0"): ("divergent", "inconclusive"),
+    ("FiniteII(7.52)@10", "8,6"): ("divergent", "inconclusive"),
+    ("FiniteII(7.52)@10", "9,5"): ("divergent", "inconclusive"),
+    ("FiniteII(7.52)@10", "10,4"): ("divergent", "inconclusive"),
+}
+
+# the check set's weights in mpmath, for the references of its diagonals
+MP_WEIGHT = {
+    FiniteI: lambda u, v: lambda x: x ** (-2 * mp.mpf(u)) * (1 + x * x) ** -mp.mpf(v),
+    FiniteII: lambda u: lambda x: x ** (-2 * mp.mpf(u)) * mp.exp(-1 / (x * x)),
 }
 
 
@@ -81,8 +121,7 @@ def _key(cls, args, nmax):
     return f"{cls.__name__}({', '.join(map(repr, args))})@{nmax}"
 
 
-def statuses(cls, args, nmax):
-    rep = gram_matrix(cls(*args), nmax)
+def statuses(rep):
     return {f"{e.n},{e.m}": e.status for e in rep.entries}
 
 
@@ -98,18 +137,53 @@ def test_check_set_covers_every_case(check_set):
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: _key(*c))
 def test_statuses_match_the_check_set_but_for_listed_cliffs(case, check_set):
-    key = _key(*case)
-    before, now = check_set[key], statuses(*case)
+    key, (cls, args, nmax) = _key(*case), case
+    spec = cls(*args)
+    rep = gram_matrix(spec, nmax)
+    before, now = check_set[key], statuses(rep)
     assert sorted(now) == sorted(before)
     changed = {entry: (before[entry], now[entry])
                for entry in now if now[entry] != before[entry]}
     listed = {entry: change for (k, entry), change in CHANGED.items() if k == key}
     assert changed == listed
-    spec = case[0](*case[1])
     for entry, (old, new) in changed.items():
         n, m = map(int, entry.split(","))
-        assert old in ("inconclusive", "mismatch") and new == "cliff"
-        assert not pair_integrable(spec, n, m)
+        e = rep.entry(n, m)
+        if new == "cliff":
+            assert old in ("inconclusive", "mismatch")
+            assert not pair_integrable(spec, n, m)
+        elif new == "ok":
+            assert old == "mismatch" and n == m and pair_integrable(spec, n, n)
+            ref = _mp_entry(spec, n, n, MP_WEIGHT[cls](*args))
+            assert abs(e.quad.value - ref) <= rep.tol * abs(e.expected), entry
+        else:
+            assert (old, new) == ("divergent", "inconclusive")
+            assert pair_integrable(spec, n, m) and e.quad.reason == "blowup"
+
+
+@pytest.mark.parametrize("case", CASES + [(FiniteI, (0.06, 2.46), 8)], ids=lambda c: _key(*c))
+def test_a_family_and_its_class_give_one_report(case):
+    # the family's Gram reads its Class's norms, block and pairs; no entry
+    # reads divergent.  FiniteI(0.06, 2.46) took 8,059 panels as a Class and
+    # 83 as a family when the family's printed bound ended its block at 0
+    cls, args, nmax = case
+    fam = gram_matrix(cls(*args), nmax)
+    gen = gram_matrix(Class(*cls(*args).params), nmax)
+    assert statuses(fam) == statuses(gen) and fam.panels == gen.panels
+    assert "divergent" not in statuses(fam).values()
+    if case == (FiniteI, (0.06, 2.46), 8):
+        assert gen.panels <= 100
+
+
+def test_an_integrable_pair_whose_integral_blows_up_is_inconclusive():
+    # these integrals stop at a non-finite panel (0 inf past x_w); the pairs
+    # are integrable, so the flag is the floats', and the QuadResult stays
+    rep = gram_matrix(FiniteII(5.55), 10)
+    for n, m in [(6, 4), (7, 3), (8, 2), (9, 1), (10, 0)]:
+        e = rep.entry(n, m)
+        assert pair_integrable(FiniteII(5.55), n, m)
+        assert e.status == "inconclusive" and e.quad.reason == "blowup", (n, m)
+        assert e.quad.diverged and not e.quad.converged
 
 
 def test_no_integral_is_taken_for_a_pair_that_is_not_integrable(monkeypatch):
@@ -141,17 +215,15 @@ def test_no_integral_is_taken_for_a_pair_that_is_not_integrable(monkeypatch):
 
 
 def test_memoized_integrable_is_pair_integrable():
-    # _FamilyBasis.integrable and its mask, one outer sum over the weight's
-    # exponents, agree with pair_integrable
+    # _FamilyBasis.integrable_mask, one outer sum over the weight's
+    # exponents, agrees with pair_integrable
     for cls, args, _ in CASES:
         spec = cls(*args)
-        ad = _adapt(spec)
-        mask = ad.integrable_mask(24)
+        mask = _adapt(spec).integrable_mask(24)
         assert mask.shape == (25, 25)
         for n in range(25):
             for m in range(25):
-                want = pair_integrable(spec, n, m)
-                assert ad.integrable(n, m) == want and mask[n, m] == want, (spec, n, m)
+                assert mask[n, m] == pair_integrable(spec, n, m), (spec, n, m)
 
 
 def test_cliff_mask_is_the_scalar_rule(monkeypatch):
@@ -189,6 +261,7 @@ def test_cliff_mask_is_the_scalar_rule(monkeypatch):
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     os.makedirs(os.path.dirname(DATA), exist_ok=True)
     with open(DATA, "w") as fh:
-        json.dump({_key(*case): statuses(*case) for case in CASES}, fh, indent=0,
+        json.dump({_key(*case): statuses(gram_matrix(case[0](*case[1]), case[2]))
+                   for case in CASES}, fh, indent=0,
                   sort_keys=True)
         fh.write("\n")

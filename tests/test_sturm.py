@@ -13,8 +13,8 @@ from symortho.expand import expand
 from symortho.exponent_map import (LambdaSpec, _LambdaBasis, _t_interval,
                                    lambda_weight_and_gram, signed_power)
 from symortho import sturm
-from symortho.families import (GUP, GHP, Class, FiniteI, FiniteII, norm_squared,
-                               norms_squared, pair_integrable, weight_at)
+from symortho.families import (GUP, GHP, Class, FiniteI, FiniteII, finite_degree_bound,
+                               norm_squared, norms_squared, pair_integrable, weight_at)
 from symortho.legendre import (G, Pm, Q, U, V, eval_jacobi, JacobiParams,
                                legendre_norm, member_fn, orthogonality_interval)
 from symortho.quadrature import integrate
@@ -446,18 +446,19 @@ def _tree_end(basis, nmax):
 
 @pytest.mark.parametrize("basis, nmax, end", [
     (FiniteII(6.03), 8, 5), (FiniteII(9.02), 8, 8), (FiniteII(8.5), 10, 7),
-    (FiniteII(4.5), 8, 3), (FiniteI(0.1, 2.5), 8, 0), (FiniteI(5, 2), 8, -1),
+    (FiniteII(4.5), 8, 3), (FiniteI(0.1, 2.5), 8, 2), (FiniteI(5, 2), 8, -1),
     (GUP(1, 1.5), 12, 12), (GHP(0.5), 10, 10), (Pm(2), 9, 9), (V(0.3), 6, 6)],
     ids=str)
 def test_tree_block_ends_where_a_norm_or_the_last_diagonal_fails(basis, nmax, end):
-    # every degree of the block has a closed-form norm and (end, end) is
-    # integrable; bases with no degree bound run to nmax
+    # every degree of the block has a norm of its Class and (end, end) is
+    # integrable and holds its tail past x_w; bases with no degree bound run
+    # to nmax
     assert _tree_end(basis, nmax) == end
 
 
 @pytest.mark.parametrize("fam, nmax, end", [
-    # the mapped class's norms end FiniteI(1/10, 5/2)'s block at 1 (the
-    # family's printed bound, 0, ends the family's), and FiniteII(5.55)'s
+    # the mapped class's norms end FiniteI(1/10, 5/2)'s block at 1 (at 2 in
+    # x, where (2, 2)'s tail decays faster), and FiniteII(5.55)'s
     # (5, 5), |x|^-1.1 in x and |t|^-1.033 in t, would lose more than 1e-9
     # of the smallest norm past the float range in t
     (FiniteI(Fraction(1, 10), Fraction(5, 2)), 6, 1), (FiniteII(5.55), 10, 4),
@@ -528,7 +529,7 @@ def test_non_integrable_pairs_keep_their_divergence_evidence():
     assert rep.passed, rep.summary()
     e = rep.entry(12, 12)
     assert e.quad.diverged and e.status == "cliff"
-    assert not _adapt(FiniteII(12.25)).integrable(12, 12)
+    assert not pair_integrable(FiniteII(12.25), 12, 12)
 
 
 # ------------------------------------------ cliffs from measured exponents
@@ -577,14 +578,14 @@ def test_scan_that_does_not_confirm_its_hint_leaves_the_pair_inconclusive(monkey
     calls = _count_integrals(monkeypatch)
     monkeypatch.setattr(sturm, "exponent_scan", off)
     rep = gram_matrix(FiniteII(6.02), 10)
-    ad = _adapt(FiniteII(6.02))
-    refused = [(e.n, e.m) for e in rep.entries if not ad.integrable(e.n, e.m)]
+    integrable = _adapt(FiniteII(6.02)).integrable_mask(10)
+    refused = [(e.n, e.m) for e in rep.entries if not integrable[e.n, e.m]]
     assert refused and not calls
     assert all(rep.entry(n, m).status == "inconclusive" for n, m in refused)
     assert all(e.quad.panels == 0 and not (e.quad.converged or e.quad.diverged)
                for e in map(lambda nm: rep.entry(*nm), refused))
-    assert [e.status for e in rep.entries if ad.integrable(e.n, e.m)] == \
-        [e.status for e in want.entries if ad.integrable(e.n, e.m)]
+    assert [e.status for e in rep.entries if integrable[e.n, e.m]] == \
+        [e.status for e in want.entries if integrable[e.n, e.m]]
 
 
 def test_scan_certifies_members_above_a_pole_in_the_recurrence(monkeypatch):
@@ -593,9 +594,8 @@ def test_scan_certifies_members_above_a_pole_in_the_recurrence(monkeypatch):
     # exist, and their pairs are degenerate)
     calls = _count_integrals(monkeypatch)
     rep = gram_matrix(FiniteII(4.5), 10)
-    ad = _adapt(FiniteII(4.5))
     refused = [(e.n, e.m) for e in rep.entries
-               if not ad.integrable(e.n, e.m) and e.status != "degenerate"]
+               if not pair_integrable(FiniteII(4.5), e.n, e.m) and e.status != "degenerate"]
     assert {n for n, _ in refused} >= {9, 10}
     for n, m in refused:
         e = rep.entry(n, m)
@@ -710,37 +710,37 @@ def test_off_block_entries_the_tree_leaves_open_take_one_integral_each(monkeypat
 def test_off_block_pairs_stay_off_a_tree_whose_tail_underflows(monkeypatch):
     # the products of degree 20 decay like x^-1.4, and past x_w = 1.3e15,
     # where the weight underflows, lies 4.5e-6 of each one's mass: more than
-    # 1e-9 of the scale of (11, 9)..(18, 2), which take an integral each.
-    # (10, 10) loses as much, and reads ok only while the tree does not
-    # refine out there, as refining for (11, 7) did: its scale, |d_7|, is
-    # below any the block holds a product of degree 18 to
+    # 1e-9 of the block's least norm, so the block ends at 9, below (10, 10),
+    # and more than 1e-9 of the scale of (11, 9)..(18, 2).  Each of these
+    # takes an integral; every other pair rides a block that holds its tail
     basis, nmax = FiniteII(10.7), 20
-    ad = _adapt(basis)
+    ad, norms = _adapt(basis), _adapt(basis).norms(nmax)
+    assert _tree_end(basis, nmax) == 9 and ad.block_lost(10, norms)
     outside = _outside_pairs(basis, nmax)
     lost = {pair for pair, scale in outside.items() if not _tail_held(basis, *pair, scale)}
-    off = ad.off_block(10, nmax, ad.norms(10))
-    assert lost and not lost & set(off)
-    assert {n + m for n, m in lost} == {20}
-    assert set(outside) - lost - set(off) == {(11, 7)}
+    off = ad.off_block(9, nmax, norms)
+    assert lost == {(n, 20 - n) for n in range(10, 19)}
+    assert set(off) == set(outside) - lost == set(_off_block(basis, nmax))
     calls = _count_integrals(monkeypatch)
     rep = gram_matrix(basis, nmax)
     assert rep.passed, rep.summary()
     assert rep.entry(10, 10).status == "ok"
-    assert len(calls) == len(outside) - len(off)
+    assert len(calls) == len(lost)
     assert all(rep.entry(n, m).quad.panels > 0 for n, m in lost)
     assert all(rep.entry(n, m).quad.panels == 0 for n, m in off)
 
 
 def test_finite1_pairs_outside_its_block_come_from_the_one_tree(monkeypatch):
-    # the printed bound ends the block at 0; (1, 1), (2, 0), (2, 2), (3, 1)
-    # and (4, 0) took an integral each, 81 panels in all
+    # the Class's norms end the block at 2; with the printed bound, which
+    # ended it at 0, (1, 1), (2, 0), (2, 2), (3, 1) and (4, 0) once took an
+    # integral each, 81 panels in all
     basis = FiniteI(Fraction(1, 10), Fraction(5, 2))
     trees = _count_trees(monkeypatch)
     calls = _count_integrals(monkeypatch)
     rep = gram_matrix(basis, 8)
     assert len(trees) == 1 and not calls
     assert rep.panels <= 20
-    assert sorted(_off_block(basis, 8)) == [(1, 1), (2, 0), (2, 2), (3, 1), (4, 0)]
+    assert sorted(_off_block(basis, 8)) == [(3, 1), (4, 0)]
 
 
 @pytest.mark.parametrize("basis, nmax", [
@@ -761,7 +761,7 @@ def test_no_integral_for_a_finite1_pair_the_tree_can_hold(monkeypatch, basis, nm
     ad, end = _adapt(basis), _tree_end(basis, nmax)
     even = {(n, m) for n, m in pairs if (n + m) % 2 == 0}
     assert len(calls) == len(even)
-    assert not even & set(ad.off_block(end, nmax, ad.norms(end)))
+    assert not even & set(ad.off_block(end, nmax, ad.norms(nmax)))
 
 
 def _mp_entry(basis, n, m, weight):
@@ -773,7 +773,7 @@ def _mp_entry(basis, n, m, weight):
     pn, pm = (poly_from_params(basis.params, k, monic=True) for k in (n, m))
 
     def member(p, x):
-        return mp.fsum(mp.mpf(c) * x ** (p.n - 2 * k) for k, c in enumerate(p.coeffs))
+        return mp.fsum(mp.mpf(float(c)) * x ** (p.n - 2 * k) for k, c in enumerate(p.coeffs))
 
     def f(x):
         return weight(x) * member(pn, x) * member(pm, x)
@@ -801,6 +801,23 @@ def test_pairs_read_divergent_on_their_own_integrals_are_ok(basis, nmax, pairs, 
         assert abs(e.quad.value - _mp_entry(basis, n, m, weight)) <= rep.tol * scale, (n, m)
 
 
+@pytest.mark.parametrize("u, v, nmax", [
+    (Fraction(1, 10), Fraction(5, 2), 8), (Fraction(3, 10), 12, 16)], ids=str)
+def test_finite1_diagonals_past_its_printed_bound_are_ok(u, v, nmax):
+    # the printed bound, u + 1/2 < 1, refused every diagonal past 0, and they
+    # read mismatch; the Class's norms hold to the last integrable diagonal
+    basis = FiniteI(u, v)
+    rep = gram_matrix(basis, nmax)
+    assert rep.passed, rep.summary()
+    past = [e for e in rep.entries if e.n == e.m and e.n > finite_degree_bound(basis)
+            and e.expected is not None]
+    assert [e.n for e in past] == list(range(1, {8: 3, 16: 12}[nmax]))
+    weight = lambda x: x ** (-2 * mp.mpf(float(u))) * (1 + x * x) ** -mp.mpf(float(v))
+    for e in past:
+        assert e.status == "ok", e.n
+        assert abs(e.quad.value - _mp_entry(basis, e.n, e.n, weight)) <= rep.tol * abs(e.expected)
+
+
 @pytest.mark.parametrize("basis, nmax", [
     (FiniteII(6.03), 16), (FiniteII(4.5), 10), (FiniteI(0.1, 2.5), 8), (GUP(1, 1.5), 8)], ids=str)
 def test_one_integrable_mask_per_report(monkeypatch, basis, nmax):
@@ -822,7 +839,7 @@ def test_one_integrable_mask_per_report(monkeypatch, basis, nmax):
 def test_tree_rows_are_finite_wherever_the_weight_is_not_zero(u):
     basis, nmax = FiniteII(u), 2 * math.ceil(u)
     ad, end = _adapt(basis), _tree_end(basis, nmax)
-    top = max([n for n, _ in ad.off_block(end, nmax, ad.norms(end))], default=end)
+    top = max([n for n, _ in ad.off_block(end, nmax, ad.norms(nmax))], default=end)
     x = np.geomspace(1.0, 1e300, 4000)
     rows, w = ad.rows(top)(x), ad.weight(x)
     assert np.isfinite(rows[:, w > 0]).all()
