@@ -47,14 +47,15 @@ class PoleError(SymOrthoError):
 class MaxDepthExceeded(SymOrthoError):
     """Adaptive refinement hit its budget without converging or detecting divergence.
 
-    Carries the partial result in the `partial` attribute.
+    Carries the partial result in `partial`; `what` names the open integral.
     """
 
-    def __init__(self, partial):
+    def __init__(self, partial, what="quadrature"):
         self.partial = partial
         super().__init__(
-            "quadrature inconclusive: budget exhausted with estimate "
-            f"{partial.value!r} +- {partial.abs_error_estimate!r}"
+            f"{what} inconclusive: budget exhausted with estimate "
+            f"{partial.value!r} +- {partial.abs_error_estimate!r} after "
+            f"{partial.panels} panels, {partial.evals} evals"
         )
 
 

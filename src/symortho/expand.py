@@ -83,8 +83,9 @@ def _as_callable(f):
 class ExpansionSeries:
     """Truncated expansion: coefficients index 0..nmax (entries below a
     kind's base order are structurally zero).  panels and evals are what
-    expand's own panel trees cost (||f||^2, every numerator try and the
-    residual; not the basis's Gram check), counted as GramQuad counts them."""
+    expand's own panel trees cost (on every interval tried, and the
+    residual from its start panels; not the basis's Gram check), counted
+    as GramQuad counts them."""
     basis: object
     coefficients: tuple
     nmax: int
@@ -102,7 +103,7 @@ def _intervals(ad, members):
     A kind's hints are its members' prefactor exponents times the count:
     0 for f^2 and 1 for f phi_n suit a regular target f, while a target
     that carries the prefactor itself (a member, a partial sum) needs the
-    product hints, 2, which are tried next.  The residual (f - s)^2 takes
+    product hints, 2, which are tried next.  Two of expand's trees take
     count 1 unless an exponent is negative (see expand).  A family's hints
     are its weight's, the same for every count.
     """
@@ -155,19 +156,19 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
     A basis that passed is not checked again for the same nmax and tol
     (_verified_norms keeps its norms); one that failed is, every time.
 
-    Every integral is a quadrature.integrate_gram panel tree, each entry
-    held to 1e-9 of a scale: ||f||^2 = int W* f^2 (a 1x1 block) to its own
-    running value, else NonSquareIntegrable (also when that value is not
-    finite); the numerators int W* f phi_n, sampled with the weight and f
-    once per panel, to entry_scale(||f||^2, d_n) with d_n the Gram report's
-    norms, else MaxDepthExceeded; the squared residual
-    to ||f||^2, taken as it stands if it stays open (residual_converged
-    says which).  _intervals gives hints.  The residual takes one member's
+    Every integral is an entry of a quadrature.integrate_gram tree, held
+    to 1e-9 of a scale.  One tree samples L = [f] against R = [f,
+    phi_base..phi_nmax]: ||f||^2 at (0, 0) to its own running value, else
+    NonSquareIntegrable (at once when that value is not finite), and the
+    numerators int W* f phi_n to entry_scale(||f||^2, d_n), d_n the Gram
+    report's norms, else MaxDepthExceeded.  The squared residual, held to
+    ||f||^2, starts on that tree's panels and is taken as it stands if it
+    stays open (residual_converged says which).  Both take one member's
     hints when none is negative (None, a bare split, is no hint): the
     softening x = c +- t^m picked for an exponent e makes f^2, f s and s^2
     (exponents 0, e, 2e) all smooth in t.  Below 0 the endpoint sliver's
-    mass is fitted with e alone, which the s^2 term breaks, so a negative
-    exponent leaves the residual unhinted.
+    mass is fitted with e alone, which f^2 and s^2 break: such a kind
+    keeps three cold trees, ||f||^2, the numerators and an unhinted residual.
     """
     fn = _as_callable(f)
     ad = _adapt(basis)
@@ -187,8 +188,8 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
 
     cost = [0, 0]       # the panels and evals of every tree below
 
-    def tree(sample, interval, scale=None):
-        out = integrate_gram(sample, interval, scale)
+    def tree(sample, interval, scale=None, start=None):
+        out = integrate_gram(sample, interval, scale, start=start)
         cost[0] += out.panels
         cost[1] += out.evals
         return out
@@ -201,25 +202,33 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
                 break
         return out
 
-    ff = first_closed(square(target), (0, 2))
+    hinted = ad.interval(members=1)
+    fused = not any(e is not None and e < 0 for _, e in hinted.singularities)
+    d = np.asarray(norms)
+    if fused:       # L = [f] against R = [f, phi_base..phi_nmax]: ||f||^2 is (0, 0)
+        def sample(x):
+            y = target(x)[None, :]
+            return ad.weight(x), y, np.concatenate((y, rows(x)))
+        ff = first_closed(sample, (1, 2), lambda t: entry_scale(t[0, 0], np.r_[t[0, 0], d])[None])
+    else:
+        ff = first_closed(square(target), (0, 2))
     f_norm2 = max(float(ff.value[0, 0]), 0.0)
-    if not ff.converged.all():
-        raise NonSquareIntegrable(f"int W* f^2 did not converge (estimate {f_norm2!r})")
-
-    scale = entry_scale(f_norm2, np.array([norms]))
-    num = first_closed(lambda x: (ad.weight(x), target(x)[None, :], rows(x)), (1, 2), scale)
+    if not ff.converged[0, 0]:
+        raise NonSquareIntegrable(
+            "int W* f^2 did not converge (estimate {!r} +- {!r} after {} panels, {} evals)"
+            .format(float(ff.value[0, 0]), float(ff.error[0, 0]), *cost))
+    num = ff if fused else first_closed(lambda x: (ad.weight(x), target(x)[None, :], rows(x)),
+                                        (1, 2), entry_scale(f_norm2, d[None]))
     if not num.converged.all():
         k = int(np.argmin(num.converged[0]))
-        raise MaxDepthExceeded(QuadResult(float(num.value[0, k]),
-                                          float(num.error[0, k]), False, False))
-    q = num.value[0] / np.asarray(norms)
+        open_ = QuadResult(float(num.value[0, k]), float(num.error[0, k]), False, False, *cost,
+                           "budget")        # at the cost of every tree so far
+        raise MaxDepthExceeded(open_, f"int W* f phi_n, n = {ad.base + k - fused},")
+    q = num.value[0, int(fused):] / d
     coeffs = (0.0,) * ad.base + tuple(float(c) for c in q)
 
-    hinted = ad.interval(members=1)
-    if any(e is not None and e < 0 for _, e in hinted.singularities):
-        hinted = ad.interval(members=0)
-    res = tree(square(lambda x: target(x) - q @ rows(x)),
-               hinted, np.array([[max(f_norm2, 1e-300)]]))
+    res = tree(square(lambda x: target(x) - q @ rows(x)), hinted if fused else ad.interval(0),
+               np.array([[max(f_norm2, 1e-300)]]), num if fused else None)  # on num's panels
     residual = math.sqrt(max(float(res.value[0, 0]), 0.0))
     rel = residual / math.sqrt(f_norm2) if f_norm2 > 0 else 0.0
     return ExpansionSeries(basis, coeffs, nmax, residual, rel, bool(res.converged.all()),

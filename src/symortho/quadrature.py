@@ -254,17 +254,16 @@ def _power_tail_mass(point_fn, anchor, sign, sigma, span):
 
 
 def _edge_task(point_fn, a, b, side, sigma):
-    """Softened task at a singular finite endpoint, plus the analytic
-    correction for the sliver too close to the anchor to sample."""
+    """Softened task at a singular finite endpoint, plus the analytic mass of
+    the sliver too close to the anchor to sample and its fit's arguments."""
     anchor = a if side == "left" else b
     sign = 1.0 if side == "left" else -1.0
-    u_lo, extra_value, extra_err = 0.0, 0.0, 0.0
-    if sigma is not None and sigma < 0 and anchor != 0.0:
-        corr = _power_tail_mass(point_fn, anchor, sign, sigma, b - a)
-        if corr is not None:
-            u_lo, extra_value, extra_err = corr
+    sliver = (anchor, sign, sigma, b - a)
+    corr = (sigma is not None and sigma < 0 and anchor != 0.0
+            and _power_tail_mass(point_fn, *sliver)) or None
+    u_lo, ev, ee = corr or (0.0, 0.0, 0.0)
     xmap, m = _soften(anchor, sign, sigma)
-    return (xmap, u_lo ** (1.0 / m), (b - a) ** (1.0 / m)), extra_value, extra_err
+    return (xmap, u_lo ** (1.0 / m), (b - a) ** (1.0 / m)), ev, ee, corr and sliver
 
 
 def _tail_task(T, side, tail_exp):
@@ -293,7 +292,8 @@ def _plan(point_fn, spec: IntervalSpec):
     where xmap(t) returns x(t) and a function that multiplies values at
     x(t) by dx/dt; xmap None means x = t.  point_fn evaluates the
     integrand at one point, for the analytic endpoint-sliver masses, which
-    are returned summed with their error.
+    are returned summed with their error, and with {task index:
+    _power_tail_mass arguments} of each sliver, to fit them again.
     """
     finite_hints = {}
     tail_hi = tail_lo = None
@@ -323,7 +323,7 @@ def _plan(point_fn, spec: IntervalSpec):
     elif points[-1] < hi:
         points.append(hi)
 
-    tasks = []
+    tasks, slivers = [], {}
     extra_value = extra_err = 0.0
     if lo == -math.inf:
         tasks.append(_tail_task(T, -1, tail_lo))
@@ -336,17 +336,19 @@ def _plan(point_fn, spec: IntervalSpec):
             pieces = [(c, mid), (mid, d)]
         for (a, b) in pieces:
             if _needs_soften(finite_hints.get(a)):
-                task, ev, ee = _edge_task(point_fn, a, b, "left", finite_hints[a])
+                task, ev, ee, sliver = _edge_task(point_fn, a, b, "left", finite_hints[a])
             elif _needs_soften(finite_hints.get(b)):
-                task, ev, ee = _edge_task(point_fn, a, b, "right", finite_hints[b])
+                task, ev, ee, sliver = _edge_task(point_fn, a, b, "right", finite_hints[b])
             else:
-                task, ev, ee = (None, a, b), 0.0, 0.0
+                task, ev, ee, sliver = (None, a, b), 0.0, 0.0, None
+            if sliver:
+                slivers[len(tasks)] = sliver
             tasks.append(task)
             extra_value += ev
             extra_err += ee
     if hi == math.inf:
         tasks.append(_tail_task(T, +1, tail_hi))
-    return tasks, extra_value, extra_err
+    return tasks, extra_value, extra_err, slivers
 
 
 def _compose(f, xmap):
@@ -416,7 +418,7 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, max_panels=_MAX_PANELS,
         probes.append(x)
         return float(np.asarray(f(np.array([x])), dtype=float)[0])
 
-    tasks, extra_value, extra_err = _plan(point_fn, interval)
+    tasks, extra_value, extra_err, _ = _plan(point_fn, interval)
     tasks = [t for t in tasks if t[1] < t[2]]
 
     heap = []
@@ -613,13 +615,17 @@ class GramQuad:
     """Entry-wise outcome of integrate_gram: (K, K) value and summed error
     matrices, the entries that met the stopping rule, and the GK15 panels
     evaluated and integrand points sampled (15 per panel plus one per
-    endpoint-sliver probe), as QuadResult counts them."""
+    endpoint-sliver probe), as QuadResult counts them.  mesh, for a tree
+    started from this one: the (folded) interval, tasks, slivers and final
+    panels (task, lo, hi, depth), retired ones included; None once a
+    non-finite sliver was retired."""
 
     value: np.ndarray
     error: np.ndarray
     converged: np.ndarray
     panels: int
     evals: int
+    mesh: tuple | None = field(default=None, repr=False)
 
 
 def _gk_blocks(wdx, L, R, h):
@@ -668,7 +674,7 @@ def _by_panel(rows):
     return rows.reshape(len(rows), -1, 15).transpose(1, 2, 0)
 
 
-def integrate_gram(sample, interval, scale=None, *, fold=False) -> GramQuad:
+def integrate_gram(sample, interval, scale=None, *, fold=False, start=None) -> GramQuad:
     """Every inner product int w L_i R_j dx on one adaptive GK15 panel tree.
 
     sample(x) returns (w, L, R): the weight at the points x (or a scalar)
@@ -687,9 +693,15 @@ def integrate_gram(sample, interval, scale=None, *, fold=False) -> GramQuad:
     while the members overflow).  Every round samples the new panels of
     all tasks in one call.
 
+    start, a GramQuad of a tree on the same interval, starts the tree from
+    its final panels and planned tasks instead, fitting only the endpoint
+    slivers' masses again; if one fit fails, or start kept no mesh or ran
+    on another interval, the tree plans and starts cold.
+
     Entry (i, j) meets the stopping rule once its summed error is at most
-    1e-9 scale[i, j].  scale None takes entry_scale(d_i, d_j) from the
-    tree's own running diagonal d (a Gram block); a running scale that is
+    1e-9 scale[i, j].  scale is an array, or a function of the running
+    totals that returns one; None takes entry_scale(d_i, d_j) from the
+    tree's own running diagonal d (a Gram block).  A running scale that is
     not finite is no scale, so its entry neither closes nor drives splits,
     and comes back unconverged.  An entry of infinite given scale is
     sampled with the rest but never holds the tree open, and so reads
@@ -700,10 +712,10 @@ def integrate_gram(sample, interval, scale=None, *, fold=False) -> GramQuad:
     resolution limit retires the sliver with half its parent's error.
 
     A panel whose error stays below every share it could still be held to
-    is folded into running totals, so only splittable panels keep
-    per-panel state.  Past a memory allowance of about 4 MB of blocks, the
-    panels with the smallest share of open error are folded in too, their
-    error staying on the books.
+    is folded into running totals, so only splittable panels keep their
+    blocks (the mesh keeps every panel's bounds).  Past a memory allowance
+    of about 4 MB of blocks, the panels with the smallest share of open
+    error are folded in too, their error staying on the books.
 
     fold=True declares the weight even and row k of each set of parity k
     on a symmetric interval: the tree runs on [0, hi), entries of mixed
@@ -732,7 +744,28 @@ def integrate_gram(sample, interval, scale=None, *, fold=False) -> GramQuad:
             return np.broadcast_to(w, (1,))[0] * np.outer(
                 np.asarray(L, dtype=float)[:, 0], np.asarray(R, dtype=float)[:, 0])
 
-    tasks, extra_value, extra_err = _plan(point_fn, interval)
+    mesh = start.mesh if start is not None else None
+    mesh = mesh if mesh and mesh[0] == interval else None
+    fits = [_power_tail_mass(point_fn, *args) for args in mesh[2].values()] if mesh else []
+    if mesh is None or not all(fits):
+        tasks, extra_value, extra_err, slivers = _plan(point_fn, interval)
+        # _plan puts the lower tail first and the upper tail last: a tail
+        # starts whole, a finite task as _START_PANELS panels by halving
+        tails = {k for k, end in ((0, interval.lo), (len(tasks) - 1, interval.hi))
+                 if math.isinf(end)}
+        starts = []
+        for k, (_, a, b) in enumerate(tasks):
+            if not a < b:
+                continue
+            depth = 0 if k in tails else _START_PANELS.bit_length() - 1
+            edges = [float(a), float(b)]
+            for _ in range(depth):
+                edges = [y for x, z in zip(edges, edges[1:])
+                         for y in (x, 0.5 * (x + z))] + edges[-1:]
+            starts += [(k, x, z, depth) for x, z in zip(edges, edges[1:])]
+    else:
+        _, tasks, slivers, starts = mesh
+        extra_value, extra_err = sum(f[1] for f in fits), sum(f[2] for f in fits)
     mapped = [(k, xmap) for k, (xmap, _, _) in enumerate(tasks) if xmap is not None]
 
     def folded(block):
@@ -765,31 +798,20 @@ def integrate_gram(sample, interval, scale=None, *, fold=False) -> GramQuad:
             kron, err, finite = _gk_blocks(wdx, Lp, Lp if R is L else _by_panel(R), h)
         return folded(kron), folded(err), finite
 
-    # live panels: rows of (task, lo, hi, depth), value blocks, error blocks.
-    # _plan puts the lower tail first and the upper tail last: a tail starts
-    # whole, a finite task as _START_PANELS panels by repeated halving
-    tails = {k for k, end in ((0, interval.lo), (len(tasks) - 1, interval.hi))
-             if math.isinf(end)}
-    starts = []
-    for k, (_, a, b) in enumerate(tasks):
-        if not a < b:
-            continue
-        depth = 0 if k in tails else _START_PANELS.bit_length() - 1
-        edges = [float(a), float(b)]
-        for _ in range(depth):
-            edges = [y for x, z in zip(edges, edges[1:]) for y in (x, 0.5 * (x + z))] + edges[-1:]
-        starts += [(k, x, z, depth) for x, z in zip(edges, edges[1:])]
+    # live panels: rows of (task, lo, hi, depth), value blocks, error blocks
     meta = np.array(starts, dtype=float)
-    start = len(meta)
+    first = len(meta)
     val, err = evaluate(meta)[:2]
     shape = val.shape[1:]
     acc_val = folded(np.full(shape, extra_value, dtype=float))
     acc_err = folded(np.full(shape, extra_err, dtype=float))
+    kept, lost = [], False      # the retired panels' rows, for the mesh
     retired = 0
     splits = 0
-    max_leaves = start + _MAX_PANELS + 1
+    max_leaves = first + _MAX_PANELS + 1
     max_live = max(16, _LIVE_ENTRIES // val[0].size)
-    if scale is not None:
+    running = scale is None or callable(scale)
+    if not running:
         target = _RTOL * scale
         held = np.isfinite(scale)
         every = held.all()
@@ -798,9 +820,9 @@ def integrate_gram(sample, interval, scale=None, *, fold=False) -> GramQuad:
     while True:
         total = acc_val + val.sum(axis=0)
         errs = acc_err + err.sum(axis=0)
-        if scale is None:
+        if running:
             d = np.diag(total)
-            target = _RTOL * entry_scale(d[:, None], d)
+            target = _RTOL * (entry_scale(d[:, None], d) if scale is None else scale(total))
             # a running scale that is not finite is no scale: never met
             held = np.isfinite(target)
             target[~held] = math.nan
@@ -825,6 +847,7 @@ def integrate_gram(sample, interval, scale=None, *, fold=False) -> GramQuad:
             acc_val += val[parked].sum(axis=0)
             acc_err += err[parked].sum(axis=0)
             retired += len(parked)
+            kept.append(meta[parked])
 
         # each picked panel's two halves, lower first
         children = np.repeat(meta[pick], 2, axis=0)
@@ -849,6 +872,7 @@ def integrate_gram(sample, interval, scale=None, *, fold=False) -> GramQuad:
             if sliver.any():
                 acc_err += 0.5 * parent_err[sliver].sum(axis=0)
                 retired += int(sliver.sum())
+                lost = True     # a restart would sample the sliver again
                 children, c_val, c_err = children[~sliver], c_val[~sliver], c_err[~sliver]
 
         meta = np.concatenate((meta[keep], children))
@@ -868,7 +892,9 @@ def integrate_gram(sample, interval, scale=None, *, fold=False) -> GramQuad:
             acc_val += val[done].sum(axis=0)
             acc_err += err[done].sum(axis=0)
             retired += np.count_nonzero(done)
+            kept.append(meta[done])
             meta, val, err = meta[~done], val[~done], err[~done]
 
-    panels = start + 2 * splits
-    return GramQuad(total, errs, errs <= target, panels, 15 * panels + len(probes))
+    panels = first + 2 * splits
+    mesh = None if lost else (interval, tasks, slivers, np.concatenate(kept + [meta]))
+    return GramQuad(total, errs, errs <= target, panels, 15 * panels + len(probes), mesh)

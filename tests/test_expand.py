@@ -398,26 +398,128 @@ def test_series_reports_whether_its_residual_closed(basis, closed):
     assert ExpansionSeries(basis, ser.coefficients, 8, 0.0, 0.0).residual_converged
 
 
-@pytest.mark.parametrize("f, basis, nmax", [(np.sin, GUP(1, 1), 8), (np.abs, U(0.5), 12)],
-                         ids=["sin-GUP(1,1)@8", "abs-U(0.5)@12"])
-def test_series_reports_what_its_trees_cost(f, basis, nmax, monkeypatch):
-    # the counts total expand's own trees (||f||^2, numerator tries, residual);
-    # the Gram check runs on sturm's binding, which is not wrapped
+@pytest.mark.parametrize("f, basis, nmax, count", [
+    (np.sin, GUP(1, 1), 8, 2), (np.abs, U(0.5), 12, 2), (np.sin, V(0.6), 8, 3)],
+    ids=["sin-GUP(1,1)@8", "abs-U(0.5)@12", "sin-V(0.6)@8"])
+def test_series_reports_what_its_trees_cost(f, basis, nmax, count, monkeypatch):
+    # the counts total expand's own trees: ||f||^2 and the numerators on
+    # one, the residual started on its panels, but three (each planned)
+    # where a hinted exponent is negative; the Gram check runs on sturm's
+    # binding, which is not wrapped (and runs before the plans are counted)
+    from symortho import quadrature
+    expand(f, basis, nmax)
     expand_mod = importlib.import_module("symortho.expand")
     real, trees = expand_mod.integrate_gram, []
+    real_plan, plans = quadrature._plan, []
 
     def counted(*args, **kwargs):
         trees.append(real(*args, **kwargs))
         return trees[-1]
     monkeypatch.setattr(expand_mod, "integrate_gram", counted)
+    monkeypatch.setattr(quadrature, "_plan", lambda *a: plans.append(0) or real_plan(*a))
     ser = expand(f, basis, nmax)
-    assert len(trees) >= 3
+    assert len(trees) == count
+    assert len(plans) == (1 if count == 2 else count)
     assert ser.panels == sum(t.panels for t in trees) > 0
     assert ser.evals == sum(t.evals for t in trees) >= 15 * ser.panels
     assert ExpansionSeries(basis, ser.coefficients, nmax, 0.0, 0.0).panels == 0
 
 
+@pytest.mark.parametrize("u", [0, 0.5], ids=["GHP(0)", "GHP(0.5)"])
+def test_residual_on_the_numerators_panels_matches_mpmath(u):
+    # int W (f - sum q_n phi_n)^2 with the series' own q; a cold residual
+    # tree stopped on a coarse mesh, its target 1e-9 ||f||^2 far above the
+    # residual, and read 1.9637e-5 and 3.3049e-5 here (5.3% and 1.0% off)
+    from symortho.sturm import _adapt
+    ser = expand(lambda x: np.sin(1.5 * x), GHP(u), 12)
+    q = np.asarray(ser.coefficients)
+    rows = _adapt(GHP(u)).rows(12)
+
+    def g2(x):
+        s = float(q @ rows(np.array([float(x)]))[:, 0])
+        return abs(x) ** (2 * u) * mpmath.exp(-x * x) * (mpmath.sin(1.5 * x) - s) ** 2
+    with mpmath.workdps(30):
+        # past |x| = 30 the weight is below e^-900
+        want = float(mpmath.quad(g2, [-30, -6, -3, 0, 3, 6, 30]))
+    assert abs(ser.residual ** 2 - want) <= 1e-8 * want
+
+
 # ------------------------------------------- coefficients on one panel tree
+
+
+@pytest.mark.parametrize("basis", [GUP(1, 1), GHP(0.5), U(0.5), Pm(1)], ids=repr)
+def test_one_tree_for_the_norm_and_numerators_matches_two(basis, monkeypatch):
+    # the fused tree's (0, 0) is ||f||^2 and its (0, 1..) the numerators:
+    # the separate 1x1 and 1xK trees give them within 1e-9 of each scale
+    from symortho.quadrature import entry_scale, integrate_gram
+    from symortho.sturm import _adapt
+    expand_mod = importlib.import_module("symortho.expand")
+    trees = []
+    monkeypatch.setattr(expand_mod, "integrate_gram",
+                        lambda *a, **k: trees.append(integrate_gram(*a, **k)) or trees[-1])
+    f = lambda x: np.sin(1.5 * x) + np.abs(x)     # noqa: E731
+    expand(f, basis, 8)
+    fused = trees[0]
+    assert fused.value.shape == (1, 10 - basis.base if isinstance(basis, Pm) else 10)
+    ad = _adapt(basis)
+    rows = ad.rows(8)
+    ff = integrate_gram(lambda x: (ad.weight(x),) + (f(x)[None, :],) * 2, ad.interval(0))
+    f_norm2 = ff.value[0, 0]
+    norms = np.array(_norms(basis, 8))
+    num = integrate_gram(lambda x: (ad.weight(x), f(x)[None, :], rows(x)), ad.interval(1),
+                         entry_scale(f_norm2, norms[None, :]))
+    assert ff.converged.all() and num.converged.all()
+    assert abs(fused.value[0, 0] - f_norm2) <= 1e-9 * f_norm2
+    assert np.all(np.abs(fused.value[0, 1:] - num.value[0]) <= 1e-9 * entry_scale(f_norm2, norms))
+
+
+@pytest.mark.parametrize("f, basis", [(lambda x: np.exp(x * x), GHP(0)), (np.exp, FiniteII(9))],
+                         ids=["exp(x^2)-GHP(0)", "exp-FiniteII(9)"])
+def test_refusals_keep_their_type(f, basis):
+    with pytest.raises(NonSquareIntegrable, match=r"int W\* f\^2 did not converge .* panels"):
+        expand(f, basis, 8)
+
+
+def test_an_overflowing_norm_is_refused_in_the_first_round(monkeypatch):
+    # ||f||^2 overflows, so no entry of the fused tree is held to a scale
+    from symortho import quadrature
+    f = lambda x: 1e200 * np.sin(x)     # noqa: E731
+    with pytest.raises(NonSquareIntegrable):
+        expand(f, GUP(1, 1), 8)         # verifies the basis, once
+    rounds = []
+    real = quadrature._gk_blocks
+    monkeypatch.setattr(quadrature, "_gk_blocks", lambda *a: rounds.append(0) or real(*a))
+    with pytest.raises(NonSquareIntegrable, match="estimate inf"):
+        expand(f, GUP(1, 1), 8)
+    assert len(rounds) == 1
+
+
+def test_an_open_coefficient_says_which_and_what_it_cost(monkeypatch):
+    from symortho import quadrature
+    expand_mod = importlib.import_module("symortho.expand")
+    real, trees = expand_mod.integrate_gram, []
+
+    def starved(*args, **kwargs):
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 0)
+        trees.append(real(*args, **kwargs))
+        return trees[-1]
+    monkeypatch.setattr(expand_mod, "integrate_gram", starved)
+    with pytest.raises(MaxDepthExceeded, match=r"f phi_n, n = \d+, inconclusive") as exc:
+        expand(lambda x: np.abs(x - 0.3), GUP(0, 0), 8)
+    part = exc.value.partial
+    assert part.reason == "budget" and not part.converged
+    assert part.panels == sum(t.panels for t in trees) > 0
+    assert part.evals == sum(t.evals for t in trees) >= 15 * part.panels
+    k = int(str(exc.value).split("n = ")[1].split(",")[0])
+    assert part.abs_error_estimate == trees[-1].error[0, k + 1] > 0
+
+
+def test_an_open_norm_says_what_it_cost(tree_panels):
+    with pytest.raises(NonSquareIntegrable) as exc:
+        expand(lambda x: np.exp(x * x), GHP(0), 8)
+    msg = str(exc.value)
+    assert f"after {sum(tree_panels)} panels, {15 * sum(tree_panels)} evals" in msg
+    assert " +- " in msg
 
 
 _BASES = [GUP(1, 1), GUP(Fraction(1, 2), Fraction(1, 2)), GUP(0.3, -0.4), GHP(0),

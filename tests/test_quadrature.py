@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symortho import quadrature
+from symortho import GUP, quadrature
+from symortho.legendre import U
 from symortho.quadrature import (_NODES, _WGF, _WK, IntervalSpec, _gk_panel,
                                  certifies_divergence, exponent_scan, integrate,
                                  integrate_gram)
@@ -699,3 +700,67 @@ def test_parity_shortcuts_report_what_they_sampled():
     half = integrate(_gauss_x4, IntervalSpec(0.0, math.inf), atol=0.5e-10)
     assert even.panels == half.panels > 0 and even.evals == half.evals
     assert even.value == 2.0 * half.value
+
+
+# ------------------------------------------------ a tree started from another
+
+
+def _block_sampler(basis, nmax):
+    from symortho.sturm import _adapt
+    ad = _adapt(basis)
+    rows = ad.rows(nmax)
+
+    def sample(x):
+        P = rows(x)
+        return ad.weight(x), P, P
+    return ad, rows, sample
+
+
+@pytest.mark.parametrize("basis", [GUP(1, 1), U(-0.5)], ids=repr)
+def test_a_tree_started_from_another_matches_a_cold_one(basis):
+    # expand's residual starts on its numerators' panels; U(-0.5)'s
+    # endpoints carry slivers, whose masses the started tree fits again
+    ad, rows, sample = _block_sampler(basis, 8)
+    interval = ad.interval(2)
+    cold = integrate_gram(sample, interval)
+    other = integrate_gram(lambda x: (ad.weight(x), np.sin(1.5 * x)[None, :], rows(x)),
+                           interval, np.ones((1, 9)))
+    assert bool(other.mesh[2]) == (basis == U(-0.5))
+    warm = integrate_gram(sample, interval, start=other)
+    d = np.diag(cold.value)
+    assert warm.converged.all()
+    assert np.all(np.abs(warm.value - cold.value) <= 1e-9 * quadrature.entry_scale(d[:, None], d))
+    assert warm.panels >= len(other.mesh[3])
+
+
+def test_a_started_tree_takes_the_first_trees_plan(monkeypatch):
+    ad, _, sample = _block_sampler(GUP(1, 1), 8)
+    first = integrate_gram(sample, ad.interval(2))
+    plans = []
+    real = quadrature._plan
+    monkeypatch.setattr(quadrature, "_plan", lambda *a: plans.append(0) or real(*a))
+    again = integrate_gram(sample, ad.interval(2), start=first)
+    assert plans == [] and again.panels == len(first.mesh[3])
+    # the same leaves, retired ones included
+    panels = again.mesh[3]
+    assert sorted(map(tuple, panels[:, :3])) == sorted(map(tuple, first.mesh[3][:, :3]))
+
+
+def test_a_start_on_another_interval_is_a_cold_tree():
+    ad, _, sample = _block_sampler(GUP(1, 1), 4)
+    first = integrate_gram(sample, IntervalSpec(-1.0, 1.0, ((0.0, None),)))
+    cold = integrate_gram(sample, ad.interval(2))
+    started = integrate_gram(sample, ad.interval(2), start=first)
+    assert np.array_equal(started.value, cold.value) and started.panels == cold.panels
+
+
+def test_a_callable_scale_is_read_from_the_running_totals():
+    # None is the running-diagonal rule, which a function can spell out
+    ad, _, sample = _block_sampler(GUP(1, 1), 6)
+
+    def diagonal(total):
+        d = np.diag(total)
+        return quadrature.entry_scale(d[:, None], d)
+    implicit = integrate_gram(sample, ad.interval(2))
+    spelled = integrate_gram(sample, ad.interval(2), diagonal)
+    assert np.array_equal(implicit.value, spelled.value) and implicit.panels == spelled.panels
