@@ -34,7 +34,7 @@ from .core import (ClassParams, Recurrence, blockwise,  # noqa: F401
                    poly_from_params)
 from .errors import ConstraintViolation, SingularPoint
 from .families import GUP, norm_squared, norms_squared
-from .quadrature import IntervalSpec
+from .quadrature import IntervalSpec, entry_scale
 from .special import binom, gamma_fn
 
 E_CHOICES = ("zero", "-2/x^2")
@@ -76,7 +76,8 @@ class _Kind:
     """A Legendre kind defines mu_nu, norm, recurrence (of its members'
     polynomial factors), prefactor, log_derivs and hints.  It is its own
     Gram adapter (sturm.gram_matrix): unit weight, closed-form norms, one
-    tree block, folded onto [0, 1) when its members have a parity."""
+    tree that carries every pair, folded onto [0, 1) when its members have
+    a parity."""
     base = 0
     fold = True
     rows = kind_rows
@@ -95,10 +96,14 @@ class _Kind:
         return 1.0
 
     def integrable_mask(self, nmax):
-        return np.ones((nmax + 1,) * 2, dtype=bool)    # the tree holds every pair
+        return np.ones((nmax + 1,) * 2, dtype=bool)
 
-    def tree_block(self, norms, integrable=None):
-        return self.base + len(norms) - 1, self.interval()
+    def tree_scale(self, norms, integrable):
+        d = np.abs(norms)
+        return entry_scale(d[:, None], d)       # the tree carries every pair
+
+    def pair_interval(self, degree):
+        return self.interval()
 
 
 class _ClassKind(_Kind):

@@ -95,8 +95,8 @@ class QuadResult:
       odd-parity   the odd-parity shortcut, with nothing sampled
       runaway      the total grew past 1e12 times its first value
       growth       the growth record of the total looked divergent
-      depth-chain  a panel at the depth limit was non-finite, or the growth
-                   record looked divergent when one got there
+      depth-chain  the growth record looked divergent when a panel got to
+                   the depth limit
       blowup       a non-finite child from depth 8 on
       budget       no verdict when the splits ran out or every panel was
                    parked at the depth limit
@@ -478,8 +478,6 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, max_panels=_MAX_PANELS,
 
         _, _, g, a, b, val, err, depth = heapq.heappop(heap)
         if depth >= _MAX_DEPTH:
-            if not math.isfinite(err):
-                return result(False, True, "depth-chain")
             # a chain that needed the whole depth budget is the signature of
             # slow (e.g. logarithmic) divergence; look at the growth record
             # now, before the remaining panels dilute it
@@ -634,8 +632,9 @@ def _gk_blocks(wdx, L, R, h):
     wdx (np, 15) is weight times dx/dt at the nodes, L (np, 15, KL) and
     R (np, 15, KR) the two row sets there (R is L for a Gram block) and
     h (np,) the half-widths.  The error of each entry is |Kronrod - Gauss|,
-    floored at the rounding level of its absolute mass; a panel with a
-    non-finite sample gets value 0 and error inf.
+    floored at the rounding level of its absolute mass: inf where the sums
+    overflow, whose difference inf - inf is nan.  A panel with a non-finite
+    sample gets value 0 and error inf.
     """
     gram = R is L
     finite = np.isfinite(wdx).all(axis=1) & np.isfinite(L).all(axis=(1, 2))
@@ -653,7 +652,7 @@ def _gk_blocks(wdx, L, R, h):
     delta = np.abs((Lt * (wdx * _WKG)[:, None, :]) @ R)
     absL = np.abs(L)
     mass = (absL.transpose(0, 2, 1) * np.abs(wk)[:, None, :]) @ (absL if gram else np.abs(R))
-    err = np.maximum(delta, 50.0 * _EPS * mass)
+    err = np.fmax(delta, 50.0 * _EPS * mass)
     if not whole:
         err[~finite] = math.inf
     return kron, err, finite

@@ -283,12 +283,12 @@ class _FamilyBasis:
     """Basis adapter for a family spec.  Adapters give the weight, the
     rows evaluator of members base..nmax (by recurrence), the quadrature
     interval, the closed-form norms (None where refused; a family's are
-    its tuple's Class's), whether the Gram tree may fold by parity, where
-    the tree block ends and which pairs are integrable.  A block that ends
-    short of nmax also carries the pairs outside it that off_block admits.
-    Every other integrable pair takes inner; a pair that is not is a cliff
-    where cliffs certifies it, and is left inconclusive, with no integral,
-    elsewhere."""
+    its tuple's Class's), whether the Gram tree may fold by parity, which
+    pairs are integrable and, by one per-pair rule, which of them the Gram
+    tree carries (tree_scale).  Every other even integrable pair takes
+    inner, and an odd one is exactly 0; a pair that is not integrable is a
+    cliff where cliffs certifies it, and is left inconclusive, with no
+    integral, elsewhere."""
     fold = True
 
     def __init__(self, spec):
@@ -314,24 +314,33 @@ class _FamilyBasis:
         # the weight's own hints: polynomial members add integer exponents
         return self.pair_interval(0)
 
-    def tree_block(self, norms, integrable=None):
-        """(K, interval) of the Gram tree block base..K.  K is the degree
-        before the first that has no norm or whose diagonal is not integrable
-        (integrable_mask(nmax) unless given; then so is every pair below it),
-        lowered while (K, K) may lose mass past x_w (block_lost), in x or in
-        t: such a block is right only while the tree does not refine there.
-        base - 1 if none, nmax with no degree bound.  The interval is hinted
-        for the block's widest product, of degree 2K."""
-        if integrable is None:
-            integrable = self.integrable_mask(self.base + len(norms) - 1)
-        end = self.base - 1
-        for n, d in enumerate(norms, start=self.base):
-            if d is None or not integrable[n, n]:
-                break
-            end = n
-        while self.block_lost(end, norms):
-            end -= 1
-        return end, self.pair_interval(2 * end)
+    def tree_scale(self, norms, integrable):
+        """The Gram tree's scale over n, m = 0..nmax, inf where it carries no
+        pair.  It carries each even integrable (n, m), n >= m, with a norm
+        d_m, whose member n lies below any pole and stays finite before x_w,
+        and whose mass past x_w, 2 x_w^s / -s for a product ~ |x|^(s - 1),
+        is at most 1e-9 of its scale entry_scale(d_n, d_m), d_n falling back
+        to d_m.  The leading square of degrees whose even pairs are all
+        carried keeps its scale whole, mirrored and with its odd pairs (0 by
+        the fold), so that the tree tests one full square there."""
+        size = len(norms)
+        d = np.array([math.nan if d is None else abs(d) for d in norms])
+        has = ~np.isnan(d)
+        scale = entry_scale(np.where(has[:, None], d[:, None], d), d)
+        g = self.spec.exponents.tail
+        if has.all() and g == -math.inf:
+            return scale    # no pole, and every pair integrable with no tail to lose
+        n, m = np.arange(size)[:, None], np.arange(size)
+        top = size - 1 if has.all() else _rows_below_pole(self.spec.params, size - 1)[0]
+        even = (n >= m) & ((n + m) % 2 == 0)
+        carried = even & integrable & has & (n <= top)
+        if g > -math.inf and has.any():     # with no norm, g may be 0 and x_w undefined
+            s = g + n + m + 1
+            with np.errstate(over="ignore"):    # s >= 0 only at pairs not integrable
+                carried &= (n * self.log_xw < _LOG_HUGE) & (
+                    2 * np.exp(s * self.log_xw) <= -s * _RTOL * scale)
+        k = np.cumprod((carried == even).all(axis=1)).sum()     # the square's rows 0..k-1
+        return np.where(carried | ((n < k) & (m < k)), scale, math.inf)
 
     def pair_interval(self, degree):
         return self.spec.interval(tail_power=degree)
@@ -345,42 +354,10 @@ class _FamilyBasis:
         return ((origin + (low[:, None] + low) > -1) & (theta == math.inf or edge > -1)
                 & (self.spec._tail_margin(n, m) < 0))
 
-    def off_block(self, end, nmax, norms, integrable=None):
-        """{(n, m): scale} of the pairs the tree of the block base..end carries:
-        each even integrable (n, m), n > end, whose members lie below any pole
-        and stay finite before x_w, and whose own tail past x_w holds at most
-        1e-9 of its scale (_tail_lost), which is entry_scale(d_n, d_m) of the
-        norms of degrees 0..nmax, gram_matrix's, d_n falling back to d_m.
-        The block holds its own tails (tree_block)."""
-        integrable = self.integrable_mask(nmax) if integrable is None else integrable
-        d = norms       # a family's base is 0
-        pairs = [(n, m) for n in range(end + 1, nmax + 1) for m in range(n + 1)
-                 if (n + m) % 2 == 0 and integrable[n, m] and d[m] is not None]
-        top = _rows_below_pole(self.spec.params, max([n for n, _ in pairs], default=end), end)[0]
-        g = self.spec.exponents.tail
-        out = {}
-        for n, m in pairs:
-            scale = float(entry_scale(d[m] if d[n] is None else d[n], d[m]))
-            if (n <= top and n * self.log_xw < _LOG_HUGE
-                    and not self._tail_lost(g + n + m + 1, scale)):
-                out[n, m] = scale
-        return out
-
     @property
     def log_xw(self):
         """log x_w: past x_w the weight the tree samples underflows to 0."""
         return _LOG_TINY / self.spec.exponents.tail
-
-    def block_lost(self, end, norms):
-        """Whether (end, end) may lose 1e-9 of the block's least norm past x_w."""
-        g = self.spec.exponents.tail
-        return end >= self.base and g > -math.inf and self._tail_lost(
-            g + 2 * end + 1, min(abs(d) for d in norms[:end - self.base + 1]))
-
-    def _tail_lost(self, s, d):
-        """Whether a product ~ |x|^(s - 1), s < 0, may hold more than 1e-9 |d|
-        past x_w (2 x_w^s / -s)."""
-        return 2 * math.exp(s * self.log_xw) > -s * _RTOL * abs(d)
 
     def cliffs(self, nmax, phi):
         """The mask, at [n, m] for n, m = 0..nmax, of the pairs (read only
@@ -392,7 +369,7 @@ class _FamilyBasis:
         recurrence are its rows; each member from the pole on is phi(n), its
         own SymmetricPoly (None where it does not exist, whose pairs never
         certify)."""
-        top, rows = _rows_below_pole(self.spec.params, nmax, self.base)
+        top, rows = _rows_below_pole(self.spec.params, nmax)
         wlog = self.spec.weight_log
 
         def members(x):
@@ -410,11 +387,8 @@ class _FamilyBasis:
         return certified
 
     def inner(self, phi_a, phi_b, n, m):
-        """The entry (n, m) of an absolutely integrable pair that the tree
-        does not hold: exactly 0 for an odd product, and one integrate call
-        on the right half-line for an even one."""
-        if (n + m) % 2:
-            return QuadResult(0.0, 0.0, True, False)
+        """The entry (n, m) of an even absolutely integrable pair that the
+        tree does not carry: one integrate call on the right half-line."""
         wlog = self.spec.weight_log
 
         def f(x):
@@ -445,39 +419,30 @@ def _adapt(basis):
     raise TypeError(f"cannot build a basis from {basis!r}")
 
 
-def _rows_below_pole(params, top, floor):
-    """(t, member_rows(params, t)) for the largest t in floor..top with no
-    pole in the recurrence; it raises if floor's members have one."""
-    for t in range(top, floor, -1):
+def _rows_below_pole(params, top):
+    """(t, member_rows(params, t)) for the largest t in 0..top with no pole
+    in the recurrence."""
+    for t in range(top, 0, -1):
         try:
             return t, member_rows(params, t)
         except PoleError:
             pass
-    return floor, member_rows(params, floor)
+    return 0, member_rows(params, 0)
 
 
-def _shared_tree(ad, end, interval, norms, off):
-    """One panel tree for the block base..end and the pairs off ({(n, m):
-    scale}, n > end): rows base..top, the highest n, against columns
-    base..right, the widest m or end, hinted for the widest product.  A
-    block entry is held to 1e-9 entry_scale(d_n, d_m), d the norms, a pair
-    of off to 1e-9 its scale, and the rest to nothing.  Returns the
-    tree's GramQuad."""
-    b = ad.base
-    top, right = max([n for n, _ in off] + [end]), max([m for _, m in off] + [end])
-    wide = max([n + m for n, m in off] + [2 * end])
-    interval = ad.pair_interval(wide) if wide > 2 * end else interval
-    rows = ad.rows(top)
+def _shared_tree(ad, scale):
+    """The GramQuad of one panel tree for the pairs scale holds, each to
+    1e-9 of its scale: rows base..top against columns base..right, the last
+    row and column that hold one, hinted for the widest product."""
+    n, m = np.nonzero(np.isfinite(scale))
+    top, right = n.max(), m.max()
+    rows = ad.rows(top + ad.base)
 
     def sample(x):
         P = rows(x)
-        return ad.weight(x), P, P[:right - b + 1] if right < top else P
-    d = np.abs(norms)
-    scale = np.full((top - b + 1, right - b + 1), math.inf)
-    scale[:end - b + 1, :end - b + 1] = entry_scale(d[:, None], d)
-    for (n, m), s in off.items():
-        scale[n - b, m - b] = s
-    return integrate_gram(sample, interval, scale, fold=ad.fold)
+        return ad.weight(x), P, P[:right + 1] if right < top else P
+    return integrate_gram(sample, ad.pair_interval((n + m).max() + 2 * ad.base),
+                          scale[:top + 1, :right + 1], fold=ad.fold)
 
 
 # an entry that takes no integral, and the QuadResult fields gram_matrix
@@ -487,16 +452,15 @@ _FIELDS = tuple(f.name for f in fields(QuadResult))
 
 
 def _entry_by_entry(ad, nmax, cells, todo, integrable):
-    """Fill cells[n - base, m - base] for the pairs todo marks, which the
-    tree does not hold: ad.inner for a pair integrable marks, else no integral,
-    diverged where ad.cliffs (built at the first such pair) certifies the
-    divergence.  Returns the masks of the cells a missing member leaves
-    as _NO_QUAD and of the certified cliffs."""
+    """Fill cells[n, m] for the pairs todo marks, which the tree does not
+    carry (a family's, of base 0): a pair with a member that cannot be built
+    stays _NO_QUAD, an odd integrable pair is exactly 0 and an even one
+    takes ad.inner; any other takes no integral, diverged where ad.cliffs
+    certifies the divergence.  Returns the masks of the missing cells and
+    of the certified cliffs."""
     missing, cliff = np.zeros_like(todo), np.zeros_like(todo)
     if not todo.any():
         return missing, cliff
-    b = ad.base
-    certified = None
 
     @functools.lru_cache(maxsize=None)
     def phi(n):
@@ -505,20 +469,20 @@ def _entry_by_entry(ad, nmax, cells, todo, integrable):
         except (DegenerateDenominator, ZeroLeadingCoefficient):
             return None
 
-    for i, j in np.argwhere(todo).tolist():
-        n, m = i + b, j + b
-        if phi(n) is None or phi(m) is None:
-            missing[i, j] = True
-            continue
-        if integrable[n, m]:
-            quad = ad.inner(phi(n), phi(m), n, m)
-            for name in _FIELDS:
-                cells[name][i, j] = getattr(quad, name)
-            continue
-        if certified is None:
-            certified = ad.cliffs(nmax, phi)
-        # the cell stays _NO_QUAD, diverged where certified
-        cliff[i, j] = cells["diverged"][i, j] = certified[n, m]
+    used = todo.any(axis=0) | todo.any(axis=1)
+    gone = np.array([bool(u) and phi(k) is None for k, u in enumerate(used)])
+    missing = todo & (gone[:, None] | gone)
+    todo = todo & ~missing
+    odd = todo & integrable & (np.indices(todo.shape).sum(axis=0) % 2 == 1)
+    cells["value"][odd] = cells["abs_error_estimate"][odd] = 0.0
+    cells["converged"][odd] = True
+    for n, m in np.argwhere(todo & integrable & ~odd).tolist():
+        quad = ad.inner(phi(n), phi(m), n, m)
+        for name in _FIELDS:
+            cells[name][n, m] = getattr(quad, name)
+    if (todo & ~integrable).any():
+        cliff = todo & ~integrable & ad.cliffs(nmax, phi)
+        cells["diverged"][cliff] = True     # the cells stay _NO_QUAD otherwise
     return missing, cliff
 
 
@@ -527,18 +491,17 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
     family, a bare ClassParams (as its Class), a LambdaSpec or a Legendre kind.
 
     A family's norms are its tuple's Class's (norms_squared), to the last
-    integrable diagonal: one list gives the block, the scales, the expected
-    diagonals and the refusals, so a named family and its Class give one
-    report.  The block of degrees base..K whose norms all exist, whose
-    every pair is integrable and whose (K, K) holds its tail past the point
-    where the float weight underflows (tree_block) takes its entries from
-    one shared panel tree (quadrature.integrate_gram) on members evaluated
-    by recurrence.  Bases with no degree bound (GUP, GHP, the Legendre
-    kinds) have K = nmax.  A block that ends below nmax also carries each
-    even integrable pair outside it that off_block admits by its per-pair
-    rule, held to 1e-9 of entry_scale(d_n, d_m); one such pair the tree
-    leaves open takes its own integral.  Every other integrable entry
-    outside the block is exactly 0 (an odd pair) or one half-line integral
+    integrable diagonal: one list gives the scales, the expected diagonals
+    and the refusals, so a named family and its Class give one report.
+    One shared panel tree (quadrature.integrate_gram), on members evaluated
+    by recurrence, carries the pairs that one per-pair rule picks
+    (tree_scale), each held to 1e-9 of entry_scale(d_n, d_m): a Legendre
+    kind's tree carries every pair, and a family's or a lambda class's each
+    even integrable pair that has a norm d_m, lies below any pole and holds
+    its tail past the point where the float weight underflows.  Bases with
+    no degree bound (GUP, GHP) carry every even pair to nmax.  A carried
+    pair the tree leaves open reads inconclusive.  Outside the tree, an
+    integrable entry is exactly 0 (an odd pair) or one half-line integral
     (an even pair).
     An entry that is not integrable takes no integral: it is a cliff when
     the pair's local exponent, measured by one scan over members base..nmax,
@@ -577,27 +540,20 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
         raise ConstraintViolation(f"tol must be finite and positive, got {tol!r}")
     b, size = ad.base, nmax - ad.base + 1
     norms = ad.norms(nmax)
-    # read by the tree block, its off-block pairs and the per-entry pass
+    # read by the tree's scale and the per-entry pass
     integrable = ad.integrable_mask(nmax)
-    end, interval = ad.tree_block(norms, integrable)
+    scale = ad.tree_scale(norms, integrable)
     cells = {name: np.full((size, size), getattr(_NO_QUAD, name)) for name in _FIELDS}
     lower = np.tri(size, dtype=bool)    # the entries (n, m), n >= m; the matrix mirrors them
-    todo = lower.copy()
+    held = lower & np.isfinite(scale)
     tree_cost = 0, 0
-    if end >= b:
-        # only a basis with a degree bound or a pole ends its block short of nmax
-        off = ad.off_block(end, nmax, norms, integrable) if end < nmax else {}
-        res = _shared_tree(ad, end, interval, norms[:end - b + 1], off)
-        # the tree holds its block, and the off-block pairs it converged
-        held = lower & (np.arange(size) <= end - b)[:, None]
-        for n, m in off:
-            held[n - b, m - b] = res.converged[n - b, m - b]
+    if held.any():
+        res = _shared_tree(ad, scale)
         sub = held[:res.value.shape[0], :res.value.shape[1]]
         for name, got in zip(_FIELDS, (res.value, res.error, res.converged)):
             cells[name][held] = got[sub]
-        todo &= ~held
         tree_cost = res.panels, res.evals
-    missing, cliff = _entry_by_entry(ad, nmax, cells, todo, integrable)
+    missing, cliff = _entry_by_entry(ad, nmax, cells, lower & ~held, integrable)
     value, conv = cells["value"], cells["converged"]
 
     refused = np.array([d is None for d in norms])

@@ -27,14 +27,17 @@ import os
 import sys
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from symortho.errors import DegenerateDenominator, ZeroLeadingCoefficient
+from symortho.exponent_map import LambdaSpec
 from symortho.families import Class, FiniteI, FiniteII, pair_integrable
 from symortho.quadrature import certifies_divergence
 from symortho import sturm
 from symortho.sturm import _adapt, gram_matrix
-from test_sturm import _mp_entry
+from test_sturm import (LAMBDA_SQUARES, _carried, _lambda_two_thirds, _mp_entry, _rule_pairs,
+                        _tree_end)
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                     "finite_gram_statuses.json")
@@ -212,6 +215,22 @@ def test_no_integral_is_taken_for_a_pair_that_is_not_integrable(monkeypatch):
     calls.clear()
     assert gram_matrix(FiniteII(1.5), 10).panels <= 20      # 642 then
     assert not calls
+
+
+@pytest.mark.parametrize("spec, nmax", [(cls(*args), nmax) for cls, args, nmax in CASES]
+                         + [(_lambda_two_thirds(fam), nmax) for fam, nmax, _ in LAMBDA_SQUARES],
+                         ids=str)
+def test_tree_carries_the_pairs_of_the_per_pair_rule(spec, nmax):
+    # the tree's scale holds what a count pair by pair picks, with the same
+    # scale, and beyond that only the rest of its leading square 0..K: the
+    # upper triangle and the odd pairs, which the fold makes 0
+    lam = isinstance(spec, LambdaSpec)
+    fam, h = (Class(*spec.mapped_params), spec.lam / 2) if lam else (spec, 1)
+    assert _carried(spec, nmax) == _rule_pairs(fam, nmax, h)
+    ad, end = _adapt(spec), _tree_end(spec, nmax)
+    scale = ad.tree_scale(ad.norms(nmax), ad.integrable_mask(nmax))
+    square = {(n, m) for n in range(end + 1) for m in range(end + 1)}
+    assert set(zip(*np.nonzero(np.isfinite(scale)))) == set(_carried(spec, nmax)) | square
 
 
 def test_memoized_integrable_is_pair_integrable():

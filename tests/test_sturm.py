@@ -6,12 +6,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from symortho.core import ClassParams, poly_from_params, weight_exponents
-from symortho.errors import (ConstraintViolation, NonpositiveWeight,
+from symortho.core import ClassParams, poly_from_params, recurrence_c, weight_exponents
+from symortho.errors import (ConstraintViolation, NonpositiveWeight, PoleError,
                              SingularCoefficient)
 from symortho.expand import expand
-from symortho.exponent_map import (LambdaSpec, _LambdaBasis, _t_interval,
-                                   lambda_weight_and_gram, signed_power)
+from symortho.exponent_map import (LambdaSpec, _t_interval, lambda_weight_and_gram,
+                                   signed_power)
 from symortho import sturm
 from symortho.families import (GUP, GHP, Class, FiniteI, FiniteII, finite_degree_bound,
                                norm_squared, norms_squared, pair_integrable, weight_at)
@@ -436,12 +436,27 @@ def test_gram_refusals_unchanged_by_the_running_norm_product():
         "cliff", "degenerate", "degenerate"]
 
 
-# ------------------------------------------- finite families' tree block
+# ------------------------------------------- the pairs the Gram tree carries
+
+
+def _carried(basis, nmax):
+    """{(n, m): scale} of the even pairs n >= m that the Gram tree of a
+    basis carries (every pair of a Legendre kind with no parity)."""
+    ad = _adapt(basis)
+    scale, b = ad.tree_scale(ad.norms(nmax), ad.integrable_mask(nmax)), ad.base
+    return {(n, m): scale[n - b, m - b] for n in range(b, nmax + 1) for m in range(b, n + 1)
+            if (not ad.fold or (n + m) % 2 == 0) and math.isfinite(scale[n - b, m - b])}
 
 
 def _tree_end(basis, nmax):
-    ad = _adapt(basis)
-    return ad.tree_block(ad.norms(nmax))[0]
+    """The last degree K such that the tree carries every even pair (n, m),
+    m <= n <= K: the end of its leading square, base - 1 if none."""
+    carried, b = _carried(basis, nmax), _adapt(basis).base
+    end = b - 1
+    while end < nmax and all((end + 1, m) in carried for m in range(b, end + 2)
+                             if (end + 1 + m) % 2 == 0):
+        end += 1
+    return end
 
 
 @pytest.mark.parametrize("basis, nmax, end", [
@@ -450,27 +465,43 @@ def _tree_end(basis, nmax):
     (GUP(1, 1.5), 12, 12), (GHP(0.5), 10, 10), (Pm(2), 9, 9), (V(0.3), 6, 6)],
     ids=str)
 def test_tree_block_ends_where_a_norm_or_the_last_diagonal_fails(basis, nmax, end):
-    # every degree of the block has a norm of its Class and (end, end) is
-    # integrable and holds its tail past x_w; bases with no degree bound run
-    # to nmax
+    # every degree of the leading square has a norm of its Class, and each
+    # even pair of it is integrable and holds its tail past x_w; bases with
+    # no degree bound run to nmax
     assert _tree_end(basis, nmax) == end
 
 
-@pytest.mark.parametrize("fam, nmax, end", [
-    # the mapped class's norms end FiniteI(1/10, 5/2)'s block at 1 (at 2 in
-    # x, where (2, 2)'s tail decays faster), and FiniteII(5.55)'s
-    # (5, 5), |x|^-1.1 in x and |t|^-1.033 in t, would lose more than 1e-9
-    # of the smallest norm past the float range in t
-    (FiniteI(Fraction(1, 10), Fraction(5, 2)), 6, 1), (FiniteII(5.55), 10, 4),
-    (FiniteII(6), 8, 5), (GUP(1, 1), 6, 6)], ids=str)
-def test_lambda_tree_block_ends_where_its_tail_mass_is_held(fam, nmax, end):
+def _lambda_two_thirds(fam):
+    """The lambda = 2/3 class whose mapped class is fam's."""
     p, q, r, s = fam.params
-    ad = _LambdaBasis(LambdaSpec(p, q, (r + 2 * p) / 3, (s + 2 * q) / 3, Fraction(2, 3)))
-    got, interval = ad.tree_block(ad.norms(nmax))
-    assert got == end
-    # hinted for the even product (0, 2 end): at the origin, the weight's
-    # exponent in t alone
-    assert interval == _t_interval(weight_exponents(fam.params), Fraction(1, 3), 0, 2 * end)
+    return LambdaSpec(p, q, (r + 2 * p) / 3, (s + 2 * q) / 3, Fraction(2, 3))
+
+
+# the mapped class's norms end FiniteI(1/10, 5/2)'s square at 1 (at 2 in
+# x, where (2, 2)'s tail decays faster), and FiniteII(5.55)'s (5, 5),
+# |x|^-1.1 in x and |t|^-1.033 in t, would lose more than 1e-9 of its norm
+# past the float range in t
+LAMBDA_SQUARES = [(FiniteI(Fraction(1, 10), Fraction(5, 2)), 6, 1), (FiniteII(5.55), 10, 4),
+                  (FiniteII(6), 8, 5), (GUP(1, 1), 6, 6)]
+
+
+@pytest.mark.parametrize("fam, nmax, end", LAMBDA_SQUARES, ids=str)
+def test_lambda_tree_block_ends_where_its_tail_mass_is_held(monkeypatch, fam, nmax, end):
+    spec = _lambda_two_thirds(fam)
+    assert _tree_end(spec, nmax) == end
+    intervals = []
+    real = sturm.integrate_gram
+
+    def recording(sample, interval, *args, **kw):
+        intervals.append(interval)
+        return real(sample, interval, *args, **kw)
+    monkeypatch.setattr(sturm, "integrate_gram", recording)
+    gram_matrix(spec, nmax)
+    # hinted for the widest even product it carries: at the origin, the
+    # weight's exponent in t alone
+    wide = max(n + m for n, m in _carried(spec, nmax))
+    assert wide >= 2 * end
+    assert intervals == [_t_interval(weight_exponents(fam.params), Fraction(1, 3), 0, wide)]
 
 
 @pytest.mark.parametrize("basis", [FiniteII(6.03), FiniteII(9.02)], ids=repr)
@@ -513,9 +544,9 @@ def test_boundary_tail_pair_is_a_cliff():
 
 
 def test_odd_pairs_outside_the_block_are_exactly_zero_when_integrable():
-    ad = _adapt(FiniteII(6.009))
-    res = ad.inner(ad.phi(6), ad.phi(5), 6, 5)
-    assert (res.value, res.abs_error_estimate, res.converged) == (0.0, 0.0, True)
+    res = gram_matrix(FiniteII(6.009), 8).entry(6, 5).quad
+    assert (6, 5) not in _carried(FiniteII(6.009), 8) and pair_integrable(FiniteII(6.009), 6, 5)
+    assert res == sturm.QuadResult(0.0, 0.0, True, False)
     rep = gram_matrix(FiniteII(6.03), 16)
     assert rep.passed, rep.summary()
     for n, m in [(6, 5), (7, 4), (11, 0)]:
@@ -603,7 +634,7 @@ def test_scan_certifies_members_above_a_pole_in_the_recurrence(monkeypatch):
     assert not calls
 
 
-# --------------------------------------- off-block pairs on the block tree
+# ----------------------------- pairs outside the leading square on the tree
 
 
 # past log x_w = _LOG_TINY / g a weight |x|^g underflows to 0, and a monic
@@ -612,33 +643,50 @@ _LOG_TINY = math.log(np.finfo(float).smallest_subnormal)
 _LOG_HUGE = math.log(np.finfo(float).max)
 
 
-def _outside_pairs(basis, nmax):
-    """{(n, m): scale} of the even integrable pairs (n, m), n > K, the last
-    degree of the tree block, with scale sqrt|d_n| sqrt|d_m| of the norms
-    of the tuple's Class, d_n falling back to d_m (no d_m, no pair)."""
-    d, end = norms_squared(Class(*basis.params), nmax), _tree_end(basis, nmax)
+def _even_pairs(basis, nmax, lo=0):
+    """{(n, m): scale} of the even integrable pairs (n, m), n >= m, n >= lo,
+    whose member n lies below any pole in the recurrence, with scale
+    sqrt|d_n| sqrt|d_m| of the norms of the tuple's Class, d_n falling back
+    to d_m (no d_m, no pair)."""
+    d = norms_squared(Class(*basis.params), nmax)
+    top = nmax      # member n takes C_1..C_(n-1)
+    for k in range(1, nmax):
+        try:
+            recurrence_c(ClassParams(*basis.params), k)
+        except PoleError:
+            top = k
+            break
     return {(n, m): math.sqrt(abs(d[m] if d[n] is None else d[n])) * math.sqrt(abs(d[m]))
-            for n in range(end + 1, nmax + 1) for m in range(n + 1)
+            for n in range(lo, top + 1) for m in range(n + 1)
             if (n + m) % 2 == 0 and pair_integrable(basis, n, m) and d[m] is not None}
 
 
-def _tail_held(basis, n, m, scale):
+def _tail_held(basis, n, m, scale, h=1):
     """Whether the members n and m stay finite before x_w and the product,
     ~ |x|^(g + n + m), holds at most 1e-9 scale past x_w: 2 x_w^s / -s
-    over both tails, s = g + n + m + 1."""
+    over both tails, s = g + n + m + 1.  In t, x = t^h, the weight
+    W(|t|^h) h |t|^(h - 1) underflows past log t_w = _LOG_TINY / (h (g + 1)
+    - 1), and x_w = t_w^h.  A tail that is not algebraic holds its mass."""
     g = basis.exponents.tail
-    log_xw, s = _LOG_TINY / g, g + n + m + 1
+    if g == -math.inf:
+        return True
+    log_xw = _LOG_TINY / g if h == 1 else h * _LOG_TINY / (h * (g + 1) - 1)
+    s = g + n + m + 1
     return n * log_xw < _LOG_HUGE and 2 * math.exp(s * log_xw) / -s <= 1e-9 * scale
 
 
-def _off_block(basis, nmax):
-    """The pairs the block tree of a basis with no pole in its recurrence
-    carries, where the block's own widest product is held past x_w: the
-    even integrable pairs (n, m), n > K, whose own tails are held."""
-    ad, end = _adapt(basis), _tree_end(basis, nmax)
-    assert not ad.block_lost(end, ad.norms(end))
-    return [pair for pair, scale in _outside_pairs(basis, nmax).items()
-            if _tail_held(basis, *pair, scale)]
+def _rule_pairs(basis, nmax, h=1):
+    """{(n, m): scale} of the pairs the per-pair rule carries, counted pair
+    by pair: the even integrable pairs below any pole whose tails are held."""
+    return {pair: scale for pair, scale in _even_pairs(basis, nmax).items()
+            if _tail_held(basis, *pair, scale, h)}
+
+
+def _past_square(basis, nmax):
+    """The pairs (n, m), n > K, the end of the leading square, that the
+    per-pair rule carries."""
+    end = _tree_end(basis, nmax)
+    return [pair for pair in _rule_pairs(basis, nmax) if pair[0] > end]
 
 
 def _count_trees(monkeypatch):
@@ -657,14 +705,14 @@ def _count_trees(monkeypatch):
     (FiniteII(6), 16, 216), (FiniteII(6.02), 24, 338), (FiniteII(5.97), 8, 274)], ids=str)
 def test_off_block_pairs_come_from_the_one_tree(monkeypatch, basis, nmax, parent_panels):
     # parent_panels: the GK15 panels of the tree and the per-entry
-    # integrals when each off-block pair took an integral of its own
+    # integrals when each pair outside the square took an integral of its own
     trees = _count_trees(monkeypatch)
     calls = _count_integrals(monkeypatch)
     rep = gram_matrix(basis, nmax)
     assert rep.passed, rep.summary()
     assert len(trees) == 1 and not calls
-    assert _off_block(basis, nmax)
-    assert all(rep.entry(n, m).status == "ok" for n, m in _off_block(basis, nmax))
+    assert _past_square(basis, nmax)
+    assert all(rep.entry(n, m).status == "ok" for n, m in _past_square(basis, nmax))
     assert 4 * rep.panels <= parent_panels
 
 
@@ -682,16 +730,17 @@ def test_off_block_entries_agree_with_their_own_integrals():
     basis = FiniteII(6)
     ad = _adapt(basis)
     rep = gram_matrix(basis, 16)
-    for n, m in _off_block(basis, 16):
+    for n, m in _past_square(basis, 16):
         got = rep.entry(n, m).quad
         ref = ad.inner(ad.phi(n), ad.phi(m), n, m)
         assert got.converged and ref.converged, (n, m)
         assert abs(got.value - ref.value) <= got.abs_error_estimate + ref.abs_error_estimate, (n, m)
 
 
-def test_off_block_entries_the_tree_leaves_open_take_one_integral_each(monkeypatch):
+def test_carried_pairs_the_tree_leaves_open_read_inconclusive(monkeypatch):
+    # an open carried pair takes no integral of its own, as an open pair
+    # of the leading square never did
     basis, nmax = FiniteII(6.03), 16
-    want = gram_matrix(basis, nmax)
     real = sturm.integrate_gram
 
     def leaves_rows_open(*args, **kw):
@@ -702,25 +751,22 @@ def test_off_block_entries_the_tree_leaves_open_take_one_integral_each(monkeypat
     monkeypatch.setattr(sturm, "integrate_gram", leaves_rows_open)
     calls = _count_integrals(monkeypatch)
     rep = gram_matrix(basis, nmax)
-    assert len(calls) == len(_off_block(basis, nmax)) > 0
-    assert [e.status for e in rep.entries] == [e.status for e in want.entries]
-    assert all(rep.entry(n, m).quad.panels > 0 for n, m in _off_block(basis, nmax))
+    assert not calls and _past_square(basis, nmax)
+    assert all(rep.entry(n, m).status == "inconclusive" for n, m in _past_square(basis, nmax))
 
 
 def test_off_block_pairs_stay_off_a_tree_whose_tail_underflows(monkeypatch):
     # the products of degree 20 decay like x^-1.4, and past x_w = 1.3e15,
     # where the weight underflows, lies 4.5e-6 of each one's mass: more than
-    # 1e-9 of the block's least norm, so the block ends at 9, below (10, 10),
-    # and more than 1e-9 of the scale of (11, 9)..(18, 2).  Each of these
-    # takes an integral; every other pair rides a block that holds its tail
+    # 1e-9 of the scale of (10, 10)..(18, 2), so the leading square ends at
+    # 9.  Each of these takes an integral; every other pair rides the tree
     basis, nmax = FiniteII(10.7), 20
-    ad, norms = _adapt(basis), _adapt(basis).norms(nmax)
-    assert _tree_end(basis, nmax) == 9 and ad.block_lost(10, norms)
-    outside = _outside_pairs(basis, nmax)
+    assert _tree_end(basis, nmax) == 9 and (10, 10) not in _carried(basis, nmax)
+    outside = _even_pairs(basis, nmax, 10)
     lost = {pair for pair, scale in outside.items() if not _tail_held(basis, *pair, scale)}
-    off = ad.off_block(9, nmax, norms)
+    off = [pair for pair in _carried(basis, nmax) if pair[0] > 9]
     assert lost == {(n, 20 - n) for n in range(10, 19)}
-    assert set(off) == set(outside) - lost == set(_off_block(basis, nmax))
+    assert set(off) == set(outside) - lost == set(_past_square(basis, nmax))
     calls = _count_integrals(monkeypatch)
     rep = gram_matrix(basis, nmax)
     assert rep.passed, rep.summary()
@@ -740,7 +786,7 @@ def test_finite1_pairs_outside_its_block_come_from_the_one_tree(monkeypatch):
     rep = gram_matrix(basis, 8)
     assert len(trees) == 1 and not calls
     assert rep.panels <= 20
-    assert sorted(_off_block(basis, 8)) == [(3, 1), (4, 0)]
+    assert sorted(_past_square(basis, 8)) == [(3, 1), (4, 0)]
 
 
 @pytest.mark.parametrize("basis, nmax", [
@@ -748,7 +794,7 @@ def test_finite1_pairs_outside_its_block_come_from_the_one_tree(monkeypatch):
     (FiniteI(0.25, 2.25), 10), (FiniteI(Fraction(3, 10), 12), 16), (FiniteI(0.03, 3.59), 8),
     (FiniteI(0.09, 2.44), 21), (FiniteI(0.19, 6.72), 12)], ids=str)
 def test_no_integral_for_a_finite1_pair_the_tree_can_hold(monkeypatch, basis, nmax):
-    # every even pair that takes an integral is one off_block leaves off
+    # every pair that takes an integral is an even one the tree does not carry
     pairs = []
     real = sturm._FamilyBasis.inner
 
@@ -758,10 +804,8 @@ def test_no_integral_for_a_finite1_pair_the_tree_can_hold(monkeypatch, basis, nm
     monkeypatch.setattr(sturm._FamilyBasis, "inner", inner)
     calls = _count_integrals(monkeypatch)
     gram_matrix(basis, nmax)
-    ad, end = _adapt(basis), _tree_end(basis, nmax)
-    even = {(n, m) for n, m in pairs if (n + m) % 2 == 0}
-    assert len(calls) == len(even)
-    assert not even & set(ad.off_block(end, nmax, ad.norms(nmax)))
+    assert len(calls) == len(pairs) and all((n + m) % 2 == 0 for n, m in pairs)
+    assert not set(pairs) & set(_carried(basis, nmax))
 
 
 def _mp_entry(basis, n, m, weight):
@@ -821,7 +865,7 @@ def test_finite1_diagonals_past_its_printed_bound_are_ok(u, v, nmax):
 @pytest.mark.parametrize("basis, nmax", [
     (FiniteII(6.03), 16), (FiniteII(4.5), 10), (FiniteI(0.1, 2.5), 8), (GUP(1, 1.5), 8)], ids=str)
 def test_one_integrable_mask_per_report(monkeypatch, basis, nmax):
-    # the tree block, its off-block pairs and the per-entry pass read one mask
+    # the tree's scale and the per-entry pass read one mask
     built = []
     real = sturm._FamilyBasis.integrable_mask
 
@@ -838,8 +882,8 @@ def test_one_integrable_mask_per_report(monkeypatch, basis, nmax):
 @pytest.mark.parametrize("u", [4.5, 5.55, 6, 6.5, 8.5, 9.02, 12.25, 15.6, 17.4, 20.3, 20.55, 30.3])
 def test_tree_rows_are_finite_wherever_the_weight_is_not_zero(u):
     basis, nmax = FiniteII(u), 2 * math.ceil(u)
-    ad, end = _adapt(basis), _tree_end(basis, nmax)
-    top = max([n for n, _ in ad.off_block(end, nmax, ad.norms(nmax))], default=end)
+    ad = _adapt(basis)
+    top = max(n for n, _ in _carried(basis, nmax))
     x = np.geomspace(1.0, 1e300, 4000)
     rows, w = ad.rows(top)(x), ad.weight(x)
     assert np.isfinite(rows[:, w > 0]).all()
