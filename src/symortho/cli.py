@@ -140,11 +140,12 @@ def _cmd_coeffs(args):
 def _cmd_gram(args):
     fam, _ = _class_of(args)
     rep = gram_matrix(fam, args.nmax, args.tol)
+    col = rep.entries.column
     doc = {"pass": bool(rep.passed),
-           "entries": [{"n": e.n, "m": e.m, "value": _jsonable(e.quad.value),
-                        "err": _jsonable(e.quad.abs_error_estimate),
-                        "diverged": bool(e.quad.diverged)}
-                       for e in rep.entries]}
+           "entries": [{"n": n, "m": m, "value": _jsonable(v), "err": _jsonable(err),
+                        "diverged": bool(div)}
+                       for n, m, v, err, div in zip(col("n"), col("m"), col("value"),
+                                                    col("abs_error_estimate"), col("diverged"))]}
     sys.stdout.write(json.dumps(doc) + "\n")
     return 0 if rep.passed else 1
 

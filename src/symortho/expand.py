@@ -119,9 +119,10 @@ def _checked_norms(basis, nmax, tol):
     """The closed-form norms of members base..nmax, once the basis's Gram
     report passes with every entry ok; BasisInvalid otherwise."""
     report = gram_matrix(basis, nmax, tol)
-    if not report.passed or any(e.status != "ok" for e in report.entries):
+    if not report.passed or any(s != "ok" for s in report.entries.column("status")):
         raise BasisInvalid(report)
-    return tuple(e.expected for e in report.entries if e.n == e.m)
+    # the diagonal entries come first
+    return tuple(report.entries.column("expected")[:report.nmax - report.base + 1])
 
 
 # a few hundred bases: under 1 MB of norms at nmax 64

@@ -14,6 +14,7 @@ x^2, so A, C, D, E are automatically even and B odd.
 import functools
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
@@ -236,16 +237,61 @@ class GramEntry:
 _REFUSED = ("cliff", "degenerate")
 
 
+class GramEntries(Sequence):
+    """A Gram report's entries, kept as gram_matrix's arrays over the cells
+    [n - base, m - base] until read.  column(name) lists one field of every
+    entry (n, m, expected, status or a QuadResult field), the diagonal first
+    and then the lower triangle row by row.  The GramEntry tuple is built
+    from the columns once, on the first item access or iteration, and gives
+    the slices and the repr; len() builds nothing."""
+    __slots__ = ("_cells", "_built")
+
+    def __init__(self, cells):
+        self._cells, self._built = cells, None
+
+    def __len__(self):
+        return len(_entry_order(len(self._cells["n"])))
+
+    def column(self, name):
+        return self._cells[name].take(_entry_order(len(self._cells["n"]))).tolist()
+
+    def _entries(self):
+        if self._built is None:
+            n, m, expected, status = map(self.column, ("n", "m", "expected", "status"))
+            quads = map(QuadResult, *map(self.column, _FIELDS))
+            self._built = tuple(map(GramEntry, n, m, quads, expected, status))
+        return self._built
+
+    def __getitem__(self, i):
+        return self._entries()[i]
+
+    def __iter__(self):
+        return iter(self._entries())
+
+    def __repr__(self):
+        return repr(self._entries())
+
+
+@functools.lru_cache(maxsize=64)
+def _entry_order(size):
+    """The flat cells of a size x size report's entries, in their order."""
+    n, m = np.tril_indices(size, -1)
+    order = np.concatenate([np.arange(size) * (size + 1), n * size + m])
+    order.flags.writeable = False
+    return order
+
+
 @dataclass(frozen=True, eq=False)
 class GramReport:
     """The entries of a Gram matrix with their statuses, the mirrored
     matrix, the verdict, and what it cost: the GK15 panels and integrand
-    points of its panel tree and of every per-entry integral."""
+    points of its panel tree and of every per-entry integral.  entries is
+    any sequence of GramEntry: gram_matrix's is a GramEntries."""
     label: str
     base: int
     nmax: int
     tol: float
-    entries: tuple
+    entries: Sequence[GramEntry]
     matrix: np.ndarray
     passed: bool
     panels: int
@@ -331,14 +377,17 @@ class _FamilyBasis:
         if has.all() and g == -math.inf:
             return scale    # no pole, and every pair integrable with no tail to lose
         n, m = np.arange(size)[:, None], np.arange(size)
+        degree = n + m
         top = size - 1 if has.all() else _rows_below_pole(self.spec.params, size - 1)[0]
-        even = (n >= m) & ((n + m) % 2 == 0)
+        even = (n >= m) & (degree % 2 == 0)
         carried = even & integrable & has & (n <= top)
         if g > -math.inf and has.any():     # with no norm, g may be 0 and x_w undefined
-            s = g + n + m + 1
+            # the mass past x_w and its share of the scale, once per n + m
+            s, log_xw = g + np.arange(2 * size - 1) + 1, self.log_xw
             with np.errstate(over="ignore"):    # s >= 0 only at pairs not integrable
-                carried &= (n * self.log_xw < _LOG_HUGE) & (
-                    2 * np.exp(s * self.log_xw) <= -s * _RTOL * scale)
+                mass, share = 2 * np.exp(s * log_xw), -s * _RTOL
+            carried &= (n * log_xw < _LOG_HUGE) & (
+                mass.take(degree) <= share.take(degree) * scale)
         k = np.cumprod((carried == even).all(axis=1)).sum()     # the square's rows 0..k-1
         return np.where(carried | ((n < k) & (m < k)), scale, math.inf)
 
@@ -575,19 +624,16 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
     np.fill_diagonal(cliff, refused)
     rules = ((missing & consistent[:, None] & consistent, "degenerate"), (missing, "mismatch"),
              (conv & close, "ok"), (conv, "mismatch"), (cells["diverged"] & cliff, "cliff"))
-    status = np.full((size, size), "inconclusive", dtype=object)
+    status = cells["status"] = np.full((size, size), "inconclusive", dtype=object)
     for rule, name in reversed(rules):      # the first rule that holds wins
         status[rule] = name
 
-    quads = list(zip(*(cells[name].ravel().tolist() for name in _FIELDS)))
-    diagonal = [None if d is None else float(d) for d in norms]
-    order = [(k, k) for k in range(size)] + [(n, m) for n in range(size) for m in range(n)]
-    entries = tuple(GramEntry(n + b, m + b, QuadResult(*quads[n * size + m]),
-                              diagonal[n] if n == m else 0.0, status[n, m])
-                    for n, m in order)
+    cells["n"], cells["m"] = np.indices((size, size)) + b
+    cells["expected"] = np.full((size, size), 0.0, dtype=object)
+    np.fill_diagonal(cells["expected"], [None if d is None else float(d) for d in norms])
+    passed = set(status[lower]) <= {"ok", *_REFUSED}
     mat = np.where(conv, value, math.nan)
     mat = np.where(lower, mat, mat.T)
-    passed = all(e.status in ("ok",) + _REFUSED for e in entries)
     panels = int(cells["panels"][lower].sum()) + tree_cost[0]
     evals = int(cells["evals"][lower].sum()) + tree_cost[1]
-    return GramReport(ad.label, b, nmax, tol, entries, mat, passed, panels, evals)
+    return GramReport(ad.label, b, nmax, tol, GramEntries(cells), mat, passed, panels, evals)

@@ -11,7 +11,8 @@ import pytest
 
 import symortho
 from symortho.cli import run
-from symortho.families import GHP, weight_at
+from symortho.families import GHP, GUP, FiniteI, FiniteII, weight_at
+from symortho.sturm import gram_matrix
 
 
 def invoke(capsys, *argv):
@@ -60,6 +61,27 @@ def test_gram_certified_cliff_prints_null_value_and_error(capsys):
     assert status == 0
     cliff = [e for e in json.loads(out)["entries"] if (e["n"], e["m"]) == (4, 4)]
     assert cliff == [{"n": 4, "m": 4, "value": None, "err": None, "diverged": True}]
+
+
+@pytest.mark.parametrize("argv", [["finite2", "--u", "4.5", "--nmax", "4"],
+                                  ["gup", "--u", "1", "--v", "1.5", "--nmax", "6"],
+                                  ["finite1", "--u", "5", "--v", "2", "--nmax", "5"]],
+                         ids=["finite2", "gup", "finite1"])
+def test_gram_json_is_read_from_the_report_columns(capsys, entry_objects, argv):
+    # the JSON builds no entry objects, and is the JSON of the entries
+    status, out, _ = invoke(capsys, "gram", "--class", *argv)
+    assert entry_objects == []
+    fam = {"finite2": FiniteII(4.5), "gup": GUP(1, 1.5), "finite1": FiniteI(5, 2)}[argv[0]]
+    rep = gram_matrix(fam, int(argv[-1]))
+
+    def num(x):
+        return x if math.isfinite(x) else None
+    want = {"pass": rep.passed,
+            "entries": [{"n": e.n, "m": e.m, "value": num(e.quad.value),
+                         "err": num(e.quad.abs_error_estimate), "diverged": e.quad.diverged}
+                        for e in rep.entries]}
+    assert out == json.dumps(want) + "\n"
+    assert status == (0 if rep.passed else 1)
 
 
 def test_gram_finite1_with_a_log_divergent_origin_reports(capsys):

@@ -618,6 +618,12 @@ def gram_checks(monkeypatch):
     return calls
 
 
+def test_expand_on_a_fresh_basis_builds_no_entry_objects(gram_checks, entry_objects):
+    for basis in (GUP(0.5, 1.5), U(0.5), Pm(2)):
+        assert len(expand(np.sin, basis, 6).coefficients) == 7
+    assert len(gram_checks) == 3 and entry_objects == []
+
+
 def test_verified_basis_is_checked_once(gram_checks):
     for _ in range(3):
         expand(np.sin, GUP(1, 1), 8)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import mpmath as mp
@@ -327,6 +328,73 @@ def test_gram_summary_counts_verified_apart_from_refused():
     rep = gram_matrix(FiniteII(4.5), 4)
     assert rep.verified == 14
     assert "14 verified, 1 refused" in rep.summary()
+
+
+# a family, a finite family with a certified cliff, a kind of base 2 and a lambda class
+LAZY_CASES = [(GUP(1, 1.5), 6), (FiniteII(4.5), 4), (Pm(2), 5),
+              (LambdaSpec(-1, 1, Fraction(-8, 3), Fraction(4, 3), Fraction(2, 3)), 6)]
+LAZY_IDS = ["gup", "finite2-cliff", "pm2", "lambda"]
+
+
+@pytest.mark.parametrize("basis, nmax", LAZY_CASES, ids=LAZY_IDS)
+def test_gram_matrix_builds_no_entry_objects_until_entries_are_read(entry_objects,
+                                                                     basis, nmax):
+    rep = gram_matrix(basis, nmax)
+    size = nmax - rep.base + 1
+    assert len(rep.entries) == size * (size + 1) // 2
+    assert rep.passed and rep.matrix.shape == (size, size) and rep.panels > 0
+    assert entry_objects == []
+    first, count = rep.entries[0], len(rep.entries)
+    assert sorted(entry_objects) == ["GramEntry"] * count + ["QuadResult"] * count
+    # built once: reading again builds nothing more
+    assert rep.entries[0] is first and list(rep.entries)[0] is first
+    rep.summary(), rep.entry(nmax, rep.base)
+    assert len(entry_objects) == 2 * count
+
+
+@pytest.mark.parametrize("basis, nmax", LAZY_CASES, ids=LAZY_IDS)
+def test_gram_entries_are_their_columns_in_the_documented_order(basis, nmax):
+    rep = gram_matrix(basis, nmax)
+    col = rep.entries.column
+    names = [f.name for f in dataclasses.fields(sturm.QuadResult)]
+    b, size = rep.base, nmax - rep.base + 1
+    order = ([(k, k) for k in range(size)]
+             + [(n, m) for n in range(size) for m in range(n)])
+    assert list(zip(col("n"), col("m"))) == [(n + b, m + b) for n, m in order]
+    norms = _adapt(basis).norms(nmax)
+    assert col("expected") == ([None if d is None else float(d) for d in norms]
+                               + [0.0] * (len(order) - size))
+    want = [sturm.GramEntry(n, m, sturm.QuadResult(*q), expected, status)
+            for n, m, expected, status, *q in zip(col("n"), col("m"), col("expected"),
+                                                  col("status"), *map(col, names))]
+    got = list(rep.entries)
+    assert len(got) == len(want)
+    for e, w in zip(got, want):
+        assert (type(e), type(e.quad)) == (sturm.GramEntry, sturm.QuadResult)
+        for name in ("n", "m", "expected", "status"):
+            assert repr(getattr(e, name)) == repr(getattr(w, name))
+        for name in names:
+            assert repr(getattr(e.quad, name)) == repr(getattr(w.quad, name))
+    # each status is the report's verdict on its cell
+    assert rep.passed == all(s in ("ok", "cliff", "degenerate") for s in col("status"))
+    if isinstance(basis, FiniteII):
+        assert rep.entry(4, 4).status == "cliff" and math.isnan(rep.entry(4, 4).quad.value)
+
+
+def test_gram_entries_pickle_repr_and_slices():
+    rep = gram_matrix(FiniteII(4.5), 4)
+    copy = pickle.loads(pickle.dumps(rep))
+    assert isinstance(copy.entries, sturm.GramEntries)
+    assert repr(copy.entries) == repr(rep.entries) == repr(tuple(rep.entries))
+    assert copy.summary() == rep.summary() and copy.passed and copy.verified == 14
+    again = pickle.loads(pickle.dumps(rep))     # pickled after its entries were built
+    assert repr(again.entries) == repr(rep.entries)
+    assert type(rep.entries[:-1]) is tuple and len(rep.entries[:-1]) == 14
+    assert rep.entries[-1] is rep.entries[14] and rep.entries.index(rep.entries[3]) == 3
+    assert list(reversed(rep.entries))[0] is rep.entries[-1]
+    # any sequence of entries serves, as the benchmark's tests build them
+    short = dataclasses.replace(rep, entries=rep.entries[:-1])
+    assert short.verified == 13 and len(short.entries) == 14
 
 
 # ------------------------------------------------------ shared panel tree
