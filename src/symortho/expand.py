@@ -19,7 +19,8 @@ import numpy as np
 from .core import ROWS_CHUNK, blockwise
 from .errors import (BasisInvalid, ConstraintViolation, MaxDepthExceeded,
                      NonSquareIntegrable)
-from .quadrature import QuadResult, entry_scale, integrate_gram
+from .quadrature import (_SCAN_SPREAD, IntervalSpec, QuadResult, certifies_divergence,
+                         entry_scale, integrate_gram, target_exponents)
 from .sturm import _adapt, gram_matrix
 
 
@@ -83,9 +84,9 @@ def _as_callable(f):
 class ExpansionSeries:
     """Truncated expansion: coefficients index 0..nmax (entries below a
     kind's base order are structurally zero).  panels and evals are what
-    expand's own panel trees cost (on every interval tried, and the
-    residual from its start panels; not the basis's Gram check), counted
-    as GramQuad counts them."""
+    expand's own panel trees cost (the residual from its start panels; not
+    the basis's Gram check nor the target's exponent scan), counted as
+    GramQuad counts them."""
     basis: object
     coefficients: tuple
     nmax: int
@@ -96,23 +97,46 @@ class ExpansionSeries:
     evals: int = 0           # integrand points they sampled
 
 
-def _intervals(ad, members):
-    """The basis's distinct quadrature intervals for integrands of the
-    given member counts, in order.
+def _joined(interval, exps, factors):
+    """The interval with the target's measured exponents {point: e} joined
+    to its hints, for a tree's most singular term: a point's hint gains
+    factors[0] e at a finite point where e > 0, and factors[1] e elsewhere
+    (where e < 0, and in a tail).  f phi_n takes (1, 1) and f^2 alone
+    (2, 2); a tree that carries both f^2 and a cross term f s or f phi_n
+    takes (1, 2), since the cross term is the worst where e > 0.  A point
+    the interval does not hint counts as 0, and a None hint (a flat
+    weight) stays None."""
+    if not exps:
+        return interval
+    hints = dict(interval.singularities)
+    for point, e in exps.items():
+        h = hints.get(point, 0.0)
+        if h is not None:
+            hints[point] = h + e * factors[0 if e > 0 and not math.isinf(point) else 1]
+    return IntervalSpec(interval.lo, interval.hi, tuple(hints.items()))
 
-    A kind's hints are its members' prefactor exponents times the count:
-    0 for f^2 and 1 for f phi_n suit a regular target f, while a target
-    that carries the prefactor itself (a member, a partial sum) needs the
-    product hints, 2, which are tried next.  Two of expand's trees take
-    count 1 unless an exponent is negative (see expand).  A family's hints
-    are its weight's, the same for every count.
-    """
-    out = []
-    for m in members:
-        interval = ad.interval(m)
-        if interval not in out:
-            out.append(interval)
-    return out
+
+def _target_hints(target, ad, hinted):
+    """The target's exponents that join expand's hints: one target_exponents
+    scan on the interval hinted, kept in every scanned tail, and at a finite
+    point when e is not within _SCAN_SPREAD of an integer and f^2 W* is
+    integrable there.  NonSquareIntegrable when the scan certifies that it
+    is not (certifies_divergence of 2e plus the weight's exponent, with
+    twice e's spread)."""
+    squared = dict(ad.interval(0).singularities)
+    exps = {}
+    for point, (e, spread) in target_exponents(target, hinted).items():
+        if math.isinf(point):
+            exps[point] = e
+            continue
+        sigma = 2 * e + squared.get(point, 0.0)
+        if certifies_divergence(point, sigma, 2 * spread, sigma):
+            raise NonSquareIntegrable(
+                f"int W* f^2 diverges at x = c = {point!r}: the target's measured exponent "
+                f"there is {e:.6g}, so f^2 W* ~ |x - c|^{sigma:.6g}")
+        if abs(e - round(e)) > _SCAN_SPREAD and sigma > -1:
+            exps[point] = e
+    return exps
 
 
 def _checked_norms(basis, nmax, tol):
@@ -164,12 +188,22 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
     numerators int W* f phi_n to entry_scale(||f||^2, d_n), d_n the Gram
     report's norms, else MaxDepthExceeded.  The squared residual, held to
     ||f||^2, starts on that tree's panels and is taken as it stands if it
-    stays open (residual_converged says which).  Both take one member's
-    hints when none is negative (None, a bare split, is no hint): the
-    softening x = c +- t^m picked for an exponent e makes f^2, f s and s^2
-    (exponents 0, e, 2e) all smooth in t.  Below 0 the endpoint sliver's
-    mass is fitted with e alone, which f^2 and s^2 break: such a kind
-    keeps three cold trees, ||f||^2, the numerators and an unhinted residual.
+    stays open (residual_converged says which).
+
+    The trees' hints are the basis's plus the target's own exponents: one
+    quadrature.target_exponents scan of f, at the origin, at the basis's
+    finite hinted points and in its hinted tails, measures each e of
+    |f| ~ |x - c|^e (see _target_hints for which join, and _joined for
+    how).  Where it certifies that f^2 W* diverges at a finite point, f is
+    refused at once with NonSquareIntegrable.  A target whose scan adds
+    nothing (a smooth f, whose exponents are integers) runs on the basis's
+    hints alone.  Both trees take one member's hints when none is
+    negative, nor any finite e (None, a bare split, is no hint): the
+    softening x = c +- t^m picked for a member exponent b makes f^2, f s
+    and s^2 (exponents 0, b, 2b) all smooth in t.  Below 0 the endpoint
+    sliver's mass is fitted with one exponent alone, which the other terms
+    break: such a basis or target keeps three cold trees, ||f||^2, the
+    numerators and the residual.
     """
     fn = _as_callable(f)
     ad = _adapt(basis)
@@ -195,31 +229,26 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
         cost[1] += out.evals
         return out
 
-    def first_closed(sample, members, scale=None):
-        """A tree on _intervals(ad, members) in turn, until all close."""
-        for interval in _intervals(ad, members):
-            out = tree(sample, interval, scale)
-            if out.converged.all():
-                break
-        return out
-
     hinted = ad.interval(members=1)
-    fused = not any(e is not None and e < 0 for _, e in hinted.singularities)
+    exps = _target_hints(target, ad, hinted)
+    # a hinted tail is negative already, so only a finite e can unfuse
+    fused = not any(e is not None and e < 0 for _, e in hinted.singularities + tuple(exps.items()))
+    crossed = _joined(hinted if fused else ad.interval(0), exps, (1, 2))
     d = np.asarray(norms)
     if fused:       # L = [f] against R = [f, phi_base..phi_nmax]: ||f||^2 is (0, 0)
         def sample(x):
             y = target(x)[None, :]
             return ad.weight(x), y, np.concatenate((y, rows(x)))
-        ff = first_closed(sample, (1, 2), lambda t: entry_scale(t[0, 0], np.r_[t[0, 0], d])[None])
+        ff = tree(sample, crossed, lambda t: entry_scale(t[0, 0], np.r_[t[0, 0], d])[None])
     else:
-        ff = first_closed(square(target), (0, 2))
+        ff = tree(square(target), _joined(ad.interval(0), exps, (2, 2)))
     f_norm2 = max(float(ff.value[0, 0]), 0.0)
     if not ff.converged[0, 0]:
         raise NonSquareIntegrable(
             "int W* f^2 did not converge (estimate {!r} +- {!r} after {} panels, {} evals)"
             .format(float(ff.value[0, 0]), float(ff.error[0, 0]), *cost))
-    num = ff if fused else first_closed(lambda x: (ad.weight(x), target(x)[None, :], rows(x)),
-                                        (1, 2), entry_scale(f_norm2, d[None]))
+    num = ff if fused else tree(lambda x: (ad.weight(x), target(x)[None, :], rows(x)),
+                                _joined(hinted, exps, (1, 1)), entry_scale(f_norm2, d[None]))
     if not num.converged.all():
         k = int(np.argmin(num.converged[0]))
         open_ = QuadResult(float(num.value[0, k]), float(num.error[0, k]), False, False, *cost,
@@ -228,7 +257,7 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
     q = num.value[0, int(fused):] / d
     coeffs = (0.0,) * ad.base + tuple(float(c) for c in q)
 
-    res = tree(square(lambda x: target(x) - q @ rows(x)), hinted if fused else ad.interval(0),
+    res = tree(square(lambda x: target(x) - q @ rows(x)), crossed,
                np.array([[max(f_norm2, 1e-300)]]), num if fused else None)  # on num's panels
     residual = math.sqrt(max(float(res.value[0, 0]), 0.0))
     rel = residual / math.sqrt(f_norm2) if f_norm2 > 0 else 0.0

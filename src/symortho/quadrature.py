@@ -35,7 +35,7 @@ import numpy as np
 from .errors import MaxDepthExceeded
 
 __all__ = ["QuadResult", "IntervalSpec", "GramQuad", "integrate", "integrate_gram",
-           "entry_scale", "exponent_scan", "certifies_divergence"]
+           "entry_scale", "exponent_scan", "target_exponents", "certifies_divergence"]
 
 # 15-point Kronrod nodes and weights with the embedded 7-point Gauss rule,
 # the QUADPACK qk15 values to full double precision.
@@ -531,6 +531,8 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, max_panels=_MAX_PANELS,
 # the exponent scan's grid: x = c +- 2^-k at a finite point and x = +-2^k in
 # a tail, k = _SCAN_LO.._SCAN_HI (a tail's top bounded by the degree)
 _SCAN_LO, _SCAN_HI = 8, 19
+_SCAN_KS = np.arange(_SCAN_LO, _SCAN_HI + 1, dtype=float)
+_SCAN_STEPS = 2.0 ** -_SCAN_KS
 # the widest spread between the last two slopes that still tells a hinted
 # exponent from -1: hints differ from -1 by 0 or by at least 0.002 when the
 # shape parameters have three decimals
@@ -538,15 +540,43 @@ _SCAN_SPREAD = 1e-3
 _SCAN_FLOOR = 1e-9      # rounding of the logs, in units of the exponent
 
 
+@functools.lru_cache(maxsize=256)
+def _scan_sides(interval, points, degree):
+    """The sides of the given points (a tuple) along the exponent scan's
+    grid, as (points, x, steps): a side's point, its row x of grid points,
+    and the change of log|x - c| (log|x| in a tail) from one grid point to
+    the next, read-only and memoized per interval.  A finite c is
+    approached from each side inside the interval, x = c +- 2^-k, and a
+    tail along x = +-2^k, k = 8..19.  In a tail the grid's top is lowered
+    to 1000 // degree (and the grid shifted down with it), so that members
+    of degree up to `degree` stay finite there."""
+    top = min(_SCAN_HI, 1000 // max(int(degree), 1))
+    near, tails = [], []
+    for point in points:
+        if math.isinf(point):
+            tails.append(point)
+            continue
+        for sign in (1.0, -1.0):
+            ends = sorted((point + sign * 2.0 ** -_SCAN_LO, point + sign * 2.0 ** -_SCAN_HI))
+            if interval.lo < ends[0] and ends[1] < interval.hi:
+                near.append((point, sign))
+    c, s = np.array(near, dtype=float).reshape(-1, 2).T
+    x = c[:, None] + s[:, None] * _SCAN_STEPS
+    if tails:
+        x = np.concatenate((x, np.copysign(1.0, tails)[:, None]
+                            * 2.0 ** (_SCAN_KS - (_SCAN_HI - top))))
+    steps = np.array([-math.log(2.0)] * len(near) + [math.log(2.0)] * len(tails))
+    x.flags.writeable = steps.flags.writeable = False
+    return tuple(point for point, _ in near) + tuple(tails), x, steps
+
+
 def exponent_scan(log_sample, interval, degree):
     """Measured local exponents of every product w P_i P_j at the hinted
     points of an interval, from one sample of the rows per side.
 
-    Each point with an exponent hint is approached along a geometric grid:
-    x = c +- 2^-k (each side of c inside the interval) or x = +-2^k in a
-    tail, k = 8..19.  In a tail the grid's top is lowered to 1000 // degree
-    (and the grid shifted down with it), so that members of degree up to
-    `degree` stay finite there.  log_sample(x) returns (log w, log|P|):
+    Each point with an exponent hint is approached along the scan's
+    geometric grid (_scan_sides), whose tail grid `degree` bounds.
+    log_sample(x) returns (log w, log|P|):
     the weight's log at the points and the (K, len(x)) logs of the members.
     The slope of log|w P_i P_j| = log w + log|P_i| + log|P_j| against
     log|x - c| (log|x| in a tail) between successive grid points estimates
@@ -555,22 +585,9 @@ def exponent_scan(log_sample, interval, degree):
     and spread (K, K) its distance from the slope before; both are nan for
     a pair with a sample that is not finite.
     """
-    ks = np.arange(_SCAN_LO, _SCAN_HI + 1, dtype=float)
-    top = min(_SCAN_HI, 1000 // max(int(degree), 1))
-    tail_ks = ks - (_SCAN_HI - top)
-    sides = []
-    for point, exponent in interval.singularities:
-        if exponent is None:
-            continue
-        if math.isinf(point):
-            sides.append((point, math.copysign(1.0, point) * 2.0 ** tail_ks, math.log(2.0)))
-            continue
-        for sign in (1.0, -1.0):
-            x = point + sign * 2.0 ** -ks
-            if interval.lo < x.min() and x.max() < interval.hi:
-                sides.append((point, x, -math.log(2.0)))
+    hinted = tuple(point for point, exponent in interval.singularities if exponent is not None)
     out = []
-    for point, x, step in sides:
+    for point, x, step in zip(*_scan_sides(interval, hinted, int(degree))):
         with np.errstate(all="ignore"):
             lw, lp = log_sample(x)
             lw = np.broadcast_to(np.asarray(lw, dtype=float), x.shape)
@@ -583,6 +600,42 @@ def exponent_scan(log_sample, interval, degree):
         bad = ~(finite[:, None] & finite[None, :])
         sigma[bad] = spread[bad] = math.nan
         out.append((point, sigma, spread))
+    return out
+
+
+def target_exponents(f, interval):
+    """The measured exponents e of |f| ~ |x - c|^e (|x|^e in a tail) of a
+    target f at the origin, at the interval's other finite points hinted
+    with an exponent and in its hinted tails, from one call of f on every
+    side's scan grid (_scan_sides).  A side's spread is the distance of its
+    last slope of log|f| from the slope before, as exponent_scan takes it,
+    and its e is 2 last - before, which cancels a term of the slopes linear
+    in |x - c| (in 1/|x| in a tail): a hint softens an integrand only when
+    it matches the true exponent.  Returns
+    {point: (e, spread)} for the points whose every side is finite and
+    nonzero on its whole grid, with a spread of at most _SCAN_SPREAD, and
+    whose sides agree within their spreads; e is the sides' mean and
+    spread the widest."""
+    hints = dict(interval.singularities)
+    points = (0.0,) * (0.0 not in hints) + tuple(p for p, e in hints.items() if e is not None)
+    points, x, steps = _scan_sides(interval, points, 0)
+    if not points:
+        return {}
+    with np.errstate(all="ignore"):
+        logs = np.log(np.abs(_samples(f, x.ravel()))).reshape(x.shape)
+        before = ((logs[:, -2] - logs[:, -3]) / steps).tolist()
+        last = ((logs[:, -1] - logs[:, -2]) / steps).tolist()
+    read = np.isfinite(logs).all(axis=1).tolist()
+    sides = {}      # point: [(e, spread) or None] of its one or two sides
+    for point, ok, s0, s1 in zip(points, read, before, last):
+        sides.setdefault(point, []).append((2 * s1 - s0, abs(s1 - s0)) if ok else None)
+    out = {}
+    for point, reads in sides.items():
+        if None not in reads:
+            (e0, spread0), (e1, spread1) = reads[0], reads[-1]
+            spread = max(spread0, spread1)
+            if spread <= _SCAN_SPREAD and abs(e1 - e0) <= spread0 + spread1 + _SCAN_FLOOR:
+                out[point] = ((e0 + e1) / 2, spread)
     return out
 
 

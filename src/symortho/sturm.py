@@ -378,7 +378,7 @@ class _FamilyBasis:
             return scale    # no pole, and every pair integrable with no tail to lose
         n, m = np.arange(size)[:, None], np.arange(size)
         degree = n + m
-        top = size - 1 if has.all() else _rows_below_pole(self.spec.params, size - 1)[0]
+        top = size - 1 if has.all() else _below_pole(self.spec.params, size - 1)
         even = (n >= m) & (degree % 2 == 0)
         carried = even & integrable & has & (n <= top)
         if g > -math.inf and has.any():     # with no norm, g may be 0 and x_w undefined
@@ -418,7 +418,8 @@ class _FamilyBasis:
         recurrence are its rows; each member from the pole on is phi(n), its
         own SymmetricPoly (None where it does not exist, whose pairs never
         certify)."""
-        top, rows = _rows_below_pole(self.spec.params, nmax)
+        top = _below_pole(self.spec.params, nmax)
+        rows = member_rows(self.spec.params, top)
         wlog = self.spec.weight_log
 
         def members(x):
@@ -468,15 +469,19 @@ def _adapt(basis):
     raise TypeError(f"cannot build a basis from {basis!r}")
 
 
-def _rows_below_pole(params, top):
-    """(t, member_rows(params, t)) for the largest t in 0..top with no pole
-    in the recurrence."""
-    for t in range(top, 0, -1):
+def _below_pole(params, top):
+    """The largest t in 0..top with no pole among C_1..C_(t-1), which
+    member_rows(params, t) takes; the C_k are computed once per params."""
+    try:
+        params.float_c(max(top - 1, 0))
+        return top
+    except PoleError:
+        pass
+    for t in range(1, top):     # C_t is the first pole
         try:
-            return t, member_rows(params, t)
+            params.float_c(t)
         except PoleError:
-            pass
-    return 0, member_rows(params, 0)
+            return t
 
 
 def _shared_tree(ad, scale):

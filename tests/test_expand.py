@@ -17,7 +17,7 @@ from symortho.errors import (BasisInvalid, ConstraintViolation, MaxDepthExceeded
 from symortho.expand import (ExpansionSeries, barycentric_interpolant, expand,
                              reconstruct)
 from symortho.exponent_map import LambdaSpec, transformed_eval
-from symortho.families import GUP, GHP, Class, FiniteII, norm_squared
+from symortho.families import GUP, GHP, Class, FiniteI, FiniteII, norm_squared
 from symortho.legendre import G, Pm, Q, U, V, member_fn
 from symortho.quadrature import integrate
 from symortho.sturm import gram_matrix
@@ -758,3 +758,169 @@ def test_reconstruct_value_does_not_depend_on_the_length_of_x():
     assert np.array_equal(reconstruct(ser, xs[:8195]), full[:8195])
     for i in range(0, 20000, 1999):
         assert reconstruct(ser, xs[i]) == full[i]
+
+
+# ------------------------------------------------ the target's own exponents
+
+
+def _sqrt_abs(x):
+    return np.sqrt(np.abs(x))
+
+
+def _no_scan(monkeypatch):
+    """Run expand with no measured target exponent: the basis's hints alone."""
+    expand_mod = importlib.import_module("symortho.expand")
+    monkeypatch.setattr(expand_mod, "target_exponents", lambda f, interval: {})
+
+
+def _fields(ser):
+    return (ser.basis, ser.coefficients, ser.nmax, ser.residual, ser.residual_rel,
+            ser.residual_converged, ser.panels, ser.evals)
+
+
+@pytest.mark.parametrize("basis, nmax, weight, cuts, panels_before", [
+    (U(0.5), 12, lambda x: 1, [-1, 0, 1], 110),
+    (GUP(0, 0), 16, lambda x: 1, [-1, 0, 1], 92),
+    (GHP(0), 10, lambda x: mpmath.exp(-x * x), [-30, -6, -3, 0, 3, 6, 30], 132),
+], ids=["U(0.5)@12", "GUP(0,0)@16", "GHP(0)@10"])
+def test_kinked_target_takes_its_exponent_as_a_hint(basis, nmax, weight, cuts, panels_before):
+    # sqrt|x| has exponent 1/2 at 0: its trees are softened there instead
+    # of bisecting toward it (panels_before, the basis's hints alone); past
+    # |x| = 30 GHP's weight is below e^-900
+    from symortho.sturm import _adapt
+    ser = expand(_sqrt_abs, basis, nmax)
+    assert ser.panels < panels_before, ser.panels
+    ad = _adapt(basis)
+    q = np.asarray(ser.coefficients[ad.base:])
+    rows = ad.rows(nmax)
+
+    def g2(x):
+        s = float(q @ rows(np.array([float(x)]))[:, 0])
+        return weight(x) * (mpmath.sqrt(abs(x)) - s) ** 2
+    with mpmath.workdps(30):
+        want = float(mpmath.sqrt(mpmath.quad(g2, cuts)))
+    assert ser.residual_converged
+    assert abs(ser.residual - want) <= 1e-12 * want
+    if basis == GUP(0, 0):
+        # sqrt|x| is 1, |x|^(1/2), x^2 |x|^(1/2), ... past degree 16: 1/35 is exact
+        assert abs(ser.residual - 1 / 35) <= 1e-14
+
+
+@pytest.mark.parametrize("basis", [V(0.3), V(0.6), Q(-0.4)], ids=repr)
+def test_quarter_power_target_on_a_negative_exponent_kind(basis):
+    # (1 - x^2)^(-1/4) hinted at +-1: every numerator closes (the basis's
+    # hints alone ran them to their budget); each q_n against mpmath to the
+    # stopping rule, 1e-9 sqrt(||f||^2 / d_n), with ||f||^2 = pi
+    ser = expand(lambda x: (1 - x * x) ** -0.25, basis, 6)
+    rec = basis.recurrence(6)
+    for n, d in enumerate(_norms(basis, 6)):
+        def integrand(x):
+            member = float(rec.rows(np.array([float(x)]))[n, 0])
+            return (1 - x * x) ** mpmath.mpf(-0.25) * basis.prefactor(mpmath.mpf(x)) * member
+        with mpmath.workdps(25):
+            want = float(mpmath.quad(integrand, [-1, 0, 1])) / d
+        assert abs(ser.coefficients[n] - want) <= 1e-9 * math.sqrt(math.pi / d), n
+
+
+def test_polynomial_target_with_a_slow_tail():
+    # f^2 W ~ |x|^-1.2 on FiniteI(1/10, 5/2): hinted in the tails, ||f||^2
+    # closes (the weight's hint alone left it open).  1 - x^2/2 is
+    # 1 + C_1/2 - S_2/2 with S_2 = x^2 + C_1, exactly
+    from symortho.core import recurrence_c
+    basis = FiniteI(0.1, 2.5)
+    ser = expand(lambda x: 1 - x * x / 2, basis, 2)
+    c1 = float(recurrence_c(basis.params, 1))
+    assert ser.coefficients[0] == pytest.approx(1 + c1 / 2, rel=1e-12)
+    assert abs(ser.coefficients[1]) <= 1e-15
+    assert ser.coefficients[2] == pytest.approx(-0.5, rel=1e-12)
+    assert ser.residual_converged and ser.residual_rel <= 1e-12
+
+
+@pytest.mark.parametrize("f, point", [
+    (lambda x: np.abs(x) ** -0.6, "0.0"),
+    (lambda x: (1 - x * x) ** -0.6, "-1.0"),
+], ids=["|x|^-0.6", "(1-x^2)^-0.6"])
+def test_scan_certifies_a_divergent_norm_before_any_tree(f, point, tree_panels):
+    # f^2 ~ |x - c|^-1.2: refused with no panel tree (the tree alone ran
+    # its whole 16,032-panel budget first)
+    with pytest.raises(NonSquareIntegrable, match=rf"diverges at x = c = {point}: .* "
+                                                  r"exponent there is -0\.6, so f\^2 W\* ~ "
+                                                  r"\|x - c\|\^-1\.2"):
+        expand(f, U(0.5), 8)
+    assert tree_panels == []
+
+
+def test_a_weight_that_makes_the_norm_finite_is_not_refused():
+    # |x|^-0.6 on GUP(1, 1): f^2 W ~ |x|^0.8 at 0, and q_0 is
+    # int x^2 (1 - x^2) |x|^-0.6 / int x^2 (1 - x^2)
+    ser = expand(lambda x: np.abs(x) ** -0.6, GUP(1, 1), 8)
+    assert ser.residual_converged
+    assert ser.coefficients[0] == pytest.approx((1 / 2.4 - 1 / 4.4) / (1 / 3 - 1 / 5), rel=1e-9)
+
+
+_POOL = [GUP(0, 0), GUP(1, 1), GUP(Fraction(1, 2), Fraction(1, 2)), GHP(0), GHP(Fraction(1, 2)),
+         U(0.5), G(0.5, 1.0), Pm(1)]
+_DEGREES = {GHP(0): (8, 10, 12), GHP(Fraction(1, 2)): (6, 8, 10)}
+
+
+def _smooth_targets(nmax, lo, hi):
+    k = 2 * nmax + 1
+    xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * (np.arange(k) + 0.5) / k)
+    c = [0.8 ** j * (-1) ** j for j in range(nmax // 2 + 2)]
+    return {"poly": lambda x: np.polyval(c[::-1], x) + 0.0 * np.asarray(x),
+            "sin": lambda x: np.sin(1.5 * x), "exp": lambda x: np.exp(0.7 * x),
+            "runge": lambda x: 1 / (1 + 10 * x * x), "abs": np.abs,
+            "data": (xs, np.sin(1.5 * xs) / (1 + xs * xs))}
+
+
+@pytest.mark.parametrize("basis", _POOL, ids=repr)
+def test_a_scan_that_adds_nothing_leaves_the_series_bit_for_bit(basis, monkeypatch):
+    # smooth targets and |x| have integer exponents at every scanned point
+    # (GHP's tails are not scanned): each series is the one the basis's
+    # hints alone give, field by field
+    lo, hi = (-3.0, 3.0) if isinstance(basis, GHP) else (-0.99, 0.99)
+    got = {}
+    for nmax in _DEGREES.get(basis, (8, 12, 16)):
+        for name, f in _smooth_targets(nmax, lo, hi).items():
+            got[nmax, name] = _fields(expand(f, basis, nmax))
+    _no_scan(monkeypatch)
+    for (nmax, name), fields_ in got.items():
+        assert fields_ == _fields(expand(_smooth_targets(nmax, lo, hi)[name], basis, nmax)), name
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: np.where(np.abs(x) < 1e-2, 0.0, np.sqrt(np.abs(x))),
+    lambda x: np.where(np.abs(x) < 1e-2, np.nan, 1.0) * np.sqrt(np.abs(x)),
+    lambda x: np.where(x > 0, np.abs(x) ** 0.5, np.abs(x) ** 0.3),
+    lambda x: np.abs(x) ** 0.3 * (1 + np.abs(x) ** 0.2),
+], ids=["zero near 0", "nan near 0", "sides disagree", "spread slopes"])
+def test_a_target_the_scan_cannot_read_adds_no_hint(f, monkeypatch):
+    from symortho.quadrature import target_exponents
+    from symortho.sturm import _adapt
+    assert 0.0 not in target_exponents(f, _adapt(GUP(0, 0)).interval(1))
+    def outcome():
+        try:
+            return _fields(expand(f, GUP(0, 0), 8))
+        except (MaxDepthExceeded, NonSquareIntegrable) as exc:
+            return type(exc), str(exc)
+    got = outcome()
+    _no_scan(monkeypatch)
+    assert got == outcome()
+
+
+@pytest.mark.parametrize("f, basis, want", [
+    (_sqrt_abs, GUP(0, 0), {0.0: 0.5, -1.0: 0.0, 1.0: 0.0}),
+    (lambda x: (1 - x * x) ** -0.25, U(0.5), {0.0: 0.0, -1.0: -0.25, 1.0: -0.25}),
+    (lambda x: np.sign(x) * np.abs(x) ** 1.5 * (1 - x * x) ** 0.3, G(0.5, 1.0),
+     {0.0: 1.5, -1.0: 0.3, 1.0: 0.3}),
+    (lambda x: 1 / (1 + x * x), FiniteI(0.1, 2.5), {0.0: 0.0, math.inf: -2.0, -math.inf: -2.0}),
+], ids=["sqrt|x|", "(1-x^2)^-1/4", "odd, at 0 and +-1", "tails"])
+def test_target_exponents_reads_each_point(f, basis, want):
+    # e extrapolates the last two slopes: (1 - x^2)^(-1/4)'s (1 + x)^(-1/4)
+    # and the kinks' smooth factors are corrections linear in |x - c|
+    from symortho.quadrature import target_exponents
+    from symortho.sturm import _adapt
+    got = target_exponents(f, _adapt(basis).interval(1))
+    assert got.keys() == want.keys()
+    for point, e in want.items():
+        assert abs(got[point][0] - e) <= 1e-9, point

@@ -702,6 +702,21 @@ def test_scan_certifies_members_above_a_pole_in_the_recurrence(monkeypatch):
     assert not calls
 
 
+@pytest.mark.parametrize("basis, nmax, top", [
+    (FiniteII(4.5), 10, 4), (FiniteII(8.5), 12, 8), (FiniteI(0.1, 2.5), 24, 24)], ids=str)
+def test_tree_scale_finds_the_last_degree_below_a_pole_without_rows(basis, nmax, top,
+                                                                    monkeypatch):
+    # member n takes C_1..C_(n-1): FiniteII(4.5)'s first pole is C_4 and
+    # FiniteII(8.5)'s C_8; the scale needs only that degree, not the rows
+    assert sturm._below_pole(basis.params, nmax) == top
+    ad = _adapt(basis)
+    norms, integrable = ad.norms(nmax), ad.integrable_mask(nmax)
+    assert not all(d is not None for d in norms)
+    want = ad.tree_scale(norms, integrable)
+    monkeypatch.setattr(sturm, "member_rows", lambda *a: pytest.fail("member rows built"))
+    assert ad.tree_scale(norms, integrable).tobytes() == want.tobytes()
+
+
 # ----------------------------- pairs outside the leading square on the tree
 
 

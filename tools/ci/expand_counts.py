@@ -2,11 +2,16 @@
 
 expand takes two trees, ||f||^2 and the numerators on one and the residual
 started on its panels, or three for kinds with a negative hinted exponent
-(V, U(alpha < 0), G and Q with b < 0).  The first four sin residuals once
-ran the whole budget, the next four (hinted for one member) once took
-64-88 panels; sqrt|x| is kinked at 0, where its trees take 10-13 rounds.
-Each tree prints its panels and its sampler calls (one per round, plus any
-endpoint-sliver probes).
+(V, U(alpha < 0), G and Q with b < 0) or a target with a negative measured
+one.  The first four sin residuals once ran the whole budget, the next four
+(hinted for one member) once took 64-88 panels.  sqrt|x| is kinked at 0:
+its measured exponent 1/2 hints its trees there, which the basis's hints
+alone resolved by 10-13 rounds of bisection toward 0 (110 and 92
+panels).  (1 - x^2)^(-1/4) on V(0.3) ran its numerators to their budget
+before its exponent -1/4 at +-1 hinted them; its residual stays open.
+Each case prints the target's exponents that join the hints ({point: e},
+from its one scan), and each tree its panels and its sampler calls (one per
+round, plus any endpoint-sliver probes).
 
 Run from the repository root:
     PYTHONPATH=src python -W error::RuntimeWarning tools/ci/expand_counts.py
@@ -21,6 +26,7 @@ from symortho.legendre import G, Pm, Q, U, V
 
 ex = importlib.import_module("symortho.expand")   # symortho.expand is the function
 real, panels, calls = ex.integrate_gram, [], []
+real_hints, joined = ex._target_hints, []
 
 
 def counted(sample, *args, **kwargs):
@@ -34,16 +40,30 @@ def counted(sample, *args, **kwargs):
     return out
 
 
+def recorded(*args):
+    joined.append(real_hints(*args))
+    return joined[-1]
+
+
 def sqrt_abs(x):
     return np.sqrt(np.abs(x))
 
 
+def quarter_power(x):
+    return (1 - x * x) ** -0.25
+
+
 ex.integrate_gram = counted
+ex._target_hints = recorded
 cases = [(np.sin, "sin", basis, 8) for basis in
          [V(0.6), U(-0.5), G(0.5, -0.5), Q(-0.4), U(0.5), Pm(1), G(0.5, 1.0), Q(0.5)]]
-cases += [(sqrt_abs, "sqrt|x|", U(0.5), 12), (sqrt_abs, "sqrt|x|", GUP(0, 0), 8)]
+cases += [(sqrt_abs, "sqrt|x|", U(0.5), 12), (sqrt_abs, "sqrt|x|", GUP(0, 0), 8),
+          (quarter_power, "(1-x^2)^-1/4", V(0.3), 6)]
 for f, name, basis, nmax in cases:
     panels.clear()
     calls.clear()
+    joined.clear()
     ex.expand(f, basis, nmax)
-    print(f"{name} {basis!r}@{nmax}: panels {sum(panels)} {panels}, sampler calls {calls}")
+    exps = {point: round(e, 6) for point, e in joined[0].items()}
+    print(f"{name} {basis!r}@{nmax}: exponents {exps}, panels {sum(panels)} {panels}, "
+          f"sampler calls {calls}")
