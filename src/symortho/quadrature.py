@@ -72,8 +72,10 @@ _RTOL = 1e-9
 _MAX_DEPTH = 60
 _MAX_PANELS = 4000
 # integrate_gram starts each finite task as this many equal panels, the ones
-# its first rounds of splits would make (a power of two)
+# its first rounds of splits would make (a power of two), at this depth; a
+# graded split halves the lower end of a panel as many times
 _START_PANELS = 8
+_START_DEPTH = _START_PANELS.bit_length() - 1
 
 
 def entry_scale(a, b):
@@ -726,6 +728,40 @@ def _by_panel(rows):
     return rows.reshape(len(rows), -1, 15).transpose(1, 2, 0)
 
 
+def _halves(rows):
+    """The two halves of each panel row (task, lo, hi, depth), lower first."""
+    out = np.repeat(rows, 2, axis=0)
+    mid = 0.5 * (rows[:, 1] + rows[:, 2])
+    out[::2, 2] = mid
+    out[1::2, 1] = mid
+    out[:, 3] += 1
+    return out
+
+
+def _split(rows, graded):
+    """The children of panel rows (task, lo, hi, depth), each row's lower
+    first: its two halves, or where the mask graded holds (None: nowhere)
+    the panels that _START_DEPTH halvings of its lower end make
+    ([lo, lo + h/8], [lo + h/8, lo + h/4], [lo + h/4, lo + h/2],
+    [lo + h/2, hi] for h = hi - lo), each as deep as its halvings made
+    it, at most _MAX_DEPTH."""
+    halves = _halves(rows)
+    if graded is None:
+        return halves
+    low, parts = halves[::2][graded], [halves[1::2][graded]]
+    for _ in range(_START_DEPTH - 1):
+        quarters = _halves(low)
+        low = quarters[::2]
+        parts.append(quarters[1::2])
+    parts.append(low)
+    mine = np.repeat(graded, np.where(graded, _START_DEPTH + 1, 2))
+    out = np.empty((len(mine), 4))
+    out[mine] = np.stack(parts[::-1], axis=1).reshape(-1, 4)
+    out[~mine] = halves.reshape(-1, 2, 4)[~graded].reshape(-1, 4)
+    np.minimum(out[:, 3], _MAX_DEPTH, out=out[:, 3])
+    return out
+
+
 def integrate_gram(sample, interval, scale=None, *, fold=False, start=None) -> GramQuad:
     """Every inner product int w L_i R_j dx on one adaptive GK15 panel tree.
 
@@ -734,16 +770,22 @@ def integrate_gram(sample, interval, scale=None, *, fold=False, start=None) -> G
     functions; R is L for a Gram block.  Each panel samples them once and
     adds the whole (KL, KR) block (L w) R^T with the Kronrod weights; the
     Gauss block gives each entry's error.  Where w is 0 the rows count as 0,
-    so a weight that underflows in a far tail hides members that overflow
-    there.  Cuts, softening substitutions, tail folding and analytic
+    and so does w dx/dt, so a weight that underflows in a far tail hides
+    members that overflow there and a change of variable whose dx/dt
+    overflows.  Cuts, softening substitutions, tail folding and analytic
     endpoint slivers are the same as integrate's.
 
     Each finite task starts as 8 equal panels of its own variable, at depth
     3, since the first rounds would split every panel of a smooth block
-    anyway; a folded tail starts whole, so the tree samples the far tail
-    only where its error asks for it (farther out, the weight underflows
-    while the members overflow).  Every round samples the new panels of
-    all tasks in one call.
+    anyway.  A folded tail hinted with an exponent goes like a power of t
+    at t = 0 (x = +-inf), so it is graded toward t = 0: it starts as the
+    panels that three halvings of its lower end make, [0, h/8], [h/8, h/4],
+    [h/4, h/2] and [h/2, h] at depths 3, 3, 2 and 1, and its panel at t = 0
+    splits the same way, into four.  A tail with no hint vanishes at t = 0
+    faster than any power; it starts whole and bisects, so the tree samples
+    the far tail only where its error asks for it (farther out, the weight
+    underflows while the members overflow).  Every round samples the new
+    panels of all tasks in one call.
 
     start, a GramQuad of a tree on the same interval, starts the tree from
     its final panels and planned tasks instead, fitting only the endpoint
@@ -758,10 +800,11 @@ def integrate_gram(sample, interval, scale=None, *, fold=False, start=None) -> G
     and comes back unconverged.  An entry of infinite given scale is
     sampled with the rest but never holds the tree open, and so reads
     converged.  Each round splits every panel holding more than its share
-    (1 / leaves) of some open entry's error.  The splits are bounded by
-    integrate's panel budget; entries still open then come back
-    unconverged.  A non-finite sample in a sliver at the floating-point
-    resolution limit retires the sliver with half its parent's error.
+    (1 / leaves) of some open entry's error.  The halvings, three to a
+    graded split, are bounded by integrate's panel budget; entries still
+    open then come back unconverged.  A non-finite sample in a sliver at
+    the floating-point resolution limit retires the sliver with half its
+    parent's error.
 
     A panel whose error stays below every share it could still be held to
     is folded into running totals, so only splittable panels keep their
@@ -801,23 +844,37 @@ def integrate_gram(sample, interval, scale=None, *, fold=False, start=None) -> G
     fits = [_power_tail_mass(point_fn, *args) for args in mesh[2].values()] if mesh else []
     if mesh is None or not all(fits):
         tasks, extra_value, extra_err, slivers = _plan(point_fn, interval)
-        # _plan puts the lower tail first and the upper tail last: a tail
-        # starts whole, a finite task as _START_PANELS panels by halving
-        tails = {k for k, end in ((0, interval.lo), (len(tasks) - 1, interval.hi))
-                 if math.isinf(end)}
+        starts = None
+    else:
+        _, tasks, slivers, starts = mesh
+        extra_value, extra_err = sum(f[1] for f in fits), sum(f[2] for f in fits)
+    # _plan puts the lower tail first and the upper tail last, each on t in
+    # (0, 1/T] with x = +-inf at t = 0; the tails hinted with an exponent
+    # are graded
+    tails = {k: end for k, end in ((0, interval.lo), (len(tasks) - 1, interval.hi))
+             if math.isinf(end)}
+    hints = dict(interval.singularities)
+    graded_tails = [k for k, end in tails.items() if hints.get(end) is not None]
+    if graded_tails:
+        graded_task = np.zeros(len(tasks), dtype=bool)
+        graded_task[graded_tails] = True
+    if starts is None:
+        # a finite task starts as _START_PANELS equal panels by halving, a
+        # graded tail as the panels of one graded split, any other tail whole
         starts = []
         for k, (_, a, b) in enumerate(tasks):
             if not a < b:
                 continue
-            depth = 0 if k in tails else _START_PANELS.bit_length() - 1
+            if k in tails:
+                row = np.array([[k, a, b, 0.0]])
+                starts += (_split(row, np.ones(1, dtype=bool)) if k in graded_tails
+                           else row).tolist()
+                continue
             edges = [float(a), float(b)]
-            for _ in range(depth):
+            for _ in range(_START_DEPTH):
                 edges = [y for x, z in zip(edges, edges[1:])
                          for y in (x, 0.5 * (x + z))] + edges[-1:]
-            starts += [(k, x, z, depth) for x, z in zip(edges, edges[1:])]
-    else:
-        _, tasks, slivers, starts = mesh
-        extra_value, extra_err = sum(f[1] for f in fits), sum(f[2] for f in fits)
+            starts += [(k, x, z, _START_DEPTH) for x, z in zip(edges, edges[1:])]
     mapped = [(k, xmap) for k, (xmap, _, _) in enumerate(tasks) if xmap is not None]
 
     def folded(block):
@@ -844,8 +901,13 @@ def integrate_gram(sample, interval, scale=None, *, fold=False, start=None) -> G
                     jacobians.append((sel, jacobian))
             w, L, R = row_sets(x.ravel())
             wdx = np.full(x.size, w, dtype=float).reshape(-1, 15)
+            # where w is 0 so is w dx/dt, also where a tail's dx/dt
+            # overflows (t^2m underflows to 0 in its farthest panels)
+            zero = wdx == 0.0 if tails else None
             for sel, jacobian in jacobians:
                 wdx[sel] = jacobian(wdx[sel].ravel()).reshape(-1, 15)
+            if tails:
+                wdx[zero] = 0.0
             Lp = _by_panel(L)
             kron, err, finite = _gk_blocks(wdx, Lp, Lp if R is L else _by_panel(R), h)
         return folded(kron), folded(err), finite
@@ -859,7 +921,7 @@ def integrate_gram(sample, interval, scale=None, *, fold=False, start=None) -> G
     acc_err = folded(np.full(shape, extra_err, dtype=float))
     kept, lost = [], False      # the retired panels' rows, for the mesh
     retired = 0
-    splits = 0
+    panels, splits = first, 0       # panels evaluated, halvings made
     max_leaves = first + _MAX_PANELS + 1
     max_live = max(16, _LIVE_ENTRIES // val[0].size)
     running = scale is None or callable(scale)
@@ -888,36 +950,48 @@ def integrate_gram(sample, interval, scale=None, *, fold=False, start=None) -> G
         pick = np.flatnonzero(score > 1.0 / (len(meta) + retired))
         if not pick.size:
             pick = np.array([np.argmax(score)])
-        pick = pick[np.argsort(-score[pick], kind="stable")][
-            :min(_MAX_PANELS - splits, max_live // 2)]
+        pick = pick[np.argsort(-score[pick], kind="stable")]
+        # a graded tail's panel at t = 0 takes a graded split, _START_DEPTH
+        # halvings of the budget; a round's halvings fit the budget and its
+        # children the allowance
+        graded = None
+        if graded_tails:
+            graded = graded_task[meta[pick, 0].astype(int)] & (meta[pick, 1] == 0.0)
+        if graded is not None and graded.any():
+            cost = np.where(graded, _START_DEPTH, 1)
+            room = ((np.cumsum(cost) <= _MAX_PANELS - splits)
+                    & (np.cumsum(cost + 1) <= max_live))
+            if not room[0]:
+                break       # the budget has no room for the first split
+            pick, graded = pick[room], graded[room]
+        else:
+            pick, graded = pick[:min(_MAX_PANELS - splits, max_live // 2)], None
         keep = np.ones(len(meta), dtype=bool)
         keep[pick] = False
         # panels at the depth limit keep their error on the books
         deep = meta[pick, 3] >= _MAX_DEPTH
         if deep.any():
             parked, pick = pick[deep], pick[~deep]
+            graded = None if graded is None else graded[~deep]
             acc_val += val[parked].sum(axis=0)
             acc_err += err[parked].sum(axis=0)
             retired += len(parked)
             kept.append(meta[parked])
 
-        # each picked panel's two halves, lower first
-        children = np.repeat(meta[pick], 2, axis=0)
-        mid = 0.5 * (children[::2, 1] + children[::2, 2])
-        children[::2, 2] = mid
-        children[1::2, 1] = mid
-        children[:, 3] += 1
+        children = _split(meta[pick], graded)
         if pick.size:
             c_val, c_err, c_ok = evaluate(children)
         else:
             c_val, c_err, c_ok = val[:0], err[:0], np.ones(0, dtype=bool)
-        splits += len(pick)
+        panels += len(children)
+        splits += len(children) - len(pick)     # a split adds one panel per halving
 
         if not c_ok.all():
             # a non-finite sample in a sliver at the resolution limit: retire
             # the sliver with half its parent's error, as integrate does
             c_lo, c_hi = children[:, 1], children[:, 2]
-            parent_err = np.repeat(err[pick], 2, axis=0)
+            parent_err = np.repeat(err[pick], 2 if graded is None else
+                                   np.where(graded, _START_DEPTH + 1, 2), axis=0)
             sliver = ~c_ok & (c_hi - c_lo <= 64.0 * _EPS * np.maximum(
                 1.0, np.maximum(abs(c_lo), abs(c_hi))))
             sliver &= np.isfinite(parent_err).all(axis=(1, 2))
@@ -947,6 +1021,5 @@ def integrate_gram(sample, interval, scale=None, *, fold=False, start=None) -> G
             kept.append(meta[done])
             meta, val, err = meta[~done], val[~done], err[~done]
 
-    panels = first + 2 * splits
     mesh = None if lost else (interval, tasks, slivers, np.concatenate(kept + [meta]))
     return GramQuad(total, errs, errs <= target, panels, 15 * panels + len(probes), mesh)

@@ -243,24 +243,39 @@ class GramEntries(Sequence):
     entry (n, m, expected, status or a QuadResult field), the diagonal first
     and then the lower triangle row by row.  The GramEntry tuple is built
     from the columns once, on the first item access or iteration, and gives
-    the slices and the repr; len() builds nothing."""
+    the slices and the repr; len() builds nothing, and one(k) builds entry
+    k alone until the tuple is built."""
     __slots__ = ("_cells", "_built")
 
     def __init__(self, cells):
         self._cells, self._built = cells, None
 
     def __len__(self):
-        return len(_entry_order(len(self._cells["n"])))
+        return len(self._order())
+
+    def _order(self):
+        return _entry_order(len(self._cells["n"]))
 
     def column(self, name):
-        return self._cells[name].take(_entry_order(len(self._cells["n"]))).tolist()
+        return self._cells[name].take(self._order()).tolist()
+
+    def _build(self, cells):
+        """The GramEntry of each of the given flat cells."""
+        n, m, expected, status = (self._cells[name].take(cells).tolist()
+                                  for name in ("n", "m", "expected", "status"))
+        quads = map(QuadResult, *(self._cells[name].take(cells).tolist() for name in _FIELDS))
+        return tuple(map(GramEntry, n, m, quads, expected, status))
 
     def _entries(self):
         if self._built is None:
-            n, m, expected, status = map(self.column, ("n", "m", "expected", "status"))
-            quads = map(QuadResult, *map(self.column, _FIELDS))
-            self._built = tuple(map(GramEntry, n, m, quads, expected, status))
+            self._built = self._build(self._order())
         return self._built
+
+    def one(self, k):
+        """Entry k, built alone unless the tuple is built."""
+        if self._built is not None:
+            return self._built[k]
+        return self._build(self._order()[k:k + 1])[0]
 
     def __getitem__(self, i):
         return self._entries()[i]
@@ -297,28 +312,45 @@ class GramReport:
     panels: int
     evals: int
 
+    def _statuses(self):
+        if isinstance(self.entries, GramEntries):
+            return self.entries.column("status")
+        return [e.status for e in self.entries]
+
+    def _entry(self, k):
+        return self.entries.one(k) if isinstance(self.entries, GramEntries) else self.entries[k]
+
     @property
     def verified(self) -> int:
         """Entries checked against their expected value (status ok)."""
-        return sum(e.status == "ok" for e in self.entries)
+        return self._statuses().count("ok")
 
     def entry(self, n, m):
-        for e in self.entries:
-            if (e.n, e.m) == (max(n, m), min(n, m)):
-                return e
+        hi, lo = max(n, m), min(n, m)
+        if isinstance(self.entries, GramEntries):
+            # the diagonal first, then the lower triangle row by row
+            i, j, size = hi - self.base, lo - self.base, self.nmax - self.base + 1
+            if 0 <= j <= i < size:
+                return self.entries.one(i if i == j else size + i * (i - 1) // 2 + j)
+        else:
+            for e in self.entries:
+                if (e.n, e.m) == (hi, lo):
+                    return e
         raise KeyError((n, m))
 
     def summary(self) -> str:
-        counts = Counter(e.status for e in self.entries)
+        statuses = self._statuses()
+        counts = Counter(statuses)
         refused = sum(counts[k] for k in _REFUSED)
         head = (f"gram[{self.label}] n = {self.base}..{self.nmax}, "
                 f"tol {self.tol:g}: {'pass' if self.passed else 'FAIL'}, "
-                f"{self.verified} verified, {refused} refused "
+                f"{counts['ok']} verified, {refused} refused "
                 f"({', '.join(f'{v} {k}' for k, v in sorted(counts.items()))})")
         lines = [head]
-        for e in self.entries:
-            if e.status in ("ok",) + _REFUSED:
+        for k, status in enumerate(statuses):
+            if status in ("ok",) + _REFUSED:
                 continue
+            e = self._entry(k)
             lines.append(f"  ({e.n},{e.m}): {e.status}, value {e.quad.value:.3e}"
                          + (f", expected {e.expected:.3e}" if e.expected is not None
                             else ""))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symortho import GUP, quadrature
+from symortho import GUP, FiniteI, FiniteII, quadrature
 from symortho.legendre import U
 from symortho.quadrature import (_NODES, _WGF, _WK, IntervalSpec, _gk_panel,
                                  certifies_divergence, exponent_scan, integrate,
@@ -370,8 +370,9 @@ def test_gram_tree_samples_once_per_round(monkeypatch):
 
 @pytest.mark.parametrize("basis, nmax", [("GUP", 24), ("FiniteII", 10)])
 def test_gram_tree_first_round_covers_eight_panels_per_finite_task(monkeypatch, basis, nmax):
-    # finite tasks start at 8 panels, a folded tail whole; the sliver
-    # probes of the planner are single points ahead of the first round
+    # finite tasks start at 8 panels, a folded tail (FiniteII's are hinted
+    # with an exponent) at 4 graded toward t = 0; the sliver probes of the
+    # planner are single points ahead of the first round
     from symortho import sturm
     from symortho.families import GUP, FiniteII
     basis = GUP(0.612, 0.791) if basis == "GUP" else FiniteII(7.52)
@@ -391,8 +392,72 @@ def test_gram_tree_first_round_covers_eight_panels_per_finite_task(monkeypatch, 
     tails = (interval.hi == math.inf) + (not fold and interval.lo == -math.inf)
     probes = sizes.count(1)
     assert sizes[:probes] == [1] * probes and 1 not in sizes[probes:]
-    assert sizes[probes] == 15 * (8 * (len(tasks) - tails) + tails)
+    assert sizes[probes] == 15 * (8 * (len(tasks) - tails) + 4 * tails)
     assert res.evals == sum(sizes) == 15 * res.panels + probes
+
+
+@pytest.mark.parametrize("basis, nmax", [
+    (FiniteII(6.03), 16), (FiniteI(0.12, 2.47), 16), (FiniteII(5.97), 8)], ids=repr)
+def test_gram_tree_reaches_a_hinted_tail_in_few_rounds(monkeypatch, basis, nmax):
+    # a folded tail hinted with an exponent starts graded toward t = 0
+    # (x = +-inf) and its panel at t = 0 splits graded again, so the tree
+    # reaches the far tail in a few rounds (9, 9 and 11 rounds when such a
+    # tail started whole and bisected)
+    from symortho import sturm
+    calls = []
+    real = sturm.integrate_gram
+
+    def recording(sample, interval, scale=None, *, fold=False):
+        sizes = []
+        calls.append((sizes, interval, real(_recording(sample, sizes), interval,
+                                            scale, fold=fold)))
+        return calls[-1][-1]
+    monkeypatch.setattr(sturm, "integrate_gram", recording)
+    assert sturm.gram_matrix(basis, nmax).passed
+    (sizes, interval, res), = calls
+    probes = sizes.count(1)
+    assert len(sizes) - probes <= 4
+    assert res.evals == sum(sizes) == 15 * res.panels + probes
+    interval, tasks, _, panels = res.mesh      # the final panels
+    assert panels[:, 3].max() <= quadrature._MAX_DEPTH
+    k = len(tasks) - 1      # the upper tail, x = +inf at t = 0
+    assert interval.hi == math.inf
+    mine = panels[panels[:, 0] == k]
+    # every panel of the tail lies within one of its start panels
+    h = tasks[k][2]
+    for lo, hi, depth in [(0.0, h / 8, 3), (h / 8, h / 4, 3), (h / 4, h / 2, 2), (h / 2, h, 1)]:
+        inside = mine[(mine[:, 1] >= lo) & (mine[:, 2] <= hi)]
+        assert (inside[:, 2] - inside[:, 1]).sum() == pytest.approx(hi - lo, rel=1e-12)
+        assert (inside[:, 3] >= depth).all()
+
+
+def test_graded_split_caps_its_depth():
+    # a graded tail's panel at t = 0 splits into 4 graded children, lower
+    # first, any other panel into two halves; no child is deeper than
+    # _MAX_DEPTH
+    deep = quadrature._MAX_DEPTH - 1
+    rows = np.array([[0.0, 0.0, 1.0, deep], [1.0, 2.0, 4.0, 5.0], [0.0, 0.0, 0.5, 0.0]])
+    got = quadrature._split(rows, np.array([True, False, True])).tolist()
+    assert got == [[0.0, 0.0, 0.125, 60.0], [0.0, 0.125, 0.25, 60.0],
+                   [0.0, 0.25, 0.5, 60.0], [0.0, 0.5, 1.0, 60.0],
+                   [1.0, 2.0, 3.0, 6.0], [1.0, 3.0, 4.0, 6.0],
+                   [0.0, 0.0, 0.0625, 3.0], [0.0, 0.0625, 0.125, 3.0],
+                   [0.0, 0.125, 0.25, 2.0], [0.0, 0.25, 0.5, 1.0]]
+
+
+def test_tail_where_the_weight_underflows_stays_finite():
+    # the lambda = 2/3 class of FiniteI(0.11, 2.5): its tail decays like
+    # |x|^-1.07, so the tree grades its far tail to x ~ 1e160, where
+    # t^2m underflows; there the weight is 0, and so is w dx/dt, where
+    # 0 / 0 once made every panel there non-finite and the tree ran its
+    # whole budget (8022 panels) and failed
+    from symortho import sturm
+    from symortho.exponent_map import LambdaSpec
+    p, q, r, s = FiniteI(0.11, 2.5).params
+    h = Fraction(1, 3)
+    spec = LambdaSpec(p, q, h * r - (h - 1) * p, h * s - (h - 1) * q, Fraction(2, 3))
+    rep = sturm.gram_matrix(spec, 8)
+    assert rep.passed and rep.verified == 9 and rep.panels < 200
 
 
 def test_softened_tail_reaching_infinity_raises_no_warning():
