@@ -64,11 +64,10 @@ def _add_class_flags(sub, flag="--class"):
 
 # the most grid points --points and --steps may ask for
 _MAX_COUNT = 1_000_000
-# the highest degree --n and --nmax may ask for.  gram's panel tree keeps
-# 16 or more live panels of (nmax + 1)^2 values and errors, samples 8 per
-# finite piece and one per tail in its first round and up to 16 in each
-# later one, and copies them a few times: about 250 floats per entry at the
-# peak, 158 MB for gup(1, 1) at 256 (and four times that at each doubling)
+# the highest degree --n and --nmax may ask for.  gram keeps about 15
+# arrays of (nmax + 1)^2 entries and writes one JSON object an entry: 26 MB
+# at 256 for gup(1, 1), four times that at each doubling.  ghp's monic
+# members overflow from about 200 (ROADMAP item 4)
 _MAX_DEGREE = 256
 
 
@@ -146,6 +145,10 @@ def _cmd_gram(args):
                         "diverged": bool(div)}
                        for n, m, v, err, div in zip(col("n"), col("m"), col("value"),
                                                     col("abs_error_estimate"), col("diverged"))]}
+    if args.stats:
+        refused = sum(col("status").count(s) for s in ("cliff", "degenerate"))
+        doc["stats"] = {"panels": rep.panels, "evals": rep.evals, "verified": rep.verified,
+                        "refused": refused}
     sys.stdout.write(json.dumps(doc) + "\n")
     return 0 if rep.passed else 1
 
@@ -192,6 +195,9 @@ def _cmd_expand(args):
            "coefficients": [_jsonable(c) for c in ser.coefficients],
            "residual": _jsonable(ser.residual),
            "residual_rel": _jsonable(ser.residual_rel)}
+    if args.stats:     # expand refuses a basis unless its Gram check verifies every entry
+        doc["stats"] = {"panels": ser.panels, "evals": ser.evals,
+                        "verified": (args.nmax + 1) * (args.nmax + 2) // 2, "refused": 0}
     sys.stdout.write(json.dumps(doc) + "\n")
     recon = reconstruct(ser, grid)
     with open(args.output, "w", newline="") as fh:
@@ -285,6 +291,8 @@ def _read_pairs(path):
 
 # ------------------------------------------------------------ dispatch
 
+_STATS_HELP = "add the quadrature's panels and evals and the Gram entries verified and refused"
+
 
 @functools.cache
 def _build_parser():
@@ -311,6 +319,7 @@ def _build_parser():
     _add_class_flags(sp)
     sp.add_argument("--nmax", type=int, required=True)
     sp.add_argument("--tol", type=float, default=1e-7)
+    sp.add_argument("--stats", action="store_true", help=_STATS_HELP)
     sp.set_defaults(handler=_cmd_gram)
 
     sp = subs.add_parser("verify-ode", help="pointwise equation residuals as CSV")
@@ -334,6 +343,7 @@ def _build_parser():
     group.add_argument("--input", help="CSV file of x,f(x) samples")
     group.add_argument("--expr", help="expression in x, e.g. 'x**5'")
     sp.add_argument("--output", required=True, help="reconstruction CSV path")
+    sp.add_argument("--stats", action="store_true", help=_STATS_HELP)
     sp.set_defaults(handler=_cmd_expand)
 
     sp = subs.add_parser("table", help="coefficients, recurrence and norms as CSV")

@@ -7,8 +7,8 @@ The map w = x^{lam/2} turns the generic second-order equation into
 whose solutions are the class polynomials composed with an odd real root.
 Only exponents lam = 2(odd)/(odd) keep the composed solutions symmetric;
 lam = 2 reproduces the polynomial case on the same code path.  Any
-admissible lam has a weight and Gram machinery in t-space, read from the
-mapped class's weight exponents (lam = 2/3 is the cube-root class).
+admissible lam (2/3: the cube-root class) has a weight in t, and its Gram
+is its mapped class's.
 """
 
 import math
@@ -22,7 +22,7 @@ from .core import ClassParams, member_rows, poly_from_params
 from .errors import ConstraintViolation
 from .families import Class, _num
 from .quadrature import IntervalSpec
-from .sturm import _LOG_TINY, GramReport, _FamilyBasis, gram_matrix
+from .sturm import GramReport, _FamilyBasis, gram_matrix
 
 
 def _as_fraction(lam):
@@ -156,9 +156,10 @@ def _t_interval(exponents, h, n, m):
 
 class _LambdaBasis(_FamilyBasis):
     """Gram adapter for an admissible lam > 0: its Class's family adapter with
-    its weight, rows and intervals in t, where x = signed_power(t, lam/2)
-    carries every entry onto the mapped class's own; so the closed-form norms,
-    integrable pairs, cliffs and per-entry integrals are the family's, in x."""
+    its weight, rows and interval in t, which expand reads.  x =
+    signed_power(t, lam/2) carries every entry onto the mapped class's own,
+    so the norms, integrable pairs, cliffs and Gauss rule are the family's,
+    in x."""
 
     def __init__(self, spec):
         if spec.lam < 0:
@@ -183,27 +184,16 @@ class _LambdaBasis(_FamilyBasis):
         rows = member_rows(self.spec.params, nmax)
         return lambda t: rows(signed_power(t, self.h))
 
-    @property
-    def log_xw(self):
-        # W(x) ~ x^g is ~ |t|^(h (g + 1) - 1) in t: it underflows at h times its log t
-        h = float(self.h)
-        return h * _LOG_TINY / (h * (self.spec.exponents.tail + 1) - 1)
-
-    def pair_interval(self, degree):
-        return _t_interval(self.spec.exponents, self.h, 0, degree)
+    def interval(self, members=2):
+        return _t_interval(self.spec.exponents, self.h, 0, 0)
 
 
 def lambda_weight_and_gram(spec: LambdaSpec, nmax: int, tol=1e-7) -> GramReport:
-    """Gram matrix of any admissible lam's class in the substituted variable.
-
-    With h = lam/2 and t^h the signed power, integrates int W1(t) S_n(t^h)
-    S_m(t^h) dt over [-theta^(1/h), theta^(1/h)] with W1(t) = W(|t|^h) h
-    |t|^(h-1) (lam = 2/3: W(|t|^{1/3}) / (3 |t|^{2/3})), where W is the
-    weight of the mapped polynomial class on [-theta, theta].  x = t^h
-    carries every entry onto the mapped class's own, so this is
-    gram_matrix(spec, nmax, tol): the Gram of that Class, its block's tree
-    in t, where every diagonal, (0, 0) too, is judged against mu_0 (-1)^n
-    C_1...C_n.  The tests check the entries against the x-space machinery as
-    an independent route.  A negative lam raises ConstraintViolation.
+    """Gram matrix of any admissible lam's class in the substituted variable
+    t, x = t^h, h = lam/2 (the signed power): int W(|t|^h) h |t|^(h-1)
+    S_n(t^h) S_m(t^h) dt, W the weight of the mapped class.  x = t^h carries
+    every entry onto the mapped class's own, so this is gram_matrix(spec,
+    nmax, tol), the Gram of that Class.  A negative lam raises
+    ConstraintViolation.
     """
     return gram_matrix(spec, nmax, tol)

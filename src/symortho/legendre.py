@@ -31,10 +31,11 @@ import numpy as np
 # poly_from_params is not used here, but bench/test_bench.py lists
 # legendre among the modules that bind it
 from .core import (ClassParams, Recurrence, blockwise,  # noqa: F401
-                   poly_from_params)
+                   poly_from_params, weight_exponents)
 from .errors import ConstraintViolation, SingularPoint
 from .families import GUP, norm_squared, norms_squared
-from .quadrature import IntervalSpec, entry_scale
+from .gauss import jacobi, pearson
+from .quadrature import IntervalSpec
 from .special import binom, gamma_fn
 
 E_CHOICES = ("zero", "-2/x^2")
@@ -74,10 +75,11 @@ def orthogonality_interval(kind, members=2):
 
 class _Kind:
     """A Legendre kind defines mu_nu, norm, recurrence (of its members'
-    polynomial factors), prefactor, log_derivs and hints.  It is its own
-    Gram adapter (sturm.gram_matrix): unit weight, closed-form norms, one
-    tree that carries every pair, folded onto [0, 1) when its members have
-    a parity."""
+    polynomial factors), prefactor, log_derivs, hints and rule.  It is its
+    own Gram adapter (sturm.gram_matrix): unit weight, closed-form norms,
+    every pair integrable and every member built by recurrence, the pairs
+    of mixed parity exactly 0 when its members have a parity (fold), and
+    the rest from one Gauss rule of its squared prefactor."""
     base = 0
     fold = True
     rows = kind_rows
@@ -96,14 +98,10 @@ class _Kind:
         return 1.0
 
     def integrable_mask(self, nmax):
-        return np.ones((nmax + 1,) * 2, dtype=bool)
+        return np.ones((nmax - self.base + 1,) * 2, dtype=bool)
 
-    def tree_scale(self, norms, integrable):
-        d = np.abs(norms)
-        return entry_scale(d[:, None], d)       # the tree carries every pair
-
-    def pair_interval(self, degree):
-        return self.interval()
+    def missing(self, nmax, lower, integrable):
+        return np.zeros_like(lower)
 
 
 class _ClassKind(_Kind):
@@ -132,6 +130,14 @@ class _ClassKind(_Kind):
     def mu_nu(self, n):
         nab = n - self.base + self.a + self.b
         return nab * (nab + 1), self.b ** 2
+
+    def rule(self, pairs):
+        """(x, w, low, rows): the Gauss rule of x^(2a) (1-x^2)^b, the weight
+        of params, for the widest of pairs (a mask over class degrees) of one
+        parity, and the class members times their leads at its nodes."""
+        d, e = np.nonzero(pairs)
+        rule = pearson(self.params, weight_exponents(self.params), int((d + e).max()) // 2)
+        return rule + (self.recurrence(int(d.max()) + self.base).rows(rule[0]),)
 
     def hints(self):
         edges = [(-1.0, self.b / 2), (1.0, self.b / 2)] if self.b else []
@@ -243,6 +249,15 @@ class V(_Kind):
 
     def mu_nu(self, n):
         return n * (n + 1), self.alpha ** 2
+
+    def rule(self, pairs):
+        """(x, w, low, rows): the Gauss-Jacobi rule of (1-x)^al (1+x)^-al,
+        2 z^-al (1-z)^al in z = (1 + x)/2, for the widest of pairs, and the
+        members' polynomial factors at its nodes."""
+        last, al = int(np.nonzero(pairs)[0].max()), float(self.alpha)
+        z, lam = jacobi(-al, al, last + 2)
+        x = 2 * z - 1
+        return x, 2 * lam, -abs(al), self.recurrence(last).rows(x)
 
     def norm(self, n):
         # 2 gamma(n+1+al) gamma(n+1-al) / (n!^2 (2n+1)) in logs

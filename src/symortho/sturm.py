@@ -26,9 +26,10 @@ from .core import eigenvalue as generic_eigenvalue
 from .errors import (ConstraintViolation, DegenerateDenominator, NonpositiveWeight,
                      PoleError, SingularCoefficient, ZeroLeadingCoefficient)
 from .families import _FAMILIES, Class, generic_weight_log, norms_squared
+from .gauss import pearson
 from .legendre import LegendreKind
-from .quadrature import (_RTOL, IntervalSpec, QuadResult, divergence_mask, entry_scale,
-                         exponent_scan, integrate, integrate_gram)
+from .quadrature import (_EPS, _RTOL, IntervalSpec, QuadResult, divergence_mask, entry_scale,
+                         exponent_scan, integrate_gram)
 
 
 @dataclass(frozen=True)
@@ -156,13 +157,12 @@ def boundary_term(sl, phi_n, phi_m, *, scale=1.0):
     bracket behind the norm integral, A R phi' phi, is used instead.
 
     At a finite theta A R = (px^2 + q) W* ~ (theta - |x|)^(edge + 1): for
-    edge + 1 > 0 the bracket is 0.0, evaluating nothing, else it is taken
-    at +-theta.  An infinite theta is probed at x = 10, 10^2, 10^3: a
-    monotone decay below 1e-10 * scale counts as zero, anything else is
-    returned as the x = 10^3 value, a result (the finite-family failure
-    signature), not an error.  The probe stops at 10^3, so a slow decay
-    reads as nonzero: the bracket of FiniteII(4.5)'s non-monic member 5,
-    x - 2x^3, is 0.118 at x = 10, 1.2e-5 at 10^3 and 1.2e-15 at 10^8."""
+    edge + 1 > 0 the bracket is 0.0, else it is taken at +-theta.  An
+    infinite theta is probed at x = 10, 10^2, 10^3: a monotone decay below
+    1e-10 * scale counts as zero, else the x = 10^3 value is returned (the
+    finite-family failure signature).  So a slow decay reads as nonzero:
+    FiniteII(4.5)'s non-monic member 5, x - 2x^3, has a bracket of 0.118 at
+    x = 10, 1.2e-5 at 10^3 and 1.2e-15 at 10^8."""
     same = phi_n is phi_m or (
         isinstance(phi_n, SymmetricPoly) and isinstance(phi_m, SymmetricPoly)
         and (phi_n.n, phi_n.coeffs) == (phi_m.n, phi_m.coeffs))
@@ -196,14 +196,12 @@ def parity_integral(sl, phi_n, phi_m):
     """F(n, m) = ((-1)^m - (-1)^n)/2 * int E R phi_n phi_m over [-theta, theta].
 
     Equal parities short-circuit to exactly zero (the prefactor vanishes).
-    Mixed parities make the integrand odd; the integral is taken in the
-    symmetric (principal-value) sense by folding x -> -x onto the right
-    half-line, which still samples both members and the weight while
-    letting the two sides cancel pointwise.  Families with a strong origin
-    singularity make the unfolded two-sided integral divergent in the
-    absolute sense, so the fold is the honest reading of the lemma.  It is
-    a 1x1 integrate_gram block held to an absolute 1e-10: its exact value
-    0 has no scale.  An open tree's value is returned as it stands.
+    Mixed parities make the integrand odd; it is taken in the symmetric
+    (principal-value) sense, folded by x -> -x onto the right half-line so
+    the two sides cancel pointwise: with a strong origin singularity the
+    two-sided integral diverges absolutely.  It is a 1x1 integrate_gram
+    block held to an absolute 1e-10 (0 has no scale); an open tree's value
+    is returned as it stands.
     """
     pn, pm = phi_n.n % 2, phi_m.n % 2
     pref = ((-1) ** phi_m.n - (-1) ** phi_n.n) / 2
@@ -242,9 +240,8 @@ class GramEntries(Sequence):
     [n - base, m - base] until read.  column(name) lists one field of every
     entry (n, m, expected, status or a QuadResult field), the diagonal first
     and then the lower triangle row by row.  The GramEntry tuple is built
-    from the columns once, on the first item access or iteration, and gives
-    the slices and the repr; len() builds nothing, and one(k) builds entry
-    k alone until the tuple is built."""
+    once, on the first item access or iteration; len() builds nothing, and
+    one(k) builds entry k alone until then."""
     __slots__ = ("_cells", "_built")
 
     def __init__(self, cells):
@@ -299,9 +296,10 @@ def _entry_order(size):
 @dataclass(frozen=True, eq=False)
 class GramReport:
     """The entries of a Gram matrix with their statuses, the mirrored
-    matrix, the verdict, and what it cost: the GK15 panels and integrand
-    points of its panel tree and of every per-entry integral.  entries is
-    any sequence of GramEntry: gram_matrix's is a GramEntries."""
+    matrix, the verdict, and what it cost: GK15 panels (0 from gram_matrix,
+    whose entries come from one Gauss rule) and integrand points (the rule's
+    nodes times the members evaluated there).  entries is any sequence of
+    GramEntry: gram_matrix's is a GramEntries."""
     label: str
     base: int
     nmax: int
@@ -358,24 +356,28 @@ class GramReport:
 
 
 class _FamilyBasis:
-    """Basis adapter for a family spec.  Adapters give the weight, the
-    rows evaluator of members base..nmax (by recurrence), the quadrature
-    interval, the closed-form norms (None where refused; a family's are
-    its tuple's Class's), whether the Gram tree may fold by parity, which
-    pairs are integrable and, by one per-pair rule, which of them the Gram
-    tree carries (tree_scale).  Every other even integrable pair takes
-    inner, and an odd one is exactly 0; a pair that is not integrable is a
-    cliff where cliffs certifies it, and is left inconclusive, with no
-    integral, elsewhere."""
+    """Basis adapter for a family spec.  Adapters give expand the weight,
+    the rows of members base..nmax (by recurrence) and the quadrature
+    interval, and gram_matrix the closed-form norms (None where refused; a
+    family's are its tuple's Class's), whether the members have a parity
+    (fold), the integrable pairs, the pairs with a member that cannot be
+    built (missing) and the Gauss rule of the pairs of one parity (rule).  A
+    family's pair that is not integrable is a cliff where cliffs certifies
+    it, and inconclusive elsewhere."""
     fold = True
 
     def __init__(self, spec):
         self.spec = spec
         self.base = 0
         self.label = spec.label
+        self.phi = functools.lru_cache(maxsize=None)(self._phi)
 
-    def phi(self, n):
-        return poly_from_params(self.spec.params, n, monic=True)
+    def _phi(self, n):
+        """Member n as its own SymmetricPoly, None where it cannot be built."""
+        try:
+            return poly_from_params(self.spec.params, n, monic=True)
+        except (DegenerateDenominator, ZeroLeadingCoefficient):
+            return None
 
     def norms(self, nmax):
         """The norms of the tuple's Class, to its last integrable diagonal."""
@@ -388,43 +390,8 @@ class _FamilyBasis:
     def rows(self, nmax):
         return member_rows(self.spec.params, nmax)
 
-    def interval(self, members=2):
-        # the weight's own hints: polynomial members add integer exponents
-        return self.pair_interval(0)
-
-    def tree_scale(self, norms, integrable):
-        """The Gram tree's scale over n, m = 0..nmax, inf where it carries no
-        pair.  It carries each even integrable (n, m), n >= m, with a norm
-        d_m, whose member n lies below any pole and stays finite before x_w,
-        and whose mass past x_w, 2 x_w^s / -s for a product ~ |x|^(s - 1),
-        is at most 1e-9 of its scale entry_scale(d_n, d_m), d_n falling back
-        to d_m.  The leading square of degrees whose even pairs are all
-        carried keeps its scale whole, mirrored and with its odd pairs (0 by
-        the fold), so that the tree tests one full square there."""
-        size = len(norms)
-        d = np.array([math.nan if d is None else abs(d) for d in norms])
-        has = ~np.isnan(d)
-        scale = entry_scale(np.where(has[:, None], d[:, None], d), d)
-        g = self.spec.exponents.tail
-        if has.all() and g == -math.inf:
-            return scale    # no pole, and every pair integrable with no tail to lose
-        n, m = np.arange(size)[:, None], np.arange(size)
-        degree = n + m
-        top = size - 1 if has.all() else _below_pole(self.spec.params, size - 1)
-        even = (n >= m) & (degree % 2 == 0)
-        carried = even & integrable & has & (n <= top)
-        if g > -math.inf and has.any():     # with no norm, g may be 0 and x_w undefined
-            # the mass past x_w and its share of the scale, once per n + m
-            s, log_xw = g + np.arange(2 * size - 1) + 1, self.log_xw
-            with np.errstate(over="ignore"):    # s >= 0 only at pairs not integrable
-                mass, share = 2 * np.exp(s * log_xw), -s * _RTOL
-            carried &= (n * log_xw < _LOG_HUGE) & (
-                mass.take(degree) <= share.take(degree) * scale)
-        k = np.cumprod((carried == even).all(axis=1)).sum()     # the square's rows 0..k-1
-        return np.where(carried | ((n < k) & (m < k)), scale, math.inf)
-
-    def pair_interval(self, degree):
-        return self.spec.interval(tail_power=degree)
+    def interval(self, members=2):     # polynomial members add integer exponents
+        return self.spec.interval()
 
     def integrable_mask(self, nmax):
         """pair_integrable(spec, n, m) at [n, m], n, m = 0..nmax: one outer sum
@@ -435,21 +402,42 @@ class _FamilyBasis:
         return ((origin + (low[:, None] + low) > -1) & (theta == math.inf or edge > -1)
                 & (self.spec._tail_margin(n, m) < 0))
 
-    @property
-    def log_xw(self):
-        """log x_w: past x_w the weight the tree samples underflows to 0."""
-        return _LOG_TINY / self.spec.exponents.tail
+    def missing(self, nmax, lower, integrable):
+        """The pairs of lower, at [n, m], with a member that cannot be built:
+        below any pole the rule takes the recurrence's rows; from the pole on,
+        and in a pair that is not integrable, a member is its own phi(n)."""
+        k = np.arange(nmax + 1)
+        need = lower & (~integrable | (k[:, None] > _below_pole(self.spec.params, nmax)))
+        used = need.any(axis=0) | need.any(axis=1)
+        gone = np.array([bool(u) and self.phi(i) is None for i, u in enumerate(used)])
+        return need & (gone[:, None] | gone)
+
+    def rule(self, pairs):
+        """(x, w, low, rows) for pairs, a mask of integrable pairs n >= m of
+        one parity: the weight's Gauss rule of the widest pair
+        (gauss.pearson) and members 0..N at its nodes, N the largest n, as
+        missing takes them (0 where no pair needs one); None with no rule."""
+        n, m = np.nonzero(pairs)
+        params = self.spec.params
+        got = pearson(params, self.spec.exponents, int((n + m).max()) // 2)
+        if got is None:
+            return None
+        x, last = got[0], int(n.max())
+        top = _below_pole(params, last)
+        rows = member_rows(params, top)(x)
+        if last > top:
+            used = pairs.any(axis=0) | pairs.any(axis=1)
+            rows = np.vstack([rows] + [self.phi(i)(x) if used[i] else np.zeros_like(x)
+                                       for i in range(top + 1, last + 1)])
+        return got + (rows,)
 
     def cliffs(self, nmax, phi):
-        """The mask, at [n, m] for n, m = 0..nmax, of the pairs (read only
-        where not integrable) whose measured exponent at some hinted point
-        of the weight, on one side, agrees with their divergent hint
-        (divergence_mask), from one quadrature.exponent_scan of members
-        0..nmax.  Each side is judged on its own, so cancelling divergent
-        tails still show.  The scan is in x.  Members below a pole in the
-        recurrence are its rows; each member from the pole on is phi(n), its
-        own SymmetricPoly (None where it does not exist, whose pairs never
-        certify)."""
+        """The mask, at [n, m], of the pairs (read where not integrable)
+        whose measured exponent at a hinted point of the weight, on one side,
+        agrees with their divergent hint (divergence_mask), from one
+        quadrature.exponent_scan in x of the rows below any pole and each
+        member from it on as phi(n) (None: its pairs never certify).  Each
+        side is judged on its own, so cancelling divergent tails still show."""
         top = _below_pole(self.spec.params, nmax)
         rows = member_rows(self.spec.params, top)
         wlog = self.spec.weight_log
@@ -467,24 +455,6 @@ class _FamilyBasis:
         for point, sigma, spread in scan:
             certified |= divergence_mask(point, sigma, spread, hint[point])
         return certified
-
-    def inner(self, phi_a, phi_b, n, m):
-        """The entry (n, m) of an even absolutely integrable pair that the
-        tree does not carry: one integrate call on the right half-line."""
-        wlog = self.spec.weight_log
-
-        def f(x):
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                return np.exp(wlog(x)) * phi_a(x) * phi_b(x)
-        spec = self.spec.interval(origin_power=(n % 2) + (m % 2), tail_power=n + m)
-        return integrate(f, spec, parity="even", on_inconclusive="return")
-
-
-# the logs of the smallest and largest positive floats: a weight
-# |x|^tail underflows to 0 past log|x| = _LOG_TINY / tail, and a monic
-# member of degree n overflows past log|x| = _LOG_HUGE / n
-_LOG_TINY = math.log(np.finfo(float).smallest_subnormal)
-_LOG_HUGE = math.log(np.finfo(float).max)
 
 
 def _adapt(basis):
@@ -507,28 +477,8 @@ def _below_pole(params, top):
     try:
         params.float_c(max(top - 1, 0))
         return top
-    except PoleError:
-        pass
-    for t in range(1, top):     # C_t is the first pole
-        try:
-            params.float_c(t)
-        except PoleError:
-            return t
-
-
-def _shared_tree(ad, scale):
-    """The GramQuad of one panel tree for the pairs scale holds, each to
-    1e-9 of its scale: rows base..top against columns base..right, the last
-    row and column that hold one, hinted for the widest product."""
-    n, m = np.nonzero(np.isfinite(scale))
-    top, right = n.max(), m.max()
-    rows = ad.rows(top + ad.base)
-
-    def sample(x):
-        P = rows(x)
-        return ad.weight(x), P, P[:right + 1] if right < top else P
-    return integrate_gram(sample, ad.pair_interval((n + m).max() + 2 * ad.base),
-                          scale[:top + 1, :right + 1], fold=ad.fold)
+    except PoleError:       # float_c keeps C_1.. below the first pole
+        return len(params._float_c) + 1
 
 
 # an entry that takes no integral, and the QuadResult fields gram_matrix
@@ -537,68 +487,26 @@ _NO_QUAD = QuadResult(math.nan, math.inf, False, False)
 _FIELDS = tuple(f.name for f in fields(QuadResult))
 
 
-def _entry_by_entry(ad, nmax, cells, todo, integrable):
-    """Fill cells[n, m] for the pairs todo marks, which the tree does not
-    carry (a family's, of base 0): a pair with a member that cannot be built
-    stays _NO_QUAD, an odd integrable pair is exactly 0 and an even one
-    takes ad.inner; any other takes no integral, diverged where ad.cliffs
-    certifies the divergence.  Returns the masks of the missing cells and
-    of the certified cliffs."""
-    missing, cliff = np.zeros_like(todo), np.zeros_like(todo)
-    if not todo.any():
-        return missing, cliff
-
-    @functools.lru_cache(maxsize=None)
-    def phi(n):
-        try:
-            return ad.phi(n)
-        except (DegenerateDenominator, ZeroLeadingCoefficient):
-            return None
-
-    used = todo.any(axis=0) | todo.any(axis=1)
-    gone = np.array([bool(u) and phi(k) is None for k, u in enumerate(used)])
-    missing = todo & (gone[:, None] | gone)
-    todo = todo & ~missing
-    odd = todo & integrable & (np.indices(todo.shape).sum(axis=0) % 2 == 1)
-    cells["value"][odd] = cells["abs_error_estimate"][odd] = 0.0
-    cells["converged"][odd] = True
-    for n, m in np.argwhere(todo & integrable & ~odd).tolist():
-        quad = ad.inner(phi(n), phi(m), n, m)
-        for name in _FIELDS:
-            cells[name][n, m] = getattr(quad, name)
-    if (todo & ~integrable).any():
-        cliff = todo & ~integrable & ad.cliffs(nmax, phi)
-        cells["diverged"][cliff] = True     # the cells stay _NO_QUAD otherwise
-    return missing, cliff
-
-
 def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
     """Inner-product matrix of the members up to degree nmax of a basis: a
     family, a bare ClassParams (as its Class), a LambdaSpec or a Legendre kind.
 
     A family's norms are its tuple's Class's (norms_squared), to the last
-    integrable diagonal: one list gives the scales, the expected diagonals
-    and the refusals, so a named family and its Class give one report.
-    One shared panel tree (quadrature.integrate_gram), on members evaluated
-    by recurrence, carries the pairs that one per-pair rule picks
-    (tree_scale), each held to 1e-9 of entry_scale(d_n, d_m): a Legendre
-    kind's tree carries every pair, and a family's or a lambda class's each
-    even integrable pair that has a norm d_m, lies below any pole and holds
-    its tail past the point where the float weight underflows.  Bases with
-    no degree bound (GUP, GHP) carry every even pair to nmax.  A carried
-    pair the tree leaves open reads inconclusive.  Outside the tree, an
-    integrable entry is exactly 0 (an odd pair) or one half-line integral
-    (an even pair).
-    An entry that is not integrable takes no integral: it is a cliff when
-    the pair's local exponent, measured by one scan over members base..nmax,
-    confirms its divergent hint, and inconclusive otherwise, so a cliff
-    always rests on divergence evidence independent of the tree.
-    One pass over arrays of the entries then judges them all, from the
-    mask of integrable pairs, the scan's cliff mask, the expected norms
-    and the scales: diagonals, (0, 0) too, are held to tol |d_n| of the
-    closed-form norms (mu_0 (-1)^n C_1...C_n), and off-diagonals to
-    tol sqrt|d_n| sqrt|d_m|, with d the converged diagonals (else the
-    norms).  Entry statuses:
+    integrable diagonal, so a named family and its Class give one report.
+    In y = x^2 each pair of one parity is a polynomial against the weight's
+    Jacobi or Laguerre weight (gauss.pearson; V takes Gauss-Jacobi in x),
+    so one Gauss rule, built for the widest integrable pair, gives them all
+    exactly up to rounding from the members' recurrence at its nodes: reason
+    rule, evals its nodes times the members evaluated, and an error of
+    4 (n + m + N) eps sum_i w_i |S_n S_m|(x_i) at N nodes, over 1 + e where
+    the rule's smallest exponent e is negative.  An integrable pair of mixed
+    parity is exactly 0 (reason odd-parity).  A pair that is not integrable
+    is a cliff when one scan of its local exponents confirms its divergent
+    hint, else inconclusive; a pair with a member that cannot be built
+    (missing) takes nothing.  One pass over arrays then judges every entry:
+    diagonals to tol |d_n| of the closed-form norms (mu_0 (-1)^n C_1...C_n),
+    off-diagonals to tol sqrt|d_n| sqrt|d_m|, d the converged diagonals (else
+    the norms).  Entry statuses:
 
       ok            matches expectation
       cliff         divergence certified AND the closed form refuses the
@@ -609,15 +517,13 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
       mismatch      converged to the wrong value, converged where the
                     closed form says divergent, or a member degenerated
                     at an index the closed forms accept
-      inconclusive  the integrator gave up without a verdict or flagged a
-                    divergence on an integrable pair (a float artifact:
-                    its QuadResult is kept as returned), or the scan did
-                    not certify a pair that is not integrable
+      inconclusive  an integrable pair with no Gauss rule (flagged
+                    diverged: a weight growing like e^(c x^2)) or no finite
+                    value, or a pair not integrable that the scan did not
+                    certify
 
     The report passes iff every entry is ok, cliff or degenerate.  Entries
-    (n, m) with n >= m are computed and the matrix is mirrored.  The
-    report's panels and evals total the GK15 panels and integrand points
-    of the tree and of every per-entry integral.
+    (n, m) with n >= m are computed and the matrix is mirrored.
     """
     ad = _adapt(basis)
     if _check_degree(nmax) < ad.base:
@@ -626,21 +532,36 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
         raise ConstraintViolation(f"tol must be finite and positive, got {tol!r}")
     b, size = ad.base, nmax - ad.base + 1
     norms = ad.norms(nmax)
-    # read by the tree's scale and the per-entry pass
     integrable = ad.integrable_mask(nmax)
-    scale = ad.tree_scale(norms, integrable)
     cells = {name: np.full((size, size), getattr(_NO_QUAD, name)) for name in _FIELDS}
     lower = np.tri(size, dtype=bool)    # the entries (n, m), n >= m; the matrix mirrors them
-    held = lower & np.isfinite(scale)
-    tree_cost = 0, 0
-    if held.any():
-        res = _shared_tree(ad, scale)
-        sub = held[:res.value.shape[0], :res.value.shape[1]]
-        for name, got in zip(_FIELDS, (res.value, res.error, res.converged)):
-            cells[name][held] = got[sub]
-        tree_cost = res.panels, res.evals
-    missing, cliff = _entry_by_entry(ad, nmax, cells, lower & ~held, integrable)
+    missing = ad.missing(nmax, lower, integrable)
+    exact = lower & integrable & ~missing
+    k = np.arange(size)
+    odd = exact & ((k[:, None] + k) % 2 == 1) if ad.fold else np.zeros_like(exact)
+    cells["value"][odd] = cells["abs_error_estimate"][odd] = 0.0
+    cells["converged"][odd], cells["reason"][odd] = True, "odd-parity"
+    pairs, evals = exact & ~odd, 0
+    rule = ad.rule(pairs) if pairs.any() else None
+    if rule is None:
+        cells["diverged"][pairs] = True     # no rule: some exponent of the weight is -1 or less
+    else:
+        x, w, low, rows = rule
+        top, evals = len(rows), rows.size
+        held = pairs[:top, :top]
+        a = rows * np.sqrt(w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, mass = a @ a.T, np.abs(a) @ np.abs(a).T
+            err = 4 * (k[:top, None] + k[:top] + len(x)) * _EPS / min(1.0, 1 + low) * mass
+        for name, got in (("value", value), ("abs_error_estimate", err),
+                          ("converged", np.isfinite(value) & np.isfinite(err))):
+            cells[name][:top, :top][held] = got[held]
+        cells["reason"][:top, :top][held], cells["evals"][:top, :top][held] = "rule", evals
     value, conv = cells["value"], cells["converged"]
+    cliff = lower & ~integrable & ~missing
+    if cliff.any():
+        cliff &= ad.cliffs(nmax, ad.phi)
+        cells["diverged"][cliff] = True     # the cells stay _NO_QUAD otherwise
 
     refused = np.array([d is None for d in norms])
     expected = np.array([math.nan if d is None else d for d in norms], dtype=float)
@@ -662,8 +583,8 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
     rules = ((missing & consistent[:, None] & consistent, "degenerate"), (missing, "mismatch"),
              (conv & close, "ok"), (conv, "mismatch"), (cells["diverged"] & cliff, "cliff"))
     status = cells["status"] = np.full((size, size), "inconclusive", dtype=object)
-    for rule, name in reversed(rules):      # the first rule that holds wins
-        status[rule] = name
+    for mask, name in reversed(rules):      # the first rule that holds wins
+        status[mask] = name
 
     cells["n"], cells["m"] = np.indices((size, size)) + b
     cells["expected"] = np.full((size, size), 0.0, dtype=object)
@@ -671,6 +592,4 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
     passed = set(status[lower]) <= {"ok", *_REFUSED}
     mat = np.where(conv, value, math.nan)
     mat = np.where(lower, mat, mat.T)
-    panels = int(cells["panels"][lower].sum()) + tree_cost[0]
-    evals = int(cells["evals"][lower].sum()) + tree_cost[1]
-    return GramReport(ad.label, b, nmax, tol, GramEntries(cells), mat, passed, panels, evals)
+    return GramReport(ad.label, b, nmax, tol, GramEntries(cells), mat, passed, 0, evals)

@@ -451,3 +451,34 @@ def test_expand_expression_grammar_covers_arithmetic_and_names(capsys, tmp_path)
     want = (-x ** 2 / 2 + 3 * np.sin(np.pi * x) - np.exp(x) * math.e
             + np.abs(x) ** 0.5 - 0.25)
     assert np.array_equal(f, want)
+
+
+# ---------------------------------------------------------------- --stats
+
+
+def test_gram_stats_adds_one_key_and_leaves_the_default_output(capsys):
+    argv = ["gram", "--class", "finite2", "--u", "4.5", "--nmax", "4"]
+    status, plain, _ = invoke(capsys, *argv)
+    status_stats, out, _ = invoke(capsys, *argv, "--stats")
+    assert status == status_stats == 0
+    doc = json.loads(out)
+    stats = doc.pop("stats")
+    assert "stats" not in json.loads(plain)
+    assert plain == json.dumps(doc) + "\n"      # byte for byte but the key
+    rep = gram_matrix(FiniteII(4.5), 4)
+    assert stats == {"panels": 0, "evals": rep.evals, "verified": 14, "refused": 1}
+
+
+def test_expand_stats_adds_one_key_and_leaves_the_default_output(capsys, tmp_path):
+    argv = ["expand", "--basis", "gup", "--u", "0", "--v", "0", "--nmax", "8",
+            "--expr", "x**5", "--output", str(tmp_path / "recon.csv")]
+    status, plain, _ = invoke(capsys, *argv)
+    recon = (tmp_path / "recon.csv").read_bytes()
+    status_stats, out, _ = invoke(capsys, *argv, "--stats")
+    assert status == status_stats == 0
+    doc = json.loads(out)
+    stats = doc.pop("stats")
+    assert plain == json.dumps(doc) + "\n" and (tmp_path / "recon.csv").read_bytes() == recon
+    series = symortho.expand(lambda x: x ** 5, GUP(0.0, 0.0), 8)
+    assert stats == {"panels": series.panels, "evals": series.evals, "verified": 45, "refused": 0}
+    assert stats["panels"] > 0

@@ -3,16 +3,15 @@
 tests/data/finite_gram_statuses.json holds the statuses of the reports
 below as they were before divergence was certified from measured local
 exponents.  Since then a status may change only as CHANGED lists it, in
-one of three ways:
+one of two ways:
 
   - from `inconclusive` or `mismatch` to `cliff`, on a pair whose product
     is not absolutely integrable (families.pair_integrable);
-  - from `mismatch` to `ok`, on an integrable diagonal that an mpmath
-    reference matches within tol |d_n| (the norms of the tuple's Class,
-    past a printed degree bound too);
-  - from `divergent` to `inconclusive`, on an integrable pair: the status
-    `divergent` is gone, and an integrable pair's integral that blows up
-    leaves it open.
+  - from `inconclusive`, `mismatch` or `divergent` (a status that is gone:
+    such a pair read `inconclusive` until its entry came from a Gauss rule)
+    to `ok`, on an integrable pair that an mpmath reference matches within
+    tol of the scale gram_matrix judges it by (the norms of the tuple's
+    Class, past a printed degree bound too).
 
 The file was written at the commit before the first change by
 
@@ -23,6 +22,7 @@ the baseline, and CHANGED with it.
 """
 
 import json
+import math
 import os
 import sys
 
@@ -36,8 +36,7 @@ from symortho.families import Class, FiniteI, FiniteII, pair_integrable
 from symortho.quadrature import certifies_divergence
 from symortho import sturm
 from symortho.sturm import _adapt, gram_matrix
-from test_sturm import (LAMBDA_SQUARES, _carried, _lambda_two_thirds, _mp_entry, _rule_pairs,
-                        _tree_end)
+from test_sturm import LAMBDA_CASES, _lambda_two_thirds, _mp_entry
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                     "finite_gram_statuses.json")
@@ -101,16 +100,20 @@ CHANGED = {
     ("FiniteI(0.1, 2.5)@8", "2,2"): ("mismatch", "ok"),
     ("FiniteI(0.1, 2.5)@16", "1,1"): ("mismatch", "ok"),
     ("FiniteI(0.1, 2.5)@16", "2,2"): ("mismatch", "ok"),
-    # integrable pairs whose own integrals stop at a non-finite panel, where
-    # the weight underflows to 0 and the members overflow (reason blowup)
-    ("FiniteII(5.55)@10", "6,4"): ("divergent", "inconclusive"),
-    ("FiniteII(5.55)@10", "7,3"): ("divergent", "inconclusive"),
-    ("FiniteII(5.55)@10", "8,2"): ("divergent", "inconclusive"),
-    ("FiniteII(5.55)@10", "9,1"): ("divergent", "inconclusive"),
-    ("FiniteII(5.55)@10", "10,0"): ("divergent", "inconclusive"),
-    ("FiniteII(7.52)@10", "8,6"): ("divergent", "inconclusive"),
-    ("FiniteII(7.52)@10", "9,5"): ("divergent", "inconclusive"),
-    ("FiniteII(7.52)@10", "10,4"): ("divergent", "inconclusive"),
+    # integrable pairs whose own integrals stopped at a non-finite panel,
+    # where the weight underflows to 0 and the members overflow (reason
+    # blowup), and diagonals whose integrals ran out of budget; the Gauss
+    # rule gives them
+    ("FiniteII(5.55)@10", "5,5"): ("inconclusive", "ok"),
+    ("FiniteII(7.52)@10", "7,7"): ("inconclusive", "ok"),
+    ("FiniteII(5.55)@10", "6,4"): ("divergent", "ok"),
+    ("FiniteII(5.55)@10", "7,3"): ("divergent", "ok"),
+    ("FiniteII(5.55)@10", "8,2"): ("divergent", "ok"),
+    ("FiniteII(5.55)@10", "9,1"): ("divergent", "ok"),
+    ("FiniteII(5.55)@10", "10,0"): ("divergent", "ok"),
+    ("FiniteII(7.52)@10", "8,6"): ("divergent", "ok"),
+    ("FiniteII(7.52)@10", "9,5"): ("divergent", "ok"),
+    ("FiniteII(7.52)@10", "10,4"): ("divergent", "ok"),
 }
 
 # the check set's weights in mpmath, for the references of its diagonals
@@ -126,6 +129,19 @@ def _key(cls, args, nmax):
 
 def statuses(rep):
     return {f"{e.n},{e.m}": e.status for e in rep.entries}
+
+
+def judged_scale(rep, n, m):
+    """The scale gram_matrix judges entry (n, m) by: |d_n| on the diagonal,
+    else sqrt|d_n| sqrt|d_m|, d a converged diagonal or else its norm, d_n
+    falling back to d_m."""
+    def d(k):
+        e = rep.entry(k, k)
+        return e.quad.value if e.quad.converged else e.expected
+    if n == m:
+        return abs(rep.entry(n, n).expected)
+    dn, dm = d(n), d(m)
+    return math.sqrt(abs(dm if dn is None else dn)) * math.sqrt(abs(dm))
 
 
 @pytest.fixture(scope="module")
@@ -155,13 +171,11 @@ def test_statuses_match_the_check_set_but_for_listed_cliffs(case, check_set):
         if new == "cliff":
             assert old in ("inconclusive", "mismatch")
             assert not pair_integrable(spec, n, m)
-        elif new == "ok":
-            assert old == "mismatch" and n == m and pair_integrable(spec, n, n)
-            ref = _mp_entry(spec, n, n, MP_WEIGHT[cls](*args))
-            assert abs(e.quad.value - ref) <= rep.tol * abs(e.expected), entry
         else:
-            assert (old, new) == ("divergent", "inconclusive")
-            assert pair_integrable(spec, n, m) and e.quad.reason == "blowup"
+            assert new == "ok" and old in ("inconclusive", "mismatch", "divergent")
+            assert pair_integrable(spec, n, m)
+            ref = _mp_entry(spec, n, m, MP_WEIGHT[cls](*args))
+            assert abs(e.quad.value - ref) <= rep.tol * judged_scale(rep, n, m), entry
 
 
 @pytest.mark.parametrize("case", CASES + [(FiniteI, (0.06, 2.46), 8)], ids=lambda c: _key(*c))
@@ -178,59 +192,51 @@ def test_a_family_and_its_class_give_one_report(case):
         assert gen.panels <= 100
 
 
-def test_an_integrable_pair_whose_integral_blows_up_is_inconclusive():
-    # these integrals stop at a non-finite panel (0 inf past x_w); the pairs
-    # are integrable, so the flag is the floats', and the QuadResult stays
-    rep = gram_matrix(FiniteII(5.55), 10)
+def test_integrable_pairs_whose_integrals_blew_up_are_ok():
+    # these integrals stopped at a non-finite panel (0 inf past the point
+    # where the weight underflows); the Gauss rule in t = 1/x^2 gives them
+    spec = FiniteII(5.55)
+    rep = gram_matrix(spec, 10)
     for n, m in [(6, 4), (7, 3), (8, 2), (9, 1), (10, 0)]:
         e = rep.entry(n, m)
-        assert pair_integrable(FiniteII(5.55), n, m)
-        assert e.status == "inconclusive" and e.quad.reason == "blowup", (n, m)
-        assert e.quad.diverged and not e.quad.converged
+        assert pair_integrable(spec, n, m)
+        assert e.status == "ok" and e.quad.reason == "rule", (n, m)
+        ref = _mp_entry(spec, n, m, MP_WEIGHT[FiniteII](5.55))
+        assert abs(e.quad.value - ref) <= rep.tol * judged_scale(rep, n, m), (n, m)
 
 
-def test_no_integral_is_taken_for_a_pair_that_is_not_integrable(monkeypatch):
-    # a non-integrable pair is a cliff certified by the exponent scan, or
-    # inconclusive; members above a pole in the recurrence are scanned too
-    pairs, calls = [], []
-    real_inner, real_integrate = sturm._FamilyBasis.inner, sturm.integrate
-
-    def inner(self, phi_a, phi_b, n, m):
-        pairs.append((self.spec, n, m))
-        try:
-            return real_inner(self, phi_a, phi_b, n, m)
-        finally:
-            pairs.pop()
-
-    def integrate(f, interval, **kw):
-        calls.append(pairs[-1] if pairs else None)
-        return real_integrate(f, interval, **kw)
-    monkeypatch.setattr(sturm._FamilyBasis, "inner", inner)
-    monkeypatch.setattr(sturm, "integrate", integrate)
-    for cls, args, nmax in CASES:
-        gram_matrix(cls(*args), nmax)
-    assert None not in calls
-    assert all(pair_integrable(*call) for call in calls)
-    assert len(calls) <= 50        # 180 when members above a pole took integrals
-    calls.clear()
-    assert gram_matrix(FiniteII(1.5), 10).panels <= 20      # 642 then
-    assert not calls
+def test_no_quadrature_is_taken_for_any_pair(monkeypatch):
+    # an integrable pair comes from the Gauss rule, and one that is not is
+    # a cliff certified by the exponent scan, or inconclusive, with no
+    # integral; members above a pole in the recurrence are scanned too
+    def refuse(*args, **kw):
+        raise AssertionError("a quadrature tree ran")
+    monkeypatch.setattr(sturm, "integrate_gram", refuse)
+    for cls, args, nmax in CASES + [(FiniteII, (1.5,), 10)]:
+        spec = cls(*args)
+        rep = gram_matrix(spec, nmax)
+        assert rep.panels == 0
+        for e in rep.entries:
+            if not pair_integrable(spec, e.n, e.m):
+                assert not e.quad.converged and e.quad.reason is None, (spec, e.n, e.m)
 
 
 @pytest.mark.parametrize("spec, nmax", [(cls(*args), nmax) for cls, args, nmax in CASES]
-                         + [(_lambda_two_thirds(fam), nmax) for fam, nmax, _ in LAMBDA_SQUARES],
+                         + [(_lambda_two_thirds(fam), nmax) for fam, nmax in LAMBDA_CASES],
                          ids=str)
-def test_tree_carries_the_pairs_of_the_per_pair_rule(spec, nmax):
-    # the tree's scale holds what a count pair by pair picks, with the same
-    # scale, and beyond that only the rest of its leading square 0..K: the
-    # upper triangle and the odd pairs, which the fold makes 0
-    lam = isinstance(spec, LambdaSpec)
-    fam, h = (Class(*spec.mapped_params), spec.lam / 2) if lam else (spec, 1)
-    assert _carried(spec, nmax) == _rule_pairs(fam, nmax, h)
-    ad, end = _adapt(spec), _tree_end(spec, nmax)
-    scale = ad.tree_scale(ad.norms(nmax), ad.integrable_mask(nmax))
-    square = {(n, m) for n in range(end + 1) for m in range(end + 1)}
-    assert set(zip(*np.nonzero(np.isfinite(scale)))) == set(_carried(spec, nmax)) | square
+def test_rule_gives_exactly_the_integrable_pairs(spec, nmax):
+    # the Gauss rule gives each integrable pair of one parity whose members
+    # can be built, each at the rule's cost, and the odd-parity shortcut
+    # each integrable pair of mixed parity
+    fam = Class(*spec.mapped_params) if isinstance(spec, LambdaSpec) else spec
+    rep = gram_matrix(spec, nmax)
+    for e in rep.entries:
+        built = e.status not in ("degenerate", "mismatch") or e.quad.converged
+        want = None
+        if pair_integrable(fam, e.n, e.m) and built:
+            want = "odd-parity" if (e.n + e.m) % 2 else "rule"
+        assert e.quad.reason == want, (e.n, e.m)
+        assert e.quad.evals == (rep.evals if want == "rule" else 0)
 
 
 def test_memoized_integrable_is_pair_integrable():

@@ -208,13 +208,10 @@ def test_gram_tree_legendre_identity():
     nmax = 10
     norms = [2.0 / (2 * k + 1) for k in range(nmax + 1)]
     spec = IntervalSpec(-1.0, 1.0)
-    for fold in (False, True):
-        res = integrate_gram(_legendre_sample(nmax), spec, _scale(norms, norms), fold=fold)
-        assert res.converged.all()
-        assert np.allclose(res.value, np.diag(norms), rtol=0, atol=1e-14)
-        assert res.value.shape == (nmax + 1, nmax + 1)
-    # folded: mixed-parity entries are exactly zero with zero error
-    assert res.value[3, 0] == 0.0 and res.error[3, 0] == 0.0
+    res = integrate_gram(_legendre_sample(nmax), spec, _scale(norms, norms))
+    assert res.converged.all()
+    assert np.allclose(res.value, np.diag(norms), rtol=0, atol=1e-14)
+    assert res.value.shape == (nmax + 1, nmax + 1)
 
 
 def test_gram_tree_running_diagonal_and_endpoint_sliver():
@@ -228,7 +225,7 @@ def test_gram_tree_running_diagonal_and_endpoint_sliver():
         T = np.array([np.cos(k * np.arccos(x)) for k in range(nmax + 1)])
         return w, T, T
     spec = IntervalSpec(-1.0, 1.0, ((-1.0, -0.5), (1.0, -0.5)))
-    res = integrate_gram(sample, spec, fold=True)
+    res = integrate_gram(sample, spec)
     want = np.diag([math.pi] + [math.pi / 2] * nmax)
     assert res.converged.all()
     assert np.allclose(res.value, want, rtol=0, atol=1e-9)
@@ -320,7 +317,7 @@ def test_gram_tree_entry_whose_sums_overflow_has_error_inf():
 
 
 def test_gram_tree_counts_its_evals():
-    # the arcsine weight's endpoint -1/2 at 1 takes a 3-point sliver probe
+    # the arcsine weight's endpoints -1/2 at +-1 take a 3-point sliver probe each
     sizes = []
 
     def sample(x):
@@ -330,9 +327,9 @@ def test_gram_tree_counts_its_evals():
         T = np.array([np.cos(k * np.arccos(x)) for k in range(5)])
         return w, T, T
     spec = IntervalSpec(-1.0, 1.0, ((-1.0, -0.5), (1.0, -0.5)))
-    res = integrate_gram(sample, spec, fold=True)
-    assert sizes.count(1) == 3
-    assert res.evals == 15 * res.panels + 3 == sum(sizes)
+    res = integrate_gram(sample, spec)
+    assert sizes.count(1) == 6
+    assert res.evals == 15 * res.panels + 6 == sum(sizes)
 
 
 def _recording(sample, sizes):
@@ -368,66 +365,61 @@ def test_gram_tree_samples_once_per_round(monkeypatch):
     assert sum(sizes) == res.evals == 15 * res.panels
 
 
-@pytest.mark.parametrize("basis, nmax", [("GUP", 24), ("FiniteII", 10)])
-def test_gram_tree_first_round_covers_eight_panels_per_finite_task(monkeypatch, basis, nmax):
+def _family_tree(basis, top, sizes):
+    """One tree over a family's members 0..top, whose pairs are all
+    integrable, each held to its Class's norms' entry scale: the weight, the rows
+    by recurrence and the family's interval hinted for the widest product,
+    as a Gram tree of the family took them."""
+    from symortho.core import member_rows
+    from symortho.families import Class, norms_squared
+    rows, d = member_rows(basis.params, top), np.array(norms_squared(Class(*basis.params), top))
+
+    def sample(x):
+        sizes.append(x.size)
+        P = rows(x)
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.exp(basis.weight_log(x)), P, P
+    return integrate_gram(sample, basis.interval(tail_power=2 * top), _scale(d, d))
+
+
+@pytest.mark.parametrize("basis, top", [(GUP(0.612, 0.791), 24), (FiniteII(7.52), 6)], ids=repr)
+def test_gram_tree_first_round_covers_eight_panels_per_finite_task(basis, top):
     # finite tasks start at 8 panels, a folded tail (FiniteII's are hinted
     # with an exponent) at 4 graded toward t = 0; the sliver probes of the
     # planner are single points ahead of the first round
-    from symortho import sturm
-    from symortho.families import GUP, FiniteII
-    basis = GUP(0.612, 0.791) if basis == "GUP" else FiniteII(7.52)
-    calls = []
-    real = sturm.integrate_gram
-
-    def recording(sample, interval, scale=None, *, fold=False):
-        sizes = []
-        calls.append((sizes, interval, fold, real(_recording(sample, sizes), interval,
-                                                  scale, fold=fold)))
-        return calls[-1][-1]
-    monkeypatch.setattr(sturm, "integrate_gram", recording)
-    sturm.gram_matrix(basis, nmax)
-    (sizes, interval, fold, res), = calls
-    half = IntervalSpec(0.0, interval.hi, quadrature._mirror_hints(interval.singularities))
-    tasks = quadrature._plan(lambda x: 0.0, half if fold else interval)[0]
-    tails = (interval.hi == math.inf) + (not fold and interval.lo == -math.inf)
+    sizes = []
+    res = _family_tree(basis, top, sizes)
+    interval = basis.interval(tail_power=2 * top)
+    tasks = quadrature._plan(lambda x: 0.0, interval)[0]
+    tails = (interval.hi == math.inf) + (interval.lo == -math.inf)
     probes = sizes.count(1)
     assert sizes[:probes] == [1] * probes and 1 not in sizes[probes:]
     assert sizes[probes] == 15 * (8 * (len(tasks) - tails) + 4 * tails)
     assert res.evals == sum(sizes) == 15 * res.panels + probes
 
 
-@pytest.mark.parametrize("basis, nmax", [
-    (FiniteII(6.03), 16), (FiniteI(0.12, 2.47), 16), (FiniteII(5.97), 8)], ids=repr)
-def test_gram_tree_reaches_a_hinted_tail_in_few_rounds(monkeypatch, basis, nmax):
+@pytest.mark.parametrize("basis, top", [
+    (FiniteII(6.03), 5), (FiniteI(0.12, 2.47), 2), (FiniteII(5.97), 5)], ids=repr)
+def test_gram_tree_reaches_a_hinted_tail_in_few_rounds(basis, top):
     # a folded tail hinted with an exponent starts graded toward t = 0
     # (x = +-inf) and its panel at t = 0 splits graded again, so the tree
-    # reaches the far tail in a few rounds (9, 9 and 11 rounds when such a
-    # tail started whole and bisected)
-    from symortho import sturm
-    calls = []
-    real = sturm.integrate_gram
-
-    def recording(sample, interval, scale=None, *, fold=False):
-        sizes = []
-        calls.append((sizes, interval, real(_recording(sample, sizes), interval,
-                                            scale, fold=fold)))
-        return calls[-1][-1]
-    monkeypatch.setattr(sturm, "integrate_gram", recording)
-    assert sturm.gram_matrix(basis, nmax).passed
-    (sizes, interval, res), = calls
+    # reaches the far tail in a few rounds
+    sizes = []
+    res = _family_tree(basis, top, sizes)
+    assert res.converged.all()
     probes = sizes.count(1)
     assert len(sizes) - probes <= 4
     assert res.evals == sum(sizes) == 15 * res.panels + probes
     interval, tasks, _, panels = res.mesh      # the final panels
     assert panels[:, 3].max() <= quadrature._MAX_DEPTH
-    k = len(tasks) - 1      # the upper tail, x = +inf at t = 0
     assert interval.hi == math.inf
-    mine = panels[panels[:, 0] == k]
-    # every panel of the tail lies within one of its start panels
-    h = tasks[k][2]
-    for lo, hi, depth in [(0.0, h / 8, 3), (h / 8, h / 4, 3), (h / 4, h / 2, 2), (h / 2, h, 1)]:
-        inside = mine[(mine[:, 1] >= lo) & (mine[:, 2] <= hi)]
-        assert (inside[:, 2] - inside[:, 1]).sum() == pytest.approx(hi - lo, rel=1e-12)
+    for k in (0, len(tasks) - 1):       # the lower and the upper tail, x = -+inf at t = 0
+        mine = panels[panels[:, 0] == k]
+        # every panel of the tail lies within one of its start panels
+        h = tasks[k][2]
+        for lo, hi, depth in [(0.0, h / 8, 3), (h / 8, h / 4, 3), (h / 4, h / 2, 2), (h / 2, h, 1)]:
+            inside = mine[(mine[:, 1] >= lo) & (mine[:, 2] <= hi)]
+            assert (inside[:, 2] - inside[:, 1]).sum() == pytest.approx(hi - lo, rel=1e-12)
         assert (inside[:, 3] >= depth).all()
 
 

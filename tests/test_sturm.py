@@ -7,15 +7,15 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from symortho.core import ClassParams, poly_from_params, recurrence_c, weight_exponents
-from symortho.errors import (ConstraintViolation, NonpositiveWeight, PoleError,
-                             SingularCoefficient)
+from symortho.core import ClassParams, poly_from_params, weight_exponents
+from symortho.errors import (ConstraintViolation, DegenerateDenominator, NonpositiveWeight,
+                             SingularCoefficient, ZeroLeadingCoefficient)
 from symortho.expand import expand
 from symortho.exponent_map import (LambdaSpec, _t_interval, lambda_weight_and_gram,
                                    signed_power)
-from symortho import sturm
+from symortho import quadrature, sturm
 from symortho.families import (GUP, GHP, Class, FiniteI, FiniteII, finite_degree_bound,
-                               norm_squared, norms_squared, pair_integrable, weight_at)
+                               norm_squared, pair_integrable, weight_at)
 from symortho.legendre import (G, Pm, Q, U, V, eval_jacobi, JacobiParams,
                                legendre_norm, member_fn, orthogonality_interval)
 from symortho.quadrature import integrate
@@ -25,6 +25,15 @@ from symortho.sturm import (GramReport, _adapt, boundary_term, from_params,
                             support_theta, weight_star)
 
 FAMILIES = [GUP(1, 1.5), GHP(0.7), FiniteI(0.3, 2), FiniteII(4.5)]
+
+
+def _no_quadrature(monkeypatch):
+    """Fail any quadrature sturm runs: the Gram takes its entries from a
+    Gauss rule, and no integral of its own."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quadrature tree ran")
+    monkeypatch.setattr(sturm, "integrate_gram", refuse)
+    monkeypatch.setattr(quadrature, "integrate", refuse)
 
 
 # ---------------------------------------------------------------- weights
@@ -83,9 +92,7 @@ def test_numeric_antiderivative_route():
 
 def test_legendre_weight_is_closed_form(monkeypatch):
     # B = A' makes R identically one: no quadrature, and no rounding
-    def refuse(*args, **kwargs):
-        raise AssertionError("integrate called")
-    monkeypatch.setattr(sturm, "integrate", refuse)
+    _no_quadrature(monkeypatch)
     sl = legendre_sl()
     xs = np.linspace(-0.99, 0.99, 41)
     assert np.all(self_adjoint_factor(sl, xs) == 1.0)
@@ -192,7 +199,7 @@ def test_parity_integral_vanishes(spec, monkeypatch):
     # F(n, m) is a block of the panel tree, not a per-entry integral
     def refuse(*args, **kwargs):
         raise AssertionError("parity_integral called integrate")
-    monkeypatch.setattr(sturm, "integrate", refuse)
+    monkeypatch.setattr(quadrature, "integrate", refuse)
     sl = from_params(spec.params)
     nmax = 4
     polys = [poly_from_params(spec.params, n, monic=True) for n in range(nmax + 1)]
@@ -342,7 +349,7 @@ def test_gram_matrix_builds_no_entry_objects_until_entries_are_read(entry_object
     rep = gram_matrix(basis, nmax)
     size = nmax - rep.base + 1
     assert len(rep.entries) == size * (size + 1) // 2
-    assert rep.passed and rep.matrix.shape == (size, size) and rep.panels > 0
+    assert rep.passed and rep.matrix.shape == (size, size) and rep.evals > 0
     assert entry_objects == []
     first, count = rep.entries[0], len(rep.entries)
     assert sorted(entry_objects) == ["GramEntry"] * count + ["QuadResult"] * count
@@ -397,7 +404,7 @@ def test_gram_entries_pickle_repr_and_slices():
     assert short.verified == 13 and len(short.entries) == 14
 
 
-# ------------------------------------------------------ shared panel tree
+# ------------------------------------------- the Gauss rule against integrals
 
 
 def _lam(u, v):
@@ -439,7 +446,7 @@ def _scalar_entry(basis, n, m, atol):
 @pytest.mark.parametrize("basis", [
     GUP(0.6, 0.8), GUP(0.3, -0.4), GHP(0.4), U(0.6), Pm(1), V(0.3), V(-0.8),
     G(0.7, 1.0), Q(1.0), _lam(1, 1)], ids=repr)
-def test_shared_tree_agrees_with_entry_by_entry_route(basis):
+def test_rule_agrees_with_entry_by_entry_route(basis):
     nmax, tol = 8, 1e-7
     if isinstance(basis, LambdaSpec):
         rep = lambda_weight_and_gram(basis, nmax, tol)
@@ -504,39 +511,55 @@ def test_gram_refusals_unchanged_by_the_running_norm_product():
         "cliff", "degenerate", "degenerate"]
 
 
-# ------------------------------------------- the pairs the Gram tree carries
+# ------------------------------------------------------------ the Gauss rule
 
 
-def _carried(basis, nmax):
-    """{(n, m): scale} of the even pairs n >= m that the Gram tree of a
-    basis carries (every pair of a Legendre kind with no parity)."""
-    ad = _adapt(basis)
-    scale, b = ad.tree_scale(ad.norms(nmax), ad.integrable_mask(nmax)), ad.base
-    return {(n, m): scale[n - b, m - b] for n in range(b, nmax + 1) for m in range(b, n + 1)
-            if (not ad.fold or (n + m) % 2 == 0) and math.isfinite(scale[n - b, m - b])}
+def _integrable(basis, n, m):
+    """pair_integrable of a family (of a lambda class's mapped Class); every
+    pair of a kind."""
+    if isinstance(basis, LambdaSpec):
+        basis = Class(*basis.mapped_params)
+    return isinstance(basis, (U, Pm, V, G, Q)) or pair_integrable(basis, n, m)
 
 
-def _tree_end(basis, nmax):
-    """The last degree K such that the tree carries every even pair (n, m),
-    m <= n <= K: the end of its leading square, base - 1 if none."""
-    carried, b = _carried(basis, nmax), _adapt(basis).base
-    end = b - 1
-    while end < nmax and all((end + 1, m) in carried for m in range(b, end + 2)
-                             if (end + 1 + m) % 2 == 0):
-        end += 1
-    return end
+def _by_reason(rep):
+    """{reason: {(n, m), ...}} of a report's entries."""
+    out = {}
+    for e in rep.entries:
+        out.setdefault(e.quad.reason, set()).add((e.n, e.m))
+    return out
 
 
-@pytest.mark.parametrize("basis, nmax, end", [
-    (FiniteII(6.03), 8, 5), (FiniteII(9.02), 8, 8), (FiniteII(8.5), 10, 7),
-    (FiniteII(4.5), 8, 3), (FiniteI(0.1, 2.5), 8, 2), (FiniteI(5, 2), 8, -1),
-    (GUP(1, 1.5), 12, 12), (GHP(0.5), 10, 10), (Pm(2), 9, 9), (V(0.3), 6, 6)],
-    ids=str)
-def test_tree_block_ends_where_a_norm_or_the_last_diagonal_fails(basis, nmax, end):
-    # every degree of the leading square has a norm of its Class, and each
-    # even pair of it is integrable and holds its tail past x_w; bases with
-    # no degree bound run to nmax
-    assert _tree_end(basis, nmax) == end
+@pytest.mark.parametrize("basis, nmax", [
+    (FiniteII(6.03), 8), (FiniteII(9.02), 8), (FiniteII(8.5), 10), (FiniteII(4.5), 8),
+    (FiniteI(0.1, 2.5), 8), (FiniteI(5, 2), 8), (GUP(1, 1.5), 12), (GHP(0.5), 10), (Pm(2), 9),
+    (V(0.3), 6)], ids=str)
+def test_one_gauss_rule_gives_every_integrable_pair(monkeypatch, basis, nmax):
+    # an integrable pair of one parity comes from the rule, of mixed parity
+    # it is exactly 0; the rule has floor(k/2) + 2 nodes for the widest pair,
+    # (n + m)/2 = k (2k in x for V), and evaluates members base..widest n
+    _no_quadrature(monkeypatch)
+    rep = gram_matrix(basis, nmax)
+    assert rep.panels == 0
+    reasons = _by_reason(rep)
+    ruled, odd = reasons.get("rule", set()), reasons.get("odd-parity", set())
+    built = {(e.n, e.m) for e in rep.entries if e.status != "degenerate"}
+    fold = not isinstance(basis, V)
+    assert ruled | odd == {(n, m) for n, m in built if _integrable(basis, n, m)}
+    assert all((n + m) % 2 == 0 or not fold for n, m in ruled)
+    assert all((n + m) % 2 == 1 for n, m in odd)
+    for e in rep.entries:
+        if (e.n, e.m) in ruled:
+            assert e.quad.converged and e.quad.evals == rep.evals and e.status == "ok"
+        elif (e.n, e.m) in odd:
+            assert e.quad == sturm.QuadResult(0.0, 0.0, True, False, reason="odd-parity")
+        else:
+            assert not e.quad.converged and e.quad.panels == e.quad.evals == 0
+    if ruled:
+        b, last = rep.base, max(n for n, _ in ruled)
+        k = max(n + m - 2 * b for n, m in ruled) // 2
+        nodes = k // 2 + 2 if fold else last + 2
+        assert rep.evals == nodes * (last - b + 1)
 
 
 def _lambda_two_thirds(fam):
@@ -545,51 +568,47 @@ def _lambda_two_thirds(fam):
     return LambdaSpec(p, q, (r + 2 * p) / 3, (s + 2 * q) / 3, Fraction(2, 3))
 
 
-# the mapped class's norms end FiniteI(1/10, 5/2)'s square at 1 (at 2 in
-# x, where (2, 2)'s tail decays faster), and FiniteII(5.55)'s (5, 5),
-# |x|^-1.1 in x and |t|^-1.033 in t, would lose more than 1e-9 of its norm
-# past the float range in t
-LAMBDA_SQUARES = [(FiniteI(Fraction(1, 10), Fraction(5, 2)), 6, 1), (FiniteII(5.55), 10, 4),
-                  (FiniteII(6), 8, 5), (GUP(1, 1), 6, 6)]
+# the lambda = 2/3 classes of these families, at these degrees
+LAMBDA_CASES = [(FiniteI(Fraction(1, 10), Fraction(5, 2)), 6), (FiniteII(5.55), 10),
+                (FiniteII(6), 8), (GUP(1, 1), 6)]
 
 
-@pytest.mark.parametrize("fam, nmax, end", LAMBDA_SQUARES, ids=str)
-def test_lambda_tree_block_ends_where_its_tail_mass_is_held(monkeypatch, fam, nmax, end):
+@pytest.mark.parametrize("fam, nmax", LAMBDA_CASES, ids=str)
+def test_lambda_gram_is_its_mapped_class_gram(monkeypatch, fam, nmax):
+    # x = t^(lam/2) carries every entry onto the mapped class's own, so the
+    # rule in x gives the lambda class's report bit for bit, but its label
+    _no_quadrature(monkeypatch)
     spec = _lambda_two_thirds(fam)
-    assert _tree_end(spec, nmax) == end
-    intervals = []
-    real = sturm.integrate_gram
-
-    def recording(sample, interval, *args, **kw):
-        intervals.append(interval)
-        return real(sample, interval, *args, **kw)
-    monkeypatch.setattr(sturm, "integrate_gram", recording)
-    gram_matrix(spec, nmax)
-    # hinted for the widest even product it carries: at the origin, the
-    # weight's exponent in t alone
-    wide = max(n + m for n, m in _carried(spec, nmax))
-    assert wide >= 2 * end
-    assert intervals == [_t_interval(weight_exponents(fam.params), Fraction(1, 3), 0, wide)]
+    rep, ref = gram_matrix(spec, nmax), gram_matrix(Class(*spec.mapped_params), nmax)
+    assert rep.label == "lambda23" and rep.passed == ref.passed
+    assert rep.matrix.tobytes() == ref.matrix.tobytes() and rep.evals == ref.evals
+    assert repr(rep.entries) == repr(ref.entries)
 
 
-@pytest.mark.parametrize("basis", [FiniteII(6.03), FiniteII(9.02)], ids=repr)
-def test_finite_tree_block_agrees_with_entry_by_entry_route(basis):
-    nmax, tol = 8, 1e-7
-    end = _tree_end(basis, nmax)
+def _own_integral(basis, n, m, atol):
+    """Entry (n, m) of a family as its own integrate call on the half-line,
+    hinted for the pair's product."""
+    pn, pm = (poly_from_params(basis.params, k, monic=True) for k in (n, m))
+
+    def f(x):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.exp(basis.weight_log(x)) * pn(x) * pm(x)
+    spec = basis.interval(origin_power=n % 2 + m % 2, tail_power=n + m)
+    return integrate(f, spec, atol=atol, parity="even", on_inconclusive="return")
+
+
+@pytest.mark.parametrize("basis, nmax", [(FiniteII(6.03), 8), (FiniteII(9.02), 8),
+                                         (FiniteII(6), 16)], ids=str)
+def test_finite_rule_agrees_with_entry_by_entry_route(basis, nmax):
+    tol = 1e-7
     rep = gram_matrix(basis, nmax, tol)
     assert rep.passed, rep.summary()
-    diag = {e.n: e.quad.value for e in rep.entries if e.n == e.m}
-    block = [e for e in rep.entries if e.n <= end]
-    assert len(block) == (end + 1) * (end + 2) // 2
-    for e in block:
-        pn, pm = (poly_from_params(basis.params, k, monic=True) for k in (e.n, e.m))
-
-        def f(x):
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                return np.exp(basis.weight_log(x)) * pn(x) * pm(x)
-        scale = math.sqrt(diag[e.n] * diag[e.m])
-        spec = basis.interval(origin_power=e.n % 2 + e.m % 2, tail_power=e.n + e.m)
-        ref = integrate(f, spec, atol=1e-10 * scale, on_inconclusive="return")
+    diag = {e.n: e.quad.value for e in rep.entries if e.n == e.m and e.status == "ok"}
+    ruled = [e for e in rep.entries if e.quad.reason == "rule"]
+    assert len(ruled) >= 15
+    for e in ruled:
+        scale = math.sqrt(diag.get(e.n, diag[e.m]) * diag[e.m])
+        ref = _own_integral(basis, e.n, e.m, 1e-10 * scale)
         assert e.status == "ok" and ref.converged, (e.n, e.m)
         assert abs(e.quad.value - ref.value) <= tol * scale, (e.n, e.m)
 
@@ -611,10 +630,10 @@ def test_boundary_tail_pair_is_a_cliff():
     assert e.quad.diverged and e.status == "cliff"
 
 
-def test_odd_pairs_outside_the_block_are_exactly_zero_when_integrable():
+def test_odd_pairs_are_exactly_zero_when_integrable():
     res = gram_matrix(FiniteII(6.009), 8).entry(6, 5).quad
-    assert (6, 5) not in _carried(FiniteII(6.009), 8) and pair_integrable(FiniteII(6.009), 6, 5)
-    assert res == sturm.QuadResult(0.0, 0.0, True, False)
+    assert pair_integrable(FiniteII(6.009), 6, 5)
+    assert res == sturm.QuadResult(0.0, 0.0, True, False, reason="odd-parity")
     rep = gram_matrix(FiniteII(6.03), 16)
     assert rep.passed, rep.summary()
     for n, m in [(6, 5), (7, 4), (11, 0)]:
@@ -631,40 +650,56 @@ def test_non_integrable_pairs_keep_their_divergence_evidence():
     assert not pair_integrable(FiniteII(12.25), 12, 12)
 
 
+def test_a_weight_with_no_gauss_rule_flags_its_pairs_diverged():
+    # e^(x^2) grows: no Laguerre rule exists, every even pair is flagged
+    # diverged, and the diagonals, which no norm expects, read cliff
+    rep = gram_matrix(Class(0, 1, 2, 0), 4)
+    assert not rep.passed and rep.evals == 0
+    for e in rep.entries:
+        if (e.n + e.m) % 2 == 0:
+            assert e.quad.diverged and not e.quad.converged
+            assert e.status == ("cliff" if e.n == e.m else "inconclusive")
+
+
+def test_rule_entries_with_no_finite_value_read_inconclusive(monkeypatch):
+    # a member that overflows at a node leaves its pairs open
+    real = sturm.member_rows
+
+    def overflowing(params, top):
+        rows = real(params, top)
+
+        def out(x):
+            got = rows(x)
+            got[-1, -1] = math.inf
+            return got
+        return out
+    monkeypatch.setattr(sturm, "member_rows", overflowing)
+    rep = gram_matrix(GUP(0.6, 0.8), 8)
+    assert not rep.passed
+    for e in rep.entries:
+        want = "inconclusive" if e.n == 8 and e.m % 2 == 0 else "ok"
+        assert e.status == want and e.quad.converged == (want == "ok"), (e.n, e.m)
+
+
 # ------------------------------------------ cliffs from measured exponents
-
-
-def _count_integrals(monkeypatch):
-    """Record the QuadResult of every integrate call of the per-entry route."""
-    calls = []
-    real = sturm.integrate
-
-    def counting(f, interval, **kw):
-        calls.append(real(f, interval, **kw))
-        return calls[-1]
-    monkeypatch.setattr(sturm, "integrate", counting)
-    return calls
 
 
 def test_finite2_6_passes_with_its_log_divergent_pair_a_cliff(monkeypatch):
     # (6, 5) decays exactly like |x|^-1 in both tails, which cancel in a
     # whole-line integral; each tail's measured exponent shows it
-    calls = _count_integrals(monkeypatch)
+    _no_quadrature(monkeypatch)
     rep = gram_matrix(FiniteII(6), 8)
     assert rep.passed, rep.summary()
     e = rep.entry(6, 5)
     assert e.status == "cliff" and e.quad.diverged
     assert math.isnan(e.quad.value) and e.quad.abs_error_estimate == math.inf
-    # the integrable pairs outside the block come from the block's tree
-    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("nmax", [24, 64])
 def test_cliffs_are_certified_without_integrals_to_degree_64(monkeypatch, nmax):
-    calls = _count_integrals(monkeypatch)
+    _no_quadrature(monkeypatch)
     rep = gram_matrix(FiniteII(6.02), nmax)
     assert rep.passed, rep.summary().splitlines()[0]
-    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("shift", [0.5, math.nan], ids=["disagrees", "not-finite"])
@@ -674,12 +709,12 @@ def test_scan_that_does_not_confirm_its_hint_leaves_the_pair_inconclusive(monkey
     def off(*args, **kw):
         return [(point, sigma + shift, spread) for point, sigma, spread in real_scan(*args, **kw)]
     want = gram_matrix(FiniteII(6.02), 10)
-    calls = _count_integrals(monkeypatch)
+    _no_quadrature(monkeypatch)
     monkeypatch.setattr(sturm, "exponent_scan", off)
     rep = gram_matrix(FiniteII(6.02), 10)
     integrable = _adapt(FiniteII(6.02)).integrable_mask(10)
     refused = [(e.n, e.m) for e in rep.entries if not integrable[e.n, e.m]]
-    assert refused and not calls
+    assert refused
     assert all(rep.entry(n, m).status == "inconclusive" for n, m in refused)
     assert all(e.quad.panels == 0 and not (e.quad.converged or e.quad.diverged)
                for e in map(lambda nm: rep.entry(*nm), refused))
@@ -691,7 +726,7 @@ def test_scan_certifies_members_above_a_pole_in_the_recurrence(monkeypatch):
     # FiniteII(4.5) has poles in C_4 and C_5: members 0..4 are scanned from
     # the rows, members 9 and 10 from their own polynomials (5..8 do not
     # exist, and their pairs are degenerate)
-    calls = _count_integrals(monkeypatch)
+    _no_quadrature(monkeypatch)
     rep = gram_matrix(FiniteII(4.5), 10)
     refused = [(e.n, e.m) for e in rep.entries
                if not pair_integrable(FiniteII(4.5), e.n, e.m) and e.status != "degenerate"]
@@ -699,196 +734,69 @@ def test_scan_certifies_members_above_a_pole_in_the_recurrence(monkeypatch):
     for n, m in refused:
         e = rep.entry(n, m)
         assert e.status == "cliff" and e.quad.diverged and math.isnan(e.quad.value), (n, m)
-    assert not calls
 
 
 @pytest.mark.parametrize("basis, nmax, top", [
     (FiniteII(4.5), 10, 4), (FiniteII(8.5), 12, 8), (FiniteI(0.1, 2.5), 24, 24)], ids=str)
-def test_tree_scale_finds_the_last_degree_below_a_pole_without_rows(basis, nmax, top,
-                                                                    monkeypatch):
+def test_missing_members_are_those_their_own_polynomials_cannot_build(basis, nmax, top):
     # member n takes C_1..C_(n-1): FiniteII(4.5)'s first pole is C_4 and
-    # FiniteII(8.5)'s C_8; the scale needs only that degree, not the rows
+    # FiniteII(8.5)'s C_8.  Below it the rule takes the recurrence's rows;
+    # from it on, and in a pair that is not integrable, a member is its own
+    # polynomial, and a pair with one that cannot be built is missing
     assert sturm._below_pole(basis.params, nmax) == top
     ad = _adapt(basis)
-    norms, integrable = ad.norms(nmax), ad.integrable_mask(nmax)
-    assert not all(d is not None for d in norms)
-    want = ad.tree_scale(norms, integrable)
-    monkeypatch.setattr(sturm, "member_rows", lambda *a: pytest.fail("member rows built"))
-    assert ad.tree_scale(norms, integrable).tobytes() == want.tobytes()
+    lower = np.tri(nmax + 1, dtype=bool)
+    integrable = ad.integrable_mask(nmax)
+    missing = ad.missing(nmax, lower, integrable)
 
-
-# ----------------------------- pairs outside the leading square on the tree
-
-
-# past log x_w = _LOG_TINY / g a weight |x|^g underflows to 0, and a monic
-# member of degree n overflows past log|x| = _LOG_HUGE / n
-_LOG_TINY = math.log(np.finfo(float).smallest_subnormal)
-_LOG_HUGE = math.log(np.finfo(float).max)
-
-
-def _even_pairs(basis, nmax, lo=0):
-    """{(n, m): scale} of the even integrable pairs (n, m), n >= m, n >= lo,
-    whose member n lies below any pole in the recurrence, with scale
-    sqrt|d_n| sqrt|d_m| of the norms of the tuple's Class, d_n falling back
-    to d_m (no d_m, no pair)."""
-    d = norms_squared(Class(*basis.params), nmax)
-    top = nmax      # member n takes C_1..C_(n-1)
-    for k in range(1, nmax):
+    def gone(k):
         try:
-            recurrence_c(ClassParams(*basis.params), k)
-        except PoleError:
-            top = k
-            break
-    return {(n, m): math.sqrt(abs(d[m] if d[n] is None else d[n])) * math.sqrt(abs(d[m]))
-            for n in range(lo, top + 1) for m in range(n + 1)
-            if (n + m) % 2 == 0 and pair_integrable(basis, n, m) and d[m] is not None}
+            poly_from_params(basis.params, k, monic=True)
+            return False
+        except (DegenerateDenominator, ZeroLeadingCoefficient):
+            return True
+    for n in range(nmax + 1):
+        for m in range(n + 1):
+            own = not integrable[n, m] or n > top
+            assert missing[n, m] == (own and (gone(n) or gone(m))), (n, m)
 
 
-def _tail_held(basis, n, m, scale, h=1):
-    """Whether the members n and m stay finite before x_w and the product,
-    ~ |x|^(g + n + m), holds at most 1e-9 scale past x_w: 2 x_w^s / -s
-    over both tails, s = g + n + m + 1.  In t, x = t^h, the weight
-    W(|t|^h) h |t|^(h - 1) underflows past log t_w = _LOG_TINY / (h (g + 1)
-    - 1), and x_w = t_w^h.  A tail that is not algebraic holds its mass."""
-    g = basis.exponents.tail
-    if g == -math.inf:
-        return True
-    log_xw = _LOG_TINY / g if h == 1 else h * _LOG_TINY / (h * (g + 1) - 1)
-    s = g + n + m + 1
-    return n * log_xw < _LOG_HUGE and 2 * math.exp(s * log_xw) / -s <= 1e-9 * scale
+# ------------------------------- pairs past a tree's reach, from the rule
 
 
-def _rule_pairs(basis, nmax, h=1):
-    """{(n, m): scale} of the pairs the per-pair rule carries, counted pair
-    by pair: the even integrable pairs below any pole whose tails are held."""
-    return {pair: scale for pair, scale in _even_pairs(basis, nmax).items()
-            if _tail_held(basis, *pair, scale, h)}
-
-
-def _past_square(basis, nmax):
-    """The pairs (n, m), n > K, the end of the leading square, that the
-    per-pair rule carries."""
-    end = _tree_end(basis, nmax)
-    return [pair for pair in _rule_pairs(basis, nmax) if pair[0] > end]
-
-
-def _count_trees(monkeypatch):
-    """Record the GramQuad of every integrate_gram call of sturm."""
-    trees = []
-    real = sturm.integrate_gram
-
-    def counting(*args, **kw):
-        trees.append(real(*args, **kw))
-        return trees[-1]
-    monkeypatch.setattr(sturm, "integrate_gram", counting)
-    return trees
-
-
-@pytest.mark.parametrize("basis, nmax, parent_panels", [
-    (FiniteII(6), 16, 216), (FiniteII(6.02), 24, 338), (FiniteII(5.97), 8, 274)], ids=str)
-def test_off_block_pairs_come_from_the_one_tree(monkeypatch, basis, nmax, parent_panels):
-    # parent_panels: the GK15 panels of the tree and the per-entry
-    # integrals when each pair outside the square took an integral of its own
-    trees = _count_trees(monkeypatch)
-    calls = _count_integrals(monkeypatch)
+@pytest.mark.parametrize("basis, nmax", [(FiniteII(6), 16), (FiniteII(6.02), 24),
+                                         (FiniteII(5.97), 8), (FiniteII(20.3), 20),
+                                         (FiniteII(10.7), 20), (FiniteII(15.6), 18)], ids=str)
+def test_finite2_verifies_every_integrable_pair(monkeypatch, basis, nmax):
+    # FiniteII(20.3)@20's (20, 0), (20, 2) and (20, 4), and FiniteII(10.7)@20's
+    # degree-20 pairs (10, 10) to (18, 2), whose tails a panel tree lost past
+    # the point where the float weight underflows, read ok
+    _no_quadrature(monkeypatch)
     rep = gram_matrix(basis, nmax)
     assert rep.passed, rep.summary()
-    assert len(trees) == 1 and not calls
-    assert _past_square(basis, nmax)
-    assert all(rep.entry(n, m).status == "ok" for n, m in _past_square(basis, nmax))
-    assert 4 * rep.panels <= parent_panels
+    assert rep.verified == sum(pair_integrable(basis, e.n, e.m) and e.status != "degenerate"
+                               for e in rep.entries)
 
 
-def test_finite2_20_3_passes_with_its_off_block_pairs_from_the_tree(monkeypatch):
-    # (20, 0), (20, 2) and (20, 4) used to end inconclusive on their own
-    # integrals
-    calls = _count_integrals(monkeypatch)
-    rep = gram_matrix(FiniteII(20.3), 20)
-    assert rep.passed, rep.summary()
-    assert not calls
-    assert [rep.entry(20, m).status for m in (0, 2, 4)] == ["ok"] * 3
-
-
-def test_off_block_entries_agree_with_their_own_integrals():
-    basis = FiniteII(6)
-    ad = _adapt(basis)
-    rep = gram_matrix(basis, 16)
-    for n, m in _past_square(basis, 16):
-        got = rep.entry(n, m).quad
-        ref = ad.inner(ad.phi(n), ad.phi(m), n, m)
-        assert got.converged and ref.converged, (n, m)
-        assert abs(got.value - ref.value) <= got.abs_error_estimate + ref.abs_error_estimate, (n, m)
-
-
-def test_carried_pairs_the_tree_leaves_open_read_inconclusive(monkeypatch):
-    # an open carried pair takes no integral of its own, as an open pair
-    # of the leading square never did
-    basis, nmax = FiniteII(6.03), 16
-    real = sturm.integrate_gram
-
-    def leaves_rows_open(*args, **kw):
-        res = real(*args, **kw)
-        converged = res.converged.copy()
-        converged[res.value.shape[1]:] = False
-        return dataclasses.replace(res, converged=converged)
-    monkeypatch.setattr(sturm, "integrate_gram", leaves_rows_open)
-    calls = _count_integrals(monkeypatch)
-    rep = gram_matrix(basis, nmax)
-    assert not calls and _past_square(basis, nmax)
-    assert all(rep.entry(n, m).status == "inconclusive" for n, m in _past_square(basis, nmax))
-
-
-def test_off_block_pairs_stay_off_a_tree_whose_tail_underflows(monkeypatch):
-    # the products of degree 20 decay like x^-1.4, and past x_w = 1.3e15,
-    # where the weight underflows, lies 4.5e-6 of each one's mass: more than
-    # 1e-9 of the scale of (10, 10)..(18, 2), so the leading square ends at
-    # 9.  Each of these takes an integral; every other pair rides the tree
-    basis, nmax = FiniteII(10.7), 20
-    assert _tree_end(basis, nmax) == 9 and (10, 10) not in _carried(basis, nmax)
-    outside = _even_pairs(basis, nmax, 10)
-    lost = {pair for pair, scale in outside.items() if not _tail_held(basis, *pair, scale)}
-    off = [pair for pair in _carried(basis, nmax) if pair[0] > 9]
-    assert lost == {(n, 20 - n) for n in range(10, 19)}
-    assert set(off) == set(outside) - lost == set(_past_square(basis, nmax))
-    calls = _count_integrals(monkeypatch)
-    rep = gram_matrix(basis, nmax)
-    assert rep.passed, rep.summary()
-    assert rep.entry(10, 10).status == "ok"
-    assert len(calls) == len(lost)
-    assert all(rep.entry(n, m).quad.panels > 0 for n, m in lost)
-    assert all(rep.entry(n, m).quad.panels == 0 for n, m in off)
-
-
-def test_finite1_pairs_outside_its_block_come_from_the_one_tree(monkeypatch):
-    # the Class's norms end the block at 2; with the printed bound, which
-    # ended it at 0, (1, 1), (2, 0), (2, 2), (3, 1) and (4, 0) once took an
-    # integral each, 81 panels in all
-    basis = FiniteI(Fraction(1, 10), Fraction(5, 2))
-    trees = _count_trees(monkeypatch)
-    calls = _count_integrals(monkeypatch)
-    rep = gram_matrix(basis, 8)
-    assert len(trees) == 1 and not calls
-    assert rep.panels <= 20
-    assert sorted(_past_square(basis, 8)) == [(3, 1), (4, 0)]
+def test_finite1_takes_one_rule_of_three_nodes():
+    # FiniteI(1/10, 5/2): the pairs of degree n + m <= 4 are integrable, one
+    # Gauss-Jacobi rule of 3 nodes in t = 1/(1 + x^2) over members 0..4
+    rep = gram_matrix(FiniteI(Fraction(1, 10), Fraction(5, 2)), 8)
+    assert rep.passed and rep.panels == 0 and rep.evals == 3 * 5
+    assert {(e.n, e.m) for e in rep.entries if e.status == "ok"} == {
+        (n, m) for n in range(5) for m in range(n + 1) if n + m <= 4}
 
 
 @pytest.mark.parametrize("basis, nmax", [
     (FiniteI(0.1, 2.5), 24), (FiniteI(0.05, 2.5), 10), (FiniteI(0.3, 4.0), 10),
     (FiniteI(0.25, 2.25), 10), (FiniteI(Fraction(3, 10), 12), 16), (FiniteI(0.03, 3.59), 8),
     (FiniteI(0.09, 2.44), 21), (FiniteI(0.19, 6.72), 12)], ids=str)
-def test_no_integral_for_a_finite1_pair_the_tree_can_hold(monkeypatch, basis, nmax):
-    # every pair that takes an integral is an even one the tree does not carry
-    pairs = []
-    real = sturm._FamilyBasis.inner
-
-    def inner(self, phi_a, phi_b, n, m):
-        pairs.append((n, m))
-        return real(self, phi_a, phi_b, n, m)
-    monkeypatch.setattr(sturm._FamilyBasis, "inner", inner)
-    calls = _count_integrals(monkeypatch)
-    gram_matrix(basis, nmax)
-    assert len(calls) == len(pairs) and all((n + m) % 2 == 0 for n, m in pairs)
-    assert not set(pairs) & set(_carried(basis, nmax))
+def test_finite1_verifies_every_integrable_pair(monkeypatch, basis, nmax):
+    _no_quadrature(monkeypatch)
+    rep = gram_matrix(basis, nmax)
+    assert rep.passed, rep.summary()
+    assert rep.verified == sum(pair_integrable(basis, e.n, e.m) and e.status != "degenerate"
+                               for e in rep.entries)
 
 
 def _mp_entry(basis, n, m, weight):
@@ -963,26 +871,34 @@ def test_one_integrable_mask_per_report(monkeypatch, basis, nmax):
 
 
 @pytest.mark.parametrize("u", [4.5, 5.55, 6, 6.5, 8.5, 9.02, 12.25, 15.6, 17.4, 20.3, 20.55, 30.3])
-def test_tree_rows_are_finite_wherever_the_weight_is_not_zero(u):
+def test_rule_rows_and_weights_are_finite(u):
+    # FiniteII's Gauss-Laguerre rule in t = 1/x^2 keeps its nodes where the
+    # weight and the members of its pairs are finite floats
     basis, nmax = FiniteII(u), 2 * math.ceil(u)
     ad = _adapt(basis)
-    top = max(n for n, _ in _carried(basis, nmax))
-    x = np.geomspace(1.0, 1e300, 4000)
-    rows, w = ad.rows(top)(x), ad.weight(x)
-    assert np.isfinite(rows[:, w > 0]).all()
+    k, lower = np.arange(nmax + 1), np.tri(nmax + 1, dtype=bool)
+    integrable = ad.integrable_mask(nmax)
+    pairs = lower & integrable & ~ad.missing(nmax, lower, integrable) & ((k[:, None] + k) % 2 == 0)
+    x, w, low, rows = ad.rule(pairs)
+    assert np.isfinite(x).all() and np.isfinite(rows).all() and low > -1
+    assert np.isfinite(w).all() and (w > 0).all()
+    assert gram_matrix(basis, nmax).passed
 
 
 @pytest.mark.parametrize("basis, nmax", [
     (GUP(1, 1.5), 24), (FiniteII(6), 16), (FiniteII(4.5), 10), (FiniteI(0.1, 2.5), 8),
     (U(0.6), 8)], ids=str)
-def test_report_counts_its_tree_and_every_integral(monkeypatch, basis, nmax):
-    trees = _count_trees(monkeypatch)
-    results = _count_integrals(monkeypatch)
+def test_report_counts_its_rule(basis, nmax):
+    # no panels; evals are the rule's nodes times the members it evaluates,
+    # which each of its entries reports, and no other entry samples
     rep = gram_matrix(basis, nmax)
-    assert len(trees) == 1
-    assert rep.panels == trees[0].panels + sum(r.panels for r in results)
-    assert rep.evals == trees[0].evals + sum(r.evals for r in results)
-    assert rep.evals >= 15 * rep.panels > 0
+    b, size = rep.base, nmax - rep.base + 1
+    pairs = np.zeros((size, size), dtype=bool)
+    for e in rep.entries:
+        pairs[e.n - b, e.m - b] = e.quad.reason == "rule"
+        assert e.quad.panels == 0 and e.quad.evals == (rep.evals if pairs[e.n - b, e.m - b] else 0)
+    x, w, low, rows = _adapt(basis).rule(pairs)
+    assert rep.panels == 0 and rep.evals == rows.size == len(x) * len(rows) > 0
 
 
 @pytest.mark.parametrize("u", [0.5, 1, 1.5])

@@ -13,19 +13,25 @@ Each seed draws, with parameters rounded to two decimals:
 
 and prints one line per report (pass or FAIL, its panels and the counts of
 its statuses other than ok), then per class the reports that pass, the
-status counts and the panel total.  It reports and does not gate: the
-exit status is 0 whatever the verdicts.
+status counts and the panel total.  It gates: it exits 1 when an
+integrable pair (families.pair_integrable; every pair of a kind, and a
+lambda class's mapped class's) is not ok, or when a pair that is not
+integrable is not refused (cliff), and names each such pair.  A pair with
+a member that cannot be built has no product to integrate: degenerate,
+the consistent refusal there, passes either way.
 """
 
 import argparse
 import math
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
-from symortho import GHP, GUP, FiniteI, FiniteII, LambdaSpec, gram_matrix
+from symortho import GHP, GUP, Class, FiniteI, FiniteII, LambdaSpec, gram_matrix
+from symortho.families import _FAMILIES, pair_integrable
 from symortho.legendre import G, Q, U, V
 
 
@@ -34,6 +40,22 @@ def _lambda(fam, lam):
     p, q, r, s = fam.params
     h = lam / 2
     return LambdaSpec(p, q, h * r - (h - 1) * p, h * s - (h - 1) * q, lam)
+
+
+def _integrable(basis, n, m):
+    """pair_integrable of a family (of a lambda class's mapped Class); every
+    pair of a kind."""
+    if isinstance(basis, LambdaSpec):
+        basis = Class(*basis.mapped_params)
+    return not isinstance(basis, _FAMILIES) or pair_integrable(basis, n, m)
+
+
+def off_gate(basis, rep):
+    """The entries (n, m, status) of a report that the gate refuses: an
+    integrable pair that is not ok, or a pair that is not integrable and
+    not a cliff, unless degenerate."""
+    return [(e.n, e.m, e.status) for e in rep.entries if e.status != "degenerate"
+            and e.status != ("ok" if _integrable(basis, e.n, e.m) else "cliff")]
 
 
 def cases(seed):
@@ -75,7 +97,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, required=True)
     args = ap.parse_args(argv)
-    totals = {}
+    totals, refused = {}, 0
     start = time.perf_counter()
     for name, label, basis, nmax in cases(args.seed):
         rep = gram_matrix(basis, nmax)
@@ -83,6 +105,9 @@ def main(argv=None):
         shown = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
         print(f"{label}: {'pass' if rep.passed else 'FAIL'}, panels {rep.panels}"
               + (f", {shown}" if shown else ""))
+        for n, m, status in off_gate(basis, rep):
+            print(f"  gate: ({n},{m}) {status}")
+            refused += 1
         seen = totals.setdefault(name, [0, 0, Counter(), 0])
         seen[0] += rep.passed
         seen[1] += 1
@@ -92,7 +117,9 @@ def main(argv=None):
     for name, (passed, count, counts, panels) in totals.items():
         shown = ", ".join(f"{v} {k}" for k, v in sorted(counts.items())) or "none"
         print(f"{name}: {passed}/{count} pass, not ok: {shown}; panels {panels}")
+    print(f"gate: {refused} entries refused")
+    return int(bool(refused))
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
