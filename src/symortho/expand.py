@@ -190,12 +190,14 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
     ||f||^2, starts on that tree's panels and is taken as it stands if it
     stays open (residual_converged says which).
 
-    The trees' hints are the basis's plus the target's own exponents e of
-    |f| ~ |x - c|^e, from one quadrature.target_exponents scan at the
-    origin, at the basis's finite hinted points and in its hinted tails
-    (_target_hints picks which join, _joined how); where the scan certifies
-    that f^2 W* diverges at a finite point, f is refused at once with
-    NonSquareIntegrable.  Both trees take one member's hints when none is
+    The trees' hints are the basis's plus the target's own exponents: one
+    quadrature.target_exponents scan of f, at the origin, at the basis's
+    finite hinted points and in its hinted tails, measures each e of
+    |f| ~ |x - c|^e (see _target_hints for which join, and _joined for
+    how).  Where it certifies that f^2 W* diverges at a finite point, f is
+    refused at once with NonSquareIntegrable.  A target whose scan adds
+    nothing (a smooth f, whose exponents are integers) runs on the basis's
+    hints alone.  Both trees take one member's hints when none is
     negative, nor any finite e (None, a bare split, is no hint): the
     softening x = c +- t^m picked for a member exponent b makes f^2, f s
     and s^2 (exponents 0, b, 2b) all smooth in t.  Below 0 the endpoint

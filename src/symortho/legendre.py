@@ -97,6 +97,9 @@ class _Kind:
     def weight(self, x):
         return 1.0
 
+    def integrable(self, n, m):
+        return True
+
     def integrable_mask(self, nmax):
         return np.ones((nmax - self.base + 1,) * 2, dtype=bool)
 

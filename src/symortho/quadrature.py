@@ -1,18 +1,26 @@
 """Adaptive quadrature with singularity hints and divergence detection.
 
 The base rule is the 15-point Kronrod extension of 7-point Gauss, applied on
-a worst-panel-first refinement queue.  Before any panel is evaluated, the
-interval is cut at hinted interior points (never sampled); an algebraic
-endpoint singularity |x - c|^sigma is softened by x = c + tau^m, with m
-picked so the integrand is smooth (or nearly so) at tau = 0; and infinite
-tails are folded to (0, 1/T] by x -> 1/t, which makes algebraic decay an
-algebraic endpoint that the same softening handles.
+a worst-panel-first refinement queue.  Three kinds of preprocessing happen
+before any panel is evaluated:
 
-A split panel's two halves are sampled together, in one call on the 30
-nodes of both children: the panels, values and errors of one call per
-child, at half the per-call cost.  Divergence is declared when refinement
-fails to bring the error estimate down while the running total keeps
-growing with non-decaying increments.  Everything is deterministic.
+* the interval is cut at hinted interior points, so singular or kinked
+  points always sit on panel boundaries and are never sampled;
+* an algebraic endpoint singularity |x - c|^sigma is softened by the power
+  substitution x = c + tau^m, with m picked so the transformed integrand is
+  smooth (or nearly so) at tau = 0;
+* infinite tails are folded to (0, 1/T] by x -> 1/t, which turns algebraic
+  decay at infinity into an algebraic endpoint that the same softening
+  machinery handles.
+
+A split panel's two halves are sampled together: one call of the
+integrand on the 30 nodes of both children, then the 15-point rule on each
+half, so the panels, their order and every value and error are those of
+one call per child, at half the per-call cost.
+
+Divergence is declared when refinement fails to bring the error estimate
+down while the running total keeps growing with non-decaying increments.
+Everything is deterministic: no randomness, no thread-order dependence.
 """
 
 from __future__ import annotations
@@ -372,16 +380,21 @@ def _mirror_hints(sings):
 
 def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, max_panels=_MAX_PANELS,
               parity=None, on_inconclusive="raise") -> QuadResult:
-    """Integrate a vectorized callable f (an ndarray of points to one of
-    values) over an interval with hints, until the summed error estimate
-    drops below max(atol, rtol * |value|).  parity may declare the integrand
-    "odd" (exactly zero, nothing sampled) or "even" (folded onto the right
-    half) on a symmetric interval.  Divergence sets the diverged flag; a
-    budget that runs out with no determination raises MaxDepthExceeded, or
-    with on_inconclusive="return" returns both flags False.  The result
-    counts the GK15 panels evaluated and the integrand points sampled (15
-    per panel plus one per endpoint-sliver probe) and the exit it took
-    (reason, see QuadResult); an even fold reports its half-line's.
+    """Integrate a vectorized callable over an interval with hints.
+
+    f must accept an ndarray of points and return an ndarray of values.
+    Refinement stops once the summed error estimate drops below
+    max(atol, rtol * |value|).  parity may declare the integrand "odd" or
+    "even" on a symmetric interval; an odd integrand returns exactly zero
+    without sampling, an even one is folded onto the right half.
+
+    Divergence is reported through the diverged flag.  If the budget runs
+    out with no determination either way, MaxDepthExceeded is raised (or,
+    with on_inconclusive="return", a QuadResult with both flags False is
+    returned).  The result counts the GK15 panels evaluated and the
+    integrand points sampled (15 per panel plus one per endpoint-sliver
+    probe); the odd shortcut samples none, and an even fold reports its
+    half-line's counts and reason, the exit it took (see QuadResult).
     """
     if not isinstance(interval, IntervalSpec):
         interval = IntervalSpec(*interval)
@@ -746,20 +759,25 @@ def integrate_gram(sample, interval, scale=None, *, start=None) -> GramQuad:
 
     sample(x) returns (w, L, R): the weight at the points x (or a scalar)
     and two row sets, the (KL, len(x)) and (KR, len(x)) values of their
-    functions (R may be L).  Each panel samples them once and adds the
-    whole (KL, KR) block (L w) R^T with the Kronrod weights; the Gauss block
-    gives each entry's error.  Where w is 0 the rows count as 0, and so does
-    w dx/dt, so a weight that underflows in a far tail hides members that
-    overflow there and a change of variable whose dx/dt overflows.  Cuts,
-    softening substitutions, tail folding and analytic endpoint slivers are
-    the same as integrate's.
+    functions; R is L for a Gram block.  Each panel samples them once and
+    adds the whole (KL, KR) block (L w) R^T with the Kronrod weights; the
+    Gauss block gives each entry's error.  Where w is 0 the rows count as 0,
+    and so does w dx/dt, so a weight that underflows in a far tail hides
+    members that overflow there and a change of variable whose dx/dt
+    overflows.  Cuts, softening substitutions, tail folding and analytic
+    endpoint slivers are the same as integrate's.
 
     Each finite task starts as 8 equal panels of its own variable, at depth
-    3.  A folded tail hinted with an exponent goes like a power of t at t =
-    0 (x = +-inf), so it starts as the panels that three halvings of its
-    lower end make, [0, h/8], [h/8, h/4], [h/4, h/2] and [h/2, h], and its
-    panel at t = 0 splits the same way; a tail with no hint starts whole and
-    bisects.  Every round samples the new panels of all tasks in one call.
+    3, since the first rounds would split every panel of a smooth block
+    anyway.  A folded tail hinted with an exponent goes like a power of t
+    at t = 0 (x = +-inf), so it is graded toward t = 0: it starts as the
+    panels that three halvings of its lower end make, [0, h/8], [h/8, h/4],
+    [h/4, h/2] and [h/2, h] at depths 3, 3, 2 and 1, and its panel at t = 0
+    splits the same way, into four.  A tail with no hint vanishes at t = 0
+    faster than any power; it starts whole and bisects, so the tree samples
+    the far tail only where its error asks for it (farther out, the weight
+    underflows while the members overflow).  Every round samples the new
+    panels of all tasks in one call.
 
     start, a GramQuad of a tree on the same interval, starts the tree from
     its final panels and planned tasks instead, fitting only the endpoint
@@ -769,17 +787,22 @@ def integrate_gram(sample, interval, scale=None, *, start=None) -> GramQuad:
     Entry (i, j) meets the stopping rule once its summed error is at most
     1e-9 scale[i, j].  scale is an array, or a function of the running
     totals that returns one; None takes entry_scale(d_i, d_j) from the
-    tree's own running diagonal d.  A running scale that is not finite is
-    no scale: its entry neither closes nor drives splits, and comes back
-    unconverged.  An entry of infinite given scale never holds the tree
-    open, and so reads converged.  Each round splits every panel holding
-    more than its share (1 / leaves) of some open entry's error, within
-    integrate's panel budget; entries still open then come back
-    unconverged.  A non-finite sample in a sliver at the floating-point
-    resolution limit retires the sliver with half its parent's error.  A
-    panel whose error stays below every share it could still be held to is
-    folded into running totals, and past about 4 MB of blocks so are the
-    panels with the smallest share of open error.
+    tree's own running diagonal d (a Gram block).  A running scale that is
+    not finite is no scale, so its entry neither closes nor drives splits,
+    and comes back unconverged.  An entry of infinite given scale is
+    sampled with the rest but never holds the tree open, and so reads
+    converged.  Each round splits every panel holding more than its share
+    (1 / leaves) of some open entry's error.  The halvings, three to a
+    graded split, are bounded by integrate's panel budget; entries still
+    open then come back unconverged.  A non-finite sample in a sliver at
+    the floating-point resolution limit retires the sliver with half its
+    parent's error.
+
+    A panel whose error stays below every share it could still be held to
+    is folded into running totals, so only splittable panels keep their
+    blocks (the mesh keeps every panel's bounds).  Past a memory allowance
+    of about 4 MB of blocks, the panels with the smallest share of open
+    error are folded in too, their error staying on the books.
     """
     def row_sets(x):
         w, L, R = sample(x)

@@ -25,7 +25,7 @@ from .core import (ClassParams, SymmetricPoly, WeightExponents, _check_degree, m
 from .core import eigenvalue as generic_eigenvalue
 from .errors import (ConstraintViolation, DegenerateDenominator, NonpositiveWeight,
                      PoleError, SingularCoefficient, ZeroLeadingCoefficient)
-from .families import _FAMILIES, Class, generic_weight_log, norms_squared
+from .families import _FAMILIES, Class, generic_weight_log, norms_squared, pair_integrable
 from .gauss import pearson
 from .legendre import LegendreKind
 from .quadrature import (_EPS, _RTOL, IntervalSpec, QuadResult, divergence_mask, entry_scale,
@@ -157,12 +157,13 @@ def boundary_term(sl, phi_n, phi_m, *, scale=1.0):
     bracket behind the norm integral, A R phi' phi, is used instead.
 
     At a finite theta A R = (px^2 + q) W* ~ (theta - |x|)^(edge + 1): for
-    edge + 1 > 0 the bracket is 0.0, else it is taken at +-theta.  An
-    infinite theta is probed at x = 10, 10^2, 10^3: a monotone decay below
-    1e-10 * scale counts as zero, else the x = 10^3 value is returned (the
-    finite-family failure signature).  So a slow decay reads as nonzero:
-    FiniteII(4.5)'s non-monic member 5, x - 2x^3, has a bracket of 0.118 at
-    x = 10, 1.2e-5 at 10^3 and 1.2e-15 at 10^8."""
+    edge + 1 > 0 the bracket is 0.0, evaluating nothing, else it is taken
+    at +-theta.  An infinite theta is probed at x = 10, 10^2, 10^3: a
+    monotone decay below 1e-10 * scale counts as zero, anything else is
+    returned as the x = 10^3 value, a result (the finite-family failure
+    signature), not an error.  The probe stops at 10^3, so a slow decay
+    reads as nonzero: the bracket of FiniteII(4.5)'s non-monic member 5,
+    x - 2x^3, is 0.118 at x = 10, 1.2e-5 at 10^3 and 1.2e-15 at 10^8."""
     same = phi_n is phi_m or (
         isinstance(phi_n, SymmetricPoly) and isinstance(phi_m, SymmetricPoly)
         and (phi_n.n, phi_n.coeffs) == (phi_m.n, phi_m.coeffs))
@@ -196,12 +197,14 @@ def parity_integral(sl, phi_n, phi_m):
     """F(n, m) = ((-1)^m - (-1)^n)/2 * int E R phi_n phi_m over [-theta, theta].
 
     Equal parities short-circuit to exactly zero (the prefactor vanishes).
-    Mixed parities make the integrand odd; it is taken in the symmetric
-    (principal-value) sense, folded by x -> -x onto the right half-line so
-    the two sides cancel pointwise: with a strong origin singularity the
-    two-sided integral diverges absolutely.  It is a 1x1 integrate_gram
-    block held to an absolute 1e-10 (0 has no scale); an open tree's value
-    is returned as it stands.
+    Mixed parities make the integrand odd; the integral is taken in the
+    symmetric (principal-value) sense by folding x -> -x onto the right
+    half-line, which still samples both members and the weight while
+    letting the two sides cancel pointwise.  Families with a strong origin
+    singularity make the unfolded two-sided integral divergent in the
+    absolute sense, so the fold is the honest reading of the lemma.  It is
+    a 1x1 integrate_gram block held to an absolute 1e-10: its exact value
+    0 has no scale.  An open tree's value is returned as it stands.
     """
     pn, pm = phi_n.n % 2, phi_m.n % 2
     pref = ((-1) ** phi_m.n - (-1) ** phi_n.n) / 2
@@ -240,8 +243,9 @@ class GramEntries(Sequence):
     [n - base, m - base] until read.  column(name) lists one field of every
     entry (n, m, expected, status or a QuadResult field), the diagonal first
     and then the lower triangle row by row.  The GramEntry tuple is built
-    once, on the first item access or iteration; len() builds nothing, and
-    one(k) builds entry k alone until then."""
+    from the columns once, on the first item access or iteration, and gives
+    the slices and the repr; len() builds nothing, and one(k) builds entry
+    k alone until the tuple is built."""
     __slots__ = ("_cells", "_built")
 
     def __init__(self, cells):
@@ -323,6 +327,11 @@ class GramReport:
         """Entries checked against their expected value (status ok)."""
         return self._statuses().count("ok")
 
+    @property
+    def refused(self) -> int:
+        """Entries whose closed form and quadrature refuse them alike."""
+        return sum(map(self._statuses().count, _REFUSED))
+
     def entry(self, n, m):
         hi, lo = max(n, m), min(n, m)
         if isinstance(self.entries, GramEntries):
@@ -339,10 +348,9 @@ class GramReport:
     def summary(self) -> str:
         statuses = self._statuses()
         counts = Counter(statuses)
-        refused = sum(counts[k] for k in _REFUSED)
         head = (f"gram[{self.label}] n = {self.base}..{self.nmax}, "
                 f"tol {self.tol:g}: {'pass' if self.passed else 'FAIL'}, "
-                f"{counts['ok']} verified, {refused} refused "
+                f"{counts['ok']} verified, {self.refused} refused "
                 f"({', '.join(f'{v} {k}' for k, v in sorted(counts.items()))})")
         lines = [head]
         for k, status in enumerate(statuses):
@@ -392,6 +400,9 @@ class _FamilyBasis:
 
     def interval(self, members=2):     # polynomial members add integer exponents
         return self.spec.interval()
+
+    def integrable(self, n, m):
+        return pair_integrable(self.spec, n, m)
 
     def integrable_mask(self, nmax):
         """pair_integrable(spec, n, m) at [n, m], n, m = 0..nmax: one outer sum

@@ -420,7 +420,7 @@ def test_gram_tree_reaches_a_hinted_tail_in_few_rounds(basis, top):
         for lo, hi, depth in [(0.0, h / 8, 3), (h / 8, h / 4, 3), (h / 4, h / 2, 2), (h / 2, h, 1)]:
             inside = mine[(mine[:, 1] >= lo) & (mine[:, 2] <= hi)]
             assert (inside[:, 2] - inside[:, 1]).sum() == pytest.approx(hi - lo, rel=1e-12)
-        assert (inside[:, 3] >= depth).all()
+            assert (inside[:, 3] >= depth).all()
 
 
 def test_graded_split_caps_its_depth():

@@ -329,11 +329,11 @@ def test_gram_summary_counts_verified_apart_from_refused():
     # FiniteI(5, 2): every entry is a consistent cliff, so the report
     # passes without verifying anything, and says so
     rep = gram_matrix(FiniteI(5, 2), 8)
-    assert rep.passed and rep.verified == 0
+    assert rep.passed and rep.verified == 0 and rep.refused == 45
     head = rep.summary().splitlines()[0]
     assert "0 verified" in head and "45 refused" in head
     rep = gram_matrix(FiniteII(4.5), 4)
-    assert rep.verified == 14
+    assert rep.verified == 14 and rep.refused == 1
     assert "14 verified, 1 refused" in rep.summary()
 
 
@@ -401,7 +401,7 @@ def test_gram_entries_pickle_repr_and_slices():
     assert list(reversed(rep.entries))[0] is rep.entries[-1]
     # any sequence of entries serves, as the benchmark's tests build them
     short = dataclasses.replace(rep, entries=rep.entries[:-1])
-    assert short.verified == 13 and len(short.entries) == 14
+    assert short.verified == 13 and short.refused == 1 and len(short.entries) == 14
 
 
 # ------------------------------------------- the Gauss rule against integrals
@@ -514,14 +514,6 @@ def test_gram_refusals_unchanged_by_the_running_norm_product():
 # ------------------------------------------------------------ the Gauss rule
 
 
-def _integrable(basis, n, m):
-    """pair_integrable of a family (of a lambda class's mapped Class); every
-    pair of a kind."""
-    if isinstance(basis, LambdaSpec):
-        basis = Class(*basis.mapped_params)
-    return isinstance(basis, (U, Pm, V, G, Q)) or pair_integrable(basis, n, m)
-
-
 def _by_reason(rep):
     """{reason: {(n, m), ...}} of a report's entries."""
     out = {}
@@ -545,7 +537,7 @@ def test_one_gauss_rule_gives_every_integrable_pair(monkeypatch, basis, nmax):
     ruled, odd = reasons.get("rule", set()), reasons.get("odd-parity", set())
     built = {(e.n, e.m) for e in rep.entries if e.status != "degenerate"}
     fold = not isinstance(basis, V)
-    assert ruled | odd == {(n, m) for n, m in built if _integrable(basis, n, m)}
+    assert ruled | odd == {(n, m) for n, m in built if _adapt(basis).integrable(n, m)}
     assert all((n + m) % 2 == 0 or not fold for n, m in ruled)
     assert all((n + m) % 2 == 1 for n, m in odd)
     for e in rep.entries:

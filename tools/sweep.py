@@ -14,9 +14,10 @@ Each seed draws, with parameters rounded to two decimals:
 and prints one line per report (pass or FAIL, its panels and the counts of
 its statuses other than ok), then per class the reports that pass, the
 status counts and the panel total.  It gates: it exits 1 when an
-integrable pair (families.pair_integrable; every pair of a kind, and a
-lambda class's mapped class's) is not ok, or when a pair that is not
-integrable is not refused (cliff), and names each such pair.  A pair with
+integrable pair (its Gram adapter's integrable: families.pair_integrable,
+a lambda class's mapped class's, and every pair of a kind) is not ok, or
+when a pair that is not integrable is not refused (cliff), and names each
+such pair.  A pair with
 a member that cannot be built has no product to integrate: degenerate,
 the consistent refusal there, passes either way.
 """
@@ -30,9 +31,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from symortho import GHP, GUP, Class, FiniteI, FiniteII, LambdaSpec, gram_matrix
-from symortho.families import _FAMILIES, pair_integrable
+from symortho import GHP, GUP, FiniteI, FiniteII, LambdaSpec, gram_matrix
 from symortho.legendre import G, Q, U, V
+from symortho.sturm import _adapt
 
 
 def _lambda(fam, lam):
@@ -42,20 +43,13 @@ def _lambda(fam, lam):
     return LambdaSpec(p, q, h * r - (h - 1) * p, h * s - (h - 1) * q, lam)
 
 
-def _integrable(basis, n, m):
-    """pair_integrable of a family (of a lambda class's mapped Class); every
-    pair of a kind."""
-    if isinstance(basis, LambdaSpec):
-        basis = Class(*basis.mapped_params)
-    return not isinstance(basis, _FAMILIES) or pair_integrable(basis, n, m)
-
-
 def off_gate(basis, rep):
     """The entries (n, m, status) of a report that the gate refuses: an
     integrable pair that is not ok, or a pair that is not integrable and
     not a cliff, unless degenerate."""
+    integrable = _adapt(basis).integrable
     return [(e.n, e.m, e.status) for e in rep.entries if e.status != "degenerate"
-            and e.status != ("ok" if _integrable(basis, e.n, e.m) else "cliff")]
+            and e.status != ("ok" if integrable(e.n, e.m) else "cliff")]
 
 
 def cases(seed):
