@@ -38,7 +38,8 @@ from .special import binom
 __all__ = [
     "ClassParams", "weight_exponents", "SymmetricPoly", "explicit_coeffs",
     "leading_coefficient", "monic_coeffs", "recurrence_c", "monic_by_recurrence",
-    "member_rows", "poly_from_params", "eigenvalue", "ode_residual", "ode_residual_rel",
+    "member_rows", "member_exists", "poly_from_params", "eigenvalue", "ode_residual",
+    "ode_residual_rel",
 ]
 
 
@@ -459,16 +460,27 @@ def member_rows(params: ClassParams, nmax):
     return class_recurrence(params, _check_degree(nmax)).rows
 
 
+def member_exists(params: ClassParams, n):
+    """Whether the monic S_n exists: no denominator factor of its leading
+    coefficient vanishes (explicit_coeffs would raise
+    DegenerateDenominator), and no numerator factor does (a float lead can
+    underflow to 0 without one; then .coeffs, from monic_coeffs, raises)."""
+    try:
+        lead = params.lead(_check_degree(n))
+    except DegenerateDenominator:
+        return False
+    return lead != 0 or all(_factors(params, n)[0])
+
+
 def poly_from_params(params: ClassParams, n, monic=False) -> "SymmetricPoly":
-    """S_n, or its monic version, raising as explicit_coeffs would.  The
-    monic version exists unless a numerator factor of the leading
-    coefficient is 0 (a float lead can underflow to 0 without one; then
-    .coeffs, from monic_coeffs, raises).  It evaluates by the class
-    recurrence scaled by the leading coefficient; its exact coefficients
-    are built on the first read of .coeffs."""
+    """S_n, or its monic version, raising as explicit_coeffs would; the
+    monic version raises ZeroLeadingCoefficient where member_exists says
+    it does not exist.  It evaluates by the class recurrence scaled by the
+    leading coefficient; its exact coefficients are built on the first
+    read of .coeffs."""
     n = _check_degree(n)
     lead = params.lead(n)
-    if monic and lead == 0 and not all(_factors(params, n)[0]):
+    if monic and not member_exists(params, n):
         raise ZeroLeadingCoefficient(
             f"S_{n} has leading coefficient 0; no monic version exists")
     poly = SymmetricPoly._lazy(n, lambda: (monic_coeffs if monic else explicit_coeffs)(params, n))

@@ -72,8 +72,7 @@ _RTOL = 1e-9
 _MAX_DEPTH = 60
 _MAX_PANELS = 4000
 # integrate_gram starts each finite task as this many equal panels, the ones
-# its first rounds of splits would make (a power of two), at this depth; a
-# graded split halves the lower end of a panel as many times
+# its first rounds of splits would make (a power of two), at this depth
 _START_PANELS = 8
 _START_DEPTH = _START_PANELS.bit_length() - 1
 
@@ -642,26 +641,20 @@ def target_exponents(f, interval):
     return out
 
 
-def certifies_divergence(point, sigma, spread, hint):
-    """Whether a measured exponent confirms that |f| ~ |x - point|^hint
-    is not integrable at the point: hint is on the divergent side of -1
-    (>= -1 in a tail, <= -1 at a finite point), the spread is narrow enough
-    to tell hint from -1, and sigma agrees with hint within the spread.
-    A nan sigma or spread never certifies."""
-    if hint is None or (hint < -1.0 if math.isinf(point) else hint > -1.0):
-        return False
-    return bool(spread <= _SCAN_SPREAD and abs(sigma - hint) <= spread + _SCAN_FLOOR)
-
-
 def divergence_mask(point, sigma, spread, hint):
-    """certifies_divergence at one point for every pair at once: sigma and
-    spread are a scan side's arrays, hint one exponent or an array of them."""
+    """Where a measured exponent confirms that |f| ~ |x - point|^hint is
+    not integrable at the point: hint is on the divergent side of -1
+    (>= -1 in a tail, <= -1 at a finite point), the spread is narrow enough
+    to tell hint from -1, and sigma agrees with hint within the spread.  A
+    nan sigma or spread never certifies.  sigma and spread are a scan
+    side's arrays (or scalars), hint one exponent or an array of them."""
     side = hint >= -1.0 if math.isinf(point) else hint <= -1.0
     return side & (spread <= _SCAN_SPREAD) & (np.abs(sigma - hint) <= spread + _SCAN_FLOOR)
 
 
-# per-panel block entries integrate_gram keeps live (value and error: 4 MB)
-_LIVE_ENTRIES = 2 ** 18
+def certifies_divergence(point, sigma, spread, hint):
+    """divergence_mask of one exponent, as a bool; no hint never certifies."""
+    return hint is not None and bool(divergence_mask(point, sigma, spread, hint))
 
 
 @dataclass(frozen=True, eq=False)
@@ -730,30 +723,6 @@ def _halves(rows):
     return out
 
 
-def _split(rows, graded):
-    """The children of panel rows (task, lo, hi, depth), each row's lower
-    first: its two halves, or where the mask graded holds (None: nowhere)
-    the panels that _START_DEPTH halvings of its lower end make
-    ([lo, lo + h/8], [lo + h/8, lo + h/4], [lo + h/4, lo + h/2],
-    [lo + h/2, hi] for h = hi - lo), each as deep as its halvings made
-    it, at most _MAX_DEPTH."""
-    halves = _halves(rows)
-    if graded is None:
-        return halves
-    low, parts = halves[::2][graded], [halves[1::2][graded]]
-    for _ in range(_START_DEPTH - 1):
-        quarters = _halves(low)
-        low = quarters[::2]
-        parts.append(quarters[1::2])
-    parts.append(low)
-    mine = np.repeat(graded, np.where(graded, _START_DEPTH + 1, 2))
-    out = np.empty((len(mine), 4))
-    out[mine] = np.stack(parts[::-1], axis=1).reshape(-1, 4)
-    out[~mine] = halves.reshape(-1, 2, 4)[~graded].reshape(-1, 4)
-    np.minimum(out[:, 3], _MAX_DEPTH, out=out[:, 3])
-    return out
-
-
 def integrate_gram(sample, interval, scale=None, *, start=None) -> GramQuad:
     """Every inner product int w L_i R_j dx on one adaptive GK15 panel tree.
 
@@ -769,15 +738,10 @@ def integrate_gram(sample, interval, scale=None, *, start=None) -> GramQuad:
 
     Each finite task starts as 8 equal panels of its own variable, at depth
     3, since the first rounds would split every panel of a smooth block
-    anyway.  A folded tail hinted with an exponent goes like a power of t
-    at t = 0 (x = +-inf), so it is graded toward t = 0: it starts as the
-    panels that three halvings of its lower end make, [0, h/8], [h/8, h/4],
-    [h/4, h/2] and [h/2, h] at depths 3, 3, 2 and 1, and its panel at t = 0
-    splits the same way, into four.  A tail with no hint vanishes at t = 0
-    faster than any power; it starts whole and bisects, so the tree samples
-    the far tail only where its error asks for it (farther out, the weight
-    underflows while the members overflow).  Every round samples the new
-    panels of all tasks in one call.
+    anyway.  A folded tail starts whole, so the tree samples the far tail
+    only where its error asks for it (farther out, the weight underflows
+    while the members overflow).  Every panel splits into its two halves,
+    and every round samples the new panels of all tasks in one call.
 
     start, a GramQuad of a tree on the same interval, starts the tree from
     its final panels and planned tasks instead, fitting only the endpoint
@@ -792,17 +756,15 @@ def integrate_gram(sample, interval, scale=None, *, start=None) -> GramQuad:
     and comes back unconverged.  An entry of infinite given scale is
     sampled with the rest but never holds the tree open, and so reads
     converged.  Each round splits every panel holding more than its share
-    (1 / leaves) of some open entry's error.  The halvings, three to a
-    graded split, are bounded by integrate's panel budget; entries still
-    open then come back unconverged.  A non-finite sample in a sliver at
-    the floating-point resolution limit retires the sliver with half its
-    parent's error.
+    (1 / leaves) of some open entry's error.  The halvings are bounded by
+    integrate's panel budget; entries still open then come back
+    unconverged.  A non-finite sample in a sliver at the floating-point
+    resolution limit retires the sliver with half its parent's error.
 
     A panel whose error stays below every share it could still be held to
     is folded into running totals, so only splittable panels keep their
-    blocks (the mesh keeps every panel's bounds).  Past a memory allowance
-    of about 4 MB of blocks, the panels with the smallest share of open
-    error are folded in too, their error staying on the books.
+    blocks (the mesh keeps every panel's bounds); the start panels and the
+    panel budget bound how many do.
     """
     def row_sets(x):
         w, L, R = sample(x)
@@ -831,26 +793,18 @@ def integrate_gram(sample, interval, scale=None, *, start=None) -> GramQuad:
         _, tasks, slivers, starts = mesh
         extra_value, extra_err = sum(f[1] for f in fits), sum(f[2] for f in fits)
     # _plan puts the lower tail first and the upper tail last, each on t in
-    # (0, 1/T] with x = +-inf at t = 0; the tails hinted with an exponent
-    # are graded
-    tails = {k: end for k, end in ((0, interval.lo), (len(tasks) - 1, interval.hi))
+    # (0, 1/T] with x = +-inf at t = 0
+    tails = {k for k, end in ((0, interval.lo), (len(tasks) - 1, interval.hi))
              if math.isinf(end)}
-    hints = dict(interval.singularities)
-    graded_tails = [k for k, end in tails.items() if hints.get(end) is not None]
-    if graded_tails:
-        graded_task = np.zeros(len(tasks), dtype=bool)
-        graded_task[graded_tails] = True
     if starts is None:
         # a finite task starts as _START_PANELS equal panels by halving, a
-        # graded tail as the panels of one graded split, any other tail whole
+        # tail whole
         starts = []
         for k, (_, a, b) in enumerate(tasks):
             if not a < b:
                 continue
             if k in tails:
-                row = np.array([[k, a, b, 0.0]])
-                starts += (_split(row, np.ones(1, dtype=bool)) if k in graded_tails
-                           else row).tolist()
+                starts.append((k, a, b, 0.0))
                 continue
             edges = [float(a), float(b)]
             for _ in range(_START_DEPTH):
@@ -898,7 +852,6 @@ def integrate_gram(sample, interval, scale=None, *, start=None) -> GramQuad:
     retired = 0
     panels, splits = first, 0       # panels evaluated, halvings made
     max_leaves = first + _MAX_PANELS + 1
-    max_live = max(16, _LIVE_ENTRIES // val[0].size)
     running = scale is None or callable(scale)
     if not running:
         target = _RTOL * scale
@@ -925,48 +878,31 @@ def integrate_gram(sample, interval, scale=None, *, start=None) -> GramQuad:
         pick = np.flatnonzero(score > 1.0 / (len(meta) + retired))
         if not pick.size:
             pick = np.array([np.argmax(score)])
-        pick = pick[np.argsort(-score[pick], kind="stable")]
-        # a graded tail's panel at t = 0 takes a graded split, _START_DEPTH
-        # halvings of the budget; a round's halvings fit the budget and its
-        # children the allowance
-        graded = None
-        if graded_tails:
-            graded = graded_task[meta[pick, 0].astype(int)] & (meta[pick, 1] == 0.0)
-        if graded is not None and graded.any():
-            cost = np.where(graded, _START_DEPTH, 1)
-            room = ((np.cumsum(cost) <= _MAX_PANELS - splits)
-                    & (np.cumsum(cost + 1) <= max_live))
-            if not room[0]:
-                break       # the budget has no room for the first split
-            pick, graded = pick[room], graded[room]
-        else:
-            pick, graded = pick[:min(_MAX_PANELS - splits, max_live // 2)], None
+        pick = pick[np.argsort(-score[pick], kind="stable")][:_MAX_PANELS - splits]
         keep = np.ones(len(meta), dtype=bool)
         keep[pick] = False
         # panels at the depth limit keep their error on the books
         deep = meta[pick, 3] >= _MAX_DEPTH
         if deep.any():
             parked, pick = pick[deep], pick[~deep]
-            graded = None if graded is None else graded[~deep]
             acc_val += val[parked].sum(axis=0)
             acc_err += err[parked].sum(axis=0)
             retired += len(parked)
             kept.append(meta[parked])
 
-        children = _split(meta[pick], graded)
+        children = _halves(meta[pick])
         if pick.size:
             c_val, c_err, c_ok = evaluate(children)
         else:
             c_val, c_err, c_ok = val[:0], err[:0], np.ones(0, dtype=bool)
         panels += len(children)
-        splits += len(children) - len(pick)     # a split adds one panel per halving
+        splits += len(pick)
 
         if not c_ok.all():
             # a non-finite sample in a sliver at the resolution limit: retire
             # the sliver with half its parent's error, as integrate does
             c_lo, c_hi = children[:, 1], children[:, 2]
-            parent_err = np.repeat(err[pick], 2 if graded is None else
-                                   np.where(graded, _START_DEPTH + 1, 2), axis=0)
+            parent_err = np.repeat(err[pick], 2, axis=0)
             sliver = ~c_ok & (c_hi - c_lo <= 64.0 * _EPS * np.maximum(
                 1.0, np.maximum(abs(c_lo), abs(c_hi))))
             sliver &= np.isfinite(parent_err).all(axis=(1, 2))
@@ -980,15 +916,11 @@ def integrate_gram(sample, interval, scale=None, *, start=None) -> GramQuad:
         val = np.concatenate((val[keep], c_val))
         err = np.concatenate((err[keep], c_err))
 
-        # panels no share can ever reach again leave the live set, and so do
-        # the least splittable ones beyond the memory allowance
-        # an entry held to nothing counts 0 (its error can be inf)
+        # panels no share can ever reach again leave the live set; an entry
+        # held to nothing counts 0 (its error can be inf)
         ratio = (err / target if every else
                  np.divide(err, target, out=np.zeros_like(err), where=held))
         done = ratio.max(axis=(1, 2)) <= 1.0 / max_leaves
-        if len(done) - np.count_nonzero(done) > max_live:
-            rank = np.argsort(-ratio[:, open_].max(axis=1), kind="stable")
-            done[rank[max_live:]] = True
         if done.any():
             acc_val += val[done].sum(axis=0)
             acc_err += err[done].sum(axis=0)

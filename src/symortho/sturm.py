@@ -20,11 +20,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (ClassParams, SymmetricPoly, WeightExponents, _check_degree, member_rows,
-                   poly_from_params, weight_exponents)
+from .core import (ClassParams, SymmetricPoly, WeightExponents, _check_degree, member_exists,
+                   member_rows, poly_from_params, weight_exponents)
 from .core import eigenvalue as generic_eigenvalue
-from .errors import (ConstraintViolation, DegenerateDenominator, NonpositiveWeight,
-                     PoleError, SingularCoefficient, ZeroLeadingCoefficient)
+from .errors import (ConstraintViolation, NonpositiveWeight, PoleError,
+                     SingularCoefficient)
 from .families import _FAMILIES, Class, generic_weight_log, norms_squared, pair_integrable
 from .gauss import pearson
 from .legendre import LegendreKind
@@ -382,10 +382,8 @@ class _FamilyBasis:
 
     def _phi(self, n):
         """Member n as its own SymmetricPoly, None where it cannot be built."""
-        try:
-            return poly_from_params(self.spec.params, n, monic=True)
-        except (DegenerateDenominator, ZeroLeadingCoefficient):
-            return None
+        params = self.spec.params
+        return poly_from_params(params, n, monic=True) if member_exists(params, n) else None
 
     def norms(self, nmax):
         """The norms of the tuple's Class, to its last integrable diagonal."""
@@ -416,11 +414,13 @@ class _FamilyBasis:
     def missing(self, nmax, lower, integrable):
         """The pairs of lower, at [n, m], with a member that cannot be built:
         below any pole the rule takes the recurrence's rows; from the pole on,
-        and in a pair that is not integrable, a member is its own phi(n)."""
+        and in a pair that is not integrable, a member is its own phi(n),
+        which exists where member_exists says so."""
+        params = self.spec.params
         k = np.arange(nmax + 1)
-        need = lower & (~integrable | (k[:, None] > _below_pole(self.spec.params, nmax)))
+        need = lower & (~integrable | (k[:, None] > _below_pole(params, nmax)))
         used = need.any(axis=0) | need.any(axis=1)
-        gone = np.array([bool(u) and self.phi(i) is None for i, u in enumerate(used)])
+        gone = np.array([bool(u) and not member_exists(params, i) for i, u in enumerate(used)])
         return need & (gone[:, None] | gone)
 
     def rule(self, pairs):

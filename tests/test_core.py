@@ -17,8 +17,8 @@ import pytest
 from symortho import core
 from symortho.cli import _grid
 from symortho.core import (ClassParams, SymmetricPoly, eigenvalue,
-                           explicit_coeffs, leading_coefficient, member_rows,
-                           monic_by_recurrence, monic_coeffs, ode_residual,
+                           explicit_coeffs, leading_coefficient, member_exists,
+                           member_rows, monic_by_recurrence, monic_coeffs, ode_residual,
                            ode_residual_rel, poly_from_params, recurrence_c,
                            weight_exponents)
 from symortho.errors import (ConstraintViolation, DegenerateDenominator,
@@ -458,6 +458,7 @@ def test_member_existence_matches_the_coefficient_lists():
                             monic = _outcome(monic_coeffs, params, n)
                             assert _outcome(poly_from_params, params, n) == raw
                             assert _outcome(poly_from_params, params, n, monic=True) == monic
+                            assert member_exists(params, n) == (monic is None)
                             seen.update((raw, monic))
                             if raw is None:
                                 lead = explicit_coeffs(params, n)[0]
@@ -515,7 +516,9 @@ def test_member_355_exists_though_its_float_lead_underflows():
     exact = poly_from_params(GHP_HALF, 355, monic=True)
     assert [round(_log10(exact.eval_exact(v)), 1) for v in (Fraction(1, 2), 3)] == [321.3, 324.3]
     assert exact.eval_exact(Fraction(1, 2)) < 0 < exact.eval_exact(3)
+    assert member_exists(GHP_HALF_FLOAT, 355)
     # a factor that is exactly 0 still refuses the member
+    assert not member_exists(ClassParams(1.0, 0.0, -7.0, 2.0), 5)
     with pytest.raises(ZeroLeadingCoefficient):
         poly_from_params(ClassParams(1.0, 0.0, -7.0, 2.0), 5, monic=True)
 

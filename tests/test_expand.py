@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import symortho
-from symortho.core import poly_from_params
+from symortho.core import ClassParams, poly_from_params, recurrence_c
 from symortho.errors import (BasisInvalid, ConstraintViolation, MaxDepthExceeded,
                              NonSquareIntegrable)
 from symortho.expand import (ExpansionSeries, barycentric_interpolant, expand,
@@ -386,8 +386,44 @@ def test_finite_ii_residual_takes_its_unexponented_hint():
     # FiniteII's interval marks its origin with exponent None: a split, no power
     ser = expand(lambda x: 1 / (1 + x * x), FiniteII(6), 4)
     assert ser.residual_converged
-    # mpmath.quad of w (f - s)^2 over the line gives 0.0514972694764385813
-    assert ser.residual == 0.05149726947643891
+    # mpmath.quad of w (f - s)^2 over the line, at 40 digits with the
+    # series' own coefficients, gives 0.051497269476438526
+    assert ser.residual == 0.05149726947643892
+
+
+def test_finite_i_hinted_tails_match_mpmath():
+    # FiniteI's tails are hinted with an exponent (|x|^-12.2 here) and each
+    # starts as one panel; against mpmath, the residual^2 holds to the
+    # trees' stopping rule, 1e-9 ||f||^2, and each coefficient to 1e-9 of
+    # its scale ||f|| / sqrt(d_n)
+    basis, nmax = FiniteI(0.1, 6), 4
+    ser = expand(lambda x: 1 / (1 + x * x), basis, nmax)
+    assert ser.residual_converged
+    params = ClassParams(*map(Fraction, basis.params))     # u = 0.1 as the float it is
+    cs = [recurrence_c(params, k) for k in range(1, nmax)]
+    u = mpmath.mpf(basis.u)
+
+    def members(x):
+        rows = [mpmath.mpf(1), x]
+        for k, c in enumerate(cs, 1):
+            rows.append(x * rows[k] + mpmath.mpf(c.numerator) / c.denominator * rows[k - 1])
+        return rows
+
+    def quad(g):
+        return mpmath.quad(lambda x: abs(x) ** (-2 * u) * (1 + x * x) ** -6 * g(x),
+                           [-mpmath.inf, -1, 0, 1, mpmath.inf])
+
+    def f(x):
+        return 1 / (1 + x * x)
+    q = [mpmath.mpf(float(c)) for c in ser.coefficients]
+    with mpmath.workdps(30):
+        f_norm2 = quad(lambda x: f(x) ** 2)
+        want = quad(lambda x: (f(x) - mpmath.fdot(q, members(x))) ** 2)
+        for n in range(nmax + 1):
+            d = quad(lambda x: members(x)[n] ** 2)
+            exact = quad(lambda x: f(x) * members(x)[n]) / d
+            assert abs(q[n] - exact) <= 1e-9 * mpmath.sqrt(f_norm2 / d)
+    assert abs(ser.residual ** 2 - want) <= 1e-9 * f_norm2
 
 
 @pytest.mark.parametrize("basis, closed", [(V(0.6), False), (GUP(0.6, 0.8), True)], ids=str)

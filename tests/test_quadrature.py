@@ -242,7 +242,7 @@ def test_gram_tree_budget_leaves_entries_open(monkeypatch):
 
 def test_gram_tree_unresolvable_integrand_stays_open_and_bounded(monkeypatch):
     # an unhinted oscillating singularity: the low entries cannot converge,
-    # and the tree stops at the split budget with its live set capped
+    # and the tree stops at the split budget
     def sample(x):
         with np.errstate(divide="ignore"):
             w = np.abs(x - 0.3) ** -0.5 + np.abs(np.sin(1.0 / (x - 0.7)))
@@ -385,8 +385,8 @@ def _family_tree(basis, top, sizes):
 @pytest.mark.parametrize("basis, top", [(GUP(0.612, 0.791), 24), (FiniteII(7.52), 6)], ids=repr)
 def test_gram_tree_first_round_covers_eight_panels_per_finite_task(basis, top):
     # finite tasks start at 8 panels, a folded tail (FiniteII's are hinted
-    # with an exponent) at 4 graded toward t = 0; the sliver probes of the
-    # planner are single points ahead of the first round
+    # with an exponent) as one whole panel; the sliver probes of the planner
+    # are single points ahead of the first round
     sizes = []
     res = _family_tree(basis, top, sizes)
     interval = basis.interval(tail_power=2 * top)
@@ -394,52 +394,13 @@ def test_gram_tree_first_round_covers_eight_panels_per_finite_task(basis, top):
     tails = (interval.hi == math.inf) + (interval.lo == -math.inf)
     probes = sizes.count(1)
     assert sizes[:probes] == [1] * probes and 1 not in sizes[probes:]
-    assert sizes[probes] == 15 * (8 * (len(tasks) - tails) + 4 * tails)
+    assert sizes[probes] == 15 * (8 * (len(tasks) - tails) + tails)
     assert res.evals == sum(sizes) == 15 * res.panels + probes
-
-
-@pytest.mark.parametrize("basis, top", [
-    (FiniteII(6.03), 5), (FiniteI(0.12, 2.47), 2), (FiniteII(5.97), 5)], ids=repr)
-def test_gram_tree_reaches_a_hinted_tail_in_few_rounds(basis, top):
-    # a folded tail hinted with an exponent starts graded toward t = 0
-    # (x = +-inf) and its panel at t = 0 splits graded again, so the tree
-    # reaches the far tail in a few rounds
-    sizes = []
-    res = _family_tree(basis, top, sizes)
-    assert res.converged.all()
-    probes = sizes.count(1)
-    assert len(sizes) - probes <= 4
-    assert res.evals == sum(sizes) == 15 * res.panels + probes
-    interval, tasks, _, panels = res.mesh      # the final panels
-    assert panels[:, 3].max() <= quadrature._MAX_DEPTH
-    assert interval.hi == math.inf
-    for k in (0, len(tasks) - 1):       # the lower and the upper tail, x = -+inf at t = 0
-        mine = panels[panels[:, 0] == k]
-        # every panel of the tail lies within one of its start panels
-        h = tasks[k][2]
-        for lo, hi, depth in [(0.0, h / 8, 3), (h / 8, h / 4, 3), (h / 4, h / 2, 2), (h / 2, h, 1)]:
-            inside = mine[(mine[:, 1] >= lo) & (mine[:, 2] <= hi)]
-            assert (inside[:, 2] - inside[:, 1]).sum() == pytest.approx(hi - lo, rel=1e-12)
-            assert (inside[:, 3] >= depth).all()
-
-
-def test_graded_split_caps_its_depth():
-    # a graded tail's panel at t = 0 splits into 4 graded children, lower
-    # first, any other panel into two halves; no child is deeper than
-    # _MAX_DEPTH
-    deep = quadrature._MAX_DEPTH - 1
-    rows = np.array([[0.0, 0.0, 1.0, deep], [1.0, 2.0, 4.0, 5.0], [0.0, 0.0, 0.5, 0.0]])
-    got = quadrature._split(rows, np.array([True, False, True])).tolist()
-    assert got == [[0.0, 0.0, 0.125, 60.0], [0.0, 0.125, 0.25, 60.0],
-                   [0.0, 0.25, 0.5, 60.0], [0.0, 0.5, 1.0, 60.0],
-                   [1.0, 2.0, 3.0, 6.0], [1.0, 3.0, 4.0, 6.0],
-                   [0.0, 0.0, 0.0625, 3.0], [0.0, 0.0625, 0.125, 3.0],
-                   [0.0, 0.125, 0.25, 2.0], [0.0, 0.25, 0.5, 1.0]]
 
 
 def test_tail_where_the_weight_underflows_stays_finite():
     # the lambda = 2/3 class of FiniteI(0.11, 2.5): its tail decays like
-    # |x|^-1.07, so the tree grades its far tail to x ~ 1e160, where
+    # |x|^-1.07, so a Gram panel tree once reached x ~ 1e160, where
     # t^2m underflows; there the weight is 0, and so is w dx/dt, where
     # 0 / 0 once made every panel there non-finite and the tree ran its
     # whole budget (8022 panels) and failed

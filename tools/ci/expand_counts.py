@@ -9,9 +9,13 @@ its measured exponent 1/2 hints its trees there, which the basis's hints
 alone resolved by 10-13 rounds of bisection toward 0 (110 and 92
 panels).  (1 - x^2)^(-1/4) on V(0.3) ran its numerators to their budget
 before its exponent -1/4 at +-1 hinted them; its residual stays open.
-Each case prints the target's exponents that join the hints ({point: e},
-from its one scan), and each tree its panels and its sampler calls (one per
-round, plus any endpoint-sliver probes).
+1/(1 + x^2) on FiniteII(6)@4 runs trees whose folded tails are hinted
+with an exponent: each tail starts as one panel and bisects toward
+x = +-inf where its error asks for it (98 panels; 116 when such tails
+started graded toward x = +-inf and split into four there).  Each case
+prints the target's exponents that join the hints ({point: e}, from its
+one scan), and each tree its panels and its sampler calls (one per round,
+plus any endpoint-sliver probes).
 
 Run from the repository root:
     PYTHONPATH=src python -W error::RuntimeWarning tools/ci/expand_counts.py
@@ -21,7 +25,7 @@ import importlib
 
 import numpy as np
 
-from symortho import GUP
+from symortho import GUP, FiniteII
 from symortho.legendre import G, Pm, Q, U, V
 
 ex = importlib.import_module("symortho.expand")   # symortho.expand is the function
@@ -53,12 +57,17 @@ def quarter_power(x):
     return (1 - x * x) ** -0.25
 
 
+def lorentzian(x):
+    return 1 / (1 + x * x)
+
+
 ex.integrate_gram = counted
 ex._target_hints = recorded
 cases = [(np.sin, "sin", basis, 8) for basis in
          [V(0.6), U(-0.5), G(0.5, -0.5), Q(-0.4), U(0.5), Pm(1), G(0.5, 1.0), Q(0.5)]]
 cases += [(sqrt_abs, "sqrt|x|", U(0.5), 12), (sqrt_abs, "sqrt|x|", GUP(0, 0), 8),
-          (quarter_power, "(1-x^2)^-1/4", V(0.3), 6)]
+          (quarter_power, "(1-x^2)^-1/4", V(0.3), 6),
+          (lorentzian, "1/(1+x^2)", FiniteII(6), 4)]
 for f, name, basis, nmax in cases:
     panels.clear()
     calls.clear()
