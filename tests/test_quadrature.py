@@ -398,6 +398,40 @@ def test_gram_tree_first_round_covers_eight_panels_per_finite_task(basis, top):
     assert res.evals == sum(sizes) == 15 * res.panels + probes
 
 
+@pytest.mark.parametrize("basis, top", [
+    (FiniteII(6.03), 5), (FiniteI(0.12, 2.47), 2), (FiniteII(5.97), 5)], ids=repr)
+def test_gram_tree_bisects_a_hinted_tail_from_one_panel(basis, top):
+    # a folded tail hinted with an exponent starts as one panel (0, h] and
+    # every split halves, so the tail's final panels tile (0, h] with
+    # widths h / 2^depth; the tree's Gram block holds the family's norms
+    # on its diagonal and 0 off it, each to 1e-9 of its entry scale
+    from symortho.families import Class, norms_squared
+    sizes = []
+    res = _family_tree(basis, top, sizes)
+    assert res.converged.all()
+    assert res.evals == sum(sizes) == 15 * res.panels + sizes.count(1)
+    d = np.array(norms_squared(Class(*basis.params), top), dtype=float)
+    assert (np.abs(res.value - np.diag(d)) <= 1e-9 * _scale(d, d)).all()
+    interval, tasks, _, panels = res.mesh      # the final panels
+    assert interval.hi == math.inf and panels[:, 3].max() <= quadrature._MAX_DEPTH
+    for k in (0, len(tasks) - 1):       # the lower and the upper tail, x = -+inf at t = 0
+        _, lo, h = tasks[k]
+        mine = panels[panels[:, 0] == k]
+        mine = mine[np.argsort(mine[:, 1])]
+        assert lo == 0.0 and mine[0, 1] == 0.0 and mine[-1, 2] == h
+        assert (mine[1:, 1] == mine[:-1, 2]).all()
+        assert (mine[:, 2] - mine[:, 1]).tolist() == pytest.approx(h * 2.0 ** -mine[:, 3],
+                                                                    rel=1e-12)
+
+
+def test_halves_bisects_each_panel():
+    # every panel row (task, lo, hi, depth) splits into its two halves,
+    # lower first, one level deeper
+    rows = np.array([[0.0, 0.0, 1.0, 0.0], [1.0, 2.0, 4.0, 5.0]])
+    assert quadrature._halves(rows).tolist() == [
+        [0.0, 0.0, 0.5, 1.0], [0.0, 0.5, 1.0, 1.0], [1.0, 2.0, 3.0, 6.0], [1.0, 3.0, 4.0, 6.0]]
+
+
 def test_tail_where_the_weight_underflows_stays_finite():
     # the lambda = 2/3 class of FiniteI(0.11, 2.5): its tail decays like
     # |x|^-1.07, so a Gram panel tree once reached x ~ 1e160, where
@@ -411,6 +445,27 @@ def test_tail_where_the_weight_underflows_stays_finite():
     spec = LambdaSpec(p, q, h * r - (h - 1) * p, h * s - (h - 1) * q, Fraction(2, 3))
     rep = sturm.gram_matrix(spec, 8)
     assert rep.passed and rep.verified == 9 and rep.panels < 200
+
+
+def test_gram_tree_counts_no_w_dx_where_the_weight_underflows():
+    # (1 + x^2)^-0.51 decays like |x|^-1.02, so its tails fold softened
+    # with t = tau^64; beyond |x| = 2^512, where x^2 overflows, the weight
+    # is 0, and t^2 underflows, so dx/dt is 0 / 0.  There w dx/dt counts
+    # 0, and the tree converges on the weight as sampled: the whole line's
+    # mass sqrt(pi) Gamma(0.01) / Gamma(0.51) less 2 (2^512)^-0.02 / 0.02
+    # beyond 2^512 (mpmath)
+    def sample(x):
+        with np.errstate(over="ignore"):
+            w = (1 + x * x) ** -0.51
+        P = np.array([np.ones_like(x), x / (1 + np.abs(x))])
+        return w, P, P
+    spec = IntervalSpec(-math.inf, math.inf, ((-math.inf, -1.02), (math.inf, -1.02)))
+    res = integrate_gram(sample, spec)
+    assert res.converged.all() and res.panels < 200
+    assert np.isfinite(res.value).all() and np.isfinite(res.error).all()
+    assert res.value[0, 0] == pytest.approx(101.37951033504427 - 100 * 2.0 ** (-512 * 0.02),
+                                            rel=1e-9)
+    assert abs(res.value[0, 1]) <= 1e-9 * math.sqrt(res.value[0, 0] * res.value[1, 1])
 
 
 def test_softened_tail_reaching_infinity_raises_no_warning():
