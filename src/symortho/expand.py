@@ -182,8 +182,8 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
     (_verified_norms keeps its norms); one that failed is, every time.
 
     Every integral is an entry of a quadrature.integrate_gram tree, held
-    to 1e-9 of a scale.  One tree samples L = [f] against R = [f,
-    phi_base..phi_nmax]: ||f||^2 at (0, 0) to its own running value, else
+    to 1e-9 of a scale.  One tree samples f against the rows [f,
+    phi_base..phi_nmax]: ||f||^2 at entry 0 to its own running value, else
     NonSquareIntegrable (at once when that value is not finite), and the
     numerators int W* f phi_n to entry_scale(||f||^2, d_n), d_n the Gram
     report's norms, else MaxDepthExceeded.  The squared residual, held to
@@ -218,12 +218,15 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
         return y if y.shape == np.shape(x) else np.broadcast_to(y, np.shape(x))
 
     def square(g):
-        """The sampler of the 1x1 block int W* g^2 (its R is its L)."""
-        return lambda x: (ad.weight(x),) + (g(x)[None, :],) * 2
+        """The sampler of int W* g^2: g against the row set [g]."""
+        def sample(x):
+            w, y = ad.weight(x), g(x)
+            return w, y, y[None, :]
+        return sample
 
     cost = [0, 0]       # the panels and evals of every tree below
 
-    def tree(sample, interval, scale=None, start=None):
+    def tree(sample, interval, scale, start=None):
         out = integrate_gram(sample, interval, scale, start=start)
         cost[0] += out.panels
         cost[1] += out.evals
@@ -235,31 +238,32 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
     fused = not any(e is not None and e < 0 for _, e in hinted.singularities + tuple(exps.items()))
     crossed = _joined(hinted if fused else ad.interval(0), exps, (1, 2))
     d = np.asarray(norms)
-    if fused:       # L = [f] against R = [f, phi_base..phi_nmax]: ||f||^2 is (0, 0)
+    if fused:       # f against [f, phi_base..phi_nmax]: ||f||^2 is entry 0
         def sample(x):
-            y = target(x)[None, :]
-            return ad.weight(x), y, np.concatenate((y, rows(x)))
-        ff = tree(sample, crossed, lambda t: entry_scale(t[0, 0], np.r_[t[0, 0], d])[None])
+            y = target(x)
+            return ad.weight(x), y, np.concatenate((y[None, :], rows(x)))
+        ff = tree(sample, crossed, lambda t: entry_scale(t[0], np.r_[t[0], d]))
     else:
-        ff = tree(square(target), _joined(ad.interval(0), exps, (2, 2)))
-    f_norm2 = max(float(ff.value[0, 0]), 0.0)
-    if not ff.converged[0, 0]:
+        ff = tree(square(target), _joined(ad.interval(0), exps, (2, 2)),
+                  lambda t: entry_scale(t, t))
+    f_norm2 = max(float(ff.value[0]), 0.0)
+    if not ff.converged[0]:
         raise NonSquareIntegrable(
             "int W* f^2 did not converge (estimate {!r} +- {!r} after {} panels, {} evals)"
-            .format(float(ff.value[0, 0]), float(ff.error[0, 0]), *cost))
-    num = ff if fused else tree(lambda x: (ad.weight(x), target(x)[None, :], rows(x)),
-                                _joined(hinted, exps, (1, 1)), entry_scale(f_norm2, d[None]))
+            .format(float(ff.value[0]), float(ff.error[0]), *cost))
+    num = ff if fused else tree(lambda x: (ad.weight(x), target(x), rows(x)),
+                                _joined(hinted, exps, (1, 1)), entry_scale(f_norm2, d))
     if not num.converged.all():
-        k = int(np.argmin(num.converged[0]))
-        open_ = QuadResult(float(num.value[0, k]), float(num.error[0, k]), False, False, *cost,
+        k = int(np.argmin(num.converged))
+        open_ = QuadResult(float(num.value[k]), float(num.error[k]), False, False, *cost,
                            "budget")        # at the cost of every tree so far
         raise MaxDepthExceeded(open_, f"int W* f phi_n, n = {ad.base + k - fused},")
-    q = num.value[0, int(fused):] / d
+    q = num.value[int(fused):] / d
     coeffs = (0.0,) * ad.base + tuple(float(c) for c in q)
 
     res = tree(square(lambda x: target(x) - q @ rows(x)), crossed,
-               np.array([[max(f_norm2, 1e-300)]]), num if fused else None)  # on num's panels
-    residual = math.sqrt(max(float(res.value[0, 0]), 0.0))
+               max(f_norm2, 1e-300), num if fused else None)  # on num's panels
+    residual = math.sqrt(max(float(res.value[0]), 0.0))
     rel = residual / math.sqrt(f_norm2) if f_norm2 > 0 else 0.0
     return ExpansionSeries(basis, coeffs, nmax, residual, rel, bool(res.converged.all()),
                            *cost)

@@ -34,7 +34,7 @@ from .special import beta_fn, gamma_fn
 __all__ = [
     "Class", "GUP", "GHP", "FiniteI", "FiniteII", "NormValue", "PairValidity",
     "make_subclass", "weight_at", "moment_zero", "norm_squared", "norms_squared",
-    "valid_pair", "pair_integrable", "generic_weight_log",
+    "valid_pair", "integrable_pairs", "pair_integrable", "generic_weight_log",
     "finite_degree_bound", "pearson_residual",
 ]
 
@@ -422,14 +422,24 @@ def valid_pair(spec, n, m) -> PairValidity:
     return spec.valid_pair(n, m)
 
 
-def pair_integrable(spec, n, m) -> bool:
-    """Whether the weight times members n and m is absolutely integrable.
+def integrable_pairs(spec, n, m):
+    """Whether the weight times members n and m is absolutely integrable,
+    broadcast over arrays of n and m: the product's exponent at the origin
+    (the weight's plus its parity) and at +-theta is above -1, and its tail
+    margin is below 0, with valid_pair's float operations.
 
     valid_pair's integrable field counts a tail that decays like |x|^-1 (a
     zero tail margin) as integrable; that tail diverges logarithmically,
     and here it counts as divergent.
     """
-    return spec.valid_pair(n, m).integrable and spec._tail_margin(n, m) < 0
+    theta, origin, edge, _ = spec.exponents
+    return ((origin + (n % 2 + m % 2) > -1) & (theta == math.inf or edge > -1)
+            & (spec._tail_margin(n, m) < 0))
+
+
+def pair_integrable(spec, n, m) -> bool:
+    """integrable_pairs of one pair, as a bool."""
+    return bool(integrable_pairs(spec, int(n), int(m)))
 
 
 def pearson_residual(spec, x):

@@ -257,15 +257,14 @@ def _power_tail_mass(point_fn, anchor, sign, sigma, span):
 
 def _edge_task(point_fn, a, b, side, sigma):
     """Softened task at a singular finite endpoint, plus the analytic mass of
-    the sliver too close to the anchor to sample and its fit's arguments."""
+    the sliver too close to the anchor to sample, and whether it was fitted."""
     anchor = a if side == "left" else b
     sign = 1.0 if side == "left" else -1.0
-    sliver = (anchor, sign, sigma, b - a)
     corr = (sigma is not None and sigma < 0 and anchor != 0.0
-            and _power_tail_mass(point_fn, *sliver)) or None
+            and _power_tail_mass(point_fn, anchor, sign, sigma, b - a)) or None
     u_lo, ev, ee = corr or (0.0, 0.0, 0.0)
     xmap, m = _soften(anchor, sign, sigma)
-    return (xmap, u_lo ** (1.0 / m), (b - a) ** (1.0 / m)), ev, ee, corr and sliver
+    return (xmap, u_lo ** (1.0 / m), (b - a) ** (1.0 / m)), ev, ee, corr is not None
 
 
 def _tail_task(T, side, tail_exp):
@@ -294,8 +293,7 @@ def _plan(point_fn, spec: IntervalSpec):
     where xmap(t) returns x(t) and a function that multiplies values at
     x(t) by dx/dt; xmap None means x = t.  point_fn evaluates the
     integrand at one point, for the analytic endpoint-sliver masses, which
-    are returned summed with their error, and with {task index:
-    _power_tail_mass arguments} of each sliver, to fit them again.
+    are returned summed with their error, and with whether any was fitted.
     """
     finite_hints = {}
     tail_hi = tail_lo = None
@@ -325,7 +323,7 @@ def _plan(point_fn, spec: IntervalSpec):
     elif points[-1] < hi:
         points.append(hi)
 
-    tasks, slivers = [], {}
+    tasks, fitted = [], False
     extra_value = extra_err = 0.0
     if lo == -math.inf:
         tasks.append(_tail_task(T, -1, tail_lo))
@@ -342,15 +340,14 @@ def _plan(point_fn, spec: IntervalSpec):
             elif _needs_soften(finite_hints.get(b)):
                 task, ev, ee, sliver = _edge_task(point_fn, a, b, "right", finite_hints[b])
             else:
-                task, ev, ee, sliver = (None, a, b), 0.0, 0.0, None
-            if sliver:
-                slivers[len(tasks)] = sliver
+                task, ev, ee, sliver = (None, a, b), 0.0, 0.0, False
+            fitted |= sliver
             tasks.append(task)
             extra_value += ev
             extra_err += ee
     if hi == math.inf:
         tasks.append(_tail_task(T, +1, tail_hi))
-    return tasks, extra_value, extra_err, slivers
+    return tasks, extra_value, extra_err, fitted
 
 
 def _compose(f, xmap):
@@ -659,13 +656,13 @@ def certifies_divergence(point, sigma, spread, hint):
 
 @dataclass(frozen=True, eq=False)
 class GramQuad:
-    """Entry-wise outcome of integrate_gram: (K, K) value and summed error
-    matrices, the entries that met the stopping rule, and the GK15 panels
-    evaluated and integrand points sampled (15 per panel plus one per
-    endpoint-sliver probe), as QuadResult counts them.  mesh, for a tree
-    started from this one: the interval, tasks, slivers and final
-    panels (task, lo, hi, depth), retired ones included; None once a
-    non-finite sliver was retired."""
+    """Outcome of integrate_gram, one entry per row of its row set: K-vectors
+    of values, summed errors and the entries that met the stopping rule,
+    and the GK15 panels evaluated and integrand points sampled (15 per
+    panel plus one per endpoint-sliver probe), as QuadResult counts them.
+    mesh, for a tree started from this one: the interval, tasks and final
+    panels (task, lo, hi, depth), retired ones included; None where the
+    tree fitted an endpoint sliver or retired a non-finite one."""
 
     value: np.ndarray
     error: np.ndarray
@@ -675,42 +672,33 @@ class GramQuad:
     mesh: tuple | None = field(default=None, repr=False)
 
 
-def _gk_blocks(wdx, L, R, h):
-    """Kronrod blocks and their errors on a batch of panels.
+def _gk_blocks(wdx, f, R, h):
+    """Kronrod sums and their errors on a batch of panels.
 
-    wdx (np, 15) is weight times dx/dt at the nodes, L (np, 15, KL) and
-    R (np, 15, KR) the two row sets there (R is L for a Gram block) and
-    h (np,) the half-widths.  The error of each entry is |Kronrod - Gauss|,
+    wdx (np, 15) is weight times dx/dt at the nodes, f (np, 15) the left
+    function and R (np, 15, K) the row set there, and h (np,) the
+    half-widths.  The sums are (f w) R with the Kronrod weights, the
+    weight taken first.  The error of each entry is |Kronrod - Gauss|,
     floored at the rounding level of its absolute mass: inf where the sums
     overflow, whose difference inf - inf is nan.  A panel with a non-finite
     sample gets value 0 and error inf.
     """
-    gram = R is L
-    finite = np.isfinite(wdx).all(axis=1) & np.isfinite(L).all(axis=(1, 2))
-    if not gram:
-        finite &= np.isfinite(R).all(axis=(1, 2))
+    finite = (np.isfinite(wdx).all(axis=1) & np.isfinite(f).all(axis=1)
+              & np.isfinite(R).all(axis=(1, 2)))
     whole = finite.all()
     if not whole:
         wdx = np.where(finite[:, None], wdx, 0.0)
-        L = np.where(finite[:, None, None], L, 0.0)
-        R = L if gram else np.where(finite[:, None, None], R, 0.0)
+        f = np.where(finite[:, None], f, 0.0)
+        R = np.where(finite[:, None, None], R, 0.0)
     wdx = wdx * h[:, None]
-    wk = wdx * _WK
-    Lt = L.transpose(0, 2, 1)
-    kron = (Lt * wk[:, None, :]) @ R
-    delta = np.abs((Lt * (wdx * _WKG)[:, None, :]) @ R)
-    absL = np.abs(L)
-    mass = (absL.transpose(0, 2, 1) * np.abs(wk)[:, None, :]) @ (absL if gram else np.abs(R))
+    fwk = (f * (wdx * _WK))[:, None, :]
+    kron = (fwk @ R)[:, 0]
+    delta = np.abs(((f * (wdx * _WKG))[:, None, :] @ R)[:, 0])
+    mass = (np.abs(fwk) @ np.abs(R))[:, 0]
     err = np.fmax(delta, 50.0 * _EPS * mass)
     if not whole:
         err[~finite] = math.inf
     return kron, err, finite
-
-
-def _by_panel(rows):
-    """(K, 15 np) row values at the nodes of np panels -> (np, 15, K)."""
-    rows = np.asarray(rows, dtype=float)
-    return rows.reshape(len(rows), -1, 15).transpose(1, 2, 0)
 
 
 def _halves(rows):
@@ -723,75 +711,69 @@ def _halves(rows):
     return out
 
 
-def integrate_gram(sample, interval, scale=None, *, start=None) -> GramQuad:
-    """Every inner product int w L_i R_j dx on one adaptive GK15 panel tree.
+def integrate_gram(sample, interval, scale, *, start=None) -> GramQuad:
+    """Every integral int w f R_k dx of one function against a row set, on
+    one adaptive GK15 panel tree.
 
-    sample(x) returns (w, L, R): the weight at the points x (or a scalar)
-    and two row sets, the (KL, len(x)) and (KR, len(x)) values of their
-    functions; R is L for a Gram block.  Each panel samples them once and
-    adds the whole (KL, KR) block (L w) R^T with the Kronrod weights; the
-    Gauss block gives each entry's error.  Where w is 0 the rows count as 0,
-    and so does w dx/dt, so a weight that underflows in a far tail hides
-    members that overflow there and a change of variable whose dx/dt
-    overflows.  Cuts, softening substitutions, tail folding and analytic
-    endpoint slivers are the same as integrate's.
+    sample(x) returns (w, f, R): the weight and the function at the points
+    x (either may be a scalar, which broadcasts) and the (K, len(x)) values
+    of the row set.  Each panel samples them once and adds the K sums
+    (f w) R with the Kronrod weights: f times the weight first, so that a
+    decaying weight tames a product f R_k that alone would overflow.  The
+    Gauss sums give each entry's error.  Where w is 0, f and the rows count as 0, and so does
+    w dx/dt, so a weight that underflows in a far tail hides members that
+    overflow there and a change of variable whose dx/dt overflows.  Cuts,
+    softening substitutions, tail folding and analytic endpoint slivers are
+    the same as integrate's.
 
     Each finite task starts as 8 equal panels of its own variable, at depth
-    3, since the first rounds would split every panel of a smooth block
+    3, since the first rounds would split every panel of a smooth integrand
     anyway.  A folded tail starts whole, so the tree samples the far tail
     only where its error asks for it (farther out, the weight underflows
     while the members overflow).  Every panel splits into its two halves,
     and every round samples the new panels of all tasks in one call.
 
-    start, a GramQuad of a tree on the same interval, starts the tree from
-    its final panels and planned tasks instead, fitting only the endpoint
-    slivers' masses again; if one fit fails, or start kept no mesh or ran
-    on another interval, the tree plans and starts cold.
+    start, a GramQuad of a tree on the same interval that fitted no
+    endpoint sliver, starts the tree from its final panels and planned
+    tasks instead; a start that kept no mesh (see GramQuad) or ran on
+    another interval plans and starts cold.
 
-    Entry (i, j) meets the stopping rule once its summed error is at most
-    1e-9 scale[i, j].  scale is an array, or a function of the running
-    totals that returns one; None takes entry_scale(d_i, d_j) from the
-    tree's own running diagonal d (a Gram block).  A running scale that is
-    not finite is no scale, so its entry neither closes nor drives splits,
-    and comes back unconverged.  An entry of infinite given scale is
-    sampled with the rest but never holds the tree open, and so reads
-    converged.  Each round splits every panel holding more than its share
-    (1 / leaves) of some open entry's error.  The halvings are bounded by
-    integrate's panel budget; entries still open then come back
-    unconverged.  A non-finite sample in a sliver at the floating-point
-    resolution limit retires the sliver with half its parent's error.
+    Entry k meets the stopping rule once its summed error is at most
+    1e-9 scale[k].  scale is an array, which broadcasts to the K entries,
+    or a function of the running totals that returns one.  A scale that is
+    not finite is no scale: its entry neither closes nor drives splits, and
+    comes back unconverged.  Each round splits every panel holding more
+    than its share (1 / leaves) of some open entry's error.  The halvings
+    are bounded by integrate's panel budget; entries still open then come
+    back unconverged.  A non-finite sample in a sliver at the
+    floating-point resolution limit retires the sliver with half its
+    parent's error.
 
     A panel whose error stays below every share it could still be held to
     is folded into running totals, so only splittable panels keep their
-    blocks (the mesh keeps every panel's bounds); the start panels and the
+    sums (the mesh keeps every panel's bounds); the start panels and the
     panel budget bound how many do.
     """
-    def row_sets(x):
-        w, L, R = sample(x)
+    def sampled(x):
+        w, f, R = sample(x)
         if not np.asarray(w).all():
             zero = np.asarray(w) == 0.0
-            L = np.where(zero, 0.0, L)
-            R = L if R is L else np.where(zero, 0.0, R)
-        return w, L, R
+            f, R = np.where(zero, 0.0, f), np.where(zero, 0.0, R)
+        return w, f, R
 
     probes = []
 
     def point_fn(x):
         probes.append(x)
         with np.errstate(all="ignore"):
-            w, L, R = row_sets(np.array([x]))
-            return np.broadcast_to(w, (1,))[0] * np.outer(
-                np.asarray(L, dtype=float)[:, 0], np.asarray(R, dtype=float)[:, 0])
+            w, f, R = sampled(np.array([x]))
+            return np.ravel(w)[0] * (np.ravel(f)[0] * np.asarray(R, dtype=float)[:, 0])
 
     mesh = start.mesh if start is not None else None
-    mesh = mesh if mesh and mesh[0] == interval else None
-    fits = [_power_tail_mass(point_fn, *args) for args in mesh[2].values()] if mesh else []
-    if mesh is None or not all(fits):
-        tasks, extra_value, extra_err, slivers = _plan(point_fn, interval)
-        starts = None
+    if mesh and mesh[0] == interval:
+        (_, tasks, starts), extra_value, extra_err, fitted = mesh, 0.0, 0.0, False
     else:
-        _, tasks, slivers, starts = mesh
-        extra_value, extra_err = sum(f[1] for f in fits), sum(f[2] for f in fits)
+        (tasks, extra_value, extra_err, fitted), starts = _plan(point_fn, interval), None
     # _plan puts the lower tail first and the upper tail last, each on t in
     # (0, 1/T] with x = +-inf at t = 0
     tails = {k for k, end in ((0, interval.lo), (len(tasks) - 1, interval.hi))
@@ -814,7 +796,7 @@ def integrate_gram(sample, interval, scale=None, *, start=None) -> GramQuad:
     mapped = [(k, xmap) for k, (xmap, _, _) in enumerate(tasks) if xmap is not None]
 
     def evaluate(panels):
-        """Blocks, errors and finiteness of the given panels (rows of task,
+        """Sums, errors and finiteness of the given panels (rows of task,
         lo, hi, depth), from one sample call."""
         task, lo, hi = panels[:, 0], panels[:, 1], panels[:, 2]
         h = 0.5 * (hi - lo)
@@ -828,7 +810,7 @@ def integrate_gram(sample, interval, scale=None, *, start=None) -> GramQuad:
                     xk, jacobian = xmap(t[sel].ravel())
                     x[sel] = xk.reshape(-1, 15)
                     jacobians.append((sel, jacobian))
-            w, L, R = row_sets(x.ravel())
+            w, f, R = sampled(x.ravel())
             wdx = np.full(x.size, w, dtype=float).reshape(-1, 15)
             # where w is 0 so is w dx/dt, also where a tail's dx/dt
             # overflows (t^2m underflows to 0 in its farthest panels)
@@ -837,38 +819,30 @@ def integrate_gram(sample, interval, scale=None, *, start=None) -> GramQuad:
                 wdx[sel] = jacobian(wdx[sel].ravel()).reshape(-1, 15)
             if tails:
                 wdx[zero] = 0.0
-            Lp = _by_panel(L)
-            kron, err, finite = _gk_blocks(wdx, Lp, Lp if R is L else _by_panel(R), h)
-        return kron, err, finite
+            f = np.full(x.size, f, dtype=float).reshape(-1, 15)
+            R = np.asarray(R, dtype=float)      # (K, 15 np) -> (np, 15, K)
+            return _gk_blocks(wdx, f, R.reshape(len(R), -1, 15).transpose(1, 2, 0), h)
 
-    # live panels: rows of (task, lo, hi, depth), value blocks, error blocks
+    # live panels: rows of (task, lo, hi, depth), their sums and errors
     meta = np.array(starts, dtype=float)
     first = len(meta)
     val, err = evaluate(meta)[:2]
-    shape = val.shape[1:]
-    acc_val = np.full(shape, extra_value, dtype=float)
-    acc_err = np.full(shape, extra_err, dtype=float)
+    acc_val = np.full(val.shape[1], extra_value, dtype=float)
+    acc_err = np.full(val.shape[1], extra_err, dtype=float)
     kept, lost = [], False      # the retired panels' rows, for the mesh
     retired = 0
     panels, splits = first, 0       # panels evaluated, halvings made
     max_leaves = first + _MAX_PANELS + 1
-    running = scale is None or callable(scale)
-    if not running:
-        target = _RTOL * scale
-        held = np.isfinite(scale)
-        every = held.all()
 
     # an empty sum is left out: the accumulators hold no -0.0, so its +0.0 changes no bit
     while True:
         total = acc_val + val.sum(axis=0)
         errs = acc_err + err.sum(axis=0)
-        if running:
-            d = np.diag(total)
-            target = _RTOL * (entry_scale(d[:, None], d) if scale is None else scale(total))
-            # a running scale that is not finite is no scale: never met
-            held = np.isfinite(target)
-            target[~held] = math.nan
-            every = held.all()
+        target = np.full(total.shape, _RTOL * (scale(total) if callable(scale) else scale))
+        # a scale that is not finite is no scale: never met
+        held = np.isfinite(target)
+        target[~held] = math.nan
+        every = held.all()
         open_ = held & ~(errs <= target)
         if not open_.any() or splits >= _MAX_PANELS or not len(meta):
             break
@@ -905,7 +879,7 @@ def integrate_gram(sample, interval, scale=None, *, start=None) -> GramQuad:
             parent_err = np.repeat(err[pick], 2, axis=0)
             sliver = ~c_ok & (c_hi - c_lo <= 64.0 * _EPS * np.maximum(
                 1.0, np.maximum(abs(c_lo), abs(c_hi))))
-            sliver &= np.isfinite(parent_err).all(axis=(1, 2))
+            sliver &= np.isfinite(parent_err).all(axis=1)
             if sliver.any():
                 acc_err += 0.5 * parent_err[sliver].sum(axis=0)
                 retired += int(sliver.sum())
@@ -920,7 +894,7 @@ def integrate_gram(sample, interval, scale=None, *, start=None) -> GramQuad:
         # held to nothing counts 0 (its error can be inf)
         ratio = (err / target if every else
                  np.divide(err, target, out=np.zeros_like(err), where=held))
-        done = ratio.max(axis=(1, 2)) <= 1.0 / max_leaves
+        done = ratio.max(axis=1) <= 1.0 / max_leaves
         if done.any():
             acc_val += val[done].sum(axis=0)
             acc_err += err[done].sum(axis=0)
@@ -928,5 +902,5 @@ def integrate_gram(sample, interval, scale=None, *, start=None) -> GramQuad:
             kept.append(meta[done])
             meta, val, err = meta[~done], val[~done], err[~done]
 
-    mesh = None if lost else (interval, tasks, slivers, np.concatenate(kept + [meta]))
+    mesh = None if lost or fitted else (interval, tasks, np.concatenate(kept + [meta]))
     return GramQuad(total, errs, errs <= target, panels, 15 * panels + len(probes), mesh)

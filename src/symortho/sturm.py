@@ -25,7 +25,7 @@ from .core import (ClassParams, SymmetricPoly, WeightExponents, _check_degree, m
 from .core import eigenvalue as generic_eigenvalue
 from .errors import (ConstraintViolation, NonpositiveWeight, PoleError,
                      SingularCoefficient)
-from .families import _FAMILIES, Class, generic_weight_log, norms_squared, pair_integrable
+from .families import _FAMILIES, Class, generic_weight_log, integrable_pairs, norms_squared
 from .gauss import pearson
 from .legendre import LegendreKind
 from .quadrature import (_EPS, _RTOL, IntervalSpec, QuadResult, divergence_mask, entry_scale,
@@ -156,14 +156,20 @@ def boundary_term(sl, phi_n, phi_m, *, scale=1.0):
     member against itself that combination is identically zero, so the
     bracket behind the norm integral, A R phi' phi, is used instead.
 
-    At a finite theta A R = (px^2 + q) W* ~ (theta - |x|)^(edge + 1): for
-    edge + 1 > 0 the bracket is 0.0, evaluating nothing, else it is taken
-    at +-theta.  An infinite theta is probed at x = 10, 10^2, 10^3: a
-    monotone decay below 1e-10 * scale counts as zero, anything else is
-    returned as the x = 10^3 value, a result (the finite-family failure
-    signature), not an error.  The probe stops at 10^3, so a slow decay
-    reads as nonzero: the bracket of FiniteII(4.5)'s non-monic member 5,
-    x - 2x^3, is 0.118 at x = 10, 1.2e-5 at 10^3 and 1.2e-15 at 10^8."""
+    At a finite theta A R = (px^2 + q) W* ~ (theta - |x|)^(edge + 1), and
+    A R is even, so the bracket is A R's limit at theta times the ends
+    P(theta) - P(-theta) of its polynomial part P: 0.0 for edge + 1 > 0,
+    evaluating nothing, and where the ends cancel, as they do by parity
+    (so would a zero of P at theta).  For edge + 1 < 0 it is +-inf with
+    the ends' sign; for edge + 1 = 0 A R is read at the first float inside
+    theta where it is finite and positive, since px^2 + q rounds to 0 or
+    +-1 ulp at the float theta.  An infinite theta is probed at x = 10,
+    10^2, 10^3: a monotone decay below 1e-10 * scale counts as zero,
+    anything else is returned as the x = 10^3 value, a result (the
+    finite-family failure signature), not an error.  The probe stops at
+    10^3, so a slow decay reads as nonzero: the bracket of FiniteII(4.5)'s
+    non-monic member 5, x - 2x^3, is 0.118 at x = 10, 1.2e-5 at 10^3 and
+    1.2e-15 at 10^8."""
     same = phi_n is phi_m or (
         isinstance(phi_n, SymmetricPoly) and isinstance(phi_m, SymmetricPoly)
         and (phi_n.n, phi_n.coeffs) == (phi_m.n, phi_m.coeffs))
@@ -175,16 +181,24 @@ def boundary_term(sl, phi_n, phi_m, *, scale=1.0):
         fm, dfm = _value_slope(phi_m, x)
         return dfn * fm - dfm * fn
 
-    def bracket(x):
+    def ar(x):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ar = np.exp(_log_r(sl, x) + np.log(sl.A(x)))
-        return ar * wron(x)
+            return np.exp(_log_r(sl, x) + np.log(sl.A(x)))
+
+    def bracket(x):
+        return ar(x) * wron(x)
 
     th, _, edge, _ = sl.exponents
     if math.isfinite(th):
         if edge + 1 > 0:
             return 0.0
-        return float(bracket(np.array(th)) - bracket(np.array(-th)))
+        ends = float(wron(np.array(th)) - wron(np.array(-th)))
+        if ends == 0.0:
+            return 0.0
+        if edge + 1 < 0:
+            return math.copysign(math.inf, ends)
+        inside = ar(th - np.spacing(th) * np.arange(1, 65))
+        return float(inside[np.isfinite(inside) & (inside > 0)][0]) * ends
     vals = [float(bracket(np.array(10.0 ** k)) - bracket(np.array(-10.0 ** k)))
             for k in (1, 2, 3)]
     mags = [abs(v) for v in vals]
@@ -203,8 +217,9 @@ def parity_integral(sl, phi_n, phi_m):
     letting the two sides cancel pointwise.  Families with a strong origin
     singularity make the unfolded two-sided integral divergent in the
     absolute sense, so the fold is the honest reading of the lemma.  It is
-    a 1x1 integrate_gram block held to an absolute 1e-10: its exact value
-    0 has no scale.  An open tree's value is returned as it stands.
+    one integrate_gram entry, the folded integrand as the weight against a
+    row of ones, held to an absolute 1e-10: its exact value 0 has no
+    scale.  An open tree's value is returned as it stands.
     """
     pn, pm = phi_n.n % 2, phi_m.n % 2
     pref = ((-1) ** phi_m.n - (-1) ** phi_n.n) / 2
@@ -217,13 +232,11 @@ def parity_integral(sl, phi_n, phi_m):
         return sl.E(x) * r * phi_n(x) * phi_m(x)
 
     def sample(x):
-        # the folded integrand as the weight of a 1x1 block of ones
-        one = np.ones((1, x.size))
-        return side(x) + side(-x), one, one
+        return side(x) + side(-x), 1.0, np.ones((1, x.size))
 
     spec = IntervalSpec(0.0, sl.theta, ((0.0, None),))
-    res = integrate_gram(sample, spec, np.array([[1e-10 / _RTOL]]))
-    return pref * float(res.value[0, 0])
+    res = integrate_gram(sample, spec, 1e-10 / _RTOL)
+    return pref * float(res.value[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,17 +412,11 @@ class _FamilyBasis:
     def interval(self, members=2):     # polynomial members add integer exponents
         return self.spec.interval()
 
-    def integrable(self, n, m):
-        return pair_integrable(self.spec, n, m)
-
     def integrable_mask(self, nmax):
-        """pair_integrable(spec, n, m) at [n, m], n, m = 0..nmax: one outer sum
-        over the exponents, with pair_integrable's float operations in its order."""
-        m = np.arange(nmax + 1)
-        n, low = m[:, None], m % 2
-        theta, origin, edge, _ = self.spec.exponents
-        return ((origin + (low[:, None] + low) > -1) & (theta == math.inf or edge > -1)
-                & (self.spec._tail_margin(n, m) < 0))
+        """pair_integrable(spec, n, m) at [n, m], n, m = 0..nmax
+        (families.integrable_pairs)."""
+        k = np.arange(nmax + 1)
+        return integrable_pairs(self.spec, k[:, None], k)
 
     def missing(self, nmax, lower, integrable):
         """The pairs of lower, at [n, m], with a member that cannot be built:

@@ -236,6 +236,36 @@ def test_expand_expression_free_of_x(capsys, tmp_path, expr, want):
     assert {float(r.split(",")[1]) for r in rows} == {want}
 
 
+def test_expand_input_skips_headers_junk_and_short_rows(capsys, tmp_path):
+    # untrusted samples: a header, a junk row, a one-field row and a blank
+    # line are skipped, and the numeric rows give the clean file's series
+    xs = np.cos(np.pi * (np.arange(10) + 0.5) / 10)
+    rows = [f"{float(x)!r},{float(x) ** 3!r}" for x in xs]
+    clean, noisy = tmp_path / "clean.csv", tmp_path / "noisy.csv"
+    clean.write_text("\n".join(rows) + "\n")
+    noisy.write_text("\n".join(["x,f", "sample,here"] + rows[:5] + ["0.5", ""] + rows[5:]) + "\n")
+    docs = []
+    for src in (clean, noisy):
+        status, out, _ = invoke(capsys, "expand", "--basis", "gup", "--u", "0.5",
+                                "--v", "0.5", "--nmax", "5", "--input", str(src),
+                                "--output", str(tmp_path / "recon.csv"))
+        assert status == 0
+        docs.append(json.loads(out))
+    assert docs[0] == docs[1]
+
+
+def test_expand_input_with_no_numeric_row_exits_two(capsys, tmp_path):
+    src = tmp_path / "samples.csv"
+    src.write_text("x,f\nsample,here\n0.5\n\n")
+    dest = tmp_path / "recon.csv"
+    status, out, err = invoke(capsys, "expand", "--basis", "gup", "--u", "0.5",
+                              "--v", "0.5", "--nmax", "3",
+                              "--input", str(src), "--output", str(dest))
+    assert status == 2 and out == ""
+    assert json.loads(err)["error"] == "constraint-violation"
+    assert not dest.exists()
+
+
 @pytest.mark.parametrize("row", ["0.5,nan", "inf,2.0"], ids=["nan-y", "inf-x"])
 def test_expand_input_with_a_non_finite_row_exits_two(capsys, tmp_path, row):
     src = tmp_path / "samples.csv"

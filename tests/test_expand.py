@@ -486,8 +486,8 @@ def test_residual_on_the_numerators_panels_matches_mpmath(u):
 
 @pytest.mark.parametrize("basis", [GUP(1, 1), GHP(0.5), U(0.5), Pm(1)], ids=repr)
 def test_one_tree_for_the_norm_and_numerators_matches_two(basis, monkeypatch):
-    # the fused tree's (0, 0) is ||f||^2 and its (0, 1..) the numerators:
-    # the separate 1x1 and 1xK trees give them within 1e-9 of each scale
+    # the fused tree's entry 0 is ||f||^2 and its entries 1.. the
+    # numerators: the separate trees give them within 1e-9 of each scale
     from symortho.quadrature import entry_scale, integrate_gram
     from symortho.sturm import _adapt
     expand_mod = importlib.import_module("symortho.expand")
@@ -497,17 +497,18 @@ def test_one_tree_for_the_norm_and_numerators_matches_two(basis, monkeypatch):
     f = lambda x: np.sin(1.5 * x) + np.abs(x)     # noqa: E731
     expand(f, basis, 8)
     fused = trees[0]
-    assert fused.value.shape == (1, 10 - basis.base if isinstance(basis, Pm) else 10)
+    assert fused.value.shape == (10 - basis.base if isinstance(basis, Pm) else 10,)
     ad = _adapt(basis)
     rows = ad.rows(8)
-    ff = integrate_gram(lambda x: (ad.weight(x),) + (f(x)[None, :],) * 2, ad.interval(0))
-    f_norm2 = ff.value[0, 0]
+    ff = integrate_gram(lambda x: (ad.weight(x), f(x), f(x)[None, :]), ad.interval(0),
+                        lambda t: entry_scale(t, t))
+    f_norm2 = ff.value[0]
     norms = np.array(_norms(basis, 8))
-    num = integrate_gram(lambda x: (ad.weight(x), f(x)[None, :], rows(x)), ad.interval(1),
-                         entry_scale(f_norm2, norms[None, :]))
+    num = integrate_gram(lambda x: (ad.weight(x), f(x), rows(x)), ad.interval(1),
+                         entry_scale(f_norm2, norms))
     assert ff.converged.all() and num.converged.all()
-    assert abs(fused.value[0, 0] - f_norm2) <= 1e-9 * f_norm2
-    assert np.all(np.abs(fused.value[0, 1:] - num.value[0]) <= 1e-9 * entry_scale(f_norm2, norms))
+    assert abs(fused.value[0] - f_norm2) <= 1e-9 * f_norm2
+    assert np.all(np.abs(fused.value[1:] - num.value) <= 1e-9 * entry_scale(f_norm2, norms))
 
 
 @pytest.mark.parametrize("f, basis", [(lambda x: np.exp(x * x), GHP(0)), (np.exp, FiniteII(9))],
@@ -548,7 +549,7 @@ def test_an_open_coefficient_says_which_and_what_it_cost(monkeypatch):
     assert part.panels == sum(t.panels for t in trees) > 0
     assert part.evals == sum(t.evals for t in trees) >= 15 * part.panels
     k = int(str(exc.value).split("n = ")[1].split(",")[0])
-    assert part.abs_error_estimate == trees[-1].error[0, k + 1] > 0
+    assert part.abs_error_estimate == trees[-1].error[k + 1] > 0
 
 
 def test_an_open_norm_says_what_it_cost(tree_panels):
@@ -717,6 +718,36 @@ def test_unhashable_field_skips_the_memo(gram_checks):
         ser = expand(np.sin, U(np.array(0.5)), 6)
     assert len(gram_checks) == 2
     assert ser.coefficients == expand(np.sin, U(0.5), 6).coefficients
+
+
+@pytest.mark.parametrize("fam, f, nmax", [
+    (GHP(Fraction(1, 2)), lambda x: np.exp(-0.3 * x * x), 6),
+    (FiniteII(6), lambda x: 1 / (1 + x * x), 3)], ids=["GHP(1/2)", "FiniteII(6)"])
+def test_lambda_two_on_the_whole_line_is_its_family(fam, f, nmax):
+    # at lambda = 2, t = x: the lambda class's trees run on its t interval
+    # over the whole line (FiniteII's tails hinted, GHP's not), and give
+    # the family's series bit for bit
+    want, got = expand(f, fam, nmax), expand(f, LambdaSpec(*fam.params, Fraction(2)), nmax)
+    assert got.coefficients == want.coefficients and got.residual == want.residual
+    assert (got.panels, got.evals, got.residual_converged) == (want.panels, want.evals, True)
+
+
+def test_lambda_two_thirds_on_the_whole_line_matches_mpmath():
+    # FiniteII(6)'s lambda = 2/3 class in t = x^3: q_2 = int W(x) S_2(x)
+    # f(x^3) dx / d_2 with f(t) = 1 / (1 + t^2), W = |x|^-12 e^(-1/x^2), to
+    # 1e-9 of its scale ||f|| / sqrt(d_2) (3.2e-15 off here)
+    spec = LambdaSpec(1, 0, Fraction(-8, 3), Fraction(2, 3), Fraction(2, 3))
+    assert spec.mapped_params == FiniteII(6).params
+    ser = expand(lambda t: 1 / (1 + t * t), spec, 3)
+    c = poly_from_params(spec.mapped_params, 2, monic=True).coeffs[1]
+    d = norm_squared(Class(*spec.mapped_params), 2).value
+    with mpmath.workdps(30):
+        def quad(g):
+            return 2 * mpmath.quad(lambda x: x ** -12 * mpmath.exp(-1 / (x * x)) * g(x),
+                                   [0, 0.5, 1, 2, mpmath.inf])
+        exact = quad(lambda x: (x * x + mpmath.mpf(c.numerator) / c.denominator) / (1 + x ** 6))
+        f_norm = mpmath.sqrt(quad(lambda x: (1 + x ** 6) ** -2))
+    assert abs(ser.coefficients[2] - exact / d) <= 1e-9 * f_norm / math.sqrt(d)
 
 
 @pytest.mark.parametrize("basis, member", [

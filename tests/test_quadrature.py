@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symortho import GUP, FiniteI, FiniteII, quadrature
+from symortho import GHP, GUP, FiniteI, FiniteII, quadrature
 from symortho.legendre import U
 from symortho.quadrature import (_NODES, _WGF, _WK, IntervalSpec, _gk_panel,
                                  certifies_divergence, exponent_scan, integrate,
@@ -192,16 +192,32 @@ def test_gk15_rules_exact_through_their_degree(weights, degree):
 # ------------------------------------------------------- shared panel tree
 
 
+def _legendre_rows(nmax):
+    return lambda x: np.array([np.polynomial.legendre.Legendre.basis(k)(x)
+                               for k in range(nmax + 1)])
+
+
+def _products(P):
+    """The K^2 products P_i P_j of a (K, n) row set, flattened row by row:
+    a Gram block as one row set, taken against f = 1."""
+    return (P[:, None, :] * P[None, :, :]).reshape(-1, P.shape[1])
+
+
 def _legendre_sample(nmax):
-    def sample(x):
-        P = np.array([np.polynomial.legendre.Legendre.basis(k)(x) for k in range(nmax + 1)])
-        return 1.0, P, P
-    return sample
+    rows = _legendre_rows(nmax)
+    return lambda x: (1.0, 1.0, _products(rows(x)))
 
 
 def _scale(left, right):
-    """sqrt(|l_i r_j|), the per-entry scale of two sets of norms."""
-    return np.sqrt(np.abs(np.outer(left, right)))
+    """sqrt(|l_i r_j|), the per-entry scale of two sets of norms, flattened
+    as _products flattens the pairs."""
+    return np.sqrt(np.abs(np.outer(left, right))).ravel()
+
+
+def _diagonal_scale(total):
+    """entry_scale of a flattened Gram block's running diagonal."""
+    d = np.diag(total.reshape(math.isqrt(total.size), -1))
+    return quadrature.entry_scale(d[:, None], d).ravel()
 
 
 def test_gram_tree_legendre_identity():
@@ -210,8 +226,8 @@ def test_gram_tree_legendre_identity():
     spec = IntervalSpec(-1.0, 1.0)
     res = integrate_gram(_legendre_sample(nmax), spec, _scale(norms, norms))
     assert res.converged.all()
-    assert np.allclose(res.value, np.diag(norms), rtol=0, atol=1e-14)
-    assert res.value.shape == (nmax + 1, nmax + 1)
+    assert res.value.shape == res.error.shape == res.converged.shape == ((nmax + 1) ** 2,)
+    assert np.allclose(res.value.reshape(nmax + 1, -1), np.diag(norms), rtol=0, atol=1e-14)
 
 
 def test_gram_tree_running_diagonal_and_endpoint_sliver():
@@ -223,12 +239,12 @@ def test_gram_tree_running_diagonal_and_endpoint_sliver():
         with np.errstate(divide="ignore"):
             w = (1.0 - x * x) ** -0.5
         T = np.array([np.cos(k * np.arccos(x)) for k in range(nmax + 1)])
-        return w, T, T
+        return w, 1.0, _products(T)
     spec = IntervalSpec(-1.0, 1.0, ((-1.0, -0.5), (1.0, -0.5)))
-    res = integrate_gram(sample, spec)
+    res = integrate_gram(sample, spec, _diagonal_scale)
     want = np.diag([math.pi] + [math.pi / 2] * nmax)
     assert res.converged.all()
-    assert np.allclose(res.value, want, rtol=0, atol=1e-9)
+    assert np.allclose(res.value.reshape(nmax + 1, -1), want, rtol=0, atol=1e-9)
 
 
 def test_gram_tree_budget_leaves_entries_open(monkeypatch):
@@ -237,7 +253,7 @@ def test_gram_tree_budget_leaves_entries_open(monkeypatch):
     res = integrate_gram(_legendre_sample(30), IntervalSpec(-1.0, 1.0), _scale(norms, norms))
     assert res.panels == 8
     assert not res.converged.all()
-    assert res.converged[0, 0]
+    assert res.converged[0]
 
 
 def test_gram_tree_unresolvable_integrand_stays_open_and_bounded(monkeypatch):
@@ -246,36 +262,33 @@ def test_gram_tree_unresolvable_integrand_stays_open_and_bounded(monkeypatch):
     def sample(x):
         with np.errstate(divide="ignore"):
             w = np.abs(x - 0.3) ** -0.5 + np.abs(np.sin(1.0 / (x - 0.7)))
-        P = np.array([x ** k for k in range(25)])
-        return w, P, P
+        return w, 1.0, _products(np.array([x ** k for k in range(25)]))
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 600)
-    res = integrate_gram(sample, IntervalSpec(-1.0, 1.0), np.ones((25, 25)))
-    assert not res.converged[:4, :4].any()
+    res = integrate_gram(sample, IntervalSpec(-1.0, 1.0), np.ones(25 * 25))
+    assert not res.converged.reshape(25, 25)[:4, :4].any()
     assert res.panels == 8 + 2 * 600
     assert np.all(np.isfinite(res.value))
 
 
-def test_gram_tree_two_row_sets():
+def test_gram_tree_function_against_a_row_set():
     # int x^3 P_n over (-1, 1): 2/5 at n = 1, 4/35 at n = 3, else 0
     nmax = 6
-    members = _legendre_sample(nmax)
-
-    def sample(x):
-        return 1.0, np.array([x ** 3]), members(x)[2]
     norms = [2.0 / (2 * k + 1) for k in range(nmax + 1)]
-    want = np.zeros((1, nmax + 1))
-    want[0, 1], want[0, 3] = 2 / 5, 4 / 35
-    res = integrate_gram(sample, IntervalSpec(-1.0, 1.0), _scale([2 / 7], norms))
-    assert res.value.shape == res.converged.shape == (1, nmax + 1)
+    want = np.zeros(nmax + 1)
+    want[1], want[3] = 2 / 5, 4 / 35
+    rows = _legendre_rows(nmax)
+    res = integrate_gram(lambda x: (1.0, x ** 3, rows(x)), IntervalSpec(-1.0, 1.0),
+                         _scale([2 / 7], norms))
+    assert res.value.shape == res.converged.shape == (nmax + 1,)
     assert res.converged.all()
     assert np.allclose(res.value, want, rtol=0, atol=1e-15)
 
 
-def test_gram_tree_two_row_sets_stop_on_their_own_scales(monkeypatch):
-    # the scale of the left set enters each entry's stopping rule: a huge
-    # left norm accepts at once what a tiny one leaves open at the budget
+def test_gram_tree_entries_stop_on_their_own_scales(monkeypatch):
+    # the function's norm enters each entry's stopping rule: a huge one
+    # accepts at once what a tiny one leaves open at the budget
     def sample(x):
-        return 1.0, np.array([np.abs(x - 0.3) ** 0.5]), np.array([np.ones_like(x)])
+        return 1.0, np.abs(x - 0.3) ** 0.5, np.ones((1, x.size))
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
     spec = IntervalSpec(-1.0, 1.0)
     assert integrate_gram(sample, spec, _scale([1e16], [2.0])).converged.all()
@@ -285,23 +298,26 @@ def test_gram_tree_two_row_sets_stop_on_their_own_scales(monkeypatch):
 def test_gram_tree_entries_of_infinite_scale_hold_nothing_open(monkeypatch):
     # row 1 cannot be resolved (an unhinted oscillating singularity) and
     # row 2 is inf past x = 0.5, so every panel there is non-finite: held
-    # to an infinite scale they neither keep the tree open nor warn
+    # to an infinite scale they neither keep the tree open nor warn, and
+    # come back unconverged, whether the scale is an array or a function
     def sample(x):
         with np.errstate(divide="ignore"):
             wild = np.abs(np.sin(1.0 / (x - 0.7)))
-        return 1.0, np.array([np.ones_like(x), wild]), np.array([np.ones_like(x)])
+        return 1.0, 1.0, np.array([np.ones_like(x), wild])
     spec = IntervalSpec(-1.0, 1.0)
-    free = integrate_gram(sample, spec, scale=np.array([[2.0], [math.inf]]))
-    held = integrate_gram(sample, spec, scale=np.array([[2.0], [2.0]]))
-    assert free.converged.all() and free.panels < held.panels
-    assert abs(free.value[0, 0] - 2.0) <= 2e-9 and not held.converged[1, 0]
+    free = integrate_gram(sample, spec, np.array([2.0, math.inf]))
+    held = integrate_gram(sample, spec, np.array([2.0, 2.0]))
+    assert free.converged.tolist() == [True, False] and free.panels < held.panels
+    assert abs(free.value[0] - 2.0) <= 2e-9 and not held.converged[1]
+    running = integrate_gram(sample, spec, lambda total: np.array([2.0, math.inf]))
+    assert np.array_equal(running.value, free.value) and running.panels == free.panels
+    assert running.converged.tolist() == [True, False]
 
     def with_inf(x):
-        return 1.0, np.array([np.ones_like(x), np.where(x > 0.5, math.inf, x)]), \
-            np.array([np.ones_like(x)])
+        return 1.0, 1.0, np.array([np.ones_like(x), np.where(x > 0.5, math.inf, x)])
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 40)
-    res = integrate_gram(with_inf, spec, scale=np.array([[2.0], [math.inf]]))
-    assert res.converged[1, 0] and not res.converged[0, 0]
+    res = integrate_gram(with_inf, spec, np.array([2.0, math.inf]))
+    assert not res.converged.any()
     assert res.panels == 8 + 2 * 40
 
 
@@ -310,10 +326,10 @@ def test_gram_tree_entry_whose_sums_overflow_has_error_inf():
     # the error is inf, not nan
     def sample(x):
         big = 1e200 * np.sin(x)
-        return 1.0, big[None, :], np.vstack([big] + [x ** k for k in range(4)])
-    res = integrate_gram(sample, IntervalSpec(-1.0, 1.0), np.full((1, 5), math.inf))
-    assert res.value[0, 0] == math.inf and res.error[0, 0] == math.inf
-    assert np.isfinite(res.error[0, 1:]).all()
+        return 1.0, big, np.vstack([big] + [x ** k for k in range(4)])
+    res = integrate_gram(sample, IntervalSpec(-1.0, 1.0), np.full(5, math.inf))
+    assert res.value[0] == math.inf and res.error[0] == math.inf
+    assert np.isfinite(res.error[1:]).all()
 
 
 def test_gram_tree_counts_its_evals():
@@ -324,10 +340,9 @@ def test_gram_tree_counts_its_evals():
         sizes.append(x.size)
         with np.errstate(divide="ignore"):
             w = (1.0 - x * x) ** -0.5
-        T = np.array([np.cos(k * np.arccos(x)) for k in range(5)])
-        return w, T, T
+        return w, 1.0, _products(np.array([np.cos(k * np.arccos(x)) for k in range(5)]))
     spec = IntervalSpec(-1.0, 1.0, ((-1.0, -0.5), (1.0, -0.5)))
-    res = integrate_gram(sample, spec)
+    res = integrate_gram(sample, spec, _diagonal_scale)
     assert sizes.count(1) == 6
     assert res.evals == 15 * res.panels + 6 == sum(sizes)
 
@@ -346,18 +361,18 @@ def test_gram_tree_samples_once_per_round(monkeypatch):
     batches = []
     real = quadrature._gk_blocks
 
-    def counting(wdx, L, R, h):
+    def counting(wdx, f, R, h):
         batches.append(len(h))
-        return real(wdx, L, R, h)
+        return real(wdx, f, R, h)
     monkeypatch.setattr(quadrature, "_gk_blocks", counting)
     sizes = []
 
     def sample(x):
         with np.errstate(over="ignore"):
             P = np.array([np.ones_like(x), x, x * x - 0.5])
-            return np.exp(-x * x), P, P
+            return np.exp(-x * x), 1.0, _products(P)
     res = integrate_gram(_recording(sample, sizes), IntervalSpec(-math.inf, math.inf),
-                         np.ones((3, 3)))
+                         np.ones(9))
     assert len(sizes) == len(batches) > 1
     assert sizes == [15 * n for n in batches]
     assert sizes[0] == 15 * (8 + 2)
@@ -366,10 +381,10 @@ def test_gram_tree_samples_once_per_round(monkeypatch):
 
 
 def _family_tree(basis, top, sizes):
-    """One tree over a family's members 0..top, whose pairs are all
-    integrable, each held to its Class's norms' entry scale: the weight, the rows
-    by recurrence and the family's interval hinted for the widest product,
-    as a Gram tree of the family took them."""
+    """One tree over the products of a family's members 0..top, whose pairs
+    are all integrable, each held to its Class's norms' entry scale: the
+    weight, the rows by recurrence and the family's interval hinted for
+    the widest product, as a Gram tree of the family took them."""
     from symortho.core import member_rows
     from symortho.families import Class, norms_squared
     rows, d = member_rows(basis.params, top), np.array(norms_squared(Class(*basis.params), top))
@@ -378,7 +393,7 @@ def _family_tree(basis, top, sizes):
         sizes.append(x.size)
         P = rows(x)
         with np.errstate(divide="ignore", over="ignore"):
-            return np.exp(basis.weight_log(x)), P, P
+            return np.exp(basis.weight_log(x)), 1.0, _products(P)
     return integrate_gram(sample, basis.interval(tail_power=2 * top), _scale(d, d))
 
 
@@ -411,8 +426,8 @@ def test_gram_tree_bisects_a_hinted_tail_from_one_panel(basis, top):
     assert res.converged.all()
     assert res.evals == sum(sizes) == 15 * res.panels + sizes.count(1)
     d = np.array(norms_squared(Class(*basis.params), top), dtype=float)
-    assert (np.abs(res.value - np.diag(d)) <= 1e-9 * _scale(d, d)).all()
-    interval, tasks, _, panels = res.mesh      # the final panels
+    assert (np.abs(res.value - np.diag(d).ravel()) <= 1e-9 * _scale(d, d)).all()
+    interval, tasks, panels = res.mesh      # the final panels
     assert interval.hi == math.inf and panels[:, 3].max() <= quadrature._MAX_DEPTH
     for k in (0, len(tasks) - 1):       # the lower and the upper tail, x = -+inf at t = 0
         _, lo, h = tasks[k]
@@ -457,15 +472,14 @@ def test_gram_tree_counts_no_w_dx_where_the_weight_underflows():
     def sample(x):
         with np.errstate(over="ignore"):
             w = (1 + x * x) ** -0.51
-        P = np.array([np.ones_like(x), x / (1 + np.abs(x))])
-        return w, P, P
+        return w, 1.0, _products(np.array([np.ones_like(x), x / (1 + np.abs(x))]))
     spec = IntervalSpec(-math.inf, math.inf, ((-math.inf, -1.02), (math.inf, -1.02)))
-    res = integrate_gram(sample, spec)
+    res = integrate_gram(sample, spec, _diagonal_scale)
     assert res.converged.all() and res.panels < 200
     assert np.isfinite(res.value).all() and np.isfinite(res.error).all()
-    assert res.value[0, 0] == pytest.approx(101.37951033504427 - 100 * 2.0 ** (-512 * 0.02),
-                                            rel=1e-9)
-    assert abs(res.value[0, 1]) <= 1e-9 * math.sqrt(res.value[0, 0] * res.value[1, 1])
+    (w00, w01), (_, w11) = res.value.reshape(2, 2)
+    assert w00 == pytest.approx(101.37951033504427 - 100 * 2.0 ** (-512 * 0.02), rel=1e-9)
+    assert abs(w01) <= 1e-9 * math.sqrt(w00 * w11)
 
 
 def test_softened_tail_reaching_infinity_raises_no_warning():
@@ -778,58 +792,63 @@ def _block_sampler(basis, nmax):
     from symortho.sturm import _adapt
     ad = _adapt(basis)
     rows = ad.rows(nmax)
-
-    def sample(x):
-        P = rows(x)
-        return ad.weight(x), P, P
-    return ad, rows, sample
+    return ad, rows, lambda x: (ad.weight(x), 1.0, _products(rows(x)))
 
 
 @pytest.mark.parametrize("basis", [GUP(1, 1), U(-0.5)], ids=repr)
 def test_a_tree_started_from_another_matches_a_cold_one(basis):
     # expand's residual starts on its numerators' panels; U(-0.5)'s
-    # endpoints carry slivers, whose masses the started tree fits again
+    # endpoints carry slivers, so its first tree keeps no mesh and the
+    # second starts cold
     ad, rows, sample = _block_sampler(basis, 8)
     interval = ad.interval(2)
-    cold = integrate_gram(sample, interval)
-    other = integrate_gram(lambda x: (ad.weight(x), np.sin(1.5 * x)[None, :], rows(x)),
-                           interval, np.ones((1, 9)))
-    assert bool(other.mesh[2]) == (basis == U(-0.5))
-    warm = integrate_gram(sample, interval, start=other)
-    d = np.diag(cold.value)
+    cold = integrate_gram(sample, interval, _diagonal_scale)
+    other = integrate_gram(lambda x: (ad.weight(x), np.sin(1.5 * x), rows(x)),
+                           interval, np.ones(9))
+    assert (other.mesh is None) == (basis == U(-0.5))
+    warm = integrate_gram(sample, interval, _diagonal_scale, start=other)
     assert warm.converged.all()
-    assert np.all(np.abs(warm.value - cold.value) <= 1e-9 * quadrature.entry_scale(d[:, None], d))
-    assert warm.panels >= len(other.mesh[3])
+    if other.mesh is None:
+        assert np.array_equal(warm.value, cold.value) and warm.panels == cold.panels
+    else:
+        assert np.all(np.abs(warm.value - cold.value) <= 1e-9 * _diagonal_scale(cold.value))
+        assert warm.panels >= len(other.mesh[2])
 
 
 def test_a_started_tree_takes_the_first_trees_plan(monkeypatch):
     ad, _, sample = _block_sampler(GUP(1, 1), 8)
-    first = integrate_gram(sample, ad.interval(2))
+    first = integrate_gram(sample, ad.interval(2), _diagonal_scale)
     plans = []
     real = quadrature._plan
     monkeypatch.setattr(quadrature, "_plan", lambda *a: plans.append(0) or real(*a))
-    again = integrate_gram(sample, ad.interval(2), start=first)
-    assert plans == [] and again.panels == len(first.mesh[3])
+    again = integrate_gram(sample, ad.interval(2), _diagonal_scale, start=first)
+    assert plans == [] and again.panels == len(first.mesh[2])
     # the same leaves, retired ones included
-    panels = again.mesh[3]
-    assert sorted(map(tuple, panels[:, :3])) == sorted(map(tuple, first.mesh[3][:, :3]))
+    panels = again.mesh[2]
+    assert sorted(map(tuple, panels[:, :3])) == sorted(map(tuple, first.mesh[2][:, :3]))
 
 
 def test_a_start_on_another_interval_is_a_cold_tree():
     ad, _, sample = _block_sampler(GUP(1, 1), 4)
-    first = integrate_gram(sample, IntervalSpec(-1.0, 1.0, ((0.0, None),)))
-    cold = integrate_gram(sample, ad.interval(2))
-    started = integrate_gram(sample, ad.interval(2), start=first)
+    first = integrate_gram(sample, IntervalSpec(-1.0, 1.0, ((0.0, None),)), _diagonal_scale)
+    cold = integrate_gram(sample, ad.interval(2), _diagonal_scale)
+    started = integrate_gram(sample, ad.interval(2), _diagonal_scale, start=first)
     assert np.array_equal(started.value, cold.value) and started.panels == cold.panels
 
 
 def test_a_callable_scale_is_read_from_the_running_totals():
-    # None is the running-diagonal rule, which a function can spell out
-    ad, _, sample = _block_sampler(GUP(1, 1), 6)
+    # the function sees each round's running totals, the last of them the
+    # result (GHP(1/2)'s tree takes four rounds); one that returns a fixed
+    # array is that array
+    ad, _, sample = _block_sampler(GHP(0.5), 6)
+    seen = []
 
     def diagonal(total):
-        d = np.diag(total)
-        return quadrature.entry_scale(d[:, None], d)
-    implicit = integrate_gram(sample, ad.interval(2))
-    spelled = integrate_gram(sample, ad.interval(2), diagonal)
-    assert np.array_equal(implicit.value, spelled.value) and implicit.panels == spelled.panels
+        seen.append(total.copy())
+        return _diagonal_scale(total)
+    running = integrate_gram(sample, ad.interval(2), diagonal)
+    assert len(seen) > 1 and np.array_equal(seen[-1], running.value)
+    fixed = _diagonal_scale(running.value)
+    called = integrate_gram(sample, ad.interval(2), lambda total: fixed)
+    given = integrate_gram(sample, ad.interval(2), fixed)
+    assert np.array_equal(called.value, given.value) and called.panels == given.panels

@@ -139,6 +139,39 @@ def test_boundary_bracket_at_a_singular_edge_is_zero():
     assert [boundary_term(sl, a, b) for a in polys for b in polys] == [0.0] * 49
 
 
+@pytest.mark.parametrize("params", [(-1, 2, 0, 0), (-1, 1, 0, 0)], ids=str)
+def test_boundary_bracket_at_an_edge_of_minus_one_is_its_finite_limit(params):
+    # edge -1: A R = (px^2 + q)^0 = 1 inside the support, but px^2 + q
+    # rounds to 0 at the float theta, where A R read nan; the bracket is
+    # the ends of its polynomial part: phi_1' phi_1 = x gives 2 theta,
+    # (0, 2)'s Wronskian -2x gives -4 theta, and (0, 1)'s -1 cancels
+    spec = Class(*params)
+    sl = from_params(spec.params)
+    theta = sl.exponents.theta
+    assert sl.exponents.edge == -1.0 and theta == math.sqrt(params[1])
+    p0, p1, p2 = (poly_from_params(spec.params, n, monic=True) for n in range(3))
+    assert boundary_term(sl, p1, p1) == pytest.approx(2 * theta, rel=1e-14)
+    assert boundary_term(sl, p0, p2) == pytest.approx(-4 * theta, rel=1e-14)
+    assert boundary_term(sl, p0, p1) == 0.0
+
+
+@pytest.mark.parametrize("params", [(-1, 3, 0.25, 0), (-2, 3, 0.5, 0), (-1, 2, 0, 1)], ids=str)
+def test_boundary_bracket_below_an_edge_of_minus_one_is_infinite(params):
+    # edge -1.125, -1.125 and -1.25: A R ~ (theta - |x|)^(edge + 1) grows
+    # without bound, so where the polynomial part's ends are nonzero the
+    # bracket is +-inf with their sign (the float theta read 287.5 and
+    # 203.3 for the first two (1, 1), and nan for the third), and 0.0
+    # where they cancel by parity
+    spec = Class(*params)
+    sl = from_params(spec.params)
+    assert sl.exponents.edge < -1.0
+    p0, p1, p2, p3 = (poly_from_params(spec.params, n, monic=True) for n in range(4))
+    assert boundary_term(sl, p1, p1) == math.inf
+    assert boundary_term(sl, p0, p2) == boundary_term(sl, p1, p3) == -math.inf
+    assert boundary_term(sl, p0, p1) == boundary_term(sl, p1, p2) == 0.0
+    assert boundary_term(sl, p0, p0) == 0.0
+
+
 def test_legendre_weight_exponents():
     assert tuple(legendre_sl().exponents) == (1.0, 0.0, 0.0, -math.inf)
 
@@ -537,7 +570,9 @@ def test_one_gauss_rule_gives_every_integrable_pair(monkeypatch, basis, nmax):
     ruled, odd = reasons.get("rule", set()), reasons.get("odd-parity", set())
     built = {(e.n, e.m) for e in rep.entries if e.status != "degenerate"}
     fold = not isinstance(basis, V)
-    assert ruled | odd == {(n, m) for n, m in built if _adapt(basis).integrable(n, m)}
+    ad = _adapt(basis)
+    integrable = ad.integrable_mask(nmax)
+    assert ruled | odd == {(n, m) for n, m in built if integrable[n - ad.base, m - ad.base]}
     assert all((n + m) % 2 == 0 or not fold for n, m in ruled)
     assert all((n + m) % 2 == 1 for n, m in odd)
     for e in rep.entries:
@@ -552,6 +587,30 @@ def test_one_gauss_rule_gives_every_integrable_pair(monkeypatch, basis, nmax):
         k = max(n + m - 2 * b for n, m in ruled) // 2
         nodes = k // 2 + 2 if fold else last + 2
         assert rep.evals == nodes * (last - b + 1)
+
+
+def test_rule_rows_above_a_recurrence_pole_match_mpmath():
+    # Class(-1, 1, 1, -2): C_1 and C_2 have poles, so the recurrence builds
+    # members 0 and 1 only, member 2 does not exist, and the rule takes
+    # members 3..7 as their own polynomials (phi); W = |x|^-2 (1 - x^2)^-1/2
+    # makes exactly the pairs of two odd members integrable, and each comes
+    # from the rule within its error of mpmath
+    spec = Class(-1, 1, 1, -2)
+    assert sturm._below_pole(spec.params, 7) == 1
+    rep = gram_matrix(spec, 7)
+    ruled = [e for e in rep.entries if e.quad.reason == "rule"]
+    assert {(e.n, e.m) for e in ruled} == {(n, m) for n in (1, 3, 5, 7) for m in (1, 3, 5, 7)
+                                           if m <= n}
+
+    def member(n):
+        coeffs = [mp.mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else mp.mpf(c)
+                  for c in poly_from_params(spec.params, n, monic=True).coeffs]
+        return lambda x: x * mp.polyval(coeffs, x * x)      # every ruled member is odd
+    with mp.workdps(30):
+        for e in ruled:
+            sn, sm = member(e.n), member(e.m)
+            exact = 2 * mp.quad(lambda x: x ** -2 * (1 - x * x) ** -0.5 * sn(x) * sm(x), [0, 1])
+            assert abs(e.quad.value - float(exact)) <= e.quad.abs_error_estimate, (e.n, e.m)
 
 
 def _lambda_two_thirds(fam):

@@ -8,13 +8,14 @@ Each seed draws, with parameters rounded to two decimals:
                    draws near (0.1, 2.5) at nmax 8..24
   FiniteII(u)      u in [1, 16], at floor(u - 1/2) + 3, past its bound
   lambda 2/3       the lambda = 2/3 class of a FiniteI(u, v) draw, at 8
-  GUP, GHP, U, V,  four draws each, at nmax 24 and 48
+                   and 12, and of each FiniteII draw, at its nmax
+  GUP, GHP, U, V,  four draws each, at nmax 24, 48 and 128
   G and Q
 
 and prints one line per report (pass or FAIL, its panels and the counts of
 its statuses other than ok), then per class the reports that pass, the
 status counts and the panel total.  It gates: it exits 1 when an
-integrable pair (its Gram adapter's integrable: families.pair_integrable,
+integrable pair (its Gram adapter's integrable_mask: families.pair_integrable,
 a lambda class's mapped class's, and every pair of a kind) is not ok, or
 when a pair that is not integrable is not refused (cliff), and names each
 such pair.  A pair with
@@ -47,9 +48,10 @@ def off_gate(basis, rep):
     """The entries (n, m, status) of a report that the gate refuses: an
     integrable pair that is not ok, or a pair that is not integrable and
     not a cliff, unless degenerate."""
-    integrable = _adapt(basis).integrable
+    ad = _adapt(basis)
+    integrable = ad.integrable_mask(rep.nmax)
     return [(e.n, e.m, e.status) for e in rep.entries if e.status != "degenerate"
-            and e.status != ("ok" if integrable(e.n, e.m) else "cliff")]
+            and e.status != ("ok" if integrable[e.n - ad.base, e.m - ad.base] else "cliff")]
 
 
 def cases(seed):
@@ -68,14 +70,18 @@ def cases(seed):
     for _ in range(10):
         fam, n = FiniteI(draw(0.05, 0.15), draw(2.4, 2.6)), degree()
         out.append(("FiniteI near (0.1, 2.5)", f"{fam!r}@{n}", fam, n))
+    finite2 = []
     for _ in range(20):
         fam = FiniteII(draw(1, 16))
         n = math.floor(fam.u - 0.5) + 3
         out.append(("FiniteII", f"{fam!r}@{n}", fam, n))
+        finite2.append((fam, n))
     for _ in range(10):
         fam = FiniteI(draw(0, 0.45), draw(0.6, 8))
-        out.append(("lambda 2/3 on FiniteI", f"lambda 2/3 on {fam!r}@8",
-                    _lambda(fam, Fraction(2, 3)), 8))
+        out += [("lambda 2/3 on FiniteI", f"lambda 2/3 on {fam!r}@{n}",
+                 _lambda(fam, Fraction(2, 3)), n) for n in (8, 12)]
+    out += [("lambda 2/3 on FiniteII", f"lambda 2/3 on {fam!r}@{n}",
+             _lambda(fam, Fraction(2, 3)), n) for fam, n in finite2]
     makers = [("GUP", lambda: GUP(draw(-0.45, 3), draw(-0.9, 3))),
               ("GHP", lambda: GHP(draw(-0.45, 3))),
               ("U", lambda: U(draw(-0.9, 0.9))), ("V", lambda: V(draw(-0.9, 0.9))),
@@ -83,7 +89,7 @@ def cases(seed):
     for name, make in makers:
         for _ in range(4):
             basis = make()
-            out += [(name, f"{basis!r}@{n}", basis, n) for n in (24, 48)]
+            out += [(name, f"{basis!r}@{n}", basis, n) for n in (24, 48, 128)]
     return out
 
 
