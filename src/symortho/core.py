@@ -112,16 +112,14 @@ WeightExponents = namedtuple("WeightExponents", "theta origin edge tail")
 
 def weight_exponents(params: ClassParams) -> WeightExponents:
     """(theta, origin, edge, tail) of the closed-form weight |x|^(s/q)
-    (px^2 + q)^e, e = (r-2p)/(2p) - s/(2q), rounded once from exact
-    parameters: theta is px^2 + q's positive zero (else inf); the exponents
-    are s/q at 0 (for q = 0 the weight is |x|^((r-2p)/p) e^(-s/(2p x^2)):
-    inf, flat, for s/p > 0, -inf for s/p < 0 and (r-2p)/p for s = 0), e at
-    +-theta (nan for pq = 0), and (r-2p)/p at infinity if theta = inf and
-    p != 0, else -inf.  Exact parameters are read as the integers of
-    ClassParams._scaled (see _exact_exponents)."""
-    p, q, r, s = params._scaled
-    if type(p) is int:
-        return _exact_exponents(p, q, r, s)
+    (px^2 + q)^e, e = (r-2p)/(2p) - s/(2q): theta is px^2 + q's positive
+    zero (else inf); the exponents are s/q at 0 (for q = 0 the weight is
+    |x|^((r-2p)/p) e^(-s/(2p x^2)): inf, flat, for s/p > 0, -inf for
+    s/p < 0 and (r-2p)/p for s = 0), e at +-theta (nan for pq = 0), and
+    (r-2p)/p at infinity if theta = inf and p != 0, else -inf.  Each is one
+    formula over params.promoted(), so an exact exponent is a Fraction
+    rounded once by float() (a zero one is +0.0)."""
+    p, q, r, s = params.promoted()
     theta = math.sqrt(-q / p) if p and q and -q / p > 0 else math.inf
     if q:
         origin = s / q
@@ -129,24 +127,7 @@ def weight_exponents(params: ClassParams) -> WeightExponents:
         origin = -math.inf if s * p < 0 else (r - 2 * p) / p if p and not s else math.inf
     edge = (r - 2 * p) / (2 * p) - s / (2 * q) if p and q else math.nan
     tail = (r - 2 * p) / p if p and theta == math.inf else -math.inf
-    return WeightExponents(theta, origin, edge, tail)
-
-
-def _exact_exponents(p, q, r, s):
-    """weight_exponents of exact parameters scaled to integers.  Each
-    exponent is one ratio of them, in which the scale cancels, so one int
-    division rounds it once, as float() of its Fraction does; a zero ratio
-    is +0.0, as a Fraction's is."""
-    def ratio(num, den):
-        return num / den if num else 0.0
-    theta = math.sqrt(ratio(-q, p)) if p and q and -q * p > 0 else math.inf
-    if q:
-        origin = ratio(s, q)
-    else:
-        origin = -math.inf if s * p < 0 else ratio(r - 2 * p, p) if p and not s else math.inf
-    edge = ratio((r - 2 * p) * q - s * p, 2 * p * q) if p and q else math.nan
-    tail = ratio(r - 2 * p, p) if p and theta == math.inf else -math.inf
-    return WeightExponents(theta, origin, edge, tail)
+    return WeightExponents(theta, float(origin), float(edge), float(tail))
 
 
 def _check_degree(n):

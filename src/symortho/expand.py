@@ -20,7 +20,7 @@ from .core import ROWS_CHUNK, blockwise
 from .errors import (BasisInvalid, ConstraintViolation, MaxDepthExceeded,
                      NonSquareIntegrable)
 from .quadrature import (_SCAN_SPREAD, IntervalSpec, QuadResult, certifies_divergence,
-                         entry_scale, integrate_gram, target_exponents)
+                         divergent, entry_scale, integrate_gram, target_exponents)
 from .sturm import _adapt, gram_matrix
 
 
@@ -134,7 +134,7 @@ def _target_hints(target, ad, hinted):
             raise NonSquareIntegrable(
                 f"int W* f^2 diverges at x = c = {point!r}: the target's measured exponent "
                 f"there is {e:.6g}, so f^2 W* ~ |x - c|^{sigma:.6g}")
-        if abs(e - round(e)) > _SCAN_SPREAD and sigma > -1:
+        if abs(e - round(e)) > _SCAN_SPREAD and not divergent(point, sigma):
             exps[point] = e
     return exps
 

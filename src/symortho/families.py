@@ -15,6 +15,7 @@ reports that instead of integrating nonsense.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -28,7 +29,7 @@ import numpy as np
 from .core import ClassParams, WeightExponents, recurrence_c, weight_exponents
 from .errors import (ConstraintViolation, DivergentMoment, OutOfFiniteRange,
                      PoleError, SingularCoefficient, SingularPoint)
-from .quadrature import IntervalSpec
+from .quadrature import IntervalSpec, divergent
 from .special import beta_fn, gamma_fn
 
 __all__ = [
@@ -137,8 +138,8 @@ class _Family:
         theta, origin, edge, tail = self.exponents
         p, q, r, s = self.params.promoted()
         c = q if p and q else -r / (2 * q) if q else s / (2 * p) if p else 0  # > 0, or no weight
-        bad = {"origin": origin <= -1, "edge": theta < math.inf and edge <= -1,
-               "tail": tail >= -1 or q and not c > 0}    # c <= 0: a growing tail for p = 0
+        bad = {"origin": divergent(0, origin), "edge": theta < math.inf and divergent(theta, edge),
+               "tail": divergent(math.inf, tail) or q and not c > 0}  # c <= 0: p = 0, growing
         if any(bad.values()) or not c > 0:
             fails = " and ".join(k for k, v in bad.items() if v) or "p = q = 0"
             raise DivergentMoment(f"{fails}: the weight of {self.params} is not integrable "
@@ -171,22 +172,11 @@ class _Family:
         return origin / x + r / q * x if q else tail / x + s / (p * x * x * x)
 
     def valid_pair(self, n, m) -> PairValidity:
-        """Published validity condition plus independent exponent counting:
-        the product of members n and m is integrable at the origin, at
-        +-theta and in the tails."""
+        """Published validity condition plus independent exponent counting
+        (pair_integrable): the product of members n and m is integrable at
+        the origin, at +-theta and in the tails."""
         n, m = int(n), int(m)
-        parity_low = (n % 2) + (m % 2)      # lowest power of the product at 0
-        certified, reason = self._certificate(max(n, m))
-        theta, origin, edge, _ = self.exponents
-        integrable = (origin + parity_low > -1 and (theta == math.inf or edge > -1)
-                      and self._tail_margin(n, m) <= 0)
-        return PairValidity(certified, reason, integrable)
-
-    def _tail_margin(self, n, m):
-        """n + m + 1 plus the weight's exponent at infinity: the product of the
-        weight and the degree-(n, m) pair decays like |x|^(margin - 1), so its
-        tails converge exactly when the margin is negative."""
-        return self.exponents.tail + 2 + n + m - 1
+        return PairValidity(*self._certificate(max(n, m)), pair_integrable(self, n, m))
 
 
 @dataclass(frozen=True)
@@ -424,17 +414,15 @@ def valid_pair(spec, n, m) -> PairValidity:
 
 def integrable_pairs(spec, n, m):
     """Whether the weight times members n and m is absolutely integrable,
-    broadcast over arrays of n and m: the product's exponent at the origin
-    (the weight's plus its parity) and at +-theta is above -1, and its tail
-    margin is below 0, with valid_pair's float operations.
-
-    valid_pair's integrable field counts a tail that decays like |x|^-1 (a
-    zero tail margin) as integrable; that tail diverges logarithmically,
-    and here it counts as divergent.
+    broadcast over arrays of n and m: no exponent of the product that
+    spec.hints(n % 2 + m % 2, n + m) gives (the weight's plus the pair's
+    parity at the origin, the weight's at +-theta, plus its degree in the
+    tails), the exponents the cliff scan judges, is quadrature.divergent.
+    A tail that decays like |x|^-1 diverges.
     """
-    theta, origin, edge, _ = spec.exponents
-    return ((origin + (n % 2 + m % 2) > -1) & (theta == math.inf or edge > -1)
-            & (spec._tail_margin(n, m) < 0))
+    bad = (divergent(point, e) for point, e in spec.hints(n % 2 + m % 2, n + m)
+           if e is not None)
+    return np.logical_not(functools.reduce(np.logical_or, bad, np.zeros(np.shape(n + m), bool)))
 
 
 def pair_integrable(spec, n, m) -> bool:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import MaxDepthExceeded
 
-__all__ = ["QuadResult", "IntervalSpec", "GramQuad", "integrate", "integrate_gram",
+__all__ = ["QuadResult", "IntervalSpec", "GramQuad", "integrate", "integrate_gram", "divergent",
            "entry_scale", "exponent_scan", "target_exponents", "certifies_divergence"]
 
 # 15-point Kronrod nodes and weights with the embedded 7-point Gauss rule,
@@ -638,15 +638,21 @@ def target_exponents(f, interval):
     return out
 
 
+def divergent(point, exponent):
+    """Whether |x - point|^exponent (|x|^exponent at +-inf), exponent a
+    number or an array, is not integrable there: exponent >= -1 in a tail,
+    <= -1 at a finite point.  Every exponent verdict reads this rule."""
+    return exponent >= -1.0 if math.isinf(point) else exponent <= -1.0
+
+
 def divergence_mask(point, sigma, spread, hint):
     """Where a measured exponent confirms that |f| ~ |x - point|^hint is
-    not integrable at the point: hint is on the divergent side of -1
-    (>= -1 in a tail, <= -1 at a finite point), the spread is narrow enough
-    to tell hint from -1, and sigma agrees with hint within the spread.  A
-    nan sigma or spread never certifies.  sigma and spread are a scan
-    side's arrays (or scalars), hint one exponent or an array of them."""
-    side = hint >= -1.0 if math.isinf(point) else hint <= -1.0
-    return side & (spread <= _SCAN_SPREAD) & (np.abs(sigma - hint) <= spread + _SCAN_FLOOR)
+    not integrable at the point: hint is divergent there, the spread is
+    narrow enough to tell hint from -1, and sigma agrees with hint within
+    the spread.  A nan sigma or spread never certifies.  sigma and spread
+    are a scan side's arrays (or scalars), hint one exponent or an array."""
+    return (divergent(point, hint) & (spread <= _SCAN_SPREAD)
+            & (np.abs(sigma - hint) <= spread + _SCAN_FLOOR))
 
 
 def certifies_divergence(point, sigma, spread, hint):

@@ -430,40 +430,37 @@ class _FamilyBasis:
         gone = np.array([bool(u) and not member_exists(params, i) for i, u in enumerate(used)])
         return need & (gone[:, None] | gone)
 
+    def _members(self, used):
+        """x -> the rows of members 0..len(used) - 1 at x: by recurrence
+        below any pole, and from it on each used member's own phi(n); nan
+        where a member is unused or cannot be built."""
+        params = self.spec.params
+        top = _below_pole(params, len(used) - 1)
+        rows = member_rows(params, top)
+        above = [self.phi(n) if used[n] else None for n in range(top + 1, len(used))]
+        return lambda x: np.vstack([rows(x)] + [np.full_like(x, math.nan) if f is None else f(x)
+                                                for f in above])
+
     def rule(self, pairs):
         """(x, w, low, rows) for pairs, a mask of integrable pairs n >= m of
         one parity: the weight's Gauss rule of the widest pair
         (gauss.pearson) and members 0..N at its nodes, N the largest n, as
-        missing takes them (0 where no pair needs one); None with no rule."""
+        missing takes them (nan where no pair needs one); None with no rule."""
         n, m = np.nonzero(pairs)
-        params = self.spec.params
-        got = pearson(params, self.spec.exponents, int((n + m).max()) // 2)
+        got = pearson(self.spec.params, self.spec.exponents, int((n + m).max()) // 2)
         if got is None:
             return None
-        x, last = got[0], int(n.max())
-        top = _below_pole(params, last)
-        rows = member_rows(params, top)(x)
-        if last > top:
-            used = pairs.any(axis=0) | pairs.any(axis=1)
-            rows = np.vstack([rows] + [self.phi(i)(x) if used[i] else np.zeros_like(x)
-                                       for i in range(top + 1, last + 1)])
-        return got + (rows,)
+        used = (pairs.any(axis=0) | pairs.any(axis=1))[:int(n.max()) + 1]
+        return got + (self._members(used)(got[0]),)
 
-    def cliffs(self, nmax, phi):
+    def cliffs(self, nmax):
         """The mask, at [n, m], of the pairs (read where not integrable)
         whose measured exponent at a hinted point of the weight, on one side,
         agrees with their divergent hint (divergence_mask), from one
-        quadrature.exponent_scan in x of the rows below any pole and each
-        member from it on as phi(n) (None: its pairs never certify).  Each
-        side is judged on its own, so cancelling divergent tails still show."""
-        top = _below_pole(self.spec.params, nmax)
-        rows = member_rows(self.spec.params, top)
-        wlog = self.spec.weight_log
-
-        def members(x):
-            above = [phi(n)(x) if phi(n) else np.full_like(x, math.nan)
-                     for n in range(top + 1, nmax + 1)]
-            return np.vstack([rows(x)] + above) if above else rows(x)
+        quadrature.exponent_scan in x of every member's row (_members; a
+        nan row never certifies).  Each side is judged on its own, so
+        cancelling divergent tails still show."""
+        members, wlog = self._members(np.ones(nmax + 1, dtype=bool)), self.spec.weight_log
         scan = exponent_scan(lambda x: (wlog(x), np.log(np.abs(members(x)))),
                              self.spec.interval(), nmax)
         # every pair's hints: the parity and the degree of its product
@@ -578,7 +575,7 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
     value, conv = cells["value"], cells["converged"]
     cliff = lower & ~integrable & ~missing
     if cliff.any():
-        cliff &= ad.cliffs(nmax, ad.phi)
+        cliff &= ad.cliffs(nmax)
         cells["diverged"][cliff] = True     # the cells stay _NO_QUAD otherwise
 
     refused = np.array([d is None for d in norms])

@@ -13,7 +13,7 @@ CHECKS = sorted((ROOT / "tools" / "ci").glob("*.py"))
 
 
 def test_the_ci_checks_are_found():
-    assert len(CHECKS) == 9
+    assert len(CHECKS) == 10
 
 
 @pytest.mark.parametrize("check", CHECKS, ids=lambda p: p.name)

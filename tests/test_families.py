@@ -16,6 +16,7 @@ from symortho.families import (GUP, GHP, Class, FiniteI, FiniteII, finite_degree
                                norms_squared, pair_integrable, pearson_residual,
                                valid_pair, weight_at)
 from symortho.quadrature import integrate
+from symortho.sturm import gram_matrix
 
 
 def quad_weight_moment(spec, power=0):
@@ -214,7 +215,9 @@ def test_valid_pair_finite2():
     spec = FiniteII(4.5)
     assert valid_pair(spec, 4, 4).certified
     assert not valid_pair(spec, 5, 5).certified
-    assert valid_pair(spec, 4, 4).integrable       # boundary exponent count
+    # w S_4^2 ~ |x|^-1 in the tails: a log divergence, which gram_matrix reads as a cliff
+    assert not valid_pair(spec, 4, 4).integrable
+    assert gram_matrix(spec, 4).entry(4, 4).status == "cliff"
     assert not valid_pair(spec, 5, 5).integrable
     assert valid_pair(spec, 4, 3).integrable
 
@@ -337,10 +340,12 @@ def test_pair_integrable_counts_the_inverse_tail_as_divergent(spec, n, m):
     assert pair_integrable(spec, n, m - 1)
 
 
-def test_pair_integrable_agrees_with_valid_pair_off_the_boundary():
+def test_pair_integrable_agrees_with_valid_pair():
+    # zero tail margins (w S_n S_m ~ |x|^-1) included: FiniteII(4.5) at n + m = 8 and
+    # Class(1, 0, -10, 2) at n + m = 11
     for spec in (GUP(1, 1.5), GHP(-0.2), FiniteII(6.03), FiniteI(0.3, 2),
-                 FiniteI(0.7, 3)):
-        for n in range(10):
+                 FiniteI(0.7, 3), FiniteII(4.5), Class(1, 0, -10, 2)):
+        for n in range(12):
             for m in range(n + 1):
                 assert pair_integrable(spec, n, m) == valid_pair(spec, n, m).integrable
 

@@ -30,7 +30,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from symortho.errors import DegenerateDenominator, ZeroLeadingCoefficient
 from symortho.exponent_map import LambdaSpec
 from symortho.families import Class, FiniteI, FiniteII, pair_integrable
 from symortho.quadrature import certifies_divergence
@@ -264,14 +263,7 @@ def test_cliff_mask_is_the_scalar_rule(monkeypatch):
     certified = 0
     for cls, args, _ in CASES:
         spec = cls(*args)
-        ad = _adapt(spec)
-
-        def phi(n):
-            try:
-                return ad.phi(n)
-            except (DegenerateDenominator, ZeroLeadingCoefficient):
-                return None
-        mask = ad.cliffs(24, phi)
+        mask = _adapt(spec).cliffs(24)
         assert mask.shape == (25, 25)
         for n in range(25):
             for m in range(25):
