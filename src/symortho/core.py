@@ -81,13 +81,25 @@ class ClassParams:
         scale = math.lcm(*(v.denominator for v in vals))
         return tuple(v.numerator * (scale // v.denominator) for v in vals)
 
+    def c(self, k):
+        """recurrence_c(self, k), computed once per instance for each k up to
+        the largest asked for.  A pole among C_1..C_k raises PoleError."""
+        cs = self._c
+        while len(cs) < k:
+            cs.append(recurrence_c(self, len(cs) + 1))
+        return cs[k - 1]
+
     def float_c(self, count):
-        """[C_1, ..., C_count] in floats, each recurrence_c rounded once and
-        computed once per instance.  A pole among them raises PoleError."""
+        """[C_1, ..., C_count] in floats, each c(k) rounded once and once per
+        instance.  A pole among them raises PoleError."""
         cs = self._float_c
         while len(cs) < count:
-            cs.append(float(recurrence_c(self, len(cs) + 1)))
+            cs.append(float(self.c(len(cs) + 1)))
         return cs[:count]
+
+    @cached_property
+    def _c(self):
+        return []
 
     @cached_property
     def _float_c(self):

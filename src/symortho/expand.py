@@ -7,7 +7,9 @@ The coefficients are the classical projections
 with W* the orthogonality weight of the basis (identically one for the
 Legendre-type kinds).  The basis is checked by gram_matrix before any
 coefficient is computed; a basis that fails, or whose members are not all
-genuinely square-integrable up to the requested order, is refused.
+genuinely square-integrable up to the requested order, is refused.  A
+smooth target's integrals come from the weight's own Gauss rule, at two
+sizes that must agree; any other target's from adaptive panel trees.
 """
 
 import functools
@@ -16,12 +18,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import ROWS_CHUNK, blockwise
+from .core import ROWS_CHUNK, ClassParams, blockwise, weight_exponents
 from .errors import (BasisInvalid, ConstraintViolation, MaxDepthExceeded,
                      NonSquareIntegrable)
-from .quadrature import (_SCAN_SPREAD, IntervalSpec, QuadResult, certifies_divergence,
+from .exponent_map import _LambdaBasis
+from .gauss import jacobi, pearson
+from .legendre import _ClassKind
+from .quadrature import (_EPS, _RTOL, _SCAN_SPREAD, IntervalSpec, QuadResult, certifies_divergence,
                          divergent, entry_scale, integrate_gram, target_exponents)
-from .sturm import _adapt, gram_matrix
+from .sturm import _adapt, _FamilyBasis, gram_matrix
 
 
 def barycentric_interpolant(nodes, values):
@@ -83,10 +88,13 @@ def _as_callable(f):
 @dataclass(frozen=True, eq=False)
 class ExpansionSeries:
     """Truncated expansion: coefficients index 0..nmax (entries below a
-    kind's base order are structurally zero).  panels and evals are what
-    expand's own panel trees cost (the residual from its start panels; not
-    the basis's Gram check nor the target's exponent scan), counted as
-    GramQuad counts them."""
+    kind's base order are structurally zero), and errors their error
+    estimates, index for index.  panels and evals are what the path that
+    gave the coefficients cost: on the Gauss rules no panel, and the points
+    where f was read; on expand's own panel trees (the residual from its
+    start panels) their GK15 panels and integrand points, counted as
+    GramQuad counts them.  Neither counts the basis's Gram check, the
+    target's exponent scan or a rule attempt whose two sizes disagreed."""
     basis: object
     coefficients: tuple
     nmax: int
@@ -94,7 +102,8 @@ class ExpansionSeries:
     residual_rel: float      # residual / ||f||
     residual_converged: bool = True  # False: residual is an open tree's estimate
     panels: int = 0          # GK15 panels of expand's trees
-    evals: int = 0           # integrand points they sampled
+    evals: int = 0           # integrand points they (or the rules) sampled
+    errors: tuple = ()       # |q_n - exact| estimates; () in a series built by hand
 
 
 def _joined(interval, exps, factors):
@@ -171,6 +180,131 @@ def _memo_key(basis):
     return key
 
 
+# the unit weight on (-1, 1), as the class of |x|^0 (1 - x^2)^0
+_LEGENDRE = ClassParams(-1, 1, -2, 0)
+
+
+def _mirrored(x, w):
+    """gauss.pearson's rule for even integrands, nodes x > 0, as a rule on
+    the whole support: the nodes +-x, each with half its weight."""
+    return np.concatenate((x, -x)), np.concatenate((w, w)) / 2
+
+
+def _rule_pair(ad, nmax, k):
+    """(norm, numerators) for pearson's degree k, each a rule (x, w, rows)
+    on the whole support, or None where the basis has no such rule:
+    sum w f(x)^2 is ||f||^2, and with the norm rule's rows (members
+    base..nmax) sum w (f - q rows)^2 the squared residual; sum w f(x)
+    rows(x) of the numerator rule is int W* f phi_n, n = base..nmax.
+
+    A family's two are one, the weight's own rule (gauss.pearson), except
+    where pearson has none (finite moments: FiniteI, FiniteII) or takes only
+    odd pairs (a divergent origin).  A kind's norm rule is Legendre's, and its
+    numerators come from the rule of |x|^(a + e) (1 - x^2)^(b/2), e = 1 for
+    an odd prefactor x^a, whose weights carry the 1/x^e that makes f phi_n
+    of it f / x^e times a polynomial; V's, (1 + x)^(-al/2) (1 - x)^(al/2),
+    is its hints' Gauss-Jacobi rule in x, of k + 4 nodes as pearson's
+    mirrored rules have.  A lambda class's rows are in t, and it has none."""
+    if isinstance(ad, _LambdaBasis):
+        return None
+    if isinstance(ad, _FamilyBasis):
+        spec = ad.spec
+        got = None if divergent(0, spec.exponents.origin) else pearson(spec.params,
+                                                                       spec.exponents, k)
+        if got is None:
+            return None
+        x, w = _mirrored(*got[:2])
+        one = (x, w, ad.rows(nmax)(x))
+        return one, one
+    x, w = _mirrored(*pearson(_LEGENDRE, weight_exponents(_LEGENDRE), k)[:2])
+    norm = (x, w, ad.rows(nmax)(x))
+    if isinstance(ad, _ClassKind):
+        a = float(ad.a)
+        e = int(a % 2 != 0)
+        params = ClassParams(-1, 1, -a - e - float(ad.b) - 2, a + e)
+        x, w = _mirrored(*pearson(params, weight_exponents(params), k)[:2])
+        w = w / x ** e
+    else:
+        (_, lo), (_, hi) = ad.hints()
+        z, lam = jacobi(float(lo), float(hi), k + 4)
+        x, w = 2 * z - 1, 2 ** (1 + lo + hi) * lam
+    return norm, (x, w, ad.recurrence(nmax).rows(x))
+
+
+def _gauss_rules(ad, nmax):
+    """(points, sizes): expand's two rule sizes, k = 2 nmax + 4 and
+    4 nmax + 8 of _rule_pair, each a (norm, numerators) pair of (w, rows,
+    part), part the slice of points at that rule's nodes, so f is read at
+    all of them in one call; None where either size has no rule."""
+    pairs = [_rule_pair(ad, nmax, k) for k in (2 * nmax + 4, 4 * nmax + 8)]
+    if None in pairs:
+        return None
+    nodes, sizes, at = [], [], 0
+    for (norm, num) in pairs:
+        rules = []
+        for x, w, rows in (norm, num) if num is not norm else (norm,):
+            w.flags.writeable = rows.flags.writeable = False    # cached: one copy for all
+            nodes.append(x)
+            rules.append((w, rows, slice(at, at + x.size)))
+            at += x.size
+        sizes.append((rules[0], rules[-1]))
+    points = np.concatenate(nodes)
+    points.flags.writeable = False
+    return points, tuple(sizes)
+
+
+# as _verified_norms; at nmax 64 an entry holds about 0.4 MB of member rows
+@functools.lru_cache(maxsize=256, typed=True)
+def _cached_rules(kind, values, nmax):
+    """_gauss_rules of the basis kind(field=value, ...), memoized per
+    process and nmax, by type too."""
+    return _gauss_rules(_adapt(kind(**{name: v for name, _, v in values})), nmax)
+
+
+def _on_rules(target, rules, d):
+    """(q, errors, residual^2, ||f||^2) of the target on both rule sizes,
+    or None where they disagree: where ||f||^2 is not finite or moves by
+    more than 1e-9 ||f||^2 (checked first, before any numerator is formed),
+    or a numerator by more than 1e-9 entry_scale(||f||^2, d_n), the trees'
+    own bounds.  The larger size gives the values, and each error is
+    |q(k) - q(2k)| plus the rounding bound gram_matrix takes for a rule
+    entry, 4 (K + N) eps sum_i |w_i f(x_i) rows(x_i)| / d_n for K rows at
+    N nodes.  The squared residual is the sum on the norm rule where its
+    two sizes agree to 1e-9 ||f||^2, and ||f||^2 - sum q_n d_n q_n (Bessel)
+    where they do not: a kind's (f - s)^2 carries the prefactor's powers,
+    which Legendre's rule integrates only algebraically."""
+    points, ((norm_k, num_k), (norm, num)) = rules
+    fx = target(points)
+
+    def square(rule, q=None):
+        w, rows, part = rule
+        g = fx[part] if q is None else fx[part] - q @ rows
+        return float(w @ (g * g))
+
+    def numerators(rule):
+        w, rows, part = rule
+        return rows @ (w * fx[part])
+
+    def rounding(rule):
+        w, rows, part = rule
+        return 4 * (len(d) + w.size) * _EPS * (np.abs(rows) @ np.abs(w * fx[part]))
+
+    with np.errstate(over="ignore", invalid="ignore"):     # an overflow disagrees
+        f2 = square(norm)
+        if not (math.isfinite(f2) and abs(square(norm_k) - f2) <= _RTOL * f2):
+            return None
+        got = numerators(num)
+        err = np.abs(got - numerators(num_k))
+        if not np.all(err <= _RTOL * entry_scale(f2, d)):
+            return None
+        q = got / d
+        r2 = square(norm, q)
+        if not abs(square(norm_k, q) - r2) <= _RTOL * f2:
+            r2 = f2 - float(q @ got)
+        err += rounding(num)
+    return q, err / d, max(r2, 0.0), f2
+
+
 def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
     """Project f onto the basis members up to order nmax.
 
@@ -181,8 +315,15 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
     A basis that passed is not checked again for the same nmax and tol
     (_verified_norms keeps its norms); one that failed is, every time.
 
-    Every integral is an entry of a quadrature.integrate_gram tree, held
-    to 1e-9 of a scale.  One tree samples f against the rows [f,
+    A target whose scan (below) measures no exponent at a finite point is
+    first read on the weight's own Gauss rules at two sizes (_rule_pair,
+    nodes, weights and member rows cached per basis and nmax by
+    _cached_rules), and the series is theirs where the sizes agree to the
+    trees' bounds (_on_rules): no panel, and residual_converged.  Anywhere
+    else the trees below run as if no rule had been tried.
+
+    Every integral of the trees is an entry of a quadrature.integrate_gram
+    tree, held to 1e-9 of a scale.  One tree samples f against the rows [f,
     phi_base..phi_nmax]: ||f||^2 at entry 0 to its own running value, else
     NonSquareIntegrable (at once when that value is not finite), and the
     numerators int W* f phi_n to entry_scale(||f||^2, d_n), d_n the Gram
@@ -210,12 +351,25 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
     key = _memo_key(basis)
     norms = (_checked_norms(basis, nmax, tol) if key is None
              else _verified_norms(*key, nmax, tol))
-    rows = ad.rows(nmax)
 
     def target(x):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             y = np.asarray(fn(x), dtype=float)
         return y if y.shape == np.shape(x) else np.broadcast_to(y, np.shape(x))
+
+    hinted = ad.interval(members=1)
+    exps = _target_hints(target, ad, hinted)
+    d = np.asarray(norms)
+    if all(math.isinf(point) for point in exps):      # no e at a finite point
+        rules = _gauss_rules(ad, nmax) if key is None else _cached_rules(*key, nmax)
+        got = None if rules is None else _on_rules(target, rules, d)
+        if got is not None:
+            q, err, r2, f_norm2 = got
+            residual = math.sqrt(r2)
+            rel = residual / math.sqrt(f_norm2) if f_norm2 > 0 else 0.0
+            return ExpansionSeries(basis, (0.0,) * ad.base + tuple(q.tolist()), nmax,
+                                   residual, rel, evals=rules[0].size,
+                                   errors=(0.0,) * ad.base + tuple(err.tolist()))
 
     def square(g):
         """The sampler of int W* g^2: g against the row set [g]."""
@@ -232,12 +386,10 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
         cost[1] += out.evals
         return out
 
-    hinted = ad.interval(members=1)
-    exps = _target_hints(target, ad, hinted)
+    rows = ad.rows(nmax)
     # a hinted tail is negative already, so only a finite e can unfuse
     fused = not any(e is not None and e < 0 for _, e in hinted.singularities + tuple(exps.items()))
     crossed = _joined(hinted if fused else ad.interval(0), exps, (1, 2))
-    d = np.asarray(norms)
     if fused:       # f against [f, phi_base..phi_nmax]: ||f||^2 is entry 0
         def sample(x):
             y = target(x)
@@ -260,13 +412,14 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
         raise MaxDepthExceeded(open_, f"int W* f phi_n, n = {ad.base + k - fused},")
     q = num.value[int(fused):] / d
     coeffs = (0.0,) * ad.base + tuple(float(c) for c in q)
+    errors = (0.0,) * ad.base + tuple((num.error[int(fused):] / d).tolist())
 
     res = tree(square(lambda x: target(x) - q @ rows(x)), crossed,
                max(f_norm2, 1e-300), num if fused else None)  # on num's panels
     residual = math.sqrt(max(float(res.value[0]), 0.0))
     rel = residual / math.sqrt(f_norm2) if f_norm2 > 0 else 0.0
     return ExpansionSeries(basis, coeffs, nmax, residual, rel, bool(res.converged.all()),
-                           *cost)
+                           *cost, errors)
 
 
 def reconstruct(series: ExpansionSeries, x):

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ClassParams, WeightExponents, recurrence_c, weight_exponents
+from .core import ClassParams, WeightExponents, weight_exponents
 from .errors import (ConstraintViolation, DivergentMoment, OutOfFiniteRange,
                      PoleError, SingularCoefficient, SingularPoint)
 from .quadrature import IntervalSpec, divergent
@@ -362,7 +362,7 @@ def _c_products(params):
     num = den = 1
     for n in itertools.count():
         if n:
-            c = recurrence_c(params, n)
+            c = params.c(n)
             if isinstance(c, Fraction):
                 num, den = num * c.numerator, den * c.denominator
             else:
@@ -385,17 +385,18 @@ def norm_squared(spec, n) -> NormValue:
     return NormValue(n, prod * spec.moment_zero())
 
 
-def norms_squared(spec, nmax):
+def norms_squared(spec, nmax, bound=None):
     """norm_squared(spec, n).value for n = 0..nmax, None where it refuses.
 
     One running product of the C_k serves every degree, where nmax + 1
     calls of norm_squared would rebuild it each time; the values are
-    identical.  A refusal (beyond the degree bound, a pole in some C_k, a
-    divergent base moment) holds for every higher degree too.
+    identical.  A refusal (beyond the degree bound, spec's own unless one
+    is given, a pole in some C_k, a divergent base moment) holds for every
+    higher degree too.
     """
     out = []
     try:
-        bound = spec.finite_degree_bound()
+        bound = spec.finite_degree_bound() if bound is None else bound
         m0 = spec.moment_zero()
         prods = _c_products(spec.params)
         for n in range(int(nmax) + 1):

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .quadrature import divergent
 from .special import beta_fn, gamma_fn
 
 __all__ = ["jacobi", "laguerre", "pearson"]
@@ -36,7 +37,7 @@ def _rule(diag, off, mass):
 
 @functools.lru_cache(maxsize=256)
 def jacobi(a, b, n):
-    """The n-point Gauss rule of z^a (1 - z)^b on [0, 1], a, b > -1, from
+    """The n-point Gauss rule of z^a (1 - z)^b on [0, 1], a and b above -1, from
     the recurrence of (1 - x)^b (1 + x)^a, x = 2z - 1.  Each half comes from
     the rule built with its own end at 0, where a float node keeps its
     distance to the end to rounding: near an exponent close to -1 the
@@ -60,7 +61,7 @@ def jacobi(a, b, n):
 
 @functools.lru_cache(maxsize=256)
 def laguerre(a, n):
-    """The n-point Gauss rule of z^a e^-z on [0, inf), a > -1."""
+    """The n-point Gauss rule of z^a e^-z on [0, inf), a above -1."""
     k = np.arange(n, dtype=float)
     (z,), (w,) = _rule((2 * k + a + 1)[None], k[1:] * (k[1:] + a), gamma_fn(a + 1))
     z.flags.writeable = w.flags.writeable = False
@@ -74,41 +75,42 @@ def pearson(params, exponents, k):
     one parity, n + m <= 2k, that W makes integrable; low is the rule's
     smallest exponent.  None where W has no such rule.  In y = x^2, f is a
     polynomial P of degree (n + m)/2 against y^a (py + q)^e, a = (origin -
-    1)/2; where a <= -1 only odd pairs are integrable, and their factor y
+    1)/2; where a is -1 or less only odd pairs are integrable, and their factor y
     joins the weight.  With Q = t^k P(y), a polynomial of degree <= k in t:
       finite theta   y = theta^2 z: z^a (1 - z)^e, Gauss-Jacobi;
       p = 0          y = z/c, c = -r/(2q): z^a e^-z, Gauss-Laguerre;
       p, q > 0       y = (q/p)(1 - t)/t: Q t^(-a - e - 2 - k) (1 - t)^a;
       q = 0          y = c/t, c = s/(2p): Q t^(-(tail + 3)/2 - k) e^-t.
     A rule of floor(k/2) + 2 nodes, one more than exactness needs, exists
-    exactly when its exponents are above -1 (and c > 0): pair_integrable's
-    count for the pairs of degree 2k."""
+    exactly when no exponent of its weight is quadrature.divergent at its
+    finite end (and c > 0): pair_integrable's count for the pairs of degree
+    2k."""
     theta, origin, edge, tail = exponents
     p, q, r, s = (float(v) for v in params)
-    j = int(origin <= -1)
+    j = int(divergent(0, origin))
     a = (origin - 1) / 2 + j
     size = (k - j) // 2 + 2
     if theta < math.inf:
-        if not (a > -1 and edge > -1):
+        if divergent(0, a) or divergent(theta, edge):
             return None
         z, lam = jacobi(a, edge, size)
         y, w, low = theta * theta * z, lam * (theta * theta) ** (a + 1) * q ** edge, min(a, edge)
     elif p == 0:
         c = -r / (2 * q)
-        if not (a > -1 and c > 0):
+        if divergent(0, a) or not c > 0:
             return None
         z, lam = laguerre(a, size)
         y, w, low = z / c, lam * c ** -(a + 1), a
     elif q:
         b = -a - edge - 2 - (k - j)
-        if not (a > -1 and b > -1):
+        if divergent(0, a) or divergent(0, b):
             return None
         t, lam = jacobi(b, a, size)
         y, low = (q / p) * (1 - t) / t, min(a, b)
         w = lam * (q / p) ** (a + 1) * q ** edge * t ** (k - j)
     else:
         c, b = s / (2 * p), -(tail + 3) / 2 - k
-        if not (c > 0 and b > -1):
+        if not c > 0 or divergent(0, b):
             return None
         t, lam = laguerre(b, size)
         y, w, low = c / t, lam * c ** ((tail + 1) / 2) * t ** k, b

@@ -25,7 +25,8 @@ from .core import (ClassParams, SymmetricPoly, WeightExponents, _check_degree, m
 from .core import eigenvalue as generic_eigenvalue
 from .errors import (ConstraintViolation, NonpositiveWeight, PoleError,
                      SingularCoefficient)
-from .families import _FAMILIES, Class, generic_weight_log, integrable_pairs, norms_squared
+from .families import (_FAMILIES, Class, _Family, generic_weight_log, integrable_pairs,
+                       norms_squared)
 from .gauss import pearson
 from .legendre import LegendreKind
 from .quadrature import (_EPS, _RTOL, IntervalSpec, QuadResult, divergence_mask, entry_scale,
@@ -399,8 +400,9 @@ class _FamilyBasis:
         return poly_from_params(params, n, monic=True) if member_exists(params, n) else None
 
     def norms(self, nmax):
-        """The norms of the tuple's Class, to its last integrable diagonal."""
-        return norms_squared(Class(*self.spec.params), nmax)
+        """The norms of the tuple's Class, to its last integrable diagonal:
+        the spec's own, cut at the bound a Class takes, not a printed one."""
+        return norms_squared(self.spec, nmax, _Family.finite_degree_bound(self.spec))
 
     def weight(self, x):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -533,9 +535,10 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
                     closed form says divergent, or a member degenerated
                     at an index the closed forms accept
       inconclusive  an integrable pair with no Gauss rule (flagged
-                    diverged: a weight growing like e^(c x^2)) or no finite
-                    value, or a pair not integrable that the scan did not
-                    certify
+                    diverged: a weight growing like e^(c x^2)), no finite
+                    value or no finite limit (tol |d_n|, or tol
+                    sqrt|d_n| sqrt|d_m|, past the float range), or a pair
+                    not integrable that the scan did not certify
 
     The report passes iff every entry is ok, cliff or degenerate.  Entries
     (n, m) with n >= m are computed and the matrix is mirrored.
@@ -591,12 +594,17 @@ def gram_matrix(basis, nmax, tol=1e-7) -> GramReport:
         limit = tol * entry_scale(dn, dm)
         np.fill_diagonal(limit, tol * np.maximum(np.abs(expected), 1e-300))
         close = np.abs(value - np.diag(expected)) <= limit
+    # an entry is judged where its limit is finite, and a diagonal whose
+    # norm refuses too: there a converged value contradicts the closed form
+    judged = np.isfinite(limit)
+    np.fill_diagonal(judged, np.diagonal(judged) | refused)
     # a missing member is a consistent refusal when its norm refuses too;
     # a diverged diagonal is a cliff when its norm refuses
     consistent = ~diag_missing | refused
     np.fill_diagonal(cliff, refused)
     rules = ((missing & consistent[:, None] & consistent, "degenerate"), (missing, "mismatch"),
-             (conv & close, "ok"), (conv, "mismatch"), (cells["diverged"] & cliff, "cliff"))
+             (conv & judged & close, "ok"), (conv & judged, "mismatch"),
+             (cells["diverged"] & cliff, "cliff"))
     status = cells["status"] = np.full((size, size), "inconclusive", dtype=object)
     for mask, name in reversed(rules):      # the first rule that holds wins
         status[mask] = name

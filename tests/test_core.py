@@ -757,3 +757,15 @@ def test_exact_weight_exponents_are_the_fraction_reference():
         for vals in ((p, q, r, s), (p, 0, r, s), (0, q, r, s), (p, 0, r, 0)):
             got = [v.hex() for v in weight_exponents(ClassParams(*vals))]
             assert got == reference_exponents(*(Fraction(v) for v in vals)), vals
+
+
+def test_c_is_computed_once_per_class_and_feeds_float_c(monkeypatch):
+    from symortho import core
+    calls = []
+    real = core.recurrence_c
+    monkeypatch.setattr(core, "recurrence_c", lambda p, n: calls.append(n) or real(p, n))
+    params = ClassParams(-1, 1, Fraction(-7, 2), Fraction(1, 2))
+    assert params.c(5) == real(params, 5) and isinstance(params.c(5), Fraction)
+    assert params.float_c(6) == [float(real(params, k)) for k in range(1, 7)]
+    assert params.c(3) == real(params, 3)
+    assert calls == [1, 2, 3, 4, 5, 6]

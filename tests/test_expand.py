@@ -252,6 +252,11 @@ def test_sampled_target_on_hermite_basis():
         assert 0.0 <= ser.residual_rel < 1.0
 
 
+def _runge(x):
+    # two rule sizes do not resolve it at nmax 8-12, so it stays on the trees
+    return 1 / (1 + 10 * x * x)
+
+
 @pytest.fixture
 def tree_panels(monkeypatch):
     """The panels of every integral expand takes, one per call, in order."""
@@ -335,14 +340,15 @@ def test_scaled_target_scales_the_series_exactly(basis, nmax, factor):
     (G(0.5, -0.5), lambda x: mpmath.sign(x) * abs(x) ** 0.5 * (1 - x * x) ** mpmath.mpf(-0.25)),
 ], ids=["U(-0.5)", "G(0.5, -0.5)"])
 def test_residual_matches_mpmath(basis, prefactor):
-    # g = sin - sum q_n phi_n, with the prefactor in mpmath and its
+    # g = f - sum q_n phi_n, with the prefactor in mpmath and its
     # polynomial factor in floats; g^2 has (1 - x^2)^(-1/2) endpoints
-    ser = expand(np.sin, basis, 8)
+    ser = expand(_runge, basis, 8)
+    assert ser.panels > 0
     q = np.asarray(ser.coefficients)
     rec = basis.recurrence(8)
 
     def g(x):
-        return mpmath.sin(x) - prefactor(x) * float(q @ rec.rows(np.array([float(x)]))[:, 0])
+        return _runge(x) - prefactor(x) * float(q @ rec.rows(np.array([float(x)]))[:, 0])
     want = mpmath.quad(lambda x: g(x) ** 2, [-1, 0, 1])
     assert abs(ser.residual ** 2 - want) <= 1e-6 * want
 
@@ -359,24 +365,25 @@ _HINTED_RESIDUAL = [U(0.5), Pm(1), G(0.5, 1.0), Q(0.5)]
 ], ids=["U(0.5)", "Pm(1)", "G(0.5, 1.0)", "Q(0.5)"])
 def test_hinted_residual_matches_mpmath(basis, prefactor):
     # as test_residual_matches_mpmath, to rounding of ||f||^2
-    ser = expand(np.sin, basis, 8)
+    ser = expand(_runge, basis, 8)
+    assert ser.panels > 0
     q = np.asarray(ser.coefficients[basis.base:])
     rec = basis.recurrence(8)
 
     def g(x):
-        return mpmath.sin(x) - prefactor(x) * float(q @ rec.rows(np.array([float(x)]))[:, 0])
+        return _runge(x) - prefactor(x) * float(q @ rec.rows(np.array([float(x)]))[:, 0])
     with mpmath.workdps(30):
         want = mpmath.quad(lambda x: g(x) ** 2, [-1, 0, 1])
-    f_norm2 = 1 - math.sin(2) / 2
+        f_norm2 = float(mpmath.quad(lambda x: _runge(x) ** 2, [-1, 0, 1]))
     assert abs(ser.residual ** 2 - float(want)) <= 1e-12 * f_norm2
 
 
 @pytest.mark.parametrize("basis", [V(0.6), U(-0.5), G(0.5, -0.5), Q(-0.4)] + _HINTED_RESIDUAL,
                          ids=repr)
 def test_expand_panel_count(basis, tree_panels):
-    # the residuals of the first four once ran the whole panel budget; the
-    # hinted residuals once took 64-88 panels
-    expand(np.sin, basis, 8)
+    # sin's residuals on the first four once ran the whole panel budget,
+    # and on the hinted ones took 64-88 panels
+    expand(_runge, basis, 8)
     assert sum(tree_panels) <= 1000, tree_panels
     if basis in _HINTED_RESIDUAL:
         assert tree_panels[-1] <= 32, tree_panels
@@ -426,18 +433,19 @@ def test_finite_i_hinted_tails_match_mpmath():
     assert abs(ser.residual ** 2 - want) <= 1e-9 * f_norm2
 
 
-@pytest.mark.parametrize("basis, closed", [(V(0.6), False), (GUP(0.6, 0.8), True)], ids=str)
-def test_series_reports_whether_its_residual_closed(basis, closed):
-    # V(0.6)'s residual tree stays open after its panel budget, which the
-    # residual itself does not show
-    ser = expand(np.sin, basis, 8)
+@pytest.mark.parametrize("f, basis, closed", [
+    (np.abs, V(0.6), False), (_runge, GUP(0.6, 0.8), True), (np.sin, V(0.6), True)], ids=str)
+def test_series_reports_whether_its_residual_closed(f, basis, closed):
+    # |x|'s residual tree on V(0.6) stays open after its panel budget, which
+    # the residual itself does not show; sin's, there once, takes the rule
+    ser = expand(f, basis, 8)
     assert ser.residual_converged is closed
     assert ExpansionSeries(basis, ser.coefficients, 8, 0.0, 0.0).residual_converged
 
 
 @pytest.mark.parametrize("f, basis, nmax, count", [
-    (np.sin, GUP(1, 1), 8, 2), (np.abs, U(0.5), 12, 2), (np.sin, V(0.6), 8, 3)],
-    ids=["sin-GUP(1,1)@8", "abs-U(0.5)@12", "sin-V(0.6)@8"])
+    (_runge, GUP(1, 1), 8, 2), (np.abs, U(0.5), 12, 2), (_runge, V(0.6), 8, 3)],
+    ids=["runge-GUP(1,1)@8", "abs-U(0.5)@12", "runge-V(0.6)@8"])
 def test_series_reports_what_its_trees_cost(f, basis, nmax, count, monkeypatch):
     # the counts total expand's own trees: ||f||^2 and the numerators on
     # one, the residual started on its panels, but three (each planned)
@@ -466,15 +474,17 @@ def test_series_reports_what_its_trees_cost(f, basis, nmax, count, monkeypatch):
 def test_residual_on_the_numerators_panels_matches_mpmath(u):
     # int W (f - sum q_n phi_n)^2 with the series' own q; a cold residual
     # tree stopped on a coarse mesh, its target 1e-9 ||f||^2 far above the
-    # residual, and read 1.9637e-5 and 3.3049e-5 here (5.3% and 1.0% off)
+    # residual: sin(1.5 x) alone read 1.9637e-5 and 3.3049e-5 here (5.3%
+    # and 1.0% off).  The kink |x| keeps f on the trees
     from symortho.sturm import _adapt
-    ser = expand(lambda x: np.sin(1.5 * x), GHP(u), 12)
+    ser = expand(lambda x: np.sin(1.5 * x) + np.abs(x), GHP(u), 12)
+    assert ser.panels > 0
     q = np.asarray(ser.coefficients)
     rows = _adapt(GHP(u)).rows(12)
 
     def g2(x):
         s = float(q @ rows(np.array([float(x)]))[:, 0])
-        return abs(x) ** (2 * u) * mpmath.exp(-x * x) * (mpmath.sin(1.5 * x) - s) ** 2
+        return abs(x) ** (2 * u) * mpmath.exp(-x * x) * (mpmath.sin(1.5 * x) + abs(x) - s) ** 2
     with mpmath.workdps(30):
         # past |x| = 30 the weight is below e^-900
         want = float(mpmath.quad(g2, [-30, -6, -3, 0, 3, 6, 30]))
@@ -628,15 +638,15 @@ def test_open_coefficient_raises(monkeypatch):
 def test_norms_come_from_the_gram_report(monkeypatch):
     # one running product of C_1..C_8 serves the Gram check and expand
     from symortho import families
-    calls = []
-    real = families.recurrence_c
+    products = []
+    real = families._c_products
 
-    def counted(params, n):
-        calls.append(n)
-        return real(params, n)
-    monkeypatch.setattr(families, "recurrence_c", counted)
+    def counted(params):
+        products.append(params)
+        return real(params)
+    monkeypatch.setattr(families, "_c_products", counted)
     expand(np.sin, GUP(1, 1), 8)
-    assert calls == list(range(1, 9))
+    assert len(products) == 1
 
 
 # ------------------------------------------------ memo of verified bases
@@ -721,12 +731,12 @@ def test_unhashable_field_skips_the_memo(gram_checks):
 
 
 @pytest.mark.parametrize("fam, f, nmax", [
-    (GHP(Fraction(1, 2)), lambda x: np.exp(-0.3 * x * x), 6),
+    (GHP(Fraction(1, 2)), lambda x: np.exp(-0.3 * x * x) + np.abs(x), 6),
     (FiniteII(6), lambda x: 1 / (1 + x * x), 3)], ids=["GHP(1/2)", "FiniteII(6)"])
 def test_lambda_two_on_the_whole_line_is_its_family(fam, f, nmax):
     # at lambda = 2, t = x: the lambda class's trees run on its t interval
     # over the whole line (FiniteII's tails hinted, GHP's not), and give
-    # the family's series bit for bit
+    # the family's series bit for bit (the kink |x| keeps GHP's on the trees)
     want, got = expand(f, fam, nmax), expand(f, LambdaSpec(*fam.params, Fraction(2)), nmax)
     assert got.coefficients == want.coefficients and got.residual == want.residual
     assert (got.panels, got.evals, got.residual_converged) == (want.panels, want.evals, True)
@@ -992,3 +1002,130 @@ def test_target_exponents_reads_each_point(f, basis, want):
     assert got.keys() == want.keys()
     for point, e in want.items():
         assert abs(got[point][0] - e) <= 1e-9, point
+
+
+# ------------------------------------------------ the weight's own Gauss rule
+
+
+def _poly(x):
+    return 1 - 2 * x + 0.5 * x ** 3 - 0.25 * x ** 4
+
+
+_RULE_TARGETS = {"sin": (np.sin, mpmath.sin, 8), "exp": (np.exp, mpmath.exp, 8),
+                 "poly": (_poly, _poly, 8), "runge": (_runge, _runge, 20)}
+_HALF = mpmath.mpf(0.5)
+# each basis with W* and the prefactor of its members, in mpmath
+_RULE_BASES = [
+    (GUP(Fraction(1, 2), Fraction(1, 2)), lambda x: abs(x) * mpmath.sqrt(1 - x * x), None),
+    (GHP(Fraction(1, 2)), lambda x: abs(x) * mpmath.exp(-x * x), None),
+    (U(0.5), None, lambda x: (1 - x * x) ** (_HALF / 2)),
+    (Pm(1), None, lambda x: mpmath.sqrt(1 - x * x)),
+    (G(0.5, 1.0), None, lambda x: mpmath.sign(x) * mpmath.sqrt(abs(x) * (1 - x * x))),
+    (Q(0.4), None, lambda x: x * (1 - x * x) ** mpmath.mpf(0.2)),
+    (V(0.6), None, lambda x: ((1 - x) / (1 + x)) ** mpmath.mpf(0.3)),
+]
+
+
+def _mp_members(basis, nmax, prefactor):
+    """x -> members base..nmax at x in mpmath: the recurrence expand reads,
+    its float coefficients taken as they are, times the prefactor."""
+    from symortho.core import class_recurrence
+    rec = (class_recurrence(basis.params, nmax) if isinstance(basis, (GUP, GHP))
+           else basis.recurrence(nmax))
+
+    def members(x):
+        p = [mpmath.mpf(1)]
+        for k, (b, c) in enumerate(zip(rec.b, rec.c)):
+            p.append((x - b) * p[-1] + (c * p[-2] if k else 0))
+        pre = 1 if prefactor is None else prefactor(x)
+        return [pre * float(s) * v for s, v in zip(rec.scale, p)]
+    return members
+
+
+@pytest.mark.parametrize("name", sorted(_RULE_TARGETS))
+@pytest.mark.parametrize("basis, weight, prefactor",
+                         [pytest.param(*case, id=repr(case[0])) for case in _RULE_BASES])
+def test_rule_coefficients_match_mpmath(basis, weight, prefactor, name):
+    # each q_n within its reported error of int W* f phi_n / int W* phi_n^2
+    # in mpmath, and within 1e-9 ||f|| / sqrt(d_n); Runge's poles near 0
+    # take nmax 20, and on GHP its Hermite series never agrees at two
+    # rule sizes, so it stays on the trees
+    f, f_mp, nmax = _RULE_TARGETS[name]
+    ser = expand(f, basis, nmax)
+    rule = not (name == "runge" and isinstance(basis, GHP))
+    assert (ser.panels == 0) is rule and ser.residual_converged
+    members = _mp_members(basis, nmax, prefactor)
+    cuts = [-30, -6, -3, 0, 3, 6, 30] if isinstance(basis, GHP) else [-1, 0, 1]
+    sampled = {}
+
+    def at(x):
+        if x not in sampled:
+            w, fx = (1 if weight is None else weight(x)), f_mp(x)
+            sampled[x] = [w * fx * fx] + [w * fx * v for v in members(x)] + [
+                w * v * v for v in members(x)]
+        return sampled[x]
+    base = basis.m if isinstance(basis, Pm) else 0
+    k = nmax + 1 - base
+    with mpmath.workdps(30):
+        f_norm2 = mpmath.quad(lambda x: at(x)[0], cuts)
+        for j in range(k):
+            d = mpmath.quad(lambda x: at(x)[1 + k + j], cuts)
+            want = mpmath.quad(lambda x: at(x)[1 + j], cuts) / d
+            got, err = ser.coefficients[base + j], ser.errors[base + j]
+            assert abs(got - want) <= 1e-9 * mpmath.sqrt(f_norm2 / d), (j, got, want)
+            if rule:
+                assert abs(got - want) <= err, (j, got - want, err)
+
+
+def test_sin_on_v_closes_its_residual_on_the_rule():
+    # its residual tree stayed open (0.053 after 188 panels); (f - s)^2 has
+    # (1 + x)^(-0.6) at -1, so the residual is ||f||^2 - sum q_n^2 d_n
+    basis, prefactor = V(0.6), _RULE_BASES[-1][2]
+    ser = expand(np.sin, basis, 8)
+    assert ser.panels == 0 and ser.residual_converged
+    members = _mp_members(basis, 8, prefactor)
+    with mpmath.workdps(30):
+        def g(x):
+            return mpmath.sin(x) - mpmath.fdot(ser.coefficients, members(x))
+        want = mpmath.sqrt(mpmath.quad(lambda x: g(x) ** 2, [-1, 0, 1]))
+    assert abs(ser.residual - want) <= 1e-6 * want
+
+
+def test_rule_errors_are_zero_below_base_and_empty_by_hand():
+    ser = expand(np.sin, Pm(2), 6)
+    assert len(ser.errors) == 7 and ser.errors[:2] == (0.0, 0.0)
+    assert all(0 < e < 1e-12 for e in ser.errors[2:])
+    assert ExpansionSeries(Pm(2), ser.coefficients, 6, 0.0, 0.0).errors == ()
+
+
+def test_tree_errors_are_the_trees_over_the_norms(monkeypatch):
+    expand_mod = importlib.import_module("symortho.expand")
+    trees = []
+    real = expand_mod.integrate_gram
+    monkeypatch.setattr(expand_mod, "integrate_gram",
+                        lambda *a, **k: trees.append(real(*a, **k)) or trees[-1])
+    ser = expand(np.abs, GUP(1, 1), 8)
+    d = np.array(_norms(GUP(1, 1), 8))
+    assert ser.errors == tuple((trees[0].error[1:] / d).tolist())
+
+
+@pytest.mark.parametrize("f, basis, nmax, residual, panels, evals", [
+    (np.abs, GUP(0, 0), 8, 0.022326078384742508, 32, 480),
+    (_sqrt_abs, GUP(0, 0), 8, 0.05263157894736841, 32, 480),
+    (_runge, GHP(0), 8, 0.18581399137061297, 68, 1020),
+    (lambda x: 1 / (1 + x * x), FiniteII(6), 4, 0.05149726947643892, 98, 1470),
+    (np.sin, LambdaSpec(-1, 1, Fraction(-8, 3), Fraction(4, 3), Fraction(2, 3)), 6,
+     0.0012769418773141267, 62, 930),
+], ids=["|x|", "sqrt|x|", "runge-GHP(0)", "FiniteII(6)", "lambda-2/3"])
+def test_fallbacks_keep_the_trees_bit_for_bit(f, basis, nmax, residual, panels, evals,
+                                               monkeypatch):
+    # a kink, a measured exponent, Runge on Hermite, finite moments and a
+    # lambda class run the trees as they did before the rule path (the
+    # residual, panels and evals pinned), and a refused rule attempt leaves
+    # no trace in the series
+    ser = expand(f, basis, nmax)
+    assert (ser.residual, ser.panels, ser.evals) == (residual, panels, evals)
+    expand_mod = importlib.import_module("symortho.expand")
+    monkeypatch.setattr(expand_mod, "_on_rules", lambda *a: None)
+    trees = expand(f, basis, nmax)
+    assert _fields(ser) + (ser.errors,) == _fields(trees) + (trees.errors,)

@@ -318,14 +318,14 @@ def test_norms_squared_refuses_where_norm_squared_does():
 
 
 def test_norms_squared_takes_one_running_product(monkeypatch):
-    from symortho import families
+    from symortho import core
     calls = []
-    real = families.recurrence_c
+    real = core.recurrence_c
 
     def counted(params, n):
         calls.append(n)
         return real(params, n)
-    monkeypatch.setattr(families, "recurrence_c", counted)
+    monkeypatch.setattr(core, "recurrence_c", counted)
     norms_squared(GUP(Fraction(1, 2), Fraction(1, 2)), 20)
     assert calls == list(range(1, 21))
 

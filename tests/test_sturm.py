@@ -963,3 +963,38 @@ def test_finite1_with_an_origin_exponent_of_minus_one_reports(u, v):
     for e in rep.entries:
         if e.status == "cliff":
             assert not pair_integrable(spec, e.n, e.m)
+
+
+@dataclasses.dataclass(frozen=True)
+class _PastTheFloatRange(U):
+    """U(alpha) whose members 1 and 3 left the float range: norms nan and
+    inf, and rows of inf at the rule's nodes."""
+
+    def norms(self, nmax):
+        d = super().norms(nmax)
+        return [d[0], math.nan, d[2], math.inf] + d[4:]
+
+    def rule(self, pairs):
+        x, w, low, rows = super().rule(pairs)
+        rows = rows.copy()
+        rows[[1, 3]] = math.inf
+        return x, w, low, rows
+
+
+def test_an_entry_with_no_finite_scale_is_inconclusive():
+    # the odd pairs (2, 1) and (3, 0) are exactly 0, but their scale
+    # sqrt|d_n| sqrt|d_m| is nan and inf: 0 against 0 read mismatch and ok
+    rep = gram_matrix(_PastTheFloatRange(0.5), 4)
+    status = {(e.n, e.m): e.status for e in rep.entries}
+    assert rep.entry(2, 1).quad.value == rep.entry(3, 0).quad.value == 0.0
+    assert status[2, 1] == status[3, 0] == status[1, 1] == status[3, 3] == "inconclusive"
+    assert status[2, 0] == status[4, 2] == status[4, 4] == "ok"
+    assert "mismatch" not in status.values() and not rep.passed
+
+
+def test_finite_ii_past_the_float_range_reads_no_mismatch():
+    # mu_0 ~ 1e345: every norm is inf, so nothing is judged
+    with pytest.warns(RuntimeWarning):
+        rep = gram_matrix(FiniteII(200.3), 140)
+    assert set(rep.entries.column("status")) == {"inconclusive"}
+    assert rep.entry(136, 1).quad.value == 0.0

@@ -1,21 +1,28 @@
-"""Expand panel counts: the panels of every tree of expand.
+"""Expand panel counts: the path each case takes, and what it cost.
 
-expand takes two trees, ||f||^2 and the numerators on one and the residual
-started on its panels, or three for kinds with a negative hinted exponent
-(V, U(alpha < 0), G and Q with b < 0) or a target with a negative measured
-one.  The first four sin residuals once ran the whole budget, the next four
-(hinted for one member) once took 64-88 panels.  sqrt|x| is kinked at 0:
+A target with no measured exponent at a finite point first takes the
+basis's Gauss rules at two sizes, and keeps them where the sizes agree:
+the line then reads "rule" and the points where f was read (evals, both
+sizes), with no panel.  sin takes the rule on all eight kinds below: on
+the trees its first four residuals once ran the whole budget, the next
+four (hinted for one member) took 64-88 panels, and V(0.6)'s residual
+stayed open.  Anywhere else expand takes two trees, ||f||^2 and the
+numerators on one and the residual started on its panels, or three for
+kinds with a negative hinted exponent (V, U(alpha < 0), G and Q with
+b < 0) or a target with a negative measured one; the line reads "trees"
+and their panels.  sqrt|x| is kinked at 0:
 its measured exponent 1/2 hints its trees there, which the basis's hints
 alone resolved by 10-13 rounds of bisection toward 0 (110 and 92
 panels).  (1 - x^2)^(-1/4) on V(0.3) ran its numerators to their budget
 before its exponent -1/4 at +-1 hinted them; its residual stays open.
-1/(1 + x^2) on FiniteII(6)@4 runs trees whose folded tails are hinted
-with an exponent: each tail starts as one panel and bisects toward
-x = +-inf where its error asks for it (98 panels; 116 when such tails
-started graded toward x = +-inf and split into four there).  Each case
-prints the target's exponents that join the hints ({point: e}, from its
-one scan), and each tree its panels and its sampler calls (one per round,
-plus any endpoint-sliver probes).
+1/(1 + x^2) on FiniteII(6)@4 has no Gauss rule (finitely many moments),
+and runs trees whose folded tails are hinted with an exponent: each tail
+starts as one panel and bisects toward x = +-inf where its error asks for
+it (98 panels; 116 when such tails started graded toward x = +-inf and
+split into four there).  Each case prints the target's exponents that
+join the hints ({point: e}, from its one scan), and on the trees each
+tree's panels and its sampler calls (one per round, plus any
+endpoint-sliver probes).
 
 Run from the repository root:
     PYTHONPATH=src python -W error::RuntimeWarning tools/ci/expand_counts.py
@@ -72,7 +79,8 @@ for f, name, basis, nmax in cases:
     panels.clear()
     calls.clear()
     joined.clear()
-    ex.expand(f, basis, nmax)
+    ser = ex.expand(f, basis, nmax)
     exps = {point: round(e, 6) for point, e in joined[0].items()}
-    print(f"{name} {basis!r}@{nmax}: exponents {exps}, panels {sum(panels)} {panels}, "
-          f"sampler calls {calls}")
+    path = (f"trees, panels {sum(panels)} {panels}, sampler calls {calls}" if panels
+            else f"rule, evals {ser.evals}")
+    print(f"{name} {basis!r}@{nmax}: exponents {exps}, {path}")
