@@ -198,19 +198,21 @@ def _rule_pair(ad, nmax, k):
     rows(x) of the numerator rule is int W* f phi_n, n = base..nmax.
 
     A family's two are one, the weight's own rule (gauss.pearson), except
-    where pearson has none (finite moments: FiniteI, FiniteII) or takes only
-    odd pairs (a divergent origin).  A kind's norm rule is Legendre's, and its
-    numerators come from the rule of |x|^(a + e) (1 - x^2)^(b/2), e = 1 for
-    an odd prefactor x^a, whose weights carry the 1/x^e that makes f phi_n
-    of it f / x^e times a polynomial; V's, (1 + x)^(-al/2) (1 - x)^(al/2),
-    is its hints' Gauss-Jacobi rule in x, of k + 4 nodes as pearson's
+    where pearson has none (finite moments: FiniteI, FiniteII) or a rule of
+    the odd pairs alone (a divergent origin).  A kind's norm rule is
+    Legendre's.  A class kind's numerators come from the rule of |x|^(a +
+    e) (1 - x^2)^(b/2), e = 1 where its prefactor x^a is odd: phi_n is that
+    weight over x^e times a polynomial, so the rule's weights take the
+    1/x^e.  V's prefactor (1 + x)^(-al/2) (1 - x)^(al/2) is its hints'
+    Gauss-Jacobi weight in x, taken at k + 4 nodes, as many as pearson's
     mirrored rules have.  A lambda class's rows are in t, and it has none."""
     if isinstance(ad, _LambdaBasis):
         return None
     if isinstance(ad, _FamilyBasis):
         spec = ad.spec
-        got = None if divergent(0, spec.exponents.origin) else pearson(spec.params,
-                                                                       spec.exponents, k)
+        if divergent(0, spec.exponents.origin):
+            return None
+        got = pearson(spec.params, spec.exponents, k)
         if got is None:
             return None
         x, w = _mirrored(*got[:2])

@@ -37,11 +37,11 @@ def _rule(diag, off, mass):
 
 @functools.lru_cache(maxsize=256)
 def jacobi(a, b, n):
-    """The n-point Gauss rule of z^a (1 - z)^b on [0, 1], a and b above -1, from
-    the recurrence of (1 - x)^b (1 + x)^a, x = 2z - 1.  Each half comes from
-    the rule built with its own end at 0, where a float node keeps its
-    distance to the end to rounding: near an exponent close to -1 the
-    weights change fast with that distance."""
+    """The n-point Gauss rule of z^a (1 - z)^b on [0, 1], a and b above -1,
+    from the recurrence of (1 - x)^b (1 + x)^a, x = 2z - 1.  Each half
+    comes from the rule built with its own end at 0, where a float node
+    keeps its distance to the end to rounding: near an exponent close to -1
+    the weights change fast with that distance."""
     al, be = float(b), float(a)
     k = np.arange(n, dtype=float)
     s = 2 * k + al + be
@@ -75,8 +75,9 @@ def pearson(params, exponents, k):
     one parity, n + m <= 2k, that W makes integrable; low is the rule's
     smallest exponent.  None where W has no such rule.  In y = x^2, f is a
     polynomial P of degree (n + m)/2 against y^a (py + q)^e, a = (origin -
-    1)/2; where a is -1 or less only odd pairs are integrable, and their factor y
-    joins the weight.  With Q = t^k P(y), a polynomial of degree <= k in t:
+    1)/2; where a is -1 or less only odd pairs are integrable, and their
+    factor y joins the weight.  With Q = t^k P(y), a polynomial of degree
+    <= k in t:
       finite theta   y = theta^2 z: z^a (1 - z)^e, Gauss-Jacobi;
       p = 0          y = z/c, c = -r/(2q): z^a e^-z, Gauss-Laguerre;
       p, q > 0       y = (q/p)(1 - t)/t: Q t^(-a - e - 2 - k) (1 - t)^a;

@@ -1024,6 +1024,15 @@ _RULE_BASES = [
     (Q(0.4), None, lambda x: x * (1 - x * x) ** mpmath.mpf(0.2)),
     (V(0.6), None, lambda x: ((1 - x) / (1 + x)) ** mpmath.mpf(0.3)),
 ]
+# every basis with every target, and sin on the other kinds that
+# tools/ci/expand_counts.py expands
+_RULE_CASES = [(*case, name) for case in _RULE_BASES for name in sorted(_RULE_TARGETS)] + [
+    (U(-0.5), None, lambda x: (1 - x * x) ** (-_HALF / 2), "sin"),
+    (G(0.5, -0.5), None,
+     lambda x: mpmath.sign(x) * mpmath.sqrt(abs(x)) * (1 - x * x) ** (-_HALF / 2), "sin"),
+    (Q(-0.4), None, lambda x: x * (1 - x * x) ** mpmath.mpf(-0.2), "sin"),
+    (Q(0.5), None, lambda x: x * (1 - x * x) ** (_HALF / 2), "sin"),
+]
 
 
 def _mp_members(basis, nmax, prefactor):
@@ -1042,9 +1051,8 @@ def _mp_members(basis, nmax, prefactor):
     return members
 
 
-@pytest.mark.parametrize("name", sorted(_RULE_TARGETS))
-@pytest.mark.parametrize("basis, weight, prefactor",
-                         [pytest.param(*case, id=repr(case[0])) for case in _RULE_BASES])
+@pytest.mark.parametrize("basis, weight, prefactor, name", [
+    pytest.param(*case, id=f"{case[0]!r}-{case[-1]}") for case in _RULE_CASES])
 def test_rule_coefficients_match_mpmath(basis, weight, prefactor, name):
     # each q_n within its reported error of int W* f phi_n / int W* phi_n^2
     # in mpmath, and within 1e-9 ||f|| / sqrt(d_n); Runge's poles near 0
@@ -1060,9 +1068,8 @@ def test_rule_coefficients_match_mpmath(basis, weight, prefactor, name):
 
     def at(x):
         if x not in sampled:
-            w, fx = (1 if weight is None else weight(x)), f_mp(x)
-            sampled[x] = [w * fx * fx] + [w * fx * v for v in members(x)] + [
-                w * v * v for v in members(x)]
+            w, fx, phi = (1 if weight is None else weight(x)), f_mp(x), members(x)
+            sampled[x] = [w * fx * fx] + [w * fx * v for v in phi] + [w * v * v for v in phi]
         return sampled[x]
     base = basis.m if isinstance(basis, Pm) else 0
     k = nmax + 1 - base
