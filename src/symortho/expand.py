@@ -24,8 +24,9 @@ from .errors import (BasisInvalid, ConstraintViolation, MaxDepthExceeded,
 from .exponent_map import _LambdaBasis
 from .gauss import jacobi, pearson
 from .legendre import _ClassKind
-from .quadrature import (_EPS, _RTOL, _SCAN_SPREAD, IntervalSpec, QuadResult, certifies_divergence,
-                         divergent, entry_scale, integrate_gram, target_exponents)
+from .quadrature import (_EPS, _GROWTH_GRID, _RTOL, _SCAN_SPREAD, IntervalSpec, QuadResult,
+                         certifies_divergence, divergent, entry_scale, grows_superalgebraically,
+                         integrate_gram, target_exponents)
 from .sturm import _adapt, _FamilyBasis, gram_matrix
 
 
@@ -131,8 +132,19 @@ def _target_hints(target, ad, hinted):
     point when e is not within _SCAN_SPREAD of an integer and f^2 W* is
     integrable there.  NonSquareIntegrable when the scan certifies that it
     is not (certifies_divergence of 2e plus the weight's exponent, with
-    twice e's spread)."""
+    twice e's spread), or when one more call of f, on _GROWTH_GRID in the
+    interval's unhinted tails, finds f^2 W* growing super-algebraically
+    there (grows_superalgebraically), as e^(x^2) against e^(-x^2) does."""
     squared = dict(ad.interval(0).singularities)
+    tails = [end for end in (hinted.lo, hinted.hi) if math.isinf(end) and end not in squared]
+    if tails:
+        x = np.concatenate([np.copysign(_GROWTH_GRID, end) for end in tails])
+        with np.errstate(divide="ignore"):
+            logs = 2 * np.log(np.abs(target(x))) + np.log(ad.weight(x))
+        if grows_superalgebraically(logs.reshape(len(tails), -1)).any():
+            raise NonSquareIntegrable(
+                "int W* f^2 diverges in a tail: f^2 W* grows faster than any power "
+                f"along |x| = {', '.join(f'{v:g}' for v in _GROWTH_GRID)}")
     exps = {}
     for point, (e, spread) in target_exponents(target, hinted).items():
         if math.isinf(point):

@@ -1,8 +1,11 @@
-"""Adaptive quadrature with singularity hints and divergence detection.
+"""Adaptive quadrature with singularity hints and certified divergence.
 
-The base rule is the 15-point Kronrod extension of 7-point Gauss, applied on
-a worst-panel-first refinement queue.  Three kinds of preprocessing happen
-before any panel is evaluated:
+One engine does every panel integral: integrate_gram, an adaptive tree of
+15-point Gauss-Kronrod panels (the Kronrod extension of 7-point Gauss)
+that takes one function against a row set and splits, each round, every
+panel holding more than its share of some open entry's error.  integrate
+is one entry of it: f against a row of ones.  Three kinds of
+preprocessing happen before any panel is evaluated:
 
 * the interval is cut at hinted interior points, so singular or kinked
   points always sit on panel boundaries and are never sampled;
@@ -13,29 +16,27 @@ before any panel is evaluated:
   decay at infinity into an algebraic endpoint that the same softening
   machinery handles.
 
-A split panel's two halves are sampled together: one call of the
-integrand on the 30 nodes of both children, then the 15-point rule on each
-half, so the panels, their order and every value and error are those of
-one call per child, at half the per-call cost.
-
-Divergence is declared when refinement fails to bring the error estimate
-down while the running total keeps growing with non-decaying increments.
-Everything is deterministic: no randomness, no thread-order dependence.
+Divergence is never read from the panels.  It is certified from measured
+exponents: the scan of log|f| along a geometric grid at a point
+(target_exponents, exponent_scan) gives the exponent e of |f| ~ |x - c|^e,
+and divergent says whether that exponent is integrable there.  A tree that
+stays open with no certificate is inconclusive.  Everything is
+deterministic: no randomness, no thread-order dependence.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import MaxDepthExceeded
 
 __all__ = ["QuadResult", "IntervalSpec", "GramQuad", "integrate", "integrate_gram", "divergent",
-           "entry_scale", "exponent_scan", "target_exponents", "certifies_divergence"]
+           "entry_scale", "exponent_scan", "target_exponents", "certifies_divergence",
+           "grows_superalgebraically"]
 
 # 15-point Kronrod nodes and weights with the embedded 7-point Gauss rule,
 # the QUADPACK qk15 values to full double precision.
@@ -67,7 +68,7 @@ _WKG = _WK - _WGF       # the Kronrod weights less the Gauss ones
 
 _EPS = np.finfo(float).eps
 
-# refinement policy shared by integrate and integrate_gram
+# the tree's refinement policy
 _RTOL = 1e-9
 _MAX_DEPTH = 60
 _MAX_PANELS = 4000
@@ -94,11 +95,8 @@ class QuadResult:
 
       tol          the error rule was met
       odd-parity   the odd-parity shortcut, with nothing sampled
-      runaway      the total grew past 1e12 times its first value
-      growth       the growth record of the total looked divergent
-      depth-chain  the growth record looked divergent when a panel got to
-                   the depth limit
-      blowup       a non-finite child from depth 8 on
+      certified    the tree stayed open and the exponent scan certifies
+                   that the integral diverges (integrate)
       budget       no verdict when the splits ran out or every panel was
                    parked at the depth limit
       rule         a Gram entry from a classical Gauss rule, with no panel
@@ -141,47 +139,10 @@ def _samples(g, x):
     return fx
 
 
-def _gk_rule(fx, a, b):
-    """The 15-point rule on [a, b] from the samples fx at its nodes;
-    returns (value, error, finite)."""
-    if not np.all(np.isfinite(fx)):
-        return 0.0, math.inf, False
-    h = 0.5 * (b - a)
-    resk = h * float(_WK @ fx)
-    resg = h * float(_WGF @ fx)
-    resabs = abs(h) * float(_WK @ np.abs(fx))
-    mean = resk / (b - a)
-    resasc = abs(h) * float(_WK @ np.abs(fx - mean))
-    delta = abs(resk - resg)
-    if resasc != 0.0 and delta != 0.0:
-        err = resasc * min(1.0, (200.0 * delta / resasc) ** 1.5)
-    else:
-        err = delta
-    err = max(err, 50.0 * _EPS * resabs)
-    return resk, err, True
-
-
-def _nodes(a, b):
-    return 0.5 * (a + b) + 0.5 * (b - a) * _NODES
-
-
-def _gk_panel(g, a, b):
-    """Apply the 15-point rule on [a, b]; returns (value, error, finite)."""
-    return _gk_rule(_samples(g, _nodes(a, b)), a, b)
-
-
-def _gk_pair(g, a, mid, b):
-    """_gk_panel on [a, mid] and on [mid, b] from one call of g on the 30
-    nodes of both halves."""
-    fx = _samples(g, np.concatenate((_nodes(a, mid), _nodes(mid, b))))
-    return _gk_rule(fx[:15], a, mid), _gk_rule(fx[15:], mid, b)
-
-
 def _needs_soften(sigma) -> bool:
-    # a point with sigma <= -1 is not integrable: it is left raw, so the
-    # divergence detector can see the integral grow (and the softening and
-    # sliver formulas never divide by sigma + 1 = 0)
-    if sigma is None or sigma <= -1.0 + 1e-12:
+    # a point that is not integrable is left raw: the softening and sliver
+    # formulas never divide by sigma + 1 = 0
+    if sigma is None or divergent(0, sigma):
         return False
     if sigma < 0:
         return True
@@ -295,46 +256,26 @@ def _plan(point_fn, spec: IntervalSpec):
     integrand at one point, for the analytic endpoint-sliver masses, which
     are returned summed with their error, and with whether any was fitted.
     """
-    finite_hints = {}
-    tail_hi = tail_lo = None
-    for point, exponent in spec.singularities:
-        if point == math.inf:
-            tail_hi = exponent
-        elif point == -math.inf:
-            tail_lo = exponent
-        else:
-            finite_hints[float(point)] = exponent
-
+    finite_hints = {float(p): e for p, e in spec.singularities if not math.isinf(p)}
+    tail_hints = {p: e for p, e in spec.singularities if math.isinf(p)}
     lo, hi = spec.lo, spec.hi
     cuts = sorted(p for p in finite_hints if lo < p < hi)
-    scale = max([1.0] + [abs(p) for p in cuts]
-                + [abs(e) for e in (lo, hi) if math.isfinite(e)])
-    T = 2.0 * scale
+    T = 2.0 * max([1.0] + [abs(p) for p in cuts] + [abs(e) for e in (lo, hi) if math.isfinite(e)])
 
-    points = []
-    if lo == -math.inf:
-        points.append(-T)
-    else:
-        points.append(lo)
+    points = [-T if lo == -math.inf else lo]
     points.extend(c for c in cuts if points[-1] < c)
-    if hi == math.inf:
-        if points[-1] < T:
-            points.append(T)
-    elif points[-1] < hi:
-        points.append(hi)
+    end = T if hi == math.inf else hi
+    if points[-1] < end:
+        points.append(end)
 
     tasks, fitted = [], False
     extra_value = extra_err = 0.0
     if lo == -math.inf:
-        tasks.append(_tail_task(T, -1, tail_lo))
+        tasks.append(_tail_task(T, -1, tail_hints.get(-math.inf)))
     for c, d in zip(points[:-1], points[1:]):
-        sc = finite_hints.get(c)
-        sd = finite_hints.get(d)
-        pieces = [(c, d)]
-        if _needs_soften(sc) and _needs_soften(sd):
-            mid = 0.5 * (c + d)
-            pieces = [(c, mid), (mid, d)]
-        for (a, b) in pieces:
+        mid = 0.5 * (c + d)
+        soft = _needs_soften(finite_hints.get(c)) and _needs_soften(finite_hints.get(d))
+        for (a, b) in ([(c, mid), (mid, d)] if soft else [(c, d)]):
             if _needs_soften(finite_hints.get(a)):
                 task, ev, ee, sliver = _edge_task(point_fn, a, b, "left", finite_hints[a])
             elif _needs_soften(finite_hints.get(b)):
@@ -346,23 +287,8 @@ def _plan(point_fn, spec: IntervalSpec):
             extra_value += ev
             extra_err += ee
     if hi == math.inf:
-        tasks.append(_tail_task(T, +1, tail_hi))
+        tasks.append(_tail_task(T, +1, tail_hints.get(math.inf)))
     return tasks, extra_value, extra_err, fitted
-
-
-def _compose(f, xmap):
-    """The integrand of one task in its own variable."""
-    if xmap is None:
-        return f
-
-    def g(t):
-        # a softened map can reach its endpoint in floats (t**m underflows
-        # to 0), where x or dx/dt is inf: the panel rule reads the result as
-        # a non-finite sample, as integrate_gram does, with no warning
-        with np.errstate(all="ignore"):
-            x, jacobian = xmap(t)
-            return jacobian(f(x))
-    return g
 
 
 def _mirror_hints(sings):
@@ -374,157 +300,72 @@ def _mirror_hints(sings):
     return tuple(out.items())
 
 
-def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, max_panels=_MAX_PANELS,
-              parity=None, on_inconclusive="raise") -> QuadResult:
+def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, parity=None,
+              on_inconclusive="raise") -> QuadResult:
     """Integrate a vectorized callable over an interval with hints.
 
     f must accept an ndarray of points and return an ndarray of values.
-    Refinement stops once the summed error estimate drops below
-    max(atol, rtol * |value|).  parity may declare the integrand "odd" or
+    The integral is one integrate_gram entry, f against a row of ones, on
+    a tree that starts every task as one panel.  Refinement stops once the
+    error estimate drops below max(atol, rtol * |value|), the value read
+    from the running total.  parity may declare the integrand "odd" or
     "even" on a symmetric interval; an odd integrand returns exactly zero
     without sampling, an even one is folded onto the right half.
 
-    Divergence is reported through the diverged flag.  If the budget runs
-    out with no determination either way, MaxDepthExceeded is raised (or,
-    with on_inconclusive="return", a QuadResult with both flags False is
-    returned).  The result counts the GK15 panels evaluated and the
-    integrand points sampled (15 per panel plus one per endpoint-sliver
-    probe); the odd shortcut samples none, and an even fold reports its
-    half-line's counts and reason, the exit it took (see QuadResult).
+    A tree that stays open is diverged only where a certificate says so:
+    one exponent scan of f (_certificate) at the origin, at the hinted
+    points and in both tails of an infinite interval.  A converged tree
+    takes no scan, so a constant on (0, 1) costs one panel and 15 points.
+    Otherwise MaxDepthExceeded is raised (or, with on_inconclusive="return",
+    a QuadResult with both flags False is returned).  The result counts
+    the GK15 panels evaluated and the integrand points sampled (15 per
+    panel, one per endpoint-sliver probe and the certificate's scan); the
+    odd shortcut samples none, and an even fold reports its half-line's
+    counts and reason, the exit it took (see QuadResult).
     """
     if not isinstance(interval, IntervalSpec):
         interval = IntervalSpec(*interval)
 
-    symmetric = (interval.lo == -interval.hi)
     if parity is not None:
-        if not symmetric:
+        if interval.lo != -interval.hi:
             raise ValueError("parity shortcut needs a symmetric interval")
         if parity == "odd":
             return QuadResult(0.0, 0.0, True, False, reason="odd-parity")
         if parity == "even":
-            half = IntervalSpec(0.0, interval.hi,
-                                _mirror_hints(interval.singularities))
-            res = integrate(f, half, atol=atol / 2, rtol=rtol, max_panels=max_panels,
-                            on_inconclusive=on_inconclusive)
-            return QuadResult(2.0 * res.value, 2.0 * res.abs_error_estimate,
-                              res.converged, res.diverged, res.panels, res.evals,
-                              res.reason)
+            half = IntervalSpec(0.0, interval.hi, _mirror_hints(interval.singularities))
+            res = integrate(f, half, atol=atol / 2, rtol=rtol, on_inconclusive=on_inconclusive)
+            return replace(res, value=2.0 * res.value, abs_error_estimate=2.0 * res.abs_error_estimate)
         raise ValueError(f"parity must be 'odd', 'even' or None, not {parity!r}")
 
-    probes = []
+    def sample(x):
+        return _samples(f, x), 1.0, np.ones((1, x.size))
 
-    def point_fn(x):
-        probes.append(x)
-        return float(np.asarray(f(np.array([x])), dtype=float)[0])
-
-    tasks, extra_value, extra_err, _ = _plan(point_fn, interval)
-    tasks = [t for t in tasks if t[1] < t[2]]
-
-    heap = []
-    seq = 0
-    total = extra_value     # analytic endpoint-sliver mass from the planner
-    err_fin = extra_err     # summed finite panel errors
-    n_inf = 0               # panels whose rule evaluation blew up
-    for (xmap, a, b) in tasks:
-        g = _compose(f, xmap)
-        val, err, ok = _gk_panel(g, a, b)
-        if not ok:
-            err = math.inf
-            n_inf += 1
-        else:
-            err_fin += err
-        total += val
-        heapq.heappush(heap, (-err, seq, g, a, b, val, err, 0))
-        seq += 1
-
-    history = [total]
-    splits = 0
-
-    def errtot():
-        return math.inf if n_inf else err_fin
-
-    def result(converged, diverged, reason):
-        panels = len(tasks) + 2 * splits
-        return QuadResult(total, errtot(), converged, diverged,
-                          panels, 15 * panels + len(probes), reason)
-
-    def diverging(min_k=64):
-        k = len(history)
-        if k < min_k:
-            return False
-        t0 = abs(history[k // 4])
-        t1 = abs(history[k // 2])
-        t2 = abs(history[3 * k // 4])
-        t3 = abs(history[-1])
-        if not (t3 > t2 > t1 > t0):
-            return False
-        i1, i2, i3 = t1 - t0, t2 - t1, t3 - t2
-        if i1 <= 0 or i2 < 0.3 * i1 or i3 < 0.3 * i2:
-            return False
-        return t3 >= 2.0 * max(t0, 10.0 * atol)
-
-    while True:
-        if n_inf == 0 and err_fin <= max(atol, rtol * abs(total)):
-            return result(True, False, "tol")
-        if not heap:
-            break
-        if abs(total) > 1e12 * (abs(history[0]) + atol):
-            return result(False, True, "runaway")
-        if splits >= max_panels:
-            break
-        if splits and splits % 128 == 0 and diverging():
-            return result(False, True, "growth")
-
-        _, _, g, a, b, val, err, depth = heapq.heappop(heap)
-        if depth >= _MAX_DEPTH:
-            # a chain that needed the whole depth budget is the signature of
-            # slow (e.g. logarithmic) divergence; look at the growth record
-            # now, before the remaining panels dilute it
-            if diverging(min_k=48):
-                return result(False, True, "depth-chain")
-            # unsplittable; keep its error on the books but stop refining it
-            if not heap:
-                break
-            continue
-        mid = 0.5 * (a + b)
-        (v1, e1, ok1), (v2, e2, ok2) = _gk_pair(g, a, mid, b)
-        if math.isfinite(err):
-            err_fin -= err
-        else:
-            n_inf -= 1
-        genuine_blowup = False
-        for child_v, child_e, child_ok, lo_c, hi_c in (
-                (v1, e1, ok1, a, mid), (v2, e2, ok2, mid, b)):
-            if child_ok:
-                err_fin += child_e
-            else:
-                width = hi_c - lo_c
-                res_floor = 64.0 * _EPS * max(1.0, abs(lo_c), abs(hi_c))
-                if width <= res_floor and math.isfinite(err):
-                    # nodes have collided with an unhinted singular point at
-                    # the floating-point resolution limit; retire the sliver
-                    # and let it inherit half the parent's uncertainty
-                    err_fin += 0.5 * err
-                    continue
-                genuine_blowup = True
-                child_e = math.inf
-                n_inf += 1
-            heapq.heappush(heap, (-child_e, seq, g, lo_c, hi_c,
-                                  child_v, child_e, depth + 1))
-            seq += 1
-        total += (v1 + v2) - val
-        splits += 1
-        history.append(total)
-        if genuine_blowup and depth >= 8:
-            # a wide non-finite spike survives repeated localization
-            return result(False, True, "blowup")
-
-    if diverging():
-        return result(False, True, "growth")
-    partial = result(False, False, "budget")
-    if on_inconclusive == "return":
+    tree = integrate_gram(sample, interval,
+                          lambda total: np.maximum(atol, rtol * np.abs(total)) / _RTOL, start=0)
+    value, error = float(tree.value[0]), float(tree.error[0])
+    if tree.converged[0]:
+        return QuadResult(value, error, True, False, tree.panels, tree.evals, "tol")
+    scanned = []
+    certified = _certificate(lambda x: scanned.append(x.size) or f(x), interval)
+    partial = QuadResult(value, error, False, certified, tree.panels,
+                         tree.evals + sum(scanned), "certified" if certified else "budget")
+    if certified or on_inconclusive == "return":
         return partial
     raise MaxDepthExceeded(partial)
+
+
+def _certificate(f, interval) -> bool:
+    """Whether one exponent scan of f certifies that its integral over the
+    interval diverges: at the origin, at the points hinted with an exponent
+    and in every infinite tail, hinted or not, a side's measured exponent e
+    (_measured) is divergent there, or cannot be told from -1 within its
+    spread (certifies_divergence with the hint e, then -1)."""
+    hinted = (p for p, e in interval.singularities if e is not None)
+    tails = (end for end in (interval.lo, interval.hi) if math.isinf(end))
+    points = tuple(dict.fromkeys((0.0, *hinted, *tails)))
+    return any(certifies_divergence(point, e, spread, hint)
+               for point, (e, spread) in _measured(f, interval, points).items()
+               for hint in (e, -1.0))
 
 
 # the exponent scan's grid: x = c +- 2^-k at a finite point and x = +-2^k in
@@ -605,18 +446,23 @@ def exponent_scan(log_sample, interval, degree):
 def target_exponents(f, interval):
     """The measured exponents e of |f| ~ |x - c|^e (|x|^e in a tail) of a
     target f at the origin, at the interval's other finite points hinted
-    with an exponent and in its hinted tails, from one call of f on every
-    side's scan grid (_scan_sides).  A side's spread is the distance of its
-    last slope of log|f| from the slope before, as exponent_scan takes it,
-    and its e is 2 last - before, which cancels a term of the slopes linear
-    in |x - c| (in 1/|x| in a tail): a hint softens an integrand only when
-    it matches the true exponent.  Returns
-    {point: (e, spread)} for the points whose every side is finite and
-    nonzero on its whole grid, with a spread of at most _SCAN_SPREAD, and
-    whose sides agree within their spreads; e is the sides' mean and
-    spread the widest."""
+    with an exponent and in its hinted tails (_measured): a hint softens an
+    integrand only when it matches the true exponent."""
     hints = dict(interval.singularities)
-    points = (0.0,) * (0.0 not in hints) + tuple(p for p, e in hints.items() if e is not None)
+    return _measured(f, interval, (0.0,) * (0.0 not in hints)
+                     + tuple(p for p, e in hints.items() if e is not None))
+
+
+def _measured(f, interval, points):
+    """The measured exponents e of |f| ~ |x - c|^e (|x|^e in a tail) at the
+    given points (a tuple), from one call of f on every side's scan grid
+    (_scan_sides).  A side's spread is the distance of its last slope of
+    log|f| from the slope before, as exponent_scan takes it, and its e is
+    2 last - before, which cancels a term of the slopes linear in |x - c|
+    (in 1/|x| in a tail).  Returns {point: (e, spread)} for the points
+    whose every side is finite and nonzero on its whole grid, with a spread
+    of at most _SCAN_SPREAD, and whose sides agree within their spreads; e
+    is the sides' mean and spread the widest."""
     points, x, steps = _scan_sides(interval, points, 0)
     if not points:
         return {}
@@ -643,6 +489,23 @@ def divergent(point, exponent):
     number or an array, is not integrable there: exponent >= -1 in a tail,
     <= -1 at a finite point.  Every exponent verdict reads this rule."""
     return exponent >= -1.0 if math.isinf(point) else exponent <= -1.0
+
+
+# the growth scan's grid in a tail, |x| = 2^k, k = 0..4: a Gaussian weight
+# and a target that outgrows it are both still finite floats there
+_GROWTH_GRID = 2.0 ** np.arange(5)
+
+
+def grows_superalgebraically(logs):
+    """Whether g grows faster than any power along _GROWTH_GRID, one row of
+    the logs of g there per tail: every rise of log g from one grid point
+    to the next is positive and at least twice the one before, as for
+    e^(c |x|^a) with a >= 1, where a power's rises are equal.  Such a g is
+    not integrable in its tail.  A row with a sample that is not finite
+    never certifies."""
+    rise = np.diff(logs, axis=-1)
+    return (np.isfinite(logs).all(axis=-1) & (rise[..., 0] > 0)
+            & (rise[..., 1:] >= 2 * rise[..., :-1]).all(axis=-1))
 
 
 def divergence_mask(point, sigma, spread, hint):
@@ -730,7 +593,7 @@ def integrate_gram(sample, interval, scale, *, start=None) -> GramQuad:
     w dx/dt, so a weight that underflows in a far tail hides members that
     overflow there and a change of variable whose dx/dt overflows.  Cuts,
     softening substitutions, tail folding and analytic endpoint slivers are
-    the same as integrate's.
+    planned once per tree (_plan).
 
     Each finite task starts as 8 equal panels of its own variable, at depth
     3, since the first rounds would split every panel of a smooth integrand
@@ -742,7 +605,8 @@ def integrate_gram(sample, interval, scale, *, start=None) -> GramQuad:
     start, a GramQuad of a tree on the same interval that fitted no
     endpoint sliver, starts the tree from its final panels and planned
     tasks instead; a start that kept no mesh (see GramQuad) or ran on
-    another interval plans and starts cold.
+    another interval plans and starts cold.  An int start d starts each
+    finite task as 2^d equal panels at depth d instead; integrate passes 0.
 
     Entry k meets the stopping rule once its summed error is at most
     1e-9 scale[k].  scale is an array, which broadcasts to the K entries,
@@ -750,8 +614,8 @@ def integrate_gram(sample, interval, scale, *, start=None) -> GramQuad:
     not finite is no scale: its entry neither closes nor drives splits, and
     comes back unconverged.  Each round splits every panel holding more
     than its share (1 / leaves) of some open entry's error.  The halvings
-    are bounded by integrate's panel budget; entries still open then come
-    back unconverged.  A non-finite sample in a sliver at the
+    are bounded by the panel budget _MAX_PANELS; entries still open then
+    come back unconverged.  A non-finite sample in a sliver at the
     floating-point resolution limit retires the sliver with half its
     parent's error.
 
@@ -775,7 +639,8 @@ def integrate_gram(sample, interval, scale, *, start=None) -> GramQuad:
             w, f, R = sampled(np.array([x]))
             return np.ravel(w)[0] * (np.ravel(f)[0] * np.asarray(R, dtype=float)[:, 0])
 
-    mesh = start.mesh if start is not None else None
+    mesh = getattr(start, "mesh", None)
+    depth = start if isinstance(start, int) else _START_DEPTH
     if mesh and mesh[0] == interval:
         (_, tasks, starts), extra_value, extra_err, fitted = mesh, 0.0, 0.0, False
     else:
@@ -785,20 +650,16 @@ def integrate_gram(sample, interval, scale, *, start=None) -> GramQuad:
     tails = {k for k, end in ((0, interval.lo), (len(tasks) - 1, interval.hi))
              if math.isinf(end)}
     if starts is None:
-        # a finite task starts as _START_PANELS equal panels by halving, a
-        # tail whole
+        # a finite task starts as 2^depth equal panels by halving, a tail
+        # whole
         starts = []
         for k, (_, a, b) in enumerate(tasks):
-            if not a < b:
-                continue
-            if k in tails:
-                starts.append((k, a, b, 0.0))
-                continue
-            edges = [float(a), float(b)]
-            for _ in range(_START_DEPTH):
-                edges = [y for x, z in zip(edges, edges[1:])
-                         for y in (x, 0.5 * (x + z))] + edges[-1:]
-            starts += [(k, x, z, _START_DEPTH) for x, z in zip(edges, edges[1:])]
+            if a < b:
+                d, edges = (0 if k in tails else depth), [float(a), float(b)]
+                for _ in range(d):
+                    edges = [y for x, z in zip(edges, edges[1:])
+                             for y in (x, 0.5 * (x + z))] + edges[-1:]
+                starts += [(k, x, z, d) for x, z in zip(edges, edges[1:])]
     mapped = [(k, xmap) for k, (xmap, _, _) in enumerate(tasks) if xmap is not None]
 
     def evaluate(panels):
@@ -880,7 +741,7 @@ def integrate_gram(sample, interval, scale, *, start=None) -> GramQuad:
 
         if not c_ok.all():
             # a non-finite sample in a sliver at the resolution limit: retire
-            # the sliver with half its parent's error, as integrate does
+            # the sliver with half its parent's error
             c_lo, c_hi = children[:, 1], children[:, 2]
             parent_err = np.repeat(err[pick], 2, axis=0)
             sliver = ~c_ok & (c_hi - c_lo <= 64.0 * _EPS * np.maximum(

@@ -16,6 +16,7 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from numbers import Rational
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,7 +38,8 @@ from .quadrature import (_EPS, _RTOL, IntervalSpec, QuadResult, divergence_mask,
 class SLCoeffs:
     """Coefficient set for A y'' + B y' + (lam C + D + [n odd] E) y = 0,
     with log_weight the closed form of log W* = log(C R), where R = (1/A)
-    exp(int B/A) makes the equation self-adjoint, and exponents W*'s record."""
+    exp(int B/A) makes the equation self-adjoint, and exponents W*'s record;
+    params are the class's, for a set from_params made (else None)."""
     a_even: Callable
     b_odd: Callable
     c_even: Callable
@@ -46,6 +48,7 @@ class SLCoeffs:
     eigenvalue: Callable
     exponents: WeightExponents
     log_weight: Callable
+    params: Optional[ClassParams] = None
 
     @property
     def theta(self):
@@ -92,6 +95,7 @@ def from_params(params: ClassParams) -> SLCoeffs:
         eigenvalue=lambda n: generic_eigenvalue(params, n),
         exponents=weight_exponents(params),
         log_weight=functools.partial(generic_weight_log, params),
+        params=ClassParams(*params),
     )
 
 
@@ -161,7 +165,10 @@ def boundary_term(sl, phi_n, phi_m, *, scale=1.0):
     A R is even, so the bracket is A R's limit at theta times the ends
     P(theta) - P(-theta) of its polynomial part P: 0.0 for edge + 1 > 0,
     evaluating nothing, and where the ends cancel, as they do by parity
-    (so would a zero of P at theta).  For edge + 1 < 0 it is +-inf with
+    (so would a zero of P at theta).  For exact parameters and members the
+    ends are exact (_exact_ends), so a zero of P at theta reads 0; float
+    ones read P in floats, where such a zero rounds (2.5e-15 for
+    Class(-1.0, 2.0, 0.0, 0.0)'s (2, 2)).  For edge + 1 < 0 it is +-inf with
     the ends' sign; for edge + 1 = 0 A R is read at the first float inside
     theta where it is finite and positive, since px^2 + q rounds to 0 or
     +-1 ulp at the float theta.  An infinite theta is probed at x = 10,
@@ -193,7 +200,9 @@ def boundary_term(sl, phi_n, phi_m, *, scale=1.0):
     if math.isfinite(th):
         if edge + 1 > 0:
             return 0.0
-        ends = float(wron(np.array(th)) - wron(np.array(-th)))
+        ends = _exact_ends(sl.params, phi_n, phi_m, same)
+        if ends is None:
+            ends = float(wron(np.array(th)) - wron(np.array(-th)))
         if ends == 0.0:
             return 0.0
         if edge + 1 < 0:
@@ -206,6 +215,24 @@ def boundary_term(sl, phi_n, phi_m, *, scale=1.0):
     if mags[0] >= mags[1] >= mags[2] and mags[2] <= 1e-10 * scale:
         return 0.0
     return vals[-1]
+
+
+def _exact_ends(params, phi_n, phi_m, same):
+    """boundary_term's ends P(theta) - P(-theta) from the members' exact
+    coefficients, or None unless the parameters and both members' coefficients
+    are exact.  With phi_n = sum c_k x^(n-2k), phi_m = sum d_l x^(m-2l) and
+    y = theta^2 = -q/p, the Wronskian at theta is S / theta, S = sum c_k d_l
+    w_kl y^((n+m)/2 - k - l) in Fractions, w_kl = (n - 2k) - (m - 2l)
+    ((n - 2k) for one member against itself); the ends are 2 S / theta for
+    n + m even and 0 for n + m odd, where they cancel by parity."""
+    if params is None or not params.exact() or not all(
+            isinstance(phi, SymmetricPoly) and all(isinstance(c, Rational) for c in phi.coeffs)
+            for phi in (phi_n, phi_m)):
+        return None
+    (n, m), (p, q, _, _) = (phi_n.n, phi_m.n), params.promoted()
+    total = sum(c * d * ((n - 2 * k) - (0 if same else m - 2 * l)) * (-q / p) ** ((n + m) // 2 - k - l)
+                for k, c in enumerate(phi_n.coeffs) for l, d in enumerate(phi_m.coeffs))
+    return 0.0 if (n + m) % 2 else 2 * float(total) / weight_exponents(params).theta
 
 
 def parity_integral(sl, phi_n, phi_m):

@@ -15,14 +15,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symortho import (GHP, GUP, ClassParams, FiniteI, FiniteII, IntervalSpec,
-                      LambdaSpec, Pm, Q, U, V, boundary_term, expand,
-                      from_params, generalized_legendre_residual, gram_matrix,
-                      integrate, lambda_weight_and_gram, legendre_norm,
-                      member_fn, moment_zero, monic_by_recurrence,
-                      monic_coeffs, norm_squared, ode_residual_rel,
-                      orthogonality_interval, parity_integral,
-                      poly_from_params, support_theta, weight_star)
+import mp_reference
+from symortho import (GHP, GUP, ClassParams, FiniteI, FiniteII, LambdaSpec, Pm, Q, U, V,
+                      boundary_term, expand, from_params, generalized_legendre_residual,
+                      gram_matrix, lambda_weight_and_gram, legendre_norm, moment_zero,
+                      monic_by_recurrence, monic_coeffs, norm_squared, ode_residual_rel,
+                      parity_integral, poly_from_params, support_theta, weight_star)
 
 
 def _monic_oracle(p, q, r, s, n):
@@ -132,14 +130,9 @@ def test_criterion_06_finite2_passes_in_range_and_cliffs_beyond():
 def test_criterion_07_finite1_zeroth_moment_picks_one_closed_form():
     u, v = 0.3, 2.0
 
-    def bare_weight(x):
-        return np.abs(x) ** (-2 * u) * (1 + x * x) ** (-v)
-
-    half = integrate(bare_weight,
-                     IntervalSpec(0.0, math.inf, ((0.0, -2 * u),)),
-                     atol=1e-13, rtol=1e-12)
-    assert half.converged
-    quad = 2 * half.value
+    # mpmath, with |x|^(-2u) taken out at 0 and the tail |x|^(-2u-2v) at inf
+    quad = 2 * mp_reference.quad(lambda x: (1 + x * x) ** -v, 0.0, math.inf,
+                                 [(0.0, -2 * u)], tail=-2 * u - 2 * v)
     g = math.gamma
     # both printed variants, evaluated live; exactly one should survive
     candidates = {
@@ -156,10 +149,7 @@ def test_criterion_07_finite1_zeroth_moment_picks_one_closed_form():
 
 
 def _kind_quad_norm(kind, n):
-    f = member_fn(kind, n)
-    r = integrate(lambda x: f(x) ** 2, orthogonality_interval(kind))
-    assert r.converged, (kind, n)
-    return r.value
+    return mp_reference.kind_product(kind, n, n)
 
 
 def test_criterion_08_legendre_kind_norms_match_quadrature():

@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import mp_reference
 import symortho
 from symortho.core import ClassParams, poly_from_params, recurrence_c
 from symortho.errors import (BasisInvalid, ConstraintViolation, MaxDepthExceeded,
@@ -19,7 +20,6 @@ from symortho.expand import (ExpansionSeries, barycentric_interpolant, expand,
 from symortho.exponent_map import LambdaSpec, transformed_eval
 from symortho.families import GUP, GHP, Class, FiniteI, FiniteII, norm_squared
 from symortho.legendre import G, Pm, Q, U, V, member_fn
-from symortho.quadrature import integrate
 from symortho.sturm import gram_matrix
 
 
@@ -132,8 +132,7 @@ def test_parseval_consistency():
     total = sum(q * q * norm_squared(GUP(1, 1), n).value
                 for n, q in enumerate(ser.coefficients) if q != 0.0)
     spec = GUP(1, 1)
-    f2 = integrate(lambda x: np.exp(spec.weight_log(x)) * x ** 10,
-                   spec.interval(origin_power=2)).value
+    f2 = mp_reference.family_product(spec, 0, 0, power=10)
     assert total <= f2 * (1 + 1e-7)
     assert total == pytest.approx(f2, rel=1e-7)
 
@@ -521,9 +520,11 @@ def test_one_tree_for_the_norm_and_numerators_matches_two(basis, monkeypatch):
     assert np.all(np.abs(fused.value[1:] - num.value) <= 1e-9 * entry_scale(f_norm2, norms))
 
 
-@pytest.mark.parametrize("f, basis", [(lambda x: np.exp(x * x), GHP(0)), (np.exp, FiniteII(9))],
-                         ids=["exp(x^2)-GHP(0)", "exp-FiniteII(9)"])
+@pytest.mark.parametrize("f, basis", [(lambda x: np.exp(x * x / 2), GHP(0)), (np.exp, FiniteII(9))],
+                         ids=["exp(x^2 div 2)-GHP(0)", "exp-FiniteII(9)"])
 def test_refusals_keep_their_type(f, basis):
+    # exp(x^2 / 2) on GHP(0): f^2 W* = 1 is no super-algebraic growth, so
+    # its open tree refuses it
     with pytest.raises(NonSquareIntegrable, match=r"int W\* f\^2 did not converge .* panels"):
         expand(f, basis, 8)
 
@@ -564,7 +565,7 @@ def test_an_open_coefficient_says_which_and_what_it_cost(monkeypatch):
 
 def test_an_open_norm_says_what_it_cost(tree_panels):
     with pytest.raises(NonSquareIntegrable) as exc:
-        expand(lambda x: np.exp(x * x), GHP(0), 8)
+        expand(lambda x: np.exp(x * x / 2), GHP(0), 8)
     msg = str(exc.value)
     assert f"after {sum(tree_panels)} panels, {15 * sum(tree_panels)} evals" in msg
     assert " +- " in msg
@@ -607,18 +608,19 @@ def test_v_kind_expands(alpha):
 @pytest.mark.parametrize("basis", [GUP(1, 1), GHP(0.5), U(0.5), Pm(1), V(0.3),
                                    G(0.5, 1), Q(0.5)], ids=repr)
 def test_tree_coefficients_match_scalar_integrals(basis):
-    # the scalar route: one integrate call per coefficient, on the same
-    # single-member hints the tree uses
-    from symortho.sturm import _adapt
+    # the scalar route: one mpmath integral per coefficient
     nmax = 6
-    ad = _adapt(basis)
-    target = lambda x: np.sin(1.5 * x) + np.abs(x)   # noqa: E731
-    ser = expand(target, basis, nmax)
-    f2 = integrate(lambda x: ad.weight(x) * target(x) ** 2, ad.interval(0)).value
-    for n, d in enumerate(_norms(basis, nmax), start=ad.base):
-        phi = _member(basis, n)
-        num = integrate(lambda x: ad.weight(x) * target(x) * phi(x), ad.interval(1),
-                        rtol=1e-12, atol=1e-14).value
+    ser = expand(lambda x: np.sin(1.5 * x) + np.abs(x), basis, nmax)
+
+    def target(x):
+        return mpmath.sin(1.5 * x) + abs(x)
+    family = isinstance(basis, (GUP, GHP))
+    f2 = (mp_reference.family_product(basis, 0, 0, lambda x: target(x) ** 2) if family
+          else mp_reference.quad(lambda x: target(x) ** 2, -1.0, 1.0))
+    base = basis.m if isinstance(basis, Pm) else 0
+    for n, d in enumerate(_norms(basis, nmax), start=base):
+        num = (mp_reference.family_product(basis, n, 0, target) if family
+               else mp_reference.kind_product(basis, n, None, target))
         assert abs(ser.coefficients[n] * d - num) <= 1e-8 * math.sqrt(f2 * d), n
 
 
@@ -1136,3 +1138,24 @@ def test_fallbacks_keep_the_trees_bit_for_bit(f, basis, nmax, residual, panels, 
     monkeypatch.setattr(expand_mod, "_on_rules", lambda *a: None)
     trees = expand(f, basis, nmax)
     assert _fields(ser) + (ser.errors,) == _fields(trees) + (trees.errors,)
+
+
+def test_target_outgrowing_a_gaussian_weight_is_refused_before_any_integral(monkeypatch):
+    # exp(x^2) on GHP(0): f^2 W* = exp(x^2) grows in both tails, which one
+    # call of f on |x| = 1..16 shows; no rule and no tree runs (the trees
+    # once ran 8,018 panels before refusing)
+    expand_mod = importlib.import_module("symortho.expand")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an integral ran")
+    monkeypatch.setattr(expand_mod, "integrate_gram", refuse)
+    monkeypatch.setattr(expand_mod, "_on_rules", refuse)
+    with pytest.raises(NonSquareIntegrable, match="tail"):
+        expand(lambda x: np.exp(x * x), GHP(0), 8)
+
+
+def test_target_that_the_gaussian_weight_still_tames_expands():
+    # exp(0.4 x^2): f^2 W* = exp(-0.2 x^2) decays, so the growth scan
+    # refuses nothing and the trees run as before
+    ser = expand(lambda x: np.exp(0.4 * x * x), GHP(0), 8)
+    assert ser.residual_converged and ser.panels == 72

@@ -1,29 +1,35 @@
-"""Adaptive quadrature: exactness, hints, tails, parity, divergence."""
+"""Adaptive quadrature: exactness, hints, tails, parity, certified divergence."""
 
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mp_reference
 from symortho import GHP, GUP, FiniteI, FiniteII, quadrature
 from symortho.legendre import U
-from symortho.quadrature import (_NODES, _WGF, _WK, IntervalSpec, _gk_panel,
-                                 certifies_divergence, exponent_scan, integrate,
-                                 integrate_gram)
+from symortho.quadrature import (_NODES, _WGF, _WK, IntervalSpec, certifies_divergence,
+                                 exponent_scan, integrate, integrate_gram)
 from symortho.errors import MaxDepthExceeded
 
 
 def test_rule_exact_on_low_degree():
-    # the 15-point Kronrod rule integrates polynomials up to degree 22
+    # the 15-point Kronrod rule of one panel integrates polynomials up to
+    # degree 22
     rng = np.random.default_rng(7)
     coeffs = rng.standard_normal(23)
     exact = sum(c / (k + 1) * (2.0 ** (k + 1) - (-1.0) ** (k + 1))
                 for k, c in enumerate(coeffs))
-    val, err, ok = _gk_panel(lambda x: np.polynomial.polynomial.polyval(x, coeffs),
-                             -1.0, 2.0)
-    assert ok
-    assert val == pytest.approx(exact, rel=1e-13)
+    x = 0.5 + 1.5 * _NODES
+    fx = np.polynomial.polynomial.polyval(x, coeffs)[None, :]
+    val, err, ok = quadrature._gk_blocks(np.ones((1, 15)), fx, np.ones((1, 15, 1)),
+                                         np.array([1.5]))
+    assert ok.all()
+    assert val[0, 0] == pytest.approx(exact, rel=1e-13)
 
 
 def test_smooth_finite():
@@ -109,6 +115,7 @@ def test_parity_needs_symmetric_interval():
 def test_divergent_integrals_flagged(f, spec):
     r = integrate(f, spec, on_inconclusive="return")
     assert r.diverged and not r.converged
+    assert r.reason == "certified"
 
 
 def test_log_divergent_tails_flagged():
@@ -119,24 +126,24 @@ def test_log_divergent_tails_flagged():
     spec = IntervalSpec(-math.inf, math.inf,
                         ((0.0, None), (math.inf, -1.0), (-math.inf, -1.0)))
     r = integrate(g, spec, on_inconclusive="return")
-    assert r.diverged
+    assert r.diverged and r.reason == "certified"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_inconclusive_raises_with_partial():
-    # integrable endpoint singularity left unhinted: no determination
+def test_inconclusive_raises_with_partial(monkeypatch):
+    # integrable endpoint singularity left unhinted, on a budget too small
+    # to resolve it: no determination, and no certificate
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 20)
     with pytest.raises(MaxDepthExceeded) as exc:
-        integrate(lambda x: (1.0 - x) ** -0.5, IntervalSpec(0.0, 1.0),
-                  max_panels=600)
+        integrate(lambda x: (1.0 - x) ** -0.5, IntervalSpec(0.0, 1.0))
     partial = exc.value.partial
     assert not partial.converged and not partial.diverged
     assert partial.value == pytest.approx(2.0, abs=1e-4)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_inconclusive_return_mode():
+def test_inconclusive_return_mode(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 20)
     r = integrate(lambda x: (1.0 - x) ** -0.5, IntervalSpec(0.0, 1.0),
-                  max_panels=600, on_inconclusive="return")
+                  on_inconclusive="return")
     assert not r.converged and not r.diverged
 
 
@@ -508,44 +515,31 @@ def _inv_abs(x):
         return 1.0 / np.abs(x)
 
 
-# 1/|x| on the whole line, cut at 0: four chains of panels (two at 0, two
-# at 0 in the folded tails) with the same error per level, each adding
-# about log 2 per split, deepen in turn
-_LOG_DIVERGENT_WHOLE_LINE = IntervalSpec(-math.inf, math.inf, ((0.0, None),))
-
-
-def test_growth_check_at_a_128_split_checkpoint_declares_divergence():
-    # no chain is deeper than about 32 at split 128
-    res = integrate(_inv_abs, _LOG_DIVERGENT_WHOLE_LINE, on_inconclusive="return")
-    assert res.diverged and not res.converged
-    assert res.panels == 4 + 2 * 128
-
-
-def test_growth_check_after_the_budget_is_spent_declares_divergence():
-    # the budget ends the run before the first checkpoint
-    res = integrate(_inv_abs, _LOG_DIVERGENT_WHOLE_LINE, max_panels=100,
+def test_log_divergent_whole_line_is_certified():
+    # 1/|x| on the whole line, cut at 0: the tree stays open, and the scan
+    # measures exponent -1 at the origin and in both tails
+    res = integrate(_inv_abs, IntervalSpec(-math.inf, math.inf, ((0.0, None),)),
                     on_inconclusive="return")
-    assert res.diverged and not res.converged
-    assert res.panels == 4 + 2 * 100
+    assert res.diverged and not res.converged and res.reason == "certified"
 
 
 def test_panel_at_the_depth_limit_is_parked_with_its_error():
     # |x|^-0.9 unhinted and cut at 0: the chain on each side stops at the
-    # depth-60 panel next to 0, whose error stays on the books, and the
-    # run ends at the budget with no verdict
+    # depth-60 panel next to 0, whose error stays on the books; the tree
+    # ends there, before its budget, with no verdict: the origin's
+    # exponent -0.9 is integrable, so nothing certifies divergence
     sampled = []
 
     def f(x):
         sampled.append(np.abs(x).min())
         return np.abs(x) ** -0.9
-    res = integrate(f, IntervalSpec(-1.0, 1.0, ((0.0, None),)), max_panels=200,
-                    on_inconclusive="return")
-    assert not res.converged and not res.diverged
-    assert res.panels == 2 + 2 * 200
+    res = integrate(f, IntervalSpec(-1.0, 1.0, ((0.0, None),)), on_inconclusive="return")
+    assert not res.converged and not res.diverged and res.reason == "budget"
+    assert res.panels < 2 + 2 * quadrature._MAX_PANELS and res.abs_error_estimate > 0
     assert min(sampled) == 0.5 * 2.0 ** -60 * (1.0 - _NODES[-1])
 
 
-def test_heap_running_empty_ends_the_run_with_no_verdict():
+def test_live_panels_running_out_ends_the_run_with_no_verdict(monkeypatch):
     # a 64-ulp interval with an unhinted pole at the middle node of each
     # half: both halves are non-finite slivers at the resolution limit,
     # each retired with half the first panel's error, and nothing is left
@@ -555,39 +549,36 @@ def test_heap_running_empty_ends_the_run_with_no_verdict():
     def f(x):
         with np.errstate(divide="ignore"):
             return 1.0 / np.abs(x - c1) + 1.0 / np.abs(x - c2)
-    first = _gk_panel(f, a, b)
     res = integrate(f, IntervalSpec(a, b), on_inconclusive="return")
     assert not res.converged and not res.diverged
     assert res.panels == 3 and res.value == 0.0
-    assert res.abs_error_estimate == first[1] and first[2]
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 0)
+    first = integrate(f, IntervalSpec(a, b), on_inconclusive="return")
+    assert first.panels == 1 and math.isfinite(first.value)
+    assert res.abs_error_estimate == first.abs_error_estimate
 
 
 # ------------------------------------------------ why integrate stopped
-
-
-def _blocked(x):
-    return np.where(x > 0.5, np.inf, 1.0)
 
 
 def _power(sigma):
     return lambda x: x ** sigma
 
 
-@pytest.mark.parametrize("f, spec, kwargs, reason", [
-    (np.cos, IntervalSpec(0.0, 1.0), {}, "tol"),
-    (_power(-3.0), IntervalSpec(0.0, 1.0, ((0.0, -3.0),)), {}, "runaway"),
-    (_inv_abs, _LOG_DIVERGENT_WHOLE_LINE, {}, "growth"),
-    (_inv_abs, _LOG_DIVERGENT_WHOLE_LINE, {"max_panels": 100}, "growth"),
-    (_power(-1.0), IntervalSpec(0.0, 1.0, ((0.0, -1.0),)), {}, "depth-chain"),
-    (_blocked, IntervalSpec(0.0, 1.0), {}, "blowup"),
-    (lambda x: np.abs(x - 0.3) ** 0.5, IntervalSpec(-1.0, 1.0), {"max_panels": 2}, "budget"),
-], ids=["tol", "runaway", "growth-checkpoint", "growth-after-budget", "depth-chain",
-        "blowup", "budget"])
-def test_integrate_names_its_exit(f, spec, kwargs, reason):
-    res = integrate(f, spec, on_inconclusive="return", **kwargs)
+@pytest.mark.parametrize("f, spec, budget, reason", [
+    (np.cos, IntervalSpec(0.0, 1.0), None, "tol"),
+    (_power(-3.0), IntervalSpec(0.0, 1.0, ((0.0, -3.0),)), None, "certified"),
+    (_power(-1.0), IntervalSpec(0.0, 1.0, ((0.0, -1.0),)), None, "certified"),
+    (_inv_abs, IntervalSpec(-math.inf, math.inf, ((0.0, None),)), 100, "certified"),
+    (lambda x: np.abs(x - 0.3) ** 0.5, IntervalSpec(-1.0, 1.0), 2, "budget"),
+], ids=["tol", "certified-pole", "certified-log", "certified-after-budget", "budget"])
+def test_integrate_names_its_exit(f, spec, budget, reason, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", budget)
+    res = integrate(f, spec, on_inconclusive="return")
     assert res.reason == reason
     assert res.converged == (reason == "tol")
-    assert res.diverged == (reason not in ("tol", "budget"))
+    assert res.diverged == (reason == "certified")
 
 
 def test_integrate_names_its_parity_exits():
@@ -595,16 +586,58 @@ def test_integrate_names_its_parity_exits():
     assert odd.reason == "odd-parity" and odd.panels == 0 and odd.evals == 0
     even = integrate(_inv_abs, IntervalSpec(-1.0, 1.0, ((0.0, -1.0),)), parity="even",
                      on_inconclusive="return")
-    assert even.reason == "depth-chain"
+    assert even.reason == "certified" and even.diverged
 
 
-def test_integrate_names_a_starved_run():
+def test_integrate_names_a_starved_run(monkeypatch):
     # the budget exit of a run with a tight budget, returned and raised
-    res = integrate(np.sin, IntervalSpec(0.0, 1e3), max_panels=1, on_inconclusive="return")
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 1)
+    res = integrate(np.sin, IntervalSpec(0.0, 1e3), on_inconclusive="return")
     assert res.reason == "budget" and not (res.converged or res.diverged)
     with pytest.raises(MaxDepthExceeded) as info:
-        integrate(np.sin, IntervalSpec(0.0, 1e3), max_panels=1)
+        integrate(np.sin, IntervalSpec(0.0, 1e3))
     assert info.value.partial.reason == "budget"
+
+
+def test_an_unbounded_integrand_without_a_measured_exponent_is_not_certified(monkeypatch):
+    # inf past x = 0.5 leaves the tree open, but the scan at the origin
+    # reads the exponent 0, which is integrable: no verdict
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 40)
+    res = integrate(lambda x: np.where(x > 0.5, np.inf, 1.0), IntervalSpec(0.0, 1.0),
+                    on_inconclusive="return")
+    assert res.reason == "budget" and not res.diverged
+    assert res.abs_error_estimate == math.inf
+
+
+def test_hand_count_of_a_constant_and_an_odd_integrand():
+    # a constant on (0, 1) converges on its one start panel and takes no
+    # certificate scan; an odd integrand on a symmetric interval samples
+    # nothing
+    sizes = []
+
+    def counted(f):
+        def g(x):
+            sizes.append(x.size)
+            return f(x)
+        return g
+    one = integrate(counted(lambda x: 0 * x + 1.0), (0.0, 1.0))
+    assert (one.value, one.converged, one.panels, one.evals) == (1.0, True, 1, 15)
+    assert sizes == [15]
+    odd = integrate(counted(lambda x: x), (-1.0, 1.0), parity="odd")
+    assert odd.converged and (odd.panels, odd.evals) == (0, 0) and sizes == [15]
+
+
+def test_a_certificate_scan_counts_as_evals():
+    # 1/x on (0, 1): the open tree's points, then one scan of the origin's
+    # right side (12 points)
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return 1.0 / x
+    res = integrate(f, IntervalSpec(0.0, 1.0), on_inconclusive="return")
+    assert res.diverged and sizes[-1] == 12
+    assert res.evals == sum(sizes) == 15 * res.panels + 12
 
 
 # ------------------------------------------------- non-integrable hints
@@ -628,13 +661,34 @@ def test_softening_power_is_stable_under_one_ulp_of_sigma():
         assert m == 20 and m * (s + 1.0) == pytest.approx(3.0, abs=1e-12)
 
 
-def test_non_integrable_interior_hint_never_converges():
+def test_soften_reads_the_divergence_rule():
+    # every integrable exponent below 3 that is not an integer is softened,
+    # however near -1, and no divergent one is
+    assert quadrature._needs_soften(math.nextafter(-1.0, 0.0))
+    assert not any(quadrature._needs_soften(s) for s in (-1.0, -1.5, None, 0.0, 2.0, 3.5))
+
+
+def test_non_integrable_interior_hint_never_converges(monkeypatch):
     def f(x):
         # panels at the resolution limit sample the singular point itself
         with np.errstate(divide="ignore"):
             return 1.0 / np.abs(x - 0.5)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 200)
     res = integrate(f, IntervalSpec(0.0, 1.0, ((0.5, -1.0),)), on_inconclusive="return")
-    assert not res.converged
+    assert not res.converged and res.diverged
+
+
+@pytest.mark.parametrize("logs, want", [
+    ([1, 4, 16, 64, 256], True),                # e^(x^2): rises 3, 12, 48, 192
+    ([2, 4, 8, 16, 32], True),                  # e^(2|x|): each rise doubles
+    ([0, 3, 6, 9, 12], False),                  # a power: equal rises
+    ([-1, -4, -16, -64, -256], False),          # e^(-x^2) decays
+    ([1, 4, 16, 64, math.inf], False),          # a sample that is not finite
+])
+def test_grows_superalgebraically(logs, want):
+    assert bool(quadrature.grows_superalgebraically(np.array(logs, dtype=float))) is want
+    both = quadrature.grows_superalgebraically(np.array([logs, [0, 3, 6, 9, 12]], dtype=float))
+    assert both.tolist() == [want, False]
 
 
 # ------------------------------------------------------ exponent scan
@@ -710,69 +764,58 @@ def test_certifies_divergence(point, sigma, spread, hint, want):
     assert certifies_divergence(point, sigma, spread, hint) is want
 
 
-# ------------------------------------------- paired children and counts
-
-
-def _one_child_per_call(g, a, mid, b):
-    return _gk_panel(g, a, mid), _gk_panel(g, mid, b)
+# ------------------------------------------------------- counts
 
 
 def _gauss_x4(x):
     return np.exp(-x * x) * x ** 4
 
 
-PAIRED_CASES = {
+COUNT_CASES = {
     "smooth": (lambda x: np.cos(7 * x) * np.exp(-x * x),
                IntervalSpec(-math.inf, math.inf), {}),
     "softened endpoint": (lambda x: np.cos(x) / np.sqrt(1.0 - x),
                           IntervalSpec(0.0, 1.0, ((1.0, -0.5),)), {}),
     "even fold": (_gauss_x4, IntervalSpec(-math.inf, math.inf), {"parity": "even"}),
     "divergent": (lambda x: 1.0 / x, IntervalSpec(0.0, 1.0), {}),
-    "starved": (lambda x: np.cos(200 * x), IntervalSpec(0.0, 10.0), {"max_panels": 20}),
+    "starved": (lambda x: np.cos(200 * x), IntervalSpec(0.0, 10.0), {}),
 }
 
 
-@pytest.mark.parametrize("case", sorted(PAIRED_CASES))
-def test_paired_children_match_one_call_per_child(case, monkeypatch):
-    f, spec, kw = PAIRED_CASES[case]
+def _count_case(case, monkeypatch):
+    """The result of a COUNT_CASES case and the sizes of its calls of f;
+    the starved case runs on a budget of 20 splits."""
+    f, spec, kw = COUNT_CASES[case]
+    if case == "starved":
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 20)
     sizes = []
 
     def counted(x):
         sizes.append(len(x))
         return f(x)
-    paired = integrate(counted, spec, on_inconclusive="return", **kw)
-    assert 30 in sizes
-    monkeypatch.setattr(quadrature, "_gk_pair", _one_child_per_call)
-    reference = integrate(f, spec, on_inconclusive="return", **kw)
-    assert paired == reference      # value, error, flags, panels and evals
+    return integrate(counted, spec, on_inconclusive="return", **kw), sizes
 
 
-def test_paired_cases_reach_their_outcomes():
-    outcomes = {case: integrate(f, spec, on_inconclusive="return", **kw)
-                for case, (f, spec, kw) in PAIRED_CASES.items()}
+def test_count_cases_reach_their_outcomes(monkeypatch):
+    outcomes = {case: _count_case(case, monkeypatch)[0] for case in COUNT_CASES}
     assert outcomes["smooth"].converged and outcomes["softened endpoint"].converged
     assert outcomes["even fold"].converged and outcomes["divergent"].diverged
     starved = outcomes["starved"]
     assert not starved.converged and not starved.diverged
 
 
-@pytest.mark.parametrize("case", sorted(PAIRED_CASES))
-def test_result_counts_panels_and_evals(case):
-    f, spec, kw = PAIRED_CASES[case]
-    sizes = []
-
-    def counted(x):
-        sizes.append(len(x))
-        return f(x)
-    r = integrate(counted, spec, on_inconclusive="return", **kw)
-    tasks, splits, probes = sizes.count(15), sizes.count(30), sizes.count(1)
-    assert len(sizes) == tasks + splits + probes
-    assert r.panels == tasks + 2 * splits
-    assert r.evals == 15 * r.panels + probes == sum(sizes)
+@pytest.mark.parametrize("case", sorted(COUNT_CASES))
+def test_result_counts_panels_and_evals(case, monkeypatch):
+    r, sizes = _count_case(case, monkeypatch)
+    probes = sizes.count(1)
+    assert r.evals == sum(sizes)
     # only a softened endpoint away from 0 probes its sliver, at 3 points
     assert probes == (3 if case == "softened endpoint" else 0)
+    # an open tree adds its certificate's scan: one side of the origin here
+    scan = 12 if case in ("divergent", "starved") else 0
+    assert r.evals == 15 * r.panels + probes + scan
     if case == "starved":
-        assert splits == kw["max_panels"]
+        assert r.panels == 1 + 2 * 20
 
 
 def test_parity_shortcuts_report_what_they_sampled():
@@ -852,3 +895,54 @@ def test_a_callable_scale_is_read_from_the_running_totals():
     called = integrate_gram(sample, ad.interval(2), lambda total: fixed)
     given = integrate_gram(sample, ad.interval(2), fixed)
     assert np.array_equal(called.value, given.value) and called.panels == given.panels
+
+
+# ----------------------------------------- integrate against mpmath
+
+
+AGREE = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def _within_its_estimate(res, ref):
+    """integrate converged, and its value is within its own error estimate
+    of the mpmath reference (and the rounding of either)."""
+    assert res.converged and res.reason == "tol"
+    assert abs(res.value - ref) <= res.abs_error_estimate + 8 * np.finfo(float).eps * abs(ref)
+
+
+@AGREE
+@given(st.floats(-3, 3), st.floats(0.5, 12), st.floats(-1, 1), st.floats(-2, 2),
+       st.floats(0.05, 4))
+def test_smooth_integrand_agrees_with_mpmath(amp, freq, rate, lo, width):
+    hi = lo + width
+    res = integrate(lambda x: amp * np.cos(freq * x + 0.3) + np.exp(rate * x),
+                    IntervalSpec(lo, hi))
+    ref = mp.quad(lambda x: amp * mp.cos(freq * x + 0.3) + mp.exp(rate * x), [lo, hi])
+    _within_its_estimate(res, float(ref))
+
+
+@AGREE
+@given(st.floats(-0.95, 3, exclude_max=True), st.sampled_from([0.0, 0.7, -1.3]),
+       st.booleans(), st.floats(0.2, 3))
+def test_hinted_endpoint_power_agrees_with_mpmath(sigma, c, right, length):
+    # |x - c|^sigma cos(x) / (1 + x^2) with c the interval's left or right end
+    lo, hi = (c - length, c) if right else (c, c + length)
+
+    def f(x):
+        with np.errstate(divide="ignore"):
+            return np.abs(x - c) ** sigma * np.cos(x) / (1 + x * x)
+    res = integrate(f, IntervalSpec(lo, hi, ((c, sigma),)))
+    ref = mp_reference.quad(lambda x: mp.cos(x) / (1 + x * x), lo, hi, [(c, sigma)])
+    _within_its_estimate(res, ref)
+
+
+@AGREE
+@given(st.floats(-4, -1.1), st.floats(0.5, 3), st.floats(-2, 2))
+def test_algebraic_tail_agrees_with_mpmath(sigma, start, shift):
+    # x^sigma (1 + shift / x) on (start, inf), the tail hinted with sigma
+    def f(x):
+        return x ** sigma * (1 + shift / x)
+    res = integrate(f, IntervalSpec(start, math.inf, ((math.inf, sigma),)))
+    ref = mp_reference.quad(lambda x: x ** sigma * (1 + shift / x), start, math.inf,
+                            tail=sigma)
+    _within_its_estimate(res, ref)

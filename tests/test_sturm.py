@@ -7,18 +7,17 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from symortho.core import ClassParams, poly_from_params, weight_exponents
+import mp_reference
+from symortho.core import ClassParams, poly_from_params
 from symortho.errors import (ConstraintViolation, DegenerateDenominator, NonpositiveWeight,
                              SingularCoefficient, ZeroLeadingCoefficient)
 from symortho.expand import expand
-from symortho.exponent_map import (LambdaSpec, _t_interval, lambda_weight_and_gram,
-                                   signed_power)
+from symortho.exponent_map import LambdaSpec, lambda_weight_and_gram
 from symortho import quadrature, sturm
 from symortho.families import (GUP, GHP, Class, FiniteI, FiniteII, finite_degree_bound,
                                norm_squared, pair_integrable, weight_at)
 from symortho.legendre import (G, Pm, Q, U, V, eval_jacobi, JacobiParams,
-                               legendre_norm, member_fn, orthogonality_interval)
-from symortho.quadrature import integrate
+                               legendre_norm)
 from symortho.sturm import (GramReport, _adapt, boundary_term, from_params,
                             generic_weight_log, gram_matrix, legendre_sl,
                             parity_integral, self_adjoint_factor,
@@ -153,6 +152,23 @@ def test_boundary_bracket_at_an_edge_of_minus_one_is_its_finite_limit(params):
     assert boundary_term(sl, p1, p1) == pytest.approx(2 * theta, rel=1e-14)
     assert boundary_term(sl, p0, p2) == pytest.approx(-4 * theta, rel=1e-14)
     assert boundary_term(sl, p0, p1) == 0.0
+
+
+def test_boundary_bracket_reads_an_exact_zero_of_the_members_at_theta():
+    # Class(-1, 2, 0, 0), edge -1: phi_2 = x^2 - 2 and phi_3 = x^3 - 2x
+    # vanish at theta = sqrt 2, so the (2, 2) and (3, 3) brackets' limits
+    # are 0; exact parameters decide that from the exact coefficients, and
+    # float ones still read the float P (2.5e-15 and 5.0e-15)
+    for params, exact in (((-1, 2, 0, 0), True), ((-1.0, 2.0, 0.0, 0.0), False)):
+        spec = Class(*params)
+        sl = from_params(spec.params)
+        p2, p3 = (poly_from_params(spec.params, n, monic=True) for n in (2, 3))
+        got = [boundary_term(sl, p2, p2), boundary_term(sl, p3, p3)]
+        if exact:
+            assert got == [0.0, 0.0]
+        else:
+            assert 0.0 < min(got) and max(got) < 1e-14
+        assert boundary_term(sl, p2, p3) == 0.0
 
 
 @pytest.mark.parametrize("params", [(-1, 3, 0.25, 0), (-2, 3, 0.5, 0), (-1, 2, 0, 1)], ids=str)
@@ -447,33 +463,14 @@ def _lam(u, v):
                       Fraction(2, 3))
 
 
-def _scalar_entry(basis, n, m, atol):
-    """The same inner product as its own integrate call, per entry."""
+def _scalar_entry(basis, n, m):
+    """The same inner product as its own mpmath integral, per entry: a
+    lambda class's is its mapped class's (t = u^3 takes one to the other)."""
     if isinstance(basis, LambdaSpec):
-        mp = basis.mapped_params
-        pn, pm = (poly_from_params(mp, k, monic=True) for k in (n, m))
-
-        def f(t):
-            u = signed_power(t, Fraction(1, 3))
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                w = np.exp(generic_weight_log(mp, np.abs(u)) - math.log(3.0)
-                           - (2.0 / 3.0) * np.log(np.abs(t)))
-            return w * pn(u) * pm(u)
-        spec = _t_interval(weight_exponents(mp), Fraction(1, 3), n, m)
-    elif isinstance(basis, (GUP, GHP)):
-        pn, pm = (poly_from_params(basis.params, k, monic=True) for k in (n, m))
-
-        def f(x):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.exp(basis.weight_log(x)) * pn(x) * pm(x)
-        spec = basis.interval(origin_power=n % 2 + m % 2, tail_power=n + m)
-    else:
-        fn, fm = member_fn(basis, n), member_fn(basis, m)
-
-        def f(x):
-            return fn(x) * fm(x)
-        spec = orthogonality_interval(basis)
-    return integrate(f, spec, atol=atol, on_inconclusive="return")
+        return mp_reference.family_product(Class(*basis.mapped_params), n, m)
+    if isinstance(basis, (GUP, GHP)):
+        return mp_reference.family_product(basis, n, m)
+    return mp_reference.kind_product(basis, n, m)
 
 
 @pytest.mark.parametrize("basis", [
@@ -489,9 +486,8 @@ def test_rule_agrees_with_entry_by_entry_route(basis):
     diag = {e.n: e.quad.value for e in rep.entries if e.n == e.m}
     for e in rep.entries:
         scale = math.sqrt(diag[e.n] * diag[e.m])
-        ref = _scalar_entry(basis, e.n, e.m, atol=1e-10 * scale)
-        assert ref.converged, (e.n, e.m)
-        assert abs(e.quad.value - ref.value) <= tol * scale, (e.n, e.m)
+        ref = _scalar_entry(basis, e.n, e.m)
+        assert abs(e.quad.value - ref) <= tol * scale, (e.n, e.m)
 
 
 @pytest.mark.parametrize("basis, nmax", [
@@ -636,18 +632,6 @@ def test_lambda_gram_is_its_mapped_class_gram(monkeypatch, fam, nmax):
     assert repr(rep.entries) == repr(ref.entries)
 
 
-def _own_integral(basis, n, m, atol):
-    """Entry (n, m) of a family as its own integrate call on the half-line,
-    hinted for the pair's product."""
-    pn, pm = (poly_from_params(basis.params, k, monic=True) for k in (n, m))
-
-    def f(x):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.exp(basis.weight_log(x)) * pn(x) * pm(x)
-    spec = basis.interval(origin_power=n % 2 + m % 2, tail_power=n + m)
-    return integrate(f, spec, atol=atol, parity="even", on_inconclusive="return")
-
-
 @pytest.mark.parametrize("basis, nmax", [(FiniteII(6.03), 8), (FiniteII(9.02), 8),
                                          (FiniteII(6), 16)], ids=str)
 def test_finite_rule_agrees_with_entry_by_entry_route(basis, nmax):
@@ -659,9 +643,9 @@ def test_finite_rule_agrees_with_entry_by_entry_route(basis, nmax):
     assert len(ruled) >= 15
     for e in ruled:
         scale = math.sqrt(diag.get(e.n, diag[e.m]) * diag[e.m])
-        ref = _own_integral(basis, e.n, e.m, 1e-10 * scale)
-        assert e.status == "ok" and ref.converged, (e.n, e.m)
-        assert abs(e.quad.value - ref.value) <= tol * scale, (e.n, e.m)
+        ref = mp_reference.family_product(basis, e.n, e.m)
+        assert e.status == "ok", (e.n, e.m)
+        assert abs(e.quad.value - ref) <= tol * scale, (e.n, e.m)
 
 
 def test_finite2_8_5_passes_with_only_its_boundary_cliff():

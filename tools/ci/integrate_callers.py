@@ -1,9 +1,11 @@
-"""No callers of the per-entry integrator in the library.
+"""No callers of the one-integral entry point in the library.
 
-quadrature.integrate has no caller outside quadrature.py: gram_matrix takes
-every entry from a Gauss rule, and expand and parity_integral run
-quadrature.integrate_gram.  Prints the library lines that call it, as
-grep -n does (path:line:text), and exits 1 if there is one.
+quadrature.integrate, one entry of quadrature.integrate_gram's tree (f
+against a row of ones), has no caller outside quadrature.py: gram_matrix
+takes every entry from a Gauss rule, and expand and parity_integral run
+integrate_gram with their own row sets and scales.  Prints the library
+lines that call it, as grep -n does (path:line:text), and exits 1 if
+there is one.
 
 Run from the repository root:
     PYTHONPATH=src python -W error::RuntimeWarning tools/ci/integrate_callers.py
