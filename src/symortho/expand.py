@@ -133,18 +133,19 @@ def _target_hints(target, ad, hinted):
     integrable there.  NonSquareIntegrable when the scan certifies that it
     is not (certifies_divergence of 2e plus the weight's exponent, with
     twice e's spread), or when one more call of f, on _GROWTH_GRID in the
-    interval's unhinted tails, finds f^2 W* growing super-algebraically
-    there (grows_superalgebraically), as e^(x^2) against e^(-x^2) does."""
+    interval's unhinted tails, finds log f^2 W* = 2 log|f| + log W* growing
+    super-algebraically there (grows_superalgebraically) as far as f stays
+    finite, as e^(x^2) against e^(-x^2) does."""
     squared = dict(ad.interval(0).singularities)
     tails = [end for end in (hinted.lo, hinted.hi) if math.isinf(end) and end not in squared]
     if tails:
         x = np.concatenate([np.copysign(_GROWTH_GRID, end) for end in tails])
-        with np.errstate(divide="ignore"):
-            logs = 2 * np.log(np.abs(target(x))) + np.log(ad.weight(x))
+        with np.errstate(all="ignore"):
+            logs = 2 * np.log(np.abs(target(x))) + ad.log_weight(x)
         if grows_superalgebraically(logs.reshape(len(tails), -1)).any():
             raise NonSquareIntegrable(
                 "int W* f^2 diverges in a tail: f^2 W* grows faster than any power "
-                f"along |x| = {', '.join(f'{v:g}' for v in _GROWTH_GRID)}")
+                "along |x| = 1, 2, 4, ... as far as f is finite")
     exps = {}
     for point, (e, spread) in target_exponents(target, hinted).items():
         if math.isinf(point):

@@ -173,12 +173,12 @@ class _LambdaBasis(_FamilyBasis):
         # rounded once from the exact h, so lam = 2/3 gives log 3 and 2/3
         self._log_inv_h, self._jac = math.log(1 / self.h), float(self.h - 1)
 
-    def weight(self, t):
-        """W(|t|^h) h |t|^(h-1), the measure dx in t."""
+    def log_weight(self, t):
+        """log W(|t|^h) h |t|^(h-1), of the measure dx in t."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             a = np.abs(t)
-            return np.exp(self.spec.weight_log(signed_power(a, self.h))
-                          - self._log_inv_h + self._jac * np.log(a))
+            return (self.spec.weight_log(signed_power(a, self.h))
+                    - self._log_inv_h + self._jac * np.log(a))
 
     def rows(self, nmax):
         rows = member_rows(self.spec.params, nmax)

@@ -4,8 +4,9 @@ One engine does every panel integral: integrate_gram, an adaptive tree of
 15-point Gauss-Kronrod panels (the Kronrod extension of 7-point Gauss)
 that takes one function against a row set and splits, each round, every
 panel holding more than its share of some open entry's error.  integrate
-is one entry of it: f against a row of ones.  Three kinds of
-preprocessing happen before any panel is evaluated:
+is one entry of it: f against a row of ones, each panel judged by
+QUADPACK's error estimate.  Three kinds of preprocessing happen before
+any panel is evaluated:
 
 * the interval is cut at hinted interior points, so singular or kinked
   points always sit on panel boundaries and are never sampled;
@@ -19,8 +20,9 @@ preprocessing happen before any panel is evaluated:
 Divergence is never read from the panels.  It is certified from measured
 exponents: the scan of log|f| along a geometric grid at a point
 (target_exponents, exponent_scan) gives the exponent e of |f| ~ |x - c|^e,
-and divergent says whether that exponent is integrable there.  A tree that
-stays open with no certificate is inconclusive.  Everything is
+and divergent says whether that exponent is integrable there;
+grows_superalgebraically reads a tail that outgrows every power.  A tree
+that stays open with no certificate is inconclusive.  Everything is
 deterministic: no randomness, no thread-order dependence.
 """
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -256,26 +258,46 @@ def _plan(point_fn, spec: IntervalSpec):
     integrand at one point, for the analytic endpoint-sliver masses, which
     are returned summed with their error, and with whether any was fitted.
     """
-    finite_hints = {float(p): e for p, e in spec.singularities if not math.isinf(p)}
-    tail_hints = {p: e for p, e in spec.singularities if math.isinf(p)}
+    finite_hints = {}
+    tail_hi = tail_lo = None
+    for point, exponent in spec.singularities:
+        if point == math.inf:
+            tail_hi = exponent
+        elif point == -math.inf:
+            tail_lo = exponent
+        else:
+            finite_hints[float(point)] = exponent
+
     lo, hi = spec.lo, spec.hi
     cuts = sorted(p for p in finite_hints if lo < p < hi)
-    T = 2.0 * max([1.0] + [abs(p) for p in cuts] + [abs(e) for e in (lo, hi) if math.isfinite(e)])
+    scale = max([1.0] + [abs(p) for p in cuts]
+                + [abs(e) for e in (lo, hi) if math.isfinite(e)])
+    T = 2.0 * scale
 
-    points = [-T if lo == -math.inf else lo]
+    points = []
+    if lo == -math.inf:
+        points.append(-T)
+    else:
+        points.append(lo)
     points.extend(c for c in cuts if points[-1] < c)
-    end = T if hi == math.inf else hi
-    if points[-1] < end:
-        points.append(end)
+    if hi == math.inf:
+        if points[-1] < T:
+            points.append(T)
+    elif points[-1] < hi:
+        points.append(hi)
 
     tasks, fitted = [], False
     extra_value = extra_err = 0.0
     if lo == -math.inf:
-        tasks.append(_tail_task(T, -1, tail_hints.get(-math.inf)))
+        tasks.append(_tail_task(T, -1, tail_lo))
     for c, d in zip(points[:-1], points[1:]):
-        mid = 0.5 * (c + d)
-        soft = _needs_soften(finite_hints.get(c)) and _needs_soften(finite_hints.get(d))
-        for (a, b) in ([(c, mid), (mid, d)] if soft else [(c, d)]):
+        sc = finite_hints.get(c)
+        sd = finite_hints.get(d)
+        pieces = [(c, d)]
+        if _needs_soften(sc) and _needs_soften(sd):
+            mid = 0.5 * (c + d)
+            pieces = [(c, mid), (mid, d)]
+        for (a, b) in pieces:
             if _needs_soften(finite_hints.get(a)):
                 task, ev, ee, sliver = _edge_task(point_fn, a, b, "left", finite_hints[a])
             elif _needs_soften(finite_hints.get(b)):
@@ -287,7 +309,7 @@ def _plan(point_fn, spec: IntervalSpec):
             extra_value += ev
             extra_err += ee
     if hi == math.inf:
-        tasks.append(_tail_task(T, +1, tail_hints.get(math.inf)))
+        tasks.append(_tail_task(T, +1, tail_hi))
     return tasks, extra_value, extra_err, fitted
 
 
@@ -306,9 +328,11 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, parity=None,
 
     f must accept an ndarray of points and return an ndarray of values.
     The integral is one integrate_gram entry, f against a row of ones, on
-    a tree that starts every task as one panel.  Refinement stops once the
-    error estimate drops below max(atol, rtol * |value|), the value read
-    from the running total.  parity may declare the integrand "odd" or
+    a tree that starts every task as one panel and judges each panel by
+    QUADPACK's error estimate (_gk_blocks), which an unhinted endpoint
+    singularity keeps open where |Kronrod - Gauss| would close it.
+    Refinement stops once the error estimate drops below max(atol, rtol *
+    |value|), the value read from the running total.  parity may declare the integrand "odd" or
     "even" on a symmetric interval; an odd integrand returns exactly zero
     without sampling, an even one is folded onto the right half.
 
@@ -332,16 +356,19 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, parity=None,
         if parity == "odd":
             return QuadResult(0.0, 0.0, True, False, reason="odd-parity")
         if parity == "even":
-            half = IntervalSpec(0.0, interval.hi, _mirror_hints(interval.singularities))
+            half = IntervalSpec(0.0, interval.hi,
+                                _mirror_hints(interval.singularities))
             res = integrate(f, half, atol=atol / 2, rtol=rtol, on_inconclusive=on_inconclusive)
-            return replace(res, value=2.0 * res.value, abs_error_estimate=2.0 * res.abs_error_estimate)
+            return QuadResult(2.0 * res.value, 2.0 * res.abs_error_estimate,
+                              res.converged, res.diverged, res.panels, res.evals,
+                              res.reason)
         raise ValueError(f"parity must be 'odd', 'even' or None, not {parity!r}")
 
     def sample(x):
         return _samples(f, x), 1.0, np.ones((1, x.size))
 
     tree = integrate_gram(sample, interval,
-                          lambda total: np.maximum(atol, rtol * np.abs(total)) / _RTOL, start=0)
+                          lambda total: np.maximum(atol, rtol * np.abs(total)) / _RTOL, _quad=True)
     value, error = float(tree.value[0]), float(tree.error[0])
     if tree.converged[0]:
         return QuadResult(value, error, True, False, tree.panels, tree.evals, "tol")
@@ -491,21 +518,32 @@ def divergent(point, exponent):
     return exponent >= -1.0 if math.isinf(point) else exponent <= -1.0
 
 
-# the growth scan's grid in a tail, |x| = 2^k, k = 0..4: a Gaussian weight
-# and a target that outgrows it are both still finite floats there
-_GROWTH_GRID = 2.0 ** np.arange(5)
+# the growth scan's grid in a tail, |x| = 2^k, k = 0.._SCAN_HI, up to the top
+# of the exponent scan's tail grid; a row is read at least to |x| = 2^4,
+# where a Gaussian weight and a target that outgrows it are still finite
+_GROWTH_GRID = 2.0 ** np.arange(_SCAN_HI + 1)
+_GROWTH_REACH = 5
 
 
 def grows_superalgebraically(logs):
-    """Whether g grows faster than any power along _GROWTH_GRID, one row of
-    the logs of g there per tail: every rise of log g from one grid point
-    to the next is positive and at least twice the one before, as for
-    e^(c |x|^a) with a >= 1, where a power's rises are equal.  Such a g is
-    not integrable in its tail.  A row with a sample that is not finite
-    never certifies."""
-    rise = np.diff(logs, axis=-1)
-    return (np.isfinite(logs).all(axis=-1) & (rise[..., 0] > 0)
-            & (rise[..., 1:] >= 2 * rise[..., :-1]).all(axis=-1))
+    """Whether g grows faster than any power along _GROWTH_GRID, from one
+    row of the logs of g there per tail, read up to its first sample that
+    is not finite: the row is finite at least to |x| = 16, every rise of
+    log g from one grid point to the next up to there is positive and at
+    least twice the one before, as for e^(c |x|^a) with a >= 1, where a
+    power's rises are equal, and the row ends at the grid's top or where g
+    overflows to +inf.  Such a g is not integrable in its tail.  A row that
+    turns down, ends before |x| = 16, or ends in a sample that underflows
+    or is nan never certifies.  Returns one bool per row."""
+    logs = np.asarray(logs, dtype=float)
+    out = []
+    for row in logs.reshape(-1, logs.shape[-1]):
+        stop = np.flatnonzero(~np.isfinite(row))
+        reach = stop[0] if stop.size else len(row)
+        rise = np.diff(row[:reach])
+        out.append(reach >= _GROWTH_REACH and (reach == len(row) or row[reach] == math.inf)
+                   and rise[0] > 0 and bool((rise[1:] >= 2 * rise[:-1]).all()))
+    return np.array(out).reshape(logs.shape[:-1])
 
 
 def divergence_mask(point, sigma, spread, hint):
@@ -541,7 +579,7 @@ class GramQuad:
     mesh: tuple | None = field(default=None, repr=False)
 
 
-def _gk_blocks(wdx, f, R, h):
+def _gk_blocks(wdx, f, R, h, quadpack=False):
     """Kronrod sums and their errors on a batch of panels.
 
     wdx (np, 15) is weight times dx/dt at the nodes, f (np, 15) the left
@@ -549,8 +587,12 @@ def _gk_blocks(wdx, f, R, h):
     half-widths.  The sums are (f w) R with the Kronrod weights, the
     weight taken first.  The error of each entry is |Kronrod - Gauss|,
     floored at the rounding level of its absolute mass: inf where the sums
-    overflow, whose difference inf - inf is nan.  A panel with a non-finite
-    sample gets value 0 and error inf.
+    overflow, whose difference inf - inf is nan.  With quadpack it is
+    QUADPACK's qk15 estimate before that floor: resasc min(1, (200 |Kronrod
+    - Gauss| / resasc)^1.5), resasc the Kronrod sum of the integrand's
+    distance from its mean, which stays large on a panel where the two
+    rules agree by chance, as next to an unhinted endpoint singularity.  A
+    panel with a non-finite sample gets value 0 and error inf.
     """
     finite = (np.isfinite(wdx).all(axis=1) & np.isfinite(f).all(axis=1)
               & np.isfinite(R).all(axis=(1, 2)))
@@ -564,6 +606,12 @@ def _gk_blocks(wdx, f, R, h):
     kron = (fwk @ R)[:, 0]
     delta = np.abs(((f * (wdx * _WKG))[:, None, :] @ R)[:, 0])
     mass = (np.abs(fwk) @ np.abs(R))[:, 0]
+    if quadpack:
+        resasc = np.einsum("j,njk->nk", _WK, np.abs(
+            (f * wdx)[:, :, None] * R - 0.5 * kron[:, None, :]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            grown = resasc * np.minimum(1.0, (200.0 * delta / resasc) ** 1.5)
+        delta = np.where((resasc != 0.0) & (delta != 0.0), grown, delta)
     err = np.fmax(delta, 50.0 * _EPS * mass)
     if not whole:
         err[~finite] = math.inf
@@ -580,7 +628,7 @@ def _halves(rows):
     return out
 
 
-def integrate_gram(sample, interval, scale, *, start=None) -> GramQuad:
+def integrate_gram(sample, interval, scale, *, start=None, _quad=False) -> GramQuad:
     """Every integral int w f R_k dx of one function against a row set, on
     one adaptive GK15 panel tree.
 
@@ -605,8 +653,10 @@ def integrate_gram(sample, interval, scale, *, start=None) -> GramQuad:
     start, a GramQuad of a tree on the same interval that fitted no
     endpoint sliver, starts the tree from its final panels and planned
     tasks instead; a start that kept no mesh (see GramQuad) or ran on
-    another interval plans and starts cold.  An int start d starts each
-    finite task as 2^d equal panels at depth d instead; integrate passes 0.
+    another interval plans and starts cold.
+
+    _quad is integrate's tree: each finite task starts as one panel, and
+    each panel's error is QUADPACK's estimate (_gk_blocks).
 
     Entry k meets the stopping rule once its summed error is at most
     1e-9 scale[k].  scale is an array, which broadcasts to the K entries,
@@ -639,8 +689,7 @@ def integrate_gram(sample, interval, scale, *, start=None) -> GramQuad:
             w, f, R = sampled(np.array([x]))
             return np.ravel(w)[0] * (np.ravel(f)[0] * np.asarray(R, dtype=float)[:, 0])
 
-    mesh = getattr(start, "mesh", None)
-    depth = start if isinstance(start, int) else _START_DEPTH
+    mesh = start.mesh if start is not None else None
     if mesh and mesh[0] == interval:
         (_, tasks, starts), extra_value, extra_err, fitted = mesh, 0.0, 0.0, False
     else:
@@ -650,17 +699,23 @@ def integrate_gram(sample, interval, scale, *, start=None) -> GramQuad:
     tails = {k for k, end in ((0, interval.lo), (len(tasks) - 1, interval.hi))
              if math.isinf(end)}
     if starts is None:
-        # a finite task starts as 2^depth equal panels by halving, a tail
-        # whole
+        # a finite task starts as _START_PANELS equal panels by halving (as
+        # one panel for _quad), a tail whole
+        depth = 0 if _quad else _START_DEPTH
         starts = []
         for k, (_, a, b) in enumerate(tasks):
-            if a < b:
-                d, edges = (0 if k in tails else depth), [float(a), float(b)]
-                for _ in range(d):
-                    edges = [y for x, z in zip(edges, edges[1:])
-                             for y in (x, 0.5 * (x + z))] + edges[-1:]
-                starts += [(k, x, z, d) for x, z in zip(edges, edges[1:])]
+            if not a < b:
+                continue
+            if k in tails:
+                starts.append((k, a, b, 0.0))
+                continue
+            edges = [float(a), float(b)]
+            for _ in range(depth):
+                edges = [y for x, z in zip(edges, edges[1:])
+                         for y in (x, 0.5 * (x + z))] + edges[-1:]
+            starts += [(k, x, z, depth) for x, z in zip(edges, edges[1:])]
     mapped = [(k, xmap) for k, (xmap, _, _) in enumerate(tasks) if xmap is not None]
+    rule = functools.partial(_gk_blocks, quadpack=True) if _quad else _gk_blocks
 
     def evaluate(panels):
         """Sums, errors and finiteness of the given panels (rows of task,
@@ -688,7 +743,7 @@ def integrate_gram(sample, interval, scale, *, start=None) -> GramQuad:
                 wdx[zero] = 0.0
             f = np.full(x.size, f, dtype=float).reshape(-1, 15)
             R = np.asarray(R, dtype=float)      # (K, 15 np) -> (np, 15, K)
-            return _gk_blocks(wdx, f, R.reshape(len(R), -1, 15).transpose(1, 2, 0), h)
+            return rule(wdx, f, R.reshape(len(R), -1, 15).transpose(1, 2, 0), h)
 
     # live panels: rows of (task, lo, hi, depth), their sums and errors
     meta = np.array(starts, dtype=float)

@@ -165,19 +165,19 @@ def boundary_term(sl, phi_n, phi_m, *, scale=1.0):
     A R is even, so the bracket is A R's limit at theta times the ends
     P(theta) - P(-theta) of its polynomial part P: 0.0 for edge + 1 > 0,
     evaluating nothing, and where the ends cancel, as they do by parity
-    (so would a zero of P at theta).  For exact parameters and members the
-    ends are exact (_exact_ends), so a zero of P at theta reads 0; float
-    ones read P in floats, where such a zero rounds (2.5e-15 for
-    Class(-1.0, 2.0, 0.0, 0.0)'s (2, 2)).  For edge + 1 < 0 it is +-inf with
-    the ends' sign; for edge + 1 = 0 A R is read at the first float inside
-    theta where it is finite and positive, since px^2 + q rounds to 0 or
-    +-1 ulp at the float theta.  An infinite theta is probed at x = 10,
-    10^2, 10^3: a monotone decay below 1e-10 * scale counts as zero,
-    anything else is returned as the x = 10^3 value, a result (the
-    finite-family failure signature), not an error.  The probe stops at
-    10^3, so a slow decay reads as nonzero: the bracket of FiniteII(4.5)'s
-    non-monic member 5, x - 2x^3, is 0.118 at x = 10, 1.2e-5 at 10^3 and
-    1.2e-15 at 10^8."""
+    (so would a zero of P at theta).  The ends are read in floats; for
+    exact parameters and members whether they are 0 is decided exactly
+    (_ends_vanish), so a zero of P at theta reads 0, where float ones
+    round it (2.5e-15 for Class(-1.0, 2.0, 0.0, 0.0)'s (2, 2)).  For
+    edge + 1 < 0 it is +-inf with the ends' sign; for edge + 1 = 0 A R is
+    read at the first float inside theta where it is finite and positive,
+    since px^2 + q rounds to 0 or +-1 ulp at the float theta.  An infinite
+    theta is probed at x = 10, 10^2, 10^3: a monotone decay below 1e-10 *
+    scale counts as zero, anything else is returned as the x = 10^3 value,
+    a result (the finite-family failure signature), not an error.  The
+    probe stops at 10^3, so a slow decay reads as nonzero: the bracket of
+    FiniteII(4.5)'s non-monic member 5, x - 2x^3, is 0.118 at x = 10,
+    1.2e-5 at 10^3 and 1.2e-15 at 10^8."""
     same = phi_n is phi_m or (
         isinstance(phi_n, SymmetricPoly) and isinstance(phi_m, SymmetricPoly)
         and (phi_n.n, phi_n.coeffs) == (phi_m.n, phi_m.coeffs))
@@ -200,9 +200,9 @@ def boundary_term(sl, phi_n, phi_m, *, scale=1.0):
     if math.isfinite(th):
         if edge + 1 > 0:
             return 0.0
-        ends = _exact_ends(sl.params, phi_n, phi_m, same)
-        if ends is None:
-            ends = float(wron(np.array(th)) - wron(np.array(-th)))
+        if _ends_vanish(sl.params, phi_n, phi_m, same):
+            return 0.0
+        ends = float(wron(np.array(th)) - wron(np.array(-th)))
         if ends == 0.0:
             return 0.0
         if edge + 1 < 0:
@@ -217,22 +217,24 @@ def boundary_term(sl, phi_n, phi_m, *, scale=1.0):
     return vals[-1]
 
 
-def _exact_ends(params, phi_n, phi_m, same):
-    """boundary_term's ends P(theta) - P(-theta) from the members' exact
-    coefficients, or None unless the parameters and both members' coefficients
-    are exact.  With phi_n = sum c_k x^(n-2k), phi_m = sum d_l x^(m-2l) and
-    y = theta^2 = -q/p, the Wronskian at theta is S / theta, S = sum c_k d_l
-    w_kl y^((n+m)/2 - k - l) in Fractions, w_kl = (n - 2k) - (m - 2l)
-    ((n - 2k) for one member against itself); the ends are 2 S / theta for
-    n + m even and 0 for n + m odd, where they cancel by parity."""
+def _ends_vanish(params, phi_n, phi_m, same):
+    """Whether boundary_term's ends P(theta) - P(-theta) are exactly 0, from
+    the members' exact coefficients; False unless the parameters and both
+    members' coefficients are exact.  With phi_n = sum c_k x^(n-2k),
+    phi_m = sum d_l x^(m-2l) and y = theta^2 = -q/p, the Wronskian at theta
+    is S / theta, S = sum c_k d_l w_kl y^((n+m)/2 - k - l) in Fractions,
+    w_kl = (n - 2k) - (m - 2l) ((n - 2k) for one member against itself);
+    the ends are 2 S / theta for n + m even and 0 for n + m odd, where they
+    cancel by parity."""
     if params is None or not params.exact() or not all(
             isinstance(phi, SymmetricPoly) and all(isinstance(c, Rational) for c in phi.coeffs)
             for phi in (phi_n, phi_m)):
-        return None
+        return False
     (n, m), (p, q, _, _) = (phi_n.n, phi_m.n), params.promoted()
-    total = sum(c * d * ((n - 2 * k) - (0 if same else m - 2 * l)) * (-q / p) ** ((n + m) // 2 - k - l)
-                for k, c in enumerate(phi_n.coeffs) for l, d in enumerate(phi_m.coeffs))
-    return 0.0 if (n + m) % 2 else 2 * float(total) / weight_exponents(params).theta
+    y = -q / p
+    return (n + m) % 2 == 1 or 0 == sum(
+        c * d * ((n - 2 * k) - (0 if same else m - 2 * l)) * y ** ((n + m) // 2 - k - l)
+        for k, c in enumerate(phi_n.coeffs) for l, d in enumerate(phi_m.coeffs))
 
 
 def parity_integral(sl, phi_n, phi_m):
@@ -405,9 +407,10 @@ class GramReport:
 
 
 class _FamilyBasis:
-    """Basis adapter for a family spec.  Adapters give expand the weight,
-    the rows of members base..nmax (by recurrence) and the quadrature
-    interval, and gram_matrix the closed-form norms (None where refused; a
+    """Basis adapter for a family spec.  Adapters give expand the weight
+    (and its log, on an infinite interval), the rows of members base..nmax
+    (by recurrence) and the quadrature interval, and gram_matrix the
+    closed-form norms (None where refused; a
     family's are its tuple's Class's), whether the members have a parity
     (fold), the integrable pairs, the pairs with a member that cannot be
     built (missing) and the Gauss rule of the pairs of one parity (rule).  A
@@ -431,9 +434,12 @@ class _FamilyBasis:
         the spec's own, cut at the bound a Class takes, not a printed one."""
         return norms_squared(self.spec, nmax, _Family.finite_degree_bound(self.spec))
 
+    def log_weight(self, x):
+        return self.spec.weight_log(x)
+
     def weight(self, x):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.exp(self.spec.weight_log(x))
+            return np.exp(self.log_weight(x))
 
     def rows(self, nmax):
         return member_rows(self.spec.params, nmax)

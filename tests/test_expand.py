@@ -1159,3 +1159,11 @@ def test_target_that_the_gaussian_weight_still_tames_expands():
     # refuses nothing and the trees run as before
     ser = expand(lambda x: np.exp(0.4 * x * x), GHP(0), 8)
     assert ser.residual_converged and ser.panels == 72
+
+
+def test_growth_that_turns_down_in_the_far_tail_is_not_refused():
+    # exp(x^2 - x^4 / 1600) on GHP(0): log f^2 W* = x^2 - x^4 / 800 rises
+    # faster than any power up to |x| = 16, but falls by |x| = 32, so
+    # int W* f^2 is finite (its peak is e^200) and the trees run
+    ser = expand(lambda x: np.exp(x * x - x ** 4 / 1600), GHP(0), 8)
+    assert ser.panels > 0 and np.all(np.isfinite(ser.coefficients))

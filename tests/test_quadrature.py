@@ -130,9 +130,9 @@ def test_log_divergent_tails_flagged():
 
 
 def test_inconclusive_raises_with_partial(monkeypatch):
-    # integrable endpoint singularity left unhinted, on a budget too small
-    # to resolve it: no determination, and no certificate
-    monkeypatch.setattr(quadrature, "_MAX_PANELS", 20)
+    # integrable endpoint singularity left unhinted: no determination, and
+    # no certificate
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 600)
     with pytest.raises(MaxDepthExceeded) as exc:
         integrate(lambda x: (1.0 - x) ** -0.5, IntervalSpec(0.0, 1.0))
     partial = exc.value.partial
@@ -141,7 +141,7 @@ def test_inconclusive_raises_with_partial(monkeypatch):
 
 
 def test_inconclusive_return_mode(monkeypatch):
-    monkeypatch.setattr(quadrature, "_MAX_PANELS", 20)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 600)
     r = integrate(lambda x: (1.0 - x) ** -0.5, IntervalSpec(0.0, 1.0),
                   on_inconclusive="return")
     assert not r.converged and not r.diverged
@@ -678,16 +678,27 @@ def test_non_integrable_interior_hint_never_converges(monkeypatch):
     assert not res.converged and res.diverged
 
 
+_GRID = quadrature._GROWTH_GRID
+
+
+def _until(logs, top, end):
+    """logs on _GROWTH_GRID up to |x| = top, then end."""
+    return np.where(_GRID <= top, logs, end)
+
+
 @pytest.mark.parametrize("logs, want", [
-    ([1, 4, 16, 64, 256], True),                # e^(x^2): rises 3, 12, 48, 192
-    ([2, 4, 8, 16, 32], True),                  # e^(2|x|): each rise doubles
-    ([0, 3, 6, 9, 12], False),                  # a power: equal rises
-    ([-1, -4, -16, -64, -256], False),          # e^(-x^2) decays
-    ([1, 4, 16, 64, math.inf], False),          # a sample that is not finite
+    (_until(_GRID ** 2, 16, math.inf), True),       # e^(x^2), overflowing past 16
+    (2 * _GRID, True),                              # e^(2|x|): each rise doubles
+    (3 * np.log(_GRID), False),                     # a power: equal rises
+    (-_GRID ** 2, False),                           # e^(-x^2) decays
+    (_until(_GRID ** 2 - _GRID ** 4 / 800, 32, -math.inf), False),  # turns down past 16
+    (_until(_GRID ** 2, 16, -math.inf), False),     # underflows past 16
+    (_until(_GRID ** 2, 16, math.nan), False),      # nan past 16
+    (_until(_GRID ** 2, 8, math.inf), False),       # overflows before 16
 ])
 def test_grows_superalgebraically(logs, want):
-    assert bool(quadrature.grows_superalgebraically(np.array(logs, dtype=float))) is want
-    both = quadrature.grows_superalgebraically(np.array([logs, [0, 3, 6, 9, 12]], dtype=float))
+    assert bool(quadrature.grows_superalgebraically(logs)) is want
+    both = quadrature.grows_superalgebraically(np.array([logs, 3 * np.log(_GRID)]))
     assert both.tolist() == [want, False]
 
 

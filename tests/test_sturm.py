@@ -158,17 +158,21 @@ def test_boundary_bracket_reads_an_exact_zero_of_the_members_at_theta():
     # Class(-1, 2, 0, 0), edge -1: phi_2 = x^2 - 2 and phi_3 = x^3 - 2x
     # vanish at theta = sqrt 2, so the (2, 2) and (3, 3) brackets' limits
     # are 0; exact parameters decide that from the exact coefficients, and
-    # float ones still read the float P (2.5e-15 and 5.0e-15)
+    # float ones still read the float P (2.5e-15 and 5.0e-15); a nonzero
+    # bracket, such as (1, 1)'s, reads the float P either way
+    nonzero = []
     for params, exact in (((-1, 2, 0, 0), True), ((-1.0, 2.0, 0.0, 0.0), False)):
         spec = Class(*params)
         sl = from_params(spec.params)
-        p2, p3 = (poly_from_params(spec.params, n, monic=True) for n in (2, 3))
+        p1, p2, p3 = (poly_from_params(spec.params, n, monic=True) for n in (1, 2, 3))
         got = [boundary_term(sl, p2, p2), boundary_term(sl, p3, p3)]
         if exact:
             assert got == [0.0, 0.0]
         else:
             assert 0.0 < min(got) and max(got) < 1e-14
         assert boundary_term(sl, p2, p3) == 0.0
+        nonzero.append(boundary_term(sl, p1, p1))
+    assert nonzero[0] == nonzero[1] != 0.0
 
 
 @pytest.mark.parametrize("params", [(-1, 3, 0.25, 0), (-2, 3, 0.5, 0), (-1, 2, 0, 1)], ids=str)
