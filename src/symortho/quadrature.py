@@ -97,8 +97,9 @@ class QuadResult:
 
       tol          the error rule was met
       odd-parity   the odd-parity shortcut, with nothing sampled
-      certified    the tree stayed open and the exponent scan certifies
-                   that the integral diverges (integrate)
+      certified    the exponent scan certifies that the integral diverges
+                   (integrate): before any panel where a hint predicts
+                   it, else once the tree stays open
       budget       no verdict when the splits ran out or every panel was
                    parked at the depth limit
       rule         a Gram entry from a classical Gauss rule, with no panel
@@ -169,16 +170,6 @@ def _soften_m(sigma) -> int:
     return best
 
 
-def _soften(c, sign, sigma):
-    """Change of variable x = c + sign * t^m, which smooths |x - c|^sigma
-    at t = 0; returns the map (see _plan) and m."""
-    m = _soften_m(sigma)
-
-    def xmap(t):
-        return c + sign * t ** m, lambda v: v * (m * t ** (m - 1))
-    return xmap, m
-
-
 _CUT = 2.0 ** -27
 
 
@@ -226,37 +217,28 @@ def _edge_task(point_fn, a, b, side, sigma):
     corr = (sigma is not None and sigma < 0 and anchor != 0.0
             and _power_tail_mass(point_fn, anchor, sign, sigma, b - a)) or None
     u_lo, ev, ee = corr or (0.0, 0.0, 0.0)
-    xmap, m = _soften(anchor, sign, sigma)
-    return (xmap, u_lo ** (1.0 / m), (b - a) ** (1.0 / m)), ev, ee, corr is not None
+    m = _soften_m(sigma)
+    return (u_lo ** (1.0 / m), (b - a) ** (1.0 / m), anchor, sign, m, 0), ev, ee, corr is not None
 
 
 def _tail_task(T, side, tail_exp):
-    """Fold [T, inf) (side=+1) or (-inf, -T] (side=-1) onto (0, 1/T]."""
-
-    def fold(t):
-        return side / t, lambda v: v / (t * t)
-
-    if tail_exp is not None:
-        sigma_t = -tail_exp - 2.0
-        if _needs_soften(sigma_t):
-            inner, m = _soften(0.0, 1.0, sigma_t)
-
-            def xmap(tau):
-                t, soft = inner(tau)
-                x, unfold = fold(t)
-                return x, lambda v: soft(unfold(v))
-            return xmap, 0.0, (1.0 / T) ** (1.0 / m)
-    return fold, 0.0, 1.0 / T
+    """Fold [T, inf) (side=+1) or (-inf, -T] (side=-1) onto (0, 1/T],
+    softened at t = 0 where the hinted exponent asks for it (see _plan)."""
+    sigma_t = None if tail_exp is None else -tail_exp - 2.0
+    m = _soften_m(sigma_t) if _needs_soften(sigma_t) else 1
+    return (0.0, (1.0 / T) ** (1.0 / m), 0.0, 1.0, m, side)
 
 
 def _plan(point_fn, spec: IntervalSpec):
-    """Turn (interval, hints) into a list of finite smooth-ish tasks.
+    """Turn (interval, hints) into an array of finite smooth-ish tasks.
 
-    A task is (xmap, a, b): the integral over [a, b] of f(x(t)) dx/dt,
-    where xmap(t) returns x(t) and a function that multiplies values at
-    x(t) by dx/dt; xmap None means x = t.  point_fn evaluates the
-    integrand at one point, for the analytic endpoint-sliver masses, which
-    are returned summed with their error, and with whether any was fitted.
+    A task is a row (a, b, c, sign, m, fold): the integral over [a, b] of
+    f(x(t)) dx/dt, where s = t^m, x = c + sign s when fold is 0 and x =
+    fold / s on a folded tail (fold +-1), and dx/dt = m t^(m - 1), divided
+    by s^2 on a folded tail.  A plain piece is (a, b, 0, 1, 1, 0), x = t.
+    point_fn evaluates the integrand at one point, for the analytic
+    endpoint-sliver masses, which are returned summed with their error,
+    and with whether any was fitted.
     """
     finite_hints = {}
     tail_hi = tail_lo = None
@@ -303,23 +285,14 @@ def _plan(point_fn, spec: IntervalSpec):
             elif _needs_soften(finite_hints.get(b)):
                 task, ev, ee, sliver = _edge_task(point_fn, a, b, "right", finite_hints[b])
             else:
-                task, ev, ee, sliver = (None, a, b), 0.0, 0.0, False
+                task, ev, ee, sliver = (a, b, 0.0, 1.0, 1, 0), 0.0, 0.0, False
             fitted |= sliver
             tasks.append(task)
             extra_value += ev
             extra_err += ee
     if hi == math.inf:
         tasks.append(_tail_task(T, +1, tail_hi))
-    return tasks, extra_value, extra_err, fitted
-
-
-def _mirror_hints(sings):
-    out = {}
-    for point, exponent in sings:
-        key = math.inf if point in (math.inf, -math.inf) else abs(float(point))
-        if key not in out or out[key] is None:
-            out[key] = exponent
-    return tuple(out.items())
+    return np.array(tasks, dtype=float), extra_value, extra_err, fitted
 
 
 def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, parity=None,
@@ -332,20 +305,21 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, parity=None,
     QUADPACK's error estimate (_gk_blocks), which an unhinted endpoint
     singularity keeps open where |Kronrod - Gauss| would close it.
     Refinement stops once the error estimate drops below max(atol, rtol *
-    |value|), the value read from the running total.  parity may declare the integrand "odd" or
-    "even" on a symmetric interval; an odd integrand returns exactly zero
-    without sampling, an even one is folded onto the right half.
+    |value|), the value read from the running total.  parity="odd" declares
+    the integrand odd on a symmetric interval: it returns exactly zero
+    without sampling.
 
-    A tree that stays open is diverged only where a certificate says so:
-    one exponent scan of f (_certificate) at the origin, at the hinted
-    points and in both tails of an infinite interval.  A converged tree
-    takes no scan, so a constant on (0, 1) costs one panel and 15 points.
-    Otherwise MaxDepthExceeded is raised (or, with on_inconclusive="return",
-    a QuadResult with both flags False is returned).  The result counts
-    the GK15 panels evaluated and the integrand points sampled (15 per
-    panel, one per endpoint-sliver probe and the certificate's scan); the
-    odd shortcut samples none, and an even fold reports its half-line's
-    counts and reason, the exit it took (see QuadResult).
+    Divergence comes only from a certificate: one exponent scan of f
+    (_certificate) at the origin, at the hinted points and in both tails
+    of an infinite interval.  Where a hinted exponent is divergent at its
+    point, the scan comes first, and a certified integral returns diverged
+    with no panel and value nan.  Else the scan waits for a tree that
+    stays open, so a constant on (0, 1) costs one panel and 15 points.
+    An open tree with no certificate raises MaxDepthExceeded (or, with
+    on_inconclusive="return", returns a QuadResult with both flags False).
+    The result counts the GK15 panels evaluated and the integrand points
+    sampled (15 per panel, one per endpoint-sliver probe and the scan's),
+    and reason names the exit it took (see QuadResult).
     """
     if not isinstance(interval, IntervalSpec):
         interval = IntervalSpec(*interval)
@@ -355,14 +329,16 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, parity=None,
             raise ValueError("parity shortcut needs a symmetric interval")
         if parity == "odd":
             return QuadResult(0.0, 0.0, True, False, reason="odd-parity")
-        if parity == "even":
-            half = IntervalSpec(0.0, interval.hi,
-                                _mirror_hints(interval.singularities))
-            res = integrate(f, half, atol=atol / 2, rtol=rtol, on_inconclusive=on_inconclusive)
-            return QuadResult(2.0 * res.value, 2.0 * res.abs_error_estimate,
-                              res.converged, res.diverged, res.panels, res.evals,
-                              res.reason)
-        raise ValueError(f"parity must be 'odd', 'even' or None, not {parity!r}")
+        raise ValueError(f"parity must be 'odd' or None, not {parity!r}")
+
+    scanned = []
+
+    def certified():
+        return _certificate(lambda x: scanned.append(x.size) or f(x), interval)
+
+    predicted = any(e is not None and divergent(p, e) for p, e in interval.singularities)
+    if predicted and certified():
+        return QuadResult(math.nan, math.inf, False, True, 0, sum(scanned), "certified")
 
     def sample(x):
         return _samples(f, x), 1.0, np.ones((1, x.size))
@@ -371,12 +347,12 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, parity=None,
                           lambda total: np.maximum(atol, rtol * np.abs(total)) / _RTOL, _quad=True)
     value, error = float(tree.value[0]), float(tree.error[0])
     if tree.converged[0]:
-        return QuadResult(value, error, True, False, tree.panels, tree.evals, "tol")
-    scanned = []
-    certified = _certificate(lambda x: scanned.append(x.size) or f(x), interval)
-    partial = QuadResult(value, error, False, certified, tree.panels,
-                         tree.evals + sum(scanned), "certified" if certified else "budget")
-    if certified or on_inconclusive == "return":
+        return QuadResult(value, error, True, False, tree.panels,
+                          tree.evals + sum(scanned), "tol")
+    diverged = not predicted and certified()
+    partial = QuadResult(value, error, False, diverged, tree.panels,
+                         tree.evals + sum(scanned), "certified" if diverged else "budget")
+    if diverged or on_inconclusive == "return":
         return partial
     raise MaxDepthExceeded(partial)
 
@@ -567,9 +543,10 @@ class GramQuad:
     of values, summed errors and the entries that met the stopping rule,
     and the GK15 panels evaluated and integrand points sampled (15 per
     panel plus one per endpoint-sliver probe), as QuadResult counts them.
-    mesh, for a tree started from this one: the interval, tasks and final
-    panels (task, lo, hi, depth), retired ones included; None where the
-    tree fitted an endpoint sliver or retired a non-finite one."""
+    mesh, for a tree started from this one: the interval, the task rows
+    (_plan) and the final panels (task, lo, hi, depth), parked ones
+    included; None where the tree fitted an endpoint sliver or retired a
+    non-finite one."""
 
     value: np.ndarray
     error: np.ndarray
@@ -669,10 +646,12 @@ def integrate_gram(sample, interval, scale, *, start=None, _quad=False) -> GramQ
     floating-point resolution limit retires the sliver with half its
     parent's error.
 
-    A panel whose error stays below every share it could still be held to
-    is folded into running totals, so only splittable panels keep their
-    sums (the mesh keeps every panel's bounds); the start panels and the
-    panel budget bound how many do.
+    Every panel stays live with its sums until the tree ends, but for
+    those parked at the depth limit, whose sums join running totals, and
+    retired slivers: at most the start panels plus one per halving, each
+    with its K sums.  The tree ends once every entry is closed, the budget
+    is spent, or no live panel holds more than 1 / (start panels + budget
+    + 1) of an open entry's target.
     """
     def sampled(x):
         w, f, R = sample(x)
@@ -694,19 +673,15 @@ def integrate_gram(sample, interval, scale, *, start=None, _quad=False) -> GramQ
         (_, tasks, starts), extra_value, extra_err, fitted = mesh, 0.0, 0.0, False
     else:
         (tasks, extra_value, extra_err, fitted), starts = _plan(point_fn, interval), None
-    # _plan puts the lower tail first and the upper tail last, each on t in
-    # (0, 1/T] with x = +-inf at t = 0
-    tails = {k for k, end in ((0, interval.lo), (len(tasks) - 1, interval.hi))
-             if math.isinf(end)}
     if starts is None:
         # a finite task starts as _START_PANELS equal panels by halving (as
-        # one panel for _quad), a tail whole
+        # one panel for _quad), a folded tail whole
         depth = 0 if _quad else _START_DEPTH
         starts = []
-        for k, (_, a, b) in enumerate(tasks):
+        for k, (a, b, _, _, _, fold) in enumerate(tasks):
             if not a < b:
                 continue
-            if k in tails:
+            if fold:
                 starts.append((k, a, b, 0.0))
                 continue
             edges = [float(a), float(b)]
@@ -714,33 +689,24 @@ def integrate_gram(sample, interval, scale, *, start=None, _quad=False) -> GramQ
                 edges = [y for x, z in zip(edges, edges[1:])
                          for y in (x, 0.5 * (x + z))] + edges[-1:]
             starts += [(k, x, z, depth) for x, z in zip(edges, edges[1:])]
-    mapped = [(k, xmap) for k, (xmap, _, _) in enumerate(tasks) if xmap is not None]
     rule = functools.partial(_gk_blocks, quadpack=True) if _quad else _gk_blocks
 
     def evaluate(panels):
         """Sums, errors and finiteness of the given panels (rows of task,
         lo, hi, depth), from one sample call."""
-        task, lo, hi = panels[:, 0], panels[:, 1], panels[:, 2]
+        lo, hi = panels[:, 1], panels[:, 2]
         h = 0.5 * (hi - lo)
         t = (0.5 * (lo + hi))[:, None] + h[:, None] * _NODES
-        x = t.copy()
-        jacobians = []
+        c, sign, m, fold = tasks[panels[:, 0].astype(int), 2:].T[:, :, None]
         with np.errstate(all="ignore"):
-            for k, xmap in mapped:
-                sel = task == k
-                if sel.any():
-                    xk, jacobian = xmap(t[sel].ravel())
-                    x[sel] = xk.reshape(-1, 15)
-                    jacobians.append((sel, jacobian))
+            s = t ** m
+            x = np.where(fold == 0.0, c + sign * s, fold / s)
             w, f, R = sampled(x.ravel())
-            wdx = np.full(x.size, w, dtype=float).reshape(-1, 15)
-            # where w is 0 so is w dx/dt, also where a tail's dx/dt
-            # overflows (t^2m underflows to 0 in its farthest panels)
-            zero = wdx == 0.0 if tails else None
-            for sel, jacobian in jacobians:
-                wdx[sel] = jacobian(wdx[sel].ravel()).reshape(-1, 15)
-            if tails:
-                wdx[zero] = 0.0
+            w = np.full(x.size, w, dtype=float).reshape(-1, 15)
+            # where w is 0 so is w dx/dt, also where a folded tail's dx/dt
+            # overflows (s^2 underflows to 0 in its farthest panels)
+            wdx = np.where(w == 0.0, 0.0, w / np.where(fold == 0.0, 1.0, s * s)
+                           * (m * t ** (m - 1)))
             f = np.full(x.size, f, dtype=float).reshape(-1, 15)
             R = np.asarray(R, dtype=float)      # (K, 15 np) -> (np, 15, K)
             return rule(wdx, f, R.reshape(len(R), -1, 15).transpose(1, 2, 0), h)
@@ -751,7 +717,7 @@ def integrate_gram(sample, interval, scale, *, start=None, _quad=False) -> GramQ
     val, err = evaluate(meta)[:2]
     acc_val = np.full(val.shape[1], extra_value, dtype=float)
     acc_err = np.full(val.shape[1], extra_err, dtype=float)
-    kept, lost = [], False      # the retired panels' rows, for the mesh
+    kept, lost = [], False      # the parked panels' rows, for the mesh
     retired = 0
     panels, splits = first, 0       # panels evaluated, halvings made
     max_leaves = first + _MAX_PANELS + 1
@@ -764,13 +730,12 @@ def integrate_gram(sample, interval, scale, *, start=None, _quad=False) -> GramQ
         # a scale that is not finite is no scale: never met
         held = np.isfinite(target)
         target[~held] = math.nan
-        every = held.all()
         open_ = held & ~(errs <= target)
         if not open_.any() or splits >= _MAX_PANELS or not len(meta):
             break
         score = (err[:, open_] / target[open_]).max(axis=1)
-        if score.max() <= 0.0:
-            break       # what is left open sits in retired panels
+        if score.max() <= 1.0 / max_leaves:
+            break       # what is left open is no live panel's share
         pick = np.flatnonzero(score > 1.0 / (len(meta) + retired))
         if not pick.size:
             pick = np.array([np.argmax(score)])
@@ -811,18 +776,6 @@ def integrate_gram(sample, interval, scale, *, start=None, _quad=False) -> GramQ
         meta = np.concatenate((meta[keep], children))
         val = np.concatenate((val[keep], c_val))
         err = np.concatenate((err[keep], c_err))
-
-        # panels no share can ever reach again leave the live set; an entry
-        # held to nothing counts 0 (its error can be inf)
-        ratio = (err / target if every else
-                 np.divide(err, target, out=np.zeros_like(err), where=held))
-        done = ratio.max(axis=1) <= 1.0 / max_leaves
-        if done.any():
-            acc_val += val[done].sum(axis=0)
-            acc_err += err[done].sum(axis=0)
-            retired += np.count_nonzero(done)
-            kept.append(meta[done])
-            meta, val, err = meta[~done], val[~done], err[~done]
 
     mesh = None if lost or fitted else (interval, tasks, np.concatenate(kept + [meta]))
     return GramQuad(total, errs, errs <= target, panels, 15 * panels + len(probes), mesh)

@@ -441,6 +441,21 @@ def test_gram_entries_are_their_columns_in_the_documented_order(basis, nmax):
         assert rep.entry(4, 4).status == "cliff" and math.isnan(rep.entry(4, 4).quad.value)
 
 
+def test_entry_of_a_report_with_plain_tuple_entries():
+    # a report whose entries are another sequence (a tuple, as
+    # dataclasses.replace builds one) finds (n, m) by searching, in either
+    # order, and refuses a pair outside the report
+    rep = gram_matrix(GUP(1, 1), 4)
+    plain = dataclasses.replace(rep, entries=tuple(rep.entries))
+    assert not isinstance(plain.entries, sturm.GramEntries)
+    for n in range(5):
+        for m in range(5):
+            assert plain.entry(n, m) is rep.entry(n, m)
+            assert (plain.entry(n, m).n, plain.entry(n, m).m) == (max(n, m), min(n, m))
+    with pytest.raises(KeyError):
+        plain.entry(5, 0)
+
+
 def test_gram_entries_pickle_repr_and_slices():
     rep = gram_matrix(FiniteII(4.5), 4)
     copy = pickle.loads(pickle.dumps(rep))

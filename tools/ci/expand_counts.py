@@ -24,13 +24,25 @@ join the hints ({point: e}, from its one scan), and on the trees each
 tree's panels and its sampler calls (one per round, plus any
 endpoint-sliver probes).
 
+It gates the tree cases: each tree's panels and sampler calls are
+recorded below (TREES), and the script exits 1, naming the case, when
+one differs.  Between them these cases run every kind of task the trees
+plan: plain pieces, softened edges with an endpoint-sliver fit (V(0.3)'s
+ends at +-1) and without one (U(0.5)'s and GUP(0, 0)'s origin), plain
+folded tails (FiniteII(6), hinted |x|^-16 and |x|^-14) and folded tails
+softened for their hinted exponent (x^2/(1 + x^2) on FiniteII(23/10)@1,
+whose every tree hints |x|^-4.6 and folds t = tau^5).
+
 Run from the repository root:
     PYTHONPATH=src python -W error::RuntimeWarning tools/ci/expand_counts.py
 """
 
 import importlib
+import sys
 
 import numpy as np
+
+from fractions import Fraction
 
 from symortho import GUP, FiniteII
 from symortho.legendre import G, Pm, Q, U, V
@@ -68,13 +80,28 @@ def lorentzian(x):
     return 1 / (1 + x * x)
 
 
+def levelling(x):
+    return x * x / (1 + x * x)
+
+
+# each tree case's (panels, sampler calls) per tree, in the order they run
+TREES = {
+    "sqrt|x| U(alpha=0.5)@12": ([32, 32], [1, 1]),
+    "sqrt|x| GUP(u=Fraction(0, 1), v=Fraction(0, 1))@8": ([16, 16], [1, 1]),
+    "(1-x^2)^-1/4 V(alpha=0.3)@6": ([16, 18, 26], [7, 8, 12]),
+    "1/(1+x^2) FiniteII(u=Fraction(6, 1))@4": ([34, 38, 26], [3, 3, 2]),
+    "x^2/(1+x^2) FiniteII(u=Fraction(23, 10))@1": ([30, 34, 34], [3, 3, 3]),
+}
+
 ex.integrate_gram = counted
 ex._target_hints = recorded
 cases = [(np.sin, "sin", basis, 8) for basis in
          [V(0.6), U(-0.5), G(0.5, -0.5), Q(-0.4), U(0.5), Pm(1), G(0.5, 1.0), Q(0.5)]]
 cases += [(sqrt_abs, "sqrt|x|", U(0.5), 12), (sqrt_abs, "sqrt|x|", GUP(0, 0), 8),
           (quarter_power, "(1-x^2)^-1/4", V(0.3), 6),
-          (lorentzian, "1/(1+x^2)", FiniteII(6), 4)]
+          (lorentzian, "1/(1+x^2)", FiniteII(6), 4),
+          (levelling, "x^2/(1+x^2)", FiniteII(Fraction(23, 10)), 1)]
+off = []
 for f, name, basis, nmax in cases:
     panels.clear()
     calls.clear()
@@ -83,4 +110,11 @@ for f, name, basis, nmax in cases:
     exps = {point: round(e, 6) for point, e in joined[0].items()}
     path = (f"trees, panels {sum(panels)} {panels}, sampler calls {calls}" if panels
             else f"rule, evals {ser.evals}")
-    print(f"{name} {basis!r}@{nmax}: exponents {exps}, {path}")
+    case = f"{name} {basis!r}@{nmax}"
+    print(f"{case}: exponents {exps}, {path}")
+    if case in TREES and TREES.pop(case) != (panels, calls):
+        off.append(case)
+off += sorted(TREES)        # a tree case that did not run its trees
+if off:
+    print("counts differ from the recorded ones:", "; ".join(off))
+    sys.exit(1)
