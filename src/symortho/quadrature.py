@@ -98,8 +98,7 @@ class QuadResult:
       tol          the error rule was met
       odd-parity   the odd-parity shortcut, with nothing sampled
       certified    the exponent scan certifies that the integral diverges
-                   (integrate): before any panel where a hint predicts
-                   it, else once the tree stays open
+                   (integrate), before any panel where a hint predicts it
       budget       no verdict when the splits ran out or every panel was
                    parked at the depth limit
       rule         a Gram entry from a classical Gauss rule, with no panel
@@ -311,8 +310,8 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, parity=None,
 
     Divergence comes only from a certificate: one exponent scan of f
     (_certificate) at the origin, at the hinted points and in both tails
-    of an infinite interval.  Where a hinted exponent is divergent at its
-    point, the scan comes first, and a certified integral returns diverged
+    of an infinite interval.  Where a hint's exponent is divergent at its
+    point in the interval, the scan comes first, and a certified integral returns diverged
     with no panel and value nan.  Else the scan waits for a tree that
     stays open, so a constant on (0, 1) costs one panel and 15 points.
     An open tree with no certificate raises MaxDepthExceeded (or, with
@@ -336,7 +335,8 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, parity=None,
     def certified():
         return _certificate(lambda x: scanned.append(x.size) or f(x), interval)
 
-    predicted = any(e is not None and divergent(p, e) for p, e in interval.singularities)
+    predicted = any(e is not None and interval.lo <= p <= interval.hi and divergent(p, e)
+                    for p, e in interval.singularities)
     if predicted and certified():
         return QuadResult(math.nan, math.inf, False, True, 0, sum(scanned), "certified")
 
@@ -359,11 +359,12 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, parity=None,
 
 def _certificate(f, interval) -> bool:
     """Whether one exponent scan of f certifies that its integral over the
-    interval diverges: at the origin, at the points hinted with an exponent
-    and in every infinite tail, hinted or not, a side's measured exponent e
+    interval diverges: at the origin, at the interval's points hinted with
+    an exponent and in every infinite tail, hinted or not, a side's measured exponent e
     (_measured) is divergent there, or cannot be told from -1 within its
     spread (certifies_divergence with the hint e, then -1)."""
-    hinted = (p for p, e in interval.singularities if e is not None)
+    hinted = (p for p, e in interval.singularities
+              if e is not None and interval.lo <= p <= interval.hi)
     tails = (end for end in (interval.lo, interval.hi) if math.isinf(end))
     points = tuple(dict.fromkeys((0.0, *hinted, *tails)))
     return any(certifies_divergence(point, e, spread, hint)
@@ -543,10 +544,9 @@ class GramQuad:
     of values, summed errors and the entries that met the stopping rule,
     and the GK15 panels evaluated and integrand points sampled (15 per
     panel plus one per endpoint-sliver probe), as QuadResult counts them.
-    mesh, for a tree started from this one: the interval, the task rows
-    (_plan) and the final panels (task, lo, hi, depth), parked ones
-    included; None where the tree fitted an endpoint sliver or retired a
-    non-finite one."""
+    mesh, for a tree started from this one: the interval, task rows (_plan)
+    and final panels (task, lo, hi, depth), parked ones included; None where
+    the tree fitted an endpoint sliver or retired a non-finite one."""
 
     value: np.ndarray
     error: np.ndarray

@@ -725,6 +725,20 @@ def test_a_hint_that_predicts_divergence_is_certified_before_any_panel():
     assert math.isnan(res.value) and res.abs_error_estimate == math.inf
 
 
+@pytest.mark.parametrize("f, want", [
+    (lambda x: x, "tol"),
+    # an unhinted endpoint singularity keeps the tree open
+    (lambda x: np.abs(1.0 - x) ** -0.5, "budget"),
+], ids=["converges", "open"])
+def test_a_tail_hint_on_a_finite_interval_certifies_nothing(f, want, monkeypatch):
+    # the hint (inf, 1) is divergent in a tail the interval (0, 1) does
+    # not reach: it is neither scanned first nor read after an open tree,
+    # where |1 - x|^-0.5 ~ |x|^-0.5 once certified from points past x = 256
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 200)
+    res = integrate(f, IntervalSpec(0.0, 1.0, ((math.inf, 1.0),)), on_inconclusive="return")
+    assert res.reason == want and not res.diverged and res.panels > 0
+
+
 def test_a_divergent_hint_the_scan_does_not_certify_runs_the_tree_once():
     # a hint of -1 on an integrable sqrt|x - 0.5|: the scan comes first,
     # reads no divergence, and the tree then converges with no second scan
