@@ -309,11 +309,11 @@ def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, parity=None,
     without sampling.
 
     Divergence comes only from a certificate: one exponent scan of f
-    (_certificate) at the origin, at the hinted points and in both tails
-    of an infinite interval.  Where a hint's exponent is divergent at its
-    point in the interval, the scan comes first, and a certified integral returns diverged
-    with no panel and value nan.  Else the scan waits for a tree that
-    stays open, so a constant on (0, 1) costs one panel and 15 points.
+    (_certificate) at the origin, the interval's hinted points and both
+    tails of an infinite interval.  It comes first where a hint's exponent
+    is divergent at its point in the interval: certified, the integral is
+    diverged with no panel and value nan.  Else the scan waits for a tree
+    that stays open, so a constant on (0, 1) costs one panel and 15 points.
     An open tree with no certificate raises MaxDepthExceeded (or, with
     on_inconclusive="return", returns a QuadResult with both flags False).
     The result counts the GK15 panels evaluated and the integrand points
