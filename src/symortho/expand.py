@@ -18,16 +18,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import ROWS_CHUNK, ClassParams, blockwise, weight_exponents
+from .core import ROWS_CHUNK, blockwise
 from .errors import (BasisInvalid, ConstraintViolation, MaxDepthExceeded,
                      NonSquareIntegrable)
-from .exponent_map import _LambdaBasis
-from .gauss import jacobi, pearson
-from .legendre import _ClassKind
 from .quadrature import (_EPS, _GROWTH_GRID, _RTOL, _SCAN_SPREAD, IntervalSpec, QuadResult,
                          certifies_divergence, divergent, entry_scale, grows_superalgebraically,
                          integrate_gram, target_exponents)
-from .sturm import _adapt, _FamilyBasis, gram_matrix
+from .sturm import _adapt, gram_matrix
 
 
 def barycentric_interpolant(nodes, values):
@@ -161,25 +158,6 @@ def _target_hints(target, ad, hinted):
     return exps
 
 
-def _checked_norms(basis, nmax, tol):
-    """The closed-form norms of members base..nmax, once the basis's Gram
-    report passes with every entry ok; BasisInvalid otherwise."""
-    report = gram_matrix(basis, nmax, tol)
-    if not report.passed or any(s != "ok" for s in report.entries.column("status")):
-        raise BasisInvalid(report)
-    # the diagonal entries come first
-    return tuple(report.entries.column("expected")[:report.nmax - report.base + 1])
-
-
-# a few hundred bases: under 1 MB of norms at nmax 64
-@functools.lru_cache(maxsize=256, typed=True)
-def _verified_norms(kind, values, nmax, tol):
-    """_checked_norms of the basis kind(field=value, ...), memoized per
-    process, nmax and tol by type too (4.0 and True are not 4 and 1); a
-    basis that fails raises again, with a fresh report, on every call."""
-    return _checked_norms(kind(**{name: v for name, _, v in values}), nmax, tol)
-
-
 def _memo_key(basis):
     """The basis as (type, ((field, type, value), ...)), or None when a
     field value is unhashable.  The types keep equal values of different
@@ -193,65 +171,18 @@ def _memo_key(basis):
     return key
 
 
-# the unit weight on (-1, 1), as the class of |x|^0 (1 - x^2)^0
-_LEGENDRE = ClassParams(-1, 1, -2, 0)
-
-
-def _mirrored(x, w):
-    """gauss.pearson's rule for even integrands, nodes x > 0, as a rule on
-    the whole support: the nodes +-x, each with half its weight."""
-    return np.concatenate((x, -x)), np.concatenate((w, w)) / 2
-
-
-def _rule_pair(ad, nmax, k):
-    """(norm, numerators) for pearson's degree k, each a rule (x, w, rows)
-    on the whole support, or None where the basis has no such rule:
-    sum w f(x)^2 is ||f||^2, and with the norm rule's rows (members
-    base..nmax) sum w (f - q rows)^2 the squared residual; sum w f(x)
-    rows(x) of the numerator rule is int W* f phi_n, n = base..nmax.
-
-    A family's two are one, the weight's own rule (gauss.pearson), except
-    where pearson has none (finite moments: FiniteI, FiniteII) or a rule of
-    the odd pairs alone (a divergent origin).  A kind's norm rule is
-    Legendre's.  A class kind's numerators come from the rule of |x|^(a +
-    e) (1 - x^2)^(b/2), e = 1 where its prefactor x^a is odd: phi_n is that
-    weight over x^e times a polynomial, so the rule's weights take the
-    1/x^e.  V's prefactor (1 + x)^(-al/2) (1 - x)^(al/2) is its hints'
-    Gauss-Jacobi weight in x, taken at k + 4 nodes, as many as pearson's
-    mirrored rules have.  A lambda class's rows are in t, and it has none."""
-    if isinstance(ad, _LambdaBasis):
-        return None
-    if isinstance(ad, _FamilyBasis):
-        spec = ad.spec
-        if divergent(0, spec.exponents.origin):
-            return None
-        got = pearson(spec.params, spec.exponents, k)
-        if got is None:
-            return None
-        x, w = _mirrored(*got[:2])
-        one = (x, w, ad.rows(nmax)(x))
-        return one, one
-    x, w = _mirrored(*pearson(_LEGENDRE, weight_exponents(_LEGENDRE), k)[:2])
-    norm = (x, w, ad.rows(nmax)(x))
-    if isinstance(ad, _ClassKind):
-        a = float(ad.a)
-        e = int(a % 2 != 0)
-        params = ClassParams(-1, 1, -a - e - float(ad.b) - 2, a + e)
-        x, w = _mirrored(*pearson(params, weight_exponents(params), k)[:2])
-        w = w / x ** e
-    else:
-        (_, lo), (_, hi) = ad.hints()
-        z, lam = jacobi(float(lo), float(hi), k + 4)
-        x, w = 2 * z - 1, 2 ** (1 + lo + hi) * lam
-    return norm, (x, w, ad.recurrence(nmax).rows(x))
-
-
 def _gauss_rules(ad, nmax):
-    """(points, sizes): expand's two rule sizes, k = 2 nmax + 4 and
-    4 nmax + 8 of _rule_pair, each a (norm, numerators) pair of (w, rows,
-    part), part the slice of points at that rule's nodes, so f is read at
-    all of them in one call; None where either size has no rule."""
-    pairs = [_rule_pair(ad, nmax, k) for k in (2 * nmax + 4, 4 * nmax + 8)]
+    """(points, sizes): expand's two rule sizes, k = 2 nmax + 4 and 4 nmax +
+    8 of the adapter's expansion_rules, each a (norm, numerators) pair of
+    (w, rows, part), part the slice of points at that rule's nodes, so f
+    is read at all of them in one call; None where either size has none.
+
+    expansion_rules(nmax, k) gives (norm, numerators), each a rule (x, w,
+    rows) on the whole support at pearson's degree k, or None: sum w f(x)^2
+    is ||f||^2, and with the norm rule's rows (members base..nmax) sum w
+    (f - q rows)^2 the squared residual; sum w f(x) rows(x) of the
+    numerator rule is int W* f phi_n, n = base..nmax."""
+    pairs = [ad.expansion_rules(nmax, k) for k in (2 * nmax + 4, 4 * nmax + 8)]
     if None in pairs:
         return None
     nodes, sizes, at = [], [], 0
@@ -268,12 +199,25 @@ def _gauss_rules(ad, nmax):
     return points, tuple(sizes)
 
 
-# as _verified_norms; at nmax 64 an entry holds about 0.4 MB of member rows
+def _checked(basis, nmax, tol):
+    """(norms, rules): the closed-form norms of members base..nmax, once the
+    basis's Gram report passes with every entry ok (BasisInvalid
+    otherwise), and its _gauss_rules."""
+    report = gram_matrix(basis, nmax, tol)
+    if not report.passed or any(s != "ok" for s in report.entries.column("status")):
+        raise BasisInvalid(report)
+    # the diagonal entries come first
+    norms = tuple(report.entries.column("expected")[:report.nmax - report.base + 1])
+    return norms, _gauss_rules(_adapt(basis), nmax)
+
+
+# a few hundred bases; at nmax 64 an entry holds about 0.4 MB of member rows
 @functools.lru_cache(maxsize=256, typed=True)
-def _cached_rules(kind, values, nmax):
-    """_gauss_rules of the basis kind(field=value, ...), memoized per
-    process and nmax, by type too."""
-    return _gauss_rules(_adapt(kind(**{name: v for name, _, v in values})), nmax)
+def _verified(kind, values, nmax, tol):
+    """_checked of the basis kind(field=value, ...), memoized per process,
+    nmax and tol by type too (4.0 and True are not 4 and 1); a basis that
+    fails raises again, with a fresh report, on every call."""
+    return _checked(kind(**{name: v for name, _, v in values}), nmax, tol)
 
 
 def _on_rules(target, rules, d):
@@ -328,14 +272,14 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
     The basis Gram matrix must pass with every entry status "ok"; finite
     families truncated by a cliff inside the requested range are refused.
     A basis that passed is not checked again for the same nmax and tol
-    (_verified_norms keeps its norms); one that failed is, every time.
+    (_verified keeps its norms and Gauss rules); one that failed is, every
+    time.
 
     A target whose scan (below) measures no exponent at a finite point is
-    first read on the weight's own Gauss rules at two sizes (_rule_pair,
-    nodes, weights and member rows cached per basis and nmax by
-    _cached_rules), and the series is theirs where the sizes agree to the
-    trees' bounds (_on_rules): no panel, and residual_converged.  Anywhere
-    else the trees below run as if no rule had been tried.
+    first read on the weight's own Gauss rules at two sizes (_gauss_rules),
+    and the series is theirs where the sizes agree to the trees' bounds
+    (_on_rules): no panel, and residual_converged.  Anywhere else the
+    trees below run as if no rule had been tried.
 
     Every integral of the trees is an entry of a quadrature.integrate_gram
     tree, held to 1e-9 of a scale.  One tree samples f against the rows [f,
@@ -364,8 +308,7 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
     fn = _as_callable(f)
     ad = _adapt(basis)
     key = _memo_key(basis)
-    norms = (_checked_norms(basis, nmax, tol) if key is None
-             else _verified_norms(*key, nmax, tol))
+    norms, rules = _checked(basis, nmax, tol) if key is None else _verified(*key, nmax, tol)
 
     def target(x):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -375,9 +318,8 @@ def expand(f, basis, nmax, tol=1e-7) -> ExpansionSeries:
     hinted = ad.interval(members=1)
     exps = _target_hints(target, ad, hinted)
     d = np.asarray(norms)
-    if all(math.isinf(point) for point in exps):      # no e at a finite point
-        rules = _gauss_rules(ad, nmax) if key is None else _cached_rules(*key, nmax)
-        got = None if rules is None else _on_rules(target, rules, d)
+    if rules is not None and all(math.isinf(point) for point in exps):   # no finite e
+        got = _on_rules(target, rules, d)
         if got is not None:
             q, err, r2, f_norm2 = got
             residual = math.sqrt(r2)

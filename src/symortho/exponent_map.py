@@ -187,6 +187,10 @@ class _LambdaBasis(_FamilyBasis):
     def interval(self, members=2):
         return _t_interval(self.spec.exponents, self.h, 0, 0)
 
+    def expansion_rules(self, nmax, k):
+        """None: expand reads the rows in t, and the Gauss rules are in x."""
+        return None
+
 
 def lambda_weight_and_gram(spec: LambdaSpec, nmax: int, tol=1e-7) -> GramReport:
     """Gram matrix of any admissible lam's class in the substituted variable

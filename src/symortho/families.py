@@ -357,8 +357,9 @@ def finite_degree_bound(spec):
 def _c_products(params):
     """(-1)^n prod_{k<=n} C_k, n = 0, 1, ..., in floats: from exact
     parameters each rounded once from integer running products of the
-    Fractions' numerators and denominators, from inexact ones a running
-    float product.  A pole raises PoleError when it is reached."""
+    Fractions' numerators and denominators (+-inf past the float range, as
+    the float product reads), from inexact ones a running float product.
+    A pole raises PoleError when it is reached."""
     num = den = 1
     for n in itertools.count():
         if n:
@@ -367,7 +368,11 @@ def _c_products(params):
                 num, den = num * c.numerator, den * c.denominator
             else:
                 num *= c
-        yield (-1 if n % 2 else 1) * (num / den)
+        try:
+            prod = num / den
+        except OverflowError:       # int / int past the float range; den > 0
+            prod = math.inf if num > 0 else -math.inf
+        yield (-1 if n % 2 else 1) * prod
 
 
 def norm_squared(spec, n) -> NormValue:

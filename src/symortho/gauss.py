@@ -116,3 +116,9 @@ def pearson(params, exponents, k):
         t, lam = laguerre(b, size)
         y, w, low = c / t, lam * c ** ((tail + 1) / 2) * t ** k, b
     return np.sqrt(y), w / y ** j, low
+
+
+def _mirrored(x, w):
+    """pearson's rule for even integrands, nodes x > 0, as a rule on the
+    whole support: the nodes +-x, each with half its weight."""
+    return np.concatenate((x, -x)), np.concatenate((w, w)) / 2

@@ -34,11 +34,13 @@ from .core import (ClassParams, Recurrence, blockwise,  # noqa: F401
                    poly_from_params, weight_exponents)
 from .errors import ConstraintViolation, SingularPoint
 from .families import GUP, norm_squared, norms_squared
-from .gauss import jacobi, pearson
+from .gauss import _mirrored, jacobi, pearson
 from .quadrature import IntervalSpec
 from .special import binom, gamma_fn
 
 E_CHOICES = ("zero", "-2/x^2")
+# the unit weight on (-1, 1), as the class of |x|^0 (1 - x^2)^0
+_LEGENDRE = ClassParams(-1, 1, -2, 0)
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,13 @@ class _Kind:
     def missing(self, nmax, lower, integrable):
         return np.zeros_like(lower)
 
+    def expansion_rules(self, nmax, k):
+        """expand's rules at pearson's degree k: Legendre's with the members
+        at its nodes, and numerator_rule(k)'s with their polynomial factors."""
+        x, w = _mirrored(*pearson(_LEGENDRE, weight_exponents(_LEGENDRE), k)[:2])
+        z, v = self.numerator_rule(k)
+        return (x, w, self.rows(nmax)(x)), (z, v, self.recurrence(nmax).rows(z))
+
 
 class _ClassKind(_Kind):
     """x^a (1-x^2)^(b/2) times the members of the monic symmetric class of
@@ -138,6 +147,15 @@ class _ClassKind(_Kind):
         d, e = np.nonzero(pairs)
         rule = pearson(self.params, weight_exponents(self.params), int((d + e).max()) // 2)
         return rule + (self.recurrence(int(d.max()) + self.base).rows(rule[0]),)
+
+    def numerator_rule(self, k):
+        """(x, w): the rule of |x|^(a + e) (1 - x^2)^(b/2), the prefactor's
+        weight, e = 1 where x^a is odd, with the weights over x^e."""
+        a = float(self.a)
+        e = int(a % 2 != 0)
+        params = ClassParams(-1, 1, -a - e - float(self.b) - 2, a + e)
+        x, w = _mirrored(*pearson(params, weight_exponents(params), k)[:2])
+        return x, w / x ** e
 
     def hints(self):
         edges = [(-1.0, self.b / 2), (1.0, self.b / 2)] if self.b else []
@@ -258,6 +276,13 @@ class V(_Kind):
         z, lam = jacobi(-al, al, last + 2)
         x = 2 * z - 1
         return x, 2 * lam, -abs(al), self.recurrence(last).rows(x)
+
+    def numerator_rule(self, k):
+        """(x, w): the prefactor's Gauss-Jacobi rule in x, at k + 4 nodes, as
+        many as pearson's mirrored rules have."""
+        (_, lo), (_, hi) = self.hints()
+        z, lam = jacobi(float(lo), float(hi), k + 4)
+        return 2 * z - 1, 2 ** (1 + lo + hi) * lam
 
     def norm(self, n):
         # 2 gamma(n+1+al) gamma(n+1-al) / (n!^2 (2n+1)) in logs

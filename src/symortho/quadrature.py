@@ -210,11 +210,15 @@ def _power_tail_mass(point_fn, anchor, sign, sigma, span):
 
 def _edge_task(point_fn, a, b, side, sigma):
     """Softened task at a singular finite endpoint, plus the analytic mass of
-    the sliver too close to the anchor to sample, and whether it was fitted."""
+    the sliver too close to the anchor to sample, and whether one was left
+    out.  A sliver the fit cannot take, [anchor, anchor +- min(_CUT |anchor|,
+    span/2)], is left out with an infinite error, unsampled."""
     anchor = a if side == "left" else b
     sign = 1.0 if side == "left" else -1.0
-    corr = (sigma is not None and sigma < 0 and anchor != 0.0
-            and _power_tail_mass(point_fn, anchor, sign, sigma, b - a)) or None
+    corr = None
+    if sigma is not None and sigma < 0 and anchor != 0.0:
+        corr = (_power_tail_mass(point_fn, anchor, sign, sigma, b - a)
+                or (min(_CUT * abs(anchor), (b - a) / 2), 0.0, math.inf))
     u_lo, ev, ee = corr or (0.0, 0.0, 0.0)
     m = _soften_m(sigma)
     return (u_lo ** (1.0 / m), (b - a) ** (1.0 / m), anchor, sign, m, 0), ev, ee, corr is not None
@@ -237,7 +241,7 @@ def _plan(point_fn, spec: IntervalSpec):
     by s^2 on a folded tail.  A plain piece is (a, b, 0, 1, 1, 0), x = t.
     point_fn evaluates the integrand at one point, for the analytic
     endpoint-sliver masses, which are returned summed with their error,
-    and with whether any was fitted.
+    and with whether any sliver was left out of its task.
     """
     finite_hints = {}
     tail_hi = tail_lo = None
@@ -274,9 +278,8 @@ def _plan(point_fn, spec: IntervalSpec):
     for c, d in zip(points[:-1], points[1:]):
         sc = finite_hints.get(c)
         sd = finite_hints.get(d)
-        pieces = [(c, d)]
-        if _needs_soften(sc) and _needs_soften(sd):
-            mid = 0.5 * (c + d)
+        pieces, mid = [(c, d)], 0.5 * (c + d)
+        if _needs_soften(sc) and _needs_soften(sd) and c < mid < d:    # no empty piece
             pieces = [(c, mid), (mid, d)]
         for (a, b) in pieces:
             if _needs_soften(finite_hints.get(a)):
@@ -679,8 +682,6 @@ def integrate_gram(sample, interval, scale, *, start=None, _quad=False) -> GramQ
         depth = 0 if _quad else _START_DEPTH
         starts = []
         for k, (a, b, _, _, _, fold) in enumerate(tasks):
-            if not a < b:
-                continue
             if fold:
                 starts.append((k, a, b, 0.0))
                 continue

@@ -28,10 +28,10 @@ from .errors import (ConstraintViolation, NonpositiveWeight, PoleError,
                      SingularCoefficient)
 from .families import (_FAMILIES, Class, _Family, generic_weight_log, integrable_pairs,
                        norms_squared)
-from .gauss import pearson
+from .gauss import _mirrored, pearson
 from .legendre import LegendreKind
-from .quadrature import (_EPS, _RTOL, IntervalSpec, QuadResult, divergence_mask, entry_scale,
-                         exponent_scan, integrate_gram)
+from .quadrature import (_EPS, _RTOL, IntervalSpec, QuadResult, divergence_mask, divergent,
+                         entry_scale, exponent_scan, integrate_gram)
 
 
 @dataclass(frozen=True)
@@ -146,16 +146,8 @@ def weight_star(sl, x):
     return float(w) if scalar else w
 
 
-def _value_slope(phi, x):
-    """(phi, phi') at x: a SymmetricPoly's own, or an (f, df) pair's."""
-    if hasattr(phi, "value_derivs"):
-        return phi.value_derivs(x)[:2]
-    f, df = phi
-    return f(x), df(x)
-
-
 def boundary_term(sl, phi_n, phi_m, *, scale=1.0):
-    """The self-adjoint boundary bracket, evaluated at theta minus -theta.
+    """The self-adjoint boundary bracket of two SymmetricPolys, at theta minus -theta.
 
     For distinct members this is A R (phi_n' phi_m - phi_m' phi_n); for one
     member against itself that combination is identically zero, so the
@@ -178,15 +170,13 @@ def boundary_term(sl, phi_n, phi_m, *, scale=1.0):
     probe stops at 10^3, so a slow decay reads as nonzero: the bracket of
     FiniteII(4.5)'s non-monic member 5, x - 2x^3, is 0.118 at x = 10,
     1.2e-5 at 10^3 and 1.2e-15 at 10^8."""
-    same = phi_n is phi_m or (
-        isinstance(phi_n, SymmetricPoly) and isinstance(phi_m, SymmetricPoly)
-        and (phi_n.n, phi_n.coeffs) == (phi_m.n, phi_m.coeffs))
+    same = phi_n is phi_m or (phi_n.n, phi_n.coeffs) == (phi_m.n, phi_m.coeffs)
 
     def wron(x):
-        fn, dfn = _value_slope(phi_n, x)
+        fn, dfn = phi_n.value_derivs(x)[:2]
         if same:
             return dfn * fn
-        fm, dfm = _value_slope(phi_m, x)
+        fm, dfm = phi_m.value_derivs(x)[:2]
         return dfn * fm - dfm * fn
 
     def ar(x):
@@ -487,6 +477,20 @@ class _FamilyBasis:
             return None
         used = (pairs.any(axis=0) | pairs.any(axis=1))[:int(n.max()) + 1]
         return got + (self._members(used)(got[0]),)
+
+    def expansion_rules(self, nmax, k):
+        """expand's two rules at pearson's degree k, both the weight's own;
+        None where pearson has none (finite moments: FiniteI, FiniteII) or
+        one of the odd pairs alone (a divergent origin)."""
+        spec = self.spec
+        if divergent(0, spec.exponents.origin):
+            return None
+        got = pearson(spec.params, spec.exponents, k)
+        if got is None:
+            return None
+        x, w = _mirrored(*got[:2])
+        one = (x, w, self.rows(nmax)(x))
+        return one, one
 
     def cliffs(self, nmax):
         """The mask, at [n, m], of the pairs (read where not integrable)

@@ -1,16 +1,15 @@
 import pytest
 
 from symortho import sturm
-from symortho.expand import _cached_rules, _verified_norms
+from symortho.expand import _verified
 
 
 @pytest.fixture(autouse=True)
 def fresh_expand_memo():
-    """Every test starts with no verified expand basis and no cached rule,
-    so a test that watches the Gram check or the rules sees them built
-    whatever ran before."""
-    _verified_norms.cache_clear()
-    _cached_rules.cache_clear()
+    """Every test starts with no verified expand basis, and so no cached
+    rule, so a test that watches the Gram check or the rules sees them
+    built whatever ran before."""
+    _verified.cache_clear()
 
 
 @pytest.fixture

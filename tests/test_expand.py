@@ -788,11 +788,11 @@ def test_unsupported_basis_still_raises_type_error():
 
 @pytest.mark.parametrize("basis", [GUP(1, 1.5), GHP(0), Pm(1), V(0.3)])
 def test_warm_memo_series_equals_cold(basis):
-    from symortho.expand import _verified_norms
+    from symortho.expand import _verified
     target = lambda x: np.exp(x) * np.cos(2 * x)    # noqa: E731
     cold = expand(target, basis, 8)
     warm = expand(target, basis, 8)
-    assert _verified_norms.cache_info().hits == 1
+    assert _verified.cache_info().hits == 1
     assert (warm.coefficients, warm.residual, warm.residual_rel) == (
         cold.coefficients, cold.residual, cold.residual_rel)
 

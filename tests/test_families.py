@@ -307,6 +307,16 @@ def test_norms_squared_refuses_where_norm_squared_does():
     assert norms_squared(FiniteI(5, 2), 3) == [None] * 4
 
 
+@pytest.mark.parametrize("u, nmax", [(0, 200), (Fraction(1, 2), 200), (1, 256)], ids=str)
+def test_exact_norms_past_the_float_range_read_as_the_float_ones(u, nmax):
+    # the exact running product of the C_k leaves the float range, where
+    # an int / int quotient raises OverflowError and a float product is inf
+    assert norm_squared(GHP(u), nmax).value == norm_squared(GHP(float(u)), nmax).value
+    exact, inexact = gram_matrix(GHP(u), nmax), gram_matrix(GHP(float(u)), nmax)
+    assert exact.entries.column("status") == inexact.entries.column("status")
+    assert not exact.passed
+
+
 def test_norms_squared_takes_one_running_product(monkeypatch):
     from symortho import core
     calls = []

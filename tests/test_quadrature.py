@@ -640,9 +640,9 @@ def test_a_scalar_integrand_broadcasts():
 ], ids=["short", "non-finite probe"])
 def test_an_unfitted_endpoint_sliver_reads_no_verdict(f, spec, probes, monkeypatch):
     # with no analytic sliver mass (_power_tail_mass returns None), the
-    # nodes nearest the anchor round onto it and sample inf there, so the
-    # tree stays open with error inf; no exponent scan fits in the
-    # interval's short side, and the probes are the only other evals
+    # sliver is left out of the tree with error inf, so the tree stays
+    # open; no exponent scan fits in the interval's short side, and the
+    # probes are the only other evals
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 200)
     (anchor, sigma), = spec.singularities
     sizes = []
@@ -657,6 +657,25 @@ def test_an_unfitted_endpoint_sliver_reads_no_verdict(f, spec, probes, monkeypat
     assert res.reason == "budget" and not (res.converged or res.diverged)
     assert res.abs_error_estimate == math.inf
     assert res.evals == 15 * res.panels + probes + (12 if probes else 0)
+
+
+def test_an_unfitted_sliver_spends_no_budget():
+    # the sliver the fit cannot take is left unsampled: the tree refines
+    # the rest of the interval and stops, where sampling toward the anchor
+    # at its ulp took all 8,001 budget panels
+    res = integrate(lambda x: np.abs(x - 1.0) ** -0.5,
+                    IntervalSpec(1.0, 1.0 + 1e-9, ((1.0, -0.5),)), on_inconclusive="return")
+    assert res.reason == "budget" and res.abs_error_estimate == math.inf
+    assert res.panels <= 400
+
+
+def test_plan_splits_no_piece_without_a_float_between_its_ends():
+    # singular hinted ends one ulp apart have no midpoint to split at: one
+    # task, and like every planned task it has a < b
+    u = float(np.nextafter(1.0, 2.0))
+    tasks = quadrature._plan(lambda x: np.ones(1),
+                             IntervalSpec(1.0, u, ((1.0, -0.5), (u, -0.5))))[0]
+    assert len(tasks) == 1 and tasks[0, 0] < tasks[0, 1]
 
 
 def test_a_certificate_scan_counts_as_evals():

@@ -16,8 +16,7 @@ from symortho.exponent_map import LambdaSpec, lambda_weight_and_gram
 from symortho import quadrature, sturm
 from symortho.families import (GUP, GHP, Class, FiniteI, FiniteII, finite_degree_bound,
                                norm_squared, pair_integrable, weight_at)
-from symortho.legendre import (G, Pm, Q, U, V, eval_jacobi, JacobiParams,
-                               legendre_norm)
+from symortho.legendre import G, Pm, Q, U, V, legendre_norm
 from symortho.sturm import (GramReport, _adapt, boundary_term, from_params,
                             generic_weight_log, gram_matrix, legendre_sl,
                             parity_integral, self_adjoint_factor,
@@ -225,23 +224,11 @@ def test_boundary_bracket_flags_out_of_range_member():
     assert boundary_term(sl, p3b, p3) == pytest.approx(leak)
 
 
-def test_boundary_accepts_fn_derivative_pairs():
-    sl = legendre_sl()
-    jp = JacobiParams(0, 0)
-
-    def p2(x):
-        return eval_jacobi(2, jp, x)
-
-    def dp2(x):
-        return 3.0 * x
-
-    def p3(x):
-        return eval_jacobi(3, jp, x)
-
-    def dp3(x):
-        return 7.5 * x * x - 1.5
-
-    assert boundary_term(sl, (p2, dp2), (p3, dp3)) == 0.0
+def test_boundary_bracket_vanishes_where_a_r_does():
+    # on (-1, 1) A R = 1 - x^2 vanishes at the ends (edge + 1 = 1 > 0), so
+    # the bracket of Legendre's P_2 and P_3 is 0.0 whatever their ends
+    p2, p3 = (poly_from_params(ClassParams(-1, 1, -2, 0), n) for n in (2, 3))
+    assert boundary_term(legendre_sl(), p2, p3) == 0.0
 
 
 # --------------------------------------------------------- parity lemma
