@@ -67,7 +67,7 @@ _MAX_COUNT = 1_000_000
 # the highest degree --n and --nmax may ask for.  gram keeps about 15
 # arrays of (nmax + 1)^2 entries and writes one JSON object an entry: 26 MB
 # at 256 for gup(1, 1), four times that at each doubling.  ghp's monic
-# members overflow from about 200 (ROADMAP item 4)
+# members overflow from about 200 (ROADMAP item 2)
 _MAX_DEGREE = 256
 
 

@@ -241,7 +241,7 @@ def _plan(point_fn, spec: IntervalSpec):
     by s^2 on a folded tail.  A plain piece is (a, b, 0, 1, 1, 0), x = t.
     point_fn evaluates the integrand at one point, for the analytic
     endpoint-sliver masses, which are returned summed with their error,
-    and with whether any sliver was left out of its task.
+    and with whether any sliver was booked apart (fitted or left out).
     """
     finite_hints = {}
     tail_hi = tail_lo = None
@@ -271,7 +271,7 @@ def _plan(point_fn, spec: IntervalSpec):
     elif points[-1] < hi:
         points.append(hi)
 
-    tasks, fitted = [], False
+    tasks, booked = [], False
     extra_value = extra_err = 0.0
     if lo == -math.inf:
         tasks.append(_tail_task(T, -1, tail_lo))
@@ -288,13 +288,13 @@ def _plan(point_fn, spec: IntervalSpec):
                 task, ev, ee, sliver = _edge_task(point_fn, a, b, "right", finite_hints[b])
             else:
                 task, ev, ee, sliver = (a, b, 0.0, 1.0, 1, 0), 0.0, 0.0, False
-            fitted |= sliver
+            booked |= sliver
             tasks.append(task)
             extra_value += ev
             extra_err += ee
     if hi == math.inf:
         tasks.append(_tail_task(T, +1, tail_hi))
-    return np.array(tasks, dtype=float), extra_value, extra_err, fitted
+    return np.array(tasks, dtype=float), extra_value, extra_err, booked
 
 
 def integrate(f, interval, *, atol=1e-10, rtol=_RTOL, parity=None,
@@ -549,7 +549,7 @@ class GramQuad:
     panel plus one per endpoint-sliver probe), as QuadResult counts them.
     mesh, for a tree started from this one: the interval, task rows (_plan)
     and final panels (task, lo, hi, depth), parked ones included; None where
-    the tree fitted an endpoint sliver or retired a non-finite one."""
+    the tree booked an endpoint sliver apart or retired a non-finite one."""
 
     value: np.ndarray
     error: np.ndarray
@@ -630,8 +630,8 @@ def integrate_gram(sample, interval, scale, *, start=None, _quad=False) -> GramQ
     while the members overflow).  Every panel splits into its two halves,
     and every round samples the new panels of all tasks in one call.
 
-    start, a GramQuad of a tree on the same interval that fitted no
-    endpoint sliver, starts the tree from its final panels and planned
+    start, a GramQuad of a tree on the same interval that booked no
+    endpoint sliver apart, starts the tree from its final panels and planned
     tasks instead; a start that kept no mesh (see GramQuad) or ran on
     another interval plans and starts cold.
 
@@ -673,9 +673,9 @@ def integrate_gram(sample, interval, scale, *, start=None, _quad=False) -> GramQ
 
     mesh = start.mesh if start is not None else None
     if mesh and mesh[0] == interval:
-        (_, tasks, starts), extra_value, extra_err, fitted = mesh, 0.0, 0.0, False
+        (_, tasks, starts), extra_value, extra_err, booked = mesh, 0.0, 0.0, False
     else:
-        (tasks, extra_value, extra_err, fitted), starts = _plan(point_fn, interval), None
+        (tasks, extra_value, extra_err, booked), starts = _plan(point_fn, interval), None
     if starts is None:
         # a finite task starts as _START_PANELS equal panels by halving (as
         # one panel for _quad), a folded tail whole
@@ -778,5 +778,5 @@ def integrate_gram(sample, interval, scale, *, start=None, _quad=False) -> GramQ
         val = np.concatenate((val[keep], c_val))
         err = np.concatenate((err[keep], c_err))
 
-    mesh = None if lost or fitted else (interval, tasks, np.concatenate(kept + [meta]))
+    mesh = None if lost or booked else (interval, tasks, np.concatenate(kept + [meta]))
     return GramQuad(total, errs, errs <= target, panels, 15 * panels + len(probes), mesh)
